@@ -76,7 +76,7 @@ type Analyzer struct {
 	// version, address), mirroring how the composition series consult
 	// Geo.
 	Routes RouteOracle
-	// Workers is the analysis shard count (0 = runtime.NumCPU). Series are
+	// Workers is the analysis shard count (0 = GOMAXPROCS). Series are
 	// computed by sharding the domain space over this many goroutines with
 	// a deterministic merge, so the result is independent of the setting.
 	Workers int
@@ -119,12 +119,12 @@ func pct(n, total int) float64 {
 }
 
 // Filter selects the domains an analysis runs over; nil selects all.
-// Filters must be safe for concurrent use: the epoch engine calls them
+// Filters must be safe for concurrent use: the cold feeder calls them
 // from its shard workers.
 type Filter func(domain string) bool
 
 // nsCompositionClassifier classifies a config by where its name-server
-// addresses geolocate. The same classifier serves the epoch engine (bound
+// addresses geolocate. The same classifier serves the accumulators (bound
 // to a memoizing geoCache) and the reference path (bound to the raw DB).
 func nsCompositionClassifier(g geoLookup) func(simtime.Day, store.Config) Composition {
 	return func(day simtime.Day, cfg store.Config) Composition {
@@ -180,11 +180,42 @@ func tldDependencyClassifier(geoLookup) func(simtime.Day, store.Config) Composit
 	}
 }
 
+// composition is the one definition of a composition series: every
+// measured domain counts toward Total and toward the class mk's
+// classifier assigns its config, re-evaluated per geolocation version.
+func (a *Analyzer) composition(mk classifierFor, filter Filter) *Accumulator[Point] {
+	classify := mk(newGeoCache(a.Geo))
+	var version func(simtime.Day) int
+	if a.Geo != nil {
+		version = a.Geo.Version
+	}
+	return newAccumulator(filter, version,
+		func(day simtime.Day, cfg store.Config, keys []colKey) []colKey {
+			return append(keys, colKey{kind: colTotal}, colKey{num: uint32(classify(day, cfg))})
+		},
+		func(days []simtime.Day, swept []bool, c columns) []Point {
+			class := func(comp Composition) []int { return c.col(colKey{num: uint32(comp)}) }
+			full, part, non, unknown := class(CompFull), class(CompPart), class(CompNon), class(CompUnknown)
+			total := c.col(colKey{kind: colTotal})
+			out := make([]Point, 0, len(days))
+			for i, day := range days {
+				out = append(out, Point{Day: day, Full: full[i], Part: part[i], Non: non[i],
+					Unknown: unknown[i], Total: total[i], Interpolated: !swept[i]})
+			}
+			return out
+		})
+}
+
+// NSComposition returns the Figure 1/5 accumulator: how many domains'
+// authoritative name servers geolocate fully/partially/not to Russia.
+func (a *Analyzer) NSComposition(filter Filter) *Accumulator[Point] {
+	return a.composition(nsCompositionClassifier, filter)
+}
+
 // NSCompositionSeries computes Figure 1 (and, with a sanctioned-domain
-// filter, Figure 5): for each day, how many domains' authoritative name
-// servers geolocate fully/partially/not to Russia.
+// filter, Figure 5) for the given days.
 func (a *Analyzer) NSCompositionSeries(days []simtime.Day, filter Filter) []Point {
-	return a.epochSeries(days, filter, nsCompositionClassifier)
+	return cold(a, days, filter, (*Analyzer).NSComposition)
 }
 
 // ReferenceNSCompositionSeries is NSCompositionSeries on the per-day
@@ -194,17 +225,28 @@ func (a *Analyzer) ReferenceNSCompositionSeries(days []simtime.Day, filter Filte
 	return a.referenceSeries(days, filter, nsCompositionClassifier(a.Geo))
 }
 
-// HostingCompositionSeries classifies domains by where their apex A
-// records geolocate (§3.1's hosting breakdown).
-func (a *Analyzer) HostingCompositionSeries(days []simtime.Day, filter Filter) []Point {
-	return a.epochSeries(days, filter, hostingCompositionClassifier)
+// HostingComposition returns the §3.1 hosting accumulator: domains
+// classified by where their apex A records geolocate.
+func (a *Analyzer) HostingComposition(filter Filter) *Accumulator[Point] {
+	return a.composition(hostingCompositionClassifier, filter)
 }
 
-// TLDDependencySeries computes Figure 2: whether each domain's name
-// servers are registered entirely under Russian Federation TLDs (.ru,
-// .su, .рф), partially, or not at all.
+// HostingCompositionSeries computes the hosting breakdown for the given
+// days.
+func (a *Analyzer) HostingCompositionSeries(days []simtime.Day, filter Filter) []Point {
+	return cold(a, days, filter, (*Analyzer).HostingComposition)
+}
+
+// TLDDependency returns the Figure 2 accumulator: whether each domain's
+// name servers are registered entirely under Russian Federation TLDs
+// (.ru, .su, .рф), partially, or not at all.
+func (a *Analyzer) TLDDependency(filter Filter) *Accumulator[Point] {
+	return a.composition(tldDependencyClassifier, filter)
+}
+
+// TLDDependencySeries computes Figure 2 for the given days.
 func (a *Analyzer) TLDDependencySeries(days []simtime.Day, filter Filter) []Point {
-	return a.epochSeries(days, filter, tldDependencyClassifier)
+	return cold(a, days, filter, (*Analyzer).TLDDependency)
 }
 
 // isRussianTLD reports whether a TLD label belongs to the Russian

@@ -35,22 +35,38 @@ func (p MailSharePoint) Share(zone string) float64 { return pct(p.Counts[zone], 
 // label): mx.yandex.net. → yandex.net.
 func MXZone(host string) string { return dns.Parent(dns.Canonical(host)) }
 
+// MailProvider returns the mail-operator share accumulator: among
+// resolvable domains, how many publish MX and which operator zones serve
+// them.
+func (a *Analyzer) MailProvider(filter Filter) *Accumulator[MailSharePoint] {
+	return newAccumulator(filter, nil,
+		func(_ simtime.Day, cfg store.Config, keys []colKey) []colKey {
+			if cfg.Failed {
+				return keys
+			}
+			keys = append(keys, colKey{kind: colTotal})
+			if len(cfg.MXHosts) > 0 {
+				keys = append(keys, colKey{kind: colWithMail})
+			}
+			for _, h := range cfg.MXHosts {
+				keys = uniqueAppend(keys, colKey{name: MXZone(h)})
+			}
+			return keys
+		},
+		func(days []simtime.Day, _ []bool, c columns) []MailSharePoint {
+			counts := countsBy(c, len(days), func(k colKey) string { return k.name })
+			total, withMail := c.col(colKey{kind: colTotal}), c.col(colKey{kind: colWithMail})
+			out := make([]MailSharePoint, 0, len(days))
+			for i, day := range days {
+				out = append(out, MailSharePoint{Day: day, Total: total[i], WithMail: withMail[i], Counts: counts[i]})
+			}
+			return out
+		})
+}
+
 // MailProviderSeries computes per-day mail-operator shares.
 func (a *Analyzer) MailProviderSeries(days []simtime.Day, filter Filter) []MailSharePoint {
-	totals, withMail, counts := epochShareSeries(a, days, filter,
-		func(cfg store.Config) bool { return !cfg.Failed },
-		func(cfg store.Config) bool { return len(cfg.MXHosts) > 0 },
-		func(cfg store.Config, dst []string) []string {
-			for _, h := range cfg.MXHosts {
-				dst = uniqueAppend(dst, MXZone(h))
-			}
-			return dst
-		})
-	out := make([]MailSharePoint, 0, len(days))
-	for i, day := range days {
-		out = append(out, MailSharePoint{Day: day, Total: totals[i], WithMail: withMail[i], Counts: counts[i]})
-	}
-	return out
+	return cold(a, days, filter, (*Analyzer).MailProvider)
 }
 
 // referenceMailProviderSeries is the per-day reference path, kept as the
@@ -113,7 +129,9 @@ func TopMailZones(series []MailSharePoint, k int) []string {
 // Liu-et-al methodology groups by operator, and operator country is the
 // analyst's judgment; here Russian-TLD operator zones count as Russian).
 func (a *Analyzer) MailCompositionSeries(days []simtime.Day, filter Filter) []Point {
-	return a.epochSeries(days, filter, mailCompositionClassifier)
+	return cold(a, days, filter, func(a *Analyzer, filter Filter) *Accumulator[Point] {
+		return a.composition(mailCompositionClassifier, filter)
+	})
 }
 
 func mailCompositionClassifier(geoLookup) func(simtime.Day, store.Config) Composition {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
 	"whereru/internal/netsim"
@@ -10,20 +9,17 @@ import (
 	"whereru/internal/store"
 )
 
-// This file computes the routing-scenario figures: per-day reachability
+// This file defines the routing-scenario figures: per-day reachability
 // of domain name-server infrastructure (overall, per country, per ASN)
 // and simulated resolution-latency series, both driven by the AS-level
-// route tables. The implementation is epoch-engine style: one store
-// snapshot, the sorted domain list sharded over workers, one route
-// evaluation per (epoch × route-version window), per-shard difference
-// arrays over the day axis, and a deterministic shard-order merge — so
-// the output is byte-identical for any worker count, the same contract
-// the composition series keep.
+// route tables. Like the composition series they are accumulators: one
+// route evaluation per (covered range × route-version window), so the
+// output is byte-identical for any worker count and for either feeder.
 
 // RouteOracle is the analysis-side routing dependency: per-day
 // reachability and path latency for an address, plus the route-state
-// version that lets the engine segment the day axis (within one version
-// every route decision is constant). netsim.RouteView satisfies it.
+// version that lets the accumulators split the day axis (within one
+// version every route decision is constant). netsim.RouteView satisfies it.
 type RouteOracle interface {
 	Route(day simtime.Day, addr netip.Addr) (time.Duration, bool)
 	Version(day simtime.Day) int
@@ -45,24 +41,8 @@ func (a *Analyzer) routes() RouteOracle {
 	return allReachable{}
 }
 
-// routeSegments splits the day axis at route-state version boundaries,
-// the routing analog of geoSegments.
-func routeSegments(oracle RouteOracle, days []simtime.Day) []segment {
-	var segs []segment
-	for i := 0; i < len(days); {
-		v := oracle.Version(days[i])
-		j := i + 1
-		for j < len(days) && oracle.Version(days[j]) == v {
-			j++
-		}
-		segs = append(segs, segment{lo: i, hi: j})
-		i = j
-	}
-	return segs
-}
-
 // routeCache memoizes route decisions keyed by (route version, addr) and
-// address origin metadata (static). Each shard worker owns one, like
+// address origin metadata (static). Each accumulator owns one, like
 // geoCache.
 type routeCache struct {
 	oracle RouteOracle
@@ -97,7 +77,7 @@ func newRouteCache(oracle RouteOracle, net *netsim.Internet) *routeCache {
 }
 
 // route returns the memoized route decision for addr on day (ver is the
-// day's route version, resolved by the caller once per segment).
+// day's route version, resolved by the caller once per window).
 func (c *routeCache) route(ver int, day simtime.Day, addr netip.Addr) (time.Duration, bool) {
 	k := routeKey{ver: ver, addr: addr}
 	if v, hit := c.memo[k]; hit {
@@ -160,230 +140,82 @@ type ReachPoint struct {
 	ASNs         []ASNReach
 }
 
-// ReachabilitySeries computes per-day name-server reachability under the
-// analyzer's route oracle for the given days (any order). Without Routes
-// every domain with name-server addresses is reachable.
-func (a *Analyzer) ReachabilitySeries(days []simtime.Day, filter Filter) []ReachPoint {
-	out := make([]ReachPoint, 0, len(days))
-	if len(days) == 0 {
-		return out
-	}
-	days, perm := sortDays(days)
+// Reachability returns the reachability accumulator under the analyzer's
+// route oracle. Without Routes every domain with name-server addresses
+// is reachable.
+func (a *Analyzer) Reachability(filter Filter) *Accumulator[ReachPoint] {
 	oracle := a.routes()
-	snap := a.Store.Snapshot()
-	segs := routeSegments(oracle, days)
-	n := snap.NumDomains()
-
-	type acc struct {
-		dTotal, dReach []int
-		cTotal, cReach map[string][]int
-		aTotal, aReach map[netsim.ASN][]int
-	}
-	shards := make([]acc, a.workers())
-	used := a.shard(n, func(shard, lo, hi int) {
-		d := &shards[shard]
-		d.dTotal = make([]int, len(days)+1)
-		d.dReach = make([]int, len(days)+1)
-		d.cTotal = make(map[string][]int)
-		d.cReach = make(map[string][]int)
-		d.aTotal = make(map[netsim.ASN][]int)
-		d.aReach = make(map[netsim.ASN][]int)
-		rc := newRouteCache(oracle, a.Internet)
-		diff := func(m map[string][]int, k string, l, h int) {
-			dk := m[k]
-			if dk == nil {
-				dk = make([]int, len(days)+1)
-				m[k] = dk
-			}
-			dk[l]++
-			dk[h]--
-		}
-		diffA := func(m map[netsim.ASN][]int, k netsim.ASN, l, h int) {
-			dk := m[k]
-			if dk == nil {
-				dk = make([]int, len(days)+1)
-				m[k] = dk
-			}
-			dk[l]++
-			dk[h]--
-		}
-		// Per-epoch scratch, reused across visits.
-		type slice struct {
-			reach bool
-		}
-		cSeen := map[string]*slice{}
-		aSeen := map[netsim.ASN]*slice{}
-		curDomain, keep := "", true
-		snap.VisitEpochs(days, lo, hi, func(domain string, cfg store.Config, elo, ehi int) {
-			if filter != nil {
-				if domain != curDomain {
-					curDomain, keep = domain, filter(domain)
-				}
-				if !keep {
-					return
-				}
-			}
+	rc := newRouteCache(oracle, a.Internet)
+	return newAccumulator(filter, oracle.Version,
+		func(day simtime.Day, cfg store.Config, keys []colKey) []colKey {
 			if len(cfg.NSAddrs) == 0 {
-				return
+				return keys
 			}
-			for _, sg := range segs {
-				l, h := max(elo, sg.lo), min(ehi, sg.hi)
-				if l >= h {
+			ver := oracle.Version(day)
+			keys = append(keys, colKey{kind: colTotal})
+			anyReach := false
+			for _, addr := range cfg.NSAddrs {
+				_, ok := rc.route(ver, day, addr)
+				anyReach = anyReach || ok
+				o := rc.originOf(addr)
+				if !o.known {
 					continue
 				}
-				day := days[l]
-				ver := oracle.Version(day)
-				anyReach := false
-				for k := range cSeen {
-					delete(cSeen, k)
-				}
-				for k := range aSeen {
-					delete(aSeen, k)
-				}
-				for _, addr := range cfg.NSAddrs {
-					_, ok := rc.route(ver, day, addr)
+				if o.country != "" {
+					keys = uniqueAppend(keys, colKey{kind: colCountry, name: o.country})
 					if ok {
-						anyReach = true
-					}
-					o := rc.originOf(addr)
-					if !o.known {
-						continue
-					}
-					if o.country != "" {
-						s := cSeen[o.country]
-						if s == nil {
-							s = &slice{}
-							cSeen[o.country] = s
-						}
-						s.reach = s.reach || ok
-					}
-					s := aSeen[o.asn]
-					if s == nil {
-						s = &slice{}
-						aSeen[o.asn] = s
-					}
-					s.reach = s.reach || ok
-				}
-				d.dTotal[l]++
-				d.dTotal[h]--
-				if anyReach {
-					d.dReach[l]++
-					d.dReach[h]--
-				}
-				for country, s := range cSeen {
-					diff(d.cTotal, country, l, h)
-					if s.reach {
-						diff(d.cReach, country, l, h)
+						keys = uniqueAppend(keys, colKey{kind: colCountryReachable, name: o.country})
 					}
 				}
-				for asn, s := range aSeen {
-					diffA(d.aTotal, asn, l, h)
-					if s.reach {
-						diffA(d.aReach, asn, l, h)
-					}
+				keys = uniqueAppend(keys, colKey{kind: colASN, num: uint32(o.asn)})
+				if ok {
+					keys = uniqueAppend(keys, colKey{kind: colASNReachable, num: uint32(o.asn)})
 				}
 			}
+			if anyReach {
+				keys = append(keys, colKey{kind: colReachable})
+			}
+			return keys
+		},
+		func(days []simtime.Day, swept []bool, c columns) []ReachPoint {
+			total, reach := c.col(colKey{kind: colTotal}), c.col(colKey{kind: colReachable})
+			// Resolve each breakdown's column pair once, in output order.
+			type breakdown struct {
+				key              colKey
+				total, reachable []int
+			}
+			breakdowns := func(kind, reachableKind uint8) []breakdown {
+				var out []breakdown
+				for _, k := range c.keys(kind) {
+					out = append(out, breakdown{k, c.col(k), c.col(colKey{kind: reachableKind, name: k.name, num: k.num})})
+				}
+				return out
+			}
+			countries, asns := breakdowns(colCountry, colCountryReachable), breakdowns(colASN, colASNReachable)
+			out := make([]ReachPoint, 0, len(days))
+			for i, day := range days {
+				p := ReachPoint{Day: day, Interpolated: !swept[i],
+					Total: total[i], Reachable: reach[i], Unreachable: total[i] - reach[i]}
+				for _, b := range countries {
+					if b.total[i] > 0 {
+						p.Countries = append(p.Countries, CountryReach{Country: b.key.name, Total: b.total[i], Reachable: b.reachable[i]})
+					}
+				}
+				for _, b := range asns {
+					if b.total[i] > 0 {
+						p.ASNs = append(p.ASNs, ASNReach{ASN: netsim.ASN(b.key.num), Total: b.total[i], Reachable: b.reachable[i]})
+					}
+				}
+				out = append(out, p)
+			}
+			return out
 		})
-	})
+}
 
-	// Deterministic merge: sum shard deltas in shard order, prefix-sum.
-	mTotal := make([]int, len(days)+1)
-	mReach := make([]int, len(days)+1)
-	mcTotal := make(map[string][]int)
-	mcReach := make(map[string][]int)
-	maTotal := make(map[netsim.ASN][]int)
-	maReach := make(map[netsim.ASN][]int)
-	mergeS := func(dst map[string][]int, src map[string][]int) {
-		for k, dk := range src {
-			mk := dst[k]
-			if mk == nil {
-				mk = make([]int, len(days)+1)
-				dst[k] = mk
-			}
-			for i := range dk {
-				mk[i] += dk[i]
-			}
-		}
-	}
-	mergeA := func(dst map[netsim.ASN][]int, src map[netsim.ASN][]int) {
-		for k, dk := range src {
-			mk := dst[k]
-			if mk == nil {
-				mk = make([]int, len(days)+1)
-				dst[k] = mk
-			}
-			for i := range dk {
-				mk[i] += dk[i]
-			}
-		}
-	}
-	for s := 0; s < used; s++ {
-		for i := range mTotal {
-			mTotal[i] += shards[s].dTotal[i]
-			mReach[i] += shards[s].dReach[i]
-		}
-		mergeS(mcTotal, shards[s].cTotal)
-		mergeS(mcReach, shards[s].cReach)
-		mergeA(maTotal, shards[s].aTotal)
-		mergeA(maReach, shards[s].aReach)
-	}
-	countries := make([]string, 0, len(mcTotal))
-	for c := range mcTotal {
-		countries = append(countries, c)
-	}
-	sort.Strings(countries)
-	asns := make([]netsim.ASN, 0, len(maTotal))
-	for as := range maTotal {
-		asns = append(asns, as)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-
-	sweeps := snap.Sweeps()
-	runTotal, runReach := 0, 0
-	runC := make(map[string][2]int, len(countries))
-	runA := make(map[netsim.ASN][2]int, len(asns))
-	for i, day := range days {
-		runTotal += mTotal[i]
-		runReach += mReach[i]
-		p := ReachPoint{
-			Day:          day,
-			Interpolated: !sweptDay(sweeps, day),
-			Total:        runTotal,
-			Reachable:    runReach,
-			Unreachable:  runTotal - runReach,
-		}
-		for _, c := range countries {
-			r := runC[c]
-			r[0] += mcTotal[c][i]
-			if dk := mcReach[c]; dk != nil {
-				r[1] += dk[i]
-			}
-			runC[c] = r
-			if r[0] > 0 {
-				p.Countries = append(p.Countries, CountryReach{Country: c, Total: r[0], Reachable: r[1]})
-			}
-		}
-		for _, as := range asns {
-			r := runA[as]
-			r[0] += maTotal[as][i]
-			if dk := maReach[as]; dk != nil {
-				r[1] += dk[i]
-			}
-			runA[as] = r
-			if r[0] > 0 {
-				p.ASNs = append(p.ASNs, ASNReach{ASN: as, Total: r[0], Reachable: r[1]})
-			}
-		}
-		out = append(out, p)
-	}
-	if perm != nil {
-		res := make([]ReachPoint, len(out))
-		for si, oi := range perm {
-			res[oi] = out[si]
-		}
-		return res
-	}
-	return out
+// ReachabilitySeries computes per-day name-server reachability for the
+// given days (any order).
+func (a *Analyzer) ReachabilitySeries(days []simtime.Day, filter Filter) []ReachPoint {
+	return cold(a, days, filter, (*Analyzer).Reachability)
 }
 
 // latencyBuckets is the histogram resolution of the route-latency
@@ -445,181 +277,83 @@ type RouteLatencyPoint struct {
 	Countries     []CountryLatency
 }
 
-// RouteLatencySeries computes per-day simulated resolution-latency
-// quantiles under the analyzer's route oracle for the given days (any
-// order). Without Routes every latency is zero.
-func (a *Analyzer) RouteLatencySeries(days []simtime.Day, filter Filter) []RouteLatencyPoint {
-	out := make([]RouteLatencyPoint, 0, len(days))
-	if len(days) == 0 {
-		return out
-	}
-	days, perm := sortDays(days)
+// RouteLatency returns the resolution-latency accumulator under the
+// analyzer's route oracle: one best-path-latency histogram per day,
+// overall and per name-server country. Without Routes every latency is
+// zero.
+func (a *Analyzer) RouteLatency(filter Filter) *Accumulator[RouteLatencyPoint] {
 	oracle := a.routes()
-	snap := a.Store.Snapshot()
-	segs := routeSegments(oracle, days)
-	n := snap.NumDomains()
-
-	type acc struct {
-		hist  [latencyBuckets][]int
-		cHist map[string]*[latencyBuckets][]int
-	}
-	shards := make([]acc, a.workers())
-	used := a.shard(n, func(shard, lo, hi int) {
-		d := &shards[shard]
-		d.cHist = make(map[string]*[latencyBuckets][]int)
-		rc := newRouteCache(oracle, a.Internet)
-		cSeen := map[string]bool{}
-		curDomain, keep := "", true
-		snap.VisitEpochs(days, lo, hi, func(domain string, cfg store.Config, elo, ehi int) {
-			if filter != nil {
-				if domain != curDomain {
-					curDomain, keep = domain, filter(domain)
-				}
-				if !keep {
-					return
-				}
-			}
-			if len(cfg.NSAddrs) == 0 {
-				return
-			}
-			for _, sg := range segs {
-				l, h := max(elo, sg.lo), min(ehi, sg.hi)
-				if l >= h {
+	rc := newRouteCache(oracle, a.Internet)
+	return newAccumulator(filter, oracle.Version,
+		func(day simtime.Day, cfg store.Config, keys []colKey) []colKey {
+			ver := oracle.Version(day)
+			best, routed := time.Duration(0), false
+			for _, addr := range cfg.NSAddrs {
+				lat, ok := rc.route(ver, day, addr)
+				if !ok {
 					continue
 				}
-				day := days[l]
-				ver := oracle.Version(day)
-				best, routed := time.Duration(0), false
-				for k := range cSeen {
-					delete(cSeen, k)
+				if !routed || lat < best {
+					best, routed = lat, true
 				}
-				for _, addr := range cfg.NSAddrs {
-					lat, ok := rc.route(ver, day, addr)
-					if !ok {
-						continue
-					}
-					if !routed || lat < best {
-						best, routed = lat, true
-					}
-					if o := rc.originOf(addr); o.known && o.country != "" {
-						cSeen[o.country] = true
-					}
-				}
-				if !routed {
-					continue
-				}
-				b := latencyBucket(best)
-				if d.hist[b] == nil {
-					d.hist[b] = make([]int, len(days)+1)
-				}
-				d.hist[b][l]++
-				d.hist[b][h]--
-				for country := range cSeen {
-					ch := d.cHist[country]
-					if ch == nil {
-						ch = &[latencyBuckets][]int{}
-						d.cHist[country] = ch
-					}
-					if ch[b] == nil {
-						ch[b] = make([]int, len(days)+1)
-					}
-					ch[b][l]++
-					ch[b][h]--
+				if o := rc.originOf(addr); o.known && o.country != "" {
+					keys = uniqueAppend(keys, colKey{kind: colCountryBucket, name: o.country})
 				}
 			}
+			if !routed {
+				return keys[:0]
+			}
+			// The bucket is known only after the last address: the country
+			// keys collected so far (keys arrives empty) are stamped with it.
+			b := uint32(latencyBucket(best))
+			for i := range keys {
+				keys[i].num = b
+			}
+			return append(keys, colKey{num: b})
+		},
+		func(days []simtime.Day, swept []bool, c columns) []RouteLatencyPoint {
+			hist := func(kind uint8, name string) (h [latencyBuckets][]int) {
+				for b := range h {
+					h[b] = c.col(colKey{kind: kind, name: name, num: uint32(b)})
+				}
+				return h
+			}
+			// at returns day i's histogram, its size and its quantiles.
+			at := func(h *[latencyBuckets][]int, i int) (n int, p50, p90, p99 time.Duration) {
+				var run [latencyBuckets]int
+				for b := range run {
+					run[b] = h[b][i]
+					n += run[b]
+				}
+				return n, bucketQuantile(&run, 0.50), bucketQuantile(&run, 0.90), bucketQuantile(&run, 0.99)
+			}
+			all := hist(colKeyed, "")
+			var countries []string
+			var byCountry [][latencyBuckets][]int
+			for _, k := range c.keys(colCountryBucket) {
+				if len(countries) == 0 || countries[len(countries)-1] != k.name {
+					countries = append(countries, k.name)
+					byCountry = append(byCountry, hist(colCountryBucket, k.name))
+				}
+			}
+			out := make([]RouteLatencyPoint, 0, len(days))
+			for i, day := range days {
+				p := RouteLatencyPoint{Day: day, Interpolated: !swept[i]}
+				p.Domains, p.P50, p.P90, p.P99 = at(&all, i)
+				for ci, country := range countries {
+					cl := CountryLatency{Country: country}
+					if cl.Domains, cl.P50, cl.P90, cl.P99 = at(&byCountry[ci], i); cl.Domains > 0 {
+						p.Countries = append(p.Countries, cl)
+					}
+				}
+				out = append(out, p)
+			}
+			return out
 		})
-	})
+}
 
-	// Merge shard deltas, prefix-sum each bucket axis.
-	var mHist [latencyBuckets][]int
-	mcHist := make(map[string]*[latencyBuckets][]int)
-	for s := 0; s < used; s++ {
-		for b := 0; b < latencyBuckets; b++ {
-			if shards[s].hist[b] == nil {
-				continue
-			}
-			if mHist[b] == nil {
-				mHist[b] = make([]int, len(days)+1)
-			}
-			for i, v := range shards[s].hist[b] {
-				mHist[b][i] += v
-			}
-		}
-		for country, ch := range shards[s].cHist {
-			mch := mcHist[country]
-			if mch == nil {
-				mch = &[latencyBuckets][]int{}
-				mcHist[country] = mch
-			}
-			for b := 0; b < latencyBuckets; b++ {
-				if ch[b] == nil {
-					continue
-				}
-				if mch[b] == nil {
-					mch[b] = make([]int, len(days)+1)
-				}
-				for i, v := range ch[b] {
-					mch[b][i] += v
-				}
-			}
-		}
-	}
-	countries := make([]string, 0, len(mcHist))
-	for c := range mcHist {
-		countries = append(countries, c)
-	}
-	sort.Strings(countries)
-
-	sweeps := snap.Sweeps()
-	var run [latencyBuckets]int
-	runC := make(map[string]*[latencyBuckets]int, len(countries))
-	for _, c := range countries {
-		runC[c] = &[latencyBuckets]int{}
-	}
-	for i, day := range days {
-		domains := 0
-		for b := 0; b < latencyBuckets; b++ {
-			if mHist[b] != nil {
-				run[b] += mHist[b][i]
-			}
-			domains += run[b]
-		}
-		p := RouteLatencyPoint{
-			Day:          day,
-			Interpolated: !sweptDay(sweeps, day),
-			Domains:      domains,
-			P50:          bucketQuantile(&run, 0.50),
-			P90:          bucketQuantile(&run, 0.90),
-			P99:          bucketQuantile(&run, 0.99),
-		}
-		for _, c := range countries {
-			cr := runC[c]
-			cd := 0
-			for b := 0; b < latencyBuckets; b++ {
-				if mcHist[c][b] != nil {
-					cr[b] += mcHist[c][b][i]
-				}
-				cd += cr[b]
-			}
-			if cd == 0 {
-				continue
-			}
-			p.Countries = append(p.Countries, CountryLatency{
-				Country: c,
-				Domains: cd,
-				P50:     bucketQuantile(cr, 0.50),
-				P90:     bucketQuantile(cr, 0.90),
-				P99:     bucketQuantile(cr, 0.99),
-			})
-		}
-		out = append(out, p)
-	}
-	if perm != nil {
-		res := make([]RouteLatencyPoint, len(out))
-		for si, oi := range perm {
-			res[oi] = out[si]
-		}
-		return res
-	}
-	return out
+// RouteLatencySeries computes per-day simulated resolution-latency
+// quantiles for the given days (any order).
+func (a *Analyzer) RouteLatencySeries(days []simtime.Day, filter Filter) []RouteLatencyPoint {
+	return cold(a, days, filter, (*Analyzer).RouteLatency)
 }

@@ -22,22 +22,34 @@ type TLDSharePoint struct {
 // Share returns the percentage of domains using the TLD that day.
 func (p TLDSharePoint) Share(tld string) float64 { return pct(p.Counts[tld], p.Total) }
 
+// TLDShare returns the Figure 3 accumulator: among delegated domains,
+// how many use at least one name server under each TLD.
+func (a *Analyzer) TLDShare(filter Filter) *Accumulator[TLDSharePoint] {
+	return newAccumulator(filter, nil,
+		func(_ simtime.Day, cfg store.Config, keys []colKey) []colKey {
+			if cfg.Failed || len(cfg.NSHosts) == 0 {
+				return keys
+			}
+			keys = append(keys, colKey{kind: colTotal})
+			for _, host := range cfg.NSHosts {
+				keys = uniqueAppend(keys, colKey{name: dns.TLD(host)})
+			}
+			return keys
+		},
+		func(days []simtime.Day, _ []bool, c columns) []TLDSharePoint {
+			counts := countsBy(c, len(days), func(k colKey) string { return k.name })
+			total := c.col(colKey{kind: colTotal})
+			out := make([]TLDSharePoint, 0, len(days))
+			for i, day := range days {
+				out = append(out, TLDSharePoint{Day: day, Total: total[i], Counts: counts[i]})
+			}
+			return out
+		})
+}
+
 // TLDShareSeries computes Figure 3's underlying series for all TLDs.
 func (a *Analyzer) TLDShareSeries(days []simtime.Day, filter Filter) []TLDSharePoint {
-	totals, _, counts := epochShareSeries(a, days, filter,
-		func(cfg store.Config) bool { return !cfg.Failed && len(cfg.NSHosts) > 0 },
-		nil,
-		func(cfg store.Config, dst []string) []string {
-			for _, host := range cfg.NSHosts {
-				dst = uniqueAppend(dst, dns.TLD(host))
-			}
-			return dst
-		})
-	out := make([]TLDSharePoint, 0, len(days))
-	for i, day := range days {
-		out = append(out, TLDSharePoint{Day: day, Total: totals[i], Counts: counts[i]})
-	}
-	return out
+	return cold(a, days, filter, (*Analyzer).TLDShare)
 }
 
 // referenceTLDShareSeries is the per-day reference path for Figure 3,
@@ -103,25 +115,36 @@ type ASNSharePoint struct {
 // Share returns the percentage of domains hosted in the ASN that day.
 func (p ASNSharePoint) Share(asn netsim.ASN) float64 { return pct(p.Counts[asn], p.Total) }
 
-// ASNShareSeries computes Figure 4's series: per day, how many measured
-// domains have at least one apex A record originated by each ASN.
-func (a *Analyzer) ASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
-	totals, _, counts := epochShareSeries(a, days, filter,
-		func(cfg store.Config) bool { return !cfg.Failed },
-		nil,
-		func(cfg store.Config, dst []netsim.ASN) []netsim.ASN {
+// ASNShare returns the Figure 4 accumulator: among resolvable domains,
+// how many have at least one apex A record originated by each ASN.
+func (a *Analyzer) ASNShare(filter Filter) *Accumulator[ASNSharePoint] {
+	return newAccumulator(filter, nil,
+		func(_ simtime.Day, cfg store.Config, keys []colKey) []colKey {
+			if cfg.Failed {
+				return keys
+			}
+			keys = append(keys, colKey{kind: colTotal})
 			for _, addr := range cfg.ApexAddrs {
 				if asn, ok := a.Internet.OriginAS(addr); ok {
-					dst = uniqueAppend(dst, asn)
+					keys = uniqueAppend(keys, colKey{num: uint32(asn)})
 				}
 			}
-			return dst
+			return keys
+		},
+		func(days []simtime.Day, _ []bool, c columns) []ASNSharePoint {
+			counts := countsBy(c, len(days), func(k colKey) netsim.ASN { return netsim.ASN(k.num) })
+			total := c.col(colKey{kind: colTotal})
+			out := make([]ASNSharePoint, 0, len(days))
+			for i, day := range days {
+				out = append(out, ASNSharePoint{Day: day, Total: total[i], Counts: counts[i]})
+			}
+			return out
 		})
-	out := make([]ASNSharePoint, 0, len(days))
-	for i, day := range days {
-		out = append(out, ASNSharePoint{Day: day, Total: totals[i], Counts: counts[i]})
-	}
-	return out
+}
+
+// ASNShareSeries computes Figure 4's series for the given days.
+func (a *Analyzer) ASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
+	return cold(a, days, filter, (*Analyzer).ASNShare)
 }
 
 // referenceASNShareSeries is the per-day reference path for Figure 4,

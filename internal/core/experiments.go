@@ -29,9 +29,11 @@ func (s *Study) sanctionedFilter() analysis.Filter {
 // keyDays returns the standard day axis for longitudinal series: every
 // collected sweep plus every scheduled-but-missed day, so collection
 // gaps appear as explicit carry-forward points (flagged Interpolated by
-// the engine) instead of silently vanishing from the axis.
+// the accumulators) instead of silently vanishing from the axis. It reads
+// the sweep days from the store, under its lock, rather than s.Sweeps: a
+// followed server computes figures while ApplySweep appends to both.
 func (s *Study) keyDays() []simtime.Day {
-	return mergeDays(s.Sweeps, s.Store.MissingSweeps())
+	return mergeDays(s.Store.Sweeps(), s.Store.MissingSweeps())
 }
 
 // mergeDays merges two sorted day lists, dropping duplicates.
@@ -97,28 +99,32 @@ var fig4ASNs = []ProviderSpec{
 	{29802, "Serverel (NL)"},
 }
 
+// denseDays returns the part of keyDays inside the 2022 dense window, the
+// axis of Figures 4 and 5.
+func (s *Study) denseDays() []simtime.Day {
+	days := s.keyDays()
+	for len(days) > 0 && days[0] < simtime.DenseWindowStart {
+		days = days[1:]
+	}
+	return days
+}
+
 // Fig4 computes the Figure 4 series (hosting ASN shares) over the 2022
 // dense window.
 func (s *Study) Fig4() []analysis.ASNSharePoint {
-	var days []simtime.Day
-	for _, d := range s.keyDays() {
-		if d >= simtime.Date(2022, 2, 1) {
-			days = append(days, d)
-		}
-	}
-	return s.Analyzer.ASNShareSeries(days, nil)
+	return s.Analyzer.ASNShareSeries(s.denseDays(), nil)
 }
 
 // Fig5 computes the Figure 5 series (sanctioned-domain NS composition)
 // over the 2022 dense window.
 func (s *Study) Fig5() []analysis.Point {
-	var days []simtime.Day
-	for _, d := range s.keyDays() {
-		if d >= simtime.Date(2022, 2, 1) {
-			days = append(days, d)
-		}
-	}
-	return s.Analyzer.NSCompositionSeries(days, s.sanctionedFilter())
+	return s.Analyzer.NSCompositionSeries(s.denseDays(), s.sanctionedFilter())
+}
+
+// SweepCounts computes the per-sweep measurement counts behind
+// /api/v1/sweeps, over the store's sweep days.
+func (s *Study) SweepCounts() []analysis.SweepCount {
+	return s.Analyzer.SweepCountSeries(s.Store.Sweeps(), nil)
 }
 
 // Reachability computes the scenario reachability series (per-day

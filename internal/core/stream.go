@@ -23,7 +23,7 @@ func (s *Study) NewStreamEngine() *stream.Engine {
 	return stream.New(stream.Config{
 		Analyzer:    s.Analyzer,
 		Sanctioned:  s.sanctionedFilter(),
-		DenseCutoff: simtime.Date(2022, 2, 1),
+		DenseCutoff: simtime.DenseWindowStart,
 	})
 }
 

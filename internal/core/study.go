@@ -35,8 +35,8 @@ type Options struct {
 	// Workers is the sweep concurrency (default 8).
 	Workers int
 	// AnalysisWorkers is the analysis shard count for figure regeneration
-	// (0 = one shard per CPU). Results are independent of the setting: the
-	// epoch engine merges per-shard counters deterministically.
+	// (0 = one shard per CPU the scheduler may use). Results are
+	// independent of the setting: shard counters merge by addition.
 	AnalysisWorkers int
 	// CollectMX enables the mail-measurement extension (MX records are
 	// collected alongside NS/A, enabling the mail-concentration analyses).
@@ -165,7 +165,7 @@ type Study struct {
 // New builds the world for a study.
 func New(opts Options) (*Study, error) {
 	if opts.DenseFrom == 0 {
-		opts.DenseFrom = simtime.Date(2022, 2, 1)
+		opts.DenseFrom = simtime.DenseWindowStart
 	}
 	if opts.DenseStep <= 0 {
 		opts.DenseStep = 3

@@ -5,16 +5,17 @@ import (
 
 	"whereru/internal/analysis"
 	"whereru/internal/core"
+	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/stream"
 )
 
-// seriesSource is where a figure's series comes from: the batch engine
-// (core.Study recomputes over the whole store) or the incremental one
-// (stream.Engine returns its folded accumulators). Both must yield
-// identical series — the fold-equivalence tests pin that — so one doc
-// builder renders for both, and a cache entry patched from the stream
-// engine is byte-identical to one computed cold.
+// seriesSource is where a series comes from: the cold feeder (core.Study
+// recomputes over the whole store) or the live one (stream.Engine reads
+// its folded accumulators). Both run the same accumulator definitions and
+// must yield identical series — the fold-equivalence tests pin that — so
+// one doc builder renders for both, and a cache entry patched from the
+// stream engine is byte-identical to one computed cold.
 type seriesSource interface {
 	Fig1() []analysis.Point
 	Fig2() []analysis.Point
@@ -24,6 +25,7 @@ type seriesSource interface {
 	Hosting() []analysis.Point
 	Reachability() []analysis.ReachPoint
 	RouteLatency() []analysis.RouteLatencyPoint
+	SweepCounts() []analysis.SweepCount
 }
 
 var (
@@ -70,14 +72,14 @@ func docFigure(n string, gen uint64, missing []simtime.Day, scenario string, src
 		return asnShareDoc{
 			Figure: 4, Title: "Hosting ASN shares (2022 dense window)",
 			Generation: gen, Plotted: plotted,
-			MissingDays: missingIn(missing, simtime.Date(2022, 2, 1)),
+			MissingDays: missingIn(missing, simtime.DenseWindowStart),
 			Series:      renderASNShares(src.Fig4()),
 		}, nil
 	case "5":
 		return compositionDoc{
 			Figure: 5, Title: "Sanctioned-domain NS composition (2022 dense window)",
 			Generation:  gen,
-			MissingDays: missingIn(missing, simtime.Date(2022, 2, 1)),
+			MissingDays: missingIn(missing, simtime.DenseWindowStart),
 			Series:      renderComposition(src.Fig5()),
 		}, nil
 	case "reachability":
@@ -105,4 +107,43 @@ func docHosting(gen uint64, missing []simtime.Day, src seriesSource) any {
 		Generation: gen, MissingDays: missing,
 		Series: renderComposition(src.Hosting()),
 	}
+}
+
+// docSweepsFromCounts builds the /api/v1/sweeps document: one row per
+// sweep day from the source's per-sweep counts, the missing days
+// interleaved as bare markers, and the runtime-only fields filled in for
+// sweeps this process collected.
+func docSweepsFromCounts(src seriesSource, missing []simtime.Day, live []openintel.SweepStats, gen uint64) sweepsDoc {
+	counts := src.SweepCounts()
+	liveByDay := make(map[simtime.Day]openintel.SweepStats, len(live))
+	for _, st := range live {
+		liveByDay[st.Day] = st
+	}
+	doc := sweepsDoc{Endpoint: "sweeps", Generation: gen, Sweeps: len(counts), MissingDays: len(missing)}
+	doc.Days = make([]sweepRow, 0, len(counts)+len(missing))
+	mi := 0
+	for _, c := range counts {
+		for mi < len(missing) && missing[mi] < c.Day {
+			doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
+			mi++
+		}
+		row := sweepRow{
+			Day: c.Day, Domains: c.Measured, Failed: c.Failed,
+			NXDomain: c.NXDomain, Unreachable: c.Unreachable,
+		}
+		if st, ok := liveByDay[c.Day]; ok {
+			row.Retries = st.Retries
+			row.Recovered = st.Recovered
+			row.DurationMS = st.Duration.Milliseconds()
+			row.LatencyP50US = st.LatencyP50.Microseconds()
+			row.LatencyP90US = st.LatencyP90.Microseconds()
+			row.LatencyP99US = st.LatencyP99.Microseconds()
+		}
+		doc.Days = append(doc.Days, row)
+	}
+	for mi < len(missing) {
+		doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
+		mi++
+	}
+	return doc
 }

@@ -18,7 +18,6 @@ import (
 	"whereru/internal/analysis"
 	"whereru/internal/core"
 	"whereru/internal/netsim"
-	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 )
@@ -505,66 +504,4 @@ type sweepsDoc struct {
 	Sweeps      int        `json:"sweeps"`
 	MissingDays int        `json:"missing_days"`
 	Days        []sweepRow `json:"days"`
-}
-
-func renderSweeps(snap *store.Snapshot, missing []simtime.Day, live []openintel.SweepStats, gen uint64) sweepsDoc {
-	days := snap.Sweeps()
-	nd := len(days)
-	// Difference arrays over the day axis: each (domain, epoch) covers a
-	// contiguous [lo, hi) day range, so per-day counts accumulate in one
-	// epoch pass instead of one full-store pass per day.
-	measured := make([]int, nd+1)
-	failed := make([]int, nd+1)
-	nxdomain := make([]int, nd+1)
-	unreachable := make([]int, nd+1)
-	snap.ForEachEpochIn(days, func(_ string, cfg store.Config, lo, hi int) {
-		measured[lo]++
-		measured[hi]--
-		switch {
-		case cfg.Failed:
-			failed[lo]++
-			failed[hi]--
-		case len(cfg.NSHosts) == 0:
-			nxdomain[lo]++
-			nxdomain[hi]--
-		case len(cfg.NSAddrs) == 0:
-			unreachable[lo]++
-			unreachable[hi]--
-		}
-	})
-
-	liveByDay := make(map[simtime.Day]openintel.SweepStats, len(live))
-	for _, st := range live {
-		liveByDay[st.Day] = st
-	}
-
-	doc := sweepsDoc{Endpoint: "sweeps", Generation: gen, Sweeps: nd, MissingDays: len(missing)}
-	doc.Days = make([]sweepRow, 0, nd+len(missing))
-	var mCum, fCum, nCum, uCum int
-	mi := 0
-	for i, day := range days {
-		for mi < len(missing) && missing[mi] < day {
-			doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
-			mi++
-		}
-		mCum += measured[i]
-		fCum += failed[i]
-		nCum += nxdomain[i]
-		uCum += unreachable[i]
-		row := sweepRow{Day: day, Domains: mCum, Failed: fCum, NXDomain: nCum, Unreachable: uCum}
-		if st, ok := liveByDay[day]; ok {
-			row.Retries = st.Retries
-			row.Recovered = st.Recovered
-			row.DurationMS = st.Duration.Milliseconds()
-			row.LatencyP50US = st.LatencyP50.Microseconds()
-			row.LatencyP90US = st.LatencyP90.Microseconds()
-			row.LatencyP99US = st.LatencyP99.Microseconds()
-		}
-		doc.Days = append(doc.Days, row)
-	}
-	for mi < len(missing) {
-		doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
-		mi++
-	}
-	return doc
 }

@@ -174,7 +174,7 @@ func TestEndpointsGolden(t *testing.T) {
 		{"/api/v1/movement?asn=197695&from=2022-02-24", renderMovement(
 			st.Movement(197695, simtime.ConflictStart), gen)},
 		{"/api/v1/study", renderStudy(st, gen)},
-		{"/api/v1/sweeps", renderSweeps(st.Store.Snapshot(), st.Store.MissingSweeps(), st.Stats, gen)},
+		{"/api/v1/sweeps", docSweepsFromCounts(st, st.Store.MissingSweeps(), st.Stats, gen)},
 	}
 	for _, c := range cases {
 		t.Run(c.path, func(t *testing.T) {

@@ -10,7 +10,7 @@
 // an event to SSE and long-poll subscribers.
 //
 // Patching is sound because of two invariants enforced elsewhere: the
-// engine's series are DeepEqual to the batch recompute (the
+// engine's series are DeepEqual to the cold recompute (the
 // fold-equivalence tests in internal/stream), and both paths render
 // through the same doc builders (docs.go) — so a patched body is
 // byte-identical, ETag included, to what a cold computation would have
@@ -269,45 +269,8 @@ func (s *Server) patchCache(gen uint64) map[string]string {
 		ins("figures", "n="+id, "figures/"+id, doc)
 	}
 	ins("hosting", "", "hosting", docHosting(gen, missing, eng))
-	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng.SweepCounts(), missing, s.liveStats(), gen))
+	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng, missing, s.liveStats(), gen))
 	return etags
-}
-
-// docSweepsFromCounts renders the /api/v1/sweeps document from the
-// engine's carry-forward sweep counts: the same rows renderSweeps
-// derives from a store snapshot, without building one.
-func docSweepsFromCounts(counts []stream.SweepCount, missing []simtime.Day, live []openintel.SweepStats, gen uint64) sweepsDoc {
-	liveByDay := make(map[simtime.Day]openintel.SweepStats, len(live))
-	for _, st := range live {
-		liveByDay[st.Day] = st
-	}
-	doc := sweepsDoc{Endpoint: "sweeps", Generation: gen, Sweeps: len(counts), MissingDays: len(missing)}
-	doc.Days = make([]sweepRow, 0, len(counts)+len(missing))
-	mi := 0
-	for _, c := range counts {
-		for mi < len(missing) && missing[mi] < c.Day {
-			doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
-			mi++
-		}
-		row := sweepRow{
-			Day: c.Day, Domains: c.Measured, Failed: c.Failed,
-			NXDomain: c.NXDomain, Unreachable: c.Unreachable,
-		}
-		if st, ok := liveByDay[c.Day]; ok {
-			row.Retries = st.Retries
-			row.Recovered = st.Recovered
-			row.DurationMS = st.Duration.Milliseconds()
-			row.LatencyP50US = st.LatencyP50.Microseconds()
-			row.LatencyP90US = st.LatencyP90.Microseconds()
-			row.LatencyP99US = st.LatencyP99.Microseconds()
-		}
-		doc.Days = append(doc.Days, row)
-	}
-	for mi < len(missing) {
-		doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
-		mi++
-	}
-	return doc
 }
 
 // liveStats copies the study's per-sweep runtime stats under the live

@@ -161,6 +161,10 @@ var (
 	// StudyEnd is the last day of the OpenINTEL data window. The window is
 	// 1803 days long, matching the paper's "nearly five-year period".
 	StudyEnd = Date(2022, 5, 25)
+	// DenseWindowStart opens the 2022 window the paper analyses at full
+	// granularity: sweeps turn from monthly to dense here, and Figures 4
+	// and 5 plot only days from here on.
+	DenseWindowStart = Date(2022, 2, 1)
 	// ConflictStart is the day of the Russian invasion of Ukraine.
 	ConflictStart = Date(2022, 2, 24)
 	// SanctionsInEffect is the start of the paper's "post-sanctions" period.

@@ -1,8 +1,10 @@
-// Package stream is the incremental half of the analysis layer: an
-// engine that maintains every longitudinal series the serve API exposes
-// (Figures 1/2/3/4/5, hosting, mail, reachability, latency, per-sweep
-// counts) as live accumulator state, and folds one journal segment's
-// deltas into them instead of revisiting all epochs.
+// Package stream is the live feeder of the analysis layer: an engine
+// that holds one analysis.Accumulator per longitudinal series the serve
+// API exposes (Figures 1/2/3/4/5, hosting, mail, reachability, latency,
+// per-sweep counts) and folds one journal segment's deltas into them
+// instead of revisiting all epochs. What a series counts is defined once,
+// in internal/analysis; this package only decides which axis ranges a
+// segment changed.
 //
 // The contract is byte-identity: after folding segments 1..k, every
 // getter returns element-for-element exactly what a cold
@@ -24,10 +26,11 @@
 //     all zeros until a later sweep's backfill covers it.
 //
 // Per-domain cursors (last measured axis index + last config) are the
-// only cross-fold state besides the accumulators themselves, so fold
-// cost is proportional to the segment's measurements plus the patched
-// gap ranges — independent of how long the study already is. FoldStats
-// counts the work done, which is what the O(day) tests pin.
+// only cross-fold state besides the accumulators themselves, and an
+// accumulator covers a range in time independent of its length, so fold
+// cost is proportional to the segment's measurements — independent of
+// how long the study already is. FoldStats counts the work done, which
+// is what the O(day) tests pin.
 package stream
 
 import (
@@ -35,16 +38,14 @@ import (
 	"sync"
 
 	"whereru/internal/analysis"
-	"whereru/internal/netsim"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 )
 
 // Config wires an Engine to a study's analysis context.
 type Config struct {
-	// Analyzer supplies the classifiers, geolocation, address plan and
-	// route oracle. The engine owns private memoizing caches built from
-	// it; the analyzer itself is only read.
+	// Analyzer supplies the series accumulators (and through them the
+	// geolocation, address plan and route oracle); it is only read.
 	Analyzer *analysis.Analyzer
 	// Sanctioned is the Figure 5 domain filter (nil folds Figure 5 over
 	// all domains, like a study without sanction data).
@@ -65,19 +66,14 @@ type FoldStats struct {
 	Measurements int
 	// DomainsTouched counts domains whose cursor advanced.
 	DomainsTouched int
-	// Classifications counts per-day classifier/route evaluations.
+	// Classifications counts classifier/route evaluations: one per
+	// (series, covered range, geolocation or route version window).
 	Classifications int
-	// PointsPatched counts individual series-point updates (a domain
-	// covering one axis day in one series counts once).
+	// PointsPatched counts counter-column range updates: one per column a
+	// classification counts in, however many axis days the range spans
+	// (the accumulators keep difference columns, so a range is patched at
+	// its two ends).
 	PointsPatched int
-}
-
-// add accumulates other into s (used to total stats across folds).
-func (s *FoldStats) add(o FoldStats) {
-	s.Measurements += o.Measurements
-	s.DomainsTouched += o.DomainsTouched
-	s.Classifications += o.Classifications
-	s.PointsPatched += o.PointsPatched
 }
 
 // cursor is the per-domain fold state: the axis index of the domain's
@@ -87,83 +83,89 @@ type cursor struct {
 	cfg     store.Config
 }
 
-// SweepCount is one sweep day of the per-sweep measurement counts (the
-// /api/v1/sweeps derivation): totals of measured domains that day and
-// the failed/NXDOMAIN/unreachable classification of their configs.
-type SweepCount struct {
-	Day         simtime.Day
-	Measured    int
-	Failed      int
-	NXDomain    int
-	Unreachable int
+// slot binds one accumulator to the engine's global axis. A series may
+// admit only part of it — the dense-window figures start at a cutoff, the
+// per-sweep counts skip missing days — so pos maps global indices to the
+// accumulator's own: pos[i] is the number of admitted days before global
+// index i (len(axis)+1 entries).
+type slot struct {
+	acc interface {
+		Extend(day simtime.Day, swept bool)
+		Cover(domain string, cfg store.Config, lo, hi int) (windows, updates int)
+	}
+	cutoff    simtime.Day
+	sweptOnly bool
+	pos       []int
 }
 
-// accumulator is one incrementally-maintained series.
-type accumulator interface {
-	// appendDay extends the series axis with the global axis day gi.
-	appendDay(e *Engine, gi int, day simtime.Day, swept bool)
-	// cover applies one domain's coverage of the inclusive global axis
-	// index range [lo, hi] under cfg.
-	cover(e *Engine, domain string, cfg store.Config, lo, hi int, st *FoldStats)
+func (s *slot) extend(day simtime.Day, swept bool) {
+	n := s.pos[len(s.pos)-1]
+	if day >= s.cutoff && (swept || !s.sweptOnly) {
+		s.acc.Extend(day, swept)
+		n++
+	}
+	s.pos = append(s.pos, n)
 }
 
-// Engine holds the accumulator state for every series. All methods are
-// safe for concurrent use: folds take the write lock, getters the read
-// lock and return copies.
+// cover applies coverage of the inclusive global range [lo, hi].
+func (s *slot) cover(domain string, cfg store.Config, lo, hi int, st *FoldStats) {
+	l, h := s.pos[lo], s.pos[hi+1]-1
+	if l > h {
+		return
+	}
+	windows, updates := s.acc.Cover(domain, cfg, l, h)
+	st.Classifications += windows
+	st.PointsPatched += updates
+}
+
+// Engine holds the accumulator for every series. All methods are safe
+// for concurrent use: folds take the write lock, getters the read lock
+// and return copies.
 type Engine struct {
 	mu sync.RWMutex
 
 	// days is the global axis: every folded day (sweep or missing), in
 	// ascending order — the same axis core.Study.keyDays() computes.
-	days     []simtime.Day
-	swept    []bool
-	sweepIdx []int // global index -> sweep ordinal (-1 for missing days)
-	// sweptBefore[i] is the number of swept axis days among days[:i]
-	// (len(days)+1 entries), mapping global index ranges to sweep
-	// ordinal ranges in O(1).
-	sweptBefore []int
-	sweeps      []simtime.Day
-	missing     []simtime.Day
-
+	days    []simtime.Day
 	cursors map[string]cursor
 
-	fig1, fig2, fig5, hosting *compSeries
-	fig3                      *shareSeries[string]
-	fig4                      *shareSeries[netsim.ASN]
-	mail                      *shareSeries[string]
-	reach                     *reachSeries
-	lat                       *latSeries
-	counts                    *sweepSeries
-	accs                      []accumulator
+	fig1, fig2, fig5, hosting *analysis.Accumulator[analysis.Point]
+	fig3                      *analysis.Accumulator[analysis.TLDSharePoint]
+	fig4                      *analysis.Accumulator[analysis.ASNSharePoint]
+	mail                      *analysis.Accumulator[analysis.MailSharePoint]
+	reach                     *analysis.Accumulator[analysis.ReachPoint]
+	lat                       *analysis.Accumulator[analysis.RouteLatencyPoint]
+	counts                    *analysis.Accumulator[analysis.SweepCount]
+	slots                     []*slot
 
 	folds uint64
-	total FoldStats
 }
 
 // New builds an empty engine; feed it journal segments with Fold.
 func New(cfg Config) *Engine {
 	a := cfg.Analyzer
-	e := &Engine{cursors: make(map[string]cursor), sweptBefore: []int{0}}
-	e.fig1 = newCompSeries(a.NewNSClassifier(), nil, 0)
-	e.fig2 = newCompSeries(a.NewTLDClassifier(), nil, 0)
-	e.fig5 = newCompSeries(a.NewNSClassifier(), cfg.Sanctioned, cfg.DenseCutoff)
-	e.hosting = newCompSeries(a.NewHostingClassifier(), nil, 0)
-	e.fig3 = newShareSeries[string](0,
-		func(cfg store.Config) bool { return !cfg.Failed && len(cfg.NSHosts) > 0 },
-		nil,
-		tldKeys)
-	e.fig4 = newShareSeries[netsim.ASN](cfg.DenseCutoff,
-		func(cfg store.Config) bool { return !cfg.Failed },
-		nil,
-		func(c store.Config, dst []netsim.ASN) []netsim.ASN { return asnKeys(a, c, dst) })
-	e.mail = newShareSeries[string](0,
-		func(cfg store.Config) bool { return !cfg.Failed },
-		func(cfg store.Config) bool { return len(cfg.MXHosts) > 0 },
-		mailKeys)
-	e.reach = newReachSeries(a.NewRouteEval())
-	e.lat = newLatSeries(a.NewRouteEval())
-	e.counts = &sweepSeries{}
-	e.accs = []accumulator{e.fig1, e.fig2, e.fig5, e.hosting, e.fig3, e.fig4, e.mail, e.reach, e.lat, e.counts}
+	e := &Engine{
+		cursors: make(map[string]cursor),
+		fig1:    a.NSComposition(nil),
+		fig2:    a.TLDDependency(nil),
+		fig3:    a.TLDShare(nil),
+		fig4:    a.ASNShare(nil),
+		fig5:    a.NSComposition(cfg.Sanctioned),
+		hosting: a.HostingComposition(nil),
+		mail:    a.MailProvider(nil),
+		reach:   a.Reachability(nil),
+		lat:     a.RouteLatency(nil),
+		counts:  a.SweepCount(nil),
+	}
+	e.slots = []*slot{
+		{acc: e.fig1}, {acc: e.fig2}, {acc: e.fig3}, {acc: e.hosting},
+		{acc: e.mail}, {acc: e.reach}, {acc: e.lat},
+		{acc: e.fig4, cutoff: cfg.DenseCutoff}, {acc: e.fig5, cutoff: cfg.DenseCutoff},
+		{acc: e.counts, sweptOnly: true},
+	}
+	for _, s := range e.slots {
+		s.pos = []int{0}
+	}
 	return e
 }
 
@@ -180,18 +182,8 @@ func (e *Engine) Fold(rec store.JournalSweep) (FoldStats, error) {
 	gi := len(e.days)
 	swept := !rec.Missing
 	e.days = append(e.days, rec.Day)
-	e.swept = append(e.swept, swept)
-	if swept {
-		e.sweepIdx = append(e.sweepIdx, len(e.sweeps))
-		e.sweeps = append(e.sweeps, rec.Day)
-		e.sweptBefore = append(e.sweptBefore, e.sweptBefore[gi]+1)
-	} else {
-		e.sweepIdx = append(e.sweepIdx, -1)
-		e.missing = append(e.missing, rec.Day)
-		e.sweptBefore = append(e.sweptBefore, e.sweptBefore[gi])
-	}
-	for _, acc := range e.accs {
-		acc.appendDay(e, gi, rec.Day, swept)
+	for _, s := range e.slots {
+		s.extend(rec.Day, swept)
 	}
 	if swept {
 		for _, m := range rec.Measurements {
@@ -225,128 +217,55 @@ func (e *Engine) Fold(rec store.JournalSweep) (FoldStats, error) {
 		}
 	}
 	e.folds++
-	e.total.add(st)
 	return st, nil
 }
 
 func (e *Engine) coverAll(domain string, cfg store.Config, lo, hi int, st *FoldStats) {
-	for _, acc := range e.accs {
-		acc.cover(e, domain, cfg, lo, hi, st)
+	for _, s := range e.slots {
+		s.cover(domain, cfg, lo, hi, st)
 	}
 }
 
-// --- getters (read lock + copy; every one matches the corresponding
-// core.Study method element for element) ---
+// points reads one accumulator under the read lock.
+func points[P any](e *Engine, acc *analysis.Accumulator[P]) []P {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return acc.Points()
+}
+
+// The getters each match the corresponding core.Study method element for
+// element.
 
 // Fig1 returns the NS-composition series.
-func (e *Engine) Fig1() []analysis.Point { return e.compPoints(e.fig1) }
+func (e *Engine) Fig1() []analysis.Point { return points(e, e.fig1) }
 
 // Fig2 returns the TLD-dependency series.
-func (e *Engine) Fig2() []analysis.Point { return e.compPoints(e.fig2) }
+func (e *Engine) Fig2() []analysis.Point { return points(e, e.fig2) }
+
+// Fig3 returns the per-TLD share series.
+func (e *Engine) Fig3() []analysis.TLDSharePoint { return points(e, e.fig3) }
+
+// Fig4 returns the hosting-ASN share series (dense window).
+func (e *Engine) Fig4() []analysis.ASNSharePoint { return points(e, e.fig4) }
 
 // Fig5 returns the sanctioned-domain NS-composition series (dense
 // window).
-func (e *Engine) Fig5() []analysis.Point { return e.compPoints(e.fig5) }
+func (e *Engine) Fig5() []analysis.Point { return points(e, e.fig5) }
 
 // Hosting returns the §3.1 hosting-composition series.
-func (e *Engine) Hosting() []analysis.Point { return e.compPoints(e.hosting) }
-
-func (e *Engine) compPoints(cs *compSeries) []analysis.Point {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]analysis.Point, len(cs.pts))
-	copy(out, cs.pts)
-	return out
-}
-
-// Fig3 returns the per-TLD share series.
-func (e *Engine) Fig3() []analysis.TLDSharePoint {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s := e.fig3
-	out := make([]analysis.TLDSharePoint, 0, len(s.totals))
-	for i := range s.totals {
-		out = append(out, analysis.TLDSharePoint{
-			Day: e.days[s.start+i], Total: s.totals[i], Counts: copyMap(s.counts[i]),
-		})
-	}
-	return out
-}
-
-// Fig4 returns the hosting-ASN share series (dense window).
-func (e *Engine) Fig4() []analysis.ASNSharePoint {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s := e.fig4
-	out := make([]analysis.ASNSharePoint, 0, len(s.totals))
-	for i := range s.totals {
-		out = append(out, analysis.ASNSharePoint{
-			Day: e.days[s.start+i], Total: s.totals[i], Counts: copyMap(s.counts[i]),
-		})
-	}
-	return out
-}
+func (e *Engine) Hosting() []analysis.Point { return points(e, e.hosting) }
 
 // Mail returns the mail-operator share series.
-func (e *Engine) Mail() []analysis.MailSharePoint {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s := e.mail
-	out := make([]analysis.MailSharePoint, 0, len(s.totals))
-	for i := range s.totals {
-		out = append(out, analysis.MailSharePoint{
-			Day: e.days[s.start+i], Total: s.totals[i], WithMail: s.subs[i], Counts: copyMap(s.counts[i]),
-		})
-	}
-	return out
-}
+func (e *Engine) Mail() []analysis.MailSharePoint { return points(e, e.mail) }
 
 // Reachability returns the per-day reachability series.
-func (e *Engine) Reachability() []analysis.ReachPoint {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.reach.materialize(e)
-}
+func (e *Engine) Reachability() []analysis.ReachPoint { return points(e, e.reach) }
 
 // RouteLatency returns the simulated resolution-latency series.
-func (e *Engine) RouteLatency() []analysis.RouteLatencyPoint {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lat.materialize(e)
-}
+func (e *Engine) RouteLatency() []analysis.RouteLatencyPoint { return points(e, e.lat) }
 
 // SweepCounts returns the per-sweep measurement counts.
-func (e *Engine) SweepCounts() []SweepCount {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c := e.counts
-	out := make([]SweepCount, 0, len(e.sweeps))
-	for i, day := range e.sweeps {
-		out = append(out, SweepCount{
-			Day: day, Measured: c.measured[i], Failed: c.failed[i],
-			NXDomain: c.nxdomain[i], Unreachable: c.unreach[i],
-		})
-	}
-	return out
-}
-
-// Days returns the folded axis (sweeps plus missing days, ascending).
-func (e *Engine) Days() []simtime.Day {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]simtime.Day, len(e.days))
-	copy(out, e.days)
-	return out
-}
-
-// MissingDays returns the folded missing-day markers.
-func (e *Engine) MissingDays() []simtime.Day {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]simtime.Day, len(e.missing))
-	copy(out, e.missing)
-	return out
-}
+func (e *Engine) SweepCounts() []analysis.SweepCount { return points(e, e.counts) }
 
 // LastDay returns the most recently folded day (ok=false before any
 // fold).
@@ -364,19 +283,4 @@ func (e *Engine) Folds() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.folds
-}
-
-// TotalStats returns the fold-work counters summed over every fold.
-func (e *Engine) TotalStats() FoldStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.total
-}
-
-func copyMap[K comparable](m map[K]int) map[K]int {
-	out := make(map[K]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
