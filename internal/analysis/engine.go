@@ -170,9 +170,10 @@ func cold[P any](a *Analyzer, days []simtime.Day, filter Filter, mk func(*Analyz
 }
 
 // referenceSeries is the original per-day path: one full store walk per
-// requested day. It is retained as the equivalence oracle for the epoch
-// engine and as the naive side of the series ablation benchmarks; the
-// production entry points all run the epoch engine.
+// requested day. It is retained as the equivalence oracle for the
+// composition accumulators under the cold feeder (cold, above) and as the
+// naive side of the series ablation benchmarks; the production entry
+// points all feed accumulators.
 func (a *Analyzer) referenceSeries(days []simtime.Day, filter Filter, classify func(simtime.Day, store.Config) Composition) []Point {
 	out := make([]Point, 0, len(days))
 	sweeps := a.Store.Sweeps()

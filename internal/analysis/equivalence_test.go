@@ -15,9 +15,10 @@ import (
 	"whereru/internal/world"
 )
 
-// The epoch engine's contract is exact equivalence: every series it
-// produces must be element-for-element identical to the per-day
-// reference path, for any worker count. These tests hold it to that on
+// The cold feeder's contract is exact equivalence: every series its
+// accumulators produce (one snapshot, epochs sharded over workers, shards
+// merged) must be element-for-element identical to the per-day reference
+// path, for any worker count. These tests hold it to that on
 // three worlds — the full integration fixture, a lossy fault-injected
 // collection, and a handcrafted dropout world with epoch gaps — at
 // several shard widths, including widths that do not divide the domain
@@ -59,7 +60,7 @@ func assertSeriesEqual(t *testing.T, an *Analyzer, days []simtime.Day, filter Fi
 	for _, c := range checks {
 		got, want := c.fast(), c.ref()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (workers=%d): epoch engine diverges from reference\n got %+v\nwant %+v",
+			t.Errorf("%s (workers=%d): accumulator under the cold feeder diverges from reference\n got %+v\nwant %+v",
 				c.name, an.Workers, got, want)
 		}
 	}

@@ -70,7 +70,8 @@ func (a *Analyzer) MailProviderSeries(days []simtime.Day, filter Filter) []MailS
 }
 
 // referenceMailProviderSeries is the per-day reference path, kept as the
-// equivalence oracle for the epoch engine.
+// equivalence oracle for the MailProvider accumulator under the cold
+// feeder.
 func (a *Analyzer) referenceMailProviderSeries(days []simtime.Day, filter Filter) []MailSharePoint {
 	out := make([]MailSharePoint, 0, len(days))
 	for _, day := range days {

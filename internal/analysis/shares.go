@@ -53,7 +53,8 @@ func (a *Analyzer) TLDShareSeries(days []simtime.Day, filter Filter) []TLDShareP
 }
 
 // referenceTLDShareSeries is the per-day reference path for Figure 3,
-// kept as the equivalence oracle for the epoch engine.
+// kept as the equivalence oracle for the TLDShare accumulator under the
+// cold feeder.
 func (a *Analyzer) referenceTLDShareSeries(days []simtime.Day, filter Filter) []TLDSharePoint {
 	out := make([]TLDSharePoint, 0, len(days))
 	for _, day := range days {
@@ -148,7 +149,8 @@ func (a *Analyzer) ASNShareSeries(days []simtime.Day, filter Filter) []ASNShareP
 }
 
 // referenceASNShareSeries is the per-day reference path for Figure 4,
-// kept as the equivalence oracle for the epoch engine.
+// kept as the equivalence oracle for the ASNShare accumulator under the
+// cold feeder.
 func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
 	out := make([]ASNSharePoint, 0, len(days))
 	for _, day := range days {

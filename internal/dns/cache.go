@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,12 +22,15 @@ import (
 // bit-identical to what a fresh resolution would return. Only the
 // counters (and upstream query volume) depend on scheduling.
 type InfraCache struct {
-	mu      sync.RWMutex
-	gen     uint64 // bumped by Flush; in-flight results from older generations are not stored
-	zones   map[string][]netip.Addr
-	hosts   map[string][]netip.Addr
-	hostNeg map[string]bool
-	flights map[string]*hostFlight
+	// mu serializes writers. Readers take no lock: zones and hosts are
+	// lfMaps, and everything the cache knows about one host is a single
+	// immutable hostEntry, so a lookup is one consistent view of its key.
+	mu    sync.Mutex
+	gen   uint64 // bumped by Flush; in-flight results from older generations are not stored
+	zones *lfMap[string, []netip.Addr]
+	hosts *lfMap[string, hostEntry]
+	// positive counts host entries holding addresses (CacheStats.Hosts).
+	positive int
 
 	// coalesce enables singleflight on host-cache misses. Disabled, every
 	// miss resolves upstream independently — the original resolver
@@ -35,6 +39,16 @@ type InfraCache struct {
 
 	zoneHits, zoneMisses            atomic.Int64
 	hostHits, hostMisses, coalesced atomic.Int64
+}
+
+// hostEntry is the cache's whole knowledge of one name-server host:
+// addresses (cached holds even for an empty set), the negative mark, and
+// the resolution in flight. Stored slices are never written again.
+type hostEntry struct {
+	addrs  []netip.Addr
+	cached bool
+	neg    bool
+	flight *hostFlight
 }
 
 // hostFlight is one in-flight host resolution; waiters block on done and
@@ -48,10 +62,8 @@ type hostFlight struct {
 // NewInfraCache returns an empty cache with miss coalescing enabled.
 func NewInfraCache() *InfraCache {
 	return &InfraCache{
-		zones:    make(map[string][]netip.Addr),
-		hosts:    make(map[string][]netip.Addr),
-		hostNeg:  make(map[string]bool),
-		flights:  make(map[string]*hostFlight),
+		zones:    newLFMap[string, []netip.Addr](hashString),
+		hosts:    newLFMap[string, hostEntry](hashString),
 		coalesce: true,
 	}
 }
@@ -71,10 +83,9 @@ func (c *InfraCache) DisableCoalescing() {
 func (c *InfraCache) Flush() {
 	c.mu.Lock()
 	c.gen++
-	c.zones = make(map[string][]netip.Addr)
-	c.hosts = make(map[string][]netip.Addr)
-	c.hostNeg = make(map[string]bool)
-	c.flights = make(map[string]*hostFlight)
+	c.zones.reset()
+	c.hosts.reset()
+	c.positive = 0
 	c.mu.Unlock()
 }
 
@@ -99,9 +110,9 @@ func (s CacheStats) Misses() int64 { return s.ZoneMisses + s.HostMisses }
 
 // Stats returns current sizes and counters.
 func (c *InfraCache) Stats() CacheStats {
-	c.mu.RLock()
-	zones, hosts := len(c.zones), len(c.hosts)
-	c.mu.RUnlock()
+	c.mu.Lock()
+	zones, hosts := c.zones.n, c.positive
+	c.mu.Unlock()
 	return CacheStats{
 		Zones:      zones,
 		Hosts:      hosts,
@@ -114,12 +125,12 @@ func (c *InfraCache) Stats() CacheStats {
 }
 
 // deepestCut finds the closest enclosing cached zone cut for name,
-// falling back to the given roots.
+// falling back to the given roots. Each probe is its own lock-free read;
+// a cut cached while the walk is under way may be missed, which costs a
+// referral and cannot change the answer (see InfraCache).
 func (c *InfraCache) deepestCut(name string, roots []netip.Addr) ([]netip.Addr, string) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	for n := name; n != "."; n = Parent(n) {
-		if addrs, ok := c.zones[n]; ok && len(addrs) > 0 {
+		if addrs, ok := c.zones.get(n); ok && len(addrs) > 0 {
 			c.zoneHits.Add(1)
 			return addrs, n
 		}
@@ -128,21 +139,54 @@ func (c *InfraCache) deepestCut(name string, roots []netip.Addr) ([]netip.Addr, 
 	return roots, "."
 }
 
-func (c *InfraCache) storeZone(zone string, addrs []netip.Addr) {
+// storeZone caches a copy of zone's server addresses — unless the same
+// addresses are cached already, when nothing is written — and returns
+// the cached slice (read-only, like everything the cache hands out).
+func (c *InfraCache) storeZone(zone string, addrs []netip.Addr) []netip.Addr {
+	if have, ok := c.zones.get(zone); ok && slices.Equal(have, addrs) {
+		return have
+	}
+	kept := slices.Clone(addrs)
 	c.mu.Lock()
-	c.zones[zone] = addrs
+	c.zones.put(zone, kept)
 	c.mu.Unlock()
+	return kept
 }
 
 func (c *InfraCache) dropZone(zone string) {
 	c.mu.Lock()
-	delete(c.zones, zone)
+	c.zones.del(zone)
 	c.mu.Unlock()
 }
 
+// updateHost applies f to host's entry under mu.
+func (c *InfraCache) updateHost(host string, f func(*hostEntry)) {
+	e, _ := c.hosts.get(host)
+	was := e.cached
+	f(&e)
+	if e.cached != was {
+		if e.cached {
+			c.positive++
+		} else {
+			c.positive--
+		}
+	}
+	if !e.cached && !e.neg && e.flight == nil {
+		c.hosts.del(host)
+	} else {
+		c.hosts.put(host, e)
+	}
+}
+
+// storeHost caches glue for host, copying it. Referrals repeat the same
+// glue for the same few hosts all sweep long, so an entry that already
+// holds these addresses is left alone and no lock is taken.
 func (c *InfraCache) storeHost(host string, addrs []netip.Addr) {
+	if e, ok := c.hosts.get(host); ok && e.cached && slices.Equal(e.addrs, addrs) {
+		return
+	}
 	c.mu.Lock()
-	c.hosts[host] = addrs
+	c.updateHost(host, func(e *hostEntry) { e.addrs, e.cached = slices.Clone(addrs), true })
 	c.mu.Unlock()
 }
 
@@ -156,18 +200,23 @@ func (c *InfraCache) storeHost(host string, addrs []netip.Addr) {
 // down. Referral walks cache glue (storeHost) before the authoritative
 // query runs; if that query then fails, honoring the glue would make a
 // host's resolvability depend on whether some earlier resolution had
-// walked past it — scheduling, not DNS data.
+// walked past it — scheduling, not DNS data. The three facts live in one
+// entry, read in one load, so the lock-free reader applies this order to
+// a state some writer actually left.
 func (c *InfraCache) lookupHost(host string) (addrs []netip.Addr, ok, neg bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.hostNeg[host] {
+	e, _ := c.hosts.get(host)
+	return e.resolved()
+}
+
+// resolved applies lookupHost's precedence to one entry.
+func (e hostEntry) resolved() (addrs []netip.Addr, ok, neg bool) {
+	switch {
+	case e.neg:
 		return nil, false, true
-	}
-	if c.flights[host] != nil {
+	case e.flight != nil:
 		return nil, false, false
 	}
-	addrs, ok = c.hosts[host]
-	return addrs, ok, false
+	return e.addrs, e.cached, false
 }
 
 // joinOrLead decides a miss's fate under coalescing: either joins an
@@ -178,49 +227,46 @@ func (c *InfraCache) lookupHost(host string) (addrs []netip.Addr, ok, neg bool) 
 func (c *InfraCache) joinOrLead(host string) (fl *hostFlight, lead bool, gen uint64, addrs []netip.Addr, ok, neg bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Same precedence as lookupHost: negative beats positive, and an
-	// in-flight chase beats glue it may itself have stored.
-	if c.hostNeg[host] {
-		return nil, false, 0, nil, false, true
+	e, _ := c.hosts.get(host)
+	if e.flight != nil && !e.neg {
+		return e.flight, false, 0, nil, false, false
 	}
-	if c.coalesce {
-		if fl = c.flights[host]; fl != nil {
-			return fl, false, 0, nil, false, false
-		}
-	}
-	if addrs, ok = c.hosts[host]; ok {
-		return nil, false, 0, addrs, true, false
+	if addrs, ok, neg = e.resolved(); ok || neg {
+		return nil, false, 0, addrs, ok, neg
 	}
 	if !c.coalesce {
 		return nil, true, c.gen, nil, false, false
 	}
 	fl = &hostFlight{done: make(chan struct{})}
-	c.flights[host] = fl
+	c.updateHost(host, func(e *hostEntry) { e.flight = fl })
 	return fl, true, c.gen, nil, false, false
 }
 
 // completeHost finishes a led flight: stores the outcome (unless the
 // cache was flushed since the flight began, or the failure was only the
 // caller's context dying) and wakes the waiters. fl is nil when
-// coalescing is off — then only the store happens.
+// coalescing is off — then only the store happens. addrs must be the
+// caller's to give away: the cache and the flight keep it.
 func (c *InfraCache) completeHost(host string, fl *hostFlight, gen uint64, addrs []netip.Addr, err error, ctxDead bool) {
 	c.mu.Lock()
-	if fl != nil && c.flights[host] == fl {
-		delete(c.flights, host)
-	}
-	if c.gen == gen {
+	c.updateHost(host, func(e *hostEntry) {
+		if fl != nil && e.flight == fl {
+			e.flight = nil
+		}
+		if c.gen != gen {
+			return
+		}
 		if err == nil {
-			c.hosts[host] = addrs
+			e.addrs, e.cached = addrs, true
 		} else if !ctxDead {
 			// A dead name-server host costs one resolution per sweep, not
 			// one per delegated domain. The chase may have glued this very
 			// host into the positive cache while walking down to its zone;
 			// the authoritative failure invalidates that, or the host's
 			// resolvability would depend on resolution order.
-			delete(c.hosts, host)
-			c.hostNeg[host] = true
+			e.addrs, e.cached, e.neg = nil, false, true
 		}
-	}
+	})
 	c.mu.Unlock()
 	if fl != nil {
 		fl.addrs, fl.err = addrs, err

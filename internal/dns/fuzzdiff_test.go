@@ -2,6 +2,7 @@ package dns
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -69,7 +70,10 @@ func fuzzDiffSeeds() [][]byte {
 //   - the fast and reference encoders serialize those messages to the
 //     same bytes (or both refuse);
 //   - the fast path's encoding is a fixed point: decode → encode →
-//     decode → encode reproduces the same bytes.
+//     decode → encode reproduces the same bytes;
+//   - a pooled arena carries nothing over: the input decoded into an
+//     arena that just held another message (each seed in turn, and the
+//     input's own canonical form) equals its fresh decode.
 //
 // Hostile inputs — pointer loops, out-of-bounds offsets, truncated
 // RDATA — must error on both sides, never panic or diverge.
@@ -77,7 +81,13 @@ func FuzzMessageDecode(f *testing.F) {
 	for _, seed := range fuzzDiffSeeds() {
 		f.Add(seed)
 	}
+	seeds := fuzzDiffSeeds()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, prior := range seeds {
+			if msg := arenaReuseMismatch(prior, data); msg != "" {
+				t.Fatal(msg)
+			}
+		}
 		fast, fastErr := Decode(data)
 		ref, refErr := ReferenceDecode(data)
 		if (fastErr == nil) != (refErr == nil) {
@@ -113,5 +123,38 @@ func FuzzMessageDecode(f *testing.F) {
 		if !bytes.Equal(fastWire, finalWire) {
 			t.Fatalf("encoding is not a fixed point:\n%x\n%x", fastWire, finalWire)
 		}
+		if msg := arenaReuseMismatch(data, fastWire); msg != "" {
+			t.Fatal(msg)
+		}
 	})
+}
+
+// arenaReuseMismatch decodes first into an arena, ends that use the way
+// Release does, decodes second into the same arena, and describes any
+// difference from a fresh Decode(second): verdict, any section, or the
+// re-encoding. It returns "" when reuse is invisible.
+func arenaReuseMismatch(first, second []byte) string {
+	a, intern := new(msgArena), newWireIntern()
+	if a.decode(first, intern) == nil {
+		a.reset()
+	}
+	want, wantErr := Decode(second)
+	gotErr := a.decode(second, intern)
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Sprintf("arena and fresh decode verdicts disagree on %x after %x:\narena: %v\nfresh: %v", second, first, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return ""
+	}
+	got := a.m
+	got.arena = nil
+	if !reflect.DeepEqual(&got, want) {
+		return fmt.Sprintf("arena decode of %x after %x differs from a fresh decode:\narena: %+v\nfresh: %+v", second, first, &got, want)
+	}
+	gotWire, gotErr := a.m.Encode()
+	wantWire, wantErr := want.Encode()
+	if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(gotWire, wantWire) {
+		return fmt.Sprintf("arena decode of %x after %x re-encodes differently:\narena: %x (%v)\nfresh: %x (%v)", second, first, gotWire, gotErr, wantWire, wantErr)
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"hash/maphash"
 	"net/netip"
 	"sync"
 )
@@ -23,26 +24,29 @@ const (
 	maxInternData  = 1 << 15
 )
 
+// wireIntern's tables are insert-only lfMaps: a steady-state decode
+// finds every name and payload with lock-free reads, and mu is taken
+// only to add a value seen for the first time.
 type wireIntern struct {
-	mu    sync.RWMutex
-	names map[uint64]string // FNV-1a(name bytes) -> name
-	a     map[netip.Addr]RData
-	aaaa  map[netip.Addr]RData
-	ns    map[string]RData
-	cname map[string]RData
-	soa   map[SOAData]RData
-	mx    map[MXData]RData
+	mu    sync.Mutex
+	names *lfMap[uint64, string] // hash of the name bytes -> name
+	a     *lfMap[netip.Addr, RData]
+	aaaa  *lfMap[netip.Addr, RData]
+	ns    *lfMap[string, RData]
+	cname *lfMap[string, RData]
+	soa   *lfMap[SOAData, RData]
+	mx    *lfMap[MXData, RData]
 }
 
 func newWireIntern() *wireIntern {
 	return &wireIntern{
-		names: make(map[uint64]string),
-		a:     make(map[netip.Addr]RData),
-		aaaa:  make(map[netip.Addr]RData),
-		ns:    make(map[string]RData),
-		cname: make(map[string]RData),
-		soa:   make(map[SOAData]RData),
-		mx:    make(map[MXData]RData),
+		names: newLFMap[uint64, string](func(h uint64) uint64 { return h }),
+		a:     newLFMap[netip.Addr, RData](hashAddr),
+		aaaa:  newLFMap[netip.Addr, RData](hashAddr),
+		ns:    newLFMap[string, RData](hashString),
+		cname: newLFMap[string, RData](hashString),
+		soa:   newLFMap[SOAData, RData](func(d SOAData) uint64 { return hashString(d.MName) ^ uint64(d.Serial) }),
+		mx:    newLFMap[MXData, RData](func(d MXData) uint64 { return hashString(d.Host) ^ uint64(d.Preference) }),
 	}
 }
 
@@ -50,126 +54,65 @@ func newWireIntern() *wireIntern {
 // when possible. Hash collisions fall back to a fresh allocation (the
 // first-comer keeps the slot), preserving correctness.
 func (w *wireIntern) name(b []byte) string {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	w.mu.RLock()
-	s, ok := w.names[h]
-	w.mu.RUnlock()
+	h := maphash.Bytes(lfSeed, b)
+	s, ok := w.names.get(h)
 	if ok && s == string(b) { // comparison does not allocate
 		return s
 	}
 	out := string(b)
 	if !ok {
 		w.mu.Lock()
-		if _, dup := w.names[h]; !dup && len(w.names) < maxInternNames {
-			w.names[h] = out
+		if _, dup := w.names.get(h); !dup && w.names.n < maxInternNames {
+			w.names.put(h, out)
 		}
 		w.mu.Unlock()
 	}
 	return out
 }
 
-func (w *wireIntern) aData(addr netip.Addr) RData {
-	w.mu.RLock()
-	d, ok := w.a[addr]
-	w.mu.RUnlock()
-	if ok {
+// internData returns the table's boxed RData for k, boxing and adding it
+// on first sight (bounded; past the bound a miss just allocates).
+func internData[K comparable](w *wireIntern, m *lfMap[K, RData], k K, box func(K) RData) RData {
+	if d, ok := m.get(k); ok {
 		return d
 	}
-	d = AData{addr}
+	d := box(k)
 	w.mu.Lock()
-	if len(w.a) < maxInternData {
-		w.a[addr] = d
+	if prior, ok := m.get(k); ok {
+		d = prior
+	} else if m.n < maxInternData {
+		m.put(k, d)
 	}
 	w.mu.Unlock()
 	return d
+}
+
+func (w *wireIntern) aData(addr netip.Addr) RData {
+	return internData(w, w.a, addr, func(a netip.Addr) RData { return AData{a} })
 }
 
 func (w *wireIntern) aaaaData(addr netip.Addr) RData {
-	w.mu.RLock()
-	d, ok := w.aaaa[addr]
-	w.mu.RUnlock()
-	if ok {
-		return d
-	}
-	d = AAAAData{addr}
-	w.mu.Lock()
-	if len(w.aaaa) < maxInternData {
-		w.aaaa[addr] = d
-	}
-	w.mu.Unlock()
-	return d
+	return internData(w, w.aaaa, addr, func(a netip.Addr) RData { return AAAAData{a} })
 }
 
 func (w *wireIntern) nsData(host string) RData {
-	w.mu.RLock()
-	d, ok := w.ns[host]
-	w.mu.RUnlock()
-	if ok {
-		return d
-	}
-	d = NSData{host}
-	w.mu.Lock()
-	if len(w.ns) < maxInternData {
-		w.ns[host] = d
-	}
-	w.mu.Unlock()
-	return d
+	return internData(w, w.ns, host, func(h string) RData { return NSData{h} })
 }
 
 func (w *wireIntern) cnameData(target string) RData {
-	w.mu.RLock()
-	d, ok := w.cname[target]
-	w.mu.RUnlock()
-	if ok {
-		return d
-	}
-	d = CNAMEData{target}
-	w.mu.Lock()
-	if len(w.cname) < maxInternData {
-		w.cname[target] = d
-	}
-	w.mu.Unlock()
-	return d
+	return internData(w, w.cname, target, func(t string) RData { return CNAMEData{t} })
 }
 
 func (w *wireIntern) soaData(soa SOAData) RData {
-	w.mu.RLock()
-	d, ok := w.soa[soa]
-	w.mu.RUnlock()
-	if ok {
-		return d
-	}
-	var rd RData = soa
-	w.mu.Lock()
-	if len(w.soa) < maxInternData {
-		w.soa[soa] = rd
-	}
-	w.mu.Unlock()
-	return rd
+	return internData(w, w.soa, soa, func(d SOAData) RData { return d })
 }
 
 func (w *wireIntern) mxData(mx MXData) RData {
-	w.mu.RLock()
-	d, ok := w.mx[mx]
-	w.mu.RUnlock()
-	if ok {
-		return d
-	}
-	var rd RData = mx
-	w.mu.Lock()
-	if len(w.mx) < maxInternData {
-		w.mx[mx] = rd
-	}
-	w.mu.Unlock()
-	return rd
+	return internData(w, w.mx, mx, func(d MXData) RData { return d })
 }
 
 // wirePool recycles wire-format buffers across exchanges. Decoded
-// messages never alias these buffers (decodeWith copies everything out),
+// messages never alias these buffers (decodeInto copies everything out),
 // so returning one after decode is safe.
 var wirePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)

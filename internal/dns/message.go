@@ -40,6 +40,10 @@ type Message struct {
 	Answers    []RR
 	Authority  []RR
 	Additional []RR
+
+	// arena is the pooled storage backing a message MemNet decoded (nil
+	// for messages built or decoded any other way); see msgArena.
+	arena *msgArena
 }
 
 // NewQuery builds a standard query message for one question.
@@ -51,9 +55,20 @@ func NewQuery(id uint16, name string, qtype Type) *Message {
 }
 
 // Reply builds a response skeleton for a request: same ID and question,
-// QR set, RD echoed.
+// QR set, RD echoed. The reply to a request MemNet is serving is built in
+// the request's arena and shares its lifetime (see Handler); any other
+// reply is one allocation of its own.
 func (m *Message) Reply() *Message {
-	r := &Message{
+	var r *Message
+	var q *[1]Question
+	if a := m.arena; a != nil && a.serving && !a.replied {
+		a.replied = true
+		r, q = &a.reply, &a.replyQ
+	} else {
+		own := new(ownedMessage)
+		r, q = &own.m, &own.q
+	}
+	*r = Message{
 		Header: Header{
 			ID:               m.ID,
 			Response:         true,
@@ -61,7 +76,12 @@ func (m *Message) Reply() *Message {
 			RecursionDesired: m.RecursionDesired,
 		},
 	}
-	r.Questions = append(r.Questions, m.Questions...)
+	if len(m.Questions) == 1 {
+		q[0] = m.Questions[0]
+		r.Questions = q[:]
+	} else {
+		r.Questions = append(r.Questions, m.Questions...)
+	}
 	return r
 }
 
@@ -268,6 +288,8 @@ func (m *Message) Encode() ([]byte, error) {
 // the packet: labels are copied into the fixed scratch buffer (no
 // intermediate label slices or builders) and materialized as a string
 // once — or not at all when the intern table already holds the name.
+// A parser lives on its decode's stack; nothing may let p or p.scratch
+// escape.
 type parser struct {
 	buf     []byte
 	pos     int
@@ -326,7 +348,9 @@ func (p *parser) name() (string, error) {
 			}
 			name := p.scratch[:n]
 			if !validName(name) {
-				return "", fmt.Errorf("dns: decoded invalid name %q", name)
+				// string(name): formatting the scratch slice itself would
+				// move the whole parser to the heap.
+				return "", fmt.Errorf("dns: decoded invalid name %q", string(name))
 			}
 			return p.str(name), nil
 		case b&0xC0 == 0xC0:
@@ -495,31 +519,143 @@ func (p *parser) rr() (RR, error) {
 	return rr, nil
 }
 
-// Decode parses a wire-format DNS message.
-func Decode(buf []byte) (*Message, error) { return decodeWith(buf, nil) }
-
-// decAllocRRs is how many records fit in a decAlloc; larger messages
-// fall back to separate slice allocations.
-const decAllocRRs = 12
-
-// decAlloc backs one decoded message with a single allocation: the
-// Message plus question and record storage for the common shape (one
-// question, a handful of records). The arrays sit outside the Message
-// itself, so decoded messages compare equal to messages built any other
-// way.
-type decAlloc struct {
-	m   Message
-	q   [1]Question
-	rrs [decAllocRRs]RR
+// ownedMessage is a Message allocated together with room for its one
+// question, for messages that live outside the pools. The array sits
+// outside the Message itself, so such messages compare equal to
+// messages built any other way.
+type ownedMessage struct {
+	m Message
+	q [1]Question
 }
 
-// decodeWith parses a message, sharing strings and RData values through
-// the intern table when one is given. Decoded messages never alias buf —
-// every name and payload is copied out — so callers may recycle the wire
-// buffer immediately.
-func decodeWith(buf []byte, intern *wireIntern) (*Message, error) {
+// Decode parses a wire-format DNS message into storage of its own.
+func Decode(buf []byte) (*Message, error) {
+	d := new(ownedMessage)
+	var rrs []RR
+	if err := decodeInto(buf, nil, &d.m, &d.q, &rrs); err != nil {
+		return nil, err
+	}
+	return &d.m, nil
+}
+
+// msgArena is the pooled storage of one message MemNet decodes: the
+// Message, its question and its records, so a steady-state exchange
+// allocates none of them. Names and RData values are not arena storage —
+// they are interned or freshly allocated, immutable, and safe to copy
+// out — so "copying out" of an arena means copying RR values, strings or
+// addresses, never cloning what they point to.
+//
+// An arena has exactly one owner at a time:
+//
+//   - a decoded response belongs to whoever Exchange returned it to,
+//     until that owner calls Release (or forever, if nobody does: the
+//     arena is then ordinary garbage);
+//   - a decoded request belongs to MemNet.Exchange, which lends it to the
+//     handler for the duration of ServeDNS and takes it back — together
+//     with the Reply built in it — once the response is encoded.
+type msgArena struct {
+	m   Message
+	q   [1]Question
+	rrs []RR // grown to the largest message seen, up to maxArenaRRs
+
+	// reply and replyQ hold the Reply to a request being served.
+	reply  Message
+	replyQ [1]Question
+	// serving marks a request arena on loan to a handler: Reply builds in
+	// place (once: replied) and Release is not the handler's to call.
+	serving, replied bool
+}
+
+// maxArenaRRs bounds the record storage a pooled arena keeps; a larger
+// message is decoded all the same and its storage dropped on release.
+const maxArenaRRs = 64
+
+var arenaPool = sync.Pool{New: func() any { return new(msgArena) }}
+
+// poisonReleased makes every arena return scribble over the storage it
+// takes back, so anything still aliasing a released message reads
+// garbage instead of plausible stale data. Set only by this package's
+// tests (before any exchange runs); never by shipped code.
+var poisonReleased bool
+
+// decodeArena parses buf into a pooled arena.
+func decodeArena(buf []byte, intern *wireIntern) (*msgArena, error) {
+	a := arenaPool.Get().(*msgArena)
+	if err := a.decode(buf, intern); err != nil {
+		a.recycle()
+		return nil, err
+	}
+	return a, nil
+}
+
+// decode parses buf into the arena, overwriting whatever it held.
+func (a *msgArena) decode(buf []byte, intern *wireIntern) error {
+	if err := decodeInto(buf, intern, &a.m, &a.q, &a.rrs); err != nil {
+		return err
+	}
+	a.m.arena = a
+	return nil
+}
+
+// recycle returns the arena to the pool. The caller must be its owner
+// and must not touch it (or the messages in it) afterwards.
+func (a *msgArena) recycle() {
+	a.reset()
+	arenaPool.Put(a)
+}
+
+// reset ends the arena's current use: the messages in it are dead.
+func (a *msgArena) reset() {
+	a.serving, a.replied = false, false
+	a.m.arena = nil
+	if cap(a.rrs) > maxArenaRRs {
+		a.rrs = nil
+	}
+	if poisonReleased {
+		a.poison()
+	}
+}
+
+// What poison writes: an owner name, type and payload no zone serves.
+var (
+	poisonRR = RR{Name: "released.invalid.", Type: Type(0xFFFF), Class: Class(0xFFFF), TTL: 0xDEADBEEF, Data: RawData{Octets: "released"}}
+	poisonQ  = Question{Name: poisonRR.Name, Type: poisonRR.Type, Class: poisonRR.Class}
+)
+
+// poison overwrites everything the arena owns.
+func (a *msgArena) poison() {
+	rrs := a.rrs[:cap(a.rrs)]
+	for i := range rrs {
+		rrs[i] = poisonRR
+	}
+	a.q[0], a.replyQ[0] = poisonQ, poisonQ
+	for _, m := range [2]*Message{&a.m, &a.reply} {
+		*m = Message{Header: Header{ID: 0xDEAD, RCode: RCode(0xF), Truncated: true}}
+	}
+}
+
+// Release hands a response MemNet.Exchange returned back to its pool.
+// The caller must be the message's only holder and must have copied out
+// whatever it keeps (RR values, names and addresses are safe to copy;
+// the Message and its section slices are not safe to keep). Release is
+// optional — an unreleased message is collected like any other — and a
+// no-op on messages that did not come from a pool.
+func (m *Message) Release() {
+	if a := m.arena; a != nil && !a.serving {
+		a.recycle()
+	}
+}
+
+// decodeInto parses a message into m, sharing strings and RData values
+// through the intern table when one is given. The question goes to q and
+// the records to *rrs (grown when too small) in the common one-question
+// shape; more questions get a slice of their own. Every field of m is
+// overwritten, so reused storage carries nothing over. Decoded messages
+// never alias buf — every name and payload is copied out — so callers may
+// recycle the wire buffer immediately.
+func decodeInto(buf []byte, intern *wireIntern, m *Message, q *[1]Question, rrs *[]RR) error {
 	if len(buf) < headerLen {
-		return nil, ErrTruncatedMessage
+		return ErrTruncatedMessage
 	}
 	p := parser{buf: buf, pos: headerLen, intern: intern}
 	qd := int(buf[4])<<8 | int(buf[5])
@@ -529,37 +665,27 @@ func decodeWith(buf []byte, intern *wireIntern) (*Message, error) {
 
 	total := an + ns + ar
 	if qd+total > maxCount {
-		return nil, fmt.Errorf("dns: implausible record counts")
+		return fmt.Errorf("dns: implausible record counts")
 	}
-	var m *Message
-	var qs []Question
-	var rrs []RR
-	if qd <= 1 && total <= decAllocRRs {
-		// The common shape — one question, a handful of records — is
-		// served by a single combined allocation.
-		d := new(decAlloc)
-		m = &d.m
-		qs = d.q[:0:qd]
-		rrs = d.rrs[:0:total]
-	} else {
-		m = new(Message)
-		qs = make([]Question, 0, qd)
-		rrs = make([]RR, 0, total)
-	}
+	*m = Message{}
 	m.ID = uint16(buf[0])<<8 | uint16(buf[1])
 	m.setFlags(uint16(buf[2])<<8 | uint16(buf[3]))
+	qs := q[:0]
+	if qd > 1 {
+		qs = make([]Question, 0, qd)
+	}
 	for i := 0; i < qd; i++ {
 		name, err := p.name()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t, err := p.uint16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c, err := p.uint16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		qs = append(qs, Question{Name: name, Type: Type(t), Class: Class(c)})
 	}
@@ -568,21 +694,25 @@ func decodeWith(buf []byte, intern *wireIntern) (*Message, error) {
 	}
 	// One backing array serves all three sections, carved with
 	// full-slice expressions so appends cannot cross sections.
+	if cap(*rrs) < total {
+		*rrs = make([]RR, 0, total)
+	}
+	rs := (*rrs)[:0]
 	for i := 0; i < total; i++ {
 		rr, err := p.rr()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rrs = append(rrs, rr)
+		rs = append(rs, rr)
 	}
 	if an > 0 {
-		m.Answers = rrs[:an:an]
+		m.Answers = rs[:an:an]
 	}
 	if ns > 0 {
-		m.Authority = rrs[an : an+ns : an+ns]
+		m.Authority = rs[an : an+ns : an+ns]
 	}
 	if ar > 0 {
-		m.Additional = rrs[an+ns:]
+		m.Additional = rs[an+ns : total : total]
 	}
-	return m, nil
+	return nil
 }

@@ -93,40 +93,56 @@ var (
 // Resolve iteratively resolves (name, qtype) and returns the final answer.
 // NXDOMAIN and NODATA are returned as Results with empty Answers, not errors;
 // errors mean the resolution process itself failed (no servers reachable,
-// lame delegations, loops).
+// lame delegations, loops). The Result is the caller's own: nothing in it
+// aliases pooled message storage.
 func (r *Resolver) Resolve(ctx context.Context, name string, qtype Type) (*Result, error) {
-	return r.resolve(ctx, Canonical(name), qtype, 0)
+	res, err := r.resolve(ctx, Canonical(name), qtype, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
-func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth int) (*Result, error) {
+// answerScratch is the on-stack room the Lookup helpers give resolve for
+// the answer records they extract from and then drop.
+type answerScratch [8]RR
+
+// resolve is Resolve returning by value: the answers are appended to
+// scratch[:0] (and spill to the heap only past its capacity), so a caller
+// that extracts what it needs from a stack scratch allocates nothing here.
+// The final response of each alias-free walk is released as soon as its
+// matching records are copied out.
+func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth int, scratch []RR) (Result, error) {
 	if depth > 6 {
-		return nil, fmt.Errorf("%w: glue-chase depth exceeded for %s", ErrResolutionFailed, name)
+		return Result{}, fmt.Errorf("%w: glue-chase depth exceeded for %s", ErrResolutionFailed, name)
 	}
-	result := &Result{Zone: "."}
+	res := Result{Zone: ".", Answers: scratch[:0]}
 	qname := name
 	for cnames := 0; ; cnames++ {
 		if cnames > r.maxCNAME() {
-			return nil, fmt.Errorf("%w resolving %s", ErrCNAMELoop, name)
+			return Result{}, fmt.Errorf("%w resolving %s", ErrCNAMELoop, name)
 		}
-		res, err := r.resolveNoCNAME(ctx, qname, qtype, depth)
+		resp, rcode, zone, err := r.resolveNoCNAME(ctx, qname, qtype, depth)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		result.RCode = res.RCode
-		result.Zone = res.Zone
+		res.RCode, res.Zone = rcode, zone
 		// Split CNAMEs from final answers.
 		var target string
-		for _, rr := range res.Answers {
-			if rr.Type == TypeCNAME && qtype != TypeCNAME {
-				target = rr.Data.(CNAMEData).Target
-			} else if rr.Type == qtype {
-				result.Answers = append(result.Answers, rr)
+		if resp != nil {
+			for _, rr := range resp.Answers {
+				if rr.Type == TypeCNAME && qtype != TypeCNAME {
+					target = rr.Data.(CNAMEData).Target
+				} else if rr.Type == qtype {
+					res.Answers = append(res.Answers, rr)
+				}
 			}
+			resp.Release()
 		}
-		if len(result.Answers) > 0 || target == "" {
-			return result, nil
+		if len(res.Answers) > 0 || target == "" {
+			return res, nil
 		}
-		result.Chain = append(result.Chain, target)
+		res.Chain = append(res.Chain, target)
 		qname = target
 	}
 }
@@ -146,13 +162,17 @@ func (r *Resolver) maxSteps() int {
 }
 
 // resolveNoCNAME walks referrals for one owner name without following
-// aliases (the caller does that).
-func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, depth int) (*Result, error) {
-	servers, zone := r.deepestCached(name)
+// aliases (the caller does that) and returns the response code and the
+// zone that answered. The message is the answering response when it
+// carries answer records — the caller's to read and Release — and nil for
+// NXDOMAIN and NODATA. Every other response on the way is released here,
+// once what outlives it (the child zone, glue addresses) is copied out.
+func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, depth int) (*Message, RCode, string, error) {
+	servers, zone := r.cache.deepestCut(name, r.Roots)
 	var lastErr error
 	for step := 0; step < r.maxSteps(); step++ {
 		if len(servers) == 0 {
-			return nil, fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
+			return nil, 0, "", fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
 		}
 		resp, usedServer, srvErr := r.queryAny(ctx, servers, name, qtype)
 		if srvErr != nil {
@@ -160,95 +180,108 @@ func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, 
 			// All servers for this cut failed; if we started from cache,
 			// drop the entry and restart from the root once.
 			if zone != "." {
-				r.dropZone(zone)
+				r.cache.dropZone(zone)
 				servers, zone = r.Roots, "."
 				continue
 			}
-			return nil, fmt.Errorf("%w: querying %s: %v", ErrResolutionFailed, name, lastErr)
+			return nil, 0, "", fmt.Errorf("%w: querying %s: %v", ErrResolutionFailed, name, lastErr)
 		}
 		ts := TraceStep{Zone: zone, Server: usedServer, Question: Question{Name: name, Type: qtype, Class: ClassIN}, RCode: resp.RCode, Answers: len(resp.Answers)}
 		switch {
 		case resp.RCode == RCodeNXDomain:
+			resp.Release()
 			r.trace(ts)
-			return &Result{RCode: RCodeNXDomain, Zone: zone}, nil
+			return nil, RCodeNXDomain, zone, nil
 		case resp.RCode != RCodeNoError:
-			return nil, fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, resp.RCode, zone, name)
+			resp.Release()
+			return nil, 0, "", fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, ts.RCode, zone, name)
 		case len(resp.Answers) > 0:
 			r.trace(ts)
-			return &Result{RCode: RCodeNoError, Answers: resp.Answers, Zone: zone}, nil
+			return resp, RCodeNoError, zone, nil
 		}
-		// Referral? The authority section is usually all NS records, in
-		// which case it is used as the NS set directly (read-only) rather
-		// than copied.
-		nsCount := 0
-		for _, rr := range resp.Authority {
-			if rr.Type == TypeNS {
-				nsCount++
-			}
+		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth, &ts)
+		if err != nil {
+			return nil, 0, "", err
 		}
-		var nsSet []RR
-		if nsCount == len(resp.Authority) {
-			nsSet = resp.Authority
-		} else if nsCount > 0 {
-			nsSet = make([]RR, 0, nsCount)
-			for _, rr := range resp.Authority {
-				if rr.Type == TypeNS {
-					nsSet = append(nsSet, rr)
-				}
-			}
+		if next == nil { // authoritative NODATA
+			return nil, RCodeNoError, zone, nil
 		}
-		if len(nsSet) == 0 {
-			// Authoritative NODATA.
-			if resp.Authoritative {
-				r.trace(ts)
-				return &Result{RCode: RCodeNoError, Zone: zone}, nil
-			}
-			return nil, fmt.Errorf("%w: dead end at zone %s for %s", ErrLameDelegation, zone, name)
-		}
-		childZone := nsSet[0].Name
-		ts.Referral = childZone
-		r.trace(ts)
-		if childZone == zone || !IsSubdomain(childZone, zone) {
-			return nil, fmt.Errorf("%w: referral from %s to %s", ErrLameDelegation, zone, childZone)
-		}
-		var next []netip.Addr
-		var needResolve []string
-		for _, ns := range nsSet {
-			host := ns.Data.(NSData).Host
-			// Collect this host's glue by scanning the additional section
-			// directly — referral sets are a handful of records, so a
-			// linear scan beats building a per-referral map.
-			n0 := len(next)
-			for _, rr := range resp.Additional {
-				if rr.Type == TypeA && rr.Name == host {
-					next = append(next, rr.Data.(AData).Addr)
-				}
-			}
-			if len(next) > n0 {
-				r.cache.storeHost(host, next[n0:len(next):len(next)])
-			} else {
-				needResolve = append(needResolve, host)
-			}
-		}
-		// Only chase glueless NS names if we have no glued ones — the
-		// common case in the simulation has at least one glued server.
-		if len(next) == 0 {
-			for _, host := range needResolve {
-				addrs, err := r.LookupHost(ctx, host, depth+1)
-				if err == nil && len(addrs) > 0 {
-					next = append(next, addrs...)
-					break
-				}
-				lastErr = err
-			}
-		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("%w: no reachable name servers for %s (last: %v)", ErrLameDelegation, childZone, lastErr)
-		}
-		r.cacheZone(childZone, next)
 		servers, zone = next, childZone
 	}
-	return nil, fmt.Errorf("%w: referral limit exceeded for %s", ErrResolutionFailed, name)
+	return nil, 0, "", fmt.Errorf("%w: referral limit exceeded for %s", ErrResolutionFailed, name)
+}
+
+// followReferral turns a response with no answers into the next zone cut:
+// the child zone and its server addresses, cached on the way (glue per
+// host, then the cut). It returns nil servers and no error for an
+// authoritative NODATA. It consumes resp: the message is released as soon
+// as the glue is copied out, before any glueless host is chased.
+func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name string, depth int, ts *TraceStep) ([]netip.Addr, string, error) {
+	childZone := ""
+	for _, rr := range resp.Authority {
+		if rr.Type == TypeNS {
+			childZone = rr.Name
+			break
+		}
+	}
+	if childZone == "" {
+		authoritative := resp.Authoritative
+		resp.Release()
+		if authoritative {
+			r.trace(*ts)
+			return nil, "", nil
+		}
+		return nil, "", fmt.Errorf("%w: dead end at zone %s for %s", ErrLameDelegation, zone, name)
+	}
+	ts.Referral = childZone
+	r.trace(*ts)
+	if childZone == zone || !IsSubdomain(childZone, zone) {
+		resp.Release()
+		return nil, "", fmt.Errorf("%w: referral from %s to %s", ErrLameDelegation, zone, childZone)
+	}
+	// Glue is gathered on the stack; the cache keeps exact-size copies,
+	// and only of what it does not hold already.
+	var gluedBuf [8]netip.Addr
+	var gluelessBuf [4]string
+	glued, glueless := gluedBuf[:0], gluelessBuf[:0]
+	for _, ns := range resp.Authority {
+		if ns.Type != TypeNS {
+			continue
+		}
+		host := ns.Data.(NSData).Host
+		// Collect this host's glue by scanning the additional section
+		// directly — referral sets are a handful of records, so a
+		// linear scan beats building a per-referral map.
+		n0 := len(glued)
+		for _, rr := range resp.Additional {
+			if rr.Type == TypeA && rr.Name == host {
+				glued = append(glued, rr.Data.(AData).Addr)
+			}
+		}
+		if len(glued) > n0 {
+			r.cache.storeHost(host, glued[n0:])
+		} else {
+			glueless = append(glueless, host)
+		}
+	}
+	resp.Release()
+	// Only chase glueless NS names if we have no glued ones — the
+	// common case in the simulation has at least one glued server.
+	var lastErr error
+	if len(glued) == 0 {
+		for _, host := range glueless {
+			addrs, err := r.LookupHost(ctx, host, depth+1)
+			if err == nil && len(addrs) > 0 {
+				glued = append(glued, addrs...)
+				break
+			}
+			lastErr = err
+		}
+	}
+	if len(glued) == 0 {
+		return nil, "", fmt.Errorf("%w: no reachable name servers for %s (last: %v)", ErrLameDelegation, childZone, lastErr)
+	}
+	return r.cache.storeZone(childZone, glued), childZone, nil
 }
 
 // queryAny tries servers until one answers usefully, reporting which
@@ -349,15 +382,12 @@ func (r *Resolver) LookupHost(ctx context.Context, host string, depth int) ([]ne
 // lookupHostUpstream resolves host's addresses upstream and records the
 // outcome in the cache (and the flight, when coalescing).
 func (r *Resolver) lookupHostUpstream(ctx context.Context, host string, depth int, fl *hostFlight, gen uint64) ([]netip.Addr, error) {
-	res, err := r.resolve(ctx, host, TypeA, depth)
+	// No stack scratch here: this call sits inside the glue-chase
+	// recursion, where escape analysis would move it to the heap anyway.
+	res, err := r.resolve(ctx, host, TypeA, depth, nil)
 	var addrs []netip.Addr
 	if err == nil {
-		addrs = make([]netip.Addr, 0, len(res.Answers))
-		for _, rr := range res.Answers {
-			if rr.Type == TypeA {
-				addrs = append(addrs, rr.Data.(AData).Addr)
-			}
-		}
+		addrs = answerAddrs(res.Answers)
 	}
 	r.cache.completeHost(host, fl, gen, addrs, err, ctx.Err() != nil)
 	if err != nil {
@@ -366,40 +396,52 @@ func (r *Resolver) lookupHostUpstream(ctx context.Context, host string, depth in
 	return addrs, nil
 }
 
-// LookupA resolves A records for name, following CNAMEs.
-func (r *Resolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
-	res, err := r.Resolve(ctx, name, TypeA)
-	if err != nil {
-		return nil, err
-	}
-	addrs := make([]netip.Addr, 0, len(res.Answers))
-	for _, rr := range res.Answers {
+// answerAddrs extracts the A records' addresses into a slice of its own.
+func answerAddrs(answers []RR) []netip.Addr {
+	addrs := make([]netip.Addr, 0, len(answers))
+	for _, rr := range answers {
 		if rr.Type == TypeA {
 			addrs = append(addrs, rr.Data.(AData).Addr)
 		}
 	}
-	return addrs, nil
+	return addrs
+}
+
+// LookupA resolves A records for name, following CNAMEs.
+func (r *Resolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
+	var scratch answerScratch
+	res, err := r.resolve(ctx, Canonical(name), TypeA, 0, scratch[:0])
+	if err != nil {
+		return nil, err
+	}
+	return answerAddrs(res.Answers), nil
 }
 
 // LookupNS resolves the NS set for name and returns the server names.
 func (r *Resolver) LookupNS(ctx context.Context, name string) ([]string, error) {
-	res, err := r.Resolve(ctx, name, TypeNS)
+	var scratch answerScratch
+	res, err := r.resolve(ctx, Canonical(name), TypeNS, 0, scratch[:0])
 	if err != nil {
 		return nil, err
 	}
 	hosts := make([]string, 0, len(res.Answers))
 	for _, rr := range res.Answers {
-		if rr.Type == TypeNS {
-			hosts = append(hosts, rr.Data.(NSData).Host)
-		}
+		hosts = append(hosts, rr.Data.(NSData).Host)
 	}
 	return hosts, nil
 }
 
-func (r *Resolver) deepestCached(name string) ([]netip.Addr, string) {
-	return r.cache.deepestCut(name, r.Roots)
+// LookupMX resolves the MX set for name and returns the exchange hosts
+// (nil when there are none).
+func (r *Resolver) LookupMX(ctx context.Context, name string) ([]string, error) {
+	var scratch answerScratch
+	res, err := r.resolve(ctx, Canonical(name), TypeMX, 0, scratch[:0])
+	if err != nil || len(res.Answers) == 0 {
+		return nil, err
+	}
+	hosts := make([]string, 0, len(res.Answers))
+	for _, rr := range res.Answers {
+		hosts = append(hosts, rr.Data.(MXData).Host)
+	}
+	return hosts, nil
 }
-
-func (r *Resolver) cacheZone(zone string, addrs []netip.Addr) { r.cache.storeZone(zone, addrs) }
-
-func (r *Resolver) dropZone(zone string) { r.cache.dropZone(zone) }

@@ -21,6 +21,14 @@ type Transport interface {
 }
 
 // Handler answers DNS queries, in the manner of http.Handler.
+//
+// The request is on loan: q, its sections and the Message q.Reply()
+// returns are valid only until ServeDNS returns and the transport has
+// encoded the response, after which MemNet reuses their storage. A
+// handler must not retain them, hand them to another goroutine, or
+// Release them. It may copy names, record values and addresses out, and
+// it may return a response whose sections point at its own long-lived
+// record sets — the transport reads the response, never writes it.
 type Handler interface {
 	ServeDNS(q *Message, from netip.Addr) *Message
 }
@@ -44,15 +52,13 @@ var (
 // to handler. Exchange serializes the query and deserializes the response
 // through the real codec, so everything above the socket layer behaves
 // identically to UDP. MemNet is safe for concurrent use; binds are
-// expected to be rare relative to exchanges.
+// expected to be rare relative to exchanges, so the routing table is read
+// without a lock and mu only serializes its writers.
 type MemNet struct {
-	mu       sync.RWMutex
-	handlers map[netip.Addr]Handler
-	// Unreachable marks addresses that drop queries (used to simulate
-	// outages such as Netnod withdrawing service).
-	unreachable map[netip.Addr]bool
-	// WireTaps observe every exchanged query (e.g. for counting).
-	tap func(server netip.Addr, q *Message)
+	mu     sync.Mutex
+	routes *lfMap[netip.Addr, memRoute]
+	// tap observes every exchanged query (e.g. for counting).
+	tap atomic.Pointer[func(server netip.Addr, q *Message)]
 	// intern dedups decoded names and RData across this network's
 	// lifetime; the simulated world's name population is fixed, so the
 	// steady-state decode allocates almost nothing.
@@ -62,12 +68,19 @@ type MemNet struct {
 	refCodec atomic.Bool
 }
 
+// memRoute is what MemNet knows about one address: the bound handler
+// and whether the address drops queries (used to simulate outages such
+// as Netnod withdrawing service).
+type memRoute struct {
+	h    Handler
+	down bool
+}
+
 // NewMemNet returns an empty in-memory network.
 func NewMemNet() *MemNet {
 	return &MemNet{
-		handlers:    make(map[netip.Addr]Handler),
-		unreachable: make(map[netip.Addr]bool),
-		intern:      newWireIntern(),
+		routes: newLFMap[netip.Addr, memRoute](hashAddr),
+		intern: newWireIntern(),
 	}
 }
 
@@ -77,86 +90,96 @@ func NewMemNet() *MemNet {
 // studies down the original path.
 func (m *MemNet) SetReferenceCodec(on bool) { m.refCodec.Store(on) }
 
-// Bind attaches a handler to an address, replacing any previous binding.
-func (m *MemNet) Bind(addr netip.Addr, h Handler) {
+// updateRoute applies f to addr's route, dropping routes left empty.
+func (m *MemNet) updateRoute(addr netip.Addr, f func(*memRoute)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.handlers[addr] = h
+	r, _ := m.routes.get(addr)
+	f(&r)
+	if r.h == nil && !r.down {
+		m.routes.del(addr)
+	} else {
+		m.routes.put(addr, r)
+	}
+}
+
+// Bind attaches a handler to an address, replacing any previous binding.
+func (m *MemNet) Bind(addr netip.Addr, h Handler) {
+	m.updateRoute(addr, func(r *memRoute) { r.h = h })
 }
 
 // Unbind removes the handler at addr.
 func (m *MemNet) Unbind(addr netip.Addr) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.handlers, addr)
+	m.updateRoute(addr, func(r *memRoute) { r.h = nil })
 }
 
 // SetUnreachable marks or clears an address as dropping all queries.
 func (m *MemNet) SetUnreachable(addr netip.Addr, down bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.unreachable[addr] = down
+	m.updateRoute(addr, func(r *memRoute) { r.down = down })
 }
 
 // SetTap installs a function observing every exchange (nil to remove).
 func (m *MemNet) SetTap(tap func(server netip.Addr, q *Message)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tap = tap
+	if tap == nil {
+		m.tap.Store(nil)
+		return
+	}
+	m.tap.Store(&tap)
 }
 
 // Exchange implements Transport. The query is round-tripped through the
-// wire codec to keep the in-memory path faithful to the UDP path.
+// wire codec to keep the in-memory path faithful to the UDP path. Both
+// decoded messages live in pooled arenas: the request's (with the
+// handler's Reply) is taken back here once the response is encoded; the
+// response's passes to the caller, who may Release it.
 func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message) (*Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
-	h := m.handlers[server]
-	down := m.unreachable[server]
-	tap := m.tap
-	m.mu.RUnlock()
-	if tap != nil {
-		tap(server, query)
+	route, _ := m.routes.get(server)
+	if tap := m.tap.Load(); tap != nil {
+		(*tap)(server, query)
 	}
-	if down || h == nil {
+	if route.down || route.h == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, server)
 	}
 	if m.refCodec.Load() {
-		return m.exchangeReference(query, h)
+		return m.exchangeReference(query, route.h)
 	}
+	// One wire buffer serves both directions: nothing decoded aliases it,
+	// so the request's octets are dead by the time the response is encoded.
 	wb := getWireBuf()
+	defer putWireBuf(wb)
 	wire, err := query.AppendEncode((*wb)[:0])
 	if err != nil {
-		putWireBuf(wb)
 		return nil, err
 	}
 	*wb = wire
-	decoded, err := decodeWith(wire, m.intern)
-	putWireBuf(wb) // decoded does not alias the buffer
+	req, err := decodeArena(wire, m.intern)
 	if err != nil {
 		return nil, err
 	}
-	resp := h.ServeDNS(decoded, netip.AddrFrom4([4]byte{127, 0, 0, 1}))
+	req.serving = true
+	resp := route.h.ServeDNS(&req.m, netip.AddrFrom4([4]byte{127, 0, 0, 1}))
 	if resp == nil {
+		req.recycle()
 		return nil, fmt.Errorf("%w: handler returned no response", ErrNoRoute)
 	}
-	wb = getWireBuf()
-	respWire, err := resp.AppendEncode((*wb)[:0])
-	if err != nil {
-		putWireBuf(wb)
-		return nil, err
-	}
-	*wb = respWire
-	out, err := decodeWith(respWire, m.intern)
-	putWireBuf(wb)
+	wire, err = resp.AppendEncode(wire[:0])
+	req.recycle() // resp may live in req: encoded or not, it ends here
 	if err != nil {
 		return nil, err
 	}
-	if out.ID != query.ID {
+	*wb = wire
+	out, err := decodeArena(wire, m.intern)
+	if err != nil {
+		return nil, err
+	}
+	if out.m.ID != query.ID {
+		out.recycle()
 		return nil, ErrIDMismatch
 	}
-	return out, nil
+	return &out.m, nil
 }
 
 // exchangeReference is Exchange's round-trip through the reference codec.

@@ -503,21 +503,8 @@ func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, 
 		m.Config.ApexAddrs = apex
 	}
 	if p.CollectMX {
-		if res, err := p.Resolver.Resolve(ctx, domain, dns.TypeMX); err == nil {
-			n := 0
-			for _, rr := range res.Answers {
-				if rr.Type == dns.TypeMX {
-					n++
-				}
-			}
-			if n > 0 {
-				m.Config.MXHosts = make([]string, 0, n)
-				for _, rr := range res.Answers {
-					if rr.Type == dns.TypeMX {
-						m.Config.MXHosts = append(m.Config.MXHosts, rr.Data.(dns.MXData).Host)
-					}
-				}
-			}
+		if hosts, err := p.Resolver.LookupMX(ctx, domain); err == nil {
+			m.Config.MXHosts = hosts
 		}
 	}
 	return m, nx, unreachable

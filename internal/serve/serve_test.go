@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,28 +20,31 @@ import (
 )
 
 // The serve tests share one collected study: collection dominates the
-// package's runtime, and every test only reads from it (the ETag
-// invalidation test appends, which is the mutation the cache is built
-// for).
+// package's runtime, and every test only reads from it. A test that
+// mutates the store takes a copy of its own (privateStudy), so the
+// package passes under -count=N.
 var (
 	studyOnce   sync.Once
 	sharedStudy *core.Study
 	studyErr    error
 )
 
+func testStudyOptions() core.Options {
+	return core.Options{
+		World:     world.Config{Seed: 5, Scale: 20000, RFShare: 0.1},
+		DenseStep: 7,
+		CollectMX: true,
+		// A routing scenario so the reachability/latency figures and the
+		// outages endpoint have real content to serve.
+		Scenario: world.ScenarioNetnodDepeering,
+	}
+}
+
 func testStudy(tb testing.TB) *core.Study {
 	tb.Helper()
 	studyOnce.Do(func() {
-		opts := core.Options{
-			World:     world.Config{Seed: 5, Scale: 20000, RFShare: 0.1},
-			DenseStep: 7,
-			CollectMX: true,
-			// A routing scenario so the reachability/latency figures and the
-			// outages endpoint have real content to serve.
-			Scenario: world.ScenarioNetnodDepeering,
-		}
 		var s *core.Study
-		s, studyErr = core.New(opts)
+		s, studyErr = core.New(testStudyOptions())
 		if studyErr != nil {
 			return
 		}
@@ -54,9 +58,29 @@ func testStudy(tb testing.TB) *core.Study {
 	return sharedStudy
 }
 
+// privateStudy returns a study the caller may mutate: the shared study's
+// store, saved and loaded into a world of its own.
+func privateStudy(tb testing.TB) *core.Study {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := testStudy(tb).SaveStore(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	s, err := core.LoadStore(testStudyOptions(), &buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(tb testing.TB, opts Options) (*Server, *httptest.Server) {
 	tb.Helper()
-	srv := New(testStudy(tb), opts)
+	return newStudyServer(tb, testStudy(tb), opts)
+}
+
+func newStudyServer(tb testing.TB, study *core.Study, opts Options) (*Server, *httptest.Server) {
+	tb.Helper()
+	srv := New(study, opts)
 	ts := httptest.NewServer(srv)
 	tb.Cleanup(ts.Close)
 	return srv, ts
@@ -429,8 +453,8 @@ func TestCoalescing(t *testing.T) {
 // ETag turns into 304, a store mutation (generation bump) invalidates it
 // back to 200 with fresh bytes.
 func TestETagRoundTrip(t *testing.T) {
-	st := testStudy(t)
-	_, ts := newTestServer(t, Options{})
+	st := privateStudy(t) // mutated below
+	_, ts := newStudyServer(t, st, Options{})
 	url := ts.URL + "/api/v1/figures/2"
 
 	resp, body := get(t, url)
