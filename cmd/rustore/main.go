@@ -37,6 +37,7 @@ import (
 
 	"whereru/internal/dns"
 	"whereru/internal/iofault"
+	"whereru/internal/openintel"
 	"whereru/internal/report"
 	"whereru/internal/store"
 )
@@ -140,9 +141,9 @@ func tail(path string, args []string) error {
 	}
 }
 
-// fsck verifies a store or journal file by its magic, reports recoverable
-// damage, and optionally repairs it.
-func fsck(path string, repair bool) error {
+// byFormat dispatches on the file's magic: what fsck and info both do
+// first.
+func byFormat(verb, path string, onStore, onJournal func() error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -151,16 +152,24 @@ func fsck(path string, repair bool) error {
 	_, err = io.ReadFull(f, magic[:])
 	f.Close()
 	if err != nil {
-		return fmt.Errorf("fsck: %s: too short to hold a header", path)
+		return fmt.Errorf("%s: %s: too short to hold a header", verb, path)
 	}
 	switch string(magic[:]) {
 	case "WRST":
-		return fsckStore(path, repair)
+		return onStore()
 	case "WRJL":
-		return fsckJournal(path, repair)
+		return onJournal()
 	default:
-		return fmt.Errorf("fsck: %s: unrecognized magic %q", path, magic)
+		return fmt.Errorf("%s: %s: unrecognized magic %q", verb, path, magic)
 	}
+}
+
+// fsck verifies a store or journal file by its magic, reports recoverable
+// damage, and optionally repairs it.
+func fsck(path string, repair bool) error {
+	return byFormat("fsck", path,
+		func() error { return fsckStore(path, repair) },
+		func() error { return fsckJournal(path, repair) })
 }
 
 func fsckStore(path string, repair bool) error {
@@ -228,24 +237,9 @@ func fsckJournal(path string, repair bool) error {
 // as fsck, so a damaged file still yields a description of its intact
 // prefix (plus a damage note).
 func info(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	var magic [4]byte
-	_, err = io.ReadFull(f, magic[:])
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("info: %s: too short to hold a header", path)
-	}
-	switch string(magic[:]) {
-	case "WRST":
-		return infoStore(path)
-	case "WRJL":
-		return infoJournal(path)
-	default:
-		return fmt.Errorf("info: %s: unrecognized magic %q", path, magic)
-	}
+	return byFormat("info", path,
+		func() error { return infoStore(path) },
+		func() error { return infoJournal(path) })
 }
 
 func infoStore(path string) error {
@@ -275,16 +269,7 @@ func infoJournal(path string) error {
 	// Replay the journal's measurements into a fresh store so the same
 	// day-range/domain/missing summary applies to both formats.
 	st := store.New()
-	for _, rec := range replay.Sweeps {
-		if rec.Missing {
-			st.MarkMissingSweep(rec.Day)
-			continue
-		}
-		st.BeginSweep(rec.Day)
-		for _, m := range rec.Measurements {
-			st.Add(m)
-		}
-	}
+	(&openintel.Pipeline{Store: st}).ReplayJournal(replay)
 	describeStore(st)
 	if replay.Torn() {
 		fmt.Printf("  DAMAGED: %d torn trailing bytes (run fsck -repair)\n", replay.TornBytes)

@@ -12,8 +12,7 @@ import (
 // This file wires the incremental engine (internal/stream) to a Study:
 // building an engine with the exact analysis context the batch figure
 // methods use, priming it from a journal replay, and applying follow-mode
-// journal segments to the study's store/stats — the same mutation
-// sequence ReplayJournal performs, one segment at a time.
+// journal segments to the study's store/stats.
 
 // NewStreamEngine returns an incremental engine bound to the study's
 // analyzer, sanctioned-domain filter and dense-window cutoff — the same
@@ -61,28 +60,12 @@ func LoadCheckpointReplay(opts Options, path string) (*Study, *store.JournalRepl
 }
 
 // ApplySweep applies one follow-mode journal segment to the study: the
-// store mutation ReplayJournal performs for the record, plus the
-// Sweeps/Stats bookkeeping Collect performs for a live sweep. Performing
-// the identical mutation sequence is what keeps a followed study's store
-// generation equal to a cold full-replay — and therefore its rendered
-// documents byte-identical.
+// store mutation ReplayJournal performs for the record
+// (openintel.ApplyJournaled), plus the Sweeps/Stats bookkeeping Collect
+// performs for a live sweep.
 func (s *Study) ApplySweep(rec store.JournalSweep) {
-	if rec.Missing {
-		s.Store.MarkMissingSweep(rec.Day)
-		return
+	if st, swept := openintel.ApplyJournaled(s.Store, rec); swept {
+		s.Sweeps = append(s.Sweeps, rec.Day)
+		s.Stats = append(s.Stats, st)
 	}
-	s.Store.BeginSweep(rec.Day)
-	for _, m := range rec.Measurements {
-		s.Store.Add(m)
-	}
-	s.Sweeps = append(s.Sweeps, rec.Day)
-	s.Stats = append(s.Stats, openintel.SweepStats{
-		Day:         rec.Day,
-		Domains:     rec.Stats.Domains,
-		Failed:      rec.Stats.Failed,
-		NXDomain:    rec.Stats.NXDomain,
-		Retries:     rec.Stats.Retries,
-		Recovered:   rec.Stats.Recovered,
-		Unreachable: rec.Stats.Unreachable,
-	})
 }

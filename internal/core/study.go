@@ -230,22 +230,8 @@ func LoadStore(opts Options, src io.Reader) (*Study, error) {
 // tolerates it: the intact prefix replays, the damage is reported via
 // Progress. The journal file itself is not modified.
 func LoadCheckpoint(opts Options, path string) (*Study, error) {
-	s, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	replay, err := store.VerifyJournal(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading checkpoint: %w", err)
-	}
-	if replay.Torn() {
-		s.Opts.Progress("warning: checkpoint has a torn tail (%d bytes ignored)", replay.TornBytes)
-	}
-	pipe := &openintel.Pipeline{Store: s.Store}
-	s.Stats = pipe.ReplayJournal(replay)
-	s.Sweeps = s.Store.Sweeps()
-	s.Opts.Progress("loaded %d journaled sweeps from %s", len(replay.Sweeps), path)
-	return s, nil
+	s, _, err := LoadCheckpointReplay(opts, path)
+	return s, err
 }
 
 // adoptStore swaps in st as the study's measurement database, pointing

@@ -99,39 +99,17 @@ type unit struct {
 	deadline   time.Time
 	attempts   int // lease expiries + connection losses suffered
 	started    time.Time
-	out        *unitOutcome
-}
-
-// unitOutcome is a merged-ready result.
-type unitOutcome struct {
-	ms             []store.Measurement
-	failed         int
-	nxdomain       int
-	unreachable    int
-	retries        int
-	recovered      int
-	cacheHits      int64
-	cacheMisses    int64
-	cacheCoalesced int64
-	latency        openintel.LatencyHistogram
+	out        *openintel.UnitResult // the merge-ready result, from a worker or the local executor
 }
 
 // workerConn is one accepted worker connection.
 type workerConn struct {
-	nc   net.Conn
+	framedConn
 	name string
-
-	wmu sync.Mutex // serializes frame writes
 
 	// Guarded by the coordinator mutex:
 	suspect bool // lease expired without heartbeat; no new assignments
 	gone    bool
-}
-
-func (w *workerConn) send(payload []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeFrame(w.nc, payload)
 }
 
 // NewCoordinator returns a coordinator driving the given pipeline.
@@ -242,7 +220,7 @@ func (c *Coordinator) Close() error {
 		// Best effort: a worker that misses the done frame exits on the
 		// connection close instead.
 		w.nc.SetWriteDeadline(time.Now().Add(time.Second))
-		_ = w.send(encodeDone())
+		_ = w.send(bareMsg(msgDone))
 		_ = w.nc.Close()
 	}
 	if ln != nil {
@@ -268,19 +246,15 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 // handshake validates a new connection's hello and registers the worker.
 func (c *Coordinator) handshake(nc net.Conn) {
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
-	payload, err := readFrame(nc)
-	if err != nil {
-		c.metrics.add(&c.metrics.framesRejected, 1)
-		nc.Close()
-		return
+	w := &workerConn{framedConn: framedConn{nc: nc}}
+	t, r, err := w.recv()
+	if err == nil && t != msgHello {
+		err = wireErrorf("handshake opened with message type %d", t)
 	}
-	r := &wireReader{b: payload}
-	if t := r.u8("message type"); t != msgHello {
-		c.metrics.add(&c.metrics.framesRejected, 1)
-		nc.Close()
-		return
+	var hello helloMsg
+	if err == nil {
+		hello, err = decodeHello(r)
 	}
-	hello, err := decodeHello(r)
 	if err != nil {
 		c.metrics.add(&c.metrics.framesRejected, 1)
 		nc.Close()
@@ -288,17 +262,18 @@ func (c *Coordinator) handshake(nc net.Conn) {
 	}
 	if hello.Fingerprint != c.Fingerprint {
 		c.logf("grid: rejecting worker %s: config fingerprint %016x != %016x", hello.Name, hello.Fingerprint, c.Fingerprint)
-		writeFrame(nc, rejectMsg{Reason: fmt.Sprintf("config fingerprint mismatch: worker %016x, coordinator %016x", hello.Fingerprint, c.Fingerprint)}.encode())
+		// Best effort: the connection closes either way.
+		_ = w.send(rejectMsg{Reason: fmt.Sprintf("config fingerprint mismatch: worker %016x, coordinator %016x", hello.Fingerprint, c.Fingerprint)})
 		nc.Close()
 		return
 	}
-	if err := writeFrame(nc, welcomeMsg{Fingerprint: c.Fingerprint}.encode()); err != nil {
+	if err := w.send(welcomeMsg{Fingerprint: c.Fingerprint}); err != nil {
 		nc.Close()
 		return
 	}
 	nc.SetDeadline(time.Time{})
+	w.name = hello.Name
 
-	w := &workerConn{nc: nc, name: hello.Name}
 	c.mu.Lock()
 	if c.close {
 		c.mu.Unlock()
@@ -365,7 +340,7 @@ func (c *Coordinator) requeueLocked(u *unit) {
 // readLoop processes a worker's frames until the connection dies.
 func (c *Coordinator) readLoop(w *workerConn) {
 	for {
-		payload, err := readFrame(w.nc)
+		t, r, err := w.recv()
 		if err != nil {
 			if _, ok := err.(*wireError); ok {
 				// Corrupt frame: the stream cannot be trusted past this
@@ -376,8 +351,7 @@ func (c *Coordinator) readLoop(w *workerConn) {
 			c.dropConn(w, err)
 			return
 		}
-		r := &wireReader{b: payload}
-		switch t := r.u8("message type"); t {
+		switch t {
 		case msgResult:
 			msg, err := decodeResult(r)
 			if err != nil {
@@ -474,7 +448,7 @@ func (c *Coordinator) assignLoop(w *workerConn) {
 		c.mu.Unlock()
 
 		c.metrics.add(&c.metrics.unitsDispatched, 1)
-		if err := w.send(msg.encode()); err != nil {
+		if err := w.send(msg); err != nil {
 			c.dropConn(w, err)
 			return
 		}
@@ -584,17 +558,17 @@ func (c *Coordinator) handleResult(w *workerConn, msg resultMsg) error {
 		// matter which worker measured it — so the work is usable.
 		c.metrics.add(&c.metrics.staleResults, 1)
 	}
-	u.out = &unitOutcome{
-		ms:             ms,
-		failed:         int(msg.Failed),
-		nxdomain:       int(msg.NXDomain),
-		unreachable:    int(msg.Unreachable),
-		retries:        int(msg.Retries),
-		recovered:      int(msg.Recovered),
-		cacheHits:      int64(msg.CacheHits),
-		cacheMisses:    int64(msg.CacheMisses),
-		cacheCoalesced: int64(msg.CacheCoalesced),
-		latency:        msg.Latency,
+	u.out = &openintel.UnitResult{
+		Measurements:   ms,
+		Failed:         int(msg.Failed),
+		NXDomain:       int(msg.NXDomain),
+		Unreachable:    int(msg.Unreachable),
+		Retries:        int(msg.Retries),
+		Recovered:      int(msg.Recovered),
+		CacheHits:      int64(msg.CacheHits),
+		CacheMisses:    int64(msg.CacheMisses),
+		CacheCoalesced: int64(msg.CacheCoalesced),
+		Latency:        msg.Latency,
 	}
 	u.state = unitDone
 	u.owner = nil
@@ -685,16 +659,16 @@ func (c *Coordinator) SweepDay(ctx context.Context, day simtime.Day) (openintel.
 	collected := make([]store.Measurement, 0, len(seeds))
 	for _, u := range units {
 		o := u.out
-		collected = append(collected, o.ms...)
-		stats.Failed += o.failed
-		stats.NXDomain += o.nxdomain
-		stats.Unreachable += o.unreachable
-		stats.Retries += o.retries
-		stats.Recovered += o.recovered
-		stats.CacheHits += o.cacheHits
-		stats.CacheMisses += o.cacheMisses
-		stats.CacheCoalesced += o.cacheCoalesced
-		hist.Merge(&o.latency)
+		collected = append(collected, o.Measurements...)
+		stats.Failed += o.Failed
+		stats.NXDomain += o.NXDomain
+		stats.Unreachable += o.Unreachable
+		stats.Retries += o.Retries
+		stats.Recovered += o.Recovered
+		stats.CacheHits += o.CacheHits
+		stats.CacheMisses += o.CacheMisses
+		stats.CacheCoalesced += o.CacheCoalesced
+		hist.Merge(&o.Latency)
 	}
 	c.metrics.addCache(stats.CacheHits, stats.CacheMisses, stats.CacheCoalesced)
 	stats.Duration = time.Since(begin)
@@ -769,18 +743,7 @@ func (c *Coordinator) recordLocal(u *unit, seq uint64, res openintel.UnitResult)
 		c.metrics.add(&c.metrics.duplicateUnits, 1)
 		return
 	}
-	u.out = &unitOutcome{
-		ms:             res.Measurements,
-		failed:         res.Failed,
-		nxdomain:       res.NXDomain,
-		unreachable:    res.Unreachable,
-		retries:        res.Retries,
-		recovered:      res.Recovered,
-		cacheHits:      res.CacheHits,
-		cacheMisses:    res.CacheMisses,
-		cacheCoalesced: res.CacheCoalesced,
-		latency:        res.Latency,
-	}
+	u.out = &res
 	u.state = unitDone
 	c.sweep.done++
 	c.metrics.add(&c.metrics.unitsLocal, 1)

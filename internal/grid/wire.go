@@ -8,16 +8,15 @@
 package grid
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 
+	"whereru/internal/frame"
 	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 )
 
-// Frame layout (everything big-endian, in the spirit of the store codec):
+// Every message travels as one internal/frame frame (everything
+// big-endian, like the store codec):
 //
 //	u32 payloadLen | payload | u32 crc32c(payload)
 //
@@ -28,17 +27,9 @@ import (
 // The checksum is over the payload only; a torn or bit-flipped frame is
 // detected at the receiver and the connection dropped — the lease
 // machinery then reassigns whatever that worker held. There is no
-// resynchronization: a framing error is a connection error.
-
-const (
-	// maxFramePayload bounds one frame; a full-zone measurement batch at
-	// study scale fits well inside the store's segment limit, which this
-	// mirrors.
-	maxFramePayload = 1 << 26
-
-	frameHeaderLen  = 4
-	frameTrailerLen = 4
-)
+// resynchronization: a framing error is a connection error. This file
+// holds the messages and their payload layouts; conn.go sends and
+// receives them.
 
 // Message types.
 const (
@@ -51,11 +42,13 @@ const (
 	msgDone      = 7 // coordinator → worker: no more work, drain and exit
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// message is anything that can write its type byte and fields into a
+// frame payload.
+type message interface{ encode(w *frame.Writer) }
 
-// wireError marks protocol-level corruption (bad checksum, short frame,
-// malformed payload). The coordinator and worker treat it as fatal for
-// the connection, never for the run.
+// wireError marks protocol-level corruption (bad checksum, oversize
+// frame, malformed payload). The coordinator and worker treat it as
+// fatal for the connection, never for the run.
 type wireError struct{ msg string }
 
 func (e *wireError) Error() string { return "grid: wire: " + e.msg }
@@ -64,132 +57,13 @@ func wireErrorf(format string, args ...any) error {
 	return &wireError{msg: fmt.Sprintf(format, args...)}
 }
 
-// writeFrame writes one checksummed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return wireErrorf("payload %d bytes exceeds limit %d", len(payload), maxFramePayload)
-	}
-	buf := make([]byte, frameHeaderLen+len(payload)+frameTrailerLen)
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
-	binary.BigEndian.PutUint32(buf[frameHeaderLen+len(payload):], crc32.Checksum(payload, crcTable))
-	_, err := w.Write(buf)
-	return err
-}
-
-// readFrame reads one frame and verifies its checksum. Transport errors
-// pass through; integrity failures surface as *wireError.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFramePayload {
-		return nil, wireErrorf("frame announces %d bytes (limit %d)", n, maxFramePayload)
-	}
-	buf := make([]byte, int(n)+frameTrailerLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	payload := buf[:n]
-	want := binary.BigEndian.Uint32(buf[n:])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, wireErrorf("frame checksum mismatch: got %08x want %08x", got, want)
-	}
-	return payload, nil
-}
-
-// wireWriter accumulates a payload with error latching.
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *wireWriter) i32(v int32)  { w.u32(uint32(v)) }
-func (w *wireWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *wireWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// wireReader parses a payload with error latching; every read is
-// bounds-checked so a hostile payload cannot panic or over-allocate.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = wireErrorf(format, args...)
-	}
-}
-
-func (r *wireReader) take(n int, what string) []byte {
-	if r.err != nil {
+// wire reports a frame or payload failure from internal/frame as the
+// grid's protocol error.
+func wire(err error) error {
+	if err == nil {
 		return nil
 	}
-	if len(r.b) < n {
-		r.fail("%s: need %d bytes, have %d", what, n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *wireReader) u8(what string) uint8 {
-	b := r.take(1, what)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u32(what string) uint32 {
-	b := r.take(4, what)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *wireReader) u64(what string) uint64 {
-	b := r.take(8, what)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *wireReader) i32(what string) int32 { return int32(r.u32(what)) }
-
-func (r *wireReader) str(what string) string {
-	n := r.u32(what + " length")
-	if r.err == nil && int(n) > len(r.b) {
-		r.fail("%s: announces %d bytes, have %d", what, n, len(r.b))
-	}
-	b := r.take(int(n), what)
-	return string(b)
-}
-
-func (r *wireReader) bytes(what string) []byte {
-	n := r.u32(what + " length")
-	if r.err == nil && int(n) > len(r.b) {
-		r.fail("%s: announces %d bytes, have %d", what, n, len(r.b))
-	}
-	return r.take(int(n), what)
-}
-
-func (r *wireReader) done(what string) error {
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%s: %d trailing bytes", what, len(r.b))
-	}
-	return r.err
+	return &wireError{msg: err.Error()}
 }
 
 // helloMsg opens a worker connection. The fingerprint hashes every
@@ -201,53 +75,47 @@ type helloMsg struct {
 	Fingerprint uint64
 }
 
-func (m helloMsg) encode() []byte {
-	var w wireWriter
-	w.u8(msgHello)
-	w.str(m.Name)
-	w.u64(m.Fingerprint)
-	return w.buf
+func (m helloMsg) encode(w *frame.Writer) {
+	w.U8(msgHello)
+	w.Str32(m.Name, "hello", "name")
+	w.U64(m.Fingerprint)
 }
 
-func decodeHello(r *wireReader) (helloMsg, error) {
+func decodeHello(r *frame.Reader) (helloMsg, error) {
 	var m helloMsg
-	m.Name = r.str("hello name")
-	m.Fingerprint = r.u64("hello fingerprint")
-	return m, r.done("hello")
+	m.Name = r.Str32("hello", "name")
+	m.Fingerprint = r.U64("hello", "fingerprint")
+	return m, wire(r.Done("hello", "message"))
 }
 
 type welcomeMsg struct {
 	Fingerprint uint64
 }
 
-func (m welcomeMsg) encode() []byte {
-	var w wireWriter
-	w.u8(msgWelcome)
-	w.u64(m.Fingerprint)
-	return w.buf
+func (m welcomeMsg) encode(w *frame.Writer) {
+	w.U8(msgWelcome)
+	w.U64(m.Fingerprint)
 }
 
-func decodeWelcome(r *wireReader) (welcomeMsg, error) {
+func decodeWelcome(r *frame.Reader) (welcomeMsg, error) {
 	var m welcomeMsg
-	m.Fingerprint = r.u64("welcome fingerprint")
-	return m, r.done("welcome")
+	m.Fingerprint = r.U64("welcome", "fingerprint")
+	return m, wire(r.Done("welcome", "message"))
 }
 
 type rejectMsg struct {
 	Reason string
 }
 
-func (m rejectMsg) encode() []byte {
-	var w wireWriter
-	w.u8(msgReject)
-	w.str(m.Reason)
-	return w.buf
+func (m rejectMsg) encode(w *frame.Writer) {
+	w.U8(msgReject)
+	w.Str32(m.Reason, "reject", "reason")
 }
 
-func decodeReject(r *wireReader) (rejectMsg, error) {
+func decodeReject(r *frame.Reader) (rejectMsg, error) {
 	var m rejectMsg
-	m.Reason = r.str("reject reason")
-	return m, r.done("reject")
+	m.Reason = r.Str32("reject", "reason")
+	return m, wire(r.Done("reject", "message"))
 }
 
 // assignMsg leases one contiguous unit [Start, End) of day's inventory
@@ -263,28 +131,26 @@ type assignMsg struct {
 	End   uint32
 }
 
-func (m assignMsg) encode() []byte {
-	var w wireWriter
-	w.u8(msgAssign)
-	w.u32(m.Unit)
-	w.u64(m.Seq)
-	w.i32(int32(m.Day))
-	w.u32(m.Start)
-	w.u32(m.End)
-	return w.buf
+func (m assignMsg) encode(w *frame.Writer) {
+	w.U8(msgAssign)
+	w.U32(m.Unit)
+	w.U64(m.Seq)
+	w.I32(int32(m.Day))
+	w.U32(m.Start)
+	w.U32(m.End)
 }
 
-func decodeAssign(r *wireReader) (assignMsg, error) {
+func decodeAssign(r *frame.Reader) (assignMsg, error) {
 	var m assignMsg
-	m.Unit = r.u32("assign unit")
-	m.Seq = r.u64("assign seq")
-	m.Day = simtime.Day(r.i32("assign day"))
-	m.Start = r.u32("assign start")
-	m.End = r.u32("assign end")
-	if r.err == nil && m.End < m.Start {
-		r.fail("assign range [%d, %d) inverted", m.Start, m.End)
+	m.Unit = r.U32("assign", "unit")
+	m.Seq = r.U64("assign", "seq")
+	m.Day = simtime.Day(r.I32("assign", "day"))
+	m.Start = r.U32("assign", "start")
+	m.End = r.U32("assign", "end")
+	if r.Err() == nil && m.End < m.Start {
+		r.Failf("assign range [%d, %d) inverted", m.Start, m.End)
 	}
-	return m, r.done("assign")
+	return m, wire(r.Done("assign", "message"))
 }
 
 // resultMsg carries one completed unit back: the tallies Sweep would
@@ -309,46 +175,46 @@ type resultMsg struct {
 	Batch []byte
 }
 
-func (m resultMsg) encode() []byte {
-	var w wireWriter
-	w.u8(msgResult)
-	w.u32(m.Unit)
-	w.u64(m.Seq)
-	w.i32(int32(m.Day))
-	w.u32(m.Failed)
-	w.u32(m.NXDomain)
-	w.u32(m.Unreachable)
-	w.u32(m.Retries)
-	w.u32(m.Recovered)
-	w.u64(m.CacheHits)
-	w.u64(m.CacheMisses)
-	w.u64(m.CacheCoalesced)
+func (m resultMsg) encode(w *frame.Writer) {
+	w.U8(msgResult)
+	w.U32(m.Unit)
+	w.U64(m.Seq)
+	w.I32(int32(m.Day))
+	w.U32(m.Failed)
+	w.U32(m.NXDomain)
+	w.U32(m.Unreachable)
+	w.U32(m.Retries)
+	w.U32(m.Recovered)
+	w.U64(m.CacheHits)
+	w.U64(m.CacheMisses)
+	w.U64(m.CacheCoalesced)
 	for _, c := range m.Latency.Counts {
-		w.u32(c)
+		w.U32(c)
 	}
-	w.bytes(m.Batch)
-	return w.buf
+	w.Bytes32(m.Batch, "result", "batch")
 }
 
-func decodeResult(r *wireReader) (resultMsg, error) {
+func decodeResult(r *frame.Reader) (resultMsg, error) {
 	var m resultMsg
-	m.Unit = r.u32("result unit")
-	m.Seq = r.u64("result seq")
-	m.Day = simtime.Day(r.i32("result day"))
-	m.Failed = r.u32("result failed")
-	m.NXDomain = r.u32("result nxdomain")
-	m.Unreachable = r.u32("result unreachable")
-	m.Retries = r.u32("result retries")
-	m.Recovered = r.u32("result recovered")
-	m.CacheHits = r.u64("result cache hits")
-	m.CacheMisses = r.u64("result cache misses")
-	m.CacheCoalesced = r.u64("result cache coalesced")
+	m.Unit = r.U32("result", "unit")
+	m.Seq = r.U64("result", "seq")
+	m.Day = simtime.Day(r.I32("result", "day"))
+	m.Failed = r.U32("result", "failed")
+	m.NXDomain = r.U32("result", "nxdomain")
+	m.Unreachable = r.U32("result", "unreachable")
+	m.Retries = r.U32("result", "retries")
+	m.Recovered = r.U32("result", "recovered")
+	m.CacheHits = r.U64("result", "cache hits")
+	m.CacheMisses = r.U64("result", "cache misses")
+	m.CacheCoalesced = r.U64("result", "cache coalesced")
 	for i := range m.Latency.Counts {
-		m.Latency.Counts[i] = r.u32("result latency bucket")
+		m.Latency.Counts[i] = r.U32("result", "latency bucket")
 	}
-	m.Batch = r.bytes("result batch")
-	return m, r.done("result")
+	m.Batch = r.Bytes32("result", "batch")
+	return m, wire(r.Done("result", "message"))
 }
 
-func encodeHeartbeat() []byte { return []byte{msgHeartbeat} }
-func encodeDone() []byte      { return []byte{msgDone} }
+// bareMsg is a message that is nothing but its type: msgHeartbeat, msgDone.
+type bareMsg uint8
+
+func (m bareMsg) encode(w *frame.Writer) { w.U8(uint8(m)) }

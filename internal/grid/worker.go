@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -61,19 +60,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// framedConn serializes frame writes (results and heartbeats come from
-// different goroutines).
-type framedConn struct {
-	nc net.Conn
-	mu sync.Mutex
-}
-
-func (f *framedConn) send(payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return writeFrame(f.nc, payload)
-}
-
 // Run connects to the coordinator at addr and serves assignments until
 // the coordinator says done (nil), the context is cancelled, or the
 // connection fails.
@@ -86,15 +72,14 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	conn := &framedConn{nc: nc}
 
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := conn.send(helloMsg{Name: w.Name, Fingerprint: w.Fingerprint}.encode()); err != nil {
+	if err := conn.send(helloMsg{Name: w.Name, Fingerprint: w.Fingerprint}); err != nil {
 		return fmt.Errorf("grid: worker %s: hello: %w", w.Name, err)
 	}
-	payload, err := readFrame(nc)
+	t, r, err := conn.recv()
 	if err != nil {
 		return fmt.Errorf("grid: worker %s: handshake: %w", w.Name, err)
 	}
-	r := &wireReader{b: payload}
-	switch t := r.u8("message type"); t {
+	switch t {
 	case msgWelcome:
 		if _, err := decodeWelcome(r); err != nil {
 			return fmt.Errorf("grid: worker %s: %w", w.Name, err)
@@ -126,7 +111,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	haveDay := false
 	var curDay simtime.Day
 	for {
-		payload, err := readFrame(nc)
+		t, r, err := conn.recv()
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -139,8 +124,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 			}
 			return fmt.Errorf("grid: worker %s: read: %w", w.Name, err)
 		}
-		r := &wireReader{b: payload}
-		switch t := r.u8("message type"); t {
+		switch t {
 		case msgDone:
 			w.logf("grid: worker %s done (%d units)", w.Name, completed)
 			return nil
@@ -198,7 +182,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 				Latency:        res.Latency,
 				Batch:          batch,
 			}
-			if err := conn.send(out.encode()); err != nil {
+			if err := conn.send(out); err != nil {
 				return fmt.Errorf("grid: worker %s: sending unit %d: %w", w.Name, msg.Unit, err)
 			}
 			completed++
@@ -223,7 +207,7 @@ func (w *Worker) heartbeatLoop(conn *framedConn, hung *atomic.Bool, stop <-chan 
 			if hung.Load() {
 				return
 			}
-			if err := conn.send(encodeHeartbeat()); err != nil {
+			if err := conn.send(bareMsg(msgHeartbeat)); err != nil {
 				return // the main read loop surfaces the connection error
 			}
 		}

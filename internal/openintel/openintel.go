@@ -424,31 +424,42 @@ func (p *Pipeline) SkipSweep(day simtime.Day) error {
 
 // ReplayJournal applies previously journaled sweeps to the store in
 // order, reconstructing the per-sweep stats a live run would have
-// produced. Sweeps replay as measurements, missing-day markers as gap
-// records; the caller resumes collection from the first day the replay
+// produced; the caller resumes collection from the first day the replay
 // does not cover.
 func (p *Pipeline) ReplayJournal(replay *store.JournalReplay) []SweepStats {
 	out := make([]SweepStats, 0, len(replay.Sweeps))
 	for _, rec := range replay.Sweeps {
-		if rec.Missing {
-			p.Store.MarkMissingSweep(rec.Day)
-			continue
+		if st, swept := ApplyJournaled(p.Store, rec); swept {
+			out = append(out, st)
 		}
-		p.Store.BeginSweep(rec.Day)
-		for _, m := range rec.Measurements {
-			p.Store.Add(m)
-		}
-		out = append(out, SweepStats{
-			Day:         rec.Day,
-			Domains:     rec.Stats.Domains,
-			Failed:      rec.Stats.Failed,
-			NXDomain:    rec.Stats.NXDomain,
-			Retries:     rec.Stats.Retries,
-			Recovered:   rec.Stats.Recovered,
-			Unreachable: rec.Stats.Unreachable,
-		})
 	}
 	return out
+}
+
+// ApplyJournaled applies one journaled record to st — the one mutation
+// sequence shared by resume, checkpoint loading and follow mode, which
+// is what keeps their store generations (and so their rendered
+// documents) identical. A sweep replays as BeginSweep plus its
+// measurements and returns the stats it was journaled with; a
+// missing-day marker replays as a gap record and returns swept == false.
+func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, swept bool) {
+	if rec.Missing {
+		st.MarkMissingSweep(rec.Day)
+		return SweepStats{}, false
+	}
+	st.BeginSweep(rec.Day)
+	for _, m := range rec.Measurements {
+		st.Add(m)
+	}
+	return SweepStats{
+		Day:         rec.Day,
+		Domains:     rec.Stats.Domains,
+		Failed:      rec.Stats.Failed,
+		NXDomain:    rec.Stats.NXDomain,
+		Retries:     rec.Stats.Retries,
+		Recovered:   rec.Stats.Recovered,
+		Unreachable: rec.Stats.Unreachable,
+	}, true
 }
 
 // Covered returns the set of schedule days a replay already handled

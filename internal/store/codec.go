@@ -2,15 +2,13 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"net/netip"
 	"sort"
 
+	"whereru/internal/frame"
 	"whereru/internal/simtime"
 )
 
@@ -27,7 +25,8 @@ import (
 //	      nsHostCount u16 | hosts | nsAddrCount u16 | addrs(4B) |
 //	      apexAddrCount u16 | addrs(4B) | mxHostCount u16 | hosts
 //
-// where a section is `payloadLen u32 | payload | crc32c(payload) u32`.
+// where a section is one internal/frame frame:
+// `payloadLen u32 | payload | crc32c(payload) u32`.
 // Strings are u16-length-prefixed; addresses are IPv4 (the simulation's
 // measurement plane is v4-only; AAAA support in the DNS layer is for
 // protocol completeness).
@@ -58,74 +57,31 @@ const (
 	maxDomainRecordBytes = 1 << 24
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// encoder is the store's payload writer: internal/frame's primitives plus
+// the layouts the store's three surfaces share (day lists, configs,
+// measurement lists). A failure latches in the frame.Writer; whoever
+// finishes the payload reports it under the "store: encode:" prefix.
+type encoder struct{ frame.Writer }
 
-// encoder accumulates a section payload, latching the first overflow:
-// counts are stored as u16/u32 and a value that does not fit must fail
-// the write rather than truncate silently.
-type encoder struct {
-	buf bytes.Buffer
-	err error
-}
-
-func (e *encoder) fail(format string, args ...any) {
-	if e.err == nil {
-		e.err = fmt.Errorf("store: encode: "+format, args...)
-	}
-}
-
-func (e *encoder) u8(v byte) { e.buf.WriteByte(v) }
-
-func (e *encoder) u16(v int, what string) {
-	if v < 0 || v > math.MaxUint16 {
-		e.fail("%s %d overflows u16", what, v)
-		return
-	}
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(v))
-	e.buf.Write(b[:])
-}
-
-func (e *encoder) u32(v int, what string) {
-	if v < 0 || int64(v) > math.MaxUint32 {
-		e.fail("%s %d overflows u32", what, v)
-		return
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	e.buf.Write(b[:])
-}
-
-func (e *encoder) i32(v int32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	e.buf.Write(b[:])
-}
-
-func (e *encoder) str(s, what string) {
-	e.u16(len(s), what+" length")
-	e.buf.WriteString(s)
-}
-
-func (e *encoder) strs(ss []string, what string) {
-	e.u16(len(ss), what+" count")
+func (e *encoder) strs(ss []string, ctx, what string) {
+	e.Count16(len(ss), ctx, what)
 	for _, s := range ss {
-		e.str(s, what)
+		e.Str16(s, ctx, what)
 	}
 }
 
-func (e *encoder) addrs(a []netip.Addr, what string) {
-	e.u16(len(a), what+" count")
+func (e *encoder) addrs(a []netip.Addr, ctx, what string) {
+	e.Count16(len(a), ctx, what)
 	for _, addr := range a {
 		b := addr.As4()
-		e.buf.Write(b[:])
+		e.Raw(b[:])
 	}
 }
 
 func (e *encoder) days(ds []simtime.Day, what string) {
-	e.u32(len(ds), what+" count")
+	e.Count32(len(ds), "", what)
 	for _, d := range ds {
-		e.i32(int32(d))
+		e.I32(int32(d))
 	}
 }
 
@@ -133,57 +89,72 @@ func (e *encoder) days(ds []simtime.Day, what string) {
 // shared by store epochs and journal measurements.
 func (e *encoder) config(c Config, domain string) {
 	if c.Failed {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
-	e.strs(c.NSHosts, domain+" NS host")
-	e.addrs(c.NSAddrs, domain+" NS addr")
-	e.addrs(c.ApexAddrs, domain+" apex addr")
-	e.strs(c.MXHosts, domain+" MX host")
+	e.strs(c.NSHosts, domain, "NS host")
+	e.addrs(c.NSAddrs, domain, "NS addr")
+	e.addrs(c.ApexAddrs, domain, "apex addr")
+	e.strs(c.MXHosts, domain, "MX host")
+}
+
+// measurements writes the measurement list the journal and the batch
+// codec share — count u32 | per measurement: domain str | config — in
+// the order given, normalizing each config in place.
+func (e *encoder) measurements(ms []Measurement) {
+	e.Count32(len(ms), "", "measurement")
+	for _, m := range ms {
+		e.Str16(m.Domain, "measurement", "domain")
+		e.config(m.Config.Normalize(), m.Domain)
+	}
 }
 
 // sectionWriter emits the v3 file shape: the magic+version header, then
-// length-framed CRC32C sections. Store.WriteTo and the test oracle
-// ReferenceStore.WriteTo share it, so the columnar and reference
-// representations cannot drift in framing.
+// one frame per section, each built in place in a buffer reused across
+// sections. Store.WriteTo and the test oracle ReferenceStore.WriteTo
+// share it, so the columnar and reference representations cannot drift
+// in layout.
 type sectionWriter struct {
-	bw *bufio.Writer
-	cw countingWriter
+	bw  *bufio.Writer
+	n   int64 // bytes written so far
+	err error // first write failure
+	e   encoder
 }
 
 func newSectionWriter(w io.Writer) *sectionWriter {
 	sw := &sectionWriter{bw: bufio.NewWriter(w)}
-	sw.cw.w = sw.bw
-	sw.cw.write([]byte(magic))
-	var vb [2]byte
-	binary.BigEndian.PutUint16(vb[:], version)
-	sw.cw.write(vb[:])
+	sw.write(binary.BigEndian.AppendUint16([]byte(magic), version))
 	return sw
 }
 
-func (sw *sectionWriter) section(build func(e *encoder)) error {
-	var e encoder
-	build(&e)
-	if e.err != nil {
-		return e.err
+func (sw *sectionWriter) write(b []byte) {
+	if sw.err == nil {
+		var n int
+		n, sw.err = sw.bw.Write(b)
+		sw.n += int64(n)
 	}
-	payload := e.buf.Bytes()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	sw.cw.write(hdr[:])
-	sw.cw.write(payload)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	sw.cw.write(crc[:])
-	return sw.cw.err
+}
+
+// section writes one section of at most max payload bytes — the limit the
+// decoder will hold it to.
+func (sw *sectionWriter) section(max int, build func(e *encoder)) error {
+	sw.e.Reset()
+	sw.e.Begin()
+	build(&sw.e)
+	b, err := sw.e.Finish(max)
+	if err != nil {
+		return fmt.Errorf("store: encode: %w", err)
+	}
+	sw.write(b)
+	return sw.err
 }
 
 func (sw *sectionWriter) close() (int64, error) {
-	if sw.cw.err == nil {
-		sw.cw.err = sw.bw.Flush()
+	if sw.err == nil {
+		sw.err = sw.bw.Flush()
 	}
-	return sw.cw.n, sw.cw.err
+	return sw.n, sw.err
 }
 
 // WriteTo serializes the store in the version-3 format, reading epochs
@@ -196,47 +167,37 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sw := newSectionWriter(w)
-	if err := sw.section(func(e *encoder) { e.days(s.sweeps, "sweep") }); err != nil {
-		return sw.cw.n, err
-	}
-	if err := sw.section(func(e *encoder) { e.days(s.missing, "missing sweep") }); err != nil {
-		return sw.cw.n, err
-	}
-	if err := sw.section(func(e *encoder) { e.u32(len(idx), "domain count") }); err != nil {
-		return sw.cw.n, err
+	if err := sw.header(s.sweeps, s.missing, len(idx)); err != nil {
+		return sw.n, err
 	}
 	for i, name := range idx {
 		d := ord[i]
 		o, n := s.off[d], s.cnt[d]
-		err := sw.section(func(e *encoder) {
-			e.str(name, "domain name")
-			e.u32(int(n), name+" epoch count")
+		err := sw.section(maxDomainRecordBytes, func(e *encoder) {
+			e.Str16(name, "", "domain name")
+			e.Count32(int(n), name, "epoch")
 			for j := uint32(0); j < n; j++ {
-				e.i32(int32(s.epochFrom[o+j]))
-				e.i32(int32(s.epochLast[o+j]))
+				e.I32(int32(s.epochFrom[o+j]))
+				e.I32(int32(s.epochLast[o+j]))
 				e.config(s.intern.config(s.epochCfg[o+j]), name)
 			}
 		})
 		if err != nil {
-			return sw.cw.n, err
+			return sw.n, err
 		}
 	}
 	return sw.close()
 }
 
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) write(b []byte) {
-	if c.err != nil {
-		return
+// header writes the three sections ahead of the domain records.
+func (sw *sectionWriter) header(sweeps, missing []simtime.Day, domains int) error {
+	if err := sw.section(maxHeaderSectionBytes, func(e *encoder) { e.days(sweeps, "sweep") }); err != nil {
+		return err
 	}
-	n, err := c.w.Write(b)
-	c.n += int64(n)
-	c.err = err
+	if err := sw.section(maxHeaderSectionBytes, func(e *encoder) { e.days(missing, "missing sweep") }); err != nil {
+		return err
+	}
+	return sw.section(maxHeaderSectionBytes, func(e *encoder) { e.Count32(domains, "", "domain") })
 }
 
 // corrupt builds the decoder's uniform error.
@@ -244,332 +205,108 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("store: corrupt: "+format, args...)
 }
 
-// byteReader decodes a section payload. Every count field is validated
-// against the bytes remaining in the payload before any allocation, so
-// a 20-byte record claiming a billion epochs fails immediately instead
-// of pre-allocating gigabytes.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
+// byteReader is the store's payload reader: internal/frame's bounds-
+// checked primitives plus the store's layouts. Every method names its
+// field as (ctx, what) and the label is only assembled on failure, so
+// the per-epoch decode path allocates nothing for diagnostics.
+type byteReader struct{ frame.Reader }
 
-func (r *byteReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = corrupt(format, args...)
+// failure reports the reader's latched error as a store corruption.
+func (r *byteReader) failure() error {
+	if err := r.Err(); err != nil {
+		return corrupt("%v", err)
 	}
+	return nil
 }
 
-func (r *byteReader) remaining() int { return len(r.b) - r.off }
-
-func (r *byteReader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > r.remaining() {
-		r.fail("%s: need %d bytes, %d remain", what, n, r.remaining())
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *byteReader) u8(what string) byte {
-	b := r.take(1, what)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u16(what string) int {
-	b := r.take(2, what)
-	if b == nil {
-		return 0
-	}
-	return int(binary.BigEndian.Uint16(b))
-}
-
-func (r *byteReader) u32(what string) int {
-	b := r.take(4, what)
-	if b == nil {
-		return 0
-	}
-	return int(binary.BigEndian.Uint32(b))
-}
-
-func (r *byteReader) i32(what string) int32 { return int32(r.u32(what)) }
-
-// count16 reads a u16 element count and rejects it when even minimally-
-// sized elements could not fit in the remaining payload.
-func (r *byteReader) count16(elemMin int, what string) int {
-	n := r.u16(what + " count")
-	if r.err == nil && n*elemMin > r.remaining() {
-		r.fail("%s count %d exceeds remaining %d bytes", what, n, r.remaining())
-		return 0
-	}
-	return n
-}
-
-// count32 is count16 for u32 counts. The division avoids overflowing
-// n*elemMin on hostile counts.
-func (r *byteReader) count32(elemMin int, what string) int {
-	n := r.u32(what + " count")
-	if r.err == nil && elemMin > 0 && n > r.remaining()/elemMin {
-		r.fail("%s count %d exceeds remaining %d bytes", what, n, r.remaining())
-		return 0
-	}
-	return n
-}
-
-func (r *byteReader) str(what string) string {
-	n := r.u16(what + " length")
-	b := r.take(n, what)
-	return string(b)
-}
-
-func (r *byteReader) strs(what string) []string {
+func (r *byteReader) strs(ctx, what string) []string {
 	// Minimum encoded string is its 2-byte length prefix.
-	n := r.count16(2, what)
-	if n == 0 || r.err != nil {
+	n := r.Count16(2, ctx, what)
+	if n == 0 {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.str(what))
-	}
-	if r.err != nil {
-		return nil
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, r.Str16(ctx, what))
 	}
 	return out
-}
-
-func (r *byteReader) addrs(what string) []netip.Addr {
-	n := r.count16(4, what)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]netip.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		b := r.take(4, what)
-		if b == nil {
-			return nil
-		}
-		out = append(out, netip.AddrFrom4([4]byte(b)))
-	}
-	return out
-}
-
-func (r *byteReader) days(what string) []simtime.Day {
-	n := r.count32(4, what)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]simtime.Day, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, simtime.Day(r.i32(what)))
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *byteReader) config(domain string) Config {
-	var c Config
-	c.Failed = r.u8(domain+" failed flag") == 1
-	c.NSHosts = r.strs(domain + " NS host")
-	c.NSAddrs = r.addrs(domain + " NS addr")
-	c.ApexAddrs = r.addrs(domain + " apex addr")
-	c.MXHosts = r.strs(domain + " MX host")
-	return c
-}
-
-// The *Ctx variants below are the hot-path twins of take/u8/u16/count16:
-// they carry the domain name as separate context and assemble the error
-// label ("<domain> <field>") only when something is actually wrong. The
-// plain variants concatenate eagerly, which is fine once per section but
-// would be an allocation per epoch on the scratch decode path.
-
-func (r *byteReader) takeCtx(n int, ctx, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > r.remaining() {
-		r.fail("%s %s: need %d bytes, %d remain", ctx, what, n, r.remaining())
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *byteReader) u8Ctx(ctx, what string) byte {
-	b := r.takeCtx(1, ctx, what)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u16Ctx(ctx, what string) int {
-	b := r.takeCtx(2, ctx, what)
-	if b == nil {
-		return 0
-	}
-	return int(binary.BigEndian.Uint16(b))
-}
-
-func (r *byteReader) i32Ctx(ctx, what string) int32 {
-	b := r.takeCtx(4, ctx, what)
-	if b == nil {
-		return 0
-	}
-	return int32(binary.BigEndian.Uint32(b))
-}
-
-func (r *byteReader) count32Ctx(elemMin int, ctx, what string) int {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 4 {
-		r.fail("%s %s count: need 4 bytes, %d remain", ctx, what, r.remaining())
-		return 0
-	}
-	n := int(binary.BigEndian.Uint32(r.b[r.off:]))
-	r.off += 4
-	if elemMin > 0 && n > r.remaining()/elemMin {
-		r.fail("%s %s count %d exceeds remaining %d bytes", ctx, what, n, r.remaining())
-		return 0
-	}
-	return n
-}
-
-func (r *byteReader) count16Ctx(elemMin int, ctx, what string) int {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 2 {
-		r.fail("%s %s count: need 2 bytes, %d remain", ctx, what, r.remaining())
-		return 0
-	}
-	n := int(binary.BigEndian.Uint16(r.b[r.off:]))
-	r.off += 2
-	if n*elemMin > r.remaining() {
-		r.fail("%s %s count %d exceeds remaining %d bytes", ctx, what, n, r.remaining())
-		return 0
-	}
-	return n
 }
 
 // hostsInto decodes a hostname list into dst (capacity reused across
 // epochs); the returned entries alias the payload.
 func (r *byteReader) hostsInto(dst [][]byte, ctx, what string) [][]byte {
 	dst = dst[:0]
-	n := r.count16Ctx(2, ctx, what)
-	if n == 0 || r.err != nil {
-		return dst
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		if r.remaining() < 2 {
-			r.fail("%s %s length: need 2 bytes, %d remain", ctx, what, r.remaining())
-			break
-		}
-		m := int(binary.BigEndian.Uint16(r.b[r.off:]))
-		r.off += 2
-		if b := r.takeCtx(m, ctx, what); b != nil {
-			dst = append(dst, b)
-		}
+	n := r.Count16(2, ctx, what)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, r.Bytes16(ctx, what))
 	}
 	return dst
 }
 
-// addrsInto is addrs with a reused destination.
+// addrsInto decodes an address list into dst, growing it only when the
+// list does not fit; with a nil dst the result is exactly sized, and nil
+// for an empty list.
 func (r *byteReader) addrsInto(dst []netip.Addr, ctx, what string) []netip.Addr {
 	dst = dst[:0]
-	n := r.count16Ctx(4, ctx, what)
-	if n == 0 || r.err != nil {
-		return dst
+	n := r.Count16(4, ctx, what)
+	if n > cap(dst) {
+		dst = make([]netip.Addr, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		b := r.takeCtx(4, ctx, what)
+		b := r.Take(4, ctx, what)
 		if b == nil {
-			return dst
+			break
 		}
 		dst = append(dst, netip.AddrFrom4([4]byte(b)))
 	}
 	return dst
 }
 
+func (r *byteReader) days(what string) []simtime.Day {
+	n := r.Count32(4, "", what)
+	if n == 0 {
+		return nil
+	}
+	out := make([]simtime.Day, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, simtime.Day(r.I32("", what)))
+	}
+	return out
+}
+
+func (r *byteReader) config(domain string) Config {
+	var c Config
+	c.Failed = r.U8(domain, "failed flag") == 1
+	c.NSHosts = r.strs(domain, "NS host")
+	c.NSAddrs = r.addrsInto(nil, domain, "NS addr")
+	c.ApexAddrs = r.addrsInto(nil, domain, "apex addr")
+	c.MXHosts = r.strs(domain, "MX host")
+	return c
+}
+
 // configInto decodes a config into the reusable scratch, allocating
 // nothing: hostname entries are views into the payload, materialized
 // only if the intern table has never seen the config.
 func (r *byteReader) configInto(sc *scratchConfig, domain string) {
-	sc.failed = r.u8Ctx(domain, "failed flag") == 1
+	sc.failed = r.U8(domain, "failed flag") == 1
 	sc.nsHosts = r.hostsInto(sc.nsHosts, domain, "NS host")
 	sc.nsAddrs = r.addrsInto(sc.nsAddrs, domain, "NS addr")
 	sc.apexAddrs = r.addrsInto(sc.apexAddrs, domain, "apex addr")
 	sc.mxHosts = r.hostsInto(sc.mxHosts, domain, "MX host")
 }
 
-// readFullN reads exactly n bytes without trusting n for the allocation:
-// small reads go to an exact-size buffer, large ones grow with the data
-// actually arriving, so a huge claimed length against a short input
-// fails with bounded memory.
-func readFullN(r io.Reader, n int) ([]byte, error) {
-	const direct = 1 << 16
-	if n <= direct {
-		b := make([]byte, n)
-		m, err := io.ReadFull(r, b)
-		// On a short read, return only the bytes that arrived — callers
-		// account torn tails by len(payload), which must not count the
-		// promised length.
-		return b[:m], err
+// measurements reads the list encoder.measurements writes, stamping each
+// measurement with day.
+func (r *byteReader) measurements(day simtime.Day) []Measurement {
+	// Minimum measurement: name length (2) + failed (1) + 4 counts (8).
+	n := r.Count32(11, "", "measurement")
+	ms := make([]Measurement, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m := Measurement{Domain: r.Str16("measurement", "domain"), Day: day}
+		m.Config = r.config(m.Domain)
+		ms = append(ms, m)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return buf.Bytes(), err
-	}
-	return buf.Bytes(), nil
-}
-
-// readSection reads one length-framed section and verifies its checksum.
-func readSection(r io.Reader, maxLen int, what string) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, corrupt("%s: reading section length: %v", what, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxLen) {
-		return nil, corrupt("%s: section length %d exceeds limit %d", what, n, maxLen)
-	}
-	payload, err := readFullN(r, int(n))
-	if err != nil {
-		return nil, corrupt("%s: reading %d-byte section: %v", what, n, err)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r, crcb[:]); err != nil {
-		return nil, corrupt("%s: reading checksum: %v", what, err)
-	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(crcb[:]); got != want {
-		return nil, corrupt("%s: checksum mismatch (%08x != %08x)", what, got, want)
-	}
-	return payload, nil
-}
-
-// readRecordSection is readSection for the i-th of n domain records,
-// appending the record position only if the read actually fails (a
-// Sprintf per record would be an allocation per domain at paper scale).
-func readRecordSection(r io.Reader, i, n int) ([]byte, error) {
-	payload, err := readSection(r, maxDomainRecordBytes, "domain record")
-	if err != nil {
-		return nil, fmt.Errorf("%v (record %d/%d)", err, i, n)
-	}
-	return payload, nil
+	return ms
 }
 
 // Recovery reports what a tolerant decode salvaged from a damaged file.
@@ -680,28 +417,32 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 		return s, rec, nil
 	}
 
-	header := func(what string) ([]byte, error) {
-		payload, err := readSection(src, maxHeaderSectionBytes, what)
-		if err == nil {
-			off += int64(8 + len(payload))
+	// section reads the next frame. The caller advances off past it once
+	// it counts as part of the clean prefix.
+	section := func(max int, what string) ([]byte, int64, error) {
+		payload, n, err := frame.Read(src, max)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a v3 file never ends between sections
 		}
-		return payload, err
+		if err != nil {
+			return nil, n, corrupt("%s: %v", what, err)
+		}
+		return payload, n, nil
 	}
 
 	decodeDays := func(what string) ([]simtime.Day, error) {
-		payload, err := header(what)
+		payload, n, err := section(maxHeaderSectionBytes, what)
 		if err != nil {
 			return nil, err
 		}
-		r := &byteReader{b: payload}
+		off += n
+		r := byteReader{frame.NewReader(payload)}
 		days := r.days(what)
-		if r.err == nil && r.remaining() != 0 {
-			r.fail("%s: %d trailing bytes in section", what, r.remaining())
+		r.Done(what, "section")
+		if r.Err() == nil && !ascending(days) {
+			r.Failf("%s days not strictly ascending", what)
 		}
-		if r.err == nil && !ascending(days) {
-			r.fail("%s days not strictly ascending", what)
-		}
-		return days, r.err
+		return days, r.failure()
 	}
 
 	var err error
@@ -711,10 +452,11 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 	if s.missing, err = decodeDays("missing sweeps"); err != nil {
 		return damage(err)
 	}
-	countPayload, err := header("domain count")
+	countPayload, n, err := section(maxHeaderSectionBytes, "domain count")
 	if err != nil {
 		return damage(err)
 	}
+	off += n
 	if len(countPayload) != 4 {
 		return damage(corrupt("domain count section is %d bytes, want 4", len(countPayload)))
 	}
@@ -724,9 +466,11 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 	var sc scratchConfig
 	var br byteReader
 	for i := 0; i < nDomains; i++ {
-		payload, err := readRecordSection(src, i+1, nDomains)
+		payload, n, err := section(maxDomainRecordBytes, "domain record")
 		if err != nil {
-			return damage(err)
+			// The record position is appended only here: a Sprintf per
+			// record would be an allocation per domain at paper scale.
+			return damage(fmt.Errorf("%v (record %d/%d)", err, i+1, nDomains))
 		}
 		mark := len(s.epochFrom)
 		name, nRows, err := s.decodeDomainRecord(payload, &br, &sc)
@@ -737,7 +481,7 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 			s.truncateRows(mark)
 			return damage(corrupt("duplicate domain record %q", name))
 		}
-		off += int64(8 + len(payload))
+		off += n
 		s.adoptTailRows(name, nRows)
 		rec.Domains++
 	}
@@ -752,44 +496,27 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 // r is caller-owned scratch, reset here, so record decode allocates only
 // the name string and whatever interning a never-seen config requires.
 func (s *Store) decodeDomainRecord(payload []byte, r *byteReader, sc *scratchConfig) (string, int, error) {
-	*r = byteReader{b: payload}
-	name := r.str("domain name")
+	*r = byteReader{frame.NewReader(payload)}
+	name := r.Str16("", "domain name")
 	// Minimum epoch: from+lastSeen (8) + failed (1) + four empty counts (8).
-	nEpochs := r.count32Ctx(17, name, "epoch")
-	if r.err != nil {
-		return "", 0, r.err
-	}
+	nEpochs := r.Count32(17, name, "epoch")
 	mark := len(s.epochFrom)
-	for j := 0; j < nEpochs && r.err == nil; j++ {
-		from := simtime.Day(r.i32Ctx(name, "epoch from"))
-		last := simtime.Day(r.i32Ctx(name, "epoch lastSeen"))
+	for j := 0; j < nEpochs; j++ {
+		from := simtime.Day(r.I32(name, "epoch from"))
+		last := simtime.Day(r.I32(name, "epoch lastSeen"))
 		r.configInto(sc, name)
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		s.epochFrom = append(s.epochFrom, from)
 		s.epochLast = append(s.epochLast, last)
 		s.epochCfg = append(s.epochCfg, s.intern.internScratch(sc))
 	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("%s: %d trailing bytes in domain record", name, r.remaining())
-	}
-	if r.err != nil {
+	if r.Done(name, "domain record") != nil {
 		s.truncateRows(mark)
-		return "", 0, r.err
+		return "", 0, r.failure()
 	}
 	return name, len(s.epochFrom) - mark, nil
-}
-
-// capHint bounds a pre-allocation by what the input could plausibly
-// hold: legacy (unframed) streams carry counts we cannot validate
-// against a payload length, so allocations grow with the data actually
-// read instead of trusting the field.
-func capHint(n, max int) int {
-	if n > max {
-		return max
-	}
-	return n
 }
 
 // decodeLegacy reads the unframed version 1/2 stream. Counts cannot be
@@ -930,7 +657,9 @@ func (r *reader) addrs() []netip.Addr {
 	if n == 0 || r.err != nil {
 		return nil
 	}
-	out := make([]netip.Addr, 0, capHint(n, 256))
+	// A legacy count cannot be checked against a payload length, so the
+	// allocation grows with the data actually read instead of trusting it.
+	out := make([]netip.Addr, 0, min(n, 256))
 	for i := 0; i < n; i++ {
 		b := r.bytes(4)
 		if b == nil {

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
 
+	"whereru/internal/frame"
 	"whereru/internal/simtime"
 )
 
@@ -199,9 +199,11 @@ func TestReadRecoverBitFlip(t *testing.T) {
 // error without attempting the implied allocation.
 func TestReadRejectsHugeCounts(t *testing.T) {
 	section := func(payload []byte) []byte {
-		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-		out = append(out, payload...)
-		return binary.BigEndian.AppendUint32(out, crcChecksum(payload))
+		out, err := frame.Append(nil, payload, maxDomainRecordBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	header := append([]byte(magic), 0, version)
 
@@ -214,14 +216,14 @@ func TestReadRejectsHugeCounts(t *testing.T) {
 
 	// A domain record claiming a billion epochs.
 	var e encoder
-	e.str("x.ru.", "domain name")
-	e.u32(1_000_000_000, "epoch count")
+	e.Str16("x.ru.", "", "domain name")
+	e.Count32(1_000_000_000, "x.ru.", "epoch")
 	emptyDays := binary.BigEndian.AppendUint32(nil, 0)
 	rec := append([]byte(nil), header...)
 	rec = append(rec, section(emptyDays)...)                             // no sweeps
 	rec = append(rec, section(emptyDays)...)                             // no missing days
 	rec = append(rec, section(binary.BigEndian.AppendUint32(nil, 1))...) // domain count
-	rec = append(rec, section(e.buf.Bytes())...)                         // the hostile record
+	rec = append(rec, section(e.Bytes())...)                             // the hostile record
 	if _, err := Read(bytes.NewReader(rec)); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("billion-epoch file: err = %v", err)
 	}
@@ -235,8 +237,6 @@ func TestReadRejectsHugeCounts(t *testing.T) {
 		t.Fatalf("billion-domain v1 file: err = %v", err)
 	}
 }
-
-func crcChecksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 func TestWriteToRejectsOverflow(t *testing.T) {
 	hosts := make([]string, 70000)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -79,21 +81,28 @@ func FuzzStoreRead(f *testing.F) {
 // FuzzJournalReplay asserts journal scanning never panics and that the
 // valid prefix it reports is itself a clean journal.
 func FuzzJournalReplay(f *testing.F) {
-	// Build a small valid journal in memory via the segment encoder.
-	var buf bytes.Buffer
-	buf.WriteString("WRJL\x00\x01")
+	// Build a small valid journal the way the pipeline does.
+	path := filepath.Join(f.TempDir(), "seed.wrjl")
+	j, err := CreateJournal(path)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, rec := range []JournalSweep{
 		sweepRec(10, "a.ru.", "b.ru."),
 		{Day: 17, Missing: true},
 		sweepRec(24, "a.ru."),
 	} {
-		frame, err := encodeJournalSegment(rec)
-		if err != nil {
+		if err := j.AppendSweep(rec); err != nil {
 			f.Fatal(err)
 		}
-		buf.Write(frame)
 	}
-	valid := buf.Bytes()
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-2])

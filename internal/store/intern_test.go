@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+
+	"whereru/internal/frame"
 )
 
 // internCases are adversarial configs for the interning properties:
@@ -105,14 +107,14 @@ func TestInternScratchAgreesWithIntern(t *testing.T) {
 		n := cloneConfig(c).Normalize()
 		var e encoder
 		e.config(n, "x")
-		if e.err != nil {
-			t.Fatalf("case %d: encode: %v", i, e.err)
+		if e.Err() != nil {
+			t.Fatalf("case %d: encode: %v", i, e.Err())
 		}
-		r := &byteReader{b: e.buf.Bytes()}
+		r := byteReader{frame.NewReader(e.Bytes())}
 		var sc scratchConfig
 		r.configInto(&sc, "x")
-		if r.err != nil || r.remaining() != 0 {
-			t.Fatalf("case %d: scratch decode: err=%v remaining=%d", i, r.err, r.remaining())
+		if err := r.Done("x", "config"); err != nil {
+			t.Fatalf("case %d: scratch decode: %v", i, err)
 		}
 		want := table.intern(cloneConfig(c).Normalize())
 		got := table.internScratch(&sc)

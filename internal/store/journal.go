@@ -2,15 +2,14 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"sort"
 
+	"whereru/internal/frame"
 	"whereru/internal/iofault"
 	"whereru/internal/simtime"
 )
@@ -25,7 +24,8 @@ import (
 // File layout:
 //
 //	magic "WRJL" | version u16
-//	per segment: payloadLen u32 | payload | crc32c(payload) u32
+//	per segment, one internal/frame frame:
+//	  payloadLen u32 | payload | crc32c(payload) u32
 //	payload:
 //	  kind u8 (0 = sweep, 1 = missing day)
 //	  day i32
@@ -39,9 +39,7 @@ import (
 const (
 	journalMagic   = "WRJL"
 	journalVersion = 1
-	// maxJournalSegment bounds one segment; a sweep of every domain the
-	// full-scale world holds fits comfortably.
-	maxJournalSegment = 1 << 26
+	journalHdrLen  = 6
 
 	segSweep   = 0
 	segMissing = 1
@@ -112,21 +110,38 @@ func CreateJournalFS(fsys iofault.FS, path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
-	j.Sync = f.Sync
-	var hdr [6]byte
-	copy(hdr[:4], journalMagic)
-	binary.BigEndian.PutUint16(hdr[4:], journalVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
+	j, err := startJournal(f, path)
+	if err != nil {
 		f.Close()
+	}
+	return j, err
+}
+
+// startJournal writes the header to the empty file f and makes it
+// durable: the one way a journal begins, whether created or found empty.
+func startJournal(f iofault.File, path string) (*Journal, error) {
+	j := &Journal{f: f, path: path, Sync: f.Sync}
+	hdr := binary.BigEndian.AppendUint16([]byte(journalMagic), journalVersion)
+	if _, err := f.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: journal: writing header: %w", err)
 	}
 	if err := j.Sync(); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("store: journal: syncing header: %w", err)
 	}
-	j.off = 6
+	j.off = journalHdrLen
 	return j, nil
+}
+
+// checkJournalHeader validates the file header for every reader of the
+// format: the scanner, the tailer, fsck.
+func checkJournalHeader(hdr []byte) error {
+	if got := string(hdr[:4]); got != journalMagic {
+		return fmt.Errorf("store: journal: bad magic %q", got)
+	}
+	if v := binary.BigEndian.Uint16(hdr[4:]); v != journalVersion {
+		return fmt.Errorf("store: journal: unsupported version %d", v)
+	}
+	return nil
 }
 
 // OpenJournal opens the journal at path for resuming, creating it fresh
@@ -139,74 +154,61 @@ func OpenJournal(path string) (*Journal, *JournalReplay, error) {
 }
 
 // OpenJournalFS is OpenJournal with the file I/O routed through fsys.
-func OpenJournalFS(fsys iofault.FS, path string) (*Journal, *JournalReplay, error) {
+func OpenJournalFS(fsys iofault.FS, path string) (_ *Journal, _ *JournalReplay, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
-	j.Sync = f.Sync
-	if st.Size() > 0 && st.Size() < 6 {
+	size := st.Size()
+	if size > 0 && size < journalHdrLen {
 		// Shorter than the header: a crash tore the journal's very
 		// creation. Nothing could have been journaled yet, so reset to
 		// empty and write a fresh header below. (A full-size file with a
 		// wrong header stays an error — that is a foreign file, not a
 		// torn one.)
 		if err := f.Truncate(0); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("store: journal: resetting torn header: %w", err)
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("store: journal: %w", err)
 		}
-		st = nil
+		size = 0
 	}
-	if st == nil || st.Size() == 0 {
-		// Fresh file: write the header as CreateJournal would.
-		var hdr [6]byte
-		copy(hdr[:4], journalMagic)
-		binary.BigEndian.PutUint16(hdr[4:], journalVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: journal: writing header: %w", err)
+	if size == 0 {
+		j, err := startJournal(f, path)
+		if err != nil {
+			return nil, nil, err
 		}
-		if err := j.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: journal: syncing header: %w", err)
-		}
-		j.off = 6
-		return j, &JournalReplay{GoodBytes: 6}, nil
+		return j, &JournalReplay{GoodBytes: journalHdrLen}, nil
 	}
 	replay, err := DecodeJournal(bufio.NewReader(f))
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	if replay.Torn() {
 		if err := f.Truncate(replay.GoodBytes); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("store: journal: truncating torn tail: %w", err)
 		}
 		// The truncation must be durable before new segments land after
 		// it: otherwise a second crash can resurrect the torn bytes
 		// underneath a fresh segment's framing.
 		if err := f.Sync(); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("store: journal: syncing truncated tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(replay.GoodBytes, io.SeekStart); err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j.off = replay.GoodBytes
-	return j, replay, nil
+	return &Journal{f: f, path: path, Sync: f.Sync, off: replay.GoodBytes}, replay, nil
 }
 
 // AppendSweep encodes rec as one checksummed segment, appends it and
@@ -221,11 +223,16 @@ func OpenJournalFS(fsys iofault.FS, path string) (*Journal, *JournalReplay, erro
 // returned error wraps the cause (e.g. syscall.ENOSPC), letting callers
 // distinguish a full disk from torn hardware.
 func (j *Journal) AppendSweep(rec JournalSweep) error {
-	frame, err := encodeJournalSegment(rec)
+	// The segment is built in place: one buffer, the payload never
+	// copied into its frame.
+	var e encoder
+	e.Begin()
+	encodeJournalPayload(&e, rec)
+	seg, err := e.Finish(frame.MaxPayload)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: journal: segment for %s: %w", rec.Day, err)
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(seg); err != nil {
 		j.rollback()
 		return fmt.Errorf("store: journal: appending %s: %w", rec.Day, err)
 	}
@@ -233,7 +240,7 @@ func (j *Journal) AppendSweep(rec JournalSweep) error {
 		j.rollback()
 		return fmt.Errorf("store: journal: syncing %s: %w", rec.Day, err)
 	}
-	j.off += int64(len(frame))
+	j.off += int64(len(seg))
 	return nil
 }
 
@@ -249,116 +256,63 @@ func (j *Journal) rollback() {
 	j.f.Sync()
 }
 
-func encodeJournalSegment(rec JournalSweep) ([]byte, error) {
-	var e encoder
+func encodeJournalPayload(e *encoder, rec JournalSweep) {
 	if rec.Missing {
-		e.u8(segMissing)
-		e.i32(int32(rec.Day))
+		e.U8(segMissing)
+		e.I32(int32(rec.Day))
 	} else {
-		e.u8(segSweep)
-		e.i32(int32(rec.Day))
+		e.U8(segSweep)
+		e.I32(int32(rec.Day))
 		for _, v := range []int{rec.Stats.Domains, rec.Stats.Failed, rec.Stats.NXDomain,
 			rec.Stats.Retries, rec.Stats.Recovered, rec.Stats.Unreachable} {
-			e.u32(v, "sweep stat")
+			e.Uint32(v, "", "sweep stat")
 		}
 		ms := append([]Measurement(nil), rec.Measurements...)
 		sort.Slice(ms, func(i, k int) bool { return ms[i].Domain < ms[k].Domain })
-		e.u32(len(ms), "measurement count")
-		for _, m := range ms {
-			e.str(m.Domain, "measurement domain")
-			e.config(m.Config.Normalize(), m.Domain)
-		}
+		e.measurements(ms)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	payload := e.buf.Bytes()
-	if len(payload) > maxJournalSegment {
-		return nil, fmt.Errorf("store: journal: segment for %s is %d bytes (limit %d)", rec.Day, len(payload), maxJournalSegment)
-	}
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
-	return frame, nil
 }
 
 // DecodeJournal scans journal bytes from r: it validates the header,
-// then reads segments until the input ends or a segment fails framing
-// or checksum. Damage never yields an error — it ends the valid prefix,
-// and the remaining input is counted into TornBytes. The error is
-// non-nil only for an unreadable or mismatched header.
+// then reads segments until the input ends or a segment fails framing,
+// checksum or decoding. Damage never yields an error — it ends the valid
+// prefix, and the remaining input is counted into TornBytes. The error
+// is non-nil only for an unreadable or mismatched header.
 func DecodeJournal(r io.Reader) (*JournalReplay, error) {
-	var hdr [6]byte
+	var hdr [journalHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, corrupt("journal: reading header: %v", err)
 	}
-	if got := string(hdr[:4]); got != journalMagic {
-		return nil, fmt.Errorf("store: journal: bad magic %q", got)
+	if err := checkJournalHeader(hdr[:]); err != nil {
+		return nil, err
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:]); v != journalVersion {
-		return nil, fmt.Errorf("store: journal: unsupported version %d", v)
-	}
-	replay := &JournalReplay{Version: journalVersion, GoodBytes: 6}
+	replay := &JournalReplay{Version: journalVersion, GoodBytes: journalHdrLen}
 	for {
-		frameLen, rec, err := readJournalSegment(r)
+		payload, n, err := frame.Read(r, frame.MaxPayload)
 		if err == io.EOF {
 			return replay, nil
+		}
+		var rec JournalSweep
+		if err == nil {
+			rec, err = decodeJournalPayload(payload)
 		}
 		if err != nil {
 			// Torn or corrupt from here on: everything already consumed
 			// for this segment plus whatever follows is unrecoverable.
 			rest, _ := io.Copy(io.Discard, r)
-			replay.TornBytes = frameLen + rest
+			replay.TornBytes = n + rest
 			return replay, nil
 		}
 		replay.Sweeps = append(replay.Sweeps, rec)
-		replay.GoodBytes += frameLen
+		replay.GoodBytes += n
 	}
-}
-
-// readJournalSegment reads one segment, returning the bytes it consumed
-// (even on failure, so the caller can account for them), the decoded
-// record, and io.EOF at a clean end of input.
-func readJournalSegment(r io.Reader) (int64, JournalSweep, error) {
-	var rec JournalSweep
-	var hdr [4]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err == io.EOF {
-		return 0, rec, io.EOF
-	}
-	if err != nil {
-		return int64(n), rec, corrupt("journal: torn segment length")
-	}
-	payloadLen := binary.BigEndian.Uint32(hdr[:])
-	if payloadLen > maxJournalSegment {
-		return int64(n), rec, corrupt("journal: segment length %d exceeds limit", payloadLen)
-	}
-	payload, err := readFullN(r, int(payloadLen))
-	if err != nil {
-		return int64(n + len(payload)), rec, corrupt("journal: torn segment payload")
-	}
-	var crcb [4]byte
-	cn, err := io.ReadFull(r, crcb[:])
-	consumed := int64(n) + int64(payloadLen) + int64(cn)
-	if err != nil {
-		return consumed, rec, corrupt("journal: torn segment checksum")
-	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(crcb[:]) {
-		return consumed, rec, corrupt("journal: segment checksum mismatch")
-	}
-	rec, derr := decodeJournalPayload(payload)
-	if derr != nil {
-		return consumed, rec, derr
-	}
-	return consumed, rec, nil
 }
 
 func decodeJournalPayload(payload []byte) (JournalSweep, error) {
 	var rec JournalSweep
-	r := &byteReader{b: payload}
-	kind := r.u8("segment kind")
-	rec.Day = simtime.Day(r.i32("sweep day"))
+	r := byteReader{frame.NewReader(payload)}
+	kind := r.U8("", "segment kind")
+	rec.Day = simtime.Day(r.I32("", "sweep day"))
 	switch kind {
 	case segMissing:
 		rec.Missing = true
@@ -366,35 +320,18 @@ func decodeJournalPayload(payload []byte) (JournalSweep, error) {
 		stats := []*int{&rec.Stats.Domains, &rec.Stats.Failed, &rec.Stats.NXDomain,
 			&rec.Stats.Retries, &rec.Stats.Recovered, &rec.Stats.Unreachable}
 		for _, p := range stats {
-			v := r.u32("sweep stat")
+			v := r.U32("", "sweep stat")
 			if v > math.MaxInt32 {
-				r.fail("sweep stat %d implausibly large", v)
+				r.Failf("sweep stat %d implausibly large", v)
 			}
-			*p = v
+			*p = int(v)
 		}
-		// Minimum measurement: name length (2) + failed (1) + 4 counts (8).
-		nMeas := r.count32(11, "measurement")
-		if r.err != nil {
-			return rec, r.err
-		}
-		rec.Measurements = make([]Measurement, 0, nMeas)
-		for i := 0; i < nMeas && r.err == nil; i++ {
-			var m Measurement
-			m.Domain = r.str("measurement domain")
-			m.Day = rec.Day
-			m.Config = r.config(m.Domain)
-			rec.Measurements = append(rec.Measurements, m)
-		}
+		rec.Measurements = r.measurements(rec.Day)
 	default:
-		r.fail("journal: unknown segment kind %d", kind)
+		r.Failf("journal: unknown segment kind %d", kind)
 	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("journal: %d trailing bytes in segment", r.remaining())
-	}
-	if r.err != nil {
-		return rec, r.err
-	}
-	return rec, nil
+	r.Done("journal", "segment")
+	return rec, r.failure()
 }
 
 // VerifyJournal scans the journal file at path without opening it for
@@ -405,11 +342,7 @@ func VerifyJournal(path string) (*JournalReplay, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, f); err != nil {
-		return nil, err
-	}
-	return DecodeJournal(&buf)
+	return DecodeJournal(bufio.NewReader(f))
 }
 
 // RepairJournal truncates the journal at path to its valid prefix,

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 
@@ -174,6 +176,38 @@ func TestJournalTornBytesCountActualBytes(t *testing.T) {
 	}
 	if st, _ := os.Stat(path); v.GoodBytes+v.TornBytes != st.Size() {
 		t.Fatalf("GoodBytes(%d)+TornBytes(%d) != file size %d", v.GoodBytes, v.TornBytes, st.Size())
+	}
+}
+
+// TestVerifyJournalStreams: VerifyJournal reads the file through a
+// buffered reader the way OpenJournal does, instead of slurping it whole
+// before decoding — so what it allocates follows what it decodes, not the
+// file size. Eight megabytes of garbage behind two good sweeps must be
+// counted as torn and cost next to nothing.
+func TestVerifyJournalStreams(t *testing.T) {
+	path, goodSize := seedJournal(t, t.TempDir(), 2)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := bytes.Repeat([]byte{0xff}, 8<<20)
+	if _, err := f.Write(junk); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := VerifyJournal(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Sweeps) != 2 || v.GoodBytes != goodSize || v.TornBytes != int64(len(junk)) {
+		t.Fatalf("sweeps=%d good=%d torn=%d, want 2, %d, %d", len(v.Sweeps), v.GoodBytes, v.TornBytes, goodSize, len(junk))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("verifying a journal with an %d-byte torn tail allocated %d bytes", len(junk), grew)
 	}
 }
 

@@ -179,28 +179,22 @@ func (s *ReferenceStore) WriteTo(w io.Writer) (int64, error) {
 	}
 	sort.Strings(idx)
 	sw := newSectionWriter(w)
-	if err := sw.section(func(e *encoder) { e.days(s.sweeps, "sweep") }); err != nil {
-		return sw.cw.n, err
-	}
-	if err := sw.section(func(e *encoder) { e.days(s.missing, "missing sweep") }); err != nil {
-		return sw.cw.n, err
-	}
-	if err := sw.section(func(e *encoder) { e.u32(len(idx), "domain count") }); err != nil {
-		return sw.cw.n, err
+	if err := sw.header(s.sweeps, s.missing, len(idx)); err != nil {
+		return sw.n, err
 	}
 	for _, name := range idx {
 		es := s.domains[name].epochs
-		err := sw.section(func(e *encoder) {
-			e.str(name, "domain name")
-			e.u32(len(es), name+" epoch count")
+		err := sw.section(maxDomainRecordBytes, func(e *encoder) {
+			e.Str16(name, "", "domain name")
+			e.Count32(len(es), name, "epoch")
 			for _, ep := range es {
-				e.i32(int32(ep.from))
-				e.i32(int32(ep.lastSeen))
+				e.I32(int32(ep.from))
+				e.I32(int32(ep.lastSeen))
 				e.config(ep.config, name)
 			}
 		})
 		if err != nil {
-			return sw.cw.n, err
+			return sw.n, err
 		}
 	}
 	return sw.close()

@@ -2,12 +2,12 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
+
+	"whereru/internal/frame"
 )
 
 // Tailer follows a WRJL journal file as it grows, decoding each segment
@@ -43,28 +43,39 @@ const DefaultTailPoll = 200 * time.Millisecond
 // after the segments that scan already consumed. The file itself need
 // not exist yet if offset is 0; Next waits for it.
 func OpenTail(path string, offset int64) (*Tailer, error) {
-	t := &Tailer{path: path, off: offset, poll: DefaultTailPoll}
-	if offset >= 6 {
-		t.hdrOK = true
-	} else {
-		t.off = 6
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) && offset < 6 {
-			return t, nil // wait for creation in Next
-		}
-		return nil, fmt.Errorf("store: tail: %w", err)
-	}
-	t.f = f
-	if t.hdrOK {
-		return t, nil
-	}
-	if err := t.checkHeader(); err != nil && err != errTailWait {
-		f.Close()
+	t := &Tailer{path: path, off: max(offset, journalHdrLen), poll: DefaultTailPoll, hdrOK: offset >= journalHdrLen}
+	if err := t.open(); err != nil && err != errTailWait {
+		t.Close()
 		return nil, err
 	}
 	return t, nil
+}
+
+// open opens the journal file and validates its header, whichever of the
+// two is still outstanding; errTailWait means the file, or its complete
+// header, is not there yet.
+func (t *Tailer) open() error {
+	if t.f == nil {
+		f, err := os.Open(t.path)
+		if os.IsNotExist(err) && !t.hdrOK {
+			return errTailWait // only a tailer starting from the top waits for the file
+		}
+		if err != nil {
+			return fmt.Errorf("store: tail: %w", err)
+		}
+		t.f = f
+	}
+	if !t.hdrOK {
+		var hdr [journalHdrLen]byte
+		if _, err := t.f.ReadAt(hdr[:], 0); err != nil {
+			return errTailWait
+		}
+		if err := checkJournalHeader(hdr[:]); err != nil {
+			return err
+		}
+		t.hdrOK = true
+	}
+	return nil
 }
 
 // SetPoll overrides the polling interval (intervals <= 0 keep the
@@ -128,20 +139,8 @@ func (t *Tailer) Next(ctx context.Context) (JournalSweep, error) {
 // blocking: errTailWait means try again later.
 func (t *Tailer) tryNext() (JournalSweep, error) {
 	var zero JournalSweep
-	if t.f == nil {
-		f, err := os.Open(t.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return zero, errTailWait
-			}
-			return zero, fmt.Errorf("store: tail: %w", err)
-		}
-		t.f = f
-	}
-	if !t.hdrOK {
-		if err := t.checkHeader(); err != nil {
-			return zero, err
-		}
+	if err := t.open(); err != nil {
+		return zero, err
 	}
 	st, err := t.f.Stat()
 	if err != nil {
@@ -151,31 +150,13 @@ func (t *Tailer) tryNext() (JournalSweep, error) {
 	if size < t.off {
 		return zero, fmt.Errorf("store: tail: journal truncated to %d bytes below consumed offset %d", size, t.off)
 	}
-	if size < t.off+8 {
-		return zero, errTailWait
-	}
-	var hdr [4]byte
-	if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
-		return zero, errTailWait
-	}
-	payloadLen := int64(binary.BigEndian.Uint32(hdr[:]))
-	if payloadLen > maxJournalSegment {
-		// Garbage length: a torn tail the writer will truncate on its
-		// next open. Not ours to consume.
-		return zero, errTailWait
-	}
-	frameEnd := t.off + 4 + payloadLen + 4
-	if size < frameEnd {
-		return zero, errTailWait
-	}
-	buf := make([]byte, payloadLen+4)
-	if _, err := io.ReadFull(io.NewSectionReader(t.f, t.off+4, payloadLen+4), buf); err != nil {
-		return zero, errTailWait
-	}
-	payload, crcb := buf[:payloadLen], buf[payloadLen:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(crcb) {
-		// Torn or in-flight bytes; wait for the writer to finish or a
-		// resuming writer to truncate them away.
+	// The same frame reader every other surface uses, over the bytes
+	// present right now. Whatever it refuses — a frame still being
+	// written, a garbage length or a bad checksum in a torn tail the
+	// resuming writer will truncate away — is simply not ours to consume
+	// yet.
+	payload, n, err := frame.Read(io.NewSectionReader(t.f, t.off, size-t.off), frame.MaxPayload)
+	if err != nil {
 		return zero, errTailWait
 	}
 	rec, err := decodeJournalPayload(payload)
@@ -183,32 +164,6 @@ func (t *Tailer) tryNext() (JournalSweep, error) {
 		// Checksum-valid but undecodable is real corruption, not a race.
 		return zero, err
 	}
-	t.off = frameEnd
+	t.off += n
 	return rec, nil
-}
-
-// checkHeader validates the 6-byte file header once enough bytes exist.
-func (t *Tailer) checkHeader() error {
-	st, err := t.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: tail: %w", err)
-	}
-	if st.Size() < 6 {
-		return errTailWait
-	}
-	var hdr [6]byte
-	if _, err := t.f.ReadAt(hdr[:], 0); err != nil {
-		return errTailWait
-	}
-	if string(hdr[:4]) != journalMagic {
-		return fmt.Errorf("store: tail: bad magic %q", hdr[:4])
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:]); v != journalVersion {
-		return fmt.Errorf("store: tail: unsupported version %d", v)
-	}
-	t.hdrOK = true
-	if t.off < 6 {
-		t.off = 6
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"whereru/internal/frame"
 	"whereru/internal/simtime"
 )
 
@@ -22,31 +23,33 @@ import (
 // transport that embeds it is responsible for integrity, exactly as the
 // journal's segment framing is for journal payloads.
 
-// maxBatchBytes bounds one encoded batch; it matches the journal's
-// segment limit, which a full-scale sweep already fits inside.
-const maxBatchBytes = maxJournalSegment
+// MaxBatchBytes bounds one encoded batch. A batch never travels alone:
+// the grid embeds it in a result frame beside a fixed envelope of tallies
+// and a latency histogram (~160 bytes), so the bound leaves a kilobyte
+// of the frame limit for that envelope. Any batch this codec accepts
+// therefore fits a frame, and an oversize unit is refused here, when it
+// is encoded, not after it was sent.
+const MaxBatchBytes = frame.MaxPayload - 1<<10
 
 // EncodeMeasurementBatch serializes one day's measurements in the order
 // given (callers that need a canonical order sort by domain first). Every
 // measurement must carry the batch day; configs are normalized in place.
 func EncodeMeasurementBatch(day simtime.Day, ms []Measurement) ([]byte, error) {
-	var e encoder
-	e.i32(int32(day))
-	e.u32(len(ms), "batch measurement count")
 	for _, m := range ms {
 		if m.Day != day {
 			return nil, fmt.Errorf("store: batch for %s holds a measurement for %s (%s)", day, m.Day, m.Domain)
 		}
-		e.str(m.Domain, "batch measurement domain")
-		e.config(m.Config.Normalize(), m.Domain)
 	}
-	if e.err != nil {
-		return nil, e.err
+	var e encoder
+	e.I32(int32(day))
+	e.measurements(ms)
+	if err := e.Err(); err != nil {
+		return nil, fmt.Errorf("store: encode: %w", err)
 	}
-	if e.buf.Len() > maxBatchBytes {
-		return nil, fmt.Errorf("store: batch for %s is %d bytes (limit %d)", day, e.buf.Len(), maxBatchBytes)
+	if n := len(e.Bytes()); n > MaxBatchBytes {
+		return nil, fmt.Errorf("store: batch for %s is %d bytes (limit %d)", day, n, MaxBatchBytes)
 	}
-	return e.buf.Bytes(), nil
+	return e.Bytes(), nil
 }
 
 // DecodeMeasurementBatch parses a batch written by EncodeMeasurementBatch.
@@ -54,29 +57,14 @@ func EncodeMeasurementBatch(day simtime.Day, ms []Measurement) ([]byte, error) {
 // anything is allocated, and trailing garbage is rejected — the same
 // strictness the journal decoder applies to its payloads.
 func DecodeMeasurementBatch(b []byte) (simtime.Day, []Measurement, error) {
-	if len(b) > maxBatchBytes {
-		return 0, nil, corrupt("batch: %d bytes exceeds limit %d", len(b), maxBatchBytes)
+	if len(b) > MaxBatchBytes {
+		return 0, nil, corrupt("batch: %d bytes exceeds limit %d", len(b), MaxBatchBytes)
 	}
-	r := &byteReader{b: b}
-	day := simtime.Day(r.i32("batch day"))
-	// Minimum measurement: name length (2) + failed (1) + 4 counts (8).
-	n := r.count32(11, "batch measurement")
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	ms := make([]Measurement, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		var m Measurement
-		m.Domain = r.str("batch measurement domain")
-		m.Day = day
-		m.Config = r.config(m.Domain)
-		ms = append(ms, m)
-	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("batch: %d trailing bytes", r.remaining())
-	}
-	if r.err != nil {
-		return 0, nil, r.err
+	r := byteReader{frame.NewReader(b)}
+	day := simtime.Day(r.I32("batch", "day"))
+	ms := r.measurements(day)
+	if r.Done("", "batch") != nil {
+		return 0, nil, r.failure()
 	}
 	return day, ms, nil
 }

@@ -112,7 +112,7 @@ func TestMeasurementBatchHostileInput(t *testing.T) {
 	}
 
 	// An over-limit batch is rejected outright.
-	if _, _, err := DecodeMeasurementBatch(make([]byte, maxBatchBytes+1)); err == nil {
+	if _, _, err := DecodeMeasurementBatch(make([]byte, MaxBatchBytes+1)); err == nil {
 		t.Error("decode accepted an over-limit batch")
 	}
 }
