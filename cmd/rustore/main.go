@@ -37,7 +37,6 @@ import (
 
 	"whereru/internal/dns"
 	"whereru/internal/iofault"
-	"whereru/internal/openintel"
 	"whereru/internal/report"
 	"whereru/internal/store"
 )
@@ -209,7 +208,7 @@ func fsckStore(path string, repair bool) error {
 }
 
 func fsckJournal(path string, repair bool) error {
-	replay, err := store.VerifyJournal(path)
+	replay, err := store.ReplayJournalFile(path, nil) // validate only
 	if err != nil {
 		return fmt.Errorf("fsck: %s: %w", path, err)
 	}
@@ -261,15 +260,14 @@ func infoStore(path string) error {
 }
 
 func infoJournal(path string) error {
-	replay, err := store.VerifyJournal(path)
+	// Replay the journal's measurements into a fresh store so the same
+	// day-range/domain/missing summary applies to both formats.
+	st := store.New()
+	replay, err := store.ReplayJournalFile(path, st)
 	if err != nil {
 		return fmt.Errorf("info: %s: %w", path, err)
 	}
 	fmt.Printf("%s: sweep journal format v%d\n", path, replay.Version)
-	// Replay the journal's measurements into a fresh store so the same
-	// day-range/domain/missing summary applies to both formats.
-	st := store.New()
-	(&openintel.Pipeline{Store: st}).ReplayJournal(replay)
 	describeStore(st)
 	if replay.Torn() {
 		fmt.Printf("  DAMAGED: %d torn trailing bytes (run fsck -repair)\n", replay.TornBytes)

@@ -38,22 +38,36 @@ func FoldReplay(eng *stream.Engine, replay *store.JournalReplay) error {
 }
 
 // LoadCheckpointReplay is LoadCheckpoint, additionally returning the
-// replay itself so follow mode knows the journal offset to tail from and
-// can prime an engine with the same records the store loaded.
+// replay itself — records and all — so follow mode knows the journal
+// offset to tail from and can prime an engine with the same records the
+// store loaded.
 func LoadCheckpointReplay(opts Options, path string) (*Study, *store.JournalReplay, error) {
+	return loadCheckpoint(opts, path, true)
+}
+
+// loadCheckpoint replays the journal at path into a fresh study. With
+// keep the whole replay is decoded first and then applied; without, each
+// segment streams into the store and the returned replay carries no
+// measurements. Both leave the same store and stats.
+func loadCheckpoint(opts Options, path string, keep bool) (*Study, *store.JournalReplay, error) {
 	s, err := New(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	replay, err := store.VerifyJournal(path)
+	var replay *store.JournalReplay
+	if keep {
+		if replay, err = store.VerifyJournal(path); err == nil {
+			s.Stats = (&openintel.Pipeline{Store: s.Store}).ReplayJournal(replay)
+		}
+	} else if replay, err = store.ReplayJournalFile(path, s.Store); err == nil {
+		s.Stats = openintel.JournaledStats(replay)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading checkpoint: %w", err)
 	}
 	if replay.Torn() {
 		s.Opts.Progress("warning: checkpoint has a torn tail (%d bytes ignored)", replay.TornBytes)
 	}
-	pipe := &openintel.Pipeline{Store: s.Store}
-	s.Stats = pipe.ReplayJournal(replay)
 	s.Sweeps = s.Store.Sweeps()
 	s.Opts.Progress("loaded %d journaled sweeps from %s", len(replay.Sweeps), path)
 	return s, replay, nil

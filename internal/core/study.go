@@ -230,7 +230,7 @@ func LoadStore(opts Options, src io.Reader) (*Study, error) {
 // tolerates it: the intact prefix replays, the damage is reported via
 // Progress. The journal file itself is not modified.
 func LoadCheckpoint(opts Options, path string) (*Study, error) {
-	s, _, err := LoadCheckpointReplay(opts, path)
+	s, _, err := loadCheckpoint(opts, path, false)
 	return s, err
 }
 
@@ -307,7 +307,9 @@ func (s *Study) Collect(ctx context.Context) error {
 	done := map[simtime.Day]bool{}
 	if s.Opts.CheckpointPath != "" {
 		if s.Opts.Resume {
-			j, replay, err := store.OpenJournalFS(s.fs(), s.Opts.CheckpointPath)
+			// The journal streams into the store segment by segment: a
+			// resume holds one segment in memory, not the journal.
+			j, replay, err := store.ResumeJournalFS(s.fs(), s.Opts.CheckpointPath, s.Store)
 			if err != nil {
 				return fmt.Errorf("core: opening checkpoint: %w", err)
 			}
@@ -315,7 +317,7 @@ func (s *Study) Collect(ctx context.Context) error {
 			if replay.Torn() {
 				s.Opts.Progress("warning: checkpoint had a torn tail (%d bytes dropped); resuming from the last complete sweep", replay.TornBytes)
 			}
-			s.Stats = append(s.Stats, pipe.ReplayJournal(replay)...)
+			s.Stats = append(s.Stats, openintel.JournaledStats(replay)...)
 			done = openintel.Covered(replay)
 			s.Opts.Progress("resumed %d journaled sweeps from %s", len(replay.Sweeps), s.Opts.CheckpointPath)
 			pipe.Checkpoint = j

@@ -18,7 +18,6 @@
 package frame
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -74,54 +73,71 @@ func Append(dst, payload []byte, max int) ([]byte, error) {
 // scanner can account for a torn tail by what is really on disk — and
 // io.EOF when r ends cleanly before the frame starts, or an *Error.
 //
-// The announced length is never trusted for an allocation: it is checked
-// against max first, and a large payload is read into a buffer that grows
-// with the bytes actually arriving.
+// It is the one-shot form of Buffer.Read: the payload is the caller's.
 func Read(r io.Reader, max int) (payload []byte, consumed int64, err error) {
-	var hdr [4]byte
-	n, err := io.ReadFull(r, hdr[:])
+	return new(Buffer).Read(r, max)
+}
+
+// Buffer reads frames into one buffer the caller keeps, so a scanner over
+// many frames allocates for the largest of them once. The zero value is
+// ready for use.
+type Buffer struct {
+	b   []byte
+	hdr [4]byte // here, not on Read's stack: a Reader behind an interface makes it escape
+}
+
+// Read is the package's Read into the retained buffer: the payload it
+// returns is a view of that buffer, valid until the next Read.
+//
+// The announced length is never trusted for an allocation: it is checked
+// against max first (a max below zero refuses every frame), and a buffer
+// too small for it grows only as the bytes actually arrive.
+func (b *Buffer) Read(r io.Reader, max int) (payload []byte, consumed int64, err error) {
+	n, err := io.ReadFull(r, b.hdr[:])
 	if err != nil {
 		if n == 0 && err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, int64(n), &Error{Torn, fmt.Errorf("torn frame: %d of 4 length bytes: %w", n, err)}
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(b.hdr[:])
 	if int64(size) > int64(max) {
 		return nil, 4, &Error{TooLarge, fmt.Errorf("frame length %d exceeds limit %d", size, max)}
 	}
 	// Payload and checksum arrive in one read into one buffer.
-	buf, err := readFullN(r, int(size)+4)
-	consumed = 4 + int64(len(buf))
+	n, err = b.fill(r, int(size)+4)
+	consumed = 4 + int64(n)
 	if err != nil {
 		return nil, consumed, &Error{Torn, fmt.Errorf("torn frame: %d of %d bytes: %w", consumed, 8+int64(size), err)}
 	}
-	payload = buf[:size:size]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.BigEndian.Uint32(buf[size:]); got != want {
+	payload = b.b[:size:size]
+	if got, want := crc32.Checksum(payload, castagnoli), binary.BigEndian.Uint32(b.b[size:]); got != want {
 		return nil, consumed, &Error{Mismatch, fmt.Errorf("frame checksum mismatch (%08x != %08x)", got, want)}
 	}
 	return payload, consumed, nil
 }
 
-// readFullN reads exactly n bytes without trusting n for the allocation:
-// small reads go to an exact-size buffer, large ones grow with the data
-// actually arriving, so a huge claimed length against a short input
-// fails with bounded memory. On a short read it returns only the bytes
-// that arrived, with io.ErrUnexpectedEOF.
-func readFullN(r io.Reader, n int) (b []byte, err error) {
-	const direct = 1 << 16
-	if n <= direct {
-		b = make([]byte, n)
+// fill reads exactly n bytes into the buffer without trusting n for the
+// allocation: a buffer too small is replaced by an exact-size one for a
+// small n and otherwise doubles each time it has been filled, so a huge
+// claimed length against a short input costs memory bounded by what
+// arrived. It returns how many bytes did arrive; inside a frame no end
+// of input is clean.
+func (b *Buffer) fill(r io.Reader, n int) (have int, err error) {
+	const step = 1 << 16
+	for have < n && err == nil {
+		if have == cap(b.b) {
+			grown := make([]byte, min(n, max(2*have, step)))
+			copy(grown, b.b[:have])
+			b.b = grown
+		}
+		b.b = b.b[:min(n, cap(b.b))]
 		var m int
-		m, err = io.ReadFull(r, b)
-		b = b[:m]
-	} else {
-		var buf bytes.Buffer
-		_, err = io.CopyN(&buf, r, int64(n))
-		b = buf.Bytes()
+		m, err = io.ReadFull(r, b.b[have:])
+		have += m
 	}
 	if err == io.EOF {
-		err = io.ErrUnexpectedEOF // inside a frame no end of input is clean
+		err = io.ErrUnexpectedEOF
 	}
-	return b, err
+	return have, err
 }

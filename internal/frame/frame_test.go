@@ -169,6 +169,68 @@ func TestBoundsAllocationByInput(t *testing.T) {
 	}
 }
 
+// TestBufferReusesItsMemory: a Buffer that has held the largest frame of a
+// stream reads every later one without allocating; each payload is a view
+// of the same memory, good until the next Read — where the one-shot Read
+// hands out memory of the caller's own.
+func TestBufferReusesItsMemory(t *testing.T) {
+	big, small := bytes.Repeat([]byte{0xab}, 300<<10), []byte("a small frame")
+	stream := append(mustAppend(t, big), mustAppend(t, small)...)
+	var b Buffer
+	rd := bytes.NewReader(stream)
+	first, _, err := b.Read(rd, MaxPayload)
+	if err != nil || !bytes.Equal(first, big) {
+		t.Fatalf("first frame: %d bytes, %v", len(first), err)
+	}
+	second, _, err := b.Read(rd, MaxPayload)
+	if err != nil || !bytes.Equal(second, small) {
+		t.Fatalf("second frame: %q, %v", second, err)
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("the second frame was not read into the buffer the first one grew")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		rd.Reset(stream)
+		for i := 0; i < 2; i++ {
+			if _, _, err := b.Read(rd, MaxPayload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("reading two frames into a grown buffer: %v allocations", n)
+	}
+	rd.Reset(stream)
+	one, _, _ := Read(rd, MaxPayload)
+	two, _, _ := Read(rd, MaxPayload)
+	if !bytes.Equal(one, big) || !bytes.Equal(two, small) {
+		t.Fatal("one-shot Read payloads do not survive the next Read")
+	}
+}
+
+// TestBufferGrowsWithArrivingBytes: the retained buffer obeys the same
+// rule as the one-shot read — a frame announcing 64 MiB grows it by what
+// arrives, at most doubling, never by what was promised; and what arrives
+// within its capacity grows it not at all.
+func TestBufferGrowsWithArrivingBytes(t *testing.T) {
+	var b Buffer
+	if _, _, err := b.Read(bytes.NewReader(mustAppend(t, make([]byte, 100<<10))), MaxPayload); err != nil {
+		t.Fatal(err)
+	}
+	for _, arriving := range []int{1000, 300 << 10} {
+		in := append(binary.BigEndian.AppendUint32(nil, MaxPayload), bytes.Repeat([]byte{7}, arriving)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, n, err := b.Read(bytes.NewReader(in), MaxPayload)
+		runtime.ReadMemStats(&after)
+		if verdictOf(err) != Torn || n != int64(len(in)) {
+			t.Fatalf("consumed %d of %d, err %v", n, len(in), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(3*arriving) {
+			t.Fatalf("%d arriving bytes made a buffer of %d allocate %d", arriving, 100<<10, grew)
+		}
+	}
+}
+
 // FuzzFrameRead: Read never panics, never hands back more than max, never
 // claims more input than there was, and anything it accepts re-Appends to
 // exactly the bytes it consumed.
@@ -198,6 +260,13 @@ func FuzzFrameRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, max32 uint32) {
 		max := int(max32 % (MaxPayload + 1))
 		payload, n, err := Read(bytes.NewReader(data), max)
+		// A buffer that has held another frame gives the same answer.
+		var used Buffer
+		used.Read(bytes.NewReader(valid), MaxPayload)
+		again, un, uerr := used.Read(bytes.NewReader(data), max)
+		if !bytes.Equal(again, payload) || un != n || verdictOf(uerr) != verdictOf(err) || (uerr == io.EOF) != (err == io.EOF) || cap(again) > max {
+			t.Fatalf("used buffer: %d bytes, consumed %d, %v; fresh read: %d bytes, consumed %d, %v", len(again), un, uerr, len(payload), n, err)
+		}
 		if n < 0 || n > int64(len(data)) {
 			t.Fatalf("consumed %d of a %d-byte input", n, len(data))
 		}
@@ -225,8 +294,8 @@ func FuzzFrameRead(f *testing.F) {
 		if len(payload) > max || cap(payload) > max {
 			t.Fatalf("payload of %d bytes (cap %d) over max %d", len(payload), cap(payload), max)
 		}
-		again, aerr := Append(nil, payload, max)
-		if aerr != nil || !bytes.Equal(again, data[:n]) {
+		framed, aerr := Append(nil, payload, max)
+		if aerr != nil || !bytes.Equal(framed, data[:n]) {
 			t.Fatalf("accepted payload does not re-Append to the %d bytes consumed (err %v)", n, aerr)
 		}
 	})

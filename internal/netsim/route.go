@@ -3,8 +3,10 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"whereru/internal/simtime"
@@ -90,6 +92,11 @@ type Topology struct {
 	links  []link
 	ixps   map[string]*ixp
 	events []RouteEvent
+	// bounds is the sorted distinct days on which the route state changes
+	// (each event window's first day and the day after its last): rebuilt
+	// by addEvent, read without a lock by every routed exchange. Its
+	// identity also names the event set a Router's tables were built for.
+	bounds atomic.Pointer[[]simtime.Day]
 
 	// routers memoizes one Router per vantage so repeated Router() calls
 	// share the per-version route tables.
@@ -99,7 +106,9 @@ type Topology struct {
 
 // NewTopology returns an empty topology.
 func NewTopology() *Topology {
-	return &Topology{ixps: make(map[string]*ixp), routers: make(map[ASN]*Router)}
+	t := &Topology{ixps: make(map[string]*ixp), routers: make(map[ASN]*Router)}
+	t.bounds.Store(new([]simtime.Day))
+	return t
 }
 
 // AddLink registers a bidirectional link between two ASes with a
@@ -199,6 +208,13 @@ func (t *Topology) addEvent(ev RouteEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, ev)
+	bounds := make([]simtime.Day, 0, 2*len(t.events))
+	for _, ev := range t.events {
+		bounds = append(bounds, ev.Window.From, ev.Window.To+1)
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	t.bounds.Store(&bounds)
 }
 
 // Events returns the scheduled route events sorted by (window start, key)
@@ -224,26 +240,17 @@ func (t *Topology) Events() []RouteEvent {
 // (epoch × route-version window) and routers cache one table per version
 // (the same segmentation trick geo.DB.Version enables for geolocation).
 func (t *Topology) Version(day simtime.Day) int {
-	bounds := t.boundaries()
-	return sort.Search(len(bounds), func(i int) bool { return bounds[i] > day })
+	return versionAt(*t.bounds.Load(), day)
 }
 
-// boundaries returns the sorted distinct days on which the route state
-// changes: each event window's first day and the day after its last.
-func (t *Topology) boundaries() []simtime.Day {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	set := make(map[simtime.Day]bool, 2*len(t.events))
-	for _, ev := range t.events {
-		set[ev.Window.From] = true
-		set[ev.Window.To+1] = true
+// versionAt counts the boundaries at or before day. A scenario has a
+// handful of them, so a scan beats a search and allocates nothing.
+func versionAt(bounds []simtime.Day, day simtime.Day) int {
+	ver := 0
+	for ver < len(bounds) && bounds[ver] <= day {
+		ver++
 	}
-	out := make([]simtime.Day, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ver
 }
 
 // severed reports whether any event active on day cuts the adjacency
@@ -404,13 +411,19 @@ func (t *Topology) routesFrom(vantage ASN, day simtime.Day) map[ASN]PathInfo {
 
 // Router answers reachability and latency questions from one vantage AS,
 // caching one route table per route-state version. Safe for concurrent
-// use by sweep workers.
+// use by sweep workers, whose reads take no lock.
 type Router struct {
 	topo    *Topology
 	vantage ASN
+	tables  atomic.Pointer[routeTables]
+}
 
-	mu     sync.Mutex
-	tables map[int]map[ASN]PathInfo
+// routeTables is a Router's cache for one event set: a lazily filled
+// table per version of it. Registering an event installs new boundaries,
+// and the next query starts a fresh cache for them.
+type routeTables struct {
+	bounds *[]simtime.Day
+	byVer  []atomic.Pointer[map[ASN]PathInfo] // len(*bounds)+1
 }
 
 // Router returns the shared router for a vantage AS.
@@ -420,7 +433,7 @@ func (t *Topology) Router(vantage ASN) *Router {
 	if r, ok := t.routers[vantage]; ok {
 		return r
 	}
-	r := &Router{topo: t, vantage: vantage, tables: make(map[int]map[ASN]PathInfo)}
+	r := &Router{topo: t, vantage: vantage}
 	t.routers[vantage] = r
 	return r
 }
@@ -428,24 +441,23 @@ func (t *Topology) Router(vantage ASN) *Router {
 // Vantage returns the router's origin AS.
 func (r *Router) Vantage() ASN { return r.vantage }
 
-// table returns the route table for day, computing it at most once per
-// route-state version.
+// table returns the route table for day, computed once per route-state
+// version — or a few times, when workers race for the first query of a
+// version: the BFS runs outside any lock, duplicate computations produce
+// identical tables, and the last store wins.
 func (r *Router) table(day simtime.Day) map[ASN]PathInfo {
-	ver := r.topo.Version(day)
-	r.mu.Lock()
-	tbl, ok := r.tables[ver]
-	r.mu.Unlock()
-	if ok {
-		return tbl
+	bounds := r.topo.bounds.Load()
+	rt := r.tables.Load()
+	if rt == nil || rt.bounds != bounds {
+		rt = &routeTables{bounds: bounds, byVer: make([]atomic.Pointer[map[ASN]PathInfo], len(*bounds)+1)}
+		r.tables.Store(rt)
 	}
-	// Compute outside the lock (the graph is tiny but BFS under a mutex
-	// would serialize sweep workers on the first query of a version);
-	// duplicate computations produce identical tables, so last-write-wins
-	// is harmless.
-	tbl = r.topo.routesFrom(r.vantage, day)
-	r.mu.Lock()
-	r.tables[ver] = tbl
-	r.mu.Unlock()
+	slot := &rt.byVer[versionAt(*bounds, day)]
+	if tbl := slot.Load(); tbl != nil {
+		return *tbl
+	}
+	tbl := r.topo.routesFrom(r.vantage, day)
+	slot.Store(&tbl)
 	return tbl
 }
 

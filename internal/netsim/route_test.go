@@ -461,3 +461,113 @@ func BenchmarkRouting(b *testing.B) {
 		}
 	})
 }
+
+// TestRouteReadsAllocateNothing: Version and RouteView.Route run on every
+// routed exchange and every latency sample of a sweep, so once a
+// version's table exists they take no lock and allocate nothing — the
+// boundaries are sorted when an event is registered, not when they are
+// read.
+func TestRouteReadsAllocateNothing(t *testing.T) {
+	d := simtime.ConflictStart
+	in := NewInternet(d)
+	in.MustRegisterAS(AS{Number: 1, Country: "NL"})
+	in.MustRegisterAS(AS{Number: 2, Country: "RU"})
+	addr, _ := in.NextAddr(2)
+	topo := NewTopology()
+	topo.AddLink(1, 2, ms(4), LinkTransit)
+	topo.Depeer(1, 2, simtime.Window{From: d.Add(10), To: d.Add(20)})
+	topo.Partition("p", []ASN{2}, simtime.Window{From: d.Add(15), To: d.Add(40)})
+	v := &RouteView{Net: in, R: topo.Router(1)}
+
+	days := []simtime.Day{d, d.Add(10), d.Add(17), d.Add(21), d.Add(41)}
+	want := []bool{true, false, false, false, true}
+	for i, day := range days { // warm: one table per version
+		if _, ok := v.Route(day, addr); ok != want[i] || topo.Version(day) != i {
+			t.Fatalf("%s: reachable %v at version %d, want %v at %d", day, ok, topo.Version(day), want[i], i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, day := range days {
+			topo.Version(day)
+			v.Route(day, addr)
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state Version+Route over %d days: %v allocations", len(days), n)
+	}
+}
+
+// TestRouteReadersAgainstRegistration reads versions and routes from
+// several goroutines while events are being registered (run with -race
+// -count=10). Registration during measurement is not something a study
+// does, but nothing may tear if it happens: every answer a reader gets is
+// the answer of some prefix of the event list, and once registration is
+// over every reader sees all of it — no table cached for an older event
+// set survives under a version number of the new one.
+func TestRouteReadersAgainstRegistration(t *testing.T) {
+	d := simtime.ConflictStart
+	build := func(events int) *Topology {
+		topo := NewTopology()
+		topo.AddLink(1, 2, ms(5), LinkTransit)
+		topo.AddLink(2, 3, ms(5), LinkTransit)
+		topo.AddLink(1, 3, ms(20), LinkTransit)
+		for i := 0; i < events; i++ {
+			w := simtime.Window{From: d.Add(4 * i), To: d.Add(4*i + 1)}
+			if i%2 == 0 {
+				topo.Depeer(1, 2, w)
+			} else {
+				topo.Partition("p", []ASN{3}, w)
+			}
+		}
+		return topo
+	}
+	const events = 12
+	topo := build(0)
+	r := topo.Router(1)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				day := d.Add((g + i) % (4 * events))
+				if v := topo.Version(day); v < 0 || v > 2*events {
+					t.Errorf("version %d with at most %d boundaries", v, 2*events)
+					return
+				}
+				// AS3 is two hops away, or one over the slow link, or cut
+				// off: no prefix of the event list makes it anything else.
+				if lat, ok := r.Latency(day, 3); ok && lat != ms(10) && lat != ms(20) {
+					t.Errorf("%s: latency %v is no route of this topology", day, lat)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < events; i++ {
+		w := simtime.Window{From: d.Add(4 * i), To: d.Add(4*i + 1)}
+		if i%2 == 0 {
+			topo.Depeer(1, 2, w)
+		} else {
+			topo.Partition("p", []ASN{3}, w)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	fresh := build(events)
+	for day := d; day < d.Add(4*events+2); day++ {
+		got, gotOK := r.Latency(day, 3)
+		want, wantOK := fresh.Router(1).Latency(day, 3)
+		if topo.Version(day) != fresh.Version(day) || got != want || gotOK != wantOK {
+			t.Fatalf("%s: after registration v%d %v,%v; a topology built with the events v%d %v,%v",
+				day, topo.Version(day), got, gotOK, fresh.Version(day), want, wantOK)
+		}
+	}
+}

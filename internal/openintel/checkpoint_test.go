@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,24 @@ func TestReplayJournalStats(t *testing.T) {
 	}
 	if !Covered(replay)[start.Add(6)] {
 		t.Fatal("skipped day not covered by replay")
+	}
+
+	// The streaming resume (what Collect does) against the decode-then-
+	// apply one above: same store bytes, same generation, same stats,
+	// same days covered.
+	r, _ := buildPipeline(t, 20000)
+	streamed, err := store.ReplayJournalFile(path, r.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(storeBytes(t, r), storeBytes(t, q)) || r.Store.Generation() != q.Store.Generation() {
+		t.Fatalf("streaming replay left a different store (generation %d vs %d)", r.Store.Generation(), q.Store.Generation())
+	}
+	if got := JournaledStats(streamed); !reflect.DeepEqual(got, replayed) {
+		t.Fatalf("JournaledStats of the streamed replay %+v != ReplayJournal's %+v", got, replayed)
+	}
+	if !reflect.DeepEqual(Covered(streamed), Covered(replay)) || streamed.GoodBytes != replay.GoodBytes {
+		t.Fatalf("streamed replay covers %v (%d bytes), decoded %v (%d bytes)", Covered(streamed), streamed.GoodBytes, Covered(replay), replay.GoodBytes)
 	}
 }
 

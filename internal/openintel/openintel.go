@@ -427,13 +427,10 @@ func (p *Pipeline) SkipSweep(day simtime.Day) error {
 // produced; the caller resumes collection from the first day the replay
 // does not cover.
 func (p *Pipeline) ReplayJournal(replay *store.JournalReplay) []SweepStats {
-	out := make([]SweepStats, 0, len(replay.Sweeps))
 	for _, rec := range replay.Sweeps {
-		if st, swept := ApplyJournaled(p.Store, rec); swept {
-			out = append(out, st)
-		}
+		ApplyJournaled(p.Store, rec)
 	}
-	return out
+	return JournaledStats(replay)
 }
 
 // ApplyJournaled applies one journaled record to st — the one mutation
@@ -442,6 +439,8 @@ func (p *Pipeline) ReplayJournal(replay *store.JournalReplay) []SweepStats {
 // documents) identical. A sweep replays as BeginSweep plus its
 // measurements and returns the stats it was journaled with; a
 // missing-day marker replays as a gap record and returns swept == false.
+// (store.ReplayJournalFile performs the same sequence from the journal's
+// own bytes; the store's differential test holds the two together.)
 func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, swept bool) {
 	if rec.Missing {
 		st.MarkMissingSweep(rec.Day)
@@ -451,6 +450,10 @@ func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, 
 	for _, m := range rec.Measurements {
 		st.Add(m)
 	}
+	return journaledStats(rec), true
+}
+
+func journaledStats(rec store.JournalSweep) SweepStats {
 	return SweepStats{
 		Day:         rec.Day,
 		Domains:     rec.Stats.Domains,
@@ -459,7 +462,20 @@ func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, 
 		Retries:     rec.Stats.Retries,
 		Recovered:   rec.Stats.Recovered,
 		Unreachable: rec.Stats.Unreachable,
-	}, true
+	}
+}
+
+// JournaledStats returns the per-sweep stats of a replay the store
+// already holds (store.ResumeJournalFS, store.ReplayJournalFile): what
+// ReplayJournal returns, without the applying.
+func JournaledStats(replay *store.JournalReplay) []SweepStats {
+	out := make([]SweepStats, 0, len(replay.Sweeps))
+	for _, rec := range replay.Sweeps {
+		if !rec.Missing {
+			out = append(out, journaledStats(rec))
+		}
+	}
+	return out
 }
 
 // Covered returns the set of schedule days a replay already handled

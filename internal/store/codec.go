@@ -219,19 +219,6 @@ func (r *byteReader) failure() error {
 	return nil
 }
 
-func (r *byteReader) strs(ctx, what string) []string {
-	// Minimum encoded string is its 2-byte length prefix.
-	n := r.Count16(2, ctx, what)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, r.Str16(ctx, what))
-	}
-	return out
-}
-
 // hostsInto decodes a hostname list into dst (capacity reused across
 // epochs); the returned entries alias the payload.
 func (r *byteReader) hostsInto(dst [][]byte, ctx, what string) [][]byte {
@@ -274,16 +261,6 @@ func (r *byteReader) days(what string) []simtime.Day {
 	return out
 }
 
-func (r *byteReader) config(domain string) Config {
-	var c Config
-	c.Failed = r.U8(domain, "failed flag") == 1
-	c.NSHosts = r.strs(domain, "NS host")
-	c.NSAddrs = r.addrsInto(nil, domain, "NS addr")
-	c.ApexAddrs = r.addrsInto(nil, domain, "apex addr")
-	c.MXHosts = r.strs(domain, "MX host")
-	return c
-}
-
 // configInto decodes a config into the reusable scratch, allocating
 // nothing: hostname entries are views into the payload, materialized
 // only if the intern table has never seen the config.
@@ -295,16 +272,38 @@ func (r *byteReader) configInto(sc *scratchConfig, domain string) {
 	sc.mxHosts = r.hostsInto(sc.mxHosts, domain, "MX host")
 }
 
-// measurements reads the list encoder.measurements writes, stamping each
-// measurement with day.
-func (r *byteReader) measurements(day simtime.Day) []Measurement {
+// measurementIter walks the list encoder.measurements writes — the only
+// parser of it — one measurement at a time and without allocating: domain
+// and cfg are views into the payload, overwritten by the next step.
+type measurementIter struct {
+	left   int
+	domain []byte
+	cfg    scratchConfig
+}
+
+func (r *byteReader) beginMeasurements(it *measurementIter) {
 	// Minimum measurement: name length (2) + failed (1) + 4 counts (8).
-	n := r.Count32(11, "", "measurement")
-	ms := make([]Measurement, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m := Measurement{Domain: r.Str16("measurement", "domain"), Day: day}
-		m.Config = r.config(m.Domain)
-		ms = append(ms, m)
+	it.left = r.Count32(11, "", "measurement")
+}
+
+// nextMeasurement decodes the next measurement into it; false after the
+// last one or at the first failure.
+func (r *byteReader) nextMeasurement(it *measurementIter) bool {
+	if it.left == 0 || r.Err() != nil {
+		return false
+	}
+	it.left--
+	it.domain = r.Bytes16("measurement", "domain")
+	r.configInto(&it.cfg, "measurement")
+	return r.Err() == nil
+}
+
+// measurements materializes the rest of the list, stamping each
+// measurement with day: every string and slice is the caller's own.
+func (r *byteReader) measurements(it *measurementIter, day simtime.Day) []Measurement {
+	ms := make([]Measurement, 0, it.left)
+	for r.nextMeasurement(it) {
+		ms = append(ms, Measurement{Domain: string(it.domain), Day: day, Config: it.cfg.config()})
 	}
 	return ms
 }
@@ -391,14 +390,10 @@ func (s *Store) truncateRows(mark int) {
 // adopt them, so a failed record never leaves a registered domain
 // behind.
 func (s *Store) adoptTailRows(name string, nRows int) {
-	d := uint32(len(s.names))
-	s.byName[name] = d
-	s.names = append(s.names, name)
-	s.off = append(s.off, uint32(len(s.epochFrom)-nRows))
-	s.cnt = append(s.cnt, uint32(nRows))
-	s.nameBytes += int64(len(name))
+	d := s.newDomain(name)
+	s.off[d] = uint32(len(s.epochFrom) - nRows)
+	s.cnt[d] = uint32(nRows)
 	s.live += int64(nRows)
-	s.index, s.order = nil, nil
 }
 
 func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
@@ -417,10 +412,12 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 		return s, rec, nil
 	}
 
-	// section reads the next frame. The caller advances off past it once
-	// it counts as part of the clean prefix.
+	// section reads the next frame into the one buffer the decode keeps
+	// (every payload is consumed before the next is read). The caller
+	// advances off past it once it counts as part of the clean prefix.
+	var buf frame.Buffer
 	section := func(max int, what string) ([]byte, int64, error) {
-		payload, n, err := frame.Read(src, max)
+		payload, n, err := buf.Read(src, max)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // a v3 file never ends between sections
 		}

@@ -78,8 +78,10 @@ func FuzzStoreRead(f *testing.F) {
 	})
 }
 
-// FuzzJournalReplay asserts journal scanning never panics and that the
-// valid prefix it reports is itself a clean journal.
+// FuzzJournalReplay asserts journal scanning never panics, that the
+// valid prefix it reports is itself a clean journal, and that streaming
+// the input into a store leaves exactly what decoding it and applying the
+// records does.
 func FuzzJournalReplay(f *testing.F) {
 	// Build a small valid journal the way the pipeline does.
 	path := filepath.Join(f.TempDir(), "seed.wrjl")
@@ -113,6 +115,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("WRJL\x00\x01\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		assertStreamingMatchesDecoded(t, data)
 		replay, err := DecodeJournal(bytes.NewReader(data))
 		if err != nil {
 			return // unreadable header

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"slices"
 )
 
 // internTable hash-conses Configs: every distinct configuration is stored
@@ -75,10 +77,10 @@ func (t *internTable) intern(c Config) uint32 {
 		return id
 	}
 	return t.add(k, Config{
-		NSHosts:   t.internHosts(c.NSHosts),
+		NSHosts:   internHosts(t, c.NSHosts),
 		NSAddrs:   t.internAddrs(c.NSAddrs),
 		ApexAddrs: t.internAddrs(c.ApexAddrs),
-		MXHosts:   t.internHosts(c.MXHosts),
+		MXHosts:   internHosts(t, c.MXHosts),
 		Failed:    c.Failed,
 	})
 }
@@ -93,25 +95,56 @@ type scratchConfig struct {
 	nsAddrs, apexAddrs []netip.Addr
 }
 
+// config materializes the scratch as a Config that owns its memory; an
+// empty section is nil.
+func (sc *scratchConfig) config() Config {
+	return Config{
+		NSHosts: hostStrings(sc.nsHosts), NSAddrs: append([]netip.Addr(nil), sc.nsAddrs...),
+		ApexAddrs: append([]netip.Addr(nil), sc.apexAddrs...), MXHosts: hostStrings(sc.mxHosts),
+		Failed: sc.failed,
+	}
+}
+
+func hostStrings(hs [][]byte) []string {
+	if len(hs) == 0 {
+		return nil
+	}
+	out := make([]string, len(hs))
+	for i, h := range hs {
+		out[i] = string(h)
+	}
+	return out
+}
+
+// normalize sorts the sections in place, as Config.Normalize does: byte
+// order is string order, and neither sort allocates.
+func (sc *scratchConfig) normalize() {
+	slices.SortFunc(sc.nsHosts, bytes.Compare)
+	sortAddrs(sc.nsAddrs)
+	sortAddrs(sc.apexAddrs)
+	slices.SortFunc(sc.mxHosts, bytes.Compare)
+}
+
 // internScratch is intern for a scratchConfig. It must produce exactly
-// the ID intern would for the equivalent Config — the key encodings are
-// kept byte-identical (TestInternScratchAgreesWithIntern pins this).
+// the ID intern would for the equivalent Config: both build the key from
+// the same encoders, section by section in the same order
+// (TestInternScratchAgreesWithIntern pins this).
 func (t *internTable) internScratch(sc *scratchConfig) uint32 {
 	k := t.key[:0]
 	k = appendFailedKey(k, sc.failed)
-	k = appendHostBytesKey(k, sc.nsHosts)
+	k = appendHostsKey(k, sc.nsHosts)
 	k = appendAddrsKey(k, sc.nsAddrs)
 	k = appendAddrsKey(k, sc.apexAddrs)
-	k = appendHostBytesKey(k, sc.mxHosts)
+	k = appendHostsKey(k, sc.mxHosts)
 	t.key = k
 	if id, ok := t.ids[string(k)]; ok {
 		return id
 	}
 	return t.add(k, Config{
-		NSHosts:   t.internHostBytes(sc.nsHosts),
+		NSHosts:   internHosts(t, sc.nsHosts),
 		NSAddrs:   t.internAddrs(sc.nsAddrs),
 		ApexAddrs: t.internAddrs(sc.apexAddrs),
-		MXHosts:   t.internHostBytes(sc.mxHosts),
+		MXHosts:   internHosts(t, sc.mxHosts),
 		Failed:    sc.failed,
 	})
 }
@@ -124,24 +157,13 @@ func (t *internTable) add(key []byte, canonical Config) uint32 {
 	return id
 }
 
-func (t *internTable) internHosts(hs []string) []string {
+func internHosts[S string | []byte](t *internTable, hs []S) []string {
 	if len(hs) == 0 {
 		return nil
 	}
 	start := len(t.hostArena)
 	for _, h := range hs {
-		t.hostArena = append(t.hostArena, t.canon(h))
-	}
-	return t.hostArena[start:len(t.hostArena):len(t.hostArena)]
-}
-
-func (t *internTable) internHostBytes(hs [][]byte) []string {
-	if len(hs) == 0 {
-		return nil
-	}
-	start := len(t.hostArena)
-	for _, h := range hs {
-		t.hostArena = append(t.hostArena, t.canonBytes(h))
+		t.hostArena = append(t.hostArena, canon(t, h))
 	}
 	return t.hostArena[start:len(t.hostArena):len(t.hostArena)]
 }
@@ -155,24 +177,14 @@ func (t *internTable) internAddrs(as []netip.Addr) []netip.Addr {
 	return t.addrArena[start:len(t.addrArena):len(t.addrArena)]
 }
 
-// canon returns the canonical instance of h, registering it on first
-// sight.
-func (t *internTable) canon(h string) string {
-	if c, ok := t.strs[h]; ok {
-		return c
-	}
-	t.strs[h] = h
-	t.hostBytes += int64(len(h))
-	return h
-}
-
-// canonBytes is canon for a byte view; the map lookup on string(b) does
+// canon returns the canonical instance of h — a string or a byte view of
+// one — registering it on first sight. The map lookup on string(h) does
 // not allocate, so repeated hostnames cost nothing to look up.
-func (t *internTable) canonBytes(b []byte) string {
-	if c, ok := t.strs[string(b)]; ok {
+func canon[S string | []byte](t *internTable, h S) string {
+	if c, ok := t.strs[string(h)]; ok {
 		return c
 	}
-	s := string(b)
+	s := string(h)
 	t.strs[s] = s
 	t.hostBytes += int64(len(s))
 	return s
@@ -191,16 +203,7 @@ func appendFailedKey(k []byte, failed bool) []byte {
 	return append(k, 0)
 }
 
-func appendHostsKey(k []byte, hs []string) []byte {
-	k = binary.AppendUvarint(k, uint64(len(hs)))
-	for _, h := range hs {
-		k = binary.AppendUvarint(k, uint64(len(h)))
-		k = append(k, h...)
-	}
-	return k
-}
-
-func appendHostBytesKey(k []byte, hs [][]byte) []byte {
+func appendHostsKey[S string | []byte](k []byte, hs []S) []byte {
 	k = binary.AppendUvarint(k, uint64(len(hs)))
 	for _, h := range hs {
 		k = binary.AppendUvarint(k, uint64(len(h)))

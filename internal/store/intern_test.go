@@ -121,6 +121,20 @@ func TestInternScratchAgreesWithIntern(t *testing.T) {
 		if got != want {
 			t.Errorf("case %d: internScratch=%d, intern=%d for %+v", i, got, want, n)
 		}
+		// The same through the scratch's own normalize, from the config as
+		// given (a journal replay meets foreign, unsorted lists): the two
+		// sort orders must agree too.
+		var raw encoder
+		raw.config(c, "x")
+		r = byteReader{frame.NewReader(raw.Bytes())}
+		r.configInto(&sc, "x")
+		sc.normalize()
+		if got := table.internScratch(&sc); r.Err() != nil || got != want {
+			t.Errorf("case %d: normalized scratch interns to %d, Normalize to %d (err %v)", i, got, want, r.Err())
+		}
+		if !sc.config().Equal(n) {
+			t.Errorf("case %d: scratch materializes to %+v, want %+v", i, sc.config(), n)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -154,7 +153,18 @@ func OpenJournal(path string) (*Journal, *JournalReplay, error) {
 }
 
 // OpenJournalFS is OpenJournal with the file I/O routed through fsys.
-func OpenJournalFS(fsys iofault.FS, path string) (_ *Journal, _ *JournalReplay, err error) {
+func OpenJournalFS(fsys iofault.FS, path string) (*Journal, *JournalReplay, error) {
+	return openJournal(fsys, path, nil, true)
+}
+
+// ResumeJournalFS is OpenJournalFS for a resuming collector: it applies
+// the surviving segments to st as ReplayJournalFile does instead of
+// returning their measurements.
+func ResumeJournalFS(fsys iofault.FS, path string, st *Store) (*Journal, *JournalReplay, error) {
+	return openJournal(fsys, path, st, false)
+}
+
+func openJournal(fsys iofault.FS, path string, into *Store, keep bool) (_ *Journal, _ *JournalReplay, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
@@ -190,7 +200,7 @@ func OpenJournalFS(fsys iofault.FS, path string) (_ *Journal, _ *JournalReplay, 
 		}
 		return j, &JournalReplay{GoodBytes: journalHdrLen}, nil
 	}
-	replay, err := DecodeJournal(bufio.NewReader(f))
+	replay, err := scanJournal(f, into, keep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -279,6 +289,14 @@ func encodeJournalPayload(e *encoder, rec JournalSweep) {
 // prefix, and the remaining input is counted into TornBytes. The error
 // is non-nil only for an unreadable or mismatched header.
 func DecodeJournal(r io.Reader) (*JournalReplay, error) {
+	return scanJournal(r, nil, true)
+}
+
+// scanJournal is the one loop over a journal: header, then segment after
+// segment, each outcome accounted into GoodBytes or TornBytes. A valid
+// segment is recorded in the replay — with its measurements only when
+// keep is set — and applied to st when there is one.
+func scanJournal(r io.Reader, st *Store, keep bool) (*JournalReplay, error) {
 	var hdr [journalHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, corrupt("journal: reading header: %v", err)
@@ -287,14 +305,11 @@ func DecodeJournal(r io.Reader) (*JournalReplay, error) {
 		return nil, err
 	}
 	replay := &JournalReplay{Version: journalVersion, GoodBytes: journalHdrLen}
+	var sc journalScanner
 	for {
-		payload, n, err := frame.Read(r, frame.MaxPayload)
+		n, err := sc.next(r, frame.MaxPayload, keep)
 		if err == io.EOF {
 			return replay, nil
-		}
-		var rec JournalSweep
-		if err == nil {
-			rec, err = decodeJournalPayload(payload)
 		}
 		if err != nil {
 			// Torn or corrupt from here on: everything already consumed
@@ -303,16 +318,56 @@ func DecodeJournal(r io.Reader) (*JournalReplay, error) {
 			replay.TornBytes = n + rest
 			return replay, nil
 		}
-		replay.Sweeps = append(replay.Sweeps, rec)
+		replay.Sweeps = append(replay.Sweeps, sc.rec)
 		replay.GoodBytes += n
+		if st != nil {
+			sc.apply(st)
+		}
 	}
 }
 
-func decodeJournalPayload(payload []byte) (JournalSweep, error) {
-	var rec JournalSweep
-	r := byteReader{frame.NewReader(payload)}
-	kind := r.U8("", "segment kind")
-	rec.Day = simtime.Day(r.I32("", "sweep day"))
+// journalScanner reads and walks one segment at a time, in the only
+// buffer a scan needs: the payload lives in buf, and the domain and host
+// names a walk hands out are views into it, valid until the following
+// next. A scan's memory is therefore its largest segment, however long
+// the journal; what outlives a segment is what a sink copied.
+type journalScanner struct {
+	buf     frame.Buffer
+	payload []byte       // the segment rec describes, verified in full
+	rec     JournalSweep // Measurements only when next was told to keep them
+	r       byteReader
+	it      measurementIter
+}
+
+// next reads the next segment from r — the one place a journal's frames
+// are read — refusing payloads over max, and walks all of it: nothing is
+// reported valid, kept or applied on the strength of a prefix. It returns
+// the bytes taken from r and io.EOF at a clean end, a *frame.Error for a
+// bad frame, or a "store: corrupt:" error for a checksum-valid payload
+// that does not decode.
+func (sc *journalScanner) next(r io.Reader, max int, keep bool) (int64, error) {
+	payload, n, err := sc.buf.Read(r, max)
+	if err != nil {
+		return n, err
+	}
+	sc.payload = payload
+	sc.begin()
+	if keep && !sc.rec.Missing {
+		sc.rec.Measurements = sc.r.measurements(&sc.it, sc.rec.Day)
+	}
+	for sc.r.nextMeasurement(&sc.it) {
+	}
+	sc.r.Done("journal", "segment")
+	return n, sc.r.failure()
+}
+
+// begin decodes the current payload up to its measurement list.
+func (sc *journalScanner) begin() {
+	sc.r = byteReader{frame.NewReader(sc.payload)}
+	sc.rec, sc.it.left = JournalSweep{}, 0
+	rec := &sc.rec
+	kind := sc.r.U8("", "segment kind")
+	rec.Day = simtime.Day(sc.r.I32("", "sweep day"))
 	switch kind {
 	case segMissing:
 		rec.Missing = true
@@ -320,29 +375,57 @@ func decodeJournalPayload(payload []byte) (JournalSweep, error) {
 		stats := []*int{&rec.Stats.Domains, &rec.Stats.Failed, &rec.Stats.NXDomain,
 			&rec.Stats.Retries, &rec.Stats.Recovered, &rec.Stats.Unreachable}
 		for _, p := range stats {
-			v := r.U32("", "sweep stat")
+			v := sc.r.U32("", "sweep stat")
 			if v > math.MaxInt32 {
-				r.Failf("sweep stat %d implausibly large", v)
+				sc.r.Failf("sweep stat %d implausibly large", v)
 			}
 			*p = int(v)
 		}
-		rec.Measurements = r.measurements(rec.Day)
+		sc.r.beginMeasurements(&sc.it)
 	default:
-		r.Failf("journal: unknown segment kind %d", kind)
+		sc.r.Failf("journal: unknown segment kind %d", kind)
 	}
-	r.Done("journal", "segment")
-	return rec, r.failure()
+}
+
+// apply walks the segment next verified a second time, into st, making
+// the mutations a live sweep makes in the order it makes them, so store
+// generations match a live run's.
+func (sc *journalScanner) apply(st *Store) {
+	sc.begin()
+	if sc.rec.Missing {
+		st.MarkMissingSweep(sc.rec.Day)
+		return
+	}
+	st.BeginSweep(sc.rec.Day)
+	for sc.r.nextMeasurement(&sc.it) {
+		st.addScratch(sc.it.domain, sc.rec.Day, &sc.it.cfg)
+	}
 }
 
 // VerifyJournal scans the journal file at path without opening it for
-// appending: the workbench and fsck entry point.
+// appending, keeping every record: the entry point of readers that need
+// the measurements themselves (follow-mode priming, the workbench).
 func VerifyJournal(path string) (*JournalReplay, error) {
+	return scanJournalFile(path, nil, true)
+}
+
+// ReplayJournalFile is VerifyJournal for a reader that wants the journal
+// in a store, not in memory: each segment is applied to st straight from
+// the scan buffer once all of it has been verified — a damaged segment
+// leaves no trace — and the replay's records carry Day, Missing and Stats
+// but no Measurements. st ends up as applying VerifyJournal's records in
+// order would leave it. A nil st only validates (fsck).
+func ReplayJournalFile(path string, st *Store) (*JournalReplay, error) {
+	return scanJournalFile(path, st, false)
+}
+
+func scanJournalFile(path string, st *Store, keep bool) (*JournalReplay, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return DecodeJournal(bufio.NewReader(f))
+	return scanJournal(f, st, keep)
 }
 
 // RepairJournal truncates the journal at path to its valid prefix,
@@ -352,9 +435,10 @@ func RepairJournal(path string) (*JournalReplay, error) {
 }
 
 // RepairJournalFS is RepairJournal with the file I/O routed through
-// fsys, so the chaos matrix can crash the repair itself.
+// fsys, so the chaos matrix can crash the repair itself. The scan only
+// validates: the replay's records carry no measurements.
 func RepairJournalFS(fsys iofault.FS, path string) (*JournalReplay, error) {
-	j, replay, err := OpenJournalFS(fsys, path)
+	j, replay, err := openJournal(fsys, path, nil, false)
 	if err != nil {
 		return nil, err
 	}

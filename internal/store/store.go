@@ -236,24 +236,53 @@ func (s *Store) Add(m Measurement) {
 	cfg := m.Config.Normalize()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.naive++
-	s.gen++
 	cid := s.intern.intern(cfg)
 	d, ok := s.byName[m.Domain]
 	if !ok {
-		d = uint32(len(s.names))
-		s.byName[m.Domain] = d
-		s.names = append(s.names, m.Domain)
-		s.off = append(s.off, uint32(len(s.epochFrom)))
-		s.cnt = append(s.cnt, 0)
-		s.nameBytes += int64(len(m.Domain))
-		s.index, s.order = nil, nil // new domain invalidates the sorted index
+		d = s.newDomain(m.Domain)
 	}
+	s.addRow(d, m.Day, cid)
+}
+
+// addScratch is Add for a measurement still lying in a decoder's buffer
+// (journal replay). domain and sc's hostnames are views the store does
+// not keep: it makes strings only for a domain or a config it has never
+// seen, so a repeat of known ones allocates nothing. sc is normalized in
+// place.
+func (s *Store) addScratch(domain []byte, day simtime.Day, sc *scratchConfig) {
+	sc.normalize()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cid := s.intern.internScratch(sc)
+	d, ok := s.byName[string(domain)] // a lookup by converted key does not allocate
+	if !ok {
+		d = s.newDomain(string(domain))
+	}
+	s.addRow(d, day, cid)
+}
+
+// newDomain registers a never-seen name and returns its dense index.
+func (s *Store) newDomain(name string) uint32 {
+	d := uint32(len(s.names))
+	s.byName[name] = d
+	s.names = append(s.names, name)
+	s.off = append(s.off, uint32(len(s.epochFrom)))
+	s.cnt = append(s.cnt, 0)
+	s.nameBytes += int64(len(name))
+	s.index, s.order = nil, nil // new domain invalidates the sorted index
+	return d
+}
+
+// addRow records that domain d showed config cid on day: the epoch rule
+// under Add and addScratch. The caller holds the write lock.
+func (s *Store) addRow(d uint32, day simtime.Day, cid uint32) {
+	s.naive++
+	s.gen++
 	o, n := s.off[d], s.cnt[d]
 	if n > 0 {
 		tail := o + n - 1
-		if s.epochCfg[tail] == cid && s.epochLast[tail] <= m.Day {
-			s.epochLast[tail] = m.Day
+		if s.epochCfg[tail] == cid && s.epochLast[tail] <= day {
+			s.epochLast[tail] = day
 			return
 		}
 		if o+n != uint32(len(s.epochFrom)) {
@@ -268,8 +297,8 @@ func (s *Store) Add(m Measurement) {
 	} else {
 		s.off[d] = uint32(len(s.epochFrom))
 	}
-	s.epochFrom = append(s.epochFrom, m.Day)
-	s.epochLast = append(s.epochLast, m.Day)
+	s.epochFrom = append(s.epochFrom, day)
+	s.epochLast = append(s.epochLast, day)
 	s.epochCfg = append(s.epochCfg, cid)
 	s.cnt[d]++
 	s.live++

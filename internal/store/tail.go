@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,6 +32,8 @@ type Tailer struct {
 	// 200ms).
 	poll  time.Duration
 	hdrOK bool
+	// sc holds the one frame buffer every poll reuses.
+	sc journalScanner
 }
 
 // DefaultTailPoll is the default polling interval of a Tailer.
@@ -150,20 +153,22 @@ func (t *Tailer) tryNext() (JournalSweep, error) {
 	if size < t.off {
 		return zero, fmt.Errorf("store: tail: journal truncated to %d bytes below consumed offset %d", size, t.off)
 	}
-	// The same frame reader every other surface uses, over the bytes
-	// present right now. Whatever it refuses — a frame still being
-	// written, a garbage length or a bad checksum in a torn tail the
-	// resuming writer will truncate away — is simply not ours to consume
-	// yet.
-	payload, n, err := frame.Read(io.NewSectionReader(t.f, t.off, size-t.off), frame.MaxPayload)
-	if err != nil {
+	// The scanner every other reader uses, over the bytes present right
+	// now and capped by how many that is: a frame announcing more is
+	// refused at its length prefix, so polling a half-written or torn tail
+	// costs four bytes, not the tail. Whatever the frame layer refuses —
+	// that, a garbage length, a bad checksum in a tail the resuming writer
+	// will truncate away — is simply not ours to consume yet.
+	avail := size - t.off
+	n, err := t.sc.next(io.NewSectionReader(t.f, t.off, avail), int(min(frame.MaxPayload, avail-8)), true)
+	var fe *frame.Error
+	if err == io.EOF || errors.As(err, &fe) {
 		return zero, errTailWait
 	}
-	rec, err := decodeJournalPayload(payload)
 	if err != nil {
 		// Checksum-valid but undecodable is real corruption, not a race.
 		return zero, err
 	}
 	t.off += n
-	return rec, nil
+	return t.sc.rec, nil
 }

@@ -2,11 +2,14 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+
 	"whereru/internal/simtime"
 )
 
@@ -226,5 +229,71 @@ func TestTailerWaitsForFileCreation(t *testing.T) {
 	}
 	if rec.Day != simtime.Day(100) {
 		t.Fatalf("day = %s", rec.Day)
+	}
+}
+
+// TestTailerPollsIncompleteFrameInConstantSpace: while a large frame is
+// only partly on disk — a writer mid-append, or a torn tail nobody has
+// repaired — a poll reads its length prefix and waits. It neither reads
+// nor buffers the bytes that are there: 200 polls over an 8 MiB stump
+// allocate under a kilobyte each (the refusal's error value), first poll
+// included — reading the payload even once would grow the retained buffer
+// to its size. When the rest arrives the segment is delivered.
+func TestTailerPollsIncompleteFrameInConstantSpace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wrjl")
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendSweep(tailRec(100, "a.ru.")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	// One big valid segment, all but its last byte appended.
+	ms := make([]Measurement, 110_000)
+	pad := string(make([]byte, 60))
+	for i := range ms {
+		ms[i] = Measurement{Domain: "d" + pad + string(binary.BigEndian.AppendUint32(nil, uint32(i))) + ".ru."}
+	}
+	seg := rawJournal(t, rawSweep(101, ms...))[journalHdrLen:]
+	if len(seg) < 8<<20 {
+		t.Fatalf("test segment is only %d bytes", len(seg))
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(seg[:len(seg)-1]); err != nil {
+		t.Fatal(err)
+	}
+
+	tl := fastTail(t, path, 0)
+	if rec, err := tl.tryNext(); err != nil || rec.Day != 100 {
+		t.Fatalf("first segment: %+v, %v", rec, err)
+	}
+	const polls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < polls; i++ {
+		if _, err := tl.tryNext(); err != errTailWait {
+			t.Fatalf("poll %d over an incomplete frame: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > polls<<10 {
+		t.Fatalf("%d polls over a %d-byte incomplete frame allocated %d bytes", polls, len(seg)-1, grew)
+	}
+	if lag := tl.Lag(); lag != int64(len(seg)-1) {
+		t.Fatalf("Lag = %d, want the %d bytes waiting", lag, len(seg)-1)
+	}
+
+	if _, err := f.Write(seg[len(seg)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := tl.tryNext()
+	if err != nil || rec.Day != 101 || len(rec.Measurements) != len(ms) {
+		t.Fatalf("completed segment: day %s, %d measurements, %v", rec.Day, len(rec.Measurements), err)
 	}
 }

@@ -62,7 +62,9 @@ func DecodeMeasurementBatch(b []byte) (simtime.Day, []Measurement, error) {
 	}
 	r := byteReader{frame.NewReader(b)}
 	day := simtime.Day(r.I32("batch", "day"))
-	ms := r.measurements(day)
+	var it measurementIter
+	r.beginMeasurements(&it)
+	ms := r.measurements(&it, day)
 	if r.Done("", "batch") != nil {
 		return 0, nil, r.failure()
 	}
