@@ -111,6 +111,7 @@ func BenchmarkFig5Sanctioned(b *testing.B) {
 // BenchmarkFig6AmazonMovement regenerates Figure 6.
 func BenchmarkFig6AmazonMovement(b *testing.B) {
 	s := study(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m := s.Movement(16509, world.AmazonStmtDay); m.Original == 0 {
@@ -122,6 +123,7 @@ func BenchmarkFig6AmazonMovement(b *testing.B) {
 // BenchmarkFig7SedoMovement regenerates Figure 7.
 func BenchmarkFig7SedoMovement(b *testing.B) {
 	s := study(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m := s.Movement(47846, world.SedoStmtDay.Add(-1)); m.Original == 0 {
@@ -134,6 +136,7 @@ func BenchmarkFig7SedoMovement(b *testing.B) {
 // studies.
 func BenchmarkCloudflareGoogleMovement(b *testing.B) {
 	s := study(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m := s.Movement(13335, world.CloudflareStmtDay); m.Original == 0 {

@@ -16,6 +16,9 @@
 package analysis
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"whereru/internal/dns"
 	"whereru/internal/geo"
 	"whereru/internal/idn"
@@ -80,6 +83,11 @@ type Analyzer struct {
 	// computed by sharding the domain space over this many goroutines with
 	// a deterministic merge, so the result is independent of the setting.
 	Workers int
+
+	// asns is the per-config origin-AS memo (configasns.go); asnMu
+	// serialises its extension. An Analyzer must not be copied.
+	asnMu sync.Mutex
+	asns  atomic.Pointer[asnMemo]
 }
 
 // Point is one day of a composition series (Figures 1, 2, 5).

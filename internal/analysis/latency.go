@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"whereru/internal/netsim"
@@ -52,58 +53,53 @@ func (r LatencyReport) Median() (int, bool) { return r.Percentile(50) }
 // day, the first post-event sweep on which it resolved outside the ASN.
 // Granularity is bounded by the sweep cadence (the paper's daily data has
 // day granularity; a 3-day schedule quantizes to 3 days). It runs on one
-// store snapshot sharded across workers; per-shard counters and delay
-// lists merge deterministically (the delays are sorted at the end).
+// store snapshot sharded across workers — one Lookup per domain, then a
+// walk of an original domain's epochs over the later sweeps; per-shard
+// counters and delay lists merge deterministically (the delays are sorted
+// at the end).
 func (a *Analyzer) RelocationLatency(asn netsim.ASN, event simtime.Day, until simtime.Day) LatencyReport {
 	rep := LatencyReport{ASN: asn, Event: event}
 	snap := a.Store.Snapshot()
-	var sweeps []simtime.Day
-	for _, d := range snap.Sweeps() {
-		if d > event && d <= until {
-			sweeps = append(sweeps, d)
-		}
-	}
+	asns := a.configASNs(snap)
+	// The sweeps in (event, until]: the axis the epoch walk reports on.
+	sweeps := snap.Sweeps()
+	sweeps = sweeps[sort.Search(len(sweeps), func(k int) bool { return sweeps[k] > event }):]
+	sweeps = sweeps[:sort.Search(len(sweeps), func(k int) bool { return sweeps[k] > until })]
 	shards := make([]LatencyReport, a.workers())
 	used := a.shard(snap.NumDomains(), func(shard, lo, hi int) {
 		sr := &shards[shard]
 		for i := lo; i < hi; i++ {
-			cfg, ok := snap.At(i, event)
-			if !ok || !snap.MeasuredAt(i, event) || cfg.Failed || !a.hostASNs(cfg)[asn] {
+			id, measured, ok := snap.Lookup(i, event)
+			if !ok || !measured || !slices.Contains(asns[id], asn) || snap.Config(id).Failed {
 				continue
 			}
-			relocated := false
-			measuredLate := false
-			for _, d := range sweeps {
-				cfg, ok := snap.At(i, d)
-				if !ok || !snap.MeasuredAt(i, d) {
-					continue
-				}
+			// An epoch reaches the walk only if a later sweep measured the
+			// domain in it; the first such epoch resolving outside the ASN
+			// is the relocation, dated by its first sweep.
+			measuredLate, first := false, -1
+			snap.EpochsIn(i, sweeps, func(id uint32, lo, _ int) bool {
 				measuredLate = true
-				if cfg.Failed {
-					continue
+				if !snap.Config(id).Failed && !slices.Contains(asns[id], asn) {
+					first = lo
 				}
-				if !a.hostASNs(cfg)[asn] {
-					sr.Relocated++
-					sr.Delays = append(sr.Delays, d.Sub(event))
-					relocated = true
-					break
-				}
-			}
-			if !relocated {
-				if measuredLate {
-					sr.StillThere++
-				} else {
-					sr.Gone++
-				}
+				return first < 0
+			})
+			switch {
+			case first >= 0:
+				sr.Delays = append(sr.Delays, sweeps[first].Sub(event))
+			case measuredLate:
+				sr.StillThere++
+			default:
+				sr.Gone++
 			}
 		}
 	})
 	for s := 0; s < used; s++ {
-		rep.Relocated += shards[s].Relocated
 		rep.StillThere += shards[s].StillThere
 		rep.Gone += shards[s].Gone
 		rep.Delays = append(rep.Delays, shards[s].Delays...)
 	}
 	sort.Ints(rep.Delays)
+	rep.Relocated = len(rep.Delays)
 	return rep
 }

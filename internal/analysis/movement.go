@@ -1,12 +1,12 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"whereru/internal/netsim"
 	"whereru/internal/registry"
 	"whereru/internal/simtime"
-	"whereru/internal/store"
 )
 
 // Movement is the §3.4/Figures 6-7 analysis: comparing two measurement
@@ -73,13 +73,11 @@ type Whois interface {
 	Whois(name string) (registry.Domain, bool)
 }
 
-// MovementAnalysis compares hosting between two sweep days for one ASN.
-// It runs on the epoch engine: one snapshot pass over the domain space,
-// sharded across workers, with each domain's From/To configurations read
-// from its own epoch list — instead of two full per-day store walks plus
-// a point lookup per incomer. Per-shard partial Movements merge by
-// addition, so the result is deterministic and identical to
-// referenceMovementAnalysis.
+// MovementAnalysis compares hosting between two sweep days for one ASN:
+// one pass over a store snapshot's domains, sharded across workers, each
+// domain costing two Snapshot.Lookups and membership scans of its
+// configs' origin-AS lists (configASNs). Per-shard partial Movements
+// merge by addition, so the result is deterministic.
 func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois Whois) Movement {
 	m := Movement{
 		ASN: asn, From: from, To: to,
@@ -87,48 +85,47 @@ func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois 
 		InSources:       make(map[netsim.ASN]int),
 	}
 	snap := a.Store.Snapshot()
-	n := snap.NumDomains()
+	asns := a.configASNs(snap)
+	// hosted reports whether a lookup found the domain measured, resolving,
+	// and with an apex address in asn.
+	hosted := func(id uint32, measured, ok bool) bool {
+		return ok && measured && slices.Contains(asns[id], asn) && !snap.Config(id).Failed
+	}
 	shards := make([]Movement, a.workers())
-	used := a.shard(n, func(shard, lo, hi int) {
+	used := a.shard(snap.NumDomains(), func(shard, lo, hi int) {
 		sm := &shards[shard]
 		sm.OutDestinations = make(map[netsim.ASN]int)
 		sm.InSources = make(map[netsim.ASN]int)
 		for i := lo; i < hi; i++ {
-			cfgFrom, okFrom := snap.At(i, from)
-			memberFrom := okFrom && snap.MeasuredAt(i, from) && !cfgFrom.Failed
-			original := memberFrom && a.hostASNs(cfgFrom)[asn]
-			if original {
-				sm.Original++
-			}
-			cfgTo, okTo := snap.At(i, to)
-			memberTo := okTo && snap.MeasuredAt(i, to) && !cfgTo.Failed
-			if !memberTo {
-				if original {
-					sm.Gone++
-				}
-				continue
-			}
-			inASN := a.hostASNs(cfgTo)[asn]
+			idFrom, measuredFrom, okFrom := snap.Lookup(i, from)
+			idTo, measuredTo, okTo := snap.Lookup(i, to)
+			original := hosted(idFrom, measuredFrom, okFrom)
+			inASN := hosted(idTo, measuredTo, okTo)
 			switch {
 			case original && inASN:
+				sm.Original++
 				sm.Remained++
-			case original && !inASN:
+			case original:
+				sm.Original++
+				if !okTo || !measuredTo || snap.Config(idTo).Failed {
+					sm.Gone++
+					continue
+				}
 				sm.RelocatedOut++
-				for dest := range a.hostASNs(cfgTo) {
+				for _, dest := range asns[idTo] {
 					sm.OutDestinations[dest]++
 				}
-			case !original && inASN:
+			case inASN:
 				// Incomer: newly registered or relocated in.
 				if rec, ok := whois.Whois(snap.Domains()[i]); ok && rec.Created > from {
 					sm.NewlyRegistered++
 					continue
 				}
 				sm.RelocatedIn++
-				// Where it came from: its configuration carried into From,
-				// whether or not it was still measured then (mirroring the
-				// reference path's Store.At).
-				if prev, ok := snap.At(i, from); ok {
-					for src := range a.hostASNs(prev) {
+				// Where it came from: the configuration it carried into From,
+				// whether or not it was still measured (or resolving) then.
+				if okFrom {
+					for _, src := range asns[idFrom] {
 						sm.InSources[src]++
 					}
 				}
@@ -148,63 +145,6 @@ func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois 
 		}
 		for k, v := range sm.InSources {
 			m.InSources[k] += v
-		}
-	}
-	return m
-}
-
-// referenceMovementAnalysis is the original two-pass per-day path, kept
-// as the equivalence oracle for MovementAnalysis.
-func (a *Analyzer) referenceMovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois Whois) Movement {
-	m := Movement{
-		ASN: asn, From: from, To: to,
-		OutDestinations: make(map[netsim.ASN]int),
-		InSources:       make(map[netsim.ASN]int),
-	}
-	// Pass 1: the original set.
-	original := make(map[string]bool)
-	a.Store.ForEachAt(from, func(domain string, cfg store.Config) {
-		if cfg.Failed {
-			return
-		}
-		if a.hostASNs(cfg)[asn] {
-			original[domain] = true
-			m.Original++
-		}
-	})
-	// Pass 2: where everyone is on To.
-	seenOnTo := make(map[string]bool)
-	a.Store.ForEachAt(to, func(domain string, cfg store.Config) {
-		if cfg.Failed {
-			return
-		}
-		inASN := a.hostASNs(cfg)[asn]
-		seenOnTo[domain] = true
-		switch {
-		case original[domain] && inASN:
-			m.Remained++
-		case original[domain] && !inASN:
-			m.RelocatedOut++
-			for dest := range a.hostASNs(cfg) {
-				m.OutDestinations[dest]++
-			}
-		case !original[domain] && inASN:
-			// Incomer: newly registered or relocated in.
-			if rec, ok := whois.Whois(domain); ok && rec.Created > from {
-				m.NewlyRegistered++
-				break
-			}
-			m.RelocatedIn++
-			if prev, ok := a.Store.At(domain, from); ok {
-				for src := range a.hostASNs(prev) {
-					m.InSources[src]++
-				}
-			}
-		}
-	})
-	for d := range original {
-		if !seenOnTo[d] {
-			m.Gone++
 		}
 	}
 	return m

@@ -175,15 +175,3 @@ func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []
 	}
 	return out
 }
-
-// hostASNs returns the set of ASNs a config's apex addresses originate
-// from.
-func (a *Analyzer) hostASNs(cfg store.Config) map[netsim.ASN]bool {
-	out := make(map[netsim.ASN]bool, len(cfg.ApexAddrs))
-	for _, addr := range cfg.ApexAddrs {
-		if asn, ok := a.Internet.OriginAS(addr); ok {
-			out[asn] = true
-		}
-	}
-	return out
-}

@@ -5,9 +5,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"whereru/internal/analysis"
+	"whereru/internal/netsim"
+	"whereru/internal/simtime"
+	"whereru/internal/store"
 	"whereru/internal/world"
 )
 
@@ -174,6 +179,69 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("Fig1[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAdoptStoreDropsConfigMemo: the analyzer memoises per config ID, and
+// every store numbers its own configs, so an analyzer that has answered
+// movement queries about one store must start over when adoptStore hands
+// it another — here the empty store New builds, then the collected store
+// (IDs in arrival order), then the same data loaded from a file (IDs in
+// file order).
+func TestAdoptStoreDropsConfigMemo(t *testing.T) {
+	s := tinyStudy(t)
+	var blob bytes.Buffer
+	if err := s.SaveStore(&blob); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := store.Read(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := s.Store.Snapshot(), loaded.Snapshot()
+	renumbered := false
+	for id := 0; id < a.NumConfigs() && id < b.NumConfigs() && !renumbered; id++ {
+		renumbered = !a.Config(uint32(id)).Equal(*b.Config(uint32(id)))
+	}
+	if !renumbered {
+		t.Fatal("collected and loaded store number their configs alike: the swap below would prove nothing")
+	}
+
+	swapped, err := New(s.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		asn  netsim.ASN
+		from simtime.Day
+	}{
+		{16509, world.AmazonStmtDay}, {47846, world.SedoStmtDay.Add(-1)},
+		{13335, world.CloudflareStmtDay}, {15169, world.GoogleStmtDay},
+	}
+	for _, st := range []*store.Store{nil, s.Store, loaded} {
+		if st != nil {
+			swapped.adoptStore(st)
+		}
+		for _, c := range cases {
+			want := analysis.Movement{ASN: c.asn, From: c.from, To: simtime.StudyEnd,
+				OutDestinations: map[netsim.ASN]int{}, InSources: map[netsim.ASN]int{}}
+			if st != nil {
+				want = s.Movement(c.asn, c.from)
+				if want.Original == 0 {
+					t.Fatalf("AS%d hosts nothing on %s: nothing to compare", c.asn, c.from)
+				}
+			}
+			if got := swapped.Movement(c.asn, c.from); !reflect.DeepEqual(got, want) {
+				t.Errorf("Movement(AS%d, %s) after adopting store %p\n got %+v\nwant %+v", c.asn, c.from, st, got, want)
+			}
+			wantL := s.Analyzer.RelocationLatency(c.asn, c.from, simtime.StudyEnd)
+			if st == nil {
+				wantL = analysis.LatencyReport{ASN: c.asn, Event: c.from}
+			}
+			if got := swapped.Analyzer.RelocationLatency(c.asn, c.from, simtime.StudyEnd); !reflect.DeepEqual(got, wantL) {
+				t.Errorf("RelocationLatency(AS%d, %s) after adopting store %p\n got %+v\nwant %+v", c.asn, c.from, st, got, wantL)
+			}
 		}
 	}
 }

@@ -96,12 +96,6 @@ type Server struct {
 	// hold a semaphore slot — the test hook behind the saturation tests.
 	computeGate func(endpoint string)
 
-	// One store snapshot per generation backs the per-domain timeline
-	// endpoint, so point lookups don't copy the whole store per request.
-	snapMu  sync.Mutex
-	snapGen uint64
-	snap    *store.Snapshot
-
 	// liveMu guards the study's Sweeps/Stats slices, which the follow
 	// watcher appends to while request handlers read them. (The store has
 	// its own internal locking.)
@@ -352,18 +346,6 @@ func trimSpace(s string) string {
 	return s
 }
 
-// snapshot returns the store snapshot for gen, building it at most once
-// per generation.
-func (s *Server) snapshot(gen uint64) *store.Snapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snap == nil || s.snapGen != gen {
-		s.snap = s.study.Store.Snapshot()
-		s.snapGen = gen
-	}
-	return s.snap
-}
-
 // --- endpoint handlers ---
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +455,7 @@ func (s *Server) handleMovement(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	name := dns.Canonical(r.PathValue("name"))
 	s.serveCached(w, r, "timeline", "name="+name, func(gen uint64) (any, error) {
-		snap := s.snapshot(gen)
+		snap := s.study.Store.Snapshot()
 		doms := snap.Domains()
 		idx := sort.SearchStrings(doms, name)
 		if idx >= len(doms) || doms[idx] != name {

@@ -32,12 +32,11 @@ func followOpts() core.Options {
 	}
 }
 
-// collectJournal collects a full study once and returns its journal
+// collectJournal collects the study opts describe and returns its journal
 // replay and path (the segment source for the follow tests).
-func collectJournal(t *testing.T) (*store.JournalReplay, string) {
+func collectJournal(t *testing.T, opts core.Options) (*store.JournalReplay, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "full.wrjl")
-	opts := followOpts()
 	opts.CheckpointPath = path
 	s, err := core.New(opts)
 	if err != nil {
@@ -57,10 +56,10 @@ func collectJournal(t *testing.T) (*store.JournalReplay, string) {
 }
 
 // startFollowed writes the first k segments of replay into a fresh
-// journal, loads a study+engine from it, and starts a followed server
+// journal, loads a study+engine for opts from it, and starts a followed server
 // tailing that journal. It returns the server, its base URL, and the
 // still-open journal for the test to append the remaining segments to.
-func startFollowed(t *testing.T, replay *store.JournalReplay, k int, opts Options) (*Server, string, *store.Journal) {
+func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options) (*Server, string, *store.Journal) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "follow.wrjl")
 	j, err := store.CreateJournal(path)
@@ -73,7 +72,7 @@ func startFollowed(t *testing.T, replay *store.JournalReplay, k int, opts Option
 			t.Fatal(err)
 		}
 	}
-	study, prefix, err := core.LoadCheckpointReplay(followOpts(), path)
+	study, prefix, err := core.LoadCheckpointReplay(studyOpts, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +189,10 @@ var patchedEndpoints = []string{
 // byte-identical (body and ETag) to a cold server restarted over the
 // same journal.
 func TestFollowLiveUpdates(t *testing.T) {
-	replay, fullPath := collectJournal(t)
+	replay, fullPath := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	k := n / 2
-	srv, base, j := startFollowed(t, replay, k, Options{})
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{})
 
 	events, closeSSE := sseReader(t, base+"/api/v1/stream/sweeps")
 	defer closeSSE()
@@ -319,13 +318,117 @@ func TestFollowLiveUpdates(t *testing.T) {
 	}
 }
 
+// TestFollowMovementMatchesColdRestart covers the one request class that
+// computes on every call. Movement requests for ever-new keys run against
+// the followed server while ApplySweep grows the store and its intern
+// table under them — the config-ID memo extends, the per-generation
+// snapshot turns over — and after each fold the live server's movement
+// and timeline responses must be byte-identical, ETag included, to a cold
+// restart over the same journal prefix. The window runs to the study's
+// last day, so the final folds are the ones that reach the movement's To.
+func TestFollowMovementMatchesColdRestart(t *testing.T) {
+	opts := followOpts()
+	opts.StudyStart, opts.StudyEnd, opts.DenseStep = simtime.Date(2022, 1, 1), 0, 14
+	replay, _ := collectJournal(t, opts)
+	const k = 3
+	// Room for the readers below and the checks beside them: a 503 would
+	// only say the test saturated the server.
+	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8})
+
+	coldPath := filepath.Join(t.TempDir(), "prefix.wrjl")
+	coldJ, err := store.CreateJournal(coldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coldJ.Close()
+	for _, rec := range replay.Sweeps[:k] {
+		if err := coldJ.AppendSweep(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			asns := []int{197695, 13335, 16509, 47846}
+			for i := w; ; i += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				from := simtime.Date(2022, 1, 1).Add(i % 145)
+				p := fmt.Sprintf("/api/v1/movement?asn=%d&from=%s", asns[i%len(asns)], from)
+				if resp, _ := get(t, base+p); resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s during folds: status %d", p, resp.StatusCode)
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	checked := []string{
+		fmt.Sprintf("/api/v1/movement?asn=16509&from=%s", world.AmazonStmtDay),
+		fmt.Sprintf("/api/v1/movement?asn=47846&from=%s", world.SedoStmtDay.Add(-1)),
+		fmt.Sprintf("/api/v1/movement?asn=13335&from=%s", world.CloudflareStmtDay),
+		fmt.Sprintf("/api/v1/movement?asn=15169&from=%s", world.GoogleStmtDay),
+		"/api/v1/movement?asn=197695&from=2021-12-25", // before the first sweep
+		"/api/v1/movement?asn=197695&from=2022-02-24",
+		"/api/v1/domains/" + srv.study.Store.Domains()[0] + "/timeline",
+	}
+	for _, rec := range replay.Sweeps[k:] {
+		if err := j.AppendSweep(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := coldJ.AppendSweep(rec); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "fold of "+rec.Day.String(), func() bool {
+			ev, _, _ := srv.follow.hub.latest()
+			return ev != nil && ev.Day == rec.Day
+		})
+		coldStudy, err := core.LoadCheckpoint(opts, coldPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := httptest.NewServer(New(coldStudy, Options{}))
+		for _, p := range checked {
+			lresp, lbody := get(t, base+p)
+			cresp, cbody := get(t, cold.URL+p)
+			if lresp.StatusCode != http.StatusOK || cresp.StatusCode != http.StatusOK {
+				t.Fatalf("%s after %s: status live=%d cold=%d", p, rec.Day, lresp.StatusCode, cresp.StatusCode)
+			}
+			if string(lbody) != string(cbody) {
+				t.Errorf("%s after %s: live body diverged from a cold restart\n live: %.300s\n cold: %.300s", p, rec.Day, lbody, cbody)
+			}
+			if le, ce := lresp.Header.Get("ETag"), cresp.Header.Get("ETag"); le != ce {
+				t.Errorf("%s after %s: live ETag %s != cold ETag %s", p, rec.Day, le, ce)
+			}
+		}
+		cold.Close()
+	}
+	// The last fold reached To: the bodies compared were not all "Gone".
+	var doc struct{ Original, Gone int }
+	_, body := get(t, base+checked[0])
+	if err := json.Unmarshal(body, &doc); err != nil || doc.Original == 0 || doc.Gone == doc.Original {
+		t.Errorf("final Amazon movement places nobody on To (err %v): %.300s", err, body)
+	}
+}
+
 // TestLongPollStream covers the non-SSE side: ?since= returns the latest
 // event immediately once the generation has advanced past it, and 204
 // when nothing arrives before the deadline.
 func TestLongPollStream(t *testing.T) {
-	replay, _ := collectJournal(t)
+	replay, _ := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
-	srv, base, j := startFollowed(t, replay, n-1, Options{RequestTimeout: 500 * time.Millisecond})
+	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond})
 
 	if err := j.AppendSweep(replay.Sweeps[n-1]); err != nil {
 		t.Fatal(err)

@@ -163,9 +163,8 @@ func (sw *sectionWriter) close() (int64, error) {
 // slices live, never their contents, and the encoder only ever sees
 // contents.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	idx, ord := s.sortedView() // sorted for deterministic output
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	idx, ord, unlock := s.lockedView() // sorted for deterministic output
+	defer unlock()
 	sw := newSectionWriter(w)
 	if err := sw.header(s.sweeps, s.missing, len(idx)); err != nil {
 		return sw.n, err

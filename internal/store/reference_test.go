@@ -127,13 +127,13 @@ func assertEquivalent(t *testing.T, col *Store, ref *ReferenceStore) {
 	}
 	for i, d := range doms {
 		for _, day := range probe {
-			cc, cok := sn.At(i, day)
+			id, measured, cok := sn.Lookup(i, day)
 			rc, rok := ref.At(d, day)
-			if cok != rok || (cok && !cc.Equal(rc)) {
-				t.Fatalf("Snapshot.At(%s, %d) differs", d, day)
+			if cok != rok || (cok && !sn.Config(id).Equal(rc)) {
+				t.Fatalf("Snapshot.Lookup(%s, %d) differs", d, day)
 			}
-			if sn.MeasuredAt(i, day) != ref.MeasuredOn(d, day) {
-				t.Fatalf("Snapshot.MeasuredAt(%s, %d) differs", d, day)
+			if measured != ref.MeasuredOn(d, day) {
+				t.Fatalf("Snapshot.Lookup(%s, %d) measured flag differs", d, day)
 			}
 		}
 	}

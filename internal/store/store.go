@@ -153,9 +153,17 @@ type Store struct {
 
 	// index is the cached sorted domain list and order the matching dense
 	// index per position; nil index means dirty (a domain was added since
-	// the last build). Rebuilt lazily by sortedView.
+	// the last build), so a non-nil index always matches names. Rebuilt
+	// lazily by lockedView.
 	index []string
 	order []uint32
+
+	// snap is the snapshot Snapshot last captured, handed out again while
+	// gen still equals its stamp. snapMu guards it and makes concurrent
+	// callers at one generation share one capture; it is taken before mu,
+	// never by a writer.
+	snapMu sync.Mutex
+	snap   *Snapshot
 
 	// gen is the store revision, bumped on every mutation that changes
 	// what a reader could observe (Add, BeginSweep, MarkMissingSweep —
@@ -324,15 +332,21 @@ func (s *Store) compact() {
 	s.epochFrom, s.epochLast, s.epochCfg = from, last, cfg
 }
 
-// covering returns the index (within the n rows at offset o) of the
-// epoch whose run covers day — the last row with from <= day — and
-// whether one exists.
-func covering(from []simtime.Day, o, n uint32, day simtime.Day) (uint32, bool) {
+// lookup finds the epoch covering day among the n rows at offset o — the
+// last one with from <= day; ok is false when there is none — and whether
+// the domain counts as measured on day: the epoch's run reaches day, or a
+// later epoch exists (the domain was still in the zone then; one that
+// dropped out stops being measured after its last sweep). The last row is
+// tried before searching: lookups overwhelmingly ask about a recent day.
+func lookup(from, last []simtime.Day, o, n uint32, day simtime.Day) (row uint32, measured, ok bool) {
+	if n > 0 && from[o+n-1] <= day {
+		return o + n - 1, last[o+n-1] >= day, true
+	}
 	j := uint32(sort.Search(int(n), func(k int) bool { return from[o+uint32(k)] > day }))
 	if j == 0 {
-		return 0, false
+		return 0, false, false
 	}
-	return j - 1, true
+	return o + j - 1, true, true
 }
 
 // At returns the configuration observed for domain at the most recent
@@ -346,16 +360,14 @@ func (s *Store) At(domain string, day simtime.Day) (Config, bool) {
 	if !ok {
 		return Config{}, false
 	}
-	j, ok := covering(s.epochFrom, s.off[d], s.cnt[d], day)
+	row, _, ok := lookup(s.epochFrom, s.epochLast, s.off[d], s.cnt[d], day)
 	if !ok {
 		return Config{}, false
 	}
-	return s.intern.config(s.epochCfg[s.off[d]+j]), true
+	return s.intern.config(s.epochCfg[row]), true
 }
 
-// MeasuredOn reports whether the domain was seen on a sweep at or before
-// day and at or after the epoch containing day started. A domain that
-// dropped out of the zone stops being "measured" after its last sweep.
+// MeasuredOn reports whether the domain was measured on day (see lookup).
 func (s *Store) MeasuredOn(domain string, day simtime.Day) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -363,29 +375,24 @@ func (s *Store) MeasuredOn(domain string, day simtime.Day) bool {
 	if !ok {
 		return false
 	}
-	o, n := s.off[d], s.cnt[d]
-	j, ok := covering(s.epochFrom, o, n, day)
-	if !ok {
-		return false
-	}
-	// Measured if the covering epoch's run extends to (or past) day, or a
-	// later epoch exists (meaning the domain was still in the zone).
-	return j+1 < n || s.epochLast[o+j] >= day
+	_, measured, _ := lookup(s.epochFrom, s.epochLast, s.off[d], s.cnt[d], day)
+	return measured
 }
 
-// sortedView returns the cached sorted domain list and, parallel to it,
-// each position's dense index, rebuilding both when a new domain has
-// been added since the last build. The returned slices are shared and
-// must not be mutated.
-func (s *Store) sortedView() ([]string, []uint32) {
+// lockedView returns the sorted domain list and, parallel to it, each
+// position's dense index, with the store still locked against writers:
+// the caller reads the columns that go with the view, then calls unlock.
+// (Taking the view before the lock let a new-domain Add slip between,
+// leaving the view a domain short of the columns.) A dirty index is
+// rebuilt under the write lock, which the caller then keeps — an RWMutex
+// cannot be downgraded. The slices are shared and must not be mutated.
+func (s *Store) lockedView() (idx []string, ord []uint32, unlock func()) {
 	s.mu.RLock()
-	idx, ord := s.index, s.order
-	s.mu.RUnlock()
-	if idx != nil {
-		return idx, ord
+	if s.index != nil {
+		return s.index, s.order, s.mu.RUnlock
 	}
+	s.mu.RUnlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.index == nil {
 		ord = make([]uint32, len(s.names))
 		for i := range ord {
@@ -398,17 +405,14 @@ func (s *Store) sortedView() ([]string, []uint32) {
 		}
 		s.index, s.order = idx, ord
 	}
-	return s.index, s.order
-}
-
-func (s *Store) sortedIndex() []string {
-	idx, _ := s.sortedView()
-	return idx
+	return s.index, s.order, s.mu.Unlock
 }
 
 // Domains returns all measured domain names, sorted.
 func (s *Store) Domains() []string {
-	return append([]string(nil), s.sortedIndex()...)
+	idx, _, unlock := s.lockedView()
+	unlock()
+	return append([]string(nil), idx...)
 }
 
 // NumDomains returns the number of measured domains.
@@ -429,25 +433,22 @@ func (s *Store) Sweeps() []simtime.Day {
 
 // ForEachAt calls fn with every domain measured on day (per MeasuredOn)
 // and its configuration at that day, in sorted domain order. The day's
-// view is gathered under a single read lock, then fn runs unlocked (so it
-// may call back into the store).
+// view is gathered under a single lock, then fn runs unlocked (so it may
+// call back into the store).
 func (s *Store) ForEachAt(day simtime.Day, fn func(domain string, cfg Config)) {
-	idx, ord := s.sortedView()
+	idx, ord, unlock := s.lockedView()
 	type hit struct {
 		domain string
 		cfg    Config
 	}
 	hits := make([]hit, 0, len(idx))
-	s.mu.RLock()
 	for i, domain := range idx {
 		d := ord[i]
-		o, n := s.off[d], s.cnt[d]
-		j, ok := covering(s.epochFrom, o, n, day)
-		if ok && (j+1 < n || s.epochLast[o+j] >= day) {
-			hits = append(hits, hit{domain: domain, cfg: s.intern.config(s.epochCfg[o+j])})
+		if row, measured, _ := lookup(s.epochFrom, s.epochLast, s.off[d], s.cnt[d], day); measured {
+			hits = append(hits, hit{domain: domain, cfg: s.intern.config(s.epochCfg[row])})
 		}
 	}
-	s.mu.RUnlock()
+	unlock()
 	for _, h := range hits {
 		fn(h.domain, h.cfg)
 	}
@@ -461,7 +462,13 @@ func (s *Store) ForEachAt(day simtime.Day, fn func(domain string, cfg Config)) {
 // the from and config-ID columns, the intern table and the sorted name
 // list are append-only or frozen, so only the in-place-mutable state is
 // copied — the lastSeen column and the per-domain row offsets.
+//
+// Configurations are addressed by config ID, the dense index the intern
+// table gave each distinct Config: append-only, never reused or
+// renumbered while the Store lives, so what derives from a config alone
+// may be memoised per ID — per store: each numbers its own.
 type Snapshot struct {
+	gen      uint64
 	domains  []string
 	off, cnt []uint32 // row range per domains position
 	from     []simtime.Day
@@ -471,18 +478,27 @@ type Snapshot struct {
 	sweeps   []simtime.Day
 }
 
-// Snapshot captures the store's current contents.
+// Snapshot returns the store's current contents: the one place snapshots
+// are captured, once per generation. A snapshot is immutable, so until
+// the next mutation every caller — each cold request, every series of a
+// report — shares the latest, which the store keeps alive (a lastSeen
+// column and two offset columns beyond what it holds anyway).
 func (s *Store) Snapshot() *Snapshot {
-	idx, ord := s.sortedView()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	idx, ord, unlock := s.lockedView()
+	defer unlock()
+	if s.snap != nil && s.snap.gen == s.gen {
+		return s.snap
+	}
 	off := make([]uint32, len(ord))
 	cnt := make([]uint32, len(ord))
 	for i, d := range ord {
 		off[i], cnt[i] = s.off[d], s.cnt[d]
 	}
 	rows := len(s.epochFrom)
-	return &Snapshot{
+	s.snap = &Snapshot{
+		gen:     s.gen,
 		domains: idx,
 		off:     off,
 		cnt:     cnt,
@@ -492,7 +508,11 @@ func (s *Store) Snapshot() *Snapshot {
 		configs: s.intern.view(),
 		sweeps:  s.sweeps[:len(s.sweeps):len(s.sweeps)],
 	}
+	return s.snap
 }
+
+// Generation returns the Store.Generation the snapshot froze.
+func (sn *Snapshot) Generation() uint64 { return sn.gen }
 
 // Domains returns the snapshot's sorted domain names. The slice is shared
 // and must not be mutated.
@@ -505,26 +525,23 @@ func (sn *Snapshot) NumDomains() int { return len(sn.domains) }
 // shared and must not be mutated.
 func (sn *Snapshot) Sweeps() []simtime.Day { return sn.sweeps }
 
-// At returns the domain's configuration at day, with the same semantics as
-// Store.At.
-func (sn *Snapshot) At(i int, day simtime.Day) (Config, bool) {
-	o, n := sn.off[i], sn.cnt[i]
-	j, ok := covering(sn.from, o, n, day)
-	if !ok {
-		return Config{}, false
-	}
-	return sn.configs[sn.cfg[o+j]], true
-}
+// NumConfigs returns how many config IDs the snapshot knows: every ID it
+// hands out is below it.
+func (sn *Snapshot) NumConfigs() int { return len(sn.configs) }
 
-// MeasuredAt reports whether domain i was measured on day, with the same
-// semantics as Store.MeasuredOn.
-func (sn *Snapshot) MeasuredAt(i int, day simtime.Day) bool {
-	o, n := sn.off[i], sn.cnt[i]
-	j, ok := covering(sn.from, o, n, day)
+// Config returns the interned configuration behind a config ID, in place:
+// the pointer is into the shared intern table and strictly read-only.
+func (sn *Snapshot) Config(id uint32) *Config { return &sn.configs[id] }
+
+// Lookup is Store.At and Store.MeasuredOn in one search for the domain at
+// position i: the ID of the configuration it carried into day (ok false
+// when it has no measurement by then) and whether it was measured on day.
+func (sn *Snapshot) Lookup(i int, day simtime.Day) (id uint32, measured, ok bool) {
+	row, measured, ok := lookup(sn.from, sn.last, sn.off[i], sn.cnt[i], day)
 	if !ok {
-		return false
+		return 0, false, false
 	}
-	return j+1 < n || sn.last[o+j] >= day
+	return sn.cfg[row], measured, true
 }
 
 // ForEachEpochIn yields every domain's epochs intersected with the sorted
@@ -546,30 +563,35 @@ func (sn *Snapshot) ForEachEpochIn(days []simtime.Day, fn func(domain string, cf
 // VisitEpochs is ForEachEpochIn restricted to the domains with index in
 // [first, last), enabling callers to shard a snapshot across workers.
 func (sn *Snapshot) VisitEpochs(days []simtime.Day, first, last int, fn func(domain string, cfg Config, lo, hi int)) {
-	if first < 0 {
-		first = 0
-	}
-	if last > len(sn.domains) {
-		last = len(sn.domains)
-	}
-	for i := first; i < last; i++ {
+	for i, end := max(first, 0), min(last, len(sn.domains)); i < end; i++ {
 		domain := sn.domains[i]
-		o, n := int(sn.off[i]), int(sn.cnt[i])
-		lo := 0
-		for j := 0; j < n; j++ {
-			row := o + j
-			start := sn.from[row]
-			end := sn.last[row]
-			if j+1 < n {
-				end = sn.from[row+1] - 1
-			}
-			// Epochs ascend, so each search resumes where the last ended.
-			l := lo + sort.Search(len(days)-lo, func(k int) bool { return days[lo+k] >= start })
-			h := l + sort.Search(len(days)-l, func(k int) bool { return days[l+k] > end })
-			lo = h
-			if l < h {
-				fn(domain, sn.configs[sn.cfg[row]], l, h)
-			}
+		sn.EpochsIn(i, days, func(id uint32, lo, hi int) bool {
+			fn(domain, sn.configs[id], lo, hi)
+			return true
+		})
+	}
+}
+
+// EpochsIn is the walk under VisitEpochs for the one domain at position
+// i, by config ID and stoppable: fn sees each epoch covering at least one
+// of the sorted days, oldest first, with the covered index range [lo, hi)
+// of days, until it returns false.
+func (sn *Snapshot) EpochsIn(i int, days []simtime.Day, fn func(id uint32, lo, hi int) bool) {
+	o, n := int(sn.off[i]), int(sn.cnt[i])
+	lo := 0
+	for j := 0; j < n; j++ {
+		row := o + j
+		start := sn.from[row]
+		end := sn.last[row]
+		if j+1 < n {
+			end = sn.from[row+1] - 1
+		}
+		// Epochs ascend, so each search resumes where the last ended.
+		l := lo + sort.Search(len(days)-lo, func(k int) bool { return days[lo+k] >= start })
+		h := l + sort.Search(len(days)-l, func(k int) bool { return days[l+k] > end })
+		lo = h
+		if l < h && !fn(sn.cfg[row], l, h) {
+			return
 		}
 	}
 }

@@ -279,6 +279,24 @@ func TestSnapshotEpochRanges(t *testing.T) {
 	}
 }
 
+// assertLookupMatchesStore holds Snapshot.Lookup (and Config, which reads
+// its ID back) to the live store's At and MeasuredOn for one domain-day.
+func assertLookupMatchesStore(t *testing.T, s *Store, snap *Snapshot, i int, day simtime.Day) {
+	t.Helper()
+	domain := snap.Domains()[i]
+	id, measured, ok := snap.Lookup(i, day)
+	wantCfg, wantOK := s.At(domain, day)
+	if ok != wantOK || (ok && !snap.Config(id).Equal(wantCfg)) {
+		t.Fatalf("Snapshot.Lookup(%s, %d) diverges from Store.At", domain, day)
+	}
+	if ok && int(id) >= snap.NumConfigs() {
+		t.Fatalf("Snapshot.Lookup(%s, %d) = config %d of %d", domain, day, id, snap.NumConfigs())
+	}
+	if measured != s.MeasuredOn(domain, day) {
+		t.Fatalf("Snapshot.Lookup(%s, %d) measured=%v diverges from Store.MeasuredOn", domain, day, measured)
+	}
+}
+
 func TestSnapshotAtAndMeasuredAt(t *testing.T) {
 	s := New()
 	c := cfg([]string{"ns.x.ru."}, nil, nil)
@@ -290,15 +308,8 @@ func TestSnapshotAtAndMeasuredAt(t *testing.T) {
 	if snap.NumDomains() != 1 || snap.Domains()[0] != "d.ru." {
 		t.Fatalf("snapshot domains = %v", snap.Domains())
 	}
-	for _, day := range []simtime.Day{9, 10, 15, 21} {
-		gotCfg, gotOK := snap.At(0, day)
-		wantCfg, wantOK := s.At("d.ru.", day)
-		if gotOK != wantOK || (gotOK && !gotCfg.Equal(wantCfg)) {
-			t.Fatalf("Snapshot.At(%d) diverges from Store.At", day)
-		}
-		if snap.MeasuredAt(0, day) != s.MeasuredOn("d.ru.", day) {
-			t.Fatalf("Snapshot.MeasuredAt(%d) diverges from Store.MeasuredOn", day)
-		}
+	for _, day := range []simtime.Day{9, 10, 15, 20, 21} {
+		assertLookupMatchesStore(t, s, snap, 0, day)
 	}
 	// The snapshot must not see writes that land after the capture.
 	s.BeginSweep(30)
@@ -307,7 +318,7 @@ func TestSnapshotAtAndMeasuredAt(t *testing.T) {
 	if snap.NumDomains() != 1 {
 		t.Fatal("snapshot grew after capture")
 	}
-	if snap.MeasuredAt(0, 30) {
+	if _, measured, _ := snap.Lookup(0, 30); measured {
 		t.Fatal("snapshot saw a post-capture sweep")
 	}
 	if len(snap.Sweeps()) != 2 {
