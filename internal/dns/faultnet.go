@@ -3,7 +3,9 @@ package dns
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,13 +113,21 @@ type FaultTransport struct {
 	clock DayClock
 	seed  int64
 
-	mu       sync.RWMutex
+	// profiles is read once per exchange by every sweep worker and
+	// written a handful of times during set-up: readers load the current
+	// table; a writer, under mu, publishes a modified copy.
+	mu       sync.Mutex
+	profiles atomic.Pointer[faultProfiles]
+
+	exchanges, dropped, outaged, servfails, truncated atomic.Int64
+}
+
+// faultProfiles is one fault configuration, immutable once published.
+type faultProfiles struct {
 	def      FaultProfile
 	hasDef   bool
 	servers  map[netip.Addr]FaultProfile
 	prefixes []prefixProfile
-
-	exchanges, dropped, outaged, servfails, truncated atomic.Int64
 }
 
 type prefixProfile struct {
@@ -128,42 +138,46 @@ type prefixProfile struct {
 // NewFaultTransport wraps inner with an empty fault configuration. clock
 // may be nil when no profile uses outage windows.
 func NewFaultTransport(inner Transport, seed int64, clock DayClock) *FaultTransport {
-	return &FaultTransport{
-		inner:   inner,
-		clock:   clock,
-		seed:    seed,
-		servers: make(map[netip.Addr]FaultProfile),
-	}
+	t := &FaultTransport{inner: inner, clock: clock, seed: seed}
+	t.profiles.Store(&faultProfiles{servers: make(map[netip.Addr]FaultProfile)})
+	return t
+}
+
+// update publishes a copy of the current configuration with change
+// applied to it.
+func (t *FaultTransport) update(change func(*faultProfiles)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	next := *t.profiles.Load()
+	next.servers, next.prefixes = maps.Clone(next.servers), slices.Clone(next.prefixes)
+	change(&next)
+	t.profiles.Store(&next)
 }
 
 // SetDefault installs the profile applied to servers with no more
 // specific match.
 func (t *FaultTransport) SetDefault(p FaultProfile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.def, t.hasDef = p, true
+	t.update(func(f *faultProfiles) { f.def, f.hasDef = p, true })
 }
 
 // SetServer installs a profile for one server address, overriding prefix
 // and default profiles.
 func (t *FaultTransport) SetServer(addr netip.Addr, p FaultProfile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.servers[addr] = p
+	t.update(func(f *faultProfiles) { f.servers[addr] = p })
 }
 
 // SetPrefix installs a profile for every server inside prefix. The most
 // specific (longest) matching prefix wins.
 func (t *FaultTransport) SetPrefix(prefix netip.Prefix, p FaultProfile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.prefixes {
-		if t.prefixes[i].prefix == prefix {
-			t.prefixes[i].profile = p
-			return
+	t.update(func(f *faultProfiles) {
+		for i := range f.prefixes {
+			if f.prefixes[i].prefix == prefix {
+				f.prefixes[i].profile = p
+				return
+			}
 		}
-	}
-	t.prefixes = append(t.prefixes, prefixProfile{prefix: prefix, profile: p})
+		f.prefixes = append(f.prefixes, prefixProfile{prefix: prefix, profile: p})
+	})
 }
 
 // Stats returns the running fault counters.
@@ -180,13 +194,12 @@ func (t *FaultTransport) Stats() FaultStats {
 // profileFor resolves the effective profile for a server: exact address,
 // then longest matching prefix, then the default.
 func (t *FaultTransport) profileFor(server netip.Addr) (FaultProfile, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if p, ok := t.servers[server]; ok {
+	f := t.profiles.Load()
+	if p, ok := f.servers[server]; ok {
 		return p, true
 	}
 	best, bestBits := FaultProfile{}, -1
-	for _, pp := range t.prefixes {
+	for _, pp := range f.prefixes {
 		if pp.prefix.Contains(server) && pp.prefix.Bits() > bestBits {
 			best, bestBits = pp.profile, pp.prefix.Bits()
 		}
@@ -194,7 +207,7 @@ func (t *FaultTransport) profileFor(server netip.Addr) (FaultProfile, bool) {
 	if bestBits >= 0 {
 		return best, true
 	}
-	return t.def, t.hasDef
+	return f.def, f.hasDef
 }
 
 // Hash salts separating the independent fault decisions of one exchange.

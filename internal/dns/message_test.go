@@ -155,6 +155,49 @@ func TestNameHelpers(t *testing.T) {
 	}
 }
 
+// TestTLDAndCountLabels holds the split-free TLD and CountLabels to the
+// Labels-based definitions they replaced, on canonical names and on the
+// shapes callers pass without canonicalising first.
+func TestTLDAndCountLabels(t *testing.T) {
+	cases := []struct {
+		name, tld string
+		labels    int
+	}{
+		{"", "", 0},
+		{".", "", 0},
+		{"ru.", "ru", 1},
+		{"ru", "ru", 1},
+		{"example.ru.", "ru", 2},
+		{"ns1.example.com.", "com", 3},
+		{"ns1.example.com", "com", 3},
+		{"xn--e1afmkfd.xn--p1ai.", "xn--p1ai", 2},
+		{"*.example.ru.", "ru", 3},
+		{"..", "", 2},
+		{"a..", "", 2},
+		{".ru.", "ru", 2},
+	}
+	for _, tc := range cases {
+		labels := Labels(tc.name)
+		wantTLD := ""
+		if len(labels) > 0 {
+			wantTLD = labels[len(labels)-1]
+		}
+		if wantTLD != tc.tld || len(labels) != tc.labels {
+			t.Errorf("table row %q disagrees with Labels: %q", tc.name, labels)
+		}
+		if got := TLD(tc.name); got != tc.tld {
+			t.Errorf("TLD(%q) = %q, want %q", tc.name, got, tc.tld)
+		}
+		if got := CountLabels(tc.name); got != tc.labels {
+			t.Errorf("CountLabels(%q) = %d, want %d", tc.name, got, tc.labels)
+		}
+	}
+	var chars int
+	if n := testing.AllocsPerRun(100, func() { chars += len(TLD("ns1.example.com.")) + CountLabels("example.ru.") }); n != 0 {
+		t.Errorf("TLD + CountLabels allocate %v times", n)
+	}
+}
+
 func TestValidName(t *testing.T) {
 	valid := []string{".", "ru.", "example.ru.", "xn--p1ai.", "a-b-c.example.ru."}
 	for _, n := range valid {

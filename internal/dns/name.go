@@ -66,8 +66,14 @@ func Labels(name string) []string {
 	return strings.Split(strings.TrimSuffix(name, "."), ".")
 }
 
-// CountLabels returns the number of labels in a canonical name.
-func CountLabels(name string) int { return len(Labels(name)) }
+// CountLabels returns the number of labels in a canonical name:
+// len(Labels(name)) without the split.
+func CountLabels(name string) int {
+	if name == "." || name == "" {
+		return 0
+	}
+	return strings.Count(strings.TrimSuffix(name, "."), ".") + 1
+}
 
 // Parent returns the name with its leftmost label removed;
 // Parent("example.ru.") is "ru.", Parent("ru.") is ".", Parent(".") is ".".
@@ -83,13 +89,12 @@ func Parent(name string) string {
 }
 
 // TLD returns the rightmost label of a canonical name (without the root
-// dot), or "" for the root itself. TLD("ns1.example.com.") is "com".
+// dot), or "" for the root itself. TLD("ns1.example.com.") is "com". The
+// result is a substring of name: the analyses call this per name-server
+// host per classified epoch.
 func TLD(name string) string {
-	labels := Labels(name)
-	if len(labels) == 0 {
-		return ""
-	}
-	return labels[len(labels)-1]
+	name = strings.TrimSuffix(name, ".")
+	return name[strings.LastIndexByte(name, '.')+1:]
 }
 
 // IsSubdomain reports whether child is equal to or ends with parent

@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"whereru/internal/simtime"
 )
@@ -33,37 +34,29 @@ type AS struct {
 }
 
 // Clock is the shared simulation clock. Authoritative handlers consult it
-// so the same server answers differently on different simulated days.
-type Clock struct {
-	mu  sync.RWMutex
-	day simtime.Day
-}
+// so the same server answers differently on different simulated days —
+// once per exchange, from every sweep worker, hence an atomic word and
+// not a lock whose reader count the workers would contend on.
+type Clock struct{ day atomic.Int32 }
 
 // NewClock returns a clock set to the given day.
-func NewClock(day simtime.Day) *Clock { return &Clock{day: day} }
+func NewClock(day simtime.Day) *Clock {
+	c := &Clock{}
+	c.Set(day)
+	return c
+}
 
 // Now returns the current simulation day.
-func (c *Clock) Now() simtime.Day {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.day
-}
+func (c *Clock) Now() simtime.Day { return simtime.Day(c.day.Load()) }
 
 // Set moves the clock to day.
-func (c *Clock) Set(day simtime.Day) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.day = day
-}
+func (c *Clock) Set(day simtime.Day) { c.day.Store(int32(day)) }
 
 // Advance moves the clock forward n days and returns the new day.
-func (c *Clock) Advance(n int) simtime.Day {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.day += simtime.Day(n)
-	return c.day
-}
+func (c *Clock) Advance(n int) simtime.Day { return simtime.Day(c.day.Add(int32(n))) }
 
+// allocation is one prefix. lo, hi and asn never change once the
+// allocation is published; next is guarded by Internet.mu.
 type allocation struct {
 	lo, hi uint32 // inclusive address range
 	asn    ASN
@@ -75,22 +68,28 @@ type allocation struct {
 type Internet struct {
 	Clock *Clock
 
-	mu     sync.RWMutex
-	ases   map[ASN]*AS
-	allocs []*allocation // sorted by lo
+	mu   sync.RWMutex
+	ases map[ASN]*AS
+	// allocs is sorted by lo and read-mostly (OriginAS runs per routed
+	// exchange, allocation only while the world is built): readers load
+	// the slice without the lock; a writer, under mu, publishes a longer
+	// copy and never touches a published one.
+	allocs atomic.Pointer[[]*allocation]
 	// nextBlock is the next free /16 block number in 10.x or beyond.
 	nextBlock uint32
 }
 
 // NewInternet returns an empty address plan with the clock at day.
 func NewInternet(day simtime.Day) *Internet {
-	return &Internet{
+	in := &Internet{
 		Clock: NewClock(day),
 		ases:  make(map[ASN]*AS),
 		// Start allocations at 11.0.0.0 to keep clear of loopback,
 		// RFC1918 10/8 and the well-known test nets.
 		nextBlock: 11 << 8, // block number is the upper 16 bits
 	}
+	in.allocs.Store(new([]*allocation))
+	return in
 }
 
 // RegisterAS adds an AS to the registry. Registering the same number twice
@@ -159,10 +158,11 @@ func (in *Internet) AllocatePrefix(asn ASN) (netip.Prefix, error) {
 	if in.nextBlock >= 0xE000 { // stay below 224.0.0.0 multicast
 		return netip.Prefix{}, fmt.Errorf("netsim: address space exhausted")
 	}
-	a := &allocation{lo: lo, hi: lo | 0xFFFF, asn: asn, next: lo + 1}
-	in.allocs = append(in.allocs, a)
 	// Allocations are appended in increasing order, so the slice stays
 	// sorted without re-sorting.
+	old := *in.allocs.Load()
+	allocs := append(old[:len(old):len(old)], &allocation{lo: lo, hi: lo | 0xFFFF, asn: asn, next: lo + 1})
+	in.allocs.Store(&allocs)
 	return netip.PrefixFrom(u32ToAddr(lo), 16), nil
 }
 
@@ -171,9 +171,10 @@ func (in *Internet) AllocatePrefix(asn ASN) (netip.Prefix, error) {
 func (in *Internet) NextAddr(asn ASN) (netip.Addr, error) {
 	in.mu.Lock()
 	var last *allocation
-	for i := len(in.allocs) - 1; i >= 0; i-- {
-		if in.allocs[i].asn == asn {
-			last = in.allocs[i]
+	allocs := *in.allocs.Load()
+	for i := len(allocs) - 1; i >= 0; i-- {
+		if allocs[i].asn == asn {
+			last = allocs[i]
 			break
 		}
 	}
@@ -197,11 +198,10 @@ func (in *Internet) OriginAS(addr netip.Addr) (ASN, bool) {
 		return 0, false
 	}
 	v := addrToU32(addr)
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	i := sort.Search(len(in.allocs), func(i int) bool { return in.allocs[i].hi >= v })
-	if i < len(in.allocs) && in.allocs[i].lo <= v && v <= in.allocs[i].hi {
-		return in.allocs[i].asn, true
+	allocs := *in.allocs.Load()
+	i := sort.Search(len(allocs), func(i int) bool { return allocs[i].hi >= v })
+	if i < len(allocs) && allocs[i].lo <= v && v <= allocs[i].hi {
+		return allocs[i].asn, true
 	}
 	return 0, false
 }
@@ -225,10 +225,9 @@ func (in *Internet) OriginCountry(addr netip.Addr) string {
 // Allocations returns every (prefix, ASN) pair, for building geolocation
 // snapshots. Ranges are reported as /16 prefixes in allocation order.
 func (in *Internet) Allocations() []PrefixASN {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]PrefixASN, len(in.allocs))
-	for i, a := range in.allocs {
+	allocs := *in.allocs.Load()
+	out := make([]PrefixASN, len(allocs))
+	for i, a := range allocs {
 		out[i] = PrefixASN{Prefix: netip.PrefixFrom(u32ToAddr(a.lo), 16), ASN: a.asn}
 	}
 	return out

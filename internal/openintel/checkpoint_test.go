@@ -201,7 +201,7 @@ func TestSweepCancelReturnsPromptly(t *testing.T) {
 	}
 	w.Mem.SetTap(nil)
 
-	// All sweep goroutines (workers, feeder, closer) must wind down; allow
+	// All sweep goroutines (workers, closer) must wind down; allow
 	// the scheduler a grace window before declaring a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for {

@@ -191,19 +191,29 @@ type measured struct {
 // Sweep (whole-zone, streaming into the store) and MeasureUnit (one grid
 // work unit, no store side effects). On cancellation it returns promptly
 // with whatever results already arrived delivered.
+//
+// Work is dispatched by the chunk, not the domain — a measurement is
+// ~10µs, less than two channel rendezvous cost the pool: workers claim
+// [lo,hi) ranges off one atomic cursor and hand each range's results over
+// as one slice.
 func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []string, sink func(measured)) {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = 8
 	}
-	if workers > len(domains) && len(domains) > 0 {
-		workers = len(domains)
-	}
+	workers = min(workers, max(1, len(domains)))
+	// Several chunks per worker, so a grid unit or a 1:20000 zone still
+	// balances; capped where a chunk's overhead is a percent of its work.
+	chunk := min(32, max(1, len(domains)/(4*workers)))
 
-	jobs := make(chan string)
-	results := make(chan measured)
+	// results holds one chunk per worker, so a worker hands one over and
+	// starts the next without waiting for the sink; free holds every slice
+	// that can be in flight (per worker, one filling and one queued), so a
+	// sweep allocates about 2·workers of them however many chunks it has.
+	results := make(chan []measured, workers)
+	free := make(chan []measured, 2*workers)
 	var wg sync.WaitGroup
-	var done int64
+	var cursor, done atomic.Int64
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -212,39 +222,50 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 			// Scratch buffers live for the worker's whole run; measure
 			// reuses them across domains instead of allocating per call.
 			var scratch measureScratch
-			for domain := range jobs {
-				start := time.Now()
-				m, nx, unreachable := p.measure(ctx, day, domain, &scratch)
-				select {
-				case results <- measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)}:
-				case <-ctx.Done():
+			for ctx.Err() == nil {
+				hi := int(cursor.Add(int64(chunk)))
+				lo := hi - chunk
+				if lo >= len(domains) {
 					return
 				}
-				if p.OnProgress != nil {
-					if d := atomic.AddInt64(&done, 1); d%2048 == 0 {
-						p.OnProgress(int(d), len(domains))
+				var out []measured
+				select {
+				case out = <-free:
+				default:
+					out = make([]measured, 0, chunk)
+				}
+				for _, domain := range domains[lo:min(hi, len(domains))] {
+					if ctx.Err() != nil {
+						break
+					}
+					start := time.Now()
+					m, nx, unreachable := p.measure(ctx, day, domain, &scratch)
+					out = append(out, measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)})
+					if p.OnProgress != nil {
+						if d := done.Add(1); d%2048 == 0 {
+							p.OnProgress(int(d), len(domains))
+						}
 					}
 				}
+				// A cancelled worker still hands over what it measured;
+				// the caller drains until close, so this cannot block it.
+				results <- out
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for _, d := range domains {
-			select {
-			case jobs <- d:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(results)
 	}()
 
-	for r := range results {
-		sink(r)
+	for rs := range results {
+		for i := range rs {
+			sink(rs[i])
+		}
+		select {
+		case free <- rs[:0]:
+		default:
+		}
 	}
 }
 

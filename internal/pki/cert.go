@@ -65,13 +65,22 @@ func (c *Certificate) Names() []string {
 // MatchesRussianTLD reports whether the CN or any SAN is under .ru or .рф
 // — the paper's criterion for a certificate "matching" (footnote 6).
 func (c *Certificate) MatchesRussianTLD() bool {
-	for _, n := range c.Names() {
-		tld := dns.TLD(dns.Canonical(n))
-		if tld == "ru" || tld == idn.RFTLDASCII {
+	// CN and SANs are tested where they lie: every CT scan asks this of
+	// every certificate, and Names() builds a map and a sorted slice.
+	if underRussianTLD(c.SubjectCN) {
+		return true
+	}
+	for _, n := range c.SANs {
+		if underRussianTLD(n) {
 			return true
 		}
 	}
 	return false
+}
+
+func underRussianTLD(name string) bool {
+	tld := dns.TLD(dns.Canonical(name))
+	return tld == "ru" || tld == idn.RFTLDASCII
 }
 
 // ValidOn reports whether day falls inside the validity window.

@@ -287,8 +287,14 @@ func (w *World) buildDomains() error {
 	w.Registries = registry.NewGroup(ru, rf)
 	n := w.cfg.NumDomains()
 	registrars := []string{"REG.RU", "RU-CENTER", "Beget", "Timeweb", "Webnames"}
+	// One generator for the whole build, reseeded per domain: rand.Rand
+	// keeps no state of its own between draws, so reseeding its source
+	// gives exactly the stream of rand.New(rand.NewSource(domainSeed(i))).
+	var src lazySource
+	rng := rand.New(&src)
 	for i := 0; i < n; i++ {
-		d := w.genDomain(i)
+		src.Seed(w.domainSeed(i))
+		d := w.genDomain(i, rng)
 		if _, dup := w.domains[d.Name]; dup {
 			continue // RFShare sampling can collide on names; skip
 		}

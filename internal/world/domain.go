@@ -172,10 +172,17 @@ func (w *World) genName(i int, rng *rand.Rand) string {
 	return fmt.Sprintf("domain%07d.ru.", i)
 }
 
+// domainSeed is the i-th domain's own generator seed: a domain's history
+// depends on the world seed and its index only, never on how many domains
+// are generated or what the ones before it drew.
+func (w *World) domainSeed(i int) int64 {
+	return w.cfg.Seed ^ (int64(i)+1)*0x5851F42D4C957F2D
+}
+
 // genDomain deterministically creates the i-th domain's full history
-// (lifecycle, initial profiles, baseline churn, 2022 events).
-func (w *World) genDomain(i int) *DomainRec {
-	rng := rand.New(rand.NewSource(w.cfg.Seed ^ (int64(i)+1)*0x5851F42D4C957F2D))
+// (lifecycle, initial profiles, baseline churn, 2022 events) from rng,
+// which the caller has seeded with domainSeed(i).
+func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
 	d := &DomainRec{Name: w.genName(i, rng)}
 
 	start, end := simtime.StudyStart, simtime.StudyEnd
