@@ -56,7 +56,6 @@ import (
 
 	"whereru/internal/core"
 	"whereru/internal/serve"
-	"whereru/internal/store"
 	"whereru/internal/stream"
 	"whereru/internal/world"
 )
@@ -121,21 +120,18 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	case *follow:
-		var replay *store.JournalReplay
-		study, replay, err = core.LoadCheckpointReplay(opts, *checkpoint)
-		if err != nil {
-			return err
-		}
-		eng = study.NewStreamEngine()
-		if err := core.FoldReplay(eng, replay); err != nil {
-			return err
-		}
-		startOffset = replay.GoodBytes
 	case *checkpoint != "":
-		study, err = core.LoadCheckpoint(opts, *checkpoint)
-		if err != nil {
-			return err
+		loaded, replay, lerr := core.LoadCheckpointReplay(opts, *checkpoint)
+		if lerr != nil {
+			return lerr
+		}
+		study = loaded
+		if *follow {
+			eng = study.NewStreamEngine()
+			if err := core.FoldReplay(eng, replay); err != nil {
+				return err
+			}
+			startOffset = replay.GoodBytes
 		}
 	default:
 		study, err = core.New(opts)

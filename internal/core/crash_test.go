@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -216,45 +215,5 @@ func TestDropSweepsSurviveResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed gap report differs from uninterrupted gap run")
-	}
-}
-
-// TestLoadCheckpointStreamsLikeReplay: LoadCheckpoint streams the journal
-// into the store, LoadCheckpointReplay decodes it whole and applies the
-// records; both must leave the study the collection left — same store
-// bytes and generation (served ETags hang on it), same sweeps and stats.
-func TestLoadCheckpointStreamsLikeReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweeps.wrjl")
-	opts := shortOpts()
-	opts.CheckpointPath = path
-	_, probe := runStudy(t, shortOpts())
-	opts.DropSweeps = []simtime.Day{probe.Sweeps[1]}
-	_, collected := runStudy(t, opts)
-
-	streamed, err := LoadCheckpoint(shortOpts(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, replay, err := LoadCheckpointReplay(shortOpts(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(replay.Sweeps); n != len(collected.Sweeps)+1 || len(replay.Sweeps[0].Measurements) == 0 {
-		t.Fatalf("LoadCheckpointReplay returned %d records, want %d with their measurements", n, len(collected.Sweeps)+1)
-	}
-	want := storeBytes(t, collected)
-	for name, s := range map[string]*Study{"LoadCheckpoint": streamed, "LoadCheckpointReplay": kept} {
-		if !bytes.Equal(storeBytes(t, s), want) {
-			t.Errorf("%s: store differs from the collected one", name)
-		}
-		if got, want := s.Store.Generation(), collected.Store.Generation(); got != want {
-			t.Errorf("%s: store generation %d, collected %d", name, got, want)
-		}
-		if !reflect.DeepEqual(s.Sweeps, collected.Sweeps) || len(s.Stats) != len(collected.Stats) {
-			t.Errorf("%s: %d sweeps / %d stats, collected %d / %d", name, len(s.Sweeps), len(s.Stats), len(collected.Sweeps), len(collected.Stats))
-		}
-	}
-	if !reflect.DeepEqual(streamed.Stats, kept.Stats) {
-		t.Errorf("stats differ: streamed %+v, replayed %+v", streamed.Stats, kept.Stats)
 	}
 }

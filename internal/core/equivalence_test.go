@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"whereru/internal/simtime"
 )
 
 // collectArtifacts runs a full checkpointed study with opts and returns
@@ -85,6 +87,29 @@ func TestFastPathEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestReferenceResolverIsSequential: the oracle is no less deterministic
+// than what it judges. With coalescing off, a scenario and eight workers
+// the reference stack left a different store in most runs over this window
+// (7 of 12 at the parent commit); it now sweeps with one worker whatever
+// Workers says, so four runs agree to the byte.
+func TestReferenceResolverIsSequential(t *testing.T) {
+	opts := shortOpts()
+	opts.DenseStep, opts.StudyStart, opts.StudyEnd = 3, simtime.Date(2022, 2, 18), simtime.Date(2022, 3, 8)
+	opts.Scenario, opts.Workers, opts.ReferenceResolver = "netnod-depeering", 8, true
+	var want []byte
+	for run := 0; run < 4; run++ {
+		_, s := runStudy(t, opts)
+		if n := measurementPipeline(s.Opts, s.World, s.Outages, s.Store).Workers; n != 1 {
+			t.Fatalf("reference study sweeps with %d workers, want 1", n)
+		}
+		if got := storeBytes(t, s); run == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("run %d of the reference resolver left a different store than run 0", run)
 		}
 	}
 }

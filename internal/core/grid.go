@@ -135,19 +135,9 @@ func RunGridWorker(ctx context.Context, opts Options, addr, name string) error {
 			return fmt.Errorf("core: grid worker %s: %w", name, err)
 		}
 	}
-	pipe := &openintel.Pipeline{
-		Resolver:  measurementResolver(opts, w, netsim.NewOutageSchedule()),
-		Seeds:     w.Registries,
-		Clock:     w.Clock(),
-		Store:     store.New(), // scratch: MeasureUnit never touches it
-		Workers:   opts.Workers,
-		CollectMX: opts.CollectMX,
-	}
-	if opts.Scenario != "" {
-		pipe.Routes = w.RouteView()
-	}
 	worker := &grid.Worker{
-		Pipeline:    pipe,
+		// The store is scratch: MeasureUnit never touches it.
+		Pipeline:    measurementPipeline(opts, w, netsim.NewOutageSchedule(), store.New()),
 		Name:        name,
 		Fingerprint: GridFingerprint(opts),
 		Logf:        opts.Progress,

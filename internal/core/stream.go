@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"whereru/internal/openintel"
@@ -26,45 +27,53 @@ func (s *Study) NewStreamEngine() *stream.Engine {
 	})
 }
 
-// FoldReplay folds every record of a journal replay into eng, in order:
-// the cold prime of a followed study.
+// FoldReplay primes eng from the journal file replay was loaded from:
+// priming is following the part of the journal that already exists. The
+// reader follow mode continues with (store.Tailer) reads the loaded
+// records again from the header up to replay.GoodBytes, each verified
+// segment folded and let go before the next is read. It never waits, and
+// a file that no longer holds exactly those records below GoodBytes is an
+// error: what it returns nil for is the prime of what the store loaded.
 func FoldReplay(eng *stream.Engine, replay *store.JournalReplay) error {
-	for _, rec := range replay.Sweeps {
+	tl, err := store.OpenTail(replay.Path, 0)
+	if err != nil {
+		return err
+	}
+	defer tl.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // every byte asked for was there at the load: try, never wait
+	for _, want := range replay.Sweeps {
+		rec, err := tl.Next(ctx)
+		if err == nil && (rec.Day != want.Day || rec.Missing != want.Missing || rec.Stats != want.Stats) {
+			err = fmt.Errorf("found the one for %s", rec.Day)
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s changed since it was loaded: segment for %s: %w", replay.Path, want.Day, err)
+		}
 		if _, err := eng.Fold(rec); err != nil {
 			return err
 		}
+	}
+	if tl.Offset() != replay.GoodBytes {
+		return fmt.Errorf("core: %s changed since it was loaded: %d segments end at offset %d, not %d", replay.Path, len(replay.Sweeps), tl.Offset(), replay.GoodBytes)
 	}
 	return nil
 }
 
 // LoadCheckpointReplay is LoadCheckpoint, additionally returning the
-// replay itself — records and all — so follow mode knows the journal
-// offset to tail from and can prime an engine with the same records the
-// store loaded.
+// replay: Day, Missing and Stats per record (each segment streamed into
+// the store; no measurements are kept), the journal offset follow mode
+// tails from, and the path FoldReplay primes an engine from.
 func LoadCheckpointReplay(opts Options, path string) (*Study, *store.JournalReplay, error) {
-	return loadCheckpoint(opts, path, true)
-}
-
-// loadCheckpoint replays the journal at path into a fresh study. With
-// keep the whole replay is decoded first and then applied; without, each
-// segment streams into the store and the returned replay carries no
-// measurements. Both leave the same store and stats.
-func loadCheckpoint(opts Options, path string, keep bool) (*Study, *store.JournalReplay, error) {
 	s, err := New(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	var replay *store.JournalReplay
-	if keep {
-		if replay, err = store.VerifyJournal(path); err == nil {
-			s.Stats = (&openintel.Pipeline{Store: s.Store}).ReplayJournal(replay)
-		}
-	} else if replay, err = store.ReplayJournalFile(path, s.Store); err == nil {
-		s.Stats = openintel.JournaledStats(replay)
-	}
+	replay, err := store.ReplayJournalFile(path, s.Store)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading checkpoint: %w", err)
 	}
+	s.Stats = openintel.JournaledStats(replay)
 	if replay.Torn() {
 		s.Opts.Progress("warning: checkpoint has a torn tail (%d bytes ignored)", replay.TornBytes)
 	}

@@ -122,6 +122,9 @@ type Options struct {
 	// the resolver stack exactly as it was before the fast path. The
 	// equivalence tests run whole studies both ways and byte-compare
 	// store, report, and journal output; production runs leave it off.
+	// It sweeps with one worker whatever Workers says: without coalescing,
+	// glue or a failed chase wins a host by whose lookup lands first, and
+	// under a scenario that made the oracle's store differ run to run.
 	ReferenceResolver bool
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(format string, args ...any)
@@ -230,7 +233,7 @@ func LoadStore(opts Options, src io.Reader) (*Study, error) {
 // tolerates it: the intact prefix replays, the damage is reported via
 // Progress. The journal file itself is not modified.
 func LoadCheckpoint(opts Options, path string) (*Study, error) {
-	s, _, err := loadCheckpoint(opts, path, false)
+	s, _, err := LoadCheckpointReplay(opts, path)
 	return s, err
 }
 
@@ -242,12 +245,20 @@ func (s *Study) adoptStore(st *store.Store) {
 	s.Sweeps = st.Sweeps()
 }
 
-// measurementResolver builds the sweep resolver for opts against w:
-// fault-injected with the scheduled outage when configured, plain
-// otherwise. Collect uses it for the coordinator process; RunGridWorker
-// uses it for each worker's private copy of the world — identical
-// configuration is what makes grid unit results deterministic.
-func measurementResolver(opts Options, w *world.World, outages *netsim.OutageSchedule) *dns.Resolver {
+// measurementPipeline builds the sweep pipeline for opts against w, into
+// st: its resolver fault-injected with the scheduled outage when
+// configured, plain otherwise. Collect uses it for the coordinator
+// process; RunGridWorker uses it for each worker's private copy of the
+// world — identical configuration is what makes grid unit results
+// deterministic.
+func measurementPipeline(opts Options, w *world.World, outages *netsim.OutageSchedule, st *store.Store) *openintel.Pipeline {
+	pipe := &openintel.Pipeline{
+		Seeds:     w.Registries,
+		Clock:     w.Clock(),
+		Store:     st,
+		Workers:   opts.Workers,
+		CollectMX: opts.CollectMX,
+	}
 	// With a scenario active every exchange passes through the route
 	// layer before touching the wire; without one the stack is built
 	// directly over the in-memory wire, byte-identical to scenario-less
@@ -255,6 +266,7 @@ func measurementResolver(opts Options, w *world.World, outages *netsim.OutageSch
 	var base dns.Transport = w.Mem
 	if opts.Scenario != "" {
 		base = w.RoutedTransport()
+		pipe.Routes = w.RouteView()
 	}
 	resolver := dns.NewResolver(base, w.Roots())
 	if opts.Loss > 0 || opts.SimulateOutage {
@@ -274,8 +286,10 @@ func measurementResolver(opts Options, w *world.World, outages *netsim.OutageSch
 	if opts.ReferenceResolver {
 		w.Mem.SetReferenceCodec(true)
 		resolver.Cache().DisableCoalescing()
+		pipe.Workers = 1 // see Options.ReferenceResolver
 	}
-	return resolver
+	pipe.Resolver = resolver
+	return pipe
 }
 
 // Collect runs the full measurement campaign: DNS sweeps over the study
@@ -292,17 +306,7 @@ func (s *Study) Collect(ctx context.Context) error {
 		end = simtime.StudyEnd
 	}
 	schedule := openintel.Schedule(start, end, s.Opts.DenseFrom, s.Opts.DenseStep)
-	pipe := &openintel.Pipeline{
-		Resolver:  measurementResolver(s.Opts, s.World, s.Outages),
-		Seeds:     s.World.Registries,
-		Clock:     s.World.Clock(),
-		Store:     s.Store,
-		Workers:   s.Opts.Workers,
-		CollectMX: s.Opts.CollectMX,
-	}
-	if s.Opts.Scenario != "" {
-		pipe.Routes = s.World.RouteView()
-	}
+	pipe := measurementPipeline(s.Opts, s.World, s.Outages, s.Store)
 
 	done := map[simtime.Day]bool{}
 	if s.Opts.CheckpointPath != "" {

@@ -290,7 +290,7 @@ func buildJournal(fsys iofault.FS, path string, recs []store.JournalSweep) error
 // shape of crash recovery.
 func resumeJournal(t *testing.T, path string, recs []store.JournalSweep) {
 	t.Helper()
-	if _, err := store.RepairJournal(path); err != nil {
+	if _, err := store.RepairJournalFS(iofault.OS, path); err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
 	j, replay, err := store.OpenJournal(path)
@@ -455,7 +455,7 @@ func TestChaosCheckpoint(t *testing.T) {
 	// disk, and demands byte-identical outputs.
 	resumeAndCompare := func(t *testing.T, label, journalPath, storePath string) {
 		t.Helper()
-		if _, err := store.RepairJournal(journalPath); err != nil {
+		if _, err := store.RepairJournalFS(iofault.OS, journalPath); err != nil {
 			t.Fatalf("%s: fsck: %v", label, err)
 		}
 		ropts := opts

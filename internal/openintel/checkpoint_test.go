@@ -71,7 +71,11 @@ func TestCheckpointResumeStoreEquivalence(t *testing.T) {
 		j1.Close() // the "crash": the process is gone, only the journal survives
 
 		second, _ := buildPipeline(t, 20000)
-		j2, replay, err := store.OpenJournal(path)
+		replay, err := store.VerifyJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2, _, err := store.OpenJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,11 +123,10 @@ func TestReplayJournalStats(t *testing.T) {
 	j.Close()
 
 	q, _ := buildPipeline(t, 20000)
-	j2, replay, err := store.OpenJournal(path)
+	replay, err := store.VerifyJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	replayed := q.ReplayJournal(replay)
 	if len(replayed) != len(live) {
 		t.Fatalf("replayed %d stats, live run had %d", len(replayed), len(live))

@@ -443,10 +443,10 @@ func (p *Pipeline) SkipSweep(day simtime.Day) error {
 	return nil
 }
 
-// ReplayJournal applies previously journaled sweeps to the store in
-// order, reconstructing the per-sweep stats a live run would have
-// produced; the caller resumes collection from the first day the replay
-// does not cover.
+// ReplayJournal applies previously journaled sweeps, measurements and
+// all, to the store in order and returns the per-sweep stats a live run
+// would have produced: the oracle store.ReplayJournalFile is tested
+// against (and the workbench's replay); no program loads a journal so.
 func (p *Pipeline) ReplayJournal(replay *store.JournalReplay) []SweepStats {
 	for _, rec := range replay.Sweeps {
 		ApplyJournaled(p.Store, rec)
@@ -454,10 +454,10 @@ func (p *Pipeline) ReplayJournal(replay *store.JournalReplay) []SweepStats {
 	return JournaledStats(replay)
 }
 
-// ApplyJournaled applies one journaled record to st — the one mutation
-// sequence shared by resume, checkpoint loading and follow mode, which
-// is what keeps their store generations (and so their rendered
-// documents) identical. A sweep replays as BeginSweep plus its
+// ApplyJournaled applies one journaled record to st — the mutation
+// sequence of a live sweep, which follow mode makes per tailed segment
+// and which keeps its store generations (and so its rendered documents)
+// identical to a cold load's. A sweep replays as BeginSweep plus its
 // measurements and returns the stats it was journaled with; a
 // missing-day marker replays as a gap record and returns swept == false.
 // (store.ReplayJournalFile performs the same sequence from the journal's

@@ -177,8 +177,13 @@ func (s *Server) Follow(ctx context.Context, fo FollowOptions) error {
 	}
 	defer tl.Close()
 	tl.SetPoll(fo.Poll)
-	s.follow.engine = fo.Engine
-	s.follow.active.Store(true)
+	f := s.follow
+	f.engine = fo.Engine
+	f.mu.Lock() // primed and idle is not day 0: the prefix is folded
+	f.lastDay, _ = fo.Engine.LastDay()
+	f.lagBytes = tl.Lag()
+	f.mu.Unlock()
+	f.active.Store(true)
 	for {
 		rec, err := tl.Next(ctx)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -59,7 +60,9 @@ func collectJournal(t *testing.T, opts core.Options) (*store.JournalReplay, stri
 // journal, loads a study+engine for opts from it, and starts a followed server
 // tailing that journal. It returns the server, its base URL, and the
 // still-open journal for the test to append the remaining segments to.
-func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options) (*Server, string, *store.Journal) {
+// grow, when set, gets the journal between the load and the prime: the
+// collector does not stop appending while a server starts.
+func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options, grow func(*store.Journal)) (*Server, string, *store.Journal) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "follow.wrjl")
 	j, err := store.CreateJournal(path)
@@ -76,9 +79,15 @@ func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalRe
 	if err != nil {
 		t.Fatal(err)
 	}
+	if grow != nil {
+		grow(j)
+	}
 	eng := study.NewStreamEngine()
 	if err := core.FoldReplay(eng, prefix); err != nil {
 		t.Fatal(err)
+	}
+	if last, _ := eng.LastDay(); eng.Folds() != uint64(k) || last != replay.Sweeps[k-1].Day {
+		t.Fatalf("primed %d segments up to %s, want the %d loaded up to %s", eng.Folds(), last, k, replay.Sweeps[k-1].Day)
 	}
 	srv := New(study, opts)
 	ts := httptest.NewServer(srv)
@@ -183,6 +192,35 @@ var patchedEndpoints = []string{
 	"/api/v1/sweeps",
 }
 
+// assertMatchesColdRestart byte-compares every patched endpoint of the
+// followed server against a cold restart over journal — same bodies, same
+// ETags, same store generation.
+func assertMatchesColdRestart(t *testing.T, srv *Server, base, journal string) {
+	t.Helper()
+	coldStudy, err := core.LoadCheckpoint(followOpts(), journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSrv := httptest.NewServer(New(coldStudy, Options{}))
+	defer coldSrv.Close()
+	if lg, cg := srv.study.Store.Generation(), coldStudy.Store.Generation(); lg != cg {
+		t.Fatalf("followed generation %d != cold generation %d", lg, cg)
+	}
+	for _, p := range patchedEndpoints {
+		lresp, lbody := get(t, base+p)
+		cresp, cbody := get(t, coldSrv.URL+p)
+		if lresp.StatusCode != http.StatusOK || cresp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status live=%d cold=%d", p, lresp.StatusCode, cresp.StatusCode)
+		}
+		if string(lbody) != string(cbody) {
+			t.Errorf("%s: patched body diverged from cold restart\n live: %.200s\n cold: %.200s", p, lbody, cbody)
+		}
+		if le, ce := lresp.Header.Get("ETag"), cresp.Header.Get("ETag"); le != ce {
+			t.Errorf("%s: patched ETag %s != cold ETag %s", p, le, ce)
+		}
+	}
+}
+
 // TestFollowLiveUpdates is the end-to-end follow-mode test: segments
 // appended to the journal must each produce one SSE event, patch the
 // response cache at the new generation, and leave every patched endpoint
@@ -192,7 +230,7 @@ func TestFollowLiveUpdates(t *testing.T) {
 	replay, fullPath := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	k := n / 2
-	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{})
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, nil)
 
 	events, closeSSE := sseReader(t, base+"/api/v1/stream/sweeps")
 	defer closeSSE()
@@ -292,28 +330,78 @@ func TestFollowLiveUpdates(t *testing.T) {
 		}
 	}
 
-	// Byte-compare every patched endpoint against a cold restart over the
-	// same journal — same bodies, same ETags.
-	coldStudy, _, err := core.LoadCheckpointReplay(followOpts(), fullPath)
-	if err != nil {
+	assertMatchesColdRestart(t, srv, base, fullPath)
+}
+
+// TestPrimeWhileJournalGrows: a server starts on a journal its collector
+// is still writing. One segment lands between the load and the prime, the
+// rest while the prime runs and after it. The prime folds exactly what the
+// store loaded (startFollowed checks), Follow delivers each later segment
+// once, and the server ends where a cold restart over the finished journal
+// does.
+func TestPrimeWhileJournalGrows(t *testing.T) {
+	replay, fullPath := collectJournal(t, followOpts())
+	n := len(replay.Sweeps)
+	k := n / 2
+	appended := make(chan error, 1)
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
+		if err := j.AppendSweep(replay.Sweeps[k]); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for _, rec := range replay.Sweeps[k+1:] {
+				if err := j.AppendSweep(rec); err != nil {
+					appended <- err
+					return
+				}
+			}
+			appended <- nil
+		}()
+	})
+	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}
-	coldSrv := httptest.NewServer(New(coldStudy, Options{}))
-	defer coldSrv.Close()
-	if lg, cg := srv.study.Store.Generation(), coldStudy.Store.Generation(); lg != cg {
-		t.Fatalf("followed generation %d != cold generation %d", lg, cg)
+	liveFolds := func() uint64 {
+		srv.follow.mu.Lock()
+		defer srv.follow.mu.Unlock()
+		return srv.follow.folds
 	}
-	for _, p := range patchedEndpoints {
-		lresp, lbody := get(t, base+p)
-		cresp, cbody := get(t, coldSrv.URL+p)
-		if lresp.StatusCode != http.StatusOK || cresp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status live=%d cold=%d", p, lresp.StatusCode, cresp.StatusCode)
+	waitFor(t, "the segments appended after the load", func() bool { return liveFolds() >= uint64(n-k) })
+	if got := srv.follow.engine.Folds(); got != uint64(n) || liveFolds() != uint64(n-k) {
+		t.Fatalf("engine folded %d segments, %d of them live; want %d and %d", got, liveFolds(), n, n-k)
+	}
+	assertMatchesColdRestart(t, srv, base, fullPath)
+}
+
+// TestIdleFollowedServerReportsPrimedState: between priming and the first
+// live segment a followed server has folded the whole prefix and says so —
+// the last primed day, and as lag whatever sits past its offset (here the
+// first ten bytes of a 264-byte append still under way) — not day 0 and no lag.
+func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
+	replay, _ := collectJournal(t, followOpts())
+	k := len(replay.Sweeps) / 2
+	_, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
+		f, err := os.OpenFile(j.Path(), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if string(lbody) != string(cbody) {
-			t.Errorf("%s: patched body diverged from cold restart\n live: %.200s\n cold: %.200s", p, lbody, cbody)
+		defer f.Close()
+		if _, err := f.Write([]byte{0, 0, 1, 0, 1, 2, 3, 4, 5, 6}); err != nil {
+			t.Fatal(err)
 		}
-		if le, ce := lresp.Header.Get("ETag"), cresp.Header.Get("ETag"); le != ce {
-			t.Errorf("%s: patched ETag %s != cold ETag %s", p, le, ce)
+	})
+	primed := replay.Sweeps[k-1].Day
+	_, health := get(t, base+"/healthz")
+	if want := fmt.Sprintf(" follow=1 folds=0 last_folded=%s lag_bytes=10\n", primed); !strings.HasSuffix(string(health), want) {
+		t.Errorf("healthz of a primed, idle server = %q, want it to end %q", health, want)
+	}
+	_, metrics := get(t, base+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("\nwhereru_stream_last_folded_day %d\n", int64(primed)),
+		"\nwhereru_stream_watcher_lag_bytes 10\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics of a primed, idle server lack %q", want)
 		}
 	}
 }
@@ -333,7 +421,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 	const k = 3
 	// Room for the readers below and the checks beside them: a 503 would
 	// only say the test saturated the server.
-	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8})
+	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8}, nil)
 
 	coldPath := filepath.Join(t.TempDir(), "prefix.wrjl")
 	coldJ, err := store.CreateJournal(coldPath)
@@ -428,7 +516,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 func TestLongPollStream(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
-	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond})
+	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, nil)
 
 	if err := j.AppendSweep(replay.Sweeps[n-1]); err != nil {
 		t.Fatal(err)

@@ -66,7 +66,9 @@ type JournalSweep struct {
 type JournalReplay struct {
 	// Version is the decoded journal format version.
 	Version int
-	Sweeps  []JournalSweep
+	// Path is the file scanned, when the scan opened it by name.
+	Path   string
+	Sweeps []JournalSweep
 	// GoodBytes is the length of the valid prefix; TornBytes counts the
 	// trailing bytes after it that failed framing or checksum (0 for a
 	// clean file).
@@ -143,28 +145,21 @@ func checkJournalHeader(hdr []byte) error {
 	return nil
 }
 
-// OpenJournal opens the journal at path for resuming, creating it fresh
+// OpenJournal opens the journal at path for appending, creating it fresh
 // when absent. Every segment is length- and checksum-verified; a torn
 // tail is truncated away in place so subsequent appends extend a valid
-// file. The returned replay holds the surviving records (and TornBytes
-// when a tail was dropped — callers should log that).
+// file. The returned replay lists the surviving records — Day, Missing
+// and Stats, no Measurements: an appender's memory is one segment, like
+// every reader's — and TornBytes when a tail was dropped (callers should
+// log that).
 func OpenJournal(path string) (*Journal, *JournalReplay, error) {
-	return OpenJournalFS(iofault.OS, path)
+	return ResumeJournalFS(iofault.OS, path, nil)
 }
 
-// OpenJournalFS is OpenJournal with the file I/O routed through fsys.
-func OpenJournalFS(fsys iofault.FS, path string) (*Journal, *JournalReplay, error) {
-	return openJournal(fsys, path, nil, true)
-}
-
-// ResumeJournalFS is OpenJournalFS for a resuming collector: it applies
-// the surviving segments to st as ReplayJournalFile does instead of
-// returning their measurements.
-func ResumeJournalFS(fsys iofault.FS, path string, st *Store) (*Journal, *JournalReplay, error) {
-	return openJournal(fsys, path, st, false)
-}
-
-func openJournal(fsys iofault.FS, path string, into *Store, keep bool) (_ *Journal, _ *JournalReplay, err error) {
+// ResumeJournalFS is OpenJournal with the file I/O routed through fsys
+// and, for a resuming collector, the surviving segments applied to into
+// (when there is one) as ReplayJournalFile applies them.
+func ResumeJournalFS(fsys iofault.FS, path string, into *Store) (_ *Journal, _ *JournalReplay, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
@@ -200,7 +195,7 @@ func openJournal(fsys iofault.FS, path string, into *Store, keep bool) (_ *Journ
 		}
 		return j, &JournalReplay{GoodBytes: journalHdrLen}, nil
 	}
-	replay, err := scanJournal(f, into, keep)
+	replay, err := scanJournal(f, into, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -403,8 +398,8 @@ func (sc *journalScanner) apply(st *Store) {
 }
 
 // VerifyJournal scans the journal file at path without opening it for
-// appending, keeping every record: the entry point of readers that need
-// the measurements themselves (follow-mode priming, the workbench).
+// appending, keeping every record and every measurement in memory: the
+// oracle of the tests and the workbench, called from no product path.
 func VerifyJournal(path string) (*JournalReplay, error) {
 	return scanJournalFile(path, nil, true)
 }
@@ -425,20 +420,18 @@ func scanJournalFile(path string, st *Store, keep bool) (*JournalReplay, error) 
 		return nil, err
 	}
 	defer f.Close()
-	return scanJournal(f, st, keep)
+	replay, err := scanJournal(f, st, keep)
+	if err == nil {
+		replay.Path = path
+	}
+	return replay, err
 }
 
-// RepairJournal truncates the journal at path to its valid prefix,
-// dropping a torn tail. It reports the replay after repair.
-func RepairJournal(path string) (*JournalReplay, error) {
-	return RepairJournalFS(iofault.OS, path)
-}
-
-// RepairJournalFS is RepairJournal with the file I/O routed through
-// fsys, so the chaos matrix can crash the repair itself. The scan only
-// validates: the replay's records carry no measurements.
+// RepairJournalFS truncates the journal at path to its valid prefix,
+// dropping a torn tail, and reports the replay after repair. The file I/O
+// is routed through fsys, so the chaos matrix can crash the repair itself.
 func RepairJournalFS(fsys iofault.FS, path string) (*JournalReplay, error) {
-	j, replay, err := openJournal(fsys, path, nil, false)
+	j, replay, err := ResumeJournalFS(fsys, path, nil)
 	if err != nil {
 		return nil, err
 	}

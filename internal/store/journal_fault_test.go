@@ -47,7 +47,7 @@ func TestJournalAppendENOSPCResumable(t *testing.T) {
 	// The disk fills 10 bytes into the third append (DiskFullAtByte
 	// budgets bytes written through this FS, which has written none yet).
 	ffs := iofault.NewFaultFS(iofault.OS, 21, iofault.Profile{DiskFullAtByte: 10})
-	j, replay, err := OpenJournalFS(ffs, path)
+	j, replay, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestJournalAppendSyncFaultRollsBack(t *testing.T) {
 	path, goodSize := seedJournal(t, t.TempDir(), 1)
 
 	ffs := iofault.NewFaultFS(iofault.OS, 22, iofault.Profile{FailSyncOp: 1})
-	j, _, err := OpenJournalFS(ffs, path)
+	j, _, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestJournalAppendSyncFaultRollsBack(t *testing.T) {
 func TestJournalShortWriteRollsBack(t *testing.T) {
 	path, goodSize := seedJournal(t, t.TempDir(), 1)
 	ffs := iofault.NewFaultFS(iofault.OS, 23, iofault.Profile{ShortWriteProb: 1})
-	j, _, err := OpenJournalFS(ffs, path)
+	j, _, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestJournalTornTailTruncateIsSynced(t *testing.T) {
 	f.Close()
 
 	ffs := iofault.NewFaultFS(iofault.OS, 24, iofault.Profile{FailSyncOp: 1})
-	_, _, err = OpenJournalFS(ffs, path)
+	_, _, err = ResumeJournalFS(ffs, path, nil)
 	if !errors.Is(err, iofault.ErrSyncFault) {
 		t.Fatalf("open with failing truncate-fsync = %v, want refusal", err)
 	}

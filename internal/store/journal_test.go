@@ -92,6 +92,9 @@ func TestJournalAppendAfterReopen(t *testing.T) {
 	if len(replay.Sweeps) != 1 || replay.Torn() {
 		t.Fatalf("replay = %d sweeps, torn=%v", len(replay.Sweeps), replay.Torn())
 	}
+	if rec := replay.Sweeps[0]; rec.Day != 10 || rec.Stats.Domains != 1 || rec.Measurements != nil {
+		t.Fatalf("opening to append listed %+v, want day 10, its stats and no measurements", rec)
+	}
 	if err := j2.AppendSweep(sweepRec(17, "a.ru.")); err != nil {
 		t.Fatal(err)
 	}

@@ -296,14 +296,18 @@ func TestNoHalfAppliedSegment(t *testing.T) {
 		if err := os.WriteFile(path, three, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, replay, err := OpenJournalFS(iofault.OS, path)
+		j, opened, err := ResumeJournalFS(iofault.OS, path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer j.Close()
+		decoded, err := VerifyJournal(path) // what the open left of the file
+		if err != nil {
+			t.Fatal(err)
+		}
 		st := New()
-		applyDecoded(st, replay)
-		check(t, st, replay)
+		applyDecoded(st, decoded)
+		check(t, st, opened)
 	})
 }
 

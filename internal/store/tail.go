@@ -120,7 +120,9 @@ func (t *Tailer) Close() error {
 var errTailWait = fmt.Errorf("store: tail: waiting for data")
 
 // Next blocks until the next complete segment is available and returns
-// it, or fails with the context's error when ctx ends first.
+// it, or fails with the context's error when ctx ends first. The file is
+// looked at before the context is: with a ctx that has already ended, Next
+// is a try that never waits (core.FoldReplay drains a known prefix so).
 func (t *Tailer) Next(ctx context.Context) (JournalSweep, error) {
 	for {
 		rec, err := t.tryNext()

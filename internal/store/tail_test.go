@@ -297,3 +297,52 @@ func TestTailerPollsIncompleteFrameInConstantSpace(t *testing.T) {
 		t.Fatalf("completed segment: day %s, %d measurements, %v", rec.Day, len(rec.Measurements), err)
 	}
 }
+
+// TestTailerNextWithEndedContextNeverWaits: Next looks at the file before
+// it looks at the context. With a context that has already ended it is a
+// try — a segment that is there is delivered, one that is not (absent,
+// torn, still arriving) fails at once with the context's error, however
+// long the poll interval — which is how a reader drains the part of a
+// journal it knows to exist without ever sleeping on the rest.
+func TestTailerNextWithEndedContextNeverWaits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wrjl")
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i, d := range []string{"a.ru.", "b.ru."} {
+		if err := j.AppendSweep(tailRec(int32(100+i), d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := fileSize(t, path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{0, 0, 1, 0, 9, 9}); err != nil { // an append under way
+		t.Fatal(err)
+	}
+
+	tl, err := OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	tl.SetPoll(time.Hour)
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	for day := simtime.Day(100); day < 102; day++ {
+		if rec, err := tl.Next(ended); err != nil || rec.Day != day || len(rec.Measurements) != 1 {
+			t.Fatalf("segment %s under an ended context: %+v, %v", day, rec, err)
+		}
+	}
+	if tl.Offset() != end {
+		t.Fatalf("offset %d after the two whole segments, want %d", tl.Offset(), end)
+	}
+	if rec, err := tl.Next(ended); err != context.Canceled {
+		t.Fatalf("Next over an incomplete segment under an ended context: %+v, %v; want context.Canceled", rec, err)
+	}
+}
