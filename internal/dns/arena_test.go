@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -199,5 +200,108 @@ func TestArenaReuseLeavesNoResidue(t *testing.T) {
 		if msg := arenaReuseMismatch(first, second); msg != "" {
 			t.Error(msg)
 		}
+	}
+}
+
+// assembled answers example.ru. A the way the simulated world's handlers
+// do — records put together per query in room the reply lends — and
+// leaves what it built in *stash, which no handler may do.
+func assembled(stash *[]RR) Handler {
+	payloads := []RData{AData{mustAddr("194.58.117.5")}, AData{mustAddr("194.58.117.6")}}
+	return HandlerFunc(func(q *Message, _ netip.Addr) *Message {
+		resp := q.Reply()
+		resp.Authoritative = true
+		resp.Answers = resp.Records(len(payloads))
+		for _, d := range payloads {
+			resp.Answers = append(resp.Answers, RR{Name: q.Questions[0].Name, Type: TypeA, Class: ClassIN, TTL: 300, Data: d})
+		}
+		*stash = resp.Answers
+		return resp
+	})
+}
+
+// TestBorrowedRecordsDieWithTheRequest pins where a reply's records
+// live. Served by MemNet they are the request arena's: the exchange
+// allocates nothing for them, and once the arena has been handed back
+// and released a slice the handler kept reads the poison. Behind a
+// server that decodes queries into storage of their own (dns.Server,
+// the reference codec) the same handler gets a slice of its own, which
+// stays good.
+func TestBorrowedRecordsDieWithTheRequest(t *testing.T) {
+	want := []RR{NewA("example.ru.", 300, mustAddr("194.58.117.5")), NewA("example.ru.", 300, mustAddr("194.58.117.6"))}
+	var stash []RR
+	net, addr := NewMemNet(), mustAddr("192.0.2.7")
+	net.Bind(addr, assembled(&stash))
+	q := NewQuery(3, "example.ru.", TypeA)
+	exchange := func() {
+		resp, err := net.Exchange(context.Background(), addr, q)
+		if err != nil || !slices.Equal(resp.Answers, want) {
+			t.Fatalf("exchange: %v, %v", resp, err)
+		}
+		resp.Release()
+	}
+	exchange()
+	if len(stash) != 2 || stash[0].Name != poisonRR.Name || stash[1].Type != poisonRR.Type {
+		t.Errorf("records kept past the exchange still read %v, want the poison", stash)
+	}
+	if !raceEnabled { // sync.Pool drops items under the race detector
+		if got := testing.AllocsPerRun(200, exchange); got != 0 {
+			t.Errorf("an exchange with an assembled answer allocates %.1f times, want 0", got)
+		}
+	}
+
+	wire, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []RR
+	resp := assembled(&kept).ServeDNS(owned, addr)
+	exchange() // arenas come and go meanwhile
+	if !slices.Equal(resp.Answers, want) || !slices.Equal(kept, want) {
+		t.Errorf("a reply that owns itself lost its records: %v, kept %v", resp.Answers, kept)
+	}
+}
+
+// TestRecordsRoomIsDisjoint pins Records' bookkeeping: the room starts
+// past the request's own records (an EDNS query carries one), two calls
+// never overlap, and a call larger than the slab gets a new one.
+func TestRecordsRoomIsDisjoint(t *testing.T) {
+	net, addr := NewMemNet(), mustAddr("192.0.2.8")
+	glue := NewA("ns1.reg.ru.", 3600, mustAddr("194.58.116.30"))
+	net.Bind(addr, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
+		resp := q.Reply()
+		n := int(q.ID) // the test sizes the answer through the query ID
+		for i := 0; i < n; i++ {
+			resp.Answers = append(resp.Records(1), NewNS(q.Questions[0].Name, 60, "ns1.reg.ru."))
+		}
+		resp.Answers = resp.Records(n)
+		for i := 0; i < n; i++ {
+			resp.Answers = append(resp.Answers, NewNS(q.Questions[0].Name, 3600, "ns1.reg.ru."))
+		}
+		resp.Additional = append(resp.Records(1), glue)
+		if q.EDNSSize() != DefaultEDNSSize || len(q.Additional) != 1 {
+			t.Errorf("the reply's records overwrote the request's: %v", q.Additional)
+		}
+		return resp
+	}))
+	edns := &EDNSTransport{Transport: net}
+	for _, n := range []int{2, maxArenaRRs + 5, 1} {
+		resp, err := edns.Exchange(context.Background(), addr, NewQuery(uint16(n), "example.ru.", TypeNS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Answers) != n || len(resp.Additional) != 1 || resp.Additional[0] != glue {
+			t.Fatalf("n=%d: got %d answers, additional %v", n, len(resp.Answers), resp.Additional)
+		}
+		for _, rr := range resp.Answers {
+			if rr != NewNS("example.ru.", 3600, "ns1.reg.ru.") {
+				t.Fatalf("n=%d: answer %v: sections share storage", n, rr)
+			}
+		}
+		resp.Release()
 	}
 }

@@ -41,8 +41,9 @@ type Message struct {
 	Authority  []RR
 	Additional []RR
 
-	// arena is the pooled storage backing a message MemNet decoded (nil
-	// for messages built or decoded any other way); see msgArena.
+	// arena is the pooled storage backing a message MemNet decoded, or
+	// the Reply built in it (nil for messages built or decoded any other
+	// way); see msgArena.
 	arena *msgArena
 }
 
@@ -61,9 +62,10 @@ func NewQuery(id uint16, name string, qtype Type) *Message {
 func (m *Message) Reply() *Message {
 	var r *Message
 	var q *[1]Question
+	var arena *msgArena
 	if a := m.arena; a != nil && a.serving && !a.replied {
 		a.replied = true
-		r, q = &a.reply, &a.replyQ
+		r, q, arena = &a.reply, &a.replyQ, a
 	} else {
 		own := new(ownedMessage)
 		r, q = &own.m, &own.q
@@ -75,6 +77,7 @@ func (m *Message) Reply() *Message {
 			Opcode:           m.Opcode,
 			RecursionDesired: m.RecursionDesired,
 		},
+		arena: arena,
 	}
 	if len(m.Questions) == 1 {
 		q[0] = m.Questions[0]
@@ -83,6 +86,25 @@ func (m *Message) Reply() *Message {
 		r.Questions = append(r.Questions, m.Questions...)
 	}
 	return r
+}
+
+// Records returns an empty slice with room for n records, to build m's
+// sections in. On the Reply to a request MemNet is serving that room is
+// the request arena's record storage past the request's own records: it
+// costs no allocation and lives exactly as long as the reply does (see
+// Handler). Any other message gets a slice of its own.
+func (m *Message) Records(n int) []RR {
+	a := m.arena
+	if a == nil || m != &a.reply {
+		return make([]RR, 0, n)
+	}
+	used := len(a.rrs)
+	if cap(a.rrs)-used < n {
+		// A new slab; the outgrown one stays with whatever aliases it.
+		a.rrs = make([]RR, used, used+n)
+	}
+	a.rrs = a.rrs[:used+n]
+	return a.rrs[used : used : used+n]
 }
 
 // String renders the message in a dig-like presentation.
@@ -554,9 +576,12 @@ func Decode(buf []byte) (*Message, error) {
 //     handler for the duration of ServeDNS and takes it back — together
 //     with the Reply built in it — once the response is encoded.
 type msgArena struct {
-	m   Message
-	q   [1]Question
-	rrs []RR // grown to the largest message seen, up to maxArenaRRs
+	m Message
+	q [1]Question
+	// rrs holds the decoded message's records and, after them, whatever
+	// its Reply borrowed through Records; it is grown to the largest use
+	// seen, up to maxArenaRRs.
+	rrs []RR
 
 	// reply and replyQ hold the Reply to a request being served.
 	reply  Message
@@ -607,7 +632,7 @@ func (a *msgArena) recycle() {
 // reset ends the arena's current use: the messages in it are dead.
 func (a *msgArena) reset() {
 	a.serving, a.replied = false, false
-	a.m.arena = nil
+	a.m.arena, a.reply.arena = nil, nil
 	if cap(a.rrs) > maxArenaRRs {
 		a.rrs = nil
 	}
@@ -648,11 +673,11 @@ func (m *Message) Release() {
 
 // decodeInto parses a message into m, sharing strings and RData values
 // through the intern table when one is given. The question goes to q and
-// the records to *rrs (grown when too small) in the common one-question
-// shape; more questions get a slice of their own. Every field of m is
-// overwritten, so reused storage carries nothing over. Decoded messages
-// never alias buf — every name and payload is copied out — so callers may
-// recycle the wire buffer immediately.
+// the records to *rrs (grown when too small, left holding exactly them)
+// in the common one-question shape; more questions get a slice of their
+// own. Every field of m is overwritten, so reused storage carries nothing
+// over. Decoded messages never alias buf — every name and payload is
+// copied out — so callers may recycle the wire buffer immediately.
 func decodeInto(buf []byte, intern *wireIntern, m *Message, q *[1]Question, rrs *[]RR) error {
 	if len(buf) < headerLen {
 		return ErrTruncatedMessage
@@ -705,6 +730,7 @@ func decodeInto(buf []byte, intern *wireIntern, m *Message, q *[1]Question, rrs 
 		}
 		rs = append(rs, rr)
 	}
+	*rrs = rs
 	if an > 0 {
 		m.Answers = rs[:an:an]
 	}

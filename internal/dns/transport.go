@@ -22,13 +22,14 @@ type Transport interface {
 
 // Handler answers DNS queries, in the manner of http.Handler.
 //
-// The request is on loan: q, its sections and the Message q.Reply()
-// returns are valid only until ServeDNS returns and the transport has
-// encoded the response, after which MemNet reuses their storage. A
-// handler must not retain them, hand them to another goroutine, or
-// Release them. It may copy names, record values and addresses out, and
-// it may return a response whose sections point at its own long-lived
-// record sets — the transport reads the response, never writes it.
+// The request is on loan: q, its sections, the Message q.Reply() returns
+// and the room its Records lends are valid only until ServeDNS returns
+// and the transport has encoded the response, after which MemNet reuses
+// their storage. A handler must not retain them, hand them to another
+// goroutine, or Release them. It may copy names, record values and
+// addresses out, and it may return a response whose sections point at its
+// own long-lived record sets — the transport reads the response, never
+// writes it.
 type Handler interface {
 	ServeDNS(q *Message, from netip.Addr) *Message
 }

@@ -18,16 +18,14 @@ import (
 //   - Config identity: an unambiguous byte encoding of the config is the
 //     key of ids; equal configs (same section contents in the same
 //     order) always map to the same ID.
-//   - Storage: the canonical Config's slices are sub-slices of shared
-//     append-only arenas (hostArena, addrArena), and every hostname
-//     string is canonicalized through strs, so a name-server name
-//     appearing in a million configs holds its bytes once.
+//   - Storage: the canonical Config's slices are sections of shared
+//     chunked arenas (hostArena, addrArena), and every hostname string
+//     is canonicalized through strs, so a name-server name appearing in
+//     a million configs holds its bytes once.
 //
-// The arenas only ever append; growing them reallocates the backing
-// array but previously returned sub-slices keep pointing at the old one,
-// so canonical Configs handed out earlier stay valid forever. That
-// append-only discipline is also what lets Snapshot alias the configs
-// table instead of copying it.
+// Arena chunks never move, so a canonical Config's slices are valid
+// forever and cost their length once; the configs table itself only ever
+// appends, which is what lets Snapshot alias it instead of copying it.
 //
 // The table does not normalize: callers pass exactly the Config they
 // want stored (Add normalizes first, the decoders pass file contents
@@ -38,8 +36,8 @@ type internTable struct {
 	configs []Config          // ID -> canonical pooled config
 	strs    map[string]string // canonical hostname instances
 
-	hostArena []string
-	addrArena []netip.Addr
+	hostArena arena[string]
+	addrArena arena[netip.Addr]
 
 	key []byte // reusable key-encoding scratch
 
@@ -157,24 +155,54 @@ func (t *internTable) add(key []byte, canonical Config) uint32 {
 	return id
 }
 
+// arena hands out sections of one element type from chunks that are
+// never copied or re-sliced: a section that does not fit the current
+// chunk starts a new one (the unused tail, shorter than the section, is
+// the only waste). Chunks double from arenaMinChunk slots, so a small
+// store stays small, up to arenaMaxChunk.
+type arena[T any] struct {
+	chunk []T // the current chunk; its length is what has been handed out
+	// used and reserved count slots handed out and slots allocated over
+	// all chunks, for MemStats.
+	used, reserved int
+}
+
+const (
+	arenaMinChunk = 64
+	arenaMaxChunk = 8192
+)
+
+// alloc returns a section of n zeroed slots.
+func (a *arena[T]) alloc(n int) []T {
+	if n > cap(a.chunk)-len(a.chunk) {
+		size := min(max(2*cap(a.chunk), arenaMinChunk), arenaMaxChunk)
+		a.chunk = make([]T, 0, max(size, n))
+		a.reserved += cap(a.chunk)
+	}
+	start := len(a.chunk)
+	a.chunk = a.chunk[:start+n]
+	a.used += n
+	return a.chunk[start : start+n : start+n]
+}
+
 func internHosts[S string | []byte](t *internTable, hs []S) []string {
 	if len(hs) == 0 {
 		return nil
 	}
-	start := len(t.hostArena)
-	for _, h := range hs {
-		t.hostArena = append(t.hostArena, canon(t, h))
+	out := t.hostArena.alloc(len(hs))
+	for i, h := range hs {
+		out[i] = canon(t, h)
 	}
-	return t.hostArena[start:len(t.hostArena):len(t.hostArena)]
+	return out
 }
 
 func (t *internTable) internAddrs(as []netip.Addr) []netip.Addr {
 	if len(as) == 0 {
 		return nil
 	}
-	start := len(t.addrArena)
-	t.addrArena = append(t.addrArena, as...)
-	return t.addrArena[start:len(t.addrArena):len(t.addrArena)]
+	out := t.addrArena.alloc(len(as))
+	copy(out, as)
+	return out
 }
 
 // canon returns the canonical instance of h — a string or a byte view of

@@ -200,3 +200,81 @@ func TestInternArenaGrowthKeepsOldConfigsValid(t *testing.T) {
 		t.Fatalf("early config changed after arena growth: %v vs %v", got, want)
 	}
 }
+
+// distinctConfig is the i-th of a family of pairwise distinct configs
+// shaped like the simulated world's: one of a few shared NS sets, an
+// apex address of its own.
+func distinctConfig(i int) Config {
+	prov := i % 27
+	return Config{
+		NSHosts:   []string{fmt.Sprintf("ns1.prov%d.ru.", prov), fmt.Sprintf("ns2.prov%d.ru.", prov)},
+		NSAddrs:   []netip.Addr{netip.AddrFrom4([4]byte{11, byte(prov), 0, 1}), netip.AddrFrom4([4]byte{11, byte(prov), 0, 2})},
+		ApexAddrs: []netip.Addr{netip.AddrFrom4([4]byte{12, byte(i >> 16), byte(i >> 8), byte(i)})},
+		MXHosts:   []string{fmt.Sprintf("mx.prov%d.ru.", i%5)},
+	}
+}
+
+// TestInternArenasNeverMove pins the chunked arenas: 50,000 distinct
+// configs go into a store while a reader walks the configs of a snapshot
+// taken half-way (under -race, a chunk written again after it was handed
+// out is a reported race as well as a wrong config); afterwards every
+// config still equals what went in, and the arenas hold what was asked of
+// them plus at most a tenth and one chunk — where growing by append kept
+// every outgrown array alive, about five times the final one.
+func TestInternArenasNeverMove(t *testing.T) {
+	const n = 50000
+	s := New()
+	s.BeginSweep(19000)
+	add := func(i int) {
+		s.Add(Measurement{Domain: fmt.Sprintf("dom%06d.ru.", i), Day: 19000, Config: distinctConfig(i)})
+	}
+	for i := 0; i < n/2; i++ {
+		add(i)
+	}
+	snap := s.Snapshot()
+	if snap.NumConfigs() != n/2 {
+		t.Fatalf("snapshot knows %d configs, want %d", snap.NumConfigs(), n/2)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := 0; ; id = (id + 1) % snap.NumConfigs() {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := snap.Config(uint32(id)); !got.Equal(distinctConfig(id)) {
+				t.Errorf("config %d read through the snapshot changed: %+v", id, got)
+				return
+			}
+		}
+	}()
+	for i := n / 2; i < n; i++ {
+		add(i)
+	}
+	close(stop)
+	<-done
+	// A section larger than any chunk gets one of its own.
+	huge := Config{NSAddrs: make([]netip.Addr, arenaMaxChunk+1)}
+	hugeID := s.intern.intern(huge)
+	for i := 0; i < n; i++ {
+		if got := s.intern.config(uint32(i)); !got.Equal(distinctConfig(i)) {
+			t.Fatalf("config %d changed: %+v", i, got)
+		}
+	}
+	if got := s.intern.config(hugeID); !got.Equal(huge) {
+		t.Fatalf("oversized config changed")
+	}
+	for name, a := range map[string]struct{ used, reserved int }{
+		"host": {s.intern.hostArena.used, s.intern.hostArena.reserved},
+		"addr": {s.intern.addrArena.used, s.intern.addrArena.reserved},
+	} {
+		if a.used < 3*n || a.reserved > a.used*11/10+arenaMaxChunk {
+			t.Errorf("%s arena: %d slots reserved for %d used", name, a.reserved, a.used)
+		}
+	}
+	if ms := s.MemStats(); ms.HostSlots != 3*n || ms.AddrSlots != 3*n+arenaMaxChunk+1 {
+		t.Errorf("MemStats counts %d host and %d address slots, want %d and %d", ms.HostSlots, ms.AddrSlots, 3*n, 3*n+arenaMaxChunk+1)
+	}
+}

@@ -151,3 +151,66 @@ func TestColumnarHeapReduction(t *testing.T) {
 		t.Fatalf("accounted %.1f B/epoch vs measured %.1f B/epoch differ by more than 2x", acc, colPer)
 	}
 }
+
+// worldStream is the stream the simulated world produces, where
+// paperStream is the redundancy the paper reports: NS sets shared by a
+// few dozen profiles, but an apex address (and so a configuration) per
+// domain, and a third of the domains moving hosts once — nearly one
+// distinct config per epoch, so the intern table is most of the store.
+func worldStream(nDomains, nSweeps int, fn func(m Measurement)) {
+	for i := 0; i < nSweeps; i++ {
+		for j := 0; j < nDomains; j++ {
+			cfg := distinctConfig(j)
+			if j%3 == 0 && i >= j%nSweeps {
+				cfg.ApexAddrs[0] = netip.AddrFrom4([4]byte{13, byte(j >> 16), byte(j >> 8), byte(j)})
+			}
+			if j%5 == 4 {
+				cfg.MXHosts = nil
+			}
+			fn(Measurement{Domain: fmt.Sprintf("dom%06d.ru.", j), Day: simtime.Day(19000 + i*3), Config: cfg})
+		}
+	}
+}
+
+// worldShapedBytesPerEpoch is the store memory gate: accounted resident
+// bytes per (domain, epoch) on worldStream(6000, 10), exactly
+// reproducible. A change that stops interning, re-materializes per-epoch
+// structs or lets the arenas hold more than they hand out moves it.
+const worldShapedBytesPerEpoch = 430
+
+// TestWorldShapedHeapAccounting holds MemStats to the heap on the stream
+// that found it wanting: with a config per epoch the arenas dominate,
+// and an accounting that counts only their current backing array reads
+// half of what the runtime retains when they grow by append.
+func TestWorldShapedHeapAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement is too noisy under -short's time budget")
+	}
+	const nDomains, nSweeps = 6000, 10
+	var s *Store
+	heap := LiveHeapBytes(func() any {
+		s = New()
+		last := simtime.Day(-1)
+		worldStream(nDomains, nSweeps, func(m Measurement) {
+			if m.Day != last {
+				s.BeginSweep(m.Day)
+				last = m.Day
+			}
+			s.Add(m)
+		})
+		return s
+	})
+	ms := s.MemStats()
+	acc := ms.ResidentBytes()
+	t.Logf("%d epochs, %d distinct configs: accounted %d bytes (%.1f B/epoch, intern %d), measured %d (%.2fx)",
+		ms.Epochs, ms.DistinctConfigs, acc, ms.BytesPerEpoch(), ms.InternBytes, heap, float64(heap)/float64(acc))
+	if ms.DistinctConfigs < 5000 || int64(ms.DistinctConfigs)*10 < ms.Epochs*9 {
+		t.Fatalf("%d distinct configs in %d epochs: not the world's shape", ms.DistinctConfigs, ms.Epochs)
+	}
+	if float64(heap) > 1.25*float64(acc) || float64(acc) > 1.25*float64(heap) {
+		t.Errorf("accounted %d bytes vs %d measured: more than 1.25x apart", acc, heap)
+	}
+	if got := ms.BytesPerEpoch(); got > worldShapedBytesPerEpoch {
+		t.Errorf("accounted %.1f bytes per (domain, epoch), the gate is %d", got, worldShapedBytesPerEpoch)
+	}
+}

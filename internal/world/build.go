@@ -2,7 +2,6 @@ package world
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -56,7 +55,7 @@ type World struct {
 	// providerZones maps a provider's NS-name parent zone ("nic.ru.") to
 	// the provider, for TLD delegation of the providers' own names.
 	providerZones map[string]*Provider
-	// rr memoizes handler response sections (see rrcache.go).
+	// rr is the handlers' shared record state (see rrcache.go).
 	rr *rrCache
 }
 
@@ -316,25 +315,15 @@ func (w *World) buildDomains() error {
 	return nil
 }
 
-// hostAddrsFor derives the apex A records for a domain under a given
-// hosting profile: one stable pool address per hosting provider.
-func (w *World) hostAddrsFor(name string, hostProfile string) []netip.Addr {
-	keys, ok := hostProfiles[hostProfile]
-	if !ok {
-		return nil
+// hostPoolIndex pins a domain's apex A records to one stable address of
+// each of its hosting providers' pools (taken modulo the pool's size):
+// the FNV-1a hash of its name.
+func hostPoolIndex(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
 	}
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	idx := int(h.Sum32())
-	var out []netip.Addr
-	for _, k := range keys {
-		p := w.providers[k]
-		if p == nil || len(p.HostPool) == 0 {
-			continue
-		}
-		out = append(out, p.HostPool[(idx%len(p.HostPool)+len(p.HostPool))%len(p.HostPool)])
-	}
-	return out
+	return h
 }
 
 // nsSetFor returns the NS names and their glue for a DNS profile.

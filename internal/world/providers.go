@@ -3,6 +3,7 @@ package world
 import (
 	"net/netip"
 
+	"whereru/internal/dns"
 	"whereru/internal/netsim"
 )
 
@@ -31,6 +32,11 @@ type Provider struct {
 	MailAddr netip.Addr
 	// HostPool is the shared-hosting address pool apex A records point at.
 	HostPool []netip.Addr
+
+	// hostData and mxData are HostPool's A payloads and MailHost's MX
+	// payload, boxed once for the handlers (see rrcache.go).
+	hostData []dns.RData
+	mxData   dns.RData
 }
 
 // hostPoolSize is the number of shared-hosting addresses per provider.

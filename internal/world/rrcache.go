@@ -1,55 +1,40 @@
 package world
 
-import (
-	"net/netip"
-	"sync"
+import "whereru/internal/dns"
 
-	"whereru/internal/dns"
-)
+// Authoritative state is O(profiles + providers). Record sets that do
+// not depend on the queried domain — root and provider referrals — are
+// built once here; of the answers that do (a domain's delegation, its NS,
+// A and MX sets) only the payloads are: every domain on a DNS profile
+// shares one NS host set, every domain on a hosting provider one address
+// pool. The handlers assemble those answers while the query is served —
+// owner name from the question, payloads from here — in record room the
+// reply borrows from its request (dns.Message.Records), so nothing is
+// kept per domain. Everything here is a pure function of immutable world
+// state, never of the simulation clock, built before the first query and
+// read without locks.
 
-// Authoritative handlers answer the same question with the same record
-// set over and over — every domain on a given DNS profile shares one NS
-// host set, every sweep asks for every domain's delegation — so the
-// handlers memoize their response sections instead of rebuilding RR
-// slices per query. All cached sets are pure functions of immutable
-// world state (profiles, providers, per-epoch domain configs), never of
-// the simulation clock, and responses are serialized to the wire before
-// any client sees them, so sharing one slice across responses is
-// invisible to measurements. Cached slices are write-once: handlers
-// assign them to empty response sections and never append afterwards.
-
-// nsSet is a DNS profile's name-server host set with its glue.
+// nsSet is a DNS profile's name-server host set, each host with its NS
+// payload and its glue address boxed once.
 type nsSet struct {
 	hosts []string
-	addrs []netip.Addr
+	ns    []dns.RData // NSData{hosts[i]}
+	glue  []dns.RData // AData{hosts[i]'s address}
 }
 
-// refSet is a memoized referral: authority (NS) and additional (glue).
+// refSet is a prebuilt referral: authority (NS) and additional (glue).
 type refSet struct {
 	auth []dns.RR
 	addl []dns.RR
 }
 
-// rrKey keys lazily-built per-domain caches by owner name and profile.
-type rrKey struct {
-	name    string
-	profile string
-}
-
-// rrCache holds the memoized response sections. Eager maps are built
-// once in buildServing and read without locks; lazy maps fill on first
-// use under rrMu (domain×profile pairs are discovered as queries come).
+// rrCache holds the handlers' shared record state.
 type rrCache struct {
-	nsSets      map[string]nsSet  // dnsProfile -> host set (eager)
-	rootRef     map[string]refSet // tld label -> root referral (eager)
-	providerRef map[string]refSet // provider zone -> delegation (eager)
-	rootNXSOA   []dns.RR          // root NXDOMAIN authority (eager)
-
-	mu       sync.RWMutex
-	domRef   map[rrKey]refSet   // {domain, dnsProfile} -> TLD delegation
-	nsAnswer map[rrKey][]dns.RR // {domain, dnsProfile} -> NS answers
-	aAnswer  map[rrKey][]dns.RR // {domain, hostProfile} -> apex A answers
-	mxAnswer map[rrKey][]dns.RR // {domain, mailHost} -> MX answer
+	nsSets      map[string]nsSet       // dnsProfile -> host set
+	hostSets    map[string][]*Provider // hostProfile -> providers with a pool
+	rootRef     map[string]refSet      // tld label -> root referral
+	providerRef map[string]refSet      // provider zone -> delegation
+	rootNXSOA   []dns.RR               // root NXDOMAIN authority
 }
 
 // buildRRCache precomputes the profile- and provider-keyed sets; called
@@ -57,17 +42,35 @@ type rrCache struct {
 func (w *World) buildRRCache() {
 	c := &rrCache{
 		nsSets:      make(map[string]nsSet, len(dnsProfiles)),
+		hostSets:    make(map[string][]*Provider, len(hostProfiles)),
 		rootRef:     make(map[string]refSet, len(w.tldAddrs)),
 		providerRef: make(map[string]refSet, len(w.providerZones)),
 		rootNXSOA:   []dns.RR{dns.NewSOA(".", "a.root-servers.net.", "nstld.verisign-grs.com.", 1)},
-		domRef:      make(map[rrKey]refSet),
-		nsAnswer:    make(map[rrKey][]dns.RR),
-		aAnswer:     make(map[rrKey][]dns.RR),
-		mxAnswer:    make(map[rrKey][]dns.RR),
 	}
 	for profile := range dnsProfiles {
 		hosts, addrs := w.nsSetFor(profile)
-		c.nsSets[profile] = nsSet{hosts: hosts, addrs: addrs}
+		set := nsSet{hosts: hosts}
+		for i, h := range hosts {
+			set.ns = append(set.ns, dns.NSData{Host: h})
+			set.glue = append(set.glue, dns.AData{Addr: addrs[i]})
+		}
+		c.nsSets[profile] = set
+	}
+	for profile, keys := range hostProfiles {
+		for _, k := range keys {
+			if p := w.providers[k]; p != nil && len(p.HostPool) > 0 {
+				c.hostSets[profile] = append(c.hostSets[profile], p)
+			}
+		}
+	}
+	for _, p := range w.providers {
+		p.hostData = make([]dns.RData, len(p.HostPool))
+		for i, a := range p.HostPool {
+			p.hostData[i] = dns.AData{Addr: a}
+		}
+		if p.MailHost != "" {
+			p.mxData = dns.MXData{Preference: 10, Host: p.MailHost}
+		}
 	}
 	for tld, addrs := range w.tldAddrs {
 		zone := tld + "."
@@ -85,7 +88,8 @@ func (w *World) buildRRCache() {
 	w.rr = c
 }
 
-// buildProviderReferral materializes appendProviderReferral's record set.
+// buildProviderReferral is the TLD's delegation of a provider zone: the
+// provider's in-zone NS names with their glue.
 func buildProviderReferral(zone string, p *Provider) refSet {
 	var set refSet
 	for i, h := range p.NSNames {
@@ -106,97 +110,28 @@ func buildProviderReferral(zone string, p *Provider) refSet {
 	return set
 }
 
-// nsSetCached returns the memoized host set for a DNS profile.
-func (w *World) nsSetCached(profile string) nsSet {
-	if s, ok := w.rr.nsSets[profile]; ok {
-		return s
-	}
-	hosts, addrs := w.nsSetFor(profile) // unknown profile: build uncached
-	return nsSet{hosts: hosts, addrs: addrs}
+// inRR is one class-IN record of a per-query answer.
+func inRR(name string, t dns.Type, ttl uint32, data dns.RData) dns.RR {
+	return dns.RR{Name: name, Type: t, Class: dns.ClassIN, TTL: ttl, Data: data}
 }
 
-// domainReferral returns the memoized TLD delegation for a registered
-// domain on a DNS profile: NS records plus glue for in-bailiwick hosts.
-func (w *World) domainReferral(domain, profile, zone string) refSet {
-	key := rrKey{domain, profile}
-	c := w.rr
-	c.mu.RLock()
-	set, ok := c.domRef[key]
-	c.mu.RUnlock()
-	if ok {
-		return set
+// appendNS appends the set's NS records with domain as their owner.
+func (s nsSet) appendNS(rrs []dns.RR, domain string) []dns.RR {
+	for _, d := range s.ns {
+		rrs = append(rrs, inRR(domain, dns.TypeNS, 3600, d))
 	}
-	ns := w.nsSetCached(profile)
-	for i, h := range ns.hosts {
-		set.auth = append(set.auth, dns.NewNS(domain, 3600, h))
-		if dns.IsSubdomain(h, zone) && i < len(ns.addrs) {
-			set.addl = append(set.addl, dns.NewA(h, 3600, ns.addrs[i]))
+	return rrs
+}
+
+// refer makes resp the TLD zone's delegation of a registered domain to
+// the set: its NS records plus glue for the in-bailiwick hosts.
+func (s nsSet) refer(resp *dns.Message, domain, zone string) {
+	rrs := s.appendNS(resp.Records(2*len(s.hosts)), domain)
+	n := len(rrs)
+	for i, h := range s.hosts {
+		if dns.IsSubdomain(h, zone) {
+			rrs = append(rrs, inRR(h, dns.TypeA, 3600, s.glue[i]))
 		}
 	}
-	c.mu.Lock()
-	c.domRef[key] = set
-	c.mu.Unlock()
-	return set
-}
-
-// nsAnswers returns the memoized authoritative NS answer set for a
-// customer domain on a DNS profile.
-func (w *World) nsAnswers(domain, profile string) []dns.RR {
-	key := rrKey{domain, profile}
-	c := w.rr
-	c.mu.RLock()
-	rrs, ok := c.nsAnswer[key]
-	c.mu.RUnlock()
-	if ok {
-		return rrs
-	}
-	ns := w.nsSetCached(profile)
-	rrs = make([]dns.RR, 0, len(ns.hosts))
-	for _, h := range ns.hosts {
-		rrs = append(rrs, dns.NewNS(domain, 3600, h))
-	}
-	c.mu.Lock()
-	c.nsAnswer[key] = rrs
-	c.mu.Unlock()
-	return rrs
-}
-
-// aAnswers returns the memoized apex A answer set for a customer domain
-// on a hosting profile.
-func (w *World) aAnswers(domain, hostProfile string) []dns.RR {
-	key := rrKey{domain, hostProfile}
-	c := w.rr
-	c.mu.RLock()
-	rrs, ok := c.aAnswer[key]
-	c.mu.RUnlock()
-	if ok {
-		return rrs
-	}
-	addrs := w.hostAddrsFor(domain, hostProfile)
-	rrs = make([]dns.RR, 0, len(addrs))
-	for _, a := range addrs {
-		rrs = append(rrs, dns.NewA(domain, 300, a))
-	}
-	c.mu.Lock()
-	c.aAnswer[key] = rrs
-	c.mu.Unlock()
-	return rrs
-}
-
-// mxAnswers returns the memoized MX answer for a customer domain and
-// mail host.
-func (w *World) mxAnswers(domain, mailHost string) []dns.RR {
-	key := rrKey{domain, mailHost}
-	c := w.rr
-	c.mu.RLock()
-	rrs, ok := c.mxAnswer[key]
-	c.mu.RUnlock()
-	if ok {
-		return rrs
-	}
-	rrs = []dns.RR{dns.NewMX(domain, 3600, 10, mailHost)}
-	c.mu.Lock()
-	c.mxAnswer[key] = rrs
-	c.mu.Unlock()
-	return rrs
+	resp.Authority, resp.Additional = rrs[:n:n], rrs[n:]
 }

@@ -88,9 +88,7 @@ func (w *World) tldHandler(tld string) dns.Handler {
 			if reg := w.registeredAncestor(name, zone); reg != "" {
 				if d, ok := w.domains[reg]; ok && d.ActiveOn(now) {
 					if cfg, ok := d.ConfigAt(now); ok {
-						set := w.domainReferral(reg, cfg.DNS, zone)
-						resp.Authority = set.auth
-						resp.Additional = set.addl
+						w.rr.nsSets[cfg.DNS].refer(resp, reg, zone)
 						return resp
 					}
 				}
@@ -192,12 +190,18 @@ func (w *World) providerHandler(p *Provider) dns.Handler {
 		resp.Authoritative = true
 		switch question.Type {
 		case dns.TypeNS:
-			resp.Answers = w.nsAnswers(name, cfg.DNS)
+			set := w.rr.nsSets[cfg.DNS]
+			resp.Answers = set.appendNS(resp.Records(len(set.ns)), name)
 		case dns.TypeA:
-			resp.Answers = w.aAnswers(name, cfg.Host)
+			// One stable pool address per hosting provider.
+			hosts, idx := w.rr.hostSets[cfg.Host], hostPoolIndex(name)
+			resp.Answers = resp.Records(len(hosts))
+			for _, hp := range hosts {
+				resp.Answers = append(resp.Answers, inRR(name, dns.TypeA, 300, hp.hostData[idx%uint32(len(hp.hostData))]))
+			}
 		case dns.TypeMX:
 			if mp := w.MailProviderFor(d, now); mp != nil && mp.MailHost != "" {
-				resp.Answers = w.mxAnswers(name, mp.MailHost)
+				resp.Answers = append(resp.Records(1), inRR(name, dns.TypeMX, 3600, mp.mxData))
 			}
 		case dns.TypeSOA:
 			resp.Answers = []dns.RR{dns.NewSOA(name, p.NSNames[0], "hostmaster."+name, uint32(now))}
