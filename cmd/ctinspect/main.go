@@ -48,7 +48,12 @@ func run() error {
 	for o := range counts {
 		orgs = append(orgs, o)
 	}
-	sort.Slice(orgs, func(i, j int) bool { return counts[orgs[i]] > counts[orgs[j]] })
+	sort.Slice(orgs, func(i, j int) bool {
+		if counts[orgs[i]] != counts[orgs[j]] {
+			return counts[orgs[i]] > counts[orgs[j]]
+		}
+		return orgs[i] < orgs[j] // map order must not reach the output
+	})
 	fmt.Println("\nissuers:")
 	for _, o := range orgs {
 		fmt.Printf("  %-16s %6d\n", o, counts[o])

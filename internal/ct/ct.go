@@ -64,20 +64,26 @@ type Log struct {
 	Name string
 
 	mu      sync.RWMutex
-	entries []Entry
-	hashes  []Hash // leaf hashes, parallel to entries
+	entries []logged
+	// hashes are the leaf hashes of entries[:len(hashes)]: a leaf is hashed
+	// when a root or a proof first needs it (leaf), not by Append.
+	hashes []Hash
 	// memo caches roots of complete, aligned subtrees, which are
 	// immutable once formed. Key packs (start, size): start*2^34 | size.
 	memo map[int64]Hash
-	// UseMemo can be disabled for the ablation benchmark.
-	UseMemo bool
 	// key signs tree heads (see sth.go); empty = unsigned log.
 	key []byte
 }
 
+// logged is an Entry as the log keeps it: the index is the position.
+type logged struct {
+	day  simtime.Day
+	cert *pki.Certificate
+}
+
 // NewLog creates an empty log.
 func NewLog(name string) *Log {
-	return &Log{Name: name, memo: make(map[int64]Hash), UseMemo: true}
+	return &Log{Name: name, memo: make(map[int64]Hash)}
 }
 
 // Append adds a certificate to the log at the given timestamp and returns
@@ -89,10 +95,8 @@ func (l *Log) Append(cert *pki.Certificate, day simtime.Day) (int64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := int64(len(l.entries))
-	l.entries = append(l.entries, Entry{Index: idx, Timestamp: day, Cert: cert})
-	l.hashes = append(l.hashes, LeafHash(cert.Marshal()))
-	return idx, nil
+	l.entries = append(l.entries, logged{day: day, cert: cert})
+	return int64(len(l.entries) - 1), nil
 }
 
 // Size returns the current number of entries.
@@ -109,25 +113,35 @@ func (l *Log) Entry(i int64) (Entry, error) {
 	if i < 0 || i >= int64(len(l.entries)) {
 		return Entry{}, fmt.Errorf("ct: index %d out of range [0,%d)", i, len(l.entries))
 	}
-	return l.entries[i], nil
+	return Entry{Index: i, Timestamp: l.entries[i].day, Cert: l.entries[i].cert}, nil
+}
+
+// leaf returns the hash of leaf i, hashing first whatever up to it no root
+// or proof has needed yet. Like the memo its callers fill, it writes: the
+// caller holds the write lock.
+func (l *Log) leaf(i int64) Hash {
+	for n := int64(len(l.hashes)); n <= i; n++ {
+		l.hashes = append(l.hashes, LeafHash(l.entries[n].cert.Marshal()))
+	}
+	return l.hashes[i]
 }
 
 // Head returns the tree head for the current size.
 func (l *Log) Head() TreeHead {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	n := int64(len(l.entries))
 	var ts simtime.Day
 	if n > 0 {
-		ts = l.entries[n-1].Timestamp
+		ts = l.entries[n-1].day
 	}
 	return TreeHead{Size: n, Root: l.rootLocked(0, n), Timestamp: ts}
 }
 
 // RootAt returns the root of the first n entries.
 func (l *Log) RootAt(n int64) (Hash, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if n < 0 || n > int64(len(l.entries)) {
 		return Hash{}, fmt.Errorf("ct: size %d out of range", n)
 	}
@@ -150,9 +164,9 @@ func (l *Log) rootLocked(start, size int64) Hash {
 	case 0:
 		return EmptyRoot()
 	case 1:
-		return l.hashes[start]
+		return l.leaf(start)
 	}
-	aligned := l.UseMemo && size&(size-1) == 0 && start%size == 0
+	aligned := size&(size-1) == 0 && start%size == 0
 	var key int64
 	if aligned {
 		key = start<<34 | size
@@ -176,9 +190,9 @@ var (
 // InclusionProof returns the audit path for the leaf at index within the
 // tree of the first treeSize entries (RFC 6962 §2.1.1 PATH).
 func (l *Log) InclusionProof(index, treeSize int64) ([]Hash, error) {
-	l.mu.Lock() // memo writes require the write lock
+	l.mu.Lock() // leaf hashing and memo writes require the write lock
 	defer l.mu.Unlock()
-	if index < 0 || treeSize > int64(len(l.hashes)) || index >= treeSize {
+	if index < 0 || treeSize > int64(len(l.entries)) || index >= treeSize {
 		return nil, ErrBadRange
 	}
 	return l.pathLocked(index, 0, treeSize), nil
@@ -231,7 +245,7 @@ func VerifyInclusion(leaf []byte, index, treeSize int64, proof []Hash, root Hash
 func (l *Log) ConsistencyProof(m, n int64) ([]Hash, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if m < 0 || n > int64(len(l.hashes)) || m > n {
+	if m < 0 || n > int64(len(l.entries)) || m > n {
 		return nil, ErrBadRange
 	}
 	if m == 0 || m == n {
@@ -320,8 +334,8 @@ func (l *Log) Scan(from, to int64, pred func(*pki.Certificate) bool) []Entry {
 	}
 	var out []Entry
 	for i := from; i < to; i++ {
-		if pred == nil || pred(l.entries[i].Cert) {
-			out = append(out, l.entries[i])
+		if e := l.entries[i]; pred == nil || pred(e.cert) {
+			out = append(out, Entry{Index: i, Timestamp: e.day, Cert: e.cert})
 		}
 	}
 	return out

@@ -222,30 +222,12 @@ const (
 // a per-decision salt (FNV-1a over seed, day, server, query ID and
 // question).
 func (t *FaultTransport) roll(salt uint64, day simtime.Day, server netip.Addr, q *Message) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(salt)
-	mix(uint64(t.seed))
-	mix(uint64(uint32(day)))
+	h := fnvMix(fnvMix(fnvMix(fnvOffset64, salt), uint64(t.seed)), uint64(uint32(day)))
 	b := server.As4()
-	mix(uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3]))
-	mix(uint64(q.ID))
+	h = fnvMix(h, uint64(b[0])<<24|uint64(b[1])<<16|uint64(b[2])<<8|uint64(b[3]))
+	h = fnvMix(h, uint64(q.ID))
 	if len(q.Questions) > 0 {
-		mix(uint64(q.Questions[0].Type))
-		for i := 0; i < len(q.Questions[0].Name); i++ {
-			h ^= uint64(q.Questions[0].Name[i])
-			h *= prime64
-		}
+		h = fnvMixString(fnvMix(h, uint64(q.Questions[0].Type)), q.Questions[0].Name)
 	}
 	return float64(h>>11) / float64(1<<53)
 }

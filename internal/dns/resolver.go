@@ -294,12 +294,7 @@ func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name
 func (r *Resolver) queryAny(ctx context.Context, servers []netip.Addr, name string, qtype Type) (*Message, netip.Addr, error) {
 	start := 0
 	if n := len(servers); n > 1 {
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		start = int((h ^ uint64(qtype)) % uint64(n))
+		start = int((fnvMixString(fnvOffset64, name) ^ uint64(qtype)) % uint64(n))
 	}
 	var lastErr error
 	var flapped *Message

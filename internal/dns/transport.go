@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -295,12 +294,12 @@ type Client struct {
 	MaxBackoff time.Duration
 
 	// seeded clients derive query IDs and jitter deterministically from
-	// seed so lossy runs are reproducible; unseeded clients draw both
-	// from a time-seeded RNG.
+	// seed so lossy runs are reproducible; unseeded clients mix a counter
+	// the process started at a clock-derived value, which every worker of
+	// a sweep draws from without waiting for another.
 	seeded bool
 	seed   int64
-	mu     sync.Mutex
-	rng    *rand.Rand
+	draws  atomic.Uint64
 
 	queries, attempts, retries, recovered, failed atomic.Int64
 }
@@ -323,7 +322,7 @@ type ClientStats struct {
 
 // NewClient returns a client over the given transport with random IDs.
 func NewClient(t Transport) *Client {
-	return &Client{Transport: t, Retries: 2, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	return &Client{Transport: t, Retries: 2}
 }
 
 // NewSeededClient returns a client whose query IDs and backoff jitter are
@@ -347,47 +346,42 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// idFor produces the query ID for one attempt.
-func (c *Client) idFor(name string, qtype Type, attempt int) uint16 {
-	if c.seeded {
-		h := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				h ^= v & 0xFF
-				h *= 1099511628211
-				v >>= 8
-			}
-		}
-		mix(uint64(c.seed))
-		mix(uint64(qtype))
-		mix(uint64(attempt))
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		return uint16(h)
+// drawSalt is where unseeded clients' ID counters start: different from
+// one process to the next, which is all an unseeded ID promises.
+var drawSalt = uint64(time.Now().UnixNano())
+
+// FNV-1a, 64 bits: what seeded IDs and fault decisions are hashed with.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds the eight bytes of v, low byte first, into the state h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xFF
+		h *= fnvPrime64
+		v >>= 8
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	return uint16(c.rng.Intn(1 << 16))
+	return h
 }
 
-// jitter returns the backoff scale factor in [0.5, 1) for an attempt.
-func (c *Client) jitter(name string, attempt int) float64 {
-	if c.seeded {
-		// Reuse the ID hash with a different type salt for a cheap
-		// deterministic uniform value.
-		return 0.5 + float64(c.idFor(name, Type(0xFFFF), attempt))/float64(1<<17)
+// fnvMixString folds the bytes of s into the state h.
+func fnvMixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	return h
+}
+
+// idFor produces the query ID for one attempt.
+func (c *Client) idFor(name string, qtype Type, attempt int) uint16 {
+	if !c.seeded {
+		return uint16(fnvMix(fnvOffset64, drawSalt+c.draws.Add(1)))
 	}
-	return 0.5 + c.rng.Float64()/2
+	h := fnvMix(fnvMix(fnvMix(fnvOffset64, uint64(c.seed)), uint64(qtype)), uint64(attempt))
+	return uint16(fnvMixString(h, name))
 }
 
 // backoff sleeps before retry number attempt (1-based), honoring ctx.
@@ -403,7 +397,8 @@ func (c *Client) backoff(ctx context.Context, name string, attempt int) error {
 	if d > max || d <= 0 { // d <= 0 guards shift overflow
 		d = max
 	}
-	d = time.Duration(float64(d) * c.jitter(name, attempt))
+	// Jitter in [0.5, 1): the ID hash again, under a type no query carries.
+	d = time.Duration(float64(d) * (0.5 + float64(c.idFor(name, Type(0xFFFF), attempt))/float64(1<<17)))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

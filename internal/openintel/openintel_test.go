@@ -163,3 +163,36 @@ func TestRunStopsOnError(t *testing.T) {
 		t.Fatal("Run with cancelled context succeeded")
 	}
 }
+
+// TestSweepAllocs is the allocation gate on the resolver fast path (what
+// CI's "Bench allocs gate" read off the root BenchmarkSweep): one
+// full-zone sweep of the 1:2000 test world, eight workers, caches warm.
+// A dropped buffer pool, a message nobody releases or a decode that
+// re-allocates multiplies the count. The bounds are the measured figures
+// (13,957 allocations, 911 KB) plus a fifth, the CI gate's margin; its
+// 16,200 / 1.79 MB averaged a cold first sweep into three.
+func TestSweepAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("sweeps the zone for a second; sync.Pool drops items under the race detector")
+	}
+	w, err := world.Build(world.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pipeline{Resolver: w.NewResolver(), Seeds: w.Registries, Clock: w.Clock(), Store: store.New(), Workers: 8}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Sweep(context.Background(), simtime.ConflictStart); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("Sweep: %d allocs/op, %d B/op over %d sweeps", res.AllocsPerOp(), res.AllocedBytesPerOp(), res.N)
+	if got := res.AllocsPerOp(); got > 16750 {
+		t.Errorf("a sweep allocates %d times, want at most 16,750", got)
+	}
+	if got := res.AllocedBytesPerOp(); got > 1100000 {
+		t.Errorf("a sweep allocates %d bytes, want at most 1,100,000", got)
+	}
+}

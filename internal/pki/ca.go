@@ -46,7 +46,8 @@ type CA struct {
 	mu      sync.Mutex
 	counter uint64
 	// id distinguishes serial spaces between CAs.
-	id uint64
+	id      uint64
+	issuers []*Issuer // parallel to IssuingCNs; see issuer
 }
 
 // NewCA builds a CA. id must be unique per CA within a world; it is folded
@@ -79,7 +80,7 @@ func (ca *CA) Issue(day simtime.Day, names ...string) (*Certificate, error) {
 	ca.mu.Lock()
 	ca.counter++
 	serial := ca.id<<40 | ca.counter
-	cn := ca.IssuingCNs[int(ca.counter)%len(ca.IssuingCNs)]
+	issuer := ca.issuer(int(ca.counter) % len(ca.IssuingCNs))
 	ca.mu.Unlock()
 	validity := ca.DefaultValidityDays
 	if validity <= 0 {
@@ -87,15 +88,28 @@ func (ca *CA) Issue(day simtime.Day, names ...string) (*Certificate, error) {
 	}
 	return &Certificate{
 		Serial:    serial,
-		IssuerOrg: ca.Org,
-		IssuerCN:  cn,
-		RootOrg:   ca.RootOrg,
+		Issuer:    issuer,
 		SubjectCN: norm[0],
 		SANs:      norm,
 		NotBefore: day,
 		NotAfter:  day.Add(validity),
-		Logged:    ca.LogsToCT,
 	}, nil
+}
+
+// issuer returns the record certificates issued under IssuingCNs[i] share,
+// made on first use and again whenever the CA's exported fields no longer
+// say what it says: editing a CA after NewCA (as StandardCatalog does)
+// holds for what it issues next. The caller holds ca.mu.
+func (ca *CA) issuer(i int) *Issuer {
+	if len(ca.issuers) != len(ca.IssuingCNs) {
+		ca.issuers = make([]*Issuer, len(ca.IssuingCNs))
+	}
+	want := Issuer{IssuerOrg: ca.Org, IssuerCN: ca.IssuingCNs[i], RootOrg: ca.RootOrg, Logged: ca.LogsToCT}
+	if have := ca.issuers[i]; have == nil || *have != want {
+		fresh := want // declared here so that only a new record is a heap allocation
+		ca.issuers[i] = &fresh
+	}
+	return ca.issuers[i]
 }
 
 // Issued returns how many certificates the CA has issued.

@@ -19,10 +19,11 @@ import (
 	"whereru/internal/simtime"
 )
 
-// Certificate is one issued leaf certificate.
-type Certificate struct {
-	// Serial is unique across the simulation (high bits identify the CA).
-	Serial uint64
+// Issuer is who signed a certificate and how. A CA shares one record
+// among all the certificates it issues under one intermediate, so a
+// certificate pays a pointer for what it has in common with its
+// siblings; the record is immutable once a certificate points at it.
+type Issuer struct {
 	// IssuerOrg is the Issuer DN organization — the field the paper
 	// extracts to identify the responsible CA (§4.1).
 	IssuerOrg string
@@ -32,6 +33,18 @@ type Certificate struct {
 	// RootOrg is the organization of the chain's root. For cross-signed
 	// or private chains this differs from IssuerOrg's house root.
 	RootOrg string
+	// Logged records whether the CA submits what it issues to CT — the
+	// Russian Trusted Root CA does not log (§4.3).
+	Logged bool
+}
+
+// Certificate is one issued leaf certificate.
+type Certificate struct {
+	// Serial is unique across the simulation (high bits identify the CA).
+	Serial uint64
+	// Issuer's fields read as the certificate's own (c.IssuerOrg); only
+	// Names and MatchesRussianTLD work on a certificate without one.
+	*Issuer
 	// SubjectCN is the certificate's common name (canonical form).
 	SubjectCN string
 	// SANs are the subject alternative names (canonical form).
@@ -39,9 +52,6 @@ type Certificate struct {
 	// NotBefore/NotAfter bound the validity window (inclusive days).
 	NotBefore simtime.Day
 	NotAfter  simtime.Day
-	// Logged records whether the CA submitted the certificate to CT —
-	// the Russian Trusted Root CA does not log (§4.3).
-	Logged bool
 }
 
 // Names returns the deduplicated set of names the certificate secures
@@ -124,7 +134,7 @@ func (c *Certificate) Marshal() []byte {
 
 // Unmarshal parses the Marshal format.
 func Unmarshal(b []byte) (*Certificate, error) {
-	c := &Certificate{}
+	c := &Certificate{Issuer: &Issuer{}}
 	if len(b) < 8 {
 		return nil, fmt.Errorf("pki: short certificate blob")
 	}
@@ -178,8 +188,12 @@ func Unmarshal(b []byte) (*Certificate, error) {
 }
 
 // NormalizeName canonicalizes a certificate subject name (trailing dot,
-// lowercase, IDN to ACE). Wildcard prefixes are preserved.
+// lowercase, IDN to ACE). Wildcard prefixes are preserved. A name already
+// in that form — every name the world issues for — is returned as it is.
 func NormalizeName(name string) string {
+	if isCanonicalASCII(name) {
+		return name
+	}
 	wildcard := false
 	if strings.HasPrefix(name, "*.") {
 		wildcard = true
@@ -193,4 +207,18 @@ func NormalizeName(name string) string {
 		return "*." + ascii
 	}
 	return ascii
+}
+
+// isCanonicalASCII reports whether name is what lower-casing, the trailing
+// dot and ACE encoding all leave alone, and not a wildcard.
+func isCanonicalASCII(name string) bool {
+	if len(name) < 2 || name[len(name)-1] != '.' || name[:2] == "*." {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c >= 0x80 || ('A' <= c && c <= 'Z') {
+			return false
+		}
+	}
+	return true
 }

@@ -104,14 +104,11 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	f := func(serial uint64, cn string, san string, nb, span int16, logged bool) bool {
 		c := &Certificate{
 			Serial:    serial,
-			IssuerOrg: "Org",
-			IssuerCN:  "CN",
-			RootOrg:   "Root",
+			Issuer:    &Issuer{IssuerOrg: "Org", IssuerCN: "CN", RootOrg: "Root", Logged: logged},
 			SubjectCN: cn,
 			SANs:      []string{san},
 			NotBefore: simtime.Day(nb),
 			NotAfter:  simtime.Day(nb) + simtime.Day(span),
-			Logged:    logged,
 		}
 		back, err := Unmarshal(c.Marshal())
 		return err == nil && reflect.DeepEqual(c, back)
@@ -131,9 +128,12 @@ func TestUnmarshalJunk(t *testing.T) {
 }
 
 func TestCRLAndOCSP(t *testing.T) {
-	crl := NewCRL(DigiCert)
+	s := NewStore()
+	if err := s.Add(&Certificate{Serial: 100, Issuer: &Issuer{IssuerOrg: DigiCert}}); err != nil {
+		t.Fatal(err)
+	}
+	crl := s.CRL(DigiCert)
 	day := simtime.MustParse("2022-02-25")
-	crl.Track(100)
 	if got := crl.Status(100, day); got != OCSPGood {
 		t.Fatalf("status before revocation = %v", got)
 	}
@@ -191,9 +191,12 @@ func TestStore(t *testing.T) {
 	if _, ok := s.Get(424242); ok {
 		t.Fatal("Get of unknown serial succeeded")
 	}
-	issuers := s.Issuers()
-	if len(issuers) != 2 || issuers[0] != LetsEncrypt {
-		t.Fatalf("Issuers = %v", issuers)
+	issuers := map[string]int{}
+	for _, c := range s.All() {
+		issuers[c.IssuerOrg]++
+	}
+	if len(issuers) != 2 || issuers[LetsEncrypt] != 5 {
+		t.Fatalf("issuers = %v", issuers)
 	}
 	if got := s.ByIssuer(LetsEncrypt); len(got) != 5 {
 		t.Fatalf("ByIssuer = %d", len(got))

@@ -62,33 +62,17 @@ func (s OCSPStatus) String() string {
 	}
 }
 
-// CRL is one CA's certificate revocation list. It doubles as the OCSP
-// responder state: Status answers point-in-time queries the way the
-// paper's Censys CRL/OCSP index does.
+// CRL is one CA's certificate revocation list, obtained from Store.CRL.
+// It doubles as the OCSP responder state: Status answers point-in-time
+// queries the way the paper's Censys CRL/OCSP index does, reading which
+// serials the CA has issued ("good", not "unknown") off its store.
 type CRL struct {
 	// IssuerOrg is the CA this list belongs to.
 	IssuerOrg string
 
+	store   *Store
 	mu      sync.RWMutex
 	revoked map[uint64]Revocation
-	known   map[uint64]struct{} // serials the CA has issued
-}
-
-// NewCRL creates an empty revocation list for a CA.
-func NewCRL(issuerOrg string) *CRL {
-	return &CRL{
-		IssuerOrg: issuerOrg,
-		revoked:   make(map[uint64]Revocation),
-		known:     make(map[uint64]struct{}),
-	}
-}
-
-// Track registers an issued serial so OCSP can distinguish "good" from
-// "unknown".
-func (c *CRL) Track(serial uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.known[serial] = struct{}{}
 }
 
 // Revoke adds a serial to the list. Revoking twice keeps the earliest date.
@@ -104,11 +88,12 @@ func (c *CRL) Revoke(serial uint64, day simtime.Day, reason RevocationReason) {
 // Status answers an OCSP query for serial as of day.
 func (c *CRL) Status(serial uint64, day simtime.Day) OCSPStatus {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if rev, ok := c.revoked[serial]; ok && rev.Day <= day {
+	rev, ok := c.revoked[serial]
+	c.mu.RUnlock()
+	if ok && rev.Day <= day {
 		return OCSPRevoked
 	}
-	if _, ok := c.known[serial]; ok {
+	if cert, ok := c.store.Get(serial); ok && cert.IssuerOrg == c.IssuerOrg {
 		return OCSPGood
 	}
 	return OCSPUnknown

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,39 +13,46 @@ import (
 // certificate ever issued, with per-CA revocation lists. The CT log and
 // the IP-wide scanner each observe (different) subsets of the store, the
 // way Censys's CT index and CUIDS relate to reality.
+//
+// The store holds each certificate once and two pointers to it: its place
+// in issuance order, and its place in the serial index. A serial's high
+// bits name its CA and a CA counts upwards, so the index is one run per
+// CA, ascending by serial, that an Add nearly always extends at its end;
+// a lookup is a binary search of one run.
 type Store struct {
-	mu       sync.RWMutex
-	bySerial map[uint64]*Certificate
-	byIssuer map[string][]*Certificate
-	crls     map[string]*CRL
-	ordered  []*Certificate // in issuance order
+	mu      sync.RWMutex
+	ordered []*Certificate            // in issuance order
+	runs    map[uint64][]*Certificate // serial>>40 -> ascending by serial
+	crls    map[string]*CRL
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		bySerial: make(map[uint64]*Certificate),
-		byIssuer: make(map[string][]*Certificate),
-		crls:     make(map[string]*CRL),
-	}
+	return &Store{runs: make(map[uint64][]*Certificate), crls: make(map[string]*CRL)}
 }
 
-// Add records an issued certificate and tracks it on its CA's CRL.
+// find returns the run serial belongs to and its position there: where it
+// is if found, where it would go if not. The caller holds the lock.
+func (s *Store) find(serial uint64) (run []*Certificate, i int, found bool) {
+	run = s.runs[serial>>40]
+	n := len(run)
+	if n == 0 || run[n-1].Serial < serial {
+		return run, n, false
+	}
+	i = sort.Search(n, func(k int) bool { return run[k].Serial >= serial })
+	return run, i, run[i].Serial == serial
+}
+
+// Add records an issued certificate. Its serial must be new to the store.
 func (s *Store) Add(c *Certificate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.bySerial[c.Serial]; dup {
+	run, i, dup := s.find(c.Serial)
+	if dup {
 		return fmt.Errorf("pki: duplicate serial %d", c.Serial)
 	}
-	s.bySerial[c.Serial] = c
-	s.byIssuer[c.IssuerOrg] = append(s.byIssuer[c.IssuerOrg], c)
+	s.runs[c.Serial>>40] = slices.Insert(run, i, c)
 	s.ordered = append(s.ordered, c)
-	crl, ok := s.crls[c.IssuerOrg]
-	if !ok {
-		crl = NewCRL(c.IssuerOrg)
-		s.crls[c.IssuerOrg] = crl
-	}
-	crl.Track(c.Serial)
 	return nil
 }
 
@@ -52,8 +60,11 @@ func (s *Store) Add(c *Certificate) error {
 func (s *Store) Get(serial uint64) (*Certificate, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.bySerial[serial]
-	return c, ok
+	run, i, ok := s.find(serial)
+	if !ok {
+		return nil, false
+	}
+	return run[i], true
 }
 
 // Len returns the number of stored certificates.
@@ -65,9 +76,7 @@ func (s *Store) Len() int {
 
 // Revoke marks a serial revoked on its issuer's CRL.
 func (s *Store) Revoke(serial uint64, day simtime.Day, reason RevocationReason) error {
-	s.mu.RLock()
-	c, ok := s.bySerial[serial]
-	s.mu.RUnlock()
+	c, ok := s.Get(serial)
 	if !ok {
 		return fmt.Errorf("pki: revoke of unknown serial %d", serial)
 	}
@@ -81,29 +90,15 @@ func (s *Store) CRL(issuerOrg string) *CRL {
 	defer s.mu.Unlock()
 	crl, ok := s.crls[issuerOrg]
 	if !ok {
-		crl = NewCRL(issuerOrg)
+		crl = &CRL{IssuerOrg: issuerOrg, store: s, revoked: make(map[uint64]Revocation)}
 		s.crls[issuerOrg] = crl
 	}
 	return crl
 }
 
-// Issuers returns all issuer organizations seen, sorted.
-func (s *Store) Issuers() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byIssuer))
-	for org := range s.byIssuer {
-		out = append(out, org)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ByIssuer returns the certificates issued by org, in issuance order.
 func (s *Store) ByIssuer(org string) []*Certificate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Certificate(nil), s.byIssuer[org]...)
+	return s.Select(func(c *Certificate) bool { return c.IssuerOrg == org })
 }
 
 // All returns every certificate in issuance order.
@@ -128,9 +123,7 @@ func (s *Store) Select(pred func(*Certificate) bool) []*Certificate {
 
 // Status answers an OCSP query against the issuing CA's state.
 func (s *Store) Status(serial uint64, day simtime.Day) OCSPStatus {
-	s.mu.RLock()
-	c, ok := s.bySerial[serial]
-	s.mu.RUnlock()
+	c, ok := s.Get(serial)
 	if !ok {
 		return OCSPUnknown
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"net/netip"
 	"slices"
 )
@@ -15,9 +16,11 @@ import (
 //
 // Two layers of sharing:
 //
-//   - Config identity: an unambiguous byte encoding of the config is the
-//     key of ids; equal configs (same section contents in the same
-//     order) always map to the same ID.
+//   - Config identity: equal configs (same section contents in the same
+//     order) always map to the same ID. ids is keyed by a hash of the
+//     sections and says where to look, never what is equal: a candidate
+//     is confirmed against the canonical config itself, and a config
+//     whose slot another holds takes the next one.
 //   - Storage: the canonical Config's slices are sections of shared
 //     chunked arenas (hostArena, addrArena), and every hostname string
 //     is canonicalized through strs, so a name-server name appearing in
@@ -32,22 +35,24 @@ import (
 // verbatim), so interning is invisible to every reader — it changes
 // where bytes live, never what a lookup returns.
 type internTable struct {
-	ids     map[string]uint32 // encoded config -> ID
+	ids     map[uint64]uint32 // section hash (or the next free slot after it) -> ID
 	configs []Config          // ID -> canonical pooled config
 	strs    map[string]string // canonical hostname instances
 
 	hostArena arena[string]
 	addrArena arena[netip.Addr]
 
-	key []byte // reusable key-encoding scratch
+	seed     maphash.Seed
+	hashMask uint64 // and-ed onto every hash: all ones, but for the collision test
 
 	hostBytes int64 // bytes held by distinct hostname strings
-	keyBytes  int64 // bytes held by interned config keys
 }
 
 func (t *internTable) init() {
-	t.ids = make(map[string]uint32)
+	t.ids = make(map[uint64]uint32)
 	t.strs = make(map[string]string)
+	t.seed = maphash.MakeSeed()
+	t.hashMask = ^uint64(0)
 }
 
 // config returns the canonical Config for id. The value's slices alias
@@ -64,23 +69,96 @@ func (t *internTable) view() []Config {
 // stored as given (no normalization); its slices are copied into the
 // pools, so the caller's backing arrays are not retained.
 func (t *internTable) intern(c Config) uint32 {
-	k := t.key[:0]
-	k = appendFailedKey(k, c.Failed)
-	k = appendHostsKey(k, c.NSHosts)
-	k = appendAddrsKey(k, c.NSAddrs)
-	k = appendAddrsKey(k, c.ApexAddrs)
-	k = appendHostsKey(k, c.MXHosts)
-	t.key = k
-	if id, ok := t.ids[string(k)]; ok {
-		return id
+	return internSections(t, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
+}
+
+// internScratch is intern for a scratchConfig, with the ID intern gives
+// the equivalent Config (TestInternScratchAgreesWithIntern pins this).
+func (t *internTable) internScratch(sc *scratchConfig) uint32 {
+	return internSections(t, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
+}
+
+func internSections[S string | []byte](t *internTable, failed bool, ns []S, nsAddrs, apex []netip.Addr, mx []S) uint32 {
+	h := uint64(0)
+	if failed {
+		h = 1
 	}
-	return t.add(k, Config{
-		NSHosts:   internHosts(t, c.NSHosts),
-		NSAddrs:   t.internAddrs(c.NSAddrs),
-		ApexAddrs: t.internAddrs(c.ApexAddrs),
-		MXHosts:   internHosts(t, c.MXHosts),
-		Failed:    c.Failed,
+	h = hashHosts(t.seed, h, ns)
+	h = hashAddrs(h, nsAddrs)
+	h = hashAddrs(h, apex)
+	h = hashHosts(t.seed, h, mx)
+	slot := h & t.hashMask
+	for ; ; slot++ {
+		id, taken := t.ids[slot]
+		if !taken {
+			break
+		}
+		if sameSections(&t.configs[id], failed, ns, nsAddrs, apex, mx) {
+			return id
+		}
+	}
+	id := uint32(len(t.configs))
+	t.ids[slot] = id
+	t.configs = append(t.configs, Config{
+		NSHosts:   internHosts(t, ns),
+		NSAddrs:   t.internAddrs(nsAddrs),
+		ApexAddrs: t.internAddrs(apex),
+		MXHosts:   internHosts(t, mx),
+		Failed:    failed,
 	})
+	return id
+}
+
+// hashHosts and hashAddrs fold one section into h: its length, so that an
+// element moving between neighbouring sections changes the hash, then
+// each hostname's maphash or address's bytes — read where they lie,
+// nothing is assembled.
+
+func fold(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+func hashHosts[S string | []byte](seed maphash.Seed, h uint64, hs []S) uint64 {
+	h = fold(h, uint64(len(hs)))
+	// One arm per instantiation: how generic code reaches the function
+	// that takes its element type without converting each hostname.
+	switch hs := any(hs).(type) {
+	case []string:
+		for _, s := range hs {
+			h = fold(h, maphash.String(seed, s))
+		}
+	case [][]byte:
+		for _, s := range hs {
+			h = fold(h, maphash.Bytes(seed, s))
+		}
+	}
+	return h
+}
+
+func hashAddrs(h uint64, as []netip.Addr) uint64 {
+	h = fold(h, uint64(len(as)))
+	for _, a := range as {
+		b := a.As16() // equal addresses have equal bytes; the zone is left to the comparison
+		h = fold(fold(h, binary.BigEndian.Uint64(b[:8])), binary.BigEndian.Uint64(b[8:]))
+	}
+	return h
+}
+
+// sameSections is Config.Equal with the other side taken apart, so that
+// hostnames still lying in a decoder's buffer compare without becoming
+// strings: the same elements in the same order, nil equal to empty.
+func sameSections[S string | []byte](c *Config, failed bool, ns []S, nsAddrs, apex []netip.Addr, mx []S) bool {
+	return c.Failed == failed &&
+		sameHosts(c.NSHosts, ns) &&
+		slices.Equal(c.NSAddrs, nsAddrs) &&
+		slices.Equal(c.ApexAddrs, apex) &&
+		sameHosts(c.MXHosts, mx)
+}
+
+func sameHosts[S string | []byte](have []string, hs []S) bool {
+	// The comparison converts without copying.
+	return slices.EqualFunc(have, hs, func(a string, b S) bool { return a == string(b) })
 }
 
 // scratchConfig is a decoded config whose hostnames still alias the
@@ -121,38 +199,6 @@ func (sc *scratchConfig) normalize() {
 	sortAddrs(sc.nsAddrs)
 	sortAddrs(sc.apexAddrs)
 	slices.SortFunc(sc.mxHosts, bytes.Compare)
-}
-
-// internScratch is intern for a scratchConfig. It must produce exactly
-// the ID intern would for the equivalent Config: both build the key from
-// the same encoders, section by section in the same order
-// (TestInternScratchAgreesWithIntern pins this).
-func (t *internTable) internScratch(sc *scratchConfig) uint32 {
-	k := t.key[:0]
-	k = appendFailedKey(k, sc.failed)
-	k = appendHostsKey(k, sc.nsHosts)
-	k = appendAddrsKey(k, sc.nsAddrs)
-	k = appendAddrsKey(k, sc.apexAddrs)
-	k = appendHostsKey(k, sc.mxHosts)
-	t.key = k
-	if id, ok := t.ids[string(k)]; ok {
-		return id
-	}
-	return t.add(k, Config{
-		NSHosts:   internHosts(t, sc.nsHosts),
-		NSAddrs:   t.internAddrs(sc.nsAddrs),
-		ApexAddrs: t.internAddrs(sc.apexAddrs),
-		MXHosts:   internHosts(t, sc.mxHosts),
-		Failed:    sc.failed,
-	})
-}
-
-func (t *internTable) add(key []byte, canonical Config) uint32 {
-	id := uint32(len(t.configs))
-	t.ids[string(key)] = id
-	t.keyBytes += int64(len(key))
-	t.configs = append(t.configs, canonical)
-	return id
 }
 
 // arena hands out sections of one element type from chunks that are
@@ -216,48 +262,4 @@ func canon[S string | []byte](t *internTable, h S) string {
 	t.strs[s] = s
 	t.hostBytes += int64(len(s))
 	return s
-}
-
-// The key encoding is an unambiguous serialization of a config's
-// contents: the failed flag, then each section with a uvarint count and
-// length-prefixed (hosts) or tagged fixed-width (addrs) elements. Two
-// configs encode to the same key iff their sections hold the same
-// elements in the same order.
-
-func appendFailedKey(k []byte, failed bool) []byte {
-	if failed {
-		return append(k, 1)
-	}
-	return append(k, 0)
-}
-
-func appendHostsKey[S string | []byte](k []byte, hs []S) []byte {
-	k = binary.AppendUvarint(k, uint64(len(hs)))
-	for _, h := range hs {
-		k = binary.AppendUvarint(k, uint64(len(h)))
-		k = append(k, h...)
-	}
-	return k
-}
-
-func appendAddrsKey(k []byte, as []netip.Addr) []byte {
-	k = binary.AppendUvarint(k, uint64(len(as)))
-	for _, a := range as {
-		switch {
-		case a.Is4():
-			b := a.As4()
-			k = append(k, 4)
-			k = append(k, b[:]...)
-		case a.IsValid():
-			b := a.As16()
-			k = append(k, 16)
-			k = append(k, b[:]...)
-			z := a.Zone()
-			k = binary.AppendUvarint(k, uint64(len(z)))
-			k = append(k, z...)
-		default:
-			k = append(k, 0)
-		}
-	}
-	return k
 }

@@ -42,7 +42,7 @@ type MemStats struct {
 	// ColumnBytes is the epoch columns plus the per-domain row offsets.
 	ColumnBytes int64
 	// InternBytes is the intern table: arenas, canonical config table,
-	// distinct string bytes and the config-key index.
+	// distinct string bytes and the hash index over the configs.
 	InternBytes int64
 	// IndexBytes is the domain index: names, name bytes, the name map
 	// and the cached sorted view.
@@ -126,8 +126,8 @@ func (s *Store) MemStats() MemStats {
 	m.InternBytes = int64(t.hostArena.reserved)*strSize +
 		int64(t.addrArena.reserved)*addrSize +
 		int64(cap(t.configs))*configSize +
-		t.hostBytes + t.keyBytes +
-		int64(len(t.ids)+len(t.strs))*mapEntryOverhead
+		t.hostBytes + int64(len(t.strs))*mapEntryOverhead +
+		int64(len(t.ids))*24 // a 16-byte slot and its control byte at the map's average fill
 	m.IndexBytes = int64(cap(s.names))*strSize + s.nameBytes +
 		int64(len(s.byName))*mapEntryOverhead +
 		int64(cap(s.index))*strSize + int64(cap(s.order))*4

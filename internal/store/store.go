@@ -71,34 +71,7 @@ func sortAddrs(a []netip.Addr) {
 // Equal reports deep equality with another config (both assumed
 // normalized).
 func (c Config) Equal(o Config) bool {
-	if c.Failed != o.Failed ||
-		len(c.NSHosts) != len(o.NSHosts) ||
-		len(c.NSAddrs) != len(o.NSAddrs) ||
-		len(c.ApexAddrs) != len(o.ApexAddrs) ||
-		len(c.MXHosts) != len(o.MXHosts) {
-		return false
-	}
-	for i := range c.NSHosts {
-		if c.NSHosts[i] != o.NSHosts[i] {
-			return false
-		}
-	}
-	for i := range c.NSAddrs {
-		if c.NSAddrs[i] != o.NSAddrs[i] {
-			return false
-		}
-	}
-	for i := range c.ApexAddrs {
-		if c.ApexAddrs[i] != o.ApexAddrs[i] {
-			return false
-		}
-	}
-	for i := range c.MXHosts {
-		if c.MXHosts[i] != o.MXHosts[i] {
-			return false
-		}
-	}
-	return true
+	return sameSections(&c, o.Failed, o.NSHosts, o.NSAddrs, o.ApexAddrs, o.MXHosts)
 }
 
 // Measurement is one sweep's observation of one domain.
@@ -241,15 +214,8 @@ func (s *Store) MissingSweeps() []simtime.Day {
 // Add records a measurement. Measurements for one domain must arrive in
 // chronological order (the pipeline guarantees this).
 func (s *Store) Add(m Measurement) {
-	cfg := m.Config.Normalize()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cid := s.intern.intern(cfg)
-	d, ok := s.byName[m.Domain]
-	if !ok {
-		d = s.newDomain(m.Domain)
-	}
-	s.addRow(d, m.Day, cid)
+	c := m.Config.Normalize()
+	addSections(s, m.Domain, m.Day, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
 }
 
 // addScratch is Add for a measurement still lying in a decoder's buffer
@@ -259,12 +225,23 @@ func (s *Store) Add(m Measurement) {
 // place.
 func (s *Store) addScratch(domain []byte, day simtime.Day, sc *scratchConfig) {
 	sc.normalize()
+	addSections(s, domain, day, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
+}
+
+func addSections[S string | []byte](s *Store, domain S, day simtime.Day, failed bool, ns []S, nsAddrs, apex []netip.Addr, mx []S) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cid := s.intern.internScratch(sc)
 	d, ok := s.byName[string(domain)] // a lookup by converted key does not allocate
 	if !ok {
 		d = s.newDomain(string(domain))
+	}
+	// A measurement nearly always repeats its domain's latest epoch, so
+	// that is compared first; the intern table hears of the rest.
+	var cid uint32
+	if n := s.cnt[d]; n > 0 && sameSections(&s.intern.configs[s.epochCfg[s.off[d]+n-1]], failed, ns, nsAddrs, apex, mx) {
+		cid = s.epochCfg[s.off[d]+n-1]
+	} else {
+		cid = internSections(&s.intern, failed, ns, nsAddrs, apex, mx)
 	}
 	s.addRow(d, day, cid)
 }

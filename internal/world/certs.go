@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"whereru/internal/netsim"
 	"whereru/internal/pki"
 	"whereru/internal/simtime"
 )
@@ -99,22 +100,14 @@ func (w *World) buildCerts() error {
 					// (Table 2); keep it out of the background volume.
 					continue
 				}
-				cert, err := ca.Issue(day, d.Name, "www."+d.Name)
+				cert, err := w.issue(ca, day, d.Name, "www."+d.Name)
 				if err != nil {
 					return err
-				}
-				if err := w.Certs.Add(cert); err != nil {
-					return err
-				}
-				if cert.Logged {
-					if _, err := w.CTLog.Append(cert, day); err != nil {
-						return err
-					}
 				}
 				// Background revocations at the CA's Table-2 rate, for
 				// certificates whose validity reaches the analysis window.
 				if cert.NotAfter >= revWindowStart && rng.Float64() < plan.revRate/100 {
-					revDay := maxDay(day+1, revWindowStart).Add(rng.Intn(30))
+					revDay := max(day+1, revWindowStart).Add(rng.Intn(30))
 					if revDay <= simtime.CTWindowEnd {
 						w.Certs.CRL(cert.IssuerOrg).Revoke(cert.Serial, revDay, pki.ReasonSuperseded)
 					}
@@ -133,11 +126,38 @@ func (w *World) buildCerts() error {
 	return nil
 }
 
-func maxDay(a, b simtime.Day) simtime.Day {
-	if a > b {
-		return a
+// issue has ca issue a certificate and files it where the world keeps
+// certificates: once in the store, and in the CT log if the CA logs.
+func (w *World) issue(ca *pki.CA, day simtime.Day, names ...string) (*pki.Certificate, error) {
+	cert, err := ca.Issue(day, names...)
+	if err != nil {
+		return nil, err
 	}
-	return b
+	if err := w.Certs.Add(cert); err != nil {
+		return nil, err
+	}
+	if cert.Logged {
+		if _, err := w.CTLog.Append(cert, day); err != nil {
+			return nil, err
+		}
+	}
+	return cert, nil
+}
+
+// serve registers a TLS endpoint at the next address of asn that presents
+// cert while it is valid: what makes it observable to the scanner.
+func (w *World) serve(asn netsim.ASN, cert *pki.Certificate) error {
+	addr, err := w.Internet.NextAddr(asn)
+	if err != nil {
+		return err
+	}
+	w.Scanner.Register(addr, func(day simtime.Day) []*pki.Certificate {
+		if cert.ValidOn(day) {
+			return []*pki.Certificate{cert}
+		}
+		return nil
+	})
+	return nil
 }
 
 // buildSanctionedCerts issues Table 2's sanctioned-domain certificates.
@@ -177,22 +197,14 @@ func (w *World) buildSanctionedCerts(rng *rand.Rand) error {
 				day = simtime.ConflictStart.Add(rng.Intn(simtime.CTWindowEnd.Sub(simtime.ConflictStart) + 1))
 			}
 			domain := sanc[rng.Intn(len(sanc))]
-			cert, err := ca.Issue(day, domain, "www."+domain)
+			cert, err := w.issue(ca, day, domain, "www."+domain)
 			if err != nil {
 				return err
-			}
-			if err := w.Certs.Add(cert); err != nil {
-				return err
-			}
-			if cert.Logged {
-				if _, err := w.CTLog.Append(cert, day); err != nil {
-					return err
-				}
 			}
 			// The first `revoked` certificates get revoked: full
 			// revocation for DigiCert/Sectigo, sampled for the rest.
 			if i < revoked {
-				revDay := maxDay(day+1, simtime.Date(2022, 2, 25)).Add(rng.Intn(14))
+				revDay := max(day+1, simtime.Date(2022, 2, 25)).Add(rng.Intn(14))
 				if revDay > simtime.CTWindowEnd {
 					revDay = simtime.CTWindowEnd
 				}
@@ -239,25 +251,14 @@ func (w *World) buildRussianCA(rng *rand.Rand) error {
 		targets = append(targets, fmt.Sprintf("russian-affiliated%03d.com.", len(targets)))
 	}
 	for _, name := range targets {
-		cert, err := ca.Issue(issueDay(), name)
+		cert, err := w.issue(ca, issueDay(), name)
 		if err != nil {
-			return err
-		}
-		if err := w.Certs.Add(cert); err != nil {
 			return err
 		}
 		// Every Russian-CA certificate is actively served, so scans see it.
-		addr, err := w.Internet.NextAddr(w.providers["rucenter"].ASN)
-		if err != nil {
+		if err := w.serve(w.providers["rucenter"].ASN, cert); err != nil {
 			return err
 		}
-		c := cert
-		w.Scanner.Register(addr, func(day simtime.Day) []*pki.Certificate {
-			if day >= c.NotBefore && day <= c.NotAfter {
-				return []*pki.Certificate{c}
-			}
-			return nil
-		})
 	}
 	return nil
 }
@@ -277,17 +278,8 @@ func (w *World) buildScanEndpoints(rng *rand.Rand) {
 		sample = len(leCerts)
 	}
 	for i := 0; i < sample; i++ {
-		cert := leCerts[rng.Intn(len(leCerts))]
-		addr, err := w.Internet.NextAddr(w.providers["rupool1"].ASN)
-		if err != nil {
+		if w.serve(w.providers["rupool1"].ASN, leCerts[rng.Intn(len(leCerts))]) != nil {
 			return
 		}
-		c := cert
-		w.Scanner.Register(addr, func(day simtime.Day) []*pki.Certificate {
-			if day >= c.NotBefore && day <= c.NotAfter {
-				return []*pki.Certificate{c}
-			}
-			return nil
-		})
 	}
 }
