@@ -395,32 +395,6 @@ func BenchmarkAblationStoreNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSeriesEpoch and BenchmarkAblationSeriesNaive contrast
-// the epoch-sharded analysis engine against the per-day reference path on
-// the same Figure 1 computation over every collected sweep: the naive
-// path re-walks and re-classifies the whole store once per day, while the
-// epoch engine classifies once per (domain, epoch, geo-version window)
-// and spreads domains over the worker pool.
-func BenchmarkAblationSeriesEpoch(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := s.Analyzer.NSCompositionSeries(s.Sweeps, nil); len(pts) == 0 {
-			b.Fatal("empty series")
-		}
-	}
-}
-
-func BenchmarkAblationSeriesNaive(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := s.Analyzer.ReferenceNSCompositionSeries(s.Sweeps, nil); len(pts) == 0 {
-			b.Fatal("empty series")
-		}
-	}
-}
-
 // BenchmarkAblationCTProofs compares memoized vs recomputed Merkle roots
 // on the study's real CT log.
 func BenchmarkAblationCTRootMemoized(b *testing.B) {

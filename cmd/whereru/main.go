@@ -75,7 +75,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		if errors.Is(err, core.ErrCrashInjected) {
 			fmt.Fprintln(os.Stderr, "whereru:", err)
 			os.Exit(3)
@@ -85,38 +85,42 @@ func main() {
 	}
 }
 
-func run() error {
-	scale := flag.Int("scale", 200, "population scale divisor (1:N of the paper's 11.7M domains)")
-	seed := flag.Int64("seed", 20220224, "world seed")
-	step := flag.Int("step", 3, "dense sweep interval in days for 2022")
-	workers := flag.Int("workers", 8, "sweep concurrency")
-	analysisWorkers := flag.Int("analysis-workers", 0, "analysis shard count for figure regeneration (0 = one per CPU)")
-	scenario := flag.String("scenario", "", "routing scenario ("+strings.Join(world.Scenarios(), ", ")+"); empty disables the route layer")
-	markdown := flag.String("markdown", "", "write EXPERIMENTS.md content to this file")
-	storePath := flag.String("store", "", "write the binary measurement store to this file")
-	csvDir := flag.String("csvdir", "", "write per-figure CSV series into this directory")
-	mx := flag.Bool("mx", true, "collect MX records (mail-measurement extension)")
-	checkpoint := flag.String("checkpoint", "", "journal each completed sweep to this file (crash-safe collection)")
-	resume := flag.Bool("resume", false, "replay the -checkpoint journal, then continue from the first unswept day")
-	drop := flag.String("drop", "", "comma-separated YYYY-MM-DD sweep days to skip (simulated collection outages)")
-	crashAfter := flag.Int("crash-after", 0, "test hook: exit code 3 after N checkpointed sweeps")
-	ioFault := flag.String("io-fault", "", "disk fault profile for checkpoint/store writes (e.g. crash@4096,enospc@1024); injected crashes exit 4")
-	ioFaultSeed := flag.Int64("io-fault-seed", 1, "seed for probabilistic -io-fault classes")
-	gridListen := flag.String("grid-listen", "", "coordinate distributed sweeps on this host:port")
-	gridWorker := flag.String("grid-worker", "", "run as a grid measurement worker against the coordinator at host:port")
-	gridWorkers := flag.Int("grid-workers", 0, "spawn N in-process grid workers")
-	gridShard := flag.Int("grid-shard", 0, "domains per grid work unit (0 = default)")
-	gridWait := flag.Int("grid-wait", 0, "wait for N connected grid workers before the first sweep")
-	gridMetrics := flag.String("grid-metrics", "", "write grid counters to this file after the run")
-	memStats := flag.String("memstats", "", "write store memory accounting to this file after collection")
-	quiet := flag.Bool("quiet", false, "suppress progress logging")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("whereru", flag.ExitOnError)
+	scale := fs.Int("scale", 200, "population scale divisor (1:N of the paper's 11.7M domains)")
+	seed := fs.Int64("seed", 20220224, "world seed")
+	step := fs.Int("step", 3, "dense sweep interval in days for 2022")
+	workers := fs.Int("workers", 8, "sweep concurrency")
+	analysisWorkers := fs.Int("analysis-workers", 0, "analysis shard count for figure regeneration (0 = one per CPU)")
+	scenario := fs.String("scenario", "", "routing scenario ("+strings.Join(world.Scenarios(), ", ")+"); empty disables the route layer")
+	markdown := fs.String("markdown", "", "write EXPERIMENTS.md content to this file")
+	storePath := fs.String("store", "", "write the binary measurement store to this file")
+	csvDir := fs.String("csvdir", "", "write per-figure CSV series into this directory")
+	mx := fs.Bool("mx", true, "collect MX records (mail-measurement extension)")
+	checkpoint := fs.String("checkpoint", "", "journal each completed sweep to this file (crash-safe collection)")
+	resume := fs.Bool("resume", false, "replay the -checkpoint journal, then continue from the first unswept day")
+	drop := fs.String("drop", "", "comma-separated YYYY-MM-DD sweep days to skip (simulated collection outages)")
+	crashAfter := fs.Int("crash-after", 0, "test hook: exit code 3 after N checkpointed sweeps")
+	ioFault := fs.String("io-fault", "", "disk fault profile for checkpoint/store writes (e.g. crash@4096,enospc@1024); injected crashes exit 4")
+	ioFaultSeed := fs.Int64("io-fault-seed", 1, "seed for probabilistic -io-fault classes")
+	gridListen := fs.String("grid-listen", "", "coordinate distributed sweeps on this host:port")
+	gridWorker := fs.String("grid-worker", "", "run as a grid measurement worker against the coordinator at host:port")
+	gridWorkers := fs.Int("grid-workers", 0, "spawn N in-process grid workers")
+	gridShard := fs.Int("grid-shard", 0, "domains per grid work unit (0 = default)")
+	gridWait := fs.Int("grid-wait", 0, "wait for N connected grid workers before the first sweep")
+	gridMetrics := fs.String("grid-metrics", "", "write grid counters to this file after the run")
+	memStats := fs.String("memstats", "", "write store memory accounting to this file after collection")
+	quiet := fs.Bool("quiet", false, "suppress progress logging")
+	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse would
 
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *gridWorker != "" && (*gridListen != "" || *gridWorkers > 0) {
 		return fmt.Errorf("-grid-worker is exclusive with -grid-listen/-grid-workers")
+	}
+	if *gridMetrics != "" && *gridListen == "" && *gridWorkers == 0 {
+		return fmt.Errorf("-grid-metrics requires -grid-listen or -grid-workers")
 	}
 	var dropDays []simtime.Day
 	if *drop != "" {
@@ -187,9 +191,6 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *memStats)
 	}
 	if *gridMetrics != "" {
-		if study.Grid == nil {
-			return fmt.Errorf("-grid-metrics requires -grid-listen or -grid-workers")
-		}
 		f, err := os.Create(*gridMetrics)
 		if err != nil {
 			return err
@@ -267,26 +268,30 @@ func printRunSummary(w io.Writer, stats []openintel.SweepStats) {
 
 // writeMemStats writes the store's memory accounting in a flat
 // name-value format. The figures are deterministic for a given run
-// configuration (accounted from the representation, not sampled from the
-// allocator), which is what lets CI gate store_bytes_per_epoch against a
-// checked-in threshold the way the allocs gate works.
+// configuration: accounted from the representation, not sampled from the
+// allocator.
 func writeMemStats(path string, ms store.MemStats) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(f, "store_domains %d\n", ms.Domains)
-	fmt.Fprintf(f, "store_epochs %d\n", ms.Epochs)
-	fmt.Fprintf(f, "store_dead_rows %d\n", ms.DeadRows)
-	fmt.Fprintf(f, "store_naive_records %d\n", ms.NaiveRecords)
-	fmt.Fprintf(f, "store_distinct_configs %d\n", ms.DistinctConfigs)
-	fmt.Fprintf(f, "store_interned_hosts %d\n", ms.InternedHosts)
-	fmt.Fprintf(f, "store_column_bytes %d\n", ms.ColumnBytes)
-	fmt.Fprintf(f, "store_intern_bytes %d\n", ms.InternBytes)
-	fmt.Fprintf(f, "store_index_bytes %d\n", ms.IndexBytes)
-	fmt.Fprintf(f, "store_resident_bytes %d\n", ms.ResidentBytes())
-	fmt.Fprintf(f, "store_bytes_per_epoch %d\n", int64(ms.BytesPerEpoch()+0.5))
-	return f.Close()
+	_, err = fmt.Fprintf(f, "store_domains %d\n"+
+		"store_epochs %d\n"+
+		"store_dead_rows %d\n"+
+		"store_naive_records %d\n"+
+		"store_distinct_configs %d\n"+
+		"store_interned_hosts %d\n"+
+		"store_column_bytes %d\n"+
+		"store_intern_bytes %d\n"+
+		"store_index_bytes %d\n"+
+		"store_resident_bytes %d\n"+
+		"store_bytes_per_epoch %d\n",
+		ms.Domains, ms.Epochs, ms.DeadRows, ms.NaiveRecords, ms.DistinctConfigs, ms.InternedHosts,
+		ms.ColumnBytes, ms.InternBytes, ms.IndexBytes, ms.ResidentBytes(), int64(ms.BytesPerEpoch()+0.5))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func hostname() string {

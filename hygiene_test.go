@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,22 +23,74 @@ var materialisingReaders = map[string]bool{
 	"ReplayJournal": true, // (*openintel.Pipeline)
 }
 
-// TestSourceHygiene parses every non-test file under internal/ and cmd/
-// and fails on a call the tree has ruled out. By name, qualified or not:
-// the names are unique in the module.
+// retiredLookups are the by-value point lookups and the map-returning
+// ASN helper the cold request path replaced: one Snapshot.Lookup per
+// (domain, day), one place that derives a config's ASNs. A text match,
+// comments included, as the CI grep it replaces was.
+var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\(`)
+
+// TestSourceHygiene parses every Go file under internal/, cmd/ and bench/
+// and fails on what the tree has ruled out:
+//   - a hash/crc32 import outside internal/frame, test files included:
+//     length+CRC32C framing lives in one place;
+//   - in non-test files under internal/ and cmd/: a call of a
+//     materialising journal reader (by name, qualified or not: the names
+//     are unique in the module), a retired lookup, or a top-level
+//     declaration named reference*/Reference* — the oracles are test code.
 func TestSourceHygiene(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
-	for _, root := range []string{"internal", "cmd"} {
+	for _, root := range []string{"internal", "cmd", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			src, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
+			product := root != "bench" && !strings.HasSuffix(path, "_test.go")
+			mode := parser.ImportsOnly
+			if product {
+				mode = parser.SkipObjectResolution
+			}
+			f, err := parser.ParseFile(fset, path, src, mode)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "hash/crc32" && !strings.HasPrefix(filepath.ToSlash(path), "internal/frame/") {
+					t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
+				}
+			}
+			if !product {
+				return nil
+			}
 			files++
+			file := fset.File(f.Pos())
+			for _, loc := range retiredLookups.FindAllIndex(src, -1) {
+				t.Errorf("%s: %s, a retired lookup; use Snapshot.Lookup and the analyzer's per-config ASN memo", fset.Position(file.Pos(loc[0])), src[loc[0]:loc[1]])
+			}
+			for _, decl := range f.Decls {
+				var names []*ast.Ident
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					names = append(names, d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							names = append(names, ts.Name)
+						} else if vs, ok := spec.(*ast.ValueSpec); ok {
+							names = append(names, vs.Names...)
+						}
+					}
+				}
+				for _, name := range names {
+					if strings.HasPrefix(strings.ToLower(name.Name), "reference") {
+						t.Errorf("%s: %s is an oracle; it belongs in a _test.go file", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

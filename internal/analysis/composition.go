@@ -226,13 +226,6 @@ func (a *Analyzer) NSCompositionSeries(days []simtime.Day, filter Filter) []Poin
 	return cold(a, days, filter, (*Analyzer).NSComposition)
 }
 
-// ReferenceNSCompositionSeries is NSCompositionSeries on the per-day
-// reference path. It exists for the equivalence tests and the series
-// ablation benchmarks; use NSCompositionSeries everywhere else.
-func (a *Analyzer) ReferenceNSCompositionSeries(days []simtime.Day, filter Filter) []Point {
-	return a.referenceSeries(days, filter, nsCompositionClassifier(a.Geo))
-}
-
 // HostingComposition returns the §3.1 hosting accumulator: domains
 // classified by where their apex A records geolocate.
 func (a *Analyzer) HostingComposition(filter Filter) *Accumulator[Point] {

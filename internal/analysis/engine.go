@@ -169,37 +169,6 @@ func cold[P any](a *Analyzer, days []simtime.Day, filter Filter, mk func(*Analyz
 	return res
 }
 
-// referenceSeries is the original per-day path: one full store walk per
-// requested day. It is retained as the equivalence oracle for the
-// composition accumulators under the cold feeder (cold, above) and as the
-// naive side of the series ablation benchmarks; the production entry
-// points all feed accumulators.
-func (a *Analyzer) referenceSeries(days []simtime.Day, filter Filter, classify func(simtime.Day, store.Config) Composition) []Point {
-	out := make([]Point, 0, len(days))
-	sweeps := a.Store.Sweeps()
-	for _, day := range days {
-		p := Point{Day: day, Interpolated: !sweptDay(sweeps, day)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
-			if filter != nil && !filter(domain) {
-				return
-			}
-			p.Total++
-			switch classify(day, cfg) {
-			case CompFull:
-				p.Full++
-			case CompPart:
-				p.Part++
-			case CompNon:
-				p.Non++
-			default:
-				p.Unknown++
-			}
-		})
-		out = append(out, p)
-	}
-	return out
-}
-
 // sweptDay reports whether day is one of the (sorted) recorded sweep
 // days. A series point on a day no sweep covered is carry-forward data
 // and gets flagged Interpolated.

@@ -37,7 +37,7 @@ func assertSeriesEqual(t *testing.T, an *Analyzer, days []simtime.Day, filter Fi
 	checks := []check{
 		{"NSComposition",
 			func() interface{} { return an.NSCompositionSeries(days, filter) },
-			func() interface{} { return an.ReferenceNSCompositionSeries(days, filter) }},
+			func() interface{} { return an.referenceSeries(days, filter, nsCompositionClassifier(an.Geo)) }},
 		{"HostingComposition",
 			func() interface{} { return an.HostingCompositionSeries(days, filter) },
 			func() interface{} { return an.referenceSeries(days, filter, hostingCompositionClassifier(an.Geo)) }},
@@ -195,5 +195,31 @@ func TestEquivalenceOnDropoutWorld(t *testing.T) {
 		assertSeriesEqual(t, an, probe, nil)
 		only := func(d string) bool { return d == "gap.ru." || d == "flaky.ru." }
 		assertSeriesEqual(t, an, probe, only)
+	}
+}
+
+// BenchmarkAblationSeriesEpoch and BenchmarkAblationSeriesNaive contrast
+// the epoch-sharded analysis engine against the per-day reference path on
+// the same Figure 1 computation over every collected sweep: the naive
+// path re-walks and re-classifies the whole store once per day, while the
+// epoch engine classifies once per (domain, epoch, geo-version window)
+// and spreads domains over the worker pool.
+func BenchmarkAblationSeriesEpoch(b *testing.B) {
+	f := getFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pts := f.an.NSCompositionSeries(f.days, nil); len(pts) == 0 {
+			b.Fatal("empty series")
+		}
+	}
+}
+
+func BenchmarkAblationSeriesNaive(b *testing.B) {
+	f := getFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pts := f.an.referenceSeries(f.days, nil, nsCompositionClassifier(f.an.Geo)); len(pts) == 0 {
+			b.Fatal("empty series")
+		}
 	}
 }

@@ -69,39 +69,6 @@ func (a *Analyzer) MailProviderSeries(days []simtime.Day, filter Filter) []MailS
 	return cold(a, days, filter, (*Analyzer).MailProvider)
 }
 
-// referenceMailProviderSeries is the per-day reference path, kept as the
-// equivalence oracle for the MailProvider accumulator under the cold
-// feeder.
-func (a *Analyzer) referenceMailProviderSeries(days []simtime.Day, filter Filter) []MailSharePoint {
-	out := make([]MailSharePoint, 0, len(days))
-	for _, day := range days {
-		p := MailSharePoint{Day: day, Counts: make(map[string]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
-			if filter != nil && !filter(domain) {
-				return
-			}
-			if cfg.Failed {
-				return
-			}
-			p.Total++
-			if len(cfg.MXHosts) == 0 {
-				return
-			}
-			p.WithMail++
-			seen := map[string]bool{}
-			for _, h := range cfg.MXHosts {
-				z := MXZone(h)
-				if !seen[z] {
-					seen[z] = true
-					p.Counts[z]++
-				}
-			}
-		})
-		out = append(out, p)
-	}
-	return out
-}
-
 // TopMailZones ranks mail-operator zones on the final day of a series.
 func TopMailZones(series []MailSharePoint, k int) []string {
 	if len(series) == 0 {

@@ -16,13 +16,14 @@ import (
 	"whereru/internal/world"
 )
 
-// Reachability, route latency and the per-sweep counts have no reference*
-// path in the shipped code, so the fold-vs-cold suite alone would only
-// show that the two feeders agree, not that the definitions are right.
-// The oracles below are the judge of those three definitions: one
-// Store.ForEachAt walk per requested day, the route oracle asked directly
-// for every address, plain per-day maps and sorted latency lists — no
-// memo caches, no version windows, no difference columns, no histogram.
+// The shipped code computes every series with accumulators, so the
+// fold-vs-cold suite alone would only show that the two feeders agree,
+// not that the definitions are right. The oracles in this file judge the
+// definitions: one Store.ForEachAt walk per requested day, the route
+// oracle asked directly for every address, plain per-day maps and sorted
+// latency lists — no memo caches, no version windows, no difference
+// columns, no histogram. The reference* series (equivalence_test.go's
+// judges, and the naive side of the series ablation) close the file.
 
 // oracleRoute asks the analyzer's oracle directly; without one every
 // address is reachable at zero latency.
@@ -348,4 +349,124 @@ func TestRouteAndSweepSeriesOnHandcraftedGaps(t *testing.T) {
 	probe := []simtime.Day{70, 5, 10, 15, 20, 25, 30, 40, 45, 49, 50, 55, 60, 65, 75}
 	assertOraclesEqual(t, "handcrafted", an, probe, nil)
 	assertOraclesEqual(t, "handcrafted", an, probe, func(d string) bool { return d != "steady.ru." })
+}
+
+// referenceSeries is the original per-day path: one full store walk per
+// requested day. It is the equivalence oracle for the composition
+// accumulators under the cold feeder and the naive side of the series
+// ablation benchmarks.
+func (a *Analyzer) referenceSeries(days []simtime.Day, filter Filter, classify func(simtime.Day, store.Config) Composition) []Point {
+	out := make([]Point, 0, len(days))
+	sweeps := a.Store.Sweeps()
+	for _, day := range days {
+		p := Point{Day: day, Interpolated: !sweptDay(sweeps, day)}
+		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+			if filter != nil && !filter(domain) {
+				return
+			}
+			p.Total++
+			switch classify(day, cfg) {
+			case CompFull:
+				p.Full++
+			case CompPart:
+				p.Part++
+			case CompNon:
+				p.Non++
+			default:
+				p.Unknown++
+			}
+		})
+		out = append(out, p)
+	}
+	return out
+}
+
+// referenceTLDShareSeries is the per-day reference path for Figure 3,
+// kept as the equivalence oracle for the TLDShare accumulator under the
+// cold feeder.
+func (a *Analyzer) referenceTLDShareSeries(days []simtime.Day, filter Filter) []TLDSharePoint {
+	out := make([]TLDSharePoint, 0, len(days))
+	for _, day := range days {
+		p := TLDSharePoint{Day: day, Counts: make(map[string]int)}
+		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+			if filter != nil && !filter(domain) {
+				return
+			}
+			if cfg.Failed || len(cfg.NSHosts) == 0 {
+				return
+			}
+			p.Total++
+			seen := map[string]bool{}
+			for _, host := range cfg.NSHosts {
+				tld := dns.TLD(host)
+				if !seen[tld] {
+					seen[tld] = true
+					p.Counts[tld]++
+				}
+			}
+		})
+		out = append(out, p)
+	}
+	return out
+}
+
+// referenceASNShareSeries is the per-day reference path for Figure 4,
+// kept as the equivalence oracle for the ASNShare accumulator under the
+// cold feeder.
+func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
+	out := make([]ASNSharePoint, 0, len(days))
+	for _, day := range days {
+		p := ASNSharePoint{Day: day, Counts: make(map[netsim.ASN]int)}
+		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+			if filter != nil && !filter(domain) {
+				return
+			}
+			if cfg.Failed {
+				return
+			}
+			p.Total++
+			seen := map[netsim.ASN]bool{}
+			for _, addr := range cfg.ApexAddrs {
+				if asn, ok := a.Internet.OriginAS(addr); ok && !seen[asn] {
+					seen[asn] = true
+					p.Counts[asn]++
+				}
+			}
+		})
+		out = append(out, p)
+	}
+	return out
+}
+
+// referenceMailProviderSeries is the per-day reference path, kept as the
+// equivalence oracle for the MailProvider accumulator under the cold
+// feeder.
+func (a *Analyzer) referenceMailProviderSeries(days []simtime.Day, filter Filter) []MailSharePoint {
+	out := make([]MailSharePoint, 0, len(days))
+	for _, day := range days {
+		p := MailSharePoint{Day: day, Counts: make(map[string]int)}
+		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+			if filter != nil && !filter(domain) {
+				return
+			}
+			if cfg.Failed {
+				return
+			}
+			p.Total++
+			if len(cfg.MXHosts) == 0 {
+				return
+			}
+			p.WithMail++
+			seen := map[string]bool{}
+			for _, h := range cfg.MXHosts {
+				z := MXZone(h)
+				if !seen[z] {
+					seen[z] = true
+					p.Counts[z]++
+				}
+			}
+		})
+		out = append(out, p)
+	}
+	return out
 }

@@ -52,35 +52,6 @@ func (a *Analyzer) TLDShareSeries(days []simtime.Day, filter Filter) []TLDShareP
 	return cold(a, days, filter, (*Analyzer).TLDShare)
 }
 
-// referenceTLDShareSeries is the per-day reference path for Figure 3,
-// kept as the equivalence oracle for the TLDShare accumulator under the
-// cold feeder.
-func (a *Analyzer) referenceTLDShareSeries(days []simtime.Day, filter Filter) []TLDSharePoint {
-	out := make([]TLDSharePoint, 0, len(days))
-	for _, day := range days {
-		p := TLDSharePoint{Day: day, Counts: make(map[string]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
-			if filter != nil && !filter(domain) {
-				return
-			}
-			if cfg.Failed || len(cfg.NSHosts) == 0 {
-				return
-			}
-			p.Total++
-			seen := map[string]bool{}
-			for _, host := range cfg.NSHosts {
-				tld := dns.TLD(host)
-				if !seen[tld] {
-					seen[tld] = true
-					p.Counts[tld]++
-				}
-			}
-		})
-		out = append(out, p)
-	}
-	return out
-}
-
 // TopTLDs ranks TLDs by their share on the final day of the series
 // (how the paper picks its "Top 5 TLDs out of 270").
 func TopTLDs(series []TLDSharePoint, k int) []string {
@@ -146,32 +117,4 @@ func (a *Analyzer) ASNShare(filter Filter) *Accumulator[ASNSharePoint] {
 // ASNShareSeries computes Figure 4's series for the given days.
 func (a *Analyzer) ASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
 	return cold(a, days, filter, (*Analyzer).ASNShare)
-}
-
-// referenceASNShareSeries is the per-day reference path for Figure 4,
-// kept as the equivalence oracle for the ASNShare accumulator under the
-// cold feeder.
-func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []ASNSharePoint {
-	out := make([]ASNSharePoint, 0, len(days))
-	for _, day := range days {
-		p := ASNSharePoint{Day: day, Counts: make(map[netsim.ASN]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
-			if filter != nil && !filter(domain) {
-				return
-			}
-			if cfg.Failed {
-				return
-			}
-			p.Total++
-			seen := map[netsim.ASN]bool{}
-			for _, addr := range cfg.ApexAddrs {
-				if asn, ok := a.Internet.OriginAS(addr); ok && !seen[asn] {
-					seen[asn] = true
-					p.Counts[asn]++
-				}
-			}
-		})
-		out = append(out, p)
-	}
-	return out
 }

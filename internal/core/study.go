@@ -117,15 +117,6 @@ type Options struct {
 	// abstraction. nil means the real OS; the chaos matrix installs an
 	// iofault.FaultFS here to crash collection at exact byte offsets.
 	FS iofault.FS
-	// ReferenceResolver routes every in-memory exchange through the
-	// preserved reference wire codec and disables cache-miss coalescing:
-	// the resolver stack exactly as it was before the fast path. The
-	// equivalence tests run whole studies both ways and byte-compare
-	// store, report, and journal output; production runs leave it off.
-	// It sweeps with one worker whatever Workers says: without coalescing,
-	// glue or a failed chase wins a host by whose lookup lands first, and
-	// under a scenario that made the oracle's store differ run to run.
-	ReferenceResolver bool
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(format string, args ...any)
 }
@@ -282,11 +273,6 @@ func measurementPipeline(opts Options, w *world.World, outages *netsim.OutageSch
 		if opts.SimulateOutage {
 			w.ScheduleRegistryOutage(ft, profile, simtime.OneDay(simtime.MeasurementOutage), outages)
 		}
-	}
-	if opts.ReferenceResolver {
-		w.Mem.SetReferenceCodec(true)
-		resolver.Cache().DisableCoalescing()
-		pipe.Workers = 1 // see Options.ReferenceResolver
 	}
 	pipe.Resolver = resolver
 	return pipe

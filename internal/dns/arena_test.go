@@ -225,8 +225,7 @@ func assembled(stash *[]RR) Handler {
 // allocates nothing for them, and once the arena has been handed back
 // and released a slice the handler kept reads the poison. Behind a
 // server that decodes queries into storage of their own (dns.Server,
-// the reference codec) the same handler gets a slice of its own, which
-// stays good.
+// Decode) the same handler gets a slice of its own, which stays good.
 func TestBorrowedRecordsDieWithTheRequest(t *testing.T) {
 	want := []RR{NewA("example.ru.", 300, mustAddr("194.58.117.5")), NewA("example.ru.", 300, mustAddr("194.58.117.6"))}
 	var stash []RR

@@ -32,11 +32,6 @@ type InfraCache struct {
 	// positive counts host entries holding addresses (CacheStats.Hosts).
 	positive int
 
-	// coalesce enables singleflight on host-cache misses. Disabled, every
-	// miss resolves upstream independently — the original resolver
-	// behavior, kept for the reference oracle path. Set at construction.
-	coalesce bool
-
 	zoneHits, zoneMisses            atomic.Int64
 	hostHits, hostMisses, coalesced atomic.Int64
 }
@@ -59,22 +54,12 @@ type hostFlight struct {
 	err   error
 }
 
-// NewInfraCache returns an empty cache with miss coalescing enabled.
+// NewInfraCache returns an empty cache.
 func NewInfraCache() *InfraCache {
 	return &InfraCache{
-		zones:    newLFMap[string, []netip.Addr](hashString),
-		hosts:    newLFMap[string, hostEntry](hashString),
-		coalesce: true,
+		zones: newLFMap[string, []netip.Addr](hashString),
+		hosts: newLFMap[string, hostEntry](hashString),
 	}
-}
-
-// DisableCoalescing turns off singleflight on host-cache misses,
-// restoring the original resolver's independent-miss behavior. Intended
-// to be called once, before the cache is in use.
-func (c *InfraCache) DisableCoalescing() {
-	c.mu.Lock()
-	c.coalesce = false
-	c.mu.Unlock()
 }
 
 // Flush drops every cached entry (including negative entries) and
@@ -219,11 +204,10 @@ func (e hostEntry) resolved() (addrs []netip.Addr, ok, neg bool) {
 	return e.addrs, e.cached, false
 }
 
-// joinOrLead decides a miss's fate under coalescing: either joins an
-// in-flight resolution for host (lead=false) or registers a new flight
-// it must complete (lead=true, with the generation to hand back to
-// completeHost). A cache hit that raced in between is returned like
-// lookupHost's.
+// joinOrLead decides a miss's fate: either joins an in-flight resolution
+// for host (lead=false) or registers a new flight it must complete
+// (lead=true, with the generation to hand back to completeHost). A cache
+// hit that raced in between is returned like lookupHost's.
 func (c *InfraCache) joinOrLead(host string) (fl *hostFlight, lead bool, gen uint64, addrs []netip.Addr, ok, neg bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -234,9 +218,6 @@ func (c *InfraCache) joinOrLead(host string) (fl *hostFlight, lead bool, gen uin
 	if addrs, ok, neg = e.resolved(); ok || neg {
 		return nil, false, 0, addrs, ok, neg
 	}
-	if !c.coalesce {
-		return nil, true, c.gen, nil, false, false
-	}
 	fl = &hostFlight{done: make(chan struct{})}
 	c.updateHost(host, func(e *hostEntry) { e.flight = fl })
 	return fl, true, c.gen, nil, false, false
@@ -244,13 +225,12 @@ func (c *InfraCache) joinOrLead(host string) (fl *hostFlight, lead bool, gen uin
 
 // completeHost finishes a led flight: stores the outcome (unless the
 // cache was flushed since the flight began, or the failure was only the
-// caller's context dying) and wakes the waiters. fl is nil when
-// coalescing is off — then only the store happens. addrs must be the
+// caller's context dying) and wakes the waiters. addrs must be the
 // caller's to give away: the cache and the flight keep it.
 func (c *InfraCache) completeHost(host string, fl *hostFlight, gen uint64, addrs []netip.Addr, err error, ctxDead bool) {
 	c.mu.Lock()
 	c.updateHost(host, func(e *hostEntry) {
-		if fl != nil && e.flight == fl {
+		if e.flight == fl {
 			e.flight = nil
 		}
 		if c.gen != gen {
@@ -268,10 +248,8 @@ func (c *InfraCache) completeHost(host string, fl *hostFlight, gen uint64, addrs
 		}
 	})
 	c.mu.Unlock()
-	if fl != nil {
-		fl.addrs, fl.err = addrs, err
-		close(fl.done)
-	}
+	fl.addrs, fl.err = addrs, err
+	close(fl.done)
 }
 
 // isContextErr reports whether err is (or wraps) a context cancellation

@@ -97,60 +97,6 @@ func TestLookupHostSingleflightCoalesces(t *testing.T) {
 	}
 }
 
-// TestDisableCoalescingResolvesIndependently pins the reference-oracle
-// behavior: with coalescing off, every concurrent miss leads its own
-// upstream resolution — the resolver exactly as it was before the
-// singleflight table existed.
-func TestDisableCoalescingResolvesIndependently(t *testing.T) {
-	const host = "ns.bigprovider.ru."
-	const callers = 4
-	hostAddr := mustAddr("10.1.2.3")
-	release := make(chan struct{})
-	var upstream atomic.Int64
-	net, roots := singleHostRoot(host, hostAddr, func() {
-		upstream.Add(1)
-		<-release
-	})
-	r := NewResolver(net, roots)
-	r.Cache().DisableCoalescing()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := r.LookupHost(context.Background(), host, 0)
-			errs <- err
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for upstream.Load() < callers {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers reached upstream", upstream.Load(), callers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := upstream.Load(); n != callers {
-		t.Errorf("upstream host queries = %d, want %d (coalescing disabled)", n, callers)
-	}
-	cs := r.CacheStats()
-	if cs.Coalesced != 0 {
-		t.Errorf("coalesced = %d, want 0 with coalescing disabled", cs.Coalesced)
-	}
-	if cs.HostMisses != callers {
-		t.Errorf("host misses = %d, want %d", cs.HostMisses, callers)
-	}
-}
-
 // TestSharedCacheNegativeEntrySuppressesRetries shares one InfraCache
 // between two resolvers (the sweep-worker topology): a host one resolver
 // failed to resolve must answer negatively from the cache for the other,

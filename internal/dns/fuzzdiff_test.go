@@ -88,28 +88,12 @@ func FuzzMessageDecode(f *testing.F) {
 				t.Fatal(msg)
 			}
 		}
-		fast, fastErr := Decode(data)
-		ref, refErr := ReferenceDecode(data)
-		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("decode verdicts disagree on %x:\nfast: %v\nref:  %v", data, fastErr, refErr)
+		fastWire, msg := codecMismatch(data)
+		if msg != "" {
+			t.Fatal(msg)
 		}
-		if fastErr != nil {
-			return
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("decoded messages disagree on %x:\nfast: %+v\nref:  %+v", data, fast, ref)
-		}
-
-		fastWire, fErr := fast.Encode()
-		refWire, rErr := ReferenceEncode(ref)
-		if (fErr == nil) != (rErr == nil) {
-			t.Fatalf("re-encode verdicts disagree:\nfast: %v\nref:  %v", fErr, rErr)
-		}
-		if fErr != nil {
-			return // unencodable decoded payloads must only fail cleanly
-		}
-		if !bytes.Equal(fastWire, refWire) {
-			t.Fatalf("re-encodings disagree:\nfast: %x\nref:  %x", fastWire, refWire)
+		if fastWire == nil {
+			return // rejected, or decoded to a payload that only fails cleanly to encode
 		}
 
 		again, err := Decode(fastWire)
@@ -127,6 +111,36 @@ func FuzzMessageDecode(f *testing.F) {
 			t.Fatal(msg)
 		}
 	})
+}
+
+// codecMismatch is FuzzMessageDecode's comparator: it decodes data with
+// both codecs, re-encodes what they decoded, and describes the first
+// disagreement. When they agree it returns "" and the fast re-encoding
+// (nil if both rejected data, or both refused to encode its message).
+func codecMismatch(data []byte) (fastWire []byte, msg string) {
+	fast, fastErr := Decode(data)
+	ref, refErr := ReferenceDecode(data)
+	if (fastErr == nil) != (refErr == nil) {
+		return nil, fmt.Sprintf("decode verdicts disagree on %x:\nfast: %v\nref:  %v", data, fastErr, refErr)
+	}
+	if fastErr != nil {
+		return nil, ""
+	}
+	if !reflect.DeepEqual(fast, ref) {
+		return nil, fmt.Sprintf("decoded messages disagree on %x:\nfast: %+v\nref:  %+v", data, fast, ref)
+	}
+	fastWire, fErr := fast.Encode()
+	refWire, rErr := ReferenceEncode(ref)
+	if (fErr == nil) != (rErr == nil) {
+		return nil, fmt.Sprintf("re-encode verdicts disagree:\nfast: %v\nref:  %v", fErr, rErr)
+	}
+	if fErr != nil {
+		return nil, ""
+	}
+	if !bytes.Equal(fastWire, refWire) {
+		return nil, fmt.Sprintf("re-encodings disagree:\nfast: %x\nref:  %x", fastWire, refWire)
+	}
+	return fastWire, ""
 }
 
 // arenaReuseMismatch decodes first into an arena, ends that use the way

@@ -57,17 +57,8 @@ func validName[T string | []byte](name T) bool {
 	return wire <= 255
 }
 
-// Labels splits a canonical name into its labels, excluding the root.
-// Labels(".") is nil.
-func Labels(name string) []string {
-	if name == "." || name == "" {
-		return nil
-	}
-	return strings.Split(strings.TrimSuffix(name, "."), ".")
-}
-
-// CountLabels returns the number of labels in a canonical name:
-// len(Labels(name)) without the split.
+// CountLabels returns the number of labels in a canonical name, not
+// counting the root: CountLabels("example.ru.") is 2, CountLabels(".") 0.
 func CountLabels(name string) int {
 	if name == "." || name == "" {
 		return 0

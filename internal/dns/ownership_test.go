@@ -9,32 +9,24 @@ import (
 	"testing"
 
 	"whereru/internal/core"
+	"whereru/internal/dns"
 	"whereru/internal/simtime"
 	"whereru/internal/world"
 )
 
 // The tests in this file run whole studies with TestMain's release poison
 // on: every pooled response is scribbled the moment the resolver releases
-// it, every request arena the moment MemNet takes it back. Ownership is
-// thereby enforced rather than argued — anything that kept an alias past
-// the release point (Result.Answers, a flight's addresses, an InfraCache
-// entry, a store.Config slice) would carry garbage into the store, the
-// report or the journal, and the bytes would differ from the judge's. The
-// judge is the preserved reference stack (core.Options.ReferenceResolver:
-// reference codec, no pools, no arenas), which the poison cannot touch.
-//
-// They live here, not beside internal/core's and internal/grid's own
-// versions, because the poison hook is an unexported variable of package
-// dns and only this test binary can set it.
+// it, every request arena the moment MemNet takes it back. Anything that
+// kept an alias past the release point (Result.Answers, a flight's
+// addresses, an InfraCache entry, a store.Config slice) would carry
+// garbage into the store, the report or the journal, and the bytes would
+// differ from the judge's: the same stack, one sweep worker, poison off.
+// They live here because only this test binary can set the poison.
 
 // studyArtifacts collects a study and returns its serialized store,
-// rendered report and — when journalPath is set — raw sweep journal.
-func studyArtifacts(t *testing.T, opts core.Options) (storeB, reportB, journalB []byte) {
+// rendered report and — when the study journals — raw sweep journal.
+func studyArtifacts(t *testing.T, s *core.Study) (storeB, reportB, journalB []byte) {
 	t.Helper()
-	s, err := core.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Collect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -45,20 +37,73 @@ func studyArtifacts(t *testing.T, opts core.Options) (storeB, reportB, journalB 
 	if err := s.RenderAll(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if opts.CheckpointPath != "" {
-		if journalB, err = os.ReadFile(opts.CheckpointPath); err != nil {
+	if path := s.Opts.CheckpointPath; path != "" {
+		var err error
+		if journalB, err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return st.Bytes(), rep.Bytes(), journalB
 }
 
-// TestPoisonedFastPathEquivalence is internal/core's
-// TestFastPathEquivalence under the poison: clean and 15 % loss, workers
-// 1/3/8, poisoned fast path against the reference stack. Journals are
-// compared where they are deterministic (see the original).
+func newStudy(t *testing.T, opts core.Options) *core.Study {
+	t.Helper()
+	s, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// judge collects opts with one sweep worker and the poison off, holding
+// every exchanged message to the reference codec (dns.CheckCodecs). Call
+// it only in a top-level test's prologue, before any t.Parallel: the
+// poison is one package variable. One worker joins no flight — a flight
+// lives only while its leader, the one goroutine asking, resolves — and
+// the judge checks that it coalesced nothing.
+func judge(t *testing.T, opts core.Options) (storeB, reportB, journalB []byte) {
+	t.Helper()
+	opts.Workers = 1
+	dns.SetReleasePoison(false)
+	defer dns.SetReleasePoison(true)
+	s := newStudy(t, opts)
+	codecs := dns.CheckCodecs(s.World.Mem)
+	storeB, reportB, journalB = studyArtifacts(t, s)
+	if n, mismatch := codecs(); mismatch != "" || n == 0 {
+		t.Errorf("%d messages checked; fast and reference codecs disagree: %q", n, mismatch)
+	}
+	var coalesced int64
+	for _, st := range s.Stats {
+		coalesced += st.CacheCoalesced
+	}
+	if coalesced != 0 {
+		t.Errorf("a one-worker study coalesced %d host lookups, want 0", coalesced)
+	}
+	return storeB, reportB, journalB
+}
+
+// TestPoisonedFastPathEquivalence: clean and 15 % loss, the poisoned fast
+// path at workers 1/3/8 against the judge. Store and report are compared
+// always; the journal where it is deterministic — every clean run, and
+// lossy runs with one worker (its per-sweep Retries/Recovered totals
+// depend, under loss with several workers, on how the scheduler
+// interleaved queries against the fault stream).
 func TestPoisonedFastPathEquivalence(t *testing.T) {
 	for _, lossy := range []bool{false, true} {
+		opts := core.Options{
+			World:      world.Config{Seed: 5, Scale: 20000, RFShare: 0.1},
+			DenseStep:  7,
+			CollectMX:  true,
+			StudyStart: simtime.Date(2022, 2, 1),
+			StudyEnd:   simtime.Date(2022, 3, 1),
+		}
+		if lossy {
+			opts.Loss = 0.15
+			opts.FaultSeed = 7
+		}
+		opts.CheckpointPath = filepath.Join(t.TempDir(), "judge.wrjl")
+		// Parallel subtests wait for this body to return: no judge overlaps one.
+		refStore, refReport, refJournal := judge(t, opts)
 		for _, workers := range []int{1, 3, 8} {
 			name := fmt.Sprintf("clean_workers_%d", workers)
 			if lossy {
@@ -66,33 +111,18 @@ func TestPoisonedFastPathEquivalence(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				opts := core.Options{
-					World:      world.Config{Seed: 5, Scale: 20000, RFShare: 0.1},
-					DenseStep:  7,
-					CollectMX:  true,
-					StudyStart: simtime.Date(2022, 2, 1),
-					StudyEnd:   simtime.Date(2022, 3, 1),
-					Workers:    workers,
-				}
-				if lossy {
-					opts.Loss = 0.15
-					opts.FaultSeed = 7
-				}
-				refOpts := opts
-				refOpts.ReferenceResolver = true
+				opts := opts
+				opts.Workers = workers
 				opts.CheckpointPath = filepath.Join(t.TempDir(), "fast.wrjl")
-				refOpts.CheckpointPath = filepath.Join(t.TempDir(), "ref.wrjl")
-
-				fastStore, fastReport, fastJournal := studyArtifacts(t, opts)
-				refStore, refReport, refJournal := studyArtifacts(t, refOpts)
+				fastStore, fastReport, fastJournal := studyArtifacts(t, newStudy(t, opts))
 				if !bytes.Equal(fastStore, refStore) {
-					t.Errorf("store bytes differ between the poisoned fast path and the reference stack")
+					t.Errorf("store bytes differ between the poisoned fast path and the judge")
 				}
 				if !bytes.Equal(fastReport, refReport) {
-					t.Errorf("rendered report differs between the poisoned fast path and the reference stack")
+					t.Errorf("rendered report differs between the poisoned fast path and the judge")
 				}
 				if (!lossy || workers == 1) && !bytes.Equal(fastJournal, refJournal) {
-					t.Errorf("sweep journal differs between the poisoned fast path and the reference stack")
+					t.Errorf("sweep journal differs between the poisoned fast path and the judge")
 				}
 			})
 		}
@@ -101,12 +131,7 @@ func TestPoisonedFastPathEquivalence(t *testing.T) {
 
 // TestPoisonedScenarioGridDeterminism is internal/grid's
 // TestScenarioGridDeterminism under the poison: every routing scenario,
-// over grids of 1, 3 and 8 workers, against a single-process run of the
-// reference stack. That run uses one sweep worker: the reference stack
-// resolves host-cache misses without flights, so with several workers and
-// a scenario's unreachable servers whether glue or the failed chase wins
-// depends on scheduling (at the parent commit 3 of 8 such runs differed);
-// sequentially it is the order-free answer the fast path must reproduce.
+// over grids of 1, 3 and 8 workers, against a single-process judge.
 func TestPoisonedScenarioGridDeterminism(t *testing.T) {
 	gridOpts := func(scenario string) core.Options {
 		opts := core.QuickOptions()
@@ -120,13 +145,9 @@ func TestPoisonedScenarioGridDeterminism(t *testing.T) {
 		return opts
 	}
 	for _, scenario := range world.Scenarios() {
+		refStore, refReport, _ := judge(t, gridOpts(scenario))
 		t.Run(scenario, func(t *testing.T) {
 			t.Parallel()
-			ref := gridOpts(scenario)
-			ref.ReferenceResolver = true
-			ref.Workers = 1
-			refStore, refReport, _ := studyArtifacts(t, ref)
-
 			for _, workers := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("grid_%d", workers), func(t *testing.T) {
 					t.Parallel()
@@ -134,12 +155,12 @@ func TestPoisonedScenarioGridDeterminism(t *testing.T) {
 					opts.GridListen = "127.0.0.1:0"
 					opts.GridWorkers = workers
 					opts.GridMinWorkers = workers
-					gotStore, gotReport, _ := studyArtifacts(t, opts)
+					gotStore, gotReport, _ := studyArtifacts(t, newStudy(t, opts))
 					if !bytes.Equal(gotStore, refStore) {
-						t.Errorf("store bytes differ from the single-process reference run (%d vs %d bytes)", len(gotStore), len(refStore))
+						t.Errorf("store bytes differ from the single-process judge (%d vs %d bytes)", len(gotStore), len(refStore))
 					}
 					if !bytes.Equal(gotReport, refReport) {
-						t.Errorf("report differs from the single-process reference run")
+						t.Errorf("report differs from the single-process judge")
 					}
 				})
 			}

@@ -375,7 +375,7 @@ func (r *Resolver) LookupHost(ctx context.Context, host string, depth int) ([]ne
 }
 
 // lookupHostUpstream resolves host's addresses upstream and records the
-// outcome in the cache (and the flight, when coalescing).
+// outcome in the cache and the flight.
 func (r *Resolver) lookupHostUpstream(ctx context.Context, host string, depth int, fl *hostFlight, gen uint64) ([]netip.Addr, error) {
 	// No stack scratch here: this call sits inside the glue-chase
 	// recursion, where escape analysis would move it to the heap anyway.

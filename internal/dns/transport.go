@@ -63,9 +63,6 @@ type MemNet struct {
 	// lifetime; the simulated world's name population is fixed, so the
 	// steady-state decode allocates almost nothing.
 	intern *wireIntern
-	// refCodec routes exchanges through the original allocation-heavy
-	// codec; the equivalence oracle path.
-	refCodec atomic.Bool
 }
 
 // memRoute is what MemNet knows about one address: the bound handler
@@ -83,12 +80,6 @@ func NewMemNet() *MemNet {
 		intern: newWireIntern(),
 	}
 }
-
-// SetReferenceCodec switches this network between the fast wire codec
-// (default) and the preserved reference codec. The two are byte- and
-// value-equivalent — the switch exists so equivalence tests can run whole
-// studies down the original path.
-func (m *MemNet) SetReferenceCodec(on bool) { m.refCodec.Store(on) }
 
 // updateRoute applies f to addr's route, dropping routes left empty.
 func (m *MemNet) updateRoute(addr netip.Addr, f func(*memRoute)) {
@@ -143,9 +134,6 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 	if route.down || route.h == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, server)
 	}
-	if m.refCodec.Load() {
-		return m.exchangeReference(query, route.h)
-	}
 	// One wire buffer serves both directions: nothing decoded aliases it,
 	// so the request's octets are dead by the time the response is encoded.
 	wb := getWireBuf()
@@ -180,34 +168,6 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 		return nil, ErrIDMismatch
 	}
 	return &out.m, nil
-}
-
-// exchangeReference is Exchange's round-trip through the reference codec.
-func (m *MemNet) exchangeReference(query *Message, h Handler) (*Message, error) {
-	wire, err := ReferenceEncode(query)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := ReferenceDecode(wire)
-	if err != nil {
-		return nil, err
-	}
-	resp := h.ServeDNS(decoded, netip.AddrFrom4([4]byte{127, 0, 0, 1}))
-	if resp == nil {
-		return nil, fmt.Errorf("%w: handler returned no response", ErrNoRoute)
-	}
-	respWire, err := ReferenceEncode(resp)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ReferenceDecode(respWire)
-	if err != nil {
-		return nil, err
-	}
-	if out.ID != query.ID {
-		return nil, ErrIDMismatch
-	}
-	return out, nil
 }
 
 // UDPTransport exchanges queries over real UDP sockets. Port is the

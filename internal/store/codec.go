@@ -112,9 +112,9 @@ func (e *encoder) measurements(ms []Measurement) {
 
 // sectionWriter emits the v3 file shape: the magic+version header, then
 // one frame per section, each built in place in a buffer reused across
-// sections. Store.WriteTo and the test oracle ReferenceStore.WriteTo
-// share it, so the columnar and reference representations cannot drift
-// in layout.
+// sections. Store.WriteTo and the map-based oracle in this package's
+// tests share it, so the columnar and reference representations cannot
+// drift in layout.
 type sectionWriter struct {
 	bw  *bufio.Writer
 	n   int64 // bytes written so far

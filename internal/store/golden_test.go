@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,14 +19,6 @@ import (
 // round-trip test reads with the code that wrote. Never regenerate them
 // from the current code — a diff here is an on-disk format change.
 
-func goldenAddrs(ss ...string) []netip.Addr {
-	out := make([]netip.Addr, len(ss))
-	for i, s := range ss {
-		out[i] = netip.MustParseAddr(s)
-	}
-	return out
-}
-
 // goldenSweeps is a sweep, a missing day and a second sweep in which one
 // domain moves hosting, one starts failing and one is new. Measurements
 // are listed unsorted and configs unnormalized on purpose.
@@ -35,16 +26,16 @@ func goldenSweeps() []JournalSweep {
 	d1, d2, d3 := simtime.Date(2022, 2, 18), simtime.Date(2022, 2, 21), simtime.Date(2022, 2, 24)
 	regru := Config{
 		NSHosts:   []string{"ns2.reg.ru.", "ns1.reg.ru."},
-		NSAddrs:   goldenAddrs("194.58.117.11", "176.99.13.11"),
-		ApexAddrs: goldenAddrs("194.58.112.174"),
+		NSAddrs:   addrList("194.58.117.11", "176.99.13.11"),
+		ApexAddrs: addrList("194.58.112.174"),
 		MXHosts:   []string{"mx2.yandex.net.", "mx1.yandex.net."},
 	}
 	abroad := Config{
 		NSHosts:   []string{"kate.ns.cloudflare.com.", "bob.ns.cloudflare.com."},
-		NSAddrs:   goldenAddrs("108.162.192.125", "172.64.33.104", "173.245.59.104"),
-		ApexAddrs: goldenAddrs("104.21.5.9", "172.67.133.1"),
+		NSAddrs:   addrList("108.162.192.125", "172.64.33.104", "173.245.59.104"),
+		ApexAddrs: addrList("104.21.5.9", "172.67.133.1"),
 	}
-	idn := Config{NSHosts: []string{"ns1.xn--80aswg.xn--p1ai."}, NSAddrs: goldenAddrs("193.232.146.1")}
+	idn := Config{NSHosts: []string{"ns1.xn--80aswg.xn--p1ai."}, NSAddrs: addrList("193.232.146.1")}
 	return []JournalSweep{
 		{Day: d1, Stats: JournalStats{Domains: 3, Failed: 0, NXDomain: 1, Retries: 4, Recovered: 3, Unreachable: 0},
 			Measurements: []Measurement{
