@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"whereru/internal/netsim"
-	"whereru/internal/registry"
 	"whereru/internal/simtime"
 )
 
@@ -66,11 +65,12 @@ func topASNs(counts map[netsim.ASN]int, k int) []netsim.ASN {
 	return asns[:k]
 }
 
-// Whois resolves registration records; registry.Group satisfies it.
-// Implementations must be safe for concurrent use: MovementAnalysis calls
-// Whois from its shard workers.
+// Whois resolves a name's registration day — all MovementAnalysis reads
+// of a whois record; registry.Group satisfies it. Implementations must be
+// safe for concurrent use: MovementAnalysis calls it from its shard
+// workers.
 type Whois interface {
-	Whois(name string) (registry.Domain, bool)
+	Created(name string) (simtime.Day, bool)
 }
 
 // MovementAnalysis compares hosting between two sweep days for one ASN:
@@ -117,7 +117,7 @@ func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois 
 				}
 			case inASN:
 				// Incomer: newly registered or relocated in.
-				if rec, ok := whois.Whois(snap.Domains()[i]); ok && rec.Created > from {
+				if created, ok := whois.Created(snap.Domains()[i]); ok && created > from {
 					sm.NewlyRegistered++
 					continue
 				}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"whereru/internal/netsim"
-	"whereru/internal/registry"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 	"whereru/internal/world"
@@ -17,7 +16,7 @@ import (
 // MovementAnalysis and RelocationLatency run on config IDs: one
 // Snapshot.Lookup per (domain, day) and the analyzer's per-config
 // origin-AS memo. The oracles below are the judges of both definitions
-// and share none of that: the live store's per-day API (ForEachAt, At,
+// and share none of that: the live store's per-day API (forEachAt, At,
 // MeasuredOn), OriginAS asked per address, a fresh set per config.
 
 // hostASNs is the oracles' view of a config's hosting networks: the set
@@ -42,7 +41,7 @@ func referenceMovementAnalysis(a *Analyzer, asn netsim.ASN, from, to simtime.Day
 	}
 	// Pass 1: the original set.
 	original := make(map[string]bool)
-	a.Store.ForEachAt(from, func(domain string, cfg store.Config) {
+	forEachAt(a.Store, from, func(domain string, cfg store.Config) {
 		if cfg.Failed {
 			return
 		}
@@ -53,7 +52,7 @@ func referenceMovementAnalysis(a *Analyzer, asn netsim.ASN, from, to simtime.Day
 	})
 	// Pass 2: where everyone is on To.
 	seenOnTo := make(map[string]bool)
-	a.Store.ForEachAt(to, func(domain string, cfg store.Config) {
+	forEachAt(a.Store, to, func(domain string, cfg store.Config) {
 		if cfg.Failed {
 			return
 		}
@@ -69,7 +68,7 @@ func referenceMovementAnalysis(a *Analyzer, asn netsim.ASN, from, to simtime.Day
 			}
 		case !original[domain] && inASN:
 			// Incomer: newly registered or relocated in.
-			if rec, ok := whois.Whois(domain); ok && rec.Created > from {
+			if created, ok := whois.Created(domain); ok && created > from {
 				m.NewlyRegistered++
 				break
 			}
@@ -160,9 +159,9 @@ func assertMovementMatchesOracles(t *testing.T, label string, base *Analyzer, wh
 // unknown to whois.
 type whoisMap map[string]simtime.Day
 
-func (w whoisMap) Whois(name string) (registry.Domain, bool) {
+func (w whoisMap) Created(name string) (simtime.Day, bool) {
 	created, ok := w[name]
-	return registry.Domain{Name: name, Created: created}, ok
+	return created, ok
 }
 
 // movementWorld hand-builds every per-domain shape the movement and

@@ -19,11 +19,23 @@ import (
 // The shipped code computes every series with accumulators, so the
 // fold-vs-cold suite alone would only show that the two feeders agree,
 // not that the definitions are right. The oracles in this file judge the
-// definitions: one Store.ForEachAt walk per requested day, the route
+// definitions: one forEachAt walk per requested day, the route
 // oracle asked directly for every address, plain per-day maps and sorted
 // latency lists — no memo caches, no version windows, no difference
 // columns, no histogram. The reference* series (equivalence_test.go's
 // judges, and the naive side of the series ablation) close the file.
+
+// forEachAt is the oracles' per-day walk over the live store: every
+// domain measured on day (Store.MeasuredOn) with its configuration then
+// (Store.At), in sorted order.
+func forEachAt(st *store.Store, day simtime.Day, fn func(domain string, cfg store.Config)) {
+	for _, domain := range st.Domains() {
+		if st.MeasuredOn(domain, day) {
+			cfg, _ := st.At(domain, day)
+			fn(domain, cfg)
+		}
+	}
+}
 
 // oracleRoute asks the analyzer's oracle directly; without one every
 // address is reachable at zero latency.
@@ -63,7 +75,7 @@ func oracleReachability(a *Analyzer, days []simtime.Day, filter Filter) []ReachP
 		// country/ASN -> [domains touching it, of which with a routed address there]
 		countries := map[string]*[2]int{}
 		asns := map[netsim.ASN]*[2]int{}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if (filter != nil && !filter(domain)) || len(cfg.NSAddrs) == 0 {
 				return
 			}
@@ -150,7 +162,7 @@ func oracleRouteLatency(a *Analyzer, days []simtime.Day, filter Filter) []RouteL
 	for _, day := range days {
 		var all []time.Duration
 		byCountry := map[string][]time.Duration{}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}
@@ -193,7 +205,7 @@ func oracleSweepCounts(a *Analyzer, days []simtime.Day, filter Filter) []SweepCo
 	out := make([]SweepCount, 0, len(days))
 	for _, day := range days {
 		c := SweepCount{Day: day}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}
@@ -360,7 +372,7 @@ func (a *Analyzer) referenceSeries(days []simtime.Day, filter Filter, classify f
 	sweeps := a.Store.Sweeps()
 	for _, day := range days {
 		p := Point{Day: day, Interpolated: !sweptDay(sweeps, day)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}
@@ -388,7 +400,7 @@ func (a *Analyzer) referenceTLDShareSeries(days []simtime.Day, filter Filter) []
 	out := make([]TLDSharePoint, 0, len(days))
 	for _, day := range days {
 		p := TLDSharePoint{Day: day, Counts: make(map[string]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}
@@ -417,7 +429,7 @@ func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []
 	out := make([]ASNSharePoint, 0, len(days))
 	for _, day := range days {
 		p := ASNSharePoint{Day: day, Counts: make(map[netsim.ASN]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}
@@ -445,7 +457,7 @@ func (a *Analyzer) referenceMailProviderSeries(days []simtime.Day, filter Filter
 	out := make([]MailSharePoint, 0, len(days))
 	for _, day := range days {
 		p := MailSharePoint{Day: day, Counts: make(map[string]int)}
-		a.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+		forEachAt(a.Store, day, func(domain string, cfg store.Config) {
 			if filter != nil && !filter(domain) {
 				return
 			}

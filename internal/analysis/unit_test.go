@@ -116,10 +116,10 @@ func TestTLDShareOverlap(t *testing.T) {
 
 func TestMovementAccounting(t *testing.T) {
 	an, st, ru, us := unitAnalyzer(t)
-	reg := registry.New("ru.")
+	b := registry.NewBuilder(5, "ru.")
 	day1, day2 := simtime.Day(10), simtime.Day(20)
 	mustReg := func(name string, created simtime.Day) {
-		if _, err := reg.Register(name, created, "", ""); err != nil {
+		if err := b.Add(name, created, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestMovementAccounting(t *testing.T) {
 		st.Add(store.Measurement{Domain: name, Day: day2, Config: store.Config{ApexAddrs: []netip.Addr{addr}}})
 	}
 
-	m := an.MovementAnalysis(2, day1, day2, reg)
+	m := an.MovementAnalysis(2, day1, day2, b.Build(nil))
 	if m.Original != 3 {
 		t.Fatalf("Original = %d", m.Original)
 	}

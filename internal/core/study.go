@@ -52,8 +52,8 @@ type Options struct {
 	// same degraded measurements run after run.
 	FaultSeed int64
 	// SimulateOutage schedules the paper's 2021-03-22 collection outage
-	// (footnote 8) as a fault-profile outage window on the registry TLD
-	// servers — the declarative re-expression of World.SetOutage.
+	// (footnote 8) as a one-day fault-profile outage window on the
+	// registry TLD servers.
 	SimulateOutage bool
 	// Scenario selects a built-in routing scenario (world.Scenarios lists
 	// the catalog: "netnod-depeering", "ru-ixp-isolation",

@@ -16,8 +16,12 @@ import (
 //
 // Tables are bounded; once full, lookups still hit existing entries and
 // misses simply allocate like an intern-free decode. A MemNet carries
-// one intern for its lifetime: the simulated world's name population is
-// fixed and far below the bounds.
+// one intern for its lifetime. The simulated world's infrastructure names
+// and payloads stay far below the bounds; its domain names pass the name
+// cap from about 1:180 on (117k at 1:100), and a decode of a domain name
+// the table does not hold then allocates its string. That is the cheaper
+// side: at 1:100, collect_clean peaks 6–9 MB lower with the cap than
+// without it, at the same CPU per measurement.
 
 const (
 	maxInternNames = 1 << 16

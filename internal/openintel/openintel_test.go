@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"whereru/internal/idn"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 	"whereru/internal/world"
@@ -42,14 +43,15 @@ func TestSweepMeasuresActiveZone(t *testing.T) {
 		t.Fatalf("store has %d domains, want %d", p.Store.NumDomains(), want)
 	}
 	// Every stored measurement must have NS data.
-	p.Store.ForEachAt(day, func(domain string, cfg store.Config) {
+	for _, domain := range p.Store.Domains() {
+		cfg, _ := p.Store.At(domain, day)
 		if len(cfg.NSHosts) == 0 || len(cfg.NSAddrs) == 0 {
 			t.Errorf("%s measured with empty NS data: %+v", domain, cfg)
 		}
 		if len(cfg.ApexAddrs) == 0 {
 			t.Errorf("%s has no apex addresses", domain)
 		}
-	})
+	}
 }
 
 func TestSweepTracksZoneChanges(t *testing.T) {
@@ -86,7 +88,15 @@ func TestSweepCancellation(t *testing.T) {
 func TestOutageRecordsFailures(t *testing.T) {
 	p, w := buildPipeline(t, 20000)
 	day := simtime.MustParse("2021-03-22") // the paper's footnote-8 outage
-	w.SetOutage(day, true)
+	// The registry TLD servers drop off the wire by hand, then come back.
+	setOutage := func(down bool) {
+		for _, tld := range []string{"ru", idn.RFTLDASCII} {
+			for _, a := range w.TLDServerAddrs(tld) {
+				w.Mem.SetUnreachable(a, down)
+			}
+		}
+	}
+	setOutage(true)
 	stats, err := p.Sweep(context.Background(), day)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +104,7 @@ func TestOutageRecordsFailures(t *testing.T) {
 	if stats.Failed != stats.Domains {
 		t.Fatalf("outage sweep: %d/%d failed, want all", stats.Failed, stats.Domains)
 	}
-	w.SetOutage(day, false)
+	setOutage(false)
 	stats, err = p.Sweep(context.Background(), day.Add(1))
 	if err != nil {
 		t.Fatal(err)

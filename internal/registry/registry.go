@@ -8,14 +8,15 @@ package registry
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"hash/maphash"
+	"slices"
+	"strings"
 
 	"whereru/internal/dns"
 	"whereru/internal/simtime"
 )
 
-// Domain is one registered name and its lifecycle.
+// Domain is one registration record, as whois reports it.
 type Domain struct {
 	// Name is canonical ("example.ru.").
 	Name string
@@ -30,167 +31,195 @@ type Domain struct {
 	Registrar string
 }
 
-// ActiveOn reports whether the registration exists on day.
-func (d *Domain) ActiveOn(day simtime.Day) bool {
-	return d.Created <= day && (d.Removed == 0 || day < d.Removed)
+// Group is the table of every registration its registries hold (the
+// paper measures .ru and .рф together), one row per domain number,
+// immutable once built and so read without locks; each Registry is one
+// zone's view of it. A name is a substring of one string that holds every
+// name, and an open-addressed index maps a name back to its number.
+// Registrant and registrar are not stored: the holder function the group
+// was built with derives them from the number when whois asks.
+type Group struct {
+	names      string
+	rows       []row    // one per domain number, plus a sentinel ending the last name
+	slots      []uint32 // the name index: domain number + 1, 0 = empty
+	holder     func(d int) (registrant, registrar string)
+	registries []*Registry
 }
 
-// Registry is one TLD's registration database.
-type Registry struct {
-	// TLD is the canonical zone ("ru." or "xn--p1ai.").
-	TLD string
-
-	mu      sync.RWMutex
-	domains map[string]*Domain
+type row struct {
+	name             uint32 // offset into names; the name ends where the next row's begins
+	created, removed simtime.Day
 }
 
-// New creates an empty registry for a TLD.
-func New(tld string) *Registry {
-	return &Registry{TLD: dns.Canonical(tld), domains: make(map[string]*Domain)}
-}
+var indexSeed = maphash.MakeSeed()
 
-// Register creates a registration. Re-registering a deleted name is
-// allowed (it resets the lifecycle, as redemption does in practice);
-// registering a live name is an error.
-func (r *Registry) Register(name string, day simtime.Day, registrant, registrar string) (*Domain, error) {
-	name = dns.Canonical(name)
-	if !dns.IsSubdomain(name, r.TLD) || name == r.TLD {
-		return nil, fmt.Errorf("registry %s: %s out of zone", r.TLD, name)
+// find walks name's linear probe sequence through slots: the domain
+// number holding name, or the empty slot where it would go.
+func find(slots []uint32, rows []row, names, name string) (slot, d int, ok bool) {
+	s := int((maphash.String(indexSeed, name) >> 32) * uint64(len(slots)) >> 32)
+	for ; ; s++ {
+		if s == len(slots) {
+			s = 0
+		}
+		v := slots[s]
+		if v == 0 {
+			return s, 0, false
+		}
+		if r := v - 1; names[rows[r].name:rows[r+1].name] == name {
+			return s, int(r), true
+		}
 	}
-	if dns.CountLabels(name) != dns.CountLabels(r.TLD)+1 {
-		return nil, fmt.Errorf("registry %s: %s is not a direct child", r.TLD, name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d, ok := r.domains[name]; ok && (d.Removed == 0 || d.Removed > day) {
-		return nil, fmt.Errorf("registry %s: %s already registered", r.TLD, name)
-	}
-	d := &Domain{Name: name, Created: day, Registrant: registrant, Registrar: registrar}
-	r.domains[name] = d
-	return d, nil
 }
 
-// Remove deletes a registration effective on day.
-func (r *Registry) Remove(name string, day simtime.Day) error {
-	name = dns.Canonical(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, ok := r.domains[name]
-	if !ok || d.Removed != 0 {
-		return fmt.Errorf("registry %s: %s not registered", r.TLD, name)
-	}
-	d.Removed = day
-	return nil
+// Len returns the number of registrations.
+func (g *Group) Len() int { return len(g.rows) - 1 }
+
+// Name returns domain d's canonical name.
+func (g *Group) Name(d int) string { return g.names[g.rows[d].name:g.rows[d+1].name] }
+
+// Lookup returns the domain number of a canonical name.
+func (g *Group) Lookup(name string) (int, bool) {
+	_, d, ok := find(g.slots, g.rows, g.names, name)
+	return d, ok
 }
 
-// Whois returns the registration record for name (a copy).
-func (r *Registry) Whois(name string) (Domain, bool) {
-	name = dns.Canonical(name)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.domains[name]
+// ActiveOn reports whether domain d is registered on day.
+func (g *Group) ActiveOn(d int, day simtime.Day) bool {
+	r := &g.rows[d]
+	return r.created <= day && (r.removed == 0 || day < r.removed)
+}
+
+// Record returns domain d's whois record.
+func (g *Group) Record(d int) Domain {
+	rec := Domain{Name: g.Name(d), Created: g.rows[d].created, Removed: g.rows[d].removed}
+	if g.holder != nil {
+		rec.Registrant, rec.Registrar = g.holder(d)
+	}
+	return rec
+}
+
+// Whois returns the registration record for name.
+func (g *Group) Whois(name string) (Domain, bool) {
+	d, ok := g.Lookup(dns.Canonical(name))
 	if !ok {
 		return Domain{}, false
 	}
-	return *d, true
+	return g.Record(d), true
 }
 
-// IsActive reports whether name is registered on day.
-func (r *Registry) IsActive(name string, day simtime.Day) bool {
-	name = dns.Canonical(name)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.domains[name]
-	return ok && d.ActiveOn(day)
+// Created returns the registration day of name, formatting nothing.
+func (g *Group) Created(name string) (simtime.Day, bool) {
+	d, ok := g.Lookup(dns.Canonical(name))
+	if !ok {
+		return 0, false
+	}
+	return g.rows[d].created, true
+}
+
+// Registries returns the member registries, in zone order.
+func (g *Group) Registries() []*Registry { return g.registries }
+
+// ZoneSnapshot concatenates the members' snapshots (sorted within each
+// TLD, TLDs in group order — matching how zone files arrive per TLD).
+func (g *Group) ZoneSnapshot(day simtime.Day) []string {
+	out := make([]string, 0, g.Count(day))
+	for _, r := range g.registries {
+		out = r.appendZone(out, day)
+	}
+	return out
 }
 
 // Count returns the number of registrations active on day.
-func (r *Registry) Count(day simtime.Day) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+func (g *Group) Count(day simtime.Day) int {
 	n := 0
-	for _, d := range r.domains {
-		if d.ActiveOn(day) {
+	for d := range g.Len() {
+		if g.ActiveOn(d, day) {
 			n++
 		}
 	}
 	return n
 }
 
+// Registry is one TLD's view of its group.
+type Registry struct {
+	// TLD is the canonical zone ("ru." or "xn--p1ai.").
+	TLD string
+
+	g     *Group
+	order []uint32 // the zone's domain numbers, sorted by name
+}
+
 // ZoneSnapshot returns the sorted names active on day — the daily zone
 // file used to seed a measurement sweep.
-func (r *Registry) ZoneSnapshot(day simtime.Day) []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.domains))
-	for _, d := range r.domains {
-		if d.ActiveOn(day) {
-			out = append(out, d.Name)
+func (r *Registry) ZoneSnapshot(day simtime.Day) []string { return r.appendZone(nil, day) }
+
+func (r *Registry) appendZone(out []string, day simtime.Day) []string {
+	for _, d := range r.order {
+		if r.g.ActiveOn(int(d), day) {
+			out = append(out, r.g.Name(int(d)))
 		}
 	}
-	r.mu.RUnlock()
-	sort.Strings(out)
 	return out
 }
 
-// All returns every registration ever made, sorted by name.
-func (r *Registry) All() []Domain {
-	r.mu.RLock()
-	out := make([]Domain, 0, len(r.domains))
-	for _, d := range r.domains {
-		out = append(out, *d)
+// Builder assembles a Group, one registration per domain number.
+type Builder struct {
+	g     Group
+	names strings.Builder
+	zones []string
+}
+
+// NewBuilder starts a group of registries for zones, with room for n
+// registrations.
+func NewBuilder(n int, zones ...string) *Builder {
+	b := &Builder{g: Group{rows: make([]row, 1, n+1), slots: make([]uint32, n+n/2+1)}}
+	for _, z := range zones {
+		b.zones = append(b.zones, dns.Canonical(z))
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return b
 }
 
-// Group bundles several registries (the paper measures .ru and .рф
-// together) behind one inventory and whois interface.
-type Group struct {
-	registries []*Registry
-}
-
-// NewGroup bundles registries.
-func NewGroup(regs ...*Registry) *Group { return &Group{registries: regs} }
-
-// Registries returns the member registries.
-func (g *Group) Registries() []*Registry { return g.registries }
-
-// ForName returns the member registry whose TLD contains name.
-func (g *Group) ForName(name string) (*Registry, bool) {
+// Add registers name, directly below one of the zones, from created until
+// removed (0 = never) as the next domain number.
+func (b *Builder) Add(name string, created, removed simtime.Day) error {
 	name = dns.Canonical(name)
-	for _, r := range g.registries {
-		if dns.IsSubdomain(name, r.TLD) {
-			return r, true
+	g := &b.g
+	if i := strings.IndexByte(name, '.'); i <= 0 || !slices.Contains(b.zones, name[i+1:]) {
+		return fmt.Errorf("registry: %s is not directly below one of %v", name, b.zones)
+	}
+	if 3*len(g.rows) > 2*len(g.slots) { // the index stays at most 2/3 full
+		return fmt.Errorf("registry: %s: room for %d registrations only", name, g.Len())
+	}
+	s, _, dup := find(g.slots, g.rows, b.names.String(), name)
+	if dup {
+		return fmt.Errorf("registry: %s already registered", name)
+	}
+	d := g.Len()
+	g.slots[s] = uint32(d + 1)
+	b.names.WriteString(name)
+	g.rows[d].created, g.rows[d].removed = created, removed
+	g.rows = append(g.rows, row{name: uint32(b.names.Len())})
+	return nil
+}
+
+// Build freezes the group. holder derives a registration's registrant and
+// registrar from its domain number when whois asks (nil: none).
+func (b *Builder) Build(holder func(d int) (registrant, registrar string)) *Group {
+	g := new(Group) // a copy: &b.g would keep the builder's name buffer alive
+	*g = b.g
+	g.names, g.holder = strings.Clone(b.names.String()), holder
+	// One order column, zone after zone (Add put every name in one).
+	order := make([]uint32, 0, g.Len())
+	for _, zone := range b.zones {
+		lo := len(order)
+		for d := range g.Len() {
+			if dns.Parent(g.Name(d)) == zone {
+				order = append(order, uint32(d))
+			}
 		}
+		r := &Registry{TLD: zone, g: g, order: order[lo:len(order):len(order)]}
+		slices.SortFunc(r.order, func(x, y uint32) int { return strings.Compare(g.Name(int(x)), g.Name(int(y))) })
+		g.registries = append(g.registries, r)
 	}
-	return nil, false
-}
-
-// Whois looks the name up in the owning registry.
-func (g *Group) Whois(name string) (Domain, bool) {
-	r, ok := g.ForName(name)
-	if !ok {
-		return Domain{}, false
-	}
-	return r.Whois(name)
-}
-
-// ZoneSnapshot concatenates the members' snapshots (sorted within each
-// TLD, TLDs in group order — matching how zone files arrive per TLD).
-func (g *Group) ZoneSnapshot(day simtime.Day) []string {
-	var out []string
-	for _, r := range g.registries {
-		out = append(out, r.ZoneSnapshot(day)...)
-	}
-	return out
-}
-
-// Count sums registrations active on day across members.
-func (g *Group) Count(day simtime.Day) int {
-	n := 0
-	for _, r := range g.registries {
-		n += r.Count(day)
-	}
-	return n
+	return g
 }

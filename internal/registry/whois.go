@@ -17,10 +17,8 @@ import (
 // Cisco's Whois Domain API; this is the equivalent service for the
 // simulated registries.
 type WhoisServer struct {
-	// Source answers lookups; Group and Registry both satisfy it.
-	Source interface {
-		Whois(name string) (Domain, bool)
-	}
+	// Source answers lookups.
+	Source *Group
 
 	mu     sync.Mutex
 	ln     net.Listener

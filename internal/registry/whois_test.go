@@ -7,24 +7,24 @@ import (
 	"whereru/internal/simtime"
 )
 
-func startWhois(t *testing.T) (*WhoisServer, *Registry) {
+func startWhois(t *testing.T) (*WhoisServer, *Group) {
 	t.Helper()
-	r := New("ru.")
-	if _, err := r.Register("example.ru.", simtime.MustParse("2020-05-01"), "ORG-EX", "REG.RU"); err != nil {
+	b := NewBuilder(2, "ru.")
+	if err := b.Add("example.ru.", simtime.MustParse("2020-05-01"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Register("gone.ru.", simtime.MustParse("2019-01-01"), "ORG-GONE", "RU-CENTER"); err != nil {
+	if err := b.Add("gone.ru.", simtime.MustParse("2019-01-01"), simtime.MustParse("2021-07-15")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Remove("gone.ru.", simtime.MustParse("2021-07-15")); err != nil {
-		t.Fatal(err)
-	}
-	s := &WhoisServer{Source: r}
+	g := b.Build(func(d int) (string, string) {
+		return []string{"ORG-EX", "ORG-GONE"}[d], []string{"REG.RU", "RU-CENTER"}[d]
+	})
+	s := &WhoisServer{Source: g}
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, r
+	return s, g
 }
 
 func TestWhoisLookup(t *testing.T) {
@@ -82,7 +82,7 @@ func TestWhoisCaseAndDotInsensitive(t *testing.T) {
 }
 
 func TestWhoisServerLifecycle(t *testing.T) {
-	s := &WhoisServer{Source: New("ru.")}
+	s := &WhoisServer{Source: NewBuilder(0, "ru.").Build(nil)}
 	if s.Addr() != "" {
 		t.Error("Addr before Listen")
 	}

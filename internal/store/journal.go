@@ -401,7 +401,7 @@ func (sc *journalScanner) apply(st *Store) {
 // appending, keeping every record and every measurement in memory: the
 // oracle of the tests and the workbench, called from no product path.
 func VerifyJournal(path string) (*JournalReplay, error) {
-	return scanJournalFile(path, nil, true)
+	return scanJournalFile(iofault.OS, path, nil, true)
 }
 
 // ReplayJournalFile is VerifyJournal for a reader that wants the journal
@@ -411,11 +411,11 @@ func VerifyJournal(path string) (*JournalReplay, error) {
 // but no Measurements. st ends up as applying VerifyJournal's records in
 // order would leave it. A nil st only validates (fsck).
 func ReplayJournalFile(path string, st *Store) (*JournalReplay, error) {
-	return scanJournalFile(path, st, false)
+	return scanJournalFile(iofault.OS, path, st, false)
 }
 
-func scanJournalFile(path string, st *Store, keep bool) (*JournalReplay, error) {
-	f, err := os.Open(path)
+func scanJournalFile(fsys iofault.FS, path string, st *Store, keep bool) (*JournalReplay, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"testing"
 
@@ -179,11 +178,40 @@ func TestJournalTornBytesCountActualBytes(t *testing.T) {
 	}
 }
 
-// TestVerifyJournalStreams: VerifyJournal reads the file through a
-// buffered reader the way OpenJournal does, instead of slurping it whole
-// before decoding — so what it allocates follows what it decodes, not the
-// file size. Eight megabytes of garbage behind two good sweeps must be
-// counted as torn and cost next to nothing.
+// offerFS is the real filesystem with every file opened through it
+// recording the largest buffer a read offered it, and the bytes read.
+type offerFS struct {
+	iofault.FS
+	most, read int
+}
+
+type offerFile struct {
+	iofault.File
+	fs *offerFS
+}
+
+func (o *offerFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := o.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return offerFile{f, o}, nil
+}
+
+func (f offerFile) Read(p []byte) (int, error) {
+	f.fs.most = max(f.fs.most, len(p))
+	n, err := f.File.Read(p)
+	f.fs.read += n
+	return n, err
+}
+
+// TestVerifyJournalStreams: VerifyJournal reads the file a segment at a
+// time, the way OpenJournal does, instead of slurping it whole before
+// decoding — so the memory it grows follows what it decodes, not the file
+// size. Eight megabytes of garbage behind two good sweeps must be counted
+// as torn, read through a buffer the size of a segment: read off the
+// buffers the scan offers the file, not off a process-wide allocation
+// counter that every other test moves too.
 func TestVerifyJournalStreams(t *testing.T) {
 	path, goodSize := seedJournal(t, t.TempDir(), 2)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -196,18 +224,16 @@ func TestVerifyJournalStreams(t *testing.T) {
 	}
 	f.Close()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	v, err := VerifyJournal(path)
-	runtime.ReadMemStats(&after)
+	fsys := &offerFS{FS: iofault.OS}
+	v, err := scanJournalFile(fsys, path, nil, true) // VerifyJournal's scan
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(v.Sweeps) != 2 || v.GoodBytes != goodSize || v.TornBytes != int64(len(junk)) {
 		t.Fatalf("sweeps=%d good=%d torn=%d, want 2, %d, %d", len(v.Sweeps), v.GoodBytes, v.TornBytes, goodSize, len(junk))
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("verifying a journal with an %d-byte torn tail allocated %d bytes", len(junk), grew)
+	if int64(fsys.read) != goodSize+int64(len(junk)) || fsys.most > 1<<20 {
+		t.Fatalf("verifying a journal with an %d-byte torn tail read %d bytes through a %d-byte buffer", len(junk), fsys.read, fsys.most)
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"whereru/internal/frame"
@@ -330,34 +330,52 @@ func allocJournal(t testing.TB, nSweeps, nDomains int) []byte {
 	return rawJournal(t, payloads...)
 }
 
-func replayAllocBytes(t *testing.T, data []byte) uint64 {
+// offerReader is a reader that records the largest buffer a read offered
+// it: the memory its caller had grown to hold what arrives.
+type offerReader struct {
+	io.Reader
+	most int
+}
+
+func (r *offerReader) Read(p []byte) (int, error) {
+	r.most = max(r.most, len(p))
+	return r.Reader.Read(p)
+}
+
+// replayAllocs replays data into a fresh store: how many times a replay
+// allocates, and the largest buffer it read the journal into.
+func replayAllocs(t *testing.T, data []byte) (allocs float64, buffer int) {
 	t.Helper()
-	var before, after runtime.MemStats
-	rd := bytes.NewReader(data)
-	runtime.ReadMemStats(&before)
-	replay, err := scanJournal(rd, New(), false)
-	runtime.ReadMemStats(&after)
-	if err != nil || replay.Torn() {
-		t.Fatalf("replay: %+v, %v", replay, err)
-	}
-	return after.TotalAlloc - before.TotalAlloc
+	allocs = testing.AllocsPerRun(3, func() {
+		r := &offerReader{Reader: bytes.NewReader(data)}
+		replay, err := scanJournal(r, New(), false)
+		if err != nil || replay.Torn() {
+			t.Fatalf("replay: %+v, %v", replay, err)
+		}
+		buffer = r.most
+	})
+	return allocs, buffer
 }
 
 // TestResumeAllocsPerSegment pins the replay's memory model: O(largest
-// segment) + store. A whole replay allocates less than the journal is
-// long (the materialising decode allocated several times it), and
-// segments that repeat known domains and configs add nothing — four times
-// the journal costs what one does, give or take the replay's own record
-// list.
+// segment) + store. A replay reads the journal into a buffer the size of
+// one segment and allocates fewer times than the journal holds
+// measurements (the materialising decode allocated several times per
+// measurement), and segments that repeat known domains and configs add
+// nothing — four times the journal costs what one does, give or take the
+// replay's own record list. Counted per run and read off the buffer, not
+// off a process-wide byte counter that every other test moves too.
 func TestResumeAllocsPerSegment(t *testing.T) {
 	const k, domains = 12, 2000
 	short, long := allocJournal(t, k, domains), allocJournal(t, 4*k, domains)
-	base := replayAllocBytes(t, short)
-	if base >= uint64(len(short)) {
-		t.Fatalf("replaying a %d-byte journal allocated %d bytes", len(short), base)
+	segment := (len(short) - journalHdrLen) / k
+	base, buf := replayAllocs(t, short)
+	if base >= k*domains || buf > 2*segment {
+		t.Fatalf("replaying %d segments of %d bytes allocated %.0f times, into a %d-byte buffer", k, segment, base, buf)
 	}
-	if more := replayAllocBytes(t, long); more > base+32<<10 {
-		t.Fatalf("%d segments allocated %d bytes, %d segments %d: replay memory grows with the journal", k, base, 4*k, more)
+	if more, buf := replayAllocs(t, long); more > base+16 || buf > 2*segment {
+		t.Fatalf("%d segments allocated %.0f times, %d segments %.0f times into a %d-byte buffer: replay memory grows with the journal",
+			k, base, 4*k, more, buf)
 	}
 
 	// Steady state in the apply sink itself: a verified segment of known

@@ -408,29 +408,6 @@ func (s *Store) Sweeps() []simtime.Day {
 	return s.sweeps[:len(s.sweeps):len(s.sweeps)]
 }
 
-// ForEachAt calls fn with every domain measured on day (per MeasuredOn)
-// and its configuration at that day, in sorted domain order. The day's
-// view is gathered under a single lock, then fn runs unlocked (so it may
-// call back into the store).
-func (s *Store) ForEachAt(day simtime.Day, fn func(domain string, cfg Config)) {
-	idx, ord, unlock := s.lockedView()
-	type hit struct {
-		domain string
-		cfg    Config
-	}
-	hits := make([]hit, 0, len(idx))
-	for i, domain := range idx {
-		d := ord[i]
-		if row, measured, _ := lookup(s.epochFrom, s.epochLast, s.off[d], s.cnt[d], day); measured {
-			hits = append(hits, hit{domain: domain, cfg: s.intern.config(s.epochCfg[row])})
-		}
-	}
-	unlock()
-	for _, h := range hits {
-		fn(h.domain, h.cfg)
-	}
-}
-
 // Snapshot is a read-only capture of the store, sharing the immutable
 // columns with it. Analyses iterate a Snapshot lock-free (and
 // concurrently) while collection may continue to mutate the live store.
@@ -527,7 +504,7 @@ func (sn *Snapshot) Lookup(i int, day simtime.Day) (id uint32, measured, ok bool
 // range into days. An epoch's effective interval runs from its first
 // sweep to the day before the next epoch starts (a later epoch means the
 // domain stayed in the zone), or to its last sighting for the final epoch
-// — exactly the days ForEachAt would report the domain measured.
+// — exactly the days Store.MeasuredOn reports the domain measured.
 //
 // This is the analysis fast path: classification work that is constant
 // over an epoch runs once per epoch instead of once per day. The visit

@@ -112,6 +112,30 @@ func TestMeasuredOn(t *testing.T) {
 	}
 }
 
+// ForEachAt calls fn with every domain measured on day (per MeasuredOn)
+// and its configuration at that day, in sorted domain order: the per-day
+// walk the columnar paths are judged against. The day's view is gathered
+// under a single lock, then fn runs unlocked (so it may call back into
+// the store).
+func (s *Store) ForEachAt(day simtime.Day, fn func(domain string, cfg Config)) {
+	idx, ord, unlock := s.lockedView()
+	type hit struct {
+		domain string
+		cfg    Config
+	}
+	hits := make([]hit, 0, len(idx))
+	for i, domain := range idx {
+		d := ord[i]
+		if row, measured, _ := lookup(s.epochFrom, s.epochLast, s.off[d], s.cnt[d], day); measured {
+			hits = append(hits, hit{domain: domain, cfg: s.intern.config(s.epochCfg[row])})
+		}
+	}
+	unlock()
+	for _, h := range hits {
+		fn(h.domain, h.cfg)
+	}
+}
+
 func TestForEachAt(t *testing.T) {
 	s := New()
 	c := cfg([]string{"ns.x.ru."}, nil, nil)

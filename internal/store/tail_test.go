@@ -6,7 +6,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"runtime"
+	"reflect"
 	"testing"
 	"time"
 
@@ -232,13 +232,22 @@ func TestTailerWaitsForFileCreation(t *testing.T) {
 	}
 }
 
+// retained is the capacity of the frame buffer a scanner keeps between
+// segments (frame.Buffer's one field).
+func retained(sc *journalScanner) int {
+	return reflect.ValueOf(&sc.buf).Elem().FieldByName("b").Cap()
+}
+
 // TestTailerPollsIncompleteFrameInConstantSpace: while a large frame is
 // only partly on disk — a writer mid-append, or a torn tail nobody has
 // repaired — a poll reads its length prefix and waits. It neither reads
 // nor buffers the bytes that are there: 200 polls over an 8 MiB stump
-// allocate under a kilobyte each (the refusal's error value), first poll
-// included — reading the payload even once would grow the retained buffer
-// to its size. When the rest arrives the segment is delivered.
+// leave the retained buffer as the first segment left it — reading the
+// payload even once would grow it to the payload's size — and each
+// allocates a few small values (the refusal's error among them). Read
+// off the buffer and counted per poll, not off a process-wide byte
+// counter that every other test moves too. When the rest arrives the
+// segment is delivered.
 func TestTailerPollsIncompleteFrameInConstantSpace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wrjl")
 	j, err := CreateJournal(path)
@@ -274,16 +283,16 @@ func TestTailerPollsIncompleteFrameInConstantSpace(t *testing.T) {
 		t.Fatalf("first segment: %+v, %v", rec, err)
 	}
 	const polls = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < polls; i++ {
+	held := retained(&tl.sc)
+	allocs := testing.AllocsPerRun(polls, func() {
 		if _, err := tl.tryNext(); err != errTailWait {
-			t.Fatalf("poll %d over an incomplete frame: %v", i, err)
+			t.Fatalf("poll over an incomplete frame: %v", err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > polls<<10 {
-		t.Fatalf("%d polls over a %d-byte incomplete frame allocated %d bytes", polls, len(seg)-1, grew)
+	})
+	t.Logf("%d polls: the buffer holds %d bytes, %.1f allocations a poll", polls, held, allocs)
+	if grew := retained(&tl.sc); grew != held || allocs > 16 {
+		t.Fatalf("%d polls over a %d-byte incomplete frame grew the buffer from %d to %d bytes and allocated %.1f times each",
+			polls, len(seg)-1, held, grew, allocs)
 	}
 	if lag := tl.Lag(); lag != int64(len(seg)-1) {
 		t.Fatalf("Lag = %d, want the %d bytes waiting", lag, len(seg)-1)

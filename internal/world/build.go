@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"whereru/internal/ct"
 	"whereru/internal/dns"
@@ -48,8 +48,7 @@ type World struct {
 
 	providers map[string]*Provider
 	byASN     map[netsim.ASN]*Provider
-	domains   map[string]*DomainRec
-	names     []string // all domain names, generation order
+	domains   domainTable // see table.go
 	roots     []netip.Addr
 	tldAddrs  map[string][]netip.Addr // tld label ("ru") -> server addrs
 	// providerZones maps a provider's NS-name parent zone ("nic.ru.") to
@@ -76,7 +75,6 @@ func Build(cfg Config) (*World, error) {
 		CAs:           pki.StandardCatalog(),
 		providers:     make(map[string]*Provider),
 		byASN:         make(map[netsim.ASN]*Provider),
-		domains:       make(map[string]*DomainRec),
 		tldAddrs:      make(map[string][]netip.Addr),
 		providerZones: make(map[string]*Provider),
 	}
@@ -133,17 +131,7 @@ func (w *World) NewFaultyResolver(seed int64, profile dns.FaultProfile) (*dns.Re
 // TLDServerAddrs returns the server addresses for a served TLD label
 // ("ru", the .рф punycode), for targeting registry infrastructure with
 // fault profiles.
-func (w *World) TLDServerAddrs(tld string) []netip.Addr {
-	addrs := make([]netip.Addr, len(w.tldAddrs[tld]))
-	copy(addrs, w.tldAddrs[tld])
-	return addrs
-}
-
-// Provider returns a provider by key.
-func (w *World) Provider(key string) (*Provider, bool) {
-	p, ok := w.providers[key]
-	return p, ok
-}
+func (w *World) TLDServerAddrs(tld string) []netip.Addr { return slices.Clone(w.tldAddrs[tld]) }
 
 // ProviderByASN returns the provider owning an ASN.
 func (w *World) ProviderByASN(asn netsim.ASN) (*Provider, bool) {
@@ -151,44 +139,39 @@ func (w *World) ProviderByASN(asn netsim.ASN) (*Provider, bool) {
 	return p, ok
 }
 
-// Domain returns the record for a canonical name.
-func (w *World) Domain(name string) (*DomainRec, bool) {
-	d, ok := w.domains[name]
-	return d, ok
-}
-
 // NumDomains returns the number of generated domains (incl. sanctioned).
-func (w *World) NumDomains() int { return len(w.names) }
+func (w *World) NumDomains() int { return w.domains.Len() }
 
 func (w *World) buildProviders() error {
+	// next allocates n consecutive addresses of asn.
+	next := func(asn netsim.ASN, n int) (addrs []netip.Addr, err error) {
+		for len(addrs) < n && err == nil {
+			var a netip.Addr
+			a, err = w.Internet.NextAddr(asn)
+			addrs = append(addrs, a)
+		}
+		return addrs, err
+	}
+	var err error
 	for _, p := range Catalog() {
 		if _, err := w.Internet.RegisterAS(netsim.AS{
 			Number: p.ASN, Name: p.Key, Org: p.Org, Country: p.Country,
 		}); err != nil {
 			return err
 		}
-		// Name-server addresses.
-		for range p.NSNames {
-			addr, err := w.Internet.NextAddr(p.ASN)
-			if err != nil {
-				return err
-			}
-			p.NSAddrs = append(p.NSAddrs, addr)
+		// Name-server addresses, the mail host's, the shared-hosting pool.
+		if p.NSAddrs, err = next(p.ASN, len(p.NSNames)); err != nil {
+			return err
 		}
 		if p.MailHost != "" {
-			addr, err := w.Internet.NextAddr(p.ASN)
+			mail, err := next(p.ASN, 1)
 			if err != nil {
 				return err
 			}
-			p.MailAddr = addr
+			p.MailAddr = mail[0]
 		}
-		// Shared-hosting pool.
-		for i := 0; i < hostPoolSize; i++ {
-			addr, err := w.Internet.NextAddr(p.ASN)
-			if err != nil {
-				return err
-			}
-			p.HostPool = append(p.HostPool, addr)
+		if p.HostPool, err = next(p.ASN, hostPoolSize); err != nil {
+			return err
 		}
 		w.providers[p.Key] = p
 		w.byASN[p.ASN] = p
@@ -201,20 +184,12 @@ func (w *World) buildProviders() error {
 	if _, err := w.Internet.RegisterAS(netsim.AS{Number: infraASN, Name: "infra", Org: "DNS Infrastructure", Country: "US"}); err != nil {
 		return err
 	}
-	for i := 0; i < 2; i++ {
-		addr, err := w.Internet.NextAddr(infraASN)
-		if err != nil {
-			return err
-		}
-		w.roots = append(w.roots, addr)
+	if w.roots, err = next(infraASN, 2); err != nil {
+		return err
 	}
 	for _, tld := range w.servedTLDs() {
-		for i := 0; i < 2; i++ {
-			addr, err := w.Internet.NextAddr(infraASN)
-			if err != nil {
-				return err
-			}
-			w.tldAddrs[tld] = append(w.tldAddrs[tld], addr)
+		if w.tldAddrs[tld], err = next(infraASN, 2); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -226,14 +201,9 @@ func (w *World) buildProviders() error {
 // infrastructure addresses each TLD is allocated, and a map walk here
 // would make two Builds with the same seed disagree on server addresses.
 func (w *World) servedTLDs() []string {
-	keys := make([]string, 0, len(w.providers))
-	for k := range w.providers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	seen := map[string]bool{"ru": true, idn.RFTLDASCII: true}
 	out := []string{"ru", idn.RFTLDASCII}
-	for _, k := range keys {
+	for _, k := range sortedKeys(w.providers) {
 		for _, n := range w.providers[k].NSNames {
 			tld := dns.TLD(n)
 			if !seen[tld] {
@@ -280,38 +250,36 @@ func (w *World) buildGeo() error {
 	return w.Geo.Snapshot(simtime.StudyStart.Add(-3650), b)
 }
 
+// buildDomains generates every domain, then the sanctioned ones, into
+// the domain table.
 func (w *World) buildDomains() error {
-	ru := registry.New("ru.")
-	rf := registry.New(idn.RFTLDASCII + ".")
-	w.Registries = registry.NewGroup(ru, rf)
 	n := w.cfg.NumDomains()
-	registrars := []string{"REG.RU", "RU-CENTER", "Beget", "Timeweb", "Webnames"}
+	reg := registry.NewBuilder(n+numSanctioned, "ru.", idn.RFTLDASCII+".")
+	t := &w.domains
+	t.epochOff = append(make([]uint32, 0, n+numSanctioned+1), 0)
+	t.sanctioned = n
 	// One generator for the whole build, reseeded per domain: rand.Rand
 	// keeps no state of its own between draws, so reseeding its source
 	// gives exactly the stream of rand.New(rand.NewSource(domainSeed(i))).
 	var src lazySource
 	rng := rand.New(&src)
-	for i := 0; i < n; i++ {
-		src.Seed(w.domainSeed(i))
-		d := w.genDomain(i, rng)
-		if _, dup := w.domains[d.Name]; dup {
-			continue // RFShare sampling can collide on names; skip
+	var d draft
+	for i := 0; i < n+numSanctioned; i++ {
+		if i < n {
+			src.Seed(w.domainSeed(i))
+			w.genDomain(i, rng, &d)
+		} else {
+			sanctionedDraft(i-n, &d)
 		}
-		w.domains[d.Name] = d
-		w.names = append(w.names, d.Name)
-		reg, ok := w.Registries.ForName(d.Name)
-		if !ok {
-			return fmt.Errorf("world: no registry for %s", d.Name)
+		if err := reg.Add(d.Name, d.Created, d.Removed); err != nil {
+			return fmt.Errorf("world: %w", err)
 		}
-		if _, err := reg.Register(d.Name, d.Created, fmt.Sprintf("ORG-%06d", i), registrars[i%len(registrars)]); err != nil {
-			return fmt.Errorf("world: register %s: %w", d.Name, err)
-		}
-		if d.Removed != 0 {
-			if err := reg.Remove(d.Name, d.Removed); err != nil {
-				return err
-			}
-		}
+		t.epochs = append(t.epochs, d.epochs...)
+		t.epochOff = append(t.epochOff, uint32(len(t.epochs)))
 	}
+	t.epochs = slices.Clone(t.epochs) // without append's slack
+	t.Group = reg.Build(t.holder)
+	w.Registries = t.Group
 	return nil
 }
 
@@ -345,12 +313,11 @@ func (w *World) ActiveDomains(day simtime.Day) int {
 }
 
 // randomActiveDomain picks a uniformly random domain active on day.
-func (w *World) randomActiveDomain(rng *rand.Rand, day simtime.Day) (*DomainRec, bool) {
+func (w *World) randomActiveDomain(rng *rand.Rand, day simtime.Day) (int, bool) {
 	for tries := 0; tries < 64; tries++ {
-		d := w.domains[w.names[rng.Intn(len(w.names))]]
-		if d.ActiveOn(day) {
+		if d := rng.Intn(w.domains.Len()); w.domains.ActiveOn(d, day) {
 			return d, true
 		}
 	}
-	return nil, false
+	return 0, false
 }

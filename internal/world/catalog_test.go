@@ -189,25 +189,25 @@ func TestSampleWeightedCoversTable(t *testing.T) {
 
 func TestDomainEpochsInvariants(t *testing.T) {
 	w := getWorld(t)
-	for _, name := range w.names {
-		d := w.domains[name]
-		if len(d.epochs) == 0 {
+	for d := range w.NumDomains() {
+		name, es := w.domains.Name(d), w.domains.epochsOf(d)
+		if len(es) == 0 {
 			t.Fatalf("%s has no epochs", name)
 		}
-		if d.epochs[0].From != d.Created {
-			t.Fatalf("%s first epoch %v != created %v", name, d.epochs[0].From, d.Created)
+		if created := w.domains.Record(d).Created; es[0].From != created {
+			t.Fatalf("%s first epoch %v != created %v", name, es[0].From, created)
 		}
-		for i := 1; i < len(d.epochs); i++ {
-			if d.epochs[i].From <= d.epochs[i-1].From {
+		for i := 1; i < len(es); i++ {
+			if es[i].From <= es[i-1].From {
 				t.Fatalf("%s epochs out of order at %d", name, i)
 			}
 		}
-		for _, e := range d.epochs {
-			if _, ok := dnsProfiles[e.DNS]; !ok {
-				t.Fatalf("%s epoch references unknown DNS profile %q", name, e.DNS)
+		for _, e := range es {
+			if int(e.DNS) >= len(dnsKeys) {
+				t.Fatalf("%s epoch references unknown DNS profile %d", name, e.DNS)
 			}
-			if _, ok := hostProfiles[e.Host]; !ok {
-				t.Fatalf("%s epoch references unknown host profile %q", name, e.Host)
+			if int(e.Host) >= len(hostKeys) {
+				t.Fatalf("%s epoch references unknown host profile %d", name, e.Host)
 			}
 		}
 	}

@@ -95,12 +95,13 @@ func (w *World) buildCerts() error {
 			}
 			for i := 0; i < count; i++ {
 				d, ok := w.randomActiveDomain(rng, day)
-				if !ok || d.Sanctioned {
+				if !ok || w.domains.isSanctioned(d) {
 					// Sanctioned-domain issuance follows its own plan
 					// (Table 2); keep it out of the background volume.
 					continue
 				}
-				cert, err := w.issue(ca, day, d.Name, "www."+d.Name)
+				name := w.domains.Name(d)
+				cert, err := w.issue(ca, day, name, "www."+name)
 				if err != nil {
 					return err
 				}
@@ -238,11 +239,12 @@ func (w *World) buildRussianCA(rng *rand.Rand) error {
 		if !ok {
 			break
 		}
-		if seen[d.Name] || w.Sanctions.ContainsEver(d.Name) || !isRu(d.Name) {
+		name := w.domains.Name(d)
+		if seen[name] || w.Sanctions.ContainsEver(name) || !isRu(name) {
 			continue
 		}
-		seen[d.Name] = true
-		targets = append(targets, d.Name)
+		seen[name] = true
+		targets = append(targets, name)
 	}
 	for i := 0; i < PaperNumbers.RussianCARFDomains; i++ {
 		targets = append(targets, fmt.Sprintf("xn--%02d-6kc.xn--p1ai.", i))

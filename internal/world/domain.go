@@ -18,50 +18,30 @@ var eraSplitDay = simtime.Date(2020, 1, 1)
 // changes come from the explicit 2022 event timeline.
 var churnCutoff = simtime.Date(2022, 2, 1)
 
-// epochRec is one piecewise-constant configuration interval; it applies
-// from From until the next epoch (or the end of the domain's life).
-type epochRec struct {
-	From simtime.Day
-	// DNS is a key into dnsProfiles.
-	DNS string
-	// Host is a key into hostProfiles.
-	Host string
-}
-
-// DomainRec is one simulated domain's full history.
-type DomainRec struct {
+// draft is one domain's history while it is generated: genDomain and
+// sanctionedDraft write it, and Build appends it to the domain table.
+type draft struct {
 	// Name is canonical and ACE-encoded.
 	Name string
 	// Created and Removed bound the registration (Removed 0 = live).
 	Created simtime.Day
 	Removed simtime.Day
-	// Sanctioned marks the 107 sanctioned domains.
-	Sanctioned bool
 	// epochs is sorted by From; epochs[0].From == Created.
-	epochs []epochRec
-}
-
-// ActiveOn reports whether the domain is registered on day.
-func (d *DomainRec) ActiveOn(day simtime.Day) bool {
-	return d.Created <= day && (d.Removed == 0 || day < d.Removed)
+	epochs []epoch
 }
 
 // ConfigAt returns the configuration in force on day.
-func (d *DomainRec) ConfigAt(day simtime.Day) (epochRec, bool) {
-	if !d.ActiveOn(day) {
-		return epochRec{}, false
+func (d *draft) ConfigAt(day simtime.Day) (epoch, bool) {
+	if d.Created > day || d.Removed != 0 && day >= d.Removed {
+		return epoch{}, false
 	}
-	i := sort.Search(len(d.epochs), func(i int) bool { return d.epochs[i].From > day })
-	if i == 0 {
-		return epochRec{}, false
-	}
-	return d.epochs[i-1], true
+	return configIn(d.epochs, day)
 }
 
 // setConfig inserts a configuration change at day, replacing any changes
-// scheduled at the same day and keeping epochs sorted. Zero-valued fields
-// inherit from the configuration in force at day.
-func (d *DomainRec) setConfig(day simtime.Day, dns, host string) {
+// scheduled at the same day and keeping epochs sorted. Empty keys inherit
+// from the configuration in force at day.
+func (d *draft) setConfig(day simtime.Day, dns, host string) {
 	cur, ok := d.ConfigAt(day)
 	if !ok {
 		// The domain is not registered on that day (e.g. an event's
@@ -69,22 +49,22 @@ func (d *DomainRec) setConfig(day simtime.Day, dns, host string) {
 		// change rather than record an epoch nobody can serve.
 		return
 	}
-	if dns == "" {
-		dns = cur.DNS
+	e := epoch{From: day, DNS: cur.DNS, Host: cur.Host}
+	if dns != "" {
+		e.DNS = profileNum(dnsKeys, dns)
 	}
-	if host == "" {
-		host = cur.Host
+	if host != "" {
+		e.Host = profileNum(hostKeys, host)
 	}
-	if cur.DNS == dns && cur.Host == host {
+	if cur.DNS == e.DNS && cur.Host == e.Host {
 		return
 	}
-	e := epochRec{From: day, DNS: dns, Host: host}
 	i := sort.Search(len(d.epochs), func(i int) bool { return d.epochs[i].From >= day })
 	if i < len(d.epochs) && d.epochs[i].From == day {
 		d.epochs[i] = e
 		return
 	}
-	d.epochs = append(d.epochs, epochRec{})
+	d.epochs = append(d.epochs, epoch{})
 	copy(d.epochs[i+1:], d.epochs[i:])
 	d.epochs[i] = e
 }
@@ -126,11 +106,11 @@ func repatriationDNS(rng *rand.Rand) string {
 	return fullRUDNSProfiles[rng.Intn(len(fullRUDNSProfiles))]
 }
 
-func dnsTables(day simtime.Day) (all, general []weighted) {
+func dnsGeneralTable(day simtime.Day) []weighted {
 	if day < eraSplitDay {
-		return dnsWeightsEarly, dnsGeneralEarly
+		return dnsGeneralEarly
 	}
-	return dnsWeightsLate, dnsGeneralLate
+	return dnsGeneralLate
 }
 
 func hostTable(day simtime.Day) []weighted {
@@ -142,7 +122,6 @@ func hostTable(day simtime.Day) []weighted {
 
 // pickDNSFor samples a DNS profile consistent with the hosting choice.
 func pickDNSFor(host string, day simtime.Day, rng *rand.Rand) string {
-	_, general := dnsTables(day)
 	switch host {
 	case "cloudflare":
 		return "cloudflare"
@@ -157,7 +136,7 @@ func pickDNSFor(host string, day simtime.Day, rng *rand.Rand) string {
 			return "googledns"
 		}
 	}
-	return sampleWeighted(general, rng.Float64())
+	return sampleWeighted(dnsGeneralTable(day), rng.Float64())
 }
 
 // genName builds the i-th domain name: ~RFShare of names are Cyrillic
@@ -179,11 +158,12 @@ func (w *World) domainSeed(i int) int64 {
 	return w.cfg.Seed ^ (int64(i)+1)*0x5851F42D4C957F2D
 }
 
-// genDomain deterministically creates the i-th domain's full history
-// (lifecycle, initial profiles, baseline churn, 2022 events) from rng,
-// which the caller has seeded with domainSeed(i).
-func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
-	d := &DomainRec{Name: w.genName(i, rng)}
+// genDomain deterministically writes the i-th domain's full history
+// (lifecycle, initial profiles, baseline churn, 2022 events) into d, from
+// rng, which the caller has seeded with domainSeed(i). d's epoch slice is
+// reused.
+func (w *World) genDomain(i int, rng *rand.Rand, d *draft) {
+	*d = draft{Name: w.genName(i, rng), epochs: d.epochs[:0]}
 
 	start, end := simtime.StudyStart, simtime.StudyEnd
 	window := end.Sub(start)
@@ -222,7 +202,7 @@ func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
 		}
 	}
 	dns := pickDNSFor(host, d.Created, rng)
-	d.epochs = append(d.epochs, epochRec{From: d.Created, DNS: dns, Host: host})
+	d.epochs = append(d.epochs, epoch{d.Created, profileNum(dnsKeys, dns), profileNum(hostKeys, host)})
 
 	// Baseline churn: a combined provider-change process at ~12%/year,
 	// 7:5 hosting:DNS, up to churnCutoff.
@@ -245,8 +225,7 @@ func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
 				d.setConfig(t, pickDNSFor(h, t, rng), h)
 			}
 		} else {
-			_, general := dnsTables(t)
-			d.setConfig(t, sampleWeighted(general, rng.Float64()), "")
+			d.setConfig(t, sampleWeighted(dnsGeneralTable(t), rng.Float64()), "")
 		}
 	}
 
@@ -264,7 +243,7 @@ func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
 			break
 		}
 		cfg, ok := d.ConfigAt(t)
-		if !ok || !tldFullDNSProfiles[cfg.DNS] {
+		if !ok || !tldFullDNSProfiles[cfg.dnsKey()] {
 			continue
 		}
 		var dest string
@@ -282,7 +261,6 @@ func (w *World) genDomain(i int, rng *rand.Rand) *DomainRec {
 	}
 
 	w.applyEvents(d, rng)
-	return d
 }
 
 // tldFullDNSProfiles are DNS profiles whose NS names sit entirely under
@@ -295,12 +273,10 @@ var tldFullDNSProfiles = map[string]bool{
 // applyEvents plays the 2022 conflict timeline against one domain, in
 // chronological order. Probabilities are calibrated to the paper's §3
 // observations; see calibration.go.
-func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
+func (w *World) applyEvents(d *draft, rng *rand.Rand) {
 	if d.Removed != 0 && d.Removed <= simtime.ConflictStart {
 		return
 	}
-	end := simtime.StudyEnd
-
 	// Domains in the §3.4 case-study sets stay in the zone through the
 	// end of the window, as the paper's movement accounting implies
 	// (98% + 1.6% of Sedo's set is still resolvable on May 25).
@@ -315,7 +291,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 			{GoogleStmtDay, "google"},
 		} {
 			if d.Removed > check.day {
-				if cfg, ok := d.ConfigAt(check.day); ok && cfg.Host == check.host {
+				if cfg, ok := d.ConfigAt(check.day); ok && cfg.hostKey() == check.host {
 					d.Removed = 0
 					break
 				}
@@ -324,10 +300,10 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	}
 
 	// Pre-conflict parking oscillation between Amazon and Sedo (Fig 4).
-	if cfg, ok := d.ConfigAt(simtime.Date(2022, 2, 18)); ok && cfg.Host == "amazon" && rng.Float64() < 0.30 {
+	if cfg, ok := d.ConfigAt(simtime.Date(2022, 2, 18)); ok && cfg.hostKey() == "amazon" && rng.Float64() < 0.30 {
 		d.setConfig(simtime.Date(2022, 2, 19).Add(rng.Intn(3)), "sedodns", "sedo")
 	}
-	if cfg, ok := d.ConfigAt(simtime.Date(2022, 3, 1)); ok && cfg.Host == "sedo" && rng.Float64() < 0.25 {
+	if cfg, ok := d.ConfigAt(simtime.Date(2022, 3, 1)); ok && cfg.hostKey() == "sedo" && rng.Float64() < 0.25 {
 		d.setConfig(simtime.Date(2022, 3, 2).Add(rng.Intn(3)), "amazonr53", "amazon")
 	}
 
@@ -336,7 +312,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	// transition towards fully Russian").
 	if cfg, ok := d.ConfigAt(simtime.Date(2022, 2, 23)); ok {
 		var p float64
-		switch cfg.DNS {
+		switch cfg.dnsKey() {
 		case "self-cloudflare":
 			p = 0.25
 		case "self-wedos":
@@ -351,13 +327,13 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 
 	// Netnod stops serving its RU-CENTER secondary customers on the
 	// exact cutoff day (§3.2: 76k domains partial → full on March 3).
-	if cfg, ok := d.ConfigAt(NetnodCutoffDay.Add(-1)); ok && cfg.DNS == "rucenter-netnod" {
+	if cfg, ok := d.ConfigAt(NetnodCutoffDay.Add(-1)); ok && cfg.dnsKey() == "rucenter-netnod" {
 		d.setConfig(NetnodCutoffDay, "rucenter", "")
 	}
 
 	// Cloudflare: business as usual — 94% remain; a stream of incomers.
 	if cfg, ok := d.ConfigAt(CloudflareStmtDay); ok {
-		if cfg.Host == "cloudflare" {
+		if cfg.hostKey() == "cloudflare" {
 			if rng.Float64() < 0.06 {
 				dest := fullRUDNSProfiles[rng.Intn(len(fullRUDNSProfiles))]
 				d.setConfig(CloudflareStmtDay.Add(1+rng.Intn(75)), dest, dest)
@@ -370,7 +346,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	// Amazon: stops new RU/BY registrations Mar 8; >half of the hosted
 	// set relocates, 43% remains; some existing domains move in.
 	if cfg, ok := d.ConfigAt(AmazonStmtDay); ok {
-		if cfg.Host == "amazon" {
+		if cfg.hostKey() == "amazon" {
 			if rng.Float64() < 1-PaperNumbers.AmazonRemainPct/100 {
 				dest := "serverel"
 				switch r := rng.Float64(); {
@@ -381,7 +357,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 				}
 				d.setConfig(AmazonStmtDay.Add(2+rng.Intn(70)), "", dest)
 			}
-		} else if cfg.Host != "sedo" && rng.Float64() < float64(PaperNumbers.AmazonRelocatedIn)/PaperNumbers.ActiveDomainsEnd {
+		} else if cfg.hostKey() != "sedo" && rng.Float64() < float64(PaperNumbers.AmazonRelocatedIn)/PaperNumbers.ActiveDomainsEnd {
 			d.setConfig(AmazonStmtDay.Add(7+rng.Intn(60)), "amazonr53", "amazon")
 		}
 	}
@@ -389,7 +365,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	// Sedo pulls the plug Mar 9: 98.4% relocate (mostly to Serverel, NL),
 	// 1.6% remain; a few hundred external names move in.
 	if cfg, ok := d.ConfigAt(SedoStmtDay.Add(-1)); ok {
-		if cfg.Host == "sedo" {
+		if cfg.hostKey() == "sedo" {
 			if rng.Float64() < 1-PaperNumbers.SedoRemainPct/100 {
 				dest, dnsDest := "serverel", "serverel"
 				switch r := rng.Float64(); {
@@ -403,7 +379,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 				}
 				d.setConfig(SedoStmtDay.Add(rng.Intn(45)), dnsDest, dest)
 			}
-		} else if cfg.Host != "amazon" && rng.Float64() < float64(PaperNumbers.SedoRelocatedIn)/PaperNumbers.ActiveDomainsEnd {
+		} else if cfg.hostKey() != "amazon" && rng.Float64() < float64(PaperNumbers.SedoRelocatedIn)/PaperNumbers.ActiveDomainsEnd {
 			d.setConfig(SedoStmtDay.Add(10+rng.Intn(50)), "sedodns", "sedo")
 		}
 	}
@@ -411,7 +387,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	// Google: stops new customers Mar 10; 57.1% of hosted names relocate,
 	// 75.2% of those merely to Google's other ASN around Mar 16.
 	if cfg, ok := d.ConfigAt(GoogleStmtDay); ok {
-		if cfg.Host == "google" {
+		if cfg.hostKey() == "google" {
 			if rng.Float64() < PaperNumbers.GoogleRelocatePct/100 {
 				if rng.Float64() < PaperNumbers.GoogleIntraPct/100 {
 					d.setConfig(GoogleIntraDay, "", "googlecloud2")
@@ -428,7 +404,7 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 	// End-of-March migrations out of Hetzner and Linode DNS hosting
 	// (§3.2); partially-Russian customers repatriate.
 	if cfg, ok := d.ConfigAt(HetznerExitDay.Add(-1)); ok {
-		switch cfg.DNS {
+		switch cfg.dnsKey() {
 		case "self-hetzner":
 			if rng.Float64() < 0.75 {
 				d.setConfig(HetznerExitDay.Add(rng.Intn(10)), repatriationDNS(rng), "")
@@ -439,10 +415,9 @@ func (w *World) applyEvents(d *DomainRec, rng *rand.Rand) {
 			}
 		}
 	}
-	if cfg, ok := d.ConfigAt(LinodeExitDay.Add(-1)); ok && cfg.DNS == "self-linode" {
+	if cfg, ok := d.ConfigAt(LinodeExitDay.Add(-1)); ok && cfg.dnsKey() == "self-linode" {
 		if rng.Float64() < 0.60 {
 			d.setConfig(LinodeExitDay.Add(rng.Intn(10)), repatriationDNS(rng), "")
 		}
 	}
-	_ = end
 }

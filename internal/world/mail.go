@@ -39,12 +39,12 @@ func mailBucket(name string) int {
 	return int(h.Sum32() % 100)
 }
 
-// MailProviderFor returns the provider serving mail for the domain on
-// day ("" = the domain publishes no MX). Google-Workspace domains
-// partially migrate to domestic providers after Google's March 10, 2022
+// MailProviderFor returns the provider serving mail for domain d on day
+// (nil = the domain publishes no MX). Google-Workspace domains partially
+// migrate to domestic providers after Google's March 10, 2022
 // announcement.
-func (w *World) MailProviderFor(d *DomainRec, day simtime.Day) *Provider {
-	bucket := mailBucket(d.Name)
+func (w *World) MailProviderFor(d int, day simtime.Day) *Provider {
+	bucket := mailBucket(w.domains.Name(d))
 	key := ""
 	for _, c := range mailChoices {
 		if bucket < c.upTo {
@@ -56,20 +56,16 @@ func (w *World) MailProviderFor(d *DomainRec, day simtime.Day) *Provider {
 	case "":
 		return nil
 	case "host":
-		cfg, ok := d.ConfigAt(day)
+		cfg, ok := w.domains.configAt(d, day)
 		if !ok {
 			return nil
 		}
-		keys := hostProfiles[cfg.Host]
-		if len(keys) == 0 {
-			return nil
+		// The first hosting provider (every one has a pool); one without
+		// mail service falls back to Yandex.
+		if p := w.rr.hostSets[cfg.Host][0]; p.MailHost != "" {
+			return p
 		}
-		p := w.providers[keys[0]]
-		if p == nil || p.MailHost == "" {
-			// Hosting provider without mail service: fall back to Yandex.
-			return w.providers["yandex"]
-		}
-		return p
+		return w.providers["yandex"]
 	case "google":
 		// After Google's announcement, a third of Workspace customers
 		// repatriate — split between Yandex and Mail.ru.

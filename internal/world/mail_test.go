@@ -12,8 +12,8 @@ func TestMailProviderDeterministic(t *testing.T) {
 	w := getWorld(t)
 	day := simtime.ConflictStart.Add(-30)
 	var withMail, without int
-	for _, name := range w.names[:500] {
-		d := w.domains[name]
+	for d := range 500 {
+		name := w.domains.Name(d)
 		p1 := w.MailProviderFor(d, day)
 		p2 := w.MailProviderFor(d, day)
 		if p1 != p2 {
@@ -38,9 +38,8 @@ func TestMailDominatedByDomesticProviders(t *testing.T) {
 	w := getWorld(t)
 	day := simtime.ConflictStart.Add(-30)
 	counts := map[string]int{}
-	for _, name := range w.names {
-		d := w.domains[name]
-		if !d.ActiveOn(day) {
+	for d := range w.NumDomains() {
+		if !w.domains.ActiveOn(d, day) {
 			continue
 		}
 		if p := w.MailProviderFor(d, day); p != nil {
@@ -61,9 +60,9 @@ func TestGoogleWorkspaceMigration(t *testing.T) {
 	after := GoogleStmtDay.Add(30)
 	moved := 0
 	stayed := 0
-	for _, name := range w.names {
-		d := w.domains[name]
-		if !d.ActiveOn(after) {
+	for d := range w.NumDomains() {
+		name := w.domains.Name(d)
+		if !w.domains.ActiveOn(d, after) {
 			continue
 		}
 		pb := w.MailProviderFor(d, before)
@@ -95,12 +94,12 @@ func TestMXServedOverDNS(t *testing.T) {
 	ctx := context.Background()
 
 	checked := 0
-	for _, name := range w.names {
+	for d := range w.NumDomains() {
 		if checked >= 20 {
 			break
 		}
-		d := w.domains[name]
-		if !d.ActiveOn(day) {
+		name := w.domains.Name(d)
+		if !w.domains.ActiveOn(d, day) {
 			continue
 		}
 		want := w.MailProviderFor(d, day)

@@ -15,11 +15,12 @@ import "whereru/internal/dns"
 // read without locks.
 
 // nsSet is a DNS profile's name-server host set, each host with its NS
-// payload and its glue address boxed once.
+// payload and its glue address boxed once, and the providers serving it.
 type nsSet struct {
-	hosts []string
-	ns    []dns.RData // NSData{hosts[i]}
-	glue  []dns.RData // AData{hosts[i]'s address}
+	hosts   []string
+	ns      []dns.RData // NSData{hosts[i]}
+	glue    []dns.RData // AData{hosts[i]'s address}
+	servers []*Provider
 }
 
 // refSet is a prebuilt referral: authority (NS) and additional (glue).
@@ -28,38 +29,42 @@ type refSet struct {
 	addl []dns.RR
 }
 
-// rrCache holds the handlers' shared record state.
+// rrCache holds the handlers' shared record state. Profile-keyed state
+// is indexed by profile number, as the table's epochs carry it.
 type rrCache struct {
-	nsSets      map[string]nsSet       // dnsProfile -> host set
-	hostSets    map[string][]*Provider // hostProfile -> providers with a pool
-	rootRef     map[string]refSet      // tld label -> root referral
-	providerRef map[string]refSet      // provider zone -> delegation
-	rootNXSOA   []dns.RR               // root NXDOMAIN authority
+	nsSets      []nsSet           // DNS profile -> host set
+	hostSets    [][]*Provider     // hosting profile -> providers with a pool
+	rootRef     map[string]refSet // tld label -> root referral
+	providerRef map[string]refSet // provider zone -> delegation
+	rootNXSOA   []dns.RR          // root NXDOMAIN authority
 }
 
 // buildRRCache precomputes the profile- and provider-keyed sets; called
 // from buildServing after providers and TLD addresses are final.
 func (w *World) buildRRCache() {
 	c := &rrCache{
-		nsSets:      make(map[string]nsSet, len(dnsProfiles)),
-		hostSets:    make(map[string][]*Provider, len(hostProfiles)),
+		nsSets:      make([]nsSet, len(dnsKeys)),
+		hostSets:    make([][]*Provider, len(hostKeys)),
 		rootRef:     make(map[string]refSet, len(w.tldAddrs)),
 		providerRef: make(map[string]refSet, len(w.providerZones)),
 		rootNXSOA:   []dns.RR{dns.NewSOA(".", "a.root-servers.net.", "nstld.verisign-grs.com.", 1)},
 	}
-	for profile := range dnsProfiles {
-		hosts, addrs := w.nsSetFor(profile)
-		set := nsSet{hosts: hosts}
-		for i, h := range hosts {
-			set.ns = append(set.ns, dns.NSData{Host: h})
-			set.glue = append(set.glue, dns.AData{Addr: addrs[i]})
+	for num, profile := range dnsKeys {
+		set := &c.nsSets[num]
+		set.hosts, _ = w.nsSetFor(profile)
+		for _, k := range dnsProfiles[profile] {
+			p := w.providers[k]
+			set.servers = append(set.servers, p)
+			for i, h := range p.NSNames {
+				set.ns = append(set.ns, dns.NSData{Host: h})
+				set.glue = append(set.glue, dns.AData{Addr: p.NSAddrs[i]})
+			}
 		}
-		c.nsSets[profile] = set
 	}
-	for profile, keys := range hostProfiles {
-		for _, k := range keys {
+	for num, profile := range hostKeys {
+		for _, k := range hostProfiles[profile] {
 			if p := w.providers[k]; p != nil && len(p.HostPool) > 0 {
-				c.hostSets[profile] = append(c.hostSets[profile], p)
+				c.hostSets[num] = append(c.hostSets[num], p)
 			}
 		}
 	}
@@ -116,7 +121,7 @@ func inRR(name string, t dns.Type, ttl uint32, data dns.RData) dns.RR {
 }
 
 // appendNS appends the set's NS records with domain as their owner.
-func (s nsSet) appendNS(rrs []dns.RR, domain string) []dns.RR {
+func (s *nsSet) appendNS(rrs []dns.RR, domain string) []dns.RR {
 	for _, d := range s.ns {
 		rrs = append(rrs, inRR(domain, dns.TypeNS, 3600, d))
 	}
@@ -125,7 +130,7 @@ func (s nsSet) appendNS(rrs []dns.RR, domain string) []dns.RR {
 
 // refer makes resp the TLD zone's delegation of a registered domain to
 // the set: its NS records plus glue for the in-bailiwick hosts.
-func (s nsSet) refer(resp *dns.Message, domain, zone string) {
+func (s *nsSet) refer(resp *dns.Message, domain, zone string) {
 	rrs := s.appendNS(resp.Records(2*len(s.hosts)), domain)
 	n := len(rrs)
 	for i, h := range s.hosts {

@@ -7,8 +7,11 @@ import (
 	"whereru/internal/simtime"
 )
 
-// buildSanctioned creates the 107 sanctioned domains (§3.3) with the
-// hosting and name-service histories the paper reports:
+// numSanctioned is the number of sanctioned domains (§3.3).
+const numSanctioned = 107
+
+// sanctionedDraft writes the i-th sanctioned domain into d, with the
+// hosting and name-service history the paper reports:
 //
 //   - 101 of 107 hosted exclusively in Russian ASNs before the conflict;
 //     three more become fully Russian-hosted by May 25; the final three
@@ -17,81 +20,68 @@ import (
 //     March 4, 93.8% fully Russian — driven almost entirely by Netnod
 //     dropping its RU-CENTER secondary service.
 //
-// Sanctioned domains are appended to the same registry/serving fabric as
+// Sanctioned domains are appended to the same table and serving fabric as
 // the generated population, so every analysis sees them via measurement.
-func (w *World) buildSanctioned() {
-	type sancSpec struct {
-		host     string
-		dns      string
-		entity   string
-		moveHost simtime.Day // 0 = hosting never changes
-		moveDNS  simtime.Day // 0 = DNS follows only global events
-		dnsDest  string
-	}
-	const n = 107
-	specs := make([]sancSpec, 0, n)
-	for i := 0; i < n; i++ {
-		s := sancSpec{entity: fmt.Sprintf("Sanctioned Entity %03d", i)}
-		switch {
-		case i < 40: // fully Russian DNS + hosting throughout
-			s.host, s.dns = "rucenter", "rucenter"
-		case i < 65:
-			s.host, s.dns = "regru", "regru"
-		case i < 99: // 34 partial via Netnod secondaries (cut off Mar 3)
-			s.host, s.dns = "rucenter", "rucenter-netnod"
-		case i == 99 || i == 100: // partial via self+cloudflare
-			s.host, s.dns = "rupool1", "self-cloudflare"
-			if i == 99 { // one repatriates by Mar 4 (the 100th full domain)
-				s.moveDNS, s.dnsDest = SanctionedNSMoved, "rucenter"
-			}
-		case i == 101: // foreign-hosted (DE), becomes RU-hosted in April
-			s.host, s.dns = "hetzner", "godaddy"
-			s.moveHost = simtime.Date(2022, 4, 10)
-		case i == 102: // foreign-hosted (PL), becomes RU-hosted in May
-			s.host, s.dns = "homepl", "godaddy"
-			s.moveHost = simtime.Date(2022, 5, 2)
-		case i == 103: // foreign-hosted (DE), becomes RU-hosted in April
-			s.host, s.dns = "hetzner", "cloudflare"
-			s.moveHost = simtime.Date(2022, 4, 20)
-		case i == 104: // remains in Germany
-			s.host, s.dns = "hetzner", "godaddy"
-		case i == 105: // remains in the Czech Republic
-			s.host, s.dns = "wedos", "cloudflare"
-		default: // 106: remains in Estonia
-			s.host, s.dns = "zoneee", "hetznerdns"
+func sanctionedDraft(i int, d *draft) {
+	var host, dns, dnsDest string
+	var moveHost, moveDNS simtime.Day // 0 = hosting never changes, DNS follows only global events
+	switch {
+	case i < 40: // fully Russian DNS + hosting throughout
+		host, dns = "rucenter", "rucenter"
+	case i < 65:
+		host, dns = "regru", "regru"
+	case i < 99: // 34 partial via Netnod secondaries (cut off Mar 3)
+		host, dns = "rucenter", "rucenter-netnod"
+	case i == 99 || i == 100: // partial via self+cloudflare
+		host, dns = "rupool1", "self-cloudflare"
+		if i == 99 { // one repatriates by Mar 4 (the 100th full domain)
+			moveDNS, dnsDest = SanctionedNSMoved, "rucenter"
 		}
-		specs = append(specs, s)
+	case i == 101: // foreign-hosted (DE), becomes RU-hosted in April
+		host, dns = "hetzner", "godaddy"
+		moveHost = simtime.Date(2022, 4, 10)
+	case i == 102: // foreign-hosted (PL), becomes RU-hosted in May
+		host, dns = "homepl", "godaddy"
+		moveHost = simtime.Date(2022, 5, 2)
+	case i == 103: // foreign-hosted (DE), becomes RU-hosted in April
+		host, dns = "hetzner", "cloudflare"
+		moveHost = simtime.Date(2022, 4, 20)
+	case i == 104: // remains in Germany
+		host, dns = "hetzner", "godaddy"
+	case i == 105: // remains in the Czech Republic
+		host, dns = "wedos", "cloudflare"
+	default: // 106: remains in Estonia
+		host, dns = "zoneee", "hetznerdns"
 	}
 
+	// Sanctioned names are real long-standing registrations.
 	created := simtime.Date(2012, 6, 1)
-	for i, s := range specs {
-		name := fmt.Sprintf("sanctioned%03d.ru.", i)
-		d := &DomainRec{
-			Name:       name,
-			Created:    created,
-			Sanctioned: true,
-			epochs:     []epochRec{{From: created, DNS: s.dns, Host: s.host}},
-		}
-		// Netnod cutoff applies to sanctioned domains too (§3.3: "nearly
-		// all of them had an authoritative hosted by Netnod until the
-		// change to full Russian on March 4").
-		if s.dns == "rucenter-netnod" {
-			d.setConfig(NetnodCutoffDay, "rucenter", "")
-		}
-		if s.moveDNS != 0 {
-			d.setConfig(s.moveDNS, s.dnsDest, "")
-		}
-		if s.moveHost != 0 {
-			d.setConfig(s.moveHost, "", "rucenter")
-		}
-		w.domains[name] = d
-		w.names = append(w.names, name)
-		if reg, ok := w.Registries.ForName(name); ok {
-			// Sanctioned names are real long-standing registrations.
-			if _, err := reg.Register(name, created, s.entity, "RU-CENTER"); err != nil {
-				panic(fmt.Sprintf("world: sanctioned registration: %v", err))
-			}
-		}
+	*d = draft{
+		Name:    fmt.Sprintf("sanctioned%03d.ru.", i),
+		Created: created,
+		epochs:  append(d.epochs[:0], epoch{created, profileNum(dnsKeys, dns), profileNum(hostKeys, host)}),
+	}
+	// Netnod cutoff applies to sanctioned domains too (§3.3: "nearly
+	// all of them had an authoritative hosted by Netnod until the
+	// change to full Russian on March 4").
+	if dns == "rucenter-netnod" {
+		d.setConfig(NetnodCutoffDay, "rucenter", "")
+	}
+	if moveDNS != 0 {
+		d.setConfig(moveDNS, dnsDest, "")
+	}
+	if moveHost != 0 {
+		d.setConfig(moveHost, "", "rucenter")
+	}
+}
+
+// sanctionedEntity is the i-th sanctioned domain's listed entity, and its
+// registrant.
+func sanctionedEntity(i int) string { return fmt.Sprintf("Sanctioned Entity %03d", i) }
+
+// buildSanctioned lists the sanctioned domains on the OFAC/UK list.
+func (w *World) buildSanctioned() {
+	for i := 0; i < numSanctioned; i++ {
 		authority := sanctions.USOFAC
 		if i%3 == 0 {
 			authority |= sanctions.UKSanctions
@@ -103,8 +93,8 @@ func (w *World) buildSanctioned() {
 			listed = simtime.Date(2022, 3, 11)
 		}
 		w.Sanctions.Add(sanctions.Entry{
-			Domain:      name,
-			Entity:      s.entity,
+			Domain:      w.domains.Name(w.domains.sanctioned + i),
+			Entity:      sanctionedEntity(i),
 			Listed:      listed,
 			Authorities: authority,
 		})

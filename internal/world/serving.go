@@ -2,6 +2,7 @@ package world
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 
 	"whereru/internal/dns"
@@ -85,13 +86,10 @@ func (w *World) tldHandler(tld string) dns.Handler {
 			}
 		}
 		if isRegistryTLD {
-			if reg := w.registeredAncestor(name, zone); reg != "" {
-				if d, ok := w.domains[reg]; ok && d.ActiveOn(now) {
-					if cfg, ok := d.ConfigAt(now); ok {
-						w.rr.nsSets[cfg.DNS].refer(resp, reg, zone)
-						return resp
-					}
-				}
+			reg := w.registeredAncestor(name, zone)
+			if _, cfg, ok := w.domains.configOf(reg, now); ok {
+				w.rr.nsSets[cfg.DNS].refer(resp, reg, zone)
+				return resp
 			}
 		}
 		resp.Authoritative = true
@@ -163,34 +161,17 @@ func (w *World) providerHandler(p *Provider) dns.Handler {
 			return resp
 		}
 
-		// Customer domains.
-		d, ok := w.domains[name]
-		if !ok {
-			resp.RCode = dns.RCodeRefused
-			return resp
-		}
-		cfg, ok := d.ConfigAt(now)
-		if !ok {
-			resp.RCode = dns.RCodeRefused
-			return resp
-		}
-		serves := false
-		for _, key := range dnsProfiles[cfg.DNS] {
-			if key == p.Key {
-				serves = true
-				break
-			}
-		}
-		if !serves {
-			// Lame delegation: the domain moved away but something still
-			// points here.
+		// Customer domains; a lame delegation (the domain moved away but
+		// something still points here) is refused.
+		d, cfg, ok := w.domains.configOf(name, now)
+		set := &w.rr.nsSets[cfg.DNS]
+		if !ok || !slices.Contains(set.servers, p) {
 			resp.RCode = dns.RCodeRefused
 			return resp
 		}
 		resp.Authoritative = true
 		switch question.Type {
 		case dns.TypeNS:
-			set := w.rr.nsSets[cfg.DNS]
 			resp.Answers = set.appendNS(resp.Records(len(set.ns)), name)
 		case dns.TypeA:
 			// One stable pool address per hosting provider.
@@ -208,23 +189,6 @@ func (w *World) providerHandler(p *Provider) dns.Handler {
 		}
 		return resp
 	})
-}
-
-// SetOutage simulates the collection outage the paper notes on
-// 2021-03-22 (footnote 8) by making the registry TLD servers unreachable
-// for the given day when enabled.
-//
-// Deprecated-by-design: this flips shared MemNet state and must be
-// manually undone; ScheduleRegistryOutage expresses the same event as a
-// day-keyed fault-profile window that turns itself on and off with the
-// simulation clock.
-func (w *World) SetOutage(day simtime.Day, enabled bool) {
-	_ = day
-	for _, tld := range []string{"ru", idn.RFTLDASCII} {
-		for _, a := range w.tldAddrs[tld] {
-			w.Mem.SetUnreachable(a, enabled)
-		}
-	}
 }
 
 // ScheduleRegistryOutage registers a scheduled outage window for every

@@ -77,29 +77,36 @@ func (w *World) hostAddrsFor(name string, hostProfile string) []netip.Addr {
 
 // configDay is one (domain, day) the serving tests visit.
 type configDay struct {
-	d   *DomainRec
-	day simtime.Day
-	cfg epochRec
+	d    int
+	name string
+	day  simtime.Day
+	cfg  epoch
+}
+
+// changeDays returns the days domain d's configuration changes plus the
+// first and last day of its registration, ascending.
+func changeDays(w *World, d int) []simtime.Day {
+	rec := w.domains.Record(d)
+	last := simtime.StudyEnd
+	if rec.Removed != 0 {
+		last = rec.Removed.Add(-1)
+	}
+	days := []simtime.Day{rec.Created, last}
+	for _, e := range w.domains.epochsOf(d) {
+		days = append(days, e.From)
+	}
+	slices.Sort(days)
+	return slices.Compact(days)
 }
 
 // configDays lists, day by day, every domain on each day its
 // configuration changes plus the first and last day of its registration.
 func configDays(w *World) []configDay {
 	var out []configDay
-	for _, name := range w.names {
-		d := w.domains[name]
-		last := simtime.StudyEnd
-		if d.Removed != 0 {
-			last = d.Removed.Add(-1)
-		}
-		days := []simtime.Day{d.Created, last}
-		for _, e := range d.epochs {
-			days = append(days, e.From)
-		}
-		slices.Sort(days)
-		for _, day := range slices.Compact(days) {
-			if cfg, ok := d.ConfigAt(day); ok {
-				out = append(out, configDay{d, day, cfg})
+	for d := range w.NumDomains() {
+		for _, day := range changeDays(w, d) {
+			if cfg, ok := w.domains.configAt(d, day); ok {
+				out = append(out, configDay{d, w.domains.Name(d), day, cfg})
 			}
 		}
 	}
@@ -126,13 +133,14 @@ func TestServingMatchesOracle(t *testing.T) {
 	shapes, exchanges := map[string]int{}, 0
 	for _, cd := range configDays(w) {
 		w.Clock().Set(cd.day)
-		name, now := cd.d.Name, cd.day
+		name, now := cd.name, cd.day
+		dnsKey, hostKey := cd.cfg.dnsKey(), cd.cfg.hostKey()
 		tld := dns.TLD(name)
 		zone := tld + "."
-		serving := w.providers[dnsProfiles[cd.cfg.DNS][0]]
+		serving := w.providers[dnsProfiles[dnsKey][0]]
 		lame := w.providers["homepl"] // hosts, never serves DNS for anybody
 		referral := func(resp *dns.Message) {
-			set := referenceDomainReferral(w, name, cd.cfg.DNS, zone)
+			set := referenceDomainReferral(w, name, dnsKey, zone)
 			resp.Authority, resp.Additional = set.auth, set.addl
 		}
 		for _, tc := range []struct {
@@ -152,11 +160,11 @@ func TestServingMatchesOracle(t *testing.T) {
 			}, true},
 			{"ns", provH[serving.Key], serving.NSAddrs[0], name, dns.TypeNS, func(resp *dns.Message) {
 				resp.Authoritative = true
-				resp.Answers = referenceNSAnswers(w, name, cd.cfg.DNS)
+				resp.Answers = referenceNSAnswers(w, name, dnsKey)
 			}, true},
 			{"a", provH[serving.Key], serving.NSAddrs[len(serving.NSAddrs)-1], name, dns.TypeA, func(resp *dns.Message) {
 				resp.Authoritative = true
-				resp.Answers = referenceAAnswers(w, name, cd.cfg.Host)
+				resp.Answers = referenceAAnswers(w, name, hostKey)
 			}, true},
 			{"mx", provH[serving.Key], serving.NSAddrs[0], name, dns.TypeMX, func(resp *dns.Message) {
 				resp.Authoritative = true
@@ -237,9 +245,9 @@ func TestServedAEqualsHostAddrsFor(t *testing.T) {
 	ctx := context.Background()
 	for _, cd := range configDays(w) {
 		w.Clock().Set(cd.day)
-		want := w.hostAddrsFor(cd.d.Name, cd.cfg.Host)
-		server := w.providers[dnsProfiles[cd.cfg.DNS][0]].NSAddrs[0]
-		resp, err := w.Mem.Exchange(ctx, server, dns.NewQuery(1, cd.d.Name, dns.TypeA))
+		want := w.hostAddrsFor(cd.name, cd.cfg.hostKey())
+		server := w.providers[dnsProfiles[cd.cfg.dnsKey()][0]].NSAddrs[0]
+		resp, err := w.Mem.Exchange(ctx, server, dns.NewQuery(1, cd.name, dns.TypeA))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +257,7 @@ func TestServedAEqualsHostAddrsFor(t *testing.T) {
 		}
 		resp.Release()
 		if len(want) == 0 || !slices.Equal(got, want) {
-			t.Fatalf("%s on %s: served %v, hostAddrsFor says %v", cd.d.Name, cd.day, got, want)
+			t.Fatalf("%s on %s: served %v, hostAddrsFor says %v", cd.name, cd.day, got, want)
 		}
 	}
 }
@@ -258,8 +266,8 @@ func TestServedAEqualsHostAddrsFor(t *testing.T) {
 // about one domain straight at the wire — its delegation at the TLD, then
 // NS, A and MX at a server of its DNS provider — releasing each response,
 // and returns how many records came back.
-func fourShapes(t testing.TB, w *World, name string, cfg epochRec) func() int {
-	auth := w.providers[dnsProfiles[cfg.DNS][0]].NSAddrs[0]
+func fourShapes(t testing.TB, w *World, name string, cfg epoch) func() int {
+	auth := w.providers[dnsProfiles[cfg.dnsKey()][0]].NSAddrs[0]
 	servers := [4]netip.Addr{w.tldAddrs[dns.TLD(name)][0], auth, auth, auth}
 	var qs [4]*dns.Message
 	for i, qtype := range [4]dns.Type{dns.TypeNS, dns.TypeNS, dns.TypeA, dns.TypeMX} {
@@ -296,9 +304,9 @@ func TestServingKeepsNothingPerDomain(t *testing.T) {
 	pass := func() {
 		for _, day := range []simtime.Day{simtime.StudyStart, simtime.ConflictStart, simtime.StudyEnd} {
 			w.Clock().Set(day)
-			for _, name := range w.names {
-				if cfg, ok := w.domains[name].ConfigAt(day); ok {
-					fourShapes(t, w, name, cfg)()
+			for d := range w.NumDomains() {
+				if cfg, ok := w.domains.configAt(d, day); ok {
+					fourShapes(t, w, w.domains.Name(d), cfg)()
 					asked++
 				}
 			}
@@ -326,9 +334,9 @@ func TestServingExchangeAllocs(t *testing.T) {
 	}
 	w := getWorld(t)
 	w.Clock().Set(simtime.ConflictStart)
-	for _, name := range []string{"sanctioned070.ru.", w.names[0], w.names[len(w.names)/2]} {
-		d := w.domains[name]
-		cfg, ok := d.ConfigAt(simtime.ConflictStart)
+	for _, name := range []string{"sanctioned070.ru.", w.domains.Name(0), w.domains.Name(w.NumDomains() / 2)} {
+		d, _ := w.domains.Lookup(name)
+		cfg, ok := w.domains.configAt(d, simtime.ConflictStart)
 		if !ok {
 			continue
 		}

@@ -2,7 +2,6 @@ package world
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -86,14 +85,7 @@ func (w *World) buildTopology() error {
 		}
 	}
 
-	// Providers, in sorted key order (map-walk order must not decide
-	// anything, same rule as servedTLDs).
-	keys := make([]string, 0, len(w.providers))
-	for k := range w.providers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(w.providers) {
 		p := w.providers[k]
 		if p.Country == "RU" {
 			t.AddLink(RUTransitASN, p.ASN, 8*time.Millisecond, netsim.LinkTransit)
@@ -109,16 +101,11 @@ func (w *World) buildTopology() error {
 	}
 	// Netnod's .ru service peers on its own fabric with RU-CENTER (the
 	// secondary arrangement behind the rucenter-netnod profile).
-	netnod := w.providers["netnod"]
-	rucenter := w.providers["rucenter"]
-	if netnod != nil {
-		if err := t.AddIXPMember(IXPStockholm, netnod.ASN); err != nil {
-			return err
-		}
-	}
-	if rucenter != nil {
-		if err := t.AddIXPMember(IXPStockholm, rucenter.ASN); err != nil {
-			return err
+	for _, k := range []string{"netnod", "rucenter"} {
+		if p := w.providers[k]; p != nil {
+			if err := t.AddIXPMember(IXPStockholm, p.ASN); err != nil {
+				return err
+			}
 		}
 	}
 	w.Topology = t
@@ -200,12 +187,7 @@ func (w *World) ApplyScenario(name string, sched *netsim.OutageSchedule) error {
 			"beget": true, "yandex": true,
 		}
 		group := []netsim.ASN{RUTransitASN}
-		keys := make([]string, 0, len(w.providers))
-		for k := range w.providers {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(w.providers) {
 			p := w.providers[k]
 			if p.Country == "RU" && !surviving[k] {
 				group = append(group, p.ASN)

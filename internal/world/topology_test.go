@@ -32,7 +32,7 @@ func scenarioWorld(t *testing.T, name string) (*World, *netsim.OutageSchedule) {
 // consensus and fails the test on a split.
 func routeTo(t *testing.T, w *World, key string, day simtime.Day) (time.Duration, bool) {
 	t.Helper()
-	p, ok := w.Provider(key)
+	p, ok := w.providers[key]
 	if !ok {
 		t.Fatalf("no provider %q", key)
 	}

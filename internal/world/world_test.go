@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"whereru/internal/ct"
@@ -60,19 +61,13 @@ func TestDeterminism(t *testing.T) {
 	if w1.NumDomains() != w2.NumDomains() {
 		t.Fatalf("domain counts differ: %d vs %d", w1.NumDomains(), w2.NumDomains())
 	}
-	for i, name := range w1.names {
-		d1 := w1.domains[name]
-		d2, ok := w2.domains[name]
-		if !ok {
-			t.Fatalf("domain %s missing in second world", name)
+	for d := range w1.NumDomains() {
+		name := w1.domains.Name(d)
+		if w2.domains.Name(d) != name {
+			t.Fatalf("domain %d is %s in one world, %s in the other", d, name, w2.domains.Name(d))
 		}
-		if d1.Created != d2.Created || d1.Removed != d2.Removed || len(d1.epochs) != len(d2.epochs) {
-			t.Fatalf("domain %d (%s) differs between builds", i, name)
-		}
-		for j := range d1.epochs {
-			if d1.epochs[j] != d2.epochs[j] {
-				t.Fatalf("epoch %d of %s differs", j, name)
-			}
+		if w1.domains.Record(d) != w2.domains.Record(d) || !slices.Equal(w1.domains.epochsOf(d), w2.domains.epochsOf(d)) {
+			t.Fatalf("domain %d (%s) differs between builds", d, name)
 		}
 	}
 	// Different seed → different world.
@@ -81,15 +76,14 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := 0
-	for _, name := range w1.names {
-		if d3, ok := w3.domains[name]; ok {
-			d1 := w1.domains[name]
-			if d1.Created == d3.Created && len(d1.epochs) == len(d3.epochs) {
+	for d := range w1.NumDomains() {
+		if d3, ok := w3.domains.Lookup(w1.domains.Name(d)); ok {
+			if w1.domains.Record(d).Created == w3.domains.Record(d3).Created && len(w1.domains.epochsOf(d)) == len(w3.domains.epochsOf(d3)) {
 				same++
 			}
 		}
 	}
-	if same == len(w1.names) {
+	if same == w1.NumDomains() {
 		t.Error("different seeds produced identical worlds")
 	}
 }
@@ -101,34 +95,34 @@ func TestEndToEndResolution(t *testing.T) {
 	ctx := context.Background()
 
 	// Find a domain active at study start.
-	var target *DomainRec
-	for _, name := range w.names {
-		d := w.domains[name]
-		if d.ActiveOn(simtime.StudyStart) && !d.Sanctioned {
+	target := -1
+	for d := range w.NumDomains() {
+		if w.domains.ActiveOn(d, simtime.StudyStart) && !w.domains.isSanctioned(d) {
 			target = d
 			break
 		}
 	}
-	if target == nil {
+	if target < 0 {
 		t.Fatal("no active domain found")
 	}
-	hosts, err := r.LookupNS(ctx, target.Name)
+	name := w.domains.Name(target)
+	hosts, err := r.LookupNS(ctx, name)
 	if err != nil {
-		t.Fatalf("LookupNS(%s): %v", target.Name, err)
+		t.Fatalf("LookupNS(%s): %v", name, err)
 	}
 	if len(hosts) == 0 {
-		t.Fatalf("no NS for %s", target.Name)
+		t.Fatalf("no NS for %s", name)
 	}
-	cfg, _ := target.ConfigAt(simtime.StudyStart)
-	wantHosts, _ := w.nsSetFor(cfg.DNS)
+	cfg, _ := w.domains.configAt(target, simtime.StudyStart)
+	wantHosts, _ := w.nsSetFor(cfg.dnsKey())
 	if len(hosts) != len(wantHosts) {
 		t.Fatalf("NS count = %d, want %d (%v vs %v)", len(hosts), len(wantHosts), hosts, wantHosts)
 	}
-	addrs, err := r.LookupA(ctx, target.Name)
+	addrs, err := r.LookupA(ctx, name)
 	if err != nil {
-		t.Fatalf("LookupA(%s): %v", target.Name, err)
+		t.Fatalf("LookupA(%s): %v", name, err)
 	}
-	want := w.hostAddrsFor(target.Name, cfg.Host)
+	want := w.hostAddrsFor(name, cfg.hostKey())
 	if len(addrs) != len(want) {
 		t.Fatalf("apex addrs = %v, want %v", addrs, want)
 	}
@@ -150,13 +144,13 @@ func TestResolutionTracksClock(t *testing.T) {
 
 	// A sanctioned Netnod-secondary domain changes NS set on March 3.
 	name := "sanctioned070.ru." // index 70 ∈ [65,99) → rucenter-netnod
-	d, ok := w.Domain(name)
+	d, ok := w.domains.Lookup(name)
 	if !ok {
 		t.Fatal("sanctioned070.ru. missing")
 	}
-	cfgBefore, _ := d.ConfigAt(NetnodCutoffDay.Add(-1))
-	if cfgBefore.DNS != "rucenter-netnod" {
-		t.Fatalf("unexpected pre-cutoff profile %q", cfgBefore.DNS)
+	cfgBefore, _ := w.domains.configAt(d, NetnodCutoffDay.Add(-1))
+	if key := cfgBefore.dnsKey(); key != "rucenter-netnod" {
+		t.Fatalf("unexpected pre-cutoff profile %q", key)
 	}
 
 	w.Clock().Set(NetnodCutoffDay.Add(-1))
@@ -192,20 +186,19 @@ func TestResolutionTracksClock(t *testing.T) {
 
 func TestRemovedDomainGone(t *testing.T) {
 	w := getWorld(t)
-	var removed *DomainRec
-	for _, name := range w.names {
-		d := w.domains[name]
-		if d.Removed != 0 && d.Removed < simtime.StudyEnd {
-			removed = d
+	name, removed := "", simtime.Day(0)
+	for d := range w.NumDomains() {
+		if r := w.domains.Record(d).Removed; r != 0 && r < simtime.StudyEnd {
+			name, removed = w.domains.Name(d), r
 			break
 		}
 	}
-	if removed == nil {
+	if name == "" {
 		t.Skip("no removed domain in this world")
 	}
-	w.Clock().Set(removed.Removed)
+	w.Clock().Set(removed)
 	r := w.NewResolver()
-	res, err := r.Resolve(context.Background(), removed.Name, dns.TypeNS)
+	res, err := r.Resolve(context.Background(), name, dns.TypeNS)
 	if err != nil {
 		t.Fatalf("Resolve removed: %v", err)
 	}
@@ -224,13 +217,13 @@ func TestSanctionedWorld(t *testing.T) {
 	full, part, non := 0, 0, 0
 	day := simtime.ConflictStart
 	for _, name := range domains {
-		d, ok := w.Domain(name)
-		if !ok || !d.ActiveOn(day) {
+		d, ok := w.domains.Lookup(name)
+		if !ok || !w.domains.ActiveOn(d, day) {
 			t.Fatalf("sanctioned %s not active", name)
 		}
-		cfg, _ := d.ConfigAt(day)
+		cfg, _ := w.domains.configAt(d, day)
 		ru, other := false, false
-		for _, key := range dnsProfiles[cfg.DNS] {
+		for _, key := range dnsProfiles[cfg.dnsKey()] {
 			if w.providers[key].Country == "RU" {
 				ru = true
 			} else {
@@ -301,8 +294,8 @@ func TestGeoNoiseShiftsClassification(t *testing.T) {
 	}
 	day := simtime.ConflictStart
 	// Count how many of REG.RU's pool addresses geolocate to RU in each.
-	p1, _ := clean.Provider("regru")
-	p2, _ := noisy.Provider("regru")
+	p1 := clean.providers["regru"]
+	p2 := noisy.providers["regru"]
 	countRU := func(w *World, pool []netip.Addr) int {
 		n := 0
 		for _, a := range pool {

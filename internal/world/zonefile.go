@@ -2,9 +2,11 @@ package world
 
 import (
 	"fmt"
+	"slices"
 
 	"whereru/internal/dns"
 	"whereru/internal/dns/zone"
+	"whereru/internal/registry"
 	"whereru/internal/simtime"
 )
 
@@ -17,22 +19,11 @@ import (
 func (w *World) ExportZone(tld string, day simtime.Day) (*zone.Zone, error) {
 	origin := dns.Canonical(tld)
 	label := dns.TLD(origin)
-	if _, served := w.tldAddrs[label]; !served {
-		return nil, fmt.Errorf("world: TLD %q not served", tld)
-	}
-	var reg interface {
-		ZoneSnapshot(simtime.Day) []string
-	}
-	found := false
-	for _, r := range w.Registries.Registries() {
-		if r.TLD == origin {
-			reg = r
-			found = true
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(w.Registries.Registries(), func(r *registry.Registry) bool { return r.TLD == origin })
+	if i < 0 {
 		return nil, fmt.Errorf("world: %q is not a registry TLD", tld)
 	}
+	reg := w.Registries.Registries()[i]
 
 	z := zone.New(origin)
 	// Replace the synthesized SOA with one whose serial encodes the
@@ -55,15 +46,11 @@ func (w *World) ExportZone(tld string, day simtime.Day) (*zone.Zone, error) {
 
 	glueDone := map[string]bool{}
 	for _, name := range reg.ZoneSnapshot(day) {
-		rec, ok := w.domains[name]
+		_, cfg, ok := w.domains.configOf(name, day)
 		if !ok {
 			continue
 		}
-		cfg, ok := rec.ConfigAt(day)
-		if !ok {
-			continue
-		}
-		hosts, addrs := w.nsSetFor(cfg.DNS)
+		hosts, addrs := w.nsSetFor(dnsKeys[cfg.DNS])
 		for i, h := range hosts {
 			if err := z.Add(dns.NewNS(name, 3600, h)); err != nil {
 				return nil, err
