@@ -232,3 +232,62 @@ func TestFsckRepairFaulted(t *testing.T) {
 		t.Fatalf("repaired store not clean: %v", err)
 	}
 }
+
+// captureStdout runs f and returns what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	old := os.Stdout
+	os.Stdout = out
+	ferr := f()
+	os.Stdout = old
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), ferr
+}
+
+// TestJournalFormatVersion: fsck and info name a journal's format version,
+// and a journal in a refused older version is reported as refused — not
+// DAMAGED, which would invite a -repair — and left untouched.
+func TestJournalFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j.wrjl")
+	j, err := store.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendSweep(store.JournalSweep{Day: 700, Missing: true}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	for _, verb := range []string{"fsck", "info"} {
+		out, err := captureStdout(t, func() error { return run([]string{verb, path}) })
+		if err != nil || !strings.Contains(out, "sweep journal format v2") {
+			t.Fatalf("%s on a current journal: %v\n%s", verb, err, out)
+		}
+	}
+
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "golden", "journal-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(dir, "v1.wrjl")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"fsck", path}, {"fsck", path, "-repair"}, {"info", path}, {"tail", path}} {
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "journal version 1 refused") || strings.Contains(out, "DAMAGED") {
+			t.Fatalf("%v on a v1 journal: %v\n%s", args, err, out)
+		}
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+		t.Fatal("a refused journal was modified")
+	}
+}

@@ -171,17 +171,26 @@ func fsck(path string, repair bool) error {
 		func() error { return fsckJournal(path, repair) })
 }
 
-func fsckStore(path string, repair bool) error {
+// readStore is fsck's and info's tolerant open, printing the format line.
+func readStore(verb, path string) (*store.Store, *store.Recovery, error) {
 	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	st, rec, err := store.ReadRecover(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %s: %w", verb, path, err)
+	}
+	fmt.Printf("%s: store format v%d\n", path, rec.Version)
+	return st, rec, nil
+}
+
+func fsckStore(path string, repair bool) error {
+	st, rec, err := readStore("fsck", path)
 	if err != nil {
 		return err
 	}
-	st, rec, err := store.ReadRecover(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("fsck: %s: %w", path, err)
-	}
-	fmt.Printf("%s: store format v%d\n", path, rec.Version)
 	fmt.Printf("  domains:    %d of %d recovered\n", rec.Domains, rec.ExpectedDomains)
 	fmt.Printf("  good bytes: %d\n", rec.GoodBytes)
 	if !rec.Damaged {
@@ -212,7 +221,7 @@ func fsckJournal(path string, repair bool) error {
 	if err != nil {
 		return fmt.Errorf("fsck: %s: %w", path, err)
 	}
-	fmt.Printf("%s: sweep journal\n", path)
+	fmt.Printf("%s: sweep journal format v%d\n", path, replay.Version)
 	fmt.Printf("  sweeps:     %d replayable segments\n", len(replay.Sweeps))
 	fmt.Printf("  good bytes: %d\n", replay.GoodBytes)
 	if !replay.Torn() {
@@ -242,16 +251,10 @@ func info(path string) error {
 }
 
 func infoStore(path string) error {
-	f, err := os.Open(path)
+	st, rec, err := readStore("info", path)
 	if err != nil {
 		return err
 	}
-	st, rec, err := store.ReadRecover(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("info: %s: %w", path, err)
-	}
-	fmt.Printf("%s: store format v%d\n", path, rec.Version)
 	describeStore(st)
 	if rec.Damaged {
 		fmt.Printf("  DAMAGED: %s (run fsck -repair)\n", rec.Reason)
@@ -281,7 +284,7 @@ func describeStore(st *store.Store) {
 	fmt.Printf("  domains:       %d\n", stats.Domains)
 	fmt.Printf("  epochs:        %d\n", stats.Epochs)
 	fmt.Printf("  naive records: %d (%.1fx compression)\n", stats.NaiveRecords,
-		float64(stats.NaiveRecords)/float64(max64(stats.Epochs, 1)))
+		float64(stats.NaiveRecords)/float64(max(stats.Epochs, 1)))
 	if len(sweeps) > 0 {
 		fmt.Printf("  sweeps:        %d (%s .. %s)\n", len(sweeps), sweeps[0], sweeps[len(sweeps)-1])
 	}
@@ -298,20 +301,13 @@ func describeStore(st *store.Store) {
 	ms := st.MemStats()
 	fmt.Println("  interning:")
 	fmt.Printf("    distinct configs: %d (%.1fx epoch dedup)\n", ms.DistinctConfigs,
-		float64(max64(ms.Epochs, 1))/float64(max64(int64(ms.DistinctConfigs), 1)))
+		float64(max(ms.Epochs, 1))/float64(max(int64(ms.DistinctConfigs), 1)))
 	fmt.Printf("    pooled hosts:     %d strings, %d host slots, %d addr slots\n",
 		ms.InternedHosts, ms.HostSlots, ms.AddrSlots)
 	fmt.Printf("    resident bytes:   %d (columns %d, intern %d, index %d)\n",
 		ms.ResidentBytes(), ms.ColumnBytes, ms.InternBytes, ms.IndexBytes)
 	fmt.Printf("    bytes/epoch:      %.1f (naive would hold %d records)\n",
 		ms.BytesPerEpoch(), ms.NaiveRecords)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func domains(st *store.Store, prefix string) error {
@@ -339,8 +335,8 @@ func history(st *store.Store, domain string) error {
 	for _, m := range h {
 		t.AddRow(m.Day.String(),
 			strings.Join(m.Config.NSHosts, " "),
-			joinAddrs(m.Config.NSAddrs),
-			joinAddrs(m.Config.ApexAddrs),
+			joinAddrs(m.Config.NSAddrs, " "),
+			joinAddrs(m.Config.ApexAddrs, " "),
 			strings.Join(m.Config.MXHosts, " "),
 			fmt.Sprint(m.Config.Failed))
 	}
@@ -348,12 +344,12 @@ func history(st *store.Store, domain string) error {
 	return err
 }
 
-func joinAddrs(addrs []netip.Addr) string {
+func joinAddrs(addrs []netip.Addr, sep string) string {
 	parts := make([]string, len(addrs))
 	for i, a := range addrs {
 		parts[i] = a.String()
 	}
-	return strings.Join(parts, " ")
+	return strings.Join(parts, sep)
 }
 
 func csvExport(st *store.Store, domain string) error {
@@ -366,19 +362,11 @@ func csvExport(st *store.Store, domain string) error {
 		rows = append(rows, []string{
 			m.Day.String(),
 			strings.Join(m.Config.NSHosts, ";"),
-			joinAddrsSep(m.Config.NSAddrs),
-			joinAddrsSep(m.Config.ApexAddrs),
+			joinAddrs(m.Config.NSAddrs, ";"),
+			joinAddrs(m.Config.ApexAddrs, ";"),
 			strings.Join(m.Config.MXHosts, ";"),
 			fmt.Sprint(m.Config.Failed),
 		})
 	}
 	return report.CSV(os.Stdout, []string{"from", "ns_hosts", "ns_addrs", "apex_addrs", "mx_hosts", "failed"}, rows)
-}
-
-func joinAddrsSep(addrs []netip.Addr) string {
-	parts := make([]string, len(addrs))
-	for i, a := range addrs {
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, ";")
 }

@@ -21,6 +21,9 @@ func writeSample(w *Writer) {
 	w.Raw([]byte{10, 0, 0, 1})
 	w.Str32("worker-7", "hello", "name")
 	w.Bytes32([]byte{0xde, 0xad}, "result", "batch")
+	w.Uvarint(300)
+	w.Uvarint(2)
+	w.StrVar("domain0000001.ru.")
 }
 
 func readSample(t *testing.T, r *Reader) {
@@ -63,6 +66,15 @@ func readSample(t *testing.T, r *Reader) {
 	}
 	if b := r.Bytes32("result", "batch"); !bytes.Equal(b, []byte{0xde, 0xad}) {
 		t.Errorf("Bytes32 = %v", b)
+	}
+	if v := r.Uvarint("", "prefix"); v != 300 {
+		t.Errorf("Uvarint = %d", v)
+	}
+	if n := r.CountVar(1, "", "NS set"); n != 2 {
+		t.Errorf("CountVar = %d", n)
+	}
+	if b := r.BytesVar("", "suffix"); string(b) != "domain0000001.ru." {
+		t.Errorf("BytesVar = %q", b)
 	}
 }
 
@@ -108,6 +120,9 @@ func readSampleQuiet(r *Reader) {
 	r.Take(4, "", "addr")
 	r.Str32("hello", "name")
 	r.Bytes32("result", "batch")
+	r.Uvarint("", "prefix")
+	r.CountVar(1, "", "NS set")
+	r.BytesVar("", "suffix")
 }
 
 // TestReaderChecksCountsBeforeAllocation: a count or length that the
@@ -136,6 +151,16 @@ func TestReaderChecksCountsBeforeAllocation(t *testing.T) {
 			"result batch: need 2147483647 bytes, 1 remain"},
 		{"take", []byte{1, 2, 3}, func(r *Reader) { r.Take(4, "x.ru.", "apex addr") },
 			"x.ru. apex addr: need 4 bytes, 3 remain"},
+		{"countvar", []byte{0xac, 0x02, 1, 2}, func(r *Reader) { r.CountVar(1, "", "NS set") },
+			"NS set count 300 exceeds remaining 2 bytes"},
+		{"countvar huge", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, func(r *Reader) { r.CountVar(1, "", "MX set") },
+			"MX set count 18446744073709551615 exceeds remaining 0 bytes"},
+		{"torn varint", []byte{0x80, 0x80}, func(r *Reader) { r.Uvarint("", "prefix") },
+			"prefix: bad varint, 2 bytes remain"},
+		{"varint overflow", bytes.Repeat([]byte{0xff}, 11), func(r *Reader) { r.BytesVar("", "suffix") },
+			"suffix: bad varint, 11 bytes remain"},
+		{"bytesvar", []byte{5, 'a', 'b'}, func(r *Reader) { r.BytesVar("", "suffix") },
+			"suffix: need 5 bytes, 2 remain"},
 	}
 	for _, tc := range cases {
 		r := NewReader(tc.in)
@@ -196,6 +221,9 @@ func TestLabelsCostNothingUntilFailure(t *testing.T) {
 		r.Take(4, "", "addr")
 		r.Bytes32("hello", "name")
 		r.Bytes32("result", "batch")
+		r.Uvarint("", "prefix")
+		r.CountVar(1, "", "NS set")
+		r.BytesVar("", "suffix")
 		if r.Done("sample", "payload") != nil {
 			t.Fatal(r.Err())
 		}

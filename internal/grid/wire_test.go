@@ -47,8 +47,11 @@ func (p *pipeConn) Write(b []byte) (int, error) { return p.w.Write(b) }
 // TestGoldenFrames pins the wire bytes of all seven messages against
 // frames written by the commit before internal/frame existed (0e856d7,
 // its writeFrame over its encode()); result carries the store's golden
-// batch. A diff here is a wire format change: never regenerate these
-// from the current code.
+// batch, so when that fixture moved to the set-table layout (the commit
+// after 4a0c376) the new batch was spliced into result.frame — its
+// length, frame length and checksum patched, every other byte 0e856d7's.
+// A diff here is a wire format change: never regenerate these from the
+// current code.
 func TestGoldenFrames(t *testing.T) {
 	batch, err := os.ReadFile(filepath.Join("..", "store", "testdata", "golden", "batch.bin"))
 	if err != nil {

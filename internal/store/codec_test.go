@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -227,15 +230,6 @@ func TestReadRejectsHugeCounts(t *testing.T) {
 	if _, err := Read(bytes.NewReader(rec)); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("billion-epoch file: err = %v", err)
 	}
-
-	// Legacy v1 stream: 20 bytes claiming a billion domains.
-	v1 := []byte("WRST\x00\x01")
-	v1 = binary.BigEndian.AppendUint32(v1, 0)             // no sweeps
-	v1 = binary.BigEndian.AppendUint32(v1, 1_000_000_000) // domains
-	v1 = append(v1, 0, 3, 'x', '.', 'z')                  // one tiny name, then EOF
-	if _, err := Read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("billion-domain v1 file: err = %v", err)
-	}
 }
 
 func TestWriteToRejectsOverflow(t *testing.T) {
@@ -253,8 +247,8 @@ func TestWriteToRejectsOverflow(t *testing.T) {
 	}
 }
 
-// legacyEncode writes the unframed v1/v2 stream format for compatibility
-// fixtures (the current encoder only emits v3).
+// legacyEncode writes the unframed v1/v2 stream format: what a reader must
+// refuse by name (the current encoder only emits v3).
 func legacyEncode(v int, s *Store) []byte {
 	out := []byte(magic)
 	out = append(out, 0, byte(v))
@@ -306,54 +300,79 @@ func legacyEncode(v int, s *Store) []byte {
 	return out
 }
 
-// TestLegacyFormatsStillReadable pins v1/v2 compatibility: a handcrafted
-// legacy stream decodes to the same store contents, and re-encoding it
-// produces a valid v3 file.
-func TestLegacyFormatsStillReadable(t *testing.T) {
-	for _, v := range []int{1, 2} {
-		// v1 predates MX collection, so its fixture carries none.
-		s := buildStoreOpts(6, v >= 2)
-		raw := legacyEncode(v, s)
-		back, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("v%d: Read: %v", v, err)
+// TestOldFormatVersionsRefused pins the one rule for old on-disk versions:
+// a reader reads the current version and refuses older ones by name,
+// saying what to do with them, and touches nothing. Store files v1 and v2
+// go back to an earlier build to be saved as v3; a v1 journal is finished
+// or resumed by the build that wrote it.
+func TestOldFormatVersionsRefused(t *testing.T) {
+	refused := func(t *testing.T, err error, what string, v int, remedy string) {
+		t.Helper()
+		want := fmt.Sprintf("store: %s version %d refused", what, v)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), remedy) {
+			t.Fatalf("err = %v, want %q ... %q", err, want, remedy)
 		}
-		if !reflect.DeepEqual(s.Sweeps(), back.Sweeps()) {
-			t.Fatalf("v%d: sweeps differ", v)
-		}
-		if !reflect.DeepEqual(s.Domains(), back.Domains()) {
-			t.Fatalf("v%d: domains differ", v)
-		}
-		for _, d := range s.Domains() {
-			if !reflect.DeepEqual(s.History(d), back.History(d)) {
-				t.Fatalf("v%d: history differs for %s", v, d)
-			}
-		}
-		// Upgrade path: legacy in, v3 out.
-		var buf bytes.Buffer
-		if _, err := back.WriteTo(&buf); err != nil {
-			t.Fatalf("v%d: re-encode: %v", v, err)
-		}
-		again, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d: re-read: %v", v, err)
-		}
-		storesEqual(t, back, again)
+	}
 
-		// A truncated legacy stream recovers its complete domains.
-		torn := raw[:len(raw)*2/3]
-		rec, recovery, err := ReadRecover(bytes.NewReader(torn))
-		if err != nil {
-			t.Fatalf("v%d: ReadRecover(torn): %v", v, err)
+	// The current journal version is read, and what it holds journals
+	// back to the same bytes.
+	cur := goldenFile(t, "journal.bin")
+	replay, err := DecodeJournal(bytes.NewReader(cur))
+	if err != nil || replay.Torn() {
+		t.Fatalf("current journal: %v, torn %d", err, replay.TornBytes)
+	}
+	again := filepath.Join(t.TempDir(), "again.wrjl")
+	j, err := CreateJournal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range replay.Sweeps {
+		if err := j.AppendSweep(rec); err != nil {
+			t.Fatal(err)
 		}
-		if !recovery.Damaged {
-			t.Fatalf("v%d: torn legacy stream not flagged", v)
+	}
+	j.Close()
+	if got, _ := os.ReadFile(again); !bytes.Equal(got, cur) {
+		t.Fatal("the current journal does not journal back to its own bytes")
+	}
+
+	for _, v := range []int{1, 2} {
+		raw := legacyEncode(v, buildStoreOpts(6, v >= 2))
+		_, err := Read(bytes.NewReader(raw))
+		refused(t, err, "file", v, "earlier build")
+		s, rec, err := ReadRecover(bytes.NewReader(raw))
+		refused(t, err, "file", v, "earlier build")
+		if s != nil || rec != nil {
+			t.Fatalf("v%d: the tolerant reader salvaged %v from a refused file", v, rec)
 		}
-		for _, d := range rec.Domains() {
-			if !reflect.DeepEqual(rec.History(d), s.History(d)) {
-				t.Fatalf("v%d: recovered legacy history differs for %s", v, d)
-			}
-		}
+	}
+
+	old := goldenFile(t, "journal-v1.bin")
+	const remedy = "finish or resume it with the build that wrote it"
+	_, err = DecodeJournal(bytes.NewReader(old))
+	refused(t, err, "journal", 1, remedy)
+	path := filepath.Join(t.TempDir(), "old.wrjl")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReplayJournalFile(path, New())
+	refused(t, err, "journal", 1, remedy)
+	_, _, err = OpenJournal(path) // would truncate a torn tail, and must not touch this
+	refused(t, err, "journal", 1, remedy)
+	tl, err := OpenTail(path, 0)
+	if err == nil {
+		_, err = tl.Next(context.Background())
+		tl.Close()
+	}
+	refused(t, err, "journal", 1, remedy)
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+		t.Fatal("refusing a v1 journal changed the file")
+	}
+
+	// A version from the future is unsupported, not refused.
+	future := append([]byte(journalMagic), 0, journalVersion+1)
+	if _, err := DecodeJournal(bytes.NewReader(future)); err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Fatalf("journal from a newer build: %v", err)
 	}
 }
 

@@ -11,13 +11,18 @@ import (
 	"whereru/internal/simtime"
 )
 
-// The files under testdata/golden were written by the commit before
-// internal/frame existed (0e856d7), from the inputs goldenSweeps builds,
-// through that commit's own section, segment and batch writers. They pin
-// absolute bytes: the store equivalence test cannot see a framing change
-// (ReferenceStore.WriteTo shares the section writer) and every other
-// round-trip test reads with the code that wrote. Never regenerate them
-// from the current code — a diff here is an on-disk format change.
+// The files under testdata/golden pin absolute bytes: the store
+// equivalence test cannot see a framing change (ReferenceStore.WriteTo
+// shares the section writer) and every other round-trip test reads with
+// the code that wrote. store-v3.bin and journal-v1.bin were written by
+// the commit before internal/frame existed (0e856d7), from the inputs
+// goldenSweeps builds, through that commit's own section and segment
+// writers; journal-v1.bin is now only ever refused. journal.bin and
+// batch.bin were written once, by the commit after 4a0c376 that
+// introduced journal version 2 (the set-table measurement list), from
+// goldenJournalSweeps, because that layout change is what they pin.
+// Never regenerate them from the current code — a diff here is an
+// on-disk format change.
 
 // goldenSweeps is a sweep, a missing day and a second sweep in which one
 // domain moves hosting, one starts failing and one is new. Measurements
@@ -52,6 +57,29 @@ func goldenSweeps() []JournalSweep {
 				{Domain: "gazeta.ru.", Day: d3, Config: regru},
 			}},
 	}
+}
+
+// goldenJournalSweeps is goldenSweeps with three more domains in the last
+// sweep, for the journal and batch fixtures: two that share a long prefix
+// (the front-coded names) and one whose NS and MX sets are new in the
+// middle of the segment (the set table's first-use order). The store
+// fixture predates them.
+func goldenJournalSweeps() []JournalSweep {
+	sweeps := goldenSweeps()
+	last := &sweeps[2]
+	abroad := sweeps[0].Measurements[2].Config
+	rzd := Config{
+		NSHosts:   []string{"ns2.rzd.ru.", "ns1.rzd.ru."},
+		NSAddrs:   addrList("217.175.140.71", "217.175.140.70"),
+		ApexAddrs: addrList("217.175.155.100", "217.175.140.71"),
+		MXHosts:   []string{"mx2.rzd.ru.", "mx1.rzd.ru."},
+	}
+	last.Stats.Domains = 7
+	last.Measurements = append(last.Measurements,
+		Measurement{Domain: "krasnodar-vodokanal.ru.", Day: last.Day, Config: abroad},
+		Measurement{Domain: "rzd.ru.", Day: last.Day, Config: rzd},
+		Measurement{Domain: "krasnodar-vodokanal-service.ru.", Day: last.Day, Config: abroad})
+	return sweeps
 }
 
 // canonicalSweep is rec as the journal stores it: measurements sorted by
@@ -124,7 +152,7 @@ func TestGoldenJournalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range goldenSweeps() {
+	for _, rec := range goldenJournalSweeps() {
 		if err := j.AppendSweep(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +175,7 @@ func TestGoldenJournalBytes(t *testing.T) {
 		t.Fatalf("replay of the fixture: good=%d torn=%d sweeps=%d", replay.GoodBytes, replay.TornBytes, len(replay.Sweeps))
 	}
 	// What the journal holds is the sorted, normalized form of the input.
-	for i, rec := range goldenSweeps() {
+	for i, rec := range goldenJournalSweeps() {
 		if want := canonicalSweep(rec); !reflect.DeepEqual(replay.Sweeps[i], want) {
 			t.Errorf("segment %d decoded to\n %+v\nwant\n %+v", i, replay.Sweeps[i], want)
 		}
@@ -156,7 +184,7 @@ func TestGoldenJournalBytes(t *testing.T) {
 
 func TestGoldenBatchBytes(t *testing.T) {
 	want := goldenFile(t, "batch.bin")
-	rec := canonicalSweep(goldenSweeps()[2])
+	rec := canonicalSweep(goldenJournalSweeps()[2])
 	got, err := EncodeMeasurementBatch(rec.Day, rec.Measurements)
 	if err != nil {
 		t.Fatal(err)

@@ -123,12 +123,40 @@ func rawSweep(day simtime.Day, ms ...Measurement) []byte {
 	for i := 0; i < 6; i++ {
 		e.Uint32(len(ms)+i, "", "sweep stat")
 	}
-	e.Count32(len(ms), "", "measurement")
-	for _, m := range ms {
-		e.Str16(m.Domain, "", "domain")
-		e.config(m.Config, m.Domain)
-	}
+	rawList(&e, ms)
 	return e.Bytes()
+}
+
+// rawList writes the measurement list layout with nothing sorted or
+// shared: measurement i spells its own NS set, number 2i, and MX set,
+// number 2i+1, as given, and its whole name.
+func rawList(e *encoder, ms []Measurement) {
+	e.Uvarint(uint64(2 * len(ms)))
+	for _, m := range ms {
+		rawHosts(e, m.Config.NSHosts)
+		e.addrsVar(m.Config.NSAddrs)
+		rawHosts(e, m.Config.MXHosts)
+		e.addrsVar(nil)
+	}
+	e.Uvarint(uint64(len(ms)))
+	for i, m := range ms {
+		e.Uvarint(0)
+		e.StrVar(m.Domain)
+		ref := uint64(2*i) << 1
+		if m.Config.Failed {
+			ref |= 1
+		}
+		e.Uvarint(ref)
+		e.Uvarint(uint64(2*i + 1))
+		e.addrsVar(m.Config.ApexAddrs)
+	}
+}
+
+func rawHosts(e *encoder, hosts []string) {
+	e.Uvarint(uint64(len(hosts)))
+	for _, h := range hosts {
+		e.StrVar(h)
+	}
 }
 
 func rawMissing(day simtime.Day) []byte {
