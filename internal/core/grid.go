@@ -19,7 +19,9 @@ import (
 // A coordinator only accepts workers with an equal fingerprint: a worker
 // built from a different world seed, scale, or fault configuration would
 // return units from a different simulated Internet, and merging them
-// would silently corrupt the study.
+// would silently corrupt the study. The measurement batch format version
+// is part of it too: a worker whose results the coordinator cannot decode
+// is refused at its handshake.
 func GridFingerprint(opts Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -27,7 +29,8 @@ func GridFingerprint(opts Options) uint64 {
 		binary.BigEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	put(2) // fingerprint schema version
+	put(3) // fingerprint schema version
+	put(store.BatchVersion)
 	put(uint64(opts.World.Seed))
 	put(uint64(opts.World.Scale))
 	put(math.Float64bits(opts.World.RFShare))

@@ -261,9 +261,9 @@ func (c *Coordinator) handshake(nc net.Conn) {
 		return
 	}
 	if hello.Fingerprint != c.Fingerprint {
-		c.logf("grid: rejecting worker %s: config fingerprint %016x != %016x", hello.Name, hello.Fingerprint, c.Fingerprint)
+		c.logf("grid: rejecting worker %s: config or format fingerprint %016x != %016x", hello.Name, hello.Fingerprint, c.Fingerprint)
 		// Best effort: the connection closes either way.
-		_ = w.send(rejectMsg{Reason: fmt.Sprintf("config fingerprint mismatch: worker %016x, coordinator %016x", hello.Fingerprint, c.Fingerprint)})
+		_ = w.send(rejectMsg{Reason: fmt.Sprintf("fingerprint mismatch (config or batch format): worker %016x, coordinator %016x", hello.Fingerprint, c.Fingerprint)})
 		nc.Close()
 		return
 	}

@@ -1,10 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 
+	"whereru/internal/frame"
 	"whereru/internal/simtime"
 )
 
@@ -114,5 +120,98 @@ func TestMeasurementBatchHostileInput(t *testing.T) {
 	// An over-limit batch is rejected outright.
 	if _, _, err := DecodeMeasurementBatch(make([]byte, MaxBatchBytes+1)); err == nil {
 		t.Error("decode accepted an over-limit batch")
+	}
+}
+
+// prefixChainBatch is a batch of n names, each the previous one plus a
+// byte: a few bytes apiece on the wire, n²/2 bytes of names decoded.
+func prefixChainBatch(day simtime.Day, n int) []byte {
+	var e encoder
+	e.I32(int32(day))
+	e.Uvarint(1) // one empty set
+	e.Uvarint(0)
+	e.Uvarint(0)
+	e.Uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		e.Uvarint(uint64(i)) // the whole previous name
+		e.StrVar("a")
+		e.Uvarint(0) // NS set
+		e.Uvarint(0) // MX set
+		e.Uvarint(0) // apex addrs
+	}
+	return e.Bytes()
+}
+
+// heavySetBatch is a batch of n measurements whose NS and MX set numbers
+// both stand for the one set of hosts 40-byte hostnames.
+func heavySetBatch(day simtime.Day, hosts, n int) []byte {
+	var e encoder
+	e.I32(int32(day))
+	e.Uvarint(1)
+	e.Uvarint(uint64(hosts))
+	for i := 0; i < hosts; i++ {
+		e.StrVar(fmt.Sprintf("ns%02d.%s.ru.", i, strings.Repeat("h", 32)))
+	}
+	e.Uvarint(0)
+	e.Uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		e.Uvarint(0)
+		e.StrVar(fmt.Sprintf("%04d", i))
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(0)
+	}
+	return e.Bytes()
+}
+
+// TestMeasurementListBoundsExpansion: a name stands for at most 255 bytes
+// and a list for at most maxExpansion times its own, so neither a chain of
+// ever-longer names nor many numbers for one large set decodes to much
+// more than its bytes — batch or journal segment alike — and the encoder
+// refuses to write what the decoder would refuse to read.
+func TestMeasurementListBoundsExpansion(t *testing.T) {
+	day := simtime.Date(2022, 2, 24)
+	if _, ms, err := DecodeMeasurementBatch(prefixChainBatch(day, maxNameBytes)); err != nil || len(ms[maxNameBytes-1].Domain) != maxNameBytes {
+		t.Fatalf("a chain up to a %d-byte name: %v", maxNameBytes, err)
+	}
+	if _, _, err := DecodeMeasurementBatch(prefixChainBatch(day, maxNameBytes+1)); err == nil || !strings.Contains(err.Error(), "over 255") {
+		t.Errorf("a chain past a %d-byte name decoded (%v)", maxNameBytes, err)
+	}
+	heavy := heavySetBatch(day, 50, 400)
+	if _, _, err := DecodeMeasurementBatch(heavy); err == nil || !strings.Contains(err.Error(), "weighs over") {
+		t.Errorf("400 numbers for one 50-host set decoded (%v)", err)
+	}
+	if _, _, err := DecodeMeasurementBatch(heavySetBatch(day, 50, 20)); err != nil {
+		t.Errorf("20 numbers for one 50-host set: %v", err)
+	}
+
+	// The same list as a journal segment is damage: the scan stops there.
+	var seg frame.Writer
+	seg.Begin()
+	seg.U8(segSweep)
+	seg.I32(int32(day))
+	seg.Raw(make([]byte, 6*4)) // stats
+	seg.Raw(heavy[4:])
+	b, err := seg.Finish(frame.MaxPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := append(binary.BigEndian.AppendUint16([]byte(journalMagic), journalVersion), b...)
+	replay, err := DecodeJournal(bytes.NewReader(journal))
+	if err != nil || len(replay.Sweeps) != 0 || replay.TornBytes != int64(len(b)) {
+		t.Errorf("journal with a heavy segment: %v, %+v", err, replay)
+	}
+
+	// The encoder holds itself to both bounds.
+	ms, long := make([]Measurement, 400), strings.Repeat("a", maxNameBytes+1)
+	if _, err := EncodeMeasurementBatch(day, []Measurement{{Domain: long, Day: day}}); err == nil {
+		t.Error("encoded a 256-byte name")
+	}
+	_, set, _ := DecodeMeasurementBatch(heavySetBatch(day, 50, 1))
+	for i := range ms {
+		ms[i] = Measurement{Domain: fmt.Sprintf("%04d", i), Day: day, Config: set[0].Config}
+	}
+	if _, err := EncodeMeasurementBatch(day, ms); !errors.Is(err, errHeavyList) {
+		t.Errorf("encoding 400 numbers for one 50-host set: %v", err)
 	}
 }
