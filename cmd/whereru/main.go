@@ -35,22 +35,6 @@
 //	                the same seed replays the same faults byte-for-byte
 //	-quiet          suppress progress logging
 //
-// Distributed collection (internal/grid): sweeps can be sharded across
-// worker processes; results are byte-identical to a single-process run.
-//
-//	# coordinator with three external workers
-//	whereru -scale 2000 -grid-listen 127.0.0.1:7100 -grid-wait 3
-//	whereru -scale 2000 -grid-worker 127.0.0.1:7100 &   # ×3
-//
-//	-grid-listen A  coordinate sweeps on host:port (workers dial this)
-//	-grid-worker A  run as a measurement worker against the coordinator
-//	                at host:port (world flags must match the coordinator)
-//	-grid-workers N spawn N in-process grid workers
-//	-grid-shard N   domains per grid work unit (default 2000)
-//	-grid-wait N    wait for N connected workers before the first sweep
-//	-grid-metrics F write grid counters (units dispatched/completed/
-//	                reassigned, worker liveness) to F after the run
-//
 // After collection the run summary (suppressed by -quiet) reports each
 // sweep's wall-clock duration and per-domain latency quantiles.
 package main
@@ -103,24 +87,12 @@ func run(args []string) error {
 	crashAfter := fs.Int("crash-after", 0, "test hook: exit code 3 after N checkpointed sweeps")
 	ioFault := fs.String("io-fault", "", "disk fault profile for checkpoint/store writes (e.g. crash@4096,enospc@1024); injected crashes exit 4")
 	ioFaultSeed := fs.Int64("io-fault-seed", 1, "seed for probabilistic -io-fault classes")
-	gridListen := fs.String("grid-listen", "", "coordinate distributed sweeps on this host:port")
-	gridWorker := fs.String("grid-worker", "", "run as a grid measurement worker against the coordinator at host:port")
-	gridWorkers := fs.Int("grid-workers", 0, "spawn N in-process grid workers")
-	gridShard := fs.Int("grid-shard", 0, "domains per grid work unit (0 = default)")
-	gridWait := fs.Int("grid-wait", 0, "wait for N connected grid workers before the first sweep")
-	gridMetrics := fs.String("grid-metrics", "", "write grid counters to this file after the run")
 	memStats := fs.String("memstats", "", "write store memory accounting to this file after collection")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")
 	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse would
 
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if *gridWorker != "" && (*gridListen != "" || *gridWorkers > 0) {
-		return fmt.Errorf("-grid-worker is exclusive with -grid-listen/-grid-workers")
-	}
-	if *gridMetrics != "" && *gridListen == "" && *gridWorkers == 0 {
-		return fmt.Errorf("-grid-metrics requires -grid-listen or -grid-workers")
 	}
 	var dropDays []simtime.Day
 	if *drop != "" {
@@ -144,10 +116,6 @@ func run(args []string) error {
 		Resume:          *resume,
 		DropSweeps:      dropDays,
 		CrashAfter:      *crashAfter,
-		GridListen:      *gridListen,
-		GridWorkers:     *gridWorkers,
-		GridShard:       *gridShard,
-		GridMinWorkers:  *gridWait,
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
@@ -168,12 +136,6 @@ func run(args []string) error {
 		}
 		opts.FS = iofault.NewFaultFS(iofault.OS, *ioFaultSeed, profile)
 	}
-	if *gridWorker != "" {
-		// Worker mode: build a private world with the same flags the
-		// coordinator runs with, serve units until told to drain.
-		name := fmt.Sprintf("%s-%d", hostname(), os.Getpid())
-		return core.RunGridWorker(context.Background(), opts, *gridWorker, name)
-	}
 	study, err := core.New(opts)
 	if err != nil {
 		return err
@@ -189,20 +151,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *memStats)
-	}
-	if *gridMetrics != "" {
-		f, err := os.Create(*gridMetrics)
-		if err != nil {
-			return err
-		}
-		if _, err := study.Grid.Metrics().WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *gridMetrics)
 	}
 	if err := study.RenderAll(os.Stdout); err != nil {
 		return err
@@ -292,12 +240,4 @@ func writeMemStats(path string, ms store.MemStats) error {
 		err = cerr
 	}
 	return err
-}
-
-func hostname() string {
-	h, err := os.Hostname()
-	if err != nil || h == "" {
-		return "worker"
-	}
-	return h
 }

@@ -9,17 +9,25 @@ import (
 	"testing"
 )
 
-// TestGridMetricsWithoutGrid: -grid-metrics with no grid to report on is
-// refused with the other flag checks, before the journal is created or a
-// sweep runs — not after a whole collection that then writes no report.
+// TestGridMetricsWithoutGrid: a malformed flag value is refused with the
+// other flag checks, before the journal is created or a sweep runs — not
+// after a whole collection. The name is that of the first such check, on
+// the retired -grid-metrics flag.
 func TestGridMetricsWithoutGrid(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "j")
-	err := run([]string{"-scale", "20000", "-grid-metrics", filepath.Join(dir, "m"), "-checkpoint", journal})
-	if err == nil || !strings.Contains(err.Error(), "-grid-metrics requires") {
-		t.Fatalf("run = %v, want the -grid-metrics error", err)
-	}
-	if _, err := os.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("the checkpoint journal exists (stat: %v): collection started before the flags were checked", err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-drop", "2022-02-24,yesterday"}, "-drop:"},
+		{[]string{"-io-fault", "crash@"}, "-io-fault:"},
+	} {
+		journal := filepath.Join(t.TempDir(), "j")
+		err := run(append([]string{"-scale", "20000", "-checkpoint", journal}, tc.args...))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("run(%q) = %v, want the %s error", tc.args, err, tc.want)
+		}
+		if _, err := os.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%q: the checkpoint journal exists (stat: %v): collection started before the flags were checked", tc.args, err)
+		}
 	}
 }

@@ -29,18 +29,21 @@ var materialisingReaders = map[string]bool{
 // comments included, as the CI grep it replaces was.
 var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\(`)
 
-// TestSourceHygiene parses every Go file under internal/, cmd/ and bench/
-// and fails on what the tree has ruled out:
+// TestSourceHygiene parses every Go file under internal/, cmd/, examples/
+// and bench/ and fails on what the tree has ruled out:
 //   - a hash/crc32 import outside internal/frame, test files included:
 //     length+CRC32C framing lives in one place;
-//   - in non-test files under internal/ and cmd/: a call of a
+//   - an internal/grid import in a non-test file outside internal/grid:
+//     collection is Pipeline.Sweep in one process, and the grid's own
+//     tests are its only callers;
+//   - in non-test files under internal/, cmd/ and examples/: a call of a
 //     materialising journal reader (by name, qualified or not: the names
 //     are unique in the module), a retired lookup, or a top-level
 //     declaration named reference*/Reference* — the oracles are test code.
 func TestSourceHygiene(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
-	for _, root := range []string{"internal", "cmd", "bench"} {
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
@@ -49,7 +52,8 @@ func TestSourceHygiene(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			product := root != "bench" && !strings.HasSuffix(path, "_test.go")
+			slash, test := filepath.ToSlash(path), strings.HasSuffix(path, "_test.go")
+			product := root != "bench" && !test
 			mode := parser.ImportsOnly
 			if product {
 				mode = parser.SkipObjectResolution
@@ -59,8 +63,12 @@ func TestSourceHygiene(t *testing.T) {
 				return err
 			}
 			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "hash/crc32" && !strings.HasPrefix(filepath.ToSlash(path), "internal/frame/") {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if p == "hash/crc32" && !strings.HasPrefix(slash, "internal/frame/") {
 					t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
+				}
+				if p == "whereru/internal/grid" && !test && !strings.HasPrefix(slash, "internal/grid/") {
+					t.Errorf("%s: imports internal/grid; collect with openintel.Pipeline.Sweep", fset.Position(imp.Pos()))
 				}
 			}
 			if !product {

@@ -9,11 +9,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"whereru/internal/analysis"
 	"whereru/internal/dns"
-	"whereru/internal/grid"
 	"whereru/internal/iofault"
 	"whereru/internal/netsim"
 	"whereru/internal/openintel"
@@ -87,31 +85,6 @@ type Options struct {
 	// hook behind the crash-resume smoke test. The TLS scans are skipped;
 	// a resumed run redoes them.
 	CrashAfter int
-	// GridListen, when set (host:port; port 0 picks a free one), runs
-	// collection through internal/grid: a coordinator listens here,
-	// shards each sweep day into work units, and leases them to
-	// connected workers, degrading to local execution when none are
-	// live. Results are byte-identical to a single-process run.
-	GridListen string
-	// GridWorkers spawns that many in-process grid workers (each builds
-	// its own copy of the world). Setting it without GridListen listens
-	// on a loopback port. External workers (`whereru -grid-worker`) may
-	// connect either way.
-	GridWorkers int
-	// GridShard is the number of domains per grid work unit (default
-	// grid.DefaultShardSize).
-	GridShard int
-	// GridMinWorkers makes Collect wait for that many connected workers
-	// before the first sweep (0 starts immediately, measuring locally
-	// until workers join).
-	GridMinWorkers int
-	// GridLeaseTTL overrides the work-unit lease TTL (default
-	// grid.DefaultLeaseTTL). Tests shorten it to exercise expiry fast.
-	GridLeaseTTL time.Duration
-	// OnGridListen, if set, is called once with the coordinator's bound
-	// address before workers are awaited — how tests and operators learn
-	// the port when GridListen used port 0.
-	OnGridListen func(addr string)
 	// FS routes the study's durability-critical file I/O — the
 	// checkpoint journal and SaveStoreFile — through a filesystem
 	// abstraction. nil means the real OS; the chaos matrix installs an
@@ -150,10 +123,6 @@ type Study struct {
 	Sweeps []simtime.Day
 	// Stats summarizes each sweep.
 	Stats []openintel.SweepStats
-	// Grid is the sweep coordinator when collection ran distributed
-	// (Options.GridListen/GridWorkers); its Metrics outlive Collect so
-	// operators can inspect reassignment counters after the run.
-	Grid *grid.Coordinator
 }
 
 // New builds the world for a study.
@@ -238,10 +207,7 @@ func (s *Study) adoptStore(st *store.Store) {
 
 // measurementPipeline builds the sweep pipeline for opts against w, into
 // st: its resolver fault-injected with the scheduled outage when
-// configured, plain otherwise. Collect uses it for the coordinator
-// process; RunGridWorker uses it for each worker's private copy of the
-// world — identical configuration is what makes grid unit results
-// deterministic.
+// configured, plain otherwise.
 func measurementPipeline(opts Options, w *world.World, outages *netsim.OutageSchedule, st *store.Store) *openintel.Pipeline {
 	pipe := &openintel.Pipeline{
 		Seeds:     w.Registries,
@@ -325,18 +291,6 @@ func (s *Study) Collect(ctx context.Context) error {
 		drop[d] = true
 	}
 
-	// sweepFn is how one day gets measured: in-process by default,
-	// through the grid coordinator when distribution is requested.
-	sweepFn := pipe.Sweep
-	if s.Opts.GridListen != "" || s.Opts.GridWorkers > 0 {
-		shutdown, err := s.startGrid(ctx, pipe)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		sweepFn = s.Grid.SweepDay
-	}
-
 	s.Sweeps = s.Store.Sweeps()
 	s.Opts.Progress("collecting %d DNS sweeps (%s .. %s)...", len(schedule), start, end)
 	live := 0
@@ -350,7 +304,7 @@ func (s *Study) Collect(ctx context.Context) error {
 			}
 			continue
 		}
-		stats, err := sweepFn(ctx, day)
+		stats, err := pipe.Sweep(ctx, day)
 		if err != nil {
 			return fmt.Errorf("core: sweep %s: %w", day, err)
 		}

@@ -129,38 +129,38 @@ func TestPoisonedFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestPoisonedScenarioGridDeterminism is internal/grid's
-// TestScenarioGridDeterminism under the poison: every routing scenario,
-// over grids of 1, 3 and 8 workers, against a single-process judge.
+// TestPoisonedScenarioGridDeterminism: every routing scenario, the
+// poisoned fast path at workers 1/3/8 against the judge — the route
+// layer's exchanges (RouteTransport, simulated path latency, unreachable
+// servers) under the poison, which TestPoisonedFastPathEquivalence runs
+// without. grid_N runs N sweep workers (Options.Workers); the names are
+// from the retired grid.
 func TestPoisonedScenarioGridDeterminism(t *testing.T) {
-	gridOpts := func(scenario string) core.Options {
+	scenarioOpts := func(scenario string) core.Options {
 		opts := core.QuickOptions()
 		opts.World.Scale = 20000
 		opts.World.Seed = 5
 		opts.DenseStep = 3
 		opts.StudyStart = simtime.Date(2022, 2, 18)
 		opts.StudyEnd = simtime.Date(2022, 3, 8)
-		opts.GridShard = 64
 		opts.Scenario = scenario
 		return opts
 	}
 	for _, scenario := range world.Scenarios() {
-		refStore, refReport, _ := judge(t, gridOpts(scenario))
+		refStore, refReport, _ := judge(t, scenarioOpts(scenario))
 		t.Run(scenario, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("grid_%d", workers), func(t *testing.T) {
 					t.Parallel()
-					opts := gridOpts(scenario)
-					opts.GridListen = "127.0.0.1:0"
-					opts.GridWorkers = workers
-					opts.GridMinWorkers = workers
+					opts := scenarioOpts(scenario)
+					opts.Workers = workers
 					gotStore, gotReport, _ := studyArtifacts(t, newStudy(t, opts))
 					if !bytes.Equal(gotStore, refStore) {
-						t.Errorf("store bytes differ from the single-process judge (%d vs %d bytes)", len(gotStore), len(refStore))
+						t.Errorf("store bytes differ from the judge (%d vs %d bytes)", len(gotStore), len(refStore))
 					}
 					if !bytes.Equal(gotReport, refReport) {
-						t.Errorf("report differs from the single-process judge")
+						t.Errorf("report differs from the judge")
 					}
 				})
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"whereru/internal/core"
 	"whereru/internal/grid"
 	"whereru/internal/simtime"
 )
@@ -35,8 +34,8 @@ func BenchmarkGridSweep(b *testing.B) {
 	opts := testOpts()
 	coordPipe := workerPipeline(b, opts)
 	coord := grid.NewCoordinator(coordPipe)
-	coord.ShardSize = 64
-	coord.Fingerprint = core.GridFingerprint(opts)
+	coord.ShardSize = testShard
+	coord.Fingerprint = testFingerprint
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -49,7 +48,7 @@ func BenchmarkGridSweep(b *testing.B) {
 		w := &grid.Worker{
 			Pipeline:    workerPipeline(b, opts),
 			Name:        "bench",
-			Fingerprint: core.GridFingerprint(opts),
+			Fingerprint: testFingerprint,
 		}
 		go w.Run(ctx, addr)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"whereru/internal/core"
 	"whereru/internal/grid"
 	"whereru/internal/iofault"
 )
@@ -53,9 +52,9 @@ func lossyGridSweep(t *testing.T, p iofault.ConnProfile) (snap map[string]uint64
 
 	coordPipe := workerPipeline(t, opts)
 	coord := grid.NewCoordinator(coordPipe)
-	coord.ShardSize = 64
+	coord.ShardSize = testShard
 	coord.LeaseTTL = time.Second
-	coord.Fingerprint = core.GridFingerprint(opts)
+	coord.Fingerprint = testFingerprint
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -66,8 +65,8 @@ func lossyGridSweep(t *testing.T, p iofault.ConnProfile) (snap map[string]uint64
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, w := range []*grid.Worker{
-		{Pipeline: workerPipeline(t, opts), Name: "lossy", Fingerprint: core.GridFingerprint(opts), Dial: faultDial(0xC0FFEE, p)},
-		{Pipeline: workerPipeline(t, opts), Name: "clean", Fingerprint: core.GridFingerprint(opts)},
+		{Pipeline: workerPipeline(t, opts), Name: "lossy", Fingerprint: testFingerprint, Dial: faultDial(0xC0FFEE, p)},
+		{Pipeline: workerPipeline(t, opts), Name: "clean", Fingerprint: testFingerprint},
 	} {
 		w := w
 		wg.Add(1)

@@ -1,5 +1,5 @@
-// Tests live in grid_test so they can drive the full core.Study wiring
-// (core imports grid; an internal test package would cycle).
+// Tests live in grid_test beside the harness (harness_test.go), which
+// drives core.Study from outside the package.
 package grid_test
 
 import (
@@ -11,47 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"whereru/internal/core"
 	"whereru/internal/grid"
-	"whereru/internal/openintel"
-	"whereru/internal/simtime"
-	"whereru/internal/store"
-	"whereru/internal/world"
 )
-
-// testOpts is a short dense window over the small world: ~8 sweeps of a
-// few hundred domains, enough for several work units per day.
-func testOpts() core.Options {
-	opts := core.QuickOptions()
-	opts.World.Scale = 20000
-	opts.World.Seed = 5
-	opts.DenseStep = 3
-	opts.StudyStart = simtime.Date(2022, 2, 18)
-	opts.StudyEnd = simtime.Date(2022, 3, 8)
-	opts.GridShard = 64
-	return opts
-}
-
-// runStudy collects with opts and returns the serialized store and the
-// rendered report.
-func runStudy(t *testing.T, opts core.Options) (storeBytes, report []byte) {
-	t.Helper()
-	study, err := core.New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := study.Collect(context.Background()); err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
-	var st, rep bytes.Buffer
-	if err := study.SaveStore(&st); err != nil {
-		t.Fatalf("SaveStore: %v", err)
-	}
-	if err := study.RenderAll(&rep); err != nil {
-		t.Fatalf("RenderAll: %v", err)
-	}
-	return st.Bytes(), rep.Bytes()
-}
 
 // TestGridDeterminism is the core guarantee: the same study through the
 // grid — any worker count, including zero (local fallback) — produces a
@@ -63,11 +24,7 @@ func TestGridDeterminism(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{0: "local-fallback", 1: "one", 3: "three", 8: "eight"}[workers], func(t *testing.T) {
 			t.Parallel()
-			opts := testOpts()
-			opts.GridListen = "127.0.0.1:0"
-			opts.GridWorkers = workers
-			opts.GridMinWorkers = workers
-			gotStore, gotReport := runStudy(t, opts)
+			gotStore, gotReport := runGrid(t, testOpts(), gridRun{workers: workers, wait: workers})
 			if !bytes.Equal(gotStore, baseStore) {
 				t.Errorf("store bytes differ from single-process run (%d vs %d bytes)", len(gotStore), len(baseStore))
 			}
@@ -90,10 +47,7 @@ func TestGridJournalDeterminism(t *testing.T) {
 
 	gridOpts := testOpts()
 	gridOpts.CheckpointPath = dir + "/grid.wrjl"
-	gridOpts.GridListen = "127.0.0.1:0"
-	gridOpts.GridWorkers = 3
-	gridOpts.GridMinWorkers = 3
-	gridStore, _ := runStudy(t, gridOpts)
+	gridStore, _ := runGrid(t, gridOpts, gridRun{workers: 3, wait: 3})
 
 	if !bytes.Equal(gridStore, baseStore) {
 		t.Fatalf("store bytes differ")
@@ -112,41 +66,31 @@ func TestGridKillWorkerMidSweep(t *testing.T) {
 	baseStore, baseReport := runStudy(t, testOpts())
 
 	opts := testOpts()
-	opts.GridListen = "127.0.0.1:0"
-	opts.GridWorkers = 2
-	opts.GridMinWorkers = 3 // two healthy in-process + the doomed one
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	opts.OnGridListen = func(addr string) {
+	doomed := func(addr string) {
+		w := &grid.Worker{
+			Pipeline:       workerPipeline(t, opts),
+			Name:           "doomed",
+			Fingerprint:    testFingerprint,
+			ExitAfterUnits: 1,
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &grid.Worker{
-				Pipeline:       workerPipeline(t, opts),
-				Name:           "doomed",
-				Fingerprint:    core.GridFingerprint(opts),
-				ExitAfterUnits: 1,
-			}
 			// Exits nil when it self-kills on its second assignment.
 			if err := w.Run(ctx, addr); err != nil && ctx.Err() == nil {
 				t.Errorf("doomed worker: %v", err)
 			}
 		}()
 	}
-
-	study, err := core.New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := study.Collect(context.Background()); err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
+	// Two healthy in-process workers plus the doomed one.
+	study, coord := collectGrid(t, opts, gridRun{workers: 2, wait: 3, onListen: doomed})
 	cancel()
 	wg.Wait()
 
-	snap := study.Grid.Metrics().Snapshot()
+	snap := coord.Metrics().Snapshot()
 	if snap["grid_units_reassigned_total"] == 0 {
 		t.Errorf("expected a nonzero reassignment counter after killing a worker, got %v", snap)
 	}
@@ -155,17 +99,11 @@ func TestGridKillWorkerMidSweep(t *testing.T) {
 		t.Errorf("store memory gauges missing from grid metrics: %v", snap)
 	}
 
-	var st, rep bytes.Buffer
-	if err := study.SaveStore(&st); err != nil {
-		t.Fatalf("SaveStore: %v", err)
-	}
-	if err := study.RenderAll(&rep); err != nil {
-		t.Fatalf("RenderAll: %v", err)
-	}
-	if !bytes.Equal(st.Bytes(), baseStore) {
+	gotStore, gotReport := artifacts(t, study)
+	if !bytes.Equal(gotStore, baseStore) {
 		t.Errorf("store bytes differ after mid-sweep worker death")
 	}
-	if !bytes.Equal(rep.Bytes(), baseReport) {
+	if !bytes.Equal(gotReport, baseReport) {
 		t.Errorf("report differs after mid-sweep worker death")
 	}
 }
@@ -190,9 +128,9 @@ func TestGridHangWorkerLeaseExpiry(t *testing.T) {
 
 	coordPipe := workerPipeline(t, opts)
 	coord := grid.NewCoordinator(coordPipe)
-	coord.ShardSize = 64
+	coord.ShardSize = testShard
 	coord.LeaseTTL = 200 * time.Millisecond
-	coord.Fingerprint = core.GridFingerprint(opts)
+	coord.Fingerprint = testFingerprint
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -203,8 +141,8 @@ func TestGridHangWorkerLeaseExpiry(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, w := range []*grid.Worker{
-		{Pipeline: workerPipeline(t, opts), Name: "healthy", Fingerprint: core.GridFingerprint(opts), HeartbeatEvery: 50 * time.Millisecond},
-		{Pipeline: workerPipeline(t, opts), Name: "hanger", Fingerprint: core.GridFingerprint(opts), HeartbeatEvery: 50 * time.Millisecond, HangAfterUnits: 1},
+		{Pipeline: workerPipeline(t, opts), Name: "healthy", Fingerprint: testFingerprint, HeartbeatEvery: 50 * time.Millisecond},
+		{Pipeline: workerPipeline(t, opts), Name: "hanger", Fingerprint: testFingerprint, HeartbeatEvery: 50 * time.Millisecond, HangAfterUnits: 1},
 	} {
 		w := w
 		wg.Add(1)
@@ -242,7 +180,7 @@ func TestGridHangWorkerLeaseExpiry(t *testing.T) {
 func TestGridFingerprintMismatch(t *testing.T) {
 	opts := testOpts()
 	coord := grid.NewCoordinator(workerPipeline(t, opts))
-	coord.Fingerprint = core.GridFingerprint(opts)
+	coord.Fingerprint = testFingerprint
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -252,29 +190,11 @@ func TestGridFingerprintMismatch(t *testing.T) {
 	w := &grid.Worker{
 		Pipeline:    workerPipeline(t, opts),
 		Name:        "imposter",
-		Fingerprint: core.GridFingerprint(opts) + 1,
+		Fingerprint: testFingerprint + 1,
 	}
 	err = w.Run(context.Background(), addr)
 	if err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Fatalf("want handshake rejection, got %v", err)
-	}
-}
-
-// workerPipeline builds a private world for opts, as a worker process
-// would, and returns a measurement pipeline over it.
-func workerPipeline(t testing.TB, opts core.Options) *openintel.Pipeline {
-	t.Helper()
-	w, err := world.Build(opts.World)
-	if err != nil {
-		t.Fatalf("world.Build: %v", err)
-	}
-	return &openintel.Pipeline{
-		Resolver:  w.NewResolver(),
-		Seeds:     w.Registries,
-		Clock:     w.Clock(),
-		Store:     store.New(),
-		Workers:   opts.Workers,
-		CollectMX: opts.CollectMX,
 	}
 }
 

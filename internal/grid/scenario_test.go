@@ -29,10 +29,7 @@ func TestScenarioGridDeterminism(t *testing.T) {
 					t.Parallel()
 					opts := testOpts()
 					opts.Scenario = scenario
-					opts.GridListen = "127.0.0.1:0"
-					opts.GridWorkers = workers
-					opts.GridMinWorkers = workers
-					gotStore, gotReport := runStudy(t, opts)
+					gotStore, gotReport := runGrid(t, opts, gridRun{workers: workers, wait: workers})
 					if !bytes.Equal(gotStore, baseStore) {
 						t.Errorf("store bytes differ from single-process run (%d vs %d bytes)", len(gotStore), len(baseStore))
 					}

@@ -5,6 +5,9 @@
 // — by unit index, never arrival order — so the resulting store, report,
 // and journal are byte-identical to a single-process Pipeline.Run
 // regardless of worker count, scheduling, or mid-sweep worker death.
+//
+// No program links this package (DESIGN § Grid): its tests are its only
+// callers, and it goes once they are retired.
 package grid
 
 import (

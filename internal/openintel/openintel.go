@@ -106,10 +106,9 @@ type SweepStats struct {
 const latBuckets = 24
 
 // LatencyHistogram counts per-domain measurement durations in
-// power-of-two microsecond buckets. Histograms merge by addition, so a
-// sweep sharded across grid workers aggregates latency exactly; the
-// quantiles read from a merged histogram are identical no matter how the
-// work was split.
+// power-of-two microsecond buckets. Sweep reads a sweep's quantiles off
+// one; histograms merge by addition, which MeasureUnit's callers (the
+// internal/grid coordinator, no program) rely on to aggregate units.
 type LatencyHistogram struct {
 	Counts [latBuckets]uint32
 }
@@ -187,10 +186,11 @@ type measured struct {
 
 // measurePool resolves every domain concurrently with the pipeline's
 // worker count and delivers each result to sink from the calling
-// goroutine (so sink needs no locking). It is the shared engine under
-// Sweep (whole-zone, streaming into the store) and MeasureUnit (one grid
-// work unit, no store side effects). On cancellation it returns promptly
-// with whatever results already arrived delivered.
+// goroutine (so sink needs no locking). It is the engine under Sweep
+// (whole-zone, streaming into the store), the one collection path, and
+// under MeasureUnit (a slice, no store side effects), which only the
+// internal/grid package and tests call. On cancellation it returns
+// promptly with whatever results already arrived delivered.
 //
 // Work is dispatched by the chunk, not the domain — a measurement is
 // ~10µs, less than two channel rendezvous cost the pool: workers claim
@@ -202,7 +202,7 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 		workers = 8
 	}
 	workers = min(workers, max(1, len(domains)))
-	// Several chunks per worker, so a grid unit or a 1:20000 zone still
+	// Several chunks per worker, so a 64-domain unit or a 1:20000 zone still
 	// balances; capped where a chunk's overhead is a percent of its work.
 	chunk := min(32, max(1, len(domains)/(4*workers)))
 

@@ -7,12 +7,11 @@ import (
 	"whereru/internal/simtime"
 )
 
-// Measurement batches are the store's third wire surface (after the store
-// file and the sweep journal): one sweep day's observations for a
-// contiguous slice of the zone inventory, serialized in the measurement
-// list layout the journal uses. internal/grid streams these between
-// workers and the coordinator; keeping the codec here means the grid
-// protocol cannot drift from the formats the store can persist.
+// Measurement batches are one sweep day's observations for a contiguous
+// slice of the zone inventory, serialized in the measurement list layout
+// the journal uses. No program writes them: the bench harness digests
+// journals through EncodeMeasurementBatch, and the internal/grid package,
+// which no program links, carries them in its result frames.
 //
 // Layout:
 //
@@ -22,18 +21,10 @@ import (
 // that embeds it is responsible for integrity, exactly as the journal's
 // segment framing is for journal payloads.
 
-// BatchVersion versions the batch layout: a batch is written in the
-// journal's measurement list, so it changes with the journal. The grid
-// fingerprint carries it, so a worker of another build is refused at its
-// handshake instead of at its first result.
-const BatchVersion = journalVersion
-
-// MaxBatchBytes bounds one encoded batch. A batch never travels alone:
-// the grid embeds it in a result frame beside a fixed envelope of tallies
-// and a latency histogram (~160 bytes), so the bound leaves a kilobyte
-// of the frame limit for that envelope. Any batch this codec accepts
-// therefore fits a frame, and an oversize unit is refused here, when it
-// is encoded, not after it was sent.
+// MaxBatchBytes bounds one encoded batch. It leaves a kilobyte of the
+// frame limit for an envelope around the batch (internal/grid's result
+// frame adds ~160 bytes of tallies and a latency histogram), so any batch
+// this codec accepts fits a frame.
 const MaxBatchBytes = frame.MaxPayload - 1<<10
 
 // EncodeMeasurementBatch serializes one day's measurements in the order

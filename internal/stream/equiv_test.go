@@ -20,8 +20,7 @@ import (
 // segments 1..k, every engine getter must equal — element for element —
 // the corresponding batch method of a cold study that replayed the same
 // k segments. The tests below assert it for every prefix of journals
-// produced by plain, gap-day, crash-resumed, grid-distributed and
-// scenario runs.
+// produced by plain, gap-day, crash-resumed and scenario runs.
 
 // streamOpts is a short window straddling the 2022-02-01 dense cutoff,
 // so the Fig4/Fig5 suffix axis is exercised: two monthly sweeps, then
@@ -150,15 +149,6 @@ func TestFoldEquivalenceCrashResumedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPrefixEquivalence(t, streamOpts(), replay)
-}
-
-func TestFoldEquivalenceGridJournal(t *testing.T) {
-	opts := streamOpts()
-	opts.GridWorkers = 2
-	replay := journalFor(t, opts)
-	// The fold runs against a plain (non-grid) analysis context; the
-	// journal bytes are what grid must have made identical.
 	assertPrefixEquivalence(t, streamOpts(), replay)
 }
 
