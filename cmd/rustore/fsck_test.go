@@ -268,26 +268,28 @@ func TestJournalFormatVersion(t *testing.T) {
 	j.Close()
 	for _, verb := range []string{"fsck", "info"} {
 		out, err := captureStdout(t, func() error { return run([]string{verb, path}) })
-		if err != nil || !strings.Contains(out, "sweep journal format v2") {
+		if err != nil || !strings.Contains(out, "sweep journal format v3") {
 			t.Fatalf("%s on a current journal: %v\n%s", verb, err, out)
 		}
 	}
 
-	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "golden", "journal-v1.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path = filepath.Join(dir, "v1.wrjl")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{{"fsck", path}, {"fsck", path, "-repair"}, {"info", path}, {"tail", path}} {
-		out, err := captureStdout(t, func() error { return run(args) })
-		if err == nil || !strings.Contains(err.Error(), "journal version 1 refused") || strings.Contains(out, "DAMAGED") {
-			t.Fatalf("%v on a v1 journal: %v\n%s", args, err, out)
+	for v := 1; v <= 2; v++ {
+		old, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "golden", fmt.Sprintf("journal-v%d.bin", v)))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
-		t.Fatal("a refused journal was modified")
+		path = filepath.Join(dir, fmt.Sprintf("v%d.wrjl", v))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"fsck", path}, {"fsck", path, "-repair"}, {"info", path}, {"tail", path}} {
+			out, err := captureStdout(t, func() error { return run(args) })
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("journal version %d refused", v)) || strings.Contains(out, "DAMAGED") {
+				t.Fatalf("%v on a v%d journal: %v\n%s", args, v, err, out)
+			}
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+			t.Fatalf("a refused v%d journal was modified", v)
+		}
 	}
 }

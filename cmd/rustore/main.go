@@ -133,10 +133,9 @@ func tail(path string, args []string) error {
 			fmt.Printf("%s missing offset=%d\n", rec.Day, tl.Offset())
 			continue
 		}
-		fmt.Printf("%s sweep domains=%d failed=%d nxdomain=%d unreachable=%d retries=%d recovered=%d measurements=%d offset=%d\n",
+		fmt.Printf("%s sweep domains=%d failed=%d nxdomain=%d unreachable=%d measurements=%d offset=%d\n",
 			rec.Day, rec.Stats.Domains, rec.Stats.Failed, rec.Stats.NXDomain,
-			rec.Stats.Unreachable, rec.Stats.Retries, rec.Stats.Recovered,
-			len(rec.Measurements), tl.Offset())
+			rec.Stats.Unreachable, len(rec.Measurements), tl.Offset())
 	}
 }
 

@@ -11,17 +11,17 @@ import (
 // TestFastPathEquivalence: clean and 15 % loss, the resolver fast path in
 // its production configuration (no release poison — that is dns_test's
 // TestPoisonedFastPathEquivalence) at workers 1/3/8 against the judge, a
-// one-worker run of the same options. Store and report are compared
-// always; the journal where it is deterministic — every clean run, and
-// lossy runs with one worker (under loss with several workers the
-// per-sweep Retries/Recovered totals depend on how the scheduler
-// interleaved queries against the fault stream).
+// one-worker run of the same options. Store, report and journal bytes
+// are compared in every cell. The lossy world is 1:2000, big enough that
+// workers usually race for a shared lookup, so a run-time counter such as
+// a sweep's retry count, were it journaled, shows up as a journal diff.
 func TestFastPathEquivalence(t *testing.T) {
 	for _, lossy := range []bool{false, true} {
 		opts := shortOpts()
 		if lossy {
 			opts.Loss = 0.15
 			opts.FaultSeed = 7
+			opts.World.Scale = 2000
 		}
 		judge := opts
 		judge.Workers = 1
@@ -53,7 +53,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				if !bytes.Equal(report, refReport) {
 					t.Errorf("rendered report differs between %d workers and the one-worker judge", workers)
 				}
-				if (!lossy || workers == 1) && !bytes.Equal(journal, refJournal) {
+				if !bytes.Equal(journal, refJournal) {
 					t.Errorf("sweep journal differs between %d workers and the one-worker judge", workers)
 				}
 			})

@@ -113,12 +113,11 @@ func TestLoadCheckpointStreamsLikeReplay(t *testing.T) {
 				if !reflect.DeepEqual(s.Sweeps, collected.Sweeps) {
 					t.Errorf("%s: sweeps %v, collected %v", name, s.Sweeps, collected.Sweeps)
 				}
-				// The collected stats carry wall-clock fields the journal
-				// does not; the journaled ones must survive the round trip.
+				// The collected stats carry a runtime the journal does not;
+				// the record must survive the round trip.
 				journaled := make([]openintel.SweepStats, len(collected.Stats))
 				for i, st := range collected.Stats {
-					journaled[i] = openintel.SweepStats{Day: st.Day, Domains: st.Domains, Failed: st.Failed,
-						NXDomain: st.NXDomain, Retries: st.Retries, Recovered: st.Recovered, Unreachable: st.Unreachable}
+					journaled[i] = openintel.SweepStats{Day: st.Day, JournalStats: st.JournalStats}
 				}
 				if !reflect.DeepEqual(s.Stats, journaled) {
 					t.Errorf("%s: stats %+v, collected %+v", name, s.Stats, journaled)

@@ -42,7 +42,7 @@ type Options struct {
 	// Loss is the per-exchange packet-loss probability injected into
 	// every sweep (0, the default, disables fault injection). Retries in
 	// the resolver stack recover almost all injected loss; the recovery
-	// is quantified in each sweep's SweepStats.
+	// is quantified in each sweep's SweepRuntime.
 	Loss float64
 	// FaultSeed seeds the fault-injection layer and the DNS client's
 	// query IDs; 0 reuses the world seed. Fault decisions are pure
@@ -121,7 +121,8 @@ type Study struct {
 	Outages *netsim.OutageSchedule
 	// Sweeps are the measurement days collected.
 	Sweeps []simtime.Day
-	// Stats summarizes each sweep.
+	// Stats summarizes each sweep; a sweep loaded from a journal has only
+	// its record, with a zero SweepRuntime.
 	Stats []openintel.SweepStats
 }
 

@@ -654,7 +654,7 @@ func (c *Coordinator) SweepDay(ctx context.Context, day simtime.Day) (openintel.
 	// Merge in unit-index order — never arrival order — so the collected
 	// slice is the inventory in zone order, just as a single process
 	// would have enumerated it.
-	stats := openintel.SweepStats{Day: day, Domains: len(seeds)}
+	stats := openintel.SweepStats{Day: day, JournalStats: store.JournalStats{Domains: len(seeds)}}
 	var hist openintel.LatencyHistogram
 	collected := make([]store.Measurement, 0, len(seeds))
 	for _, u := range units {

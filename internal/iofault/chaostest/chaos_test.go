@@ -244,7 +244,7 @@ func chaosSweeps(n int) []store.JournalSweep {
 	for i := 0; i < n; i++ {
 		rec := store.JournalSweep{
 			Day:   simtime.Day(900 + i*7),
-			Stats: store.JournalStats{Domains: 4, Retries: i % 2},
+			Stats: store.JournalStats{Domains: 4, Failed: i % 2},
 		}
 		if i == 2 {
 			rec.Missing = true

@@ -109,7 +109,7 @@ func sweepOnce(t *testing.T, faultSeed int64) (SweepStats, []byte) {
 func TestLossySweepDeterminism(t *testing.T) {
 	s1, b1 := sweepOnce(t, 7)
 	s2, b2 := sweepOnce(t, 7)
-	if deterministic(s1) != deterministic(s2) {
+	if deterministic(s1) != deterministic(s2) || s1.Retries != s2.Retries || s1.Recovered != s2.Recovered {
 		t.Errorf("same fault seed, different stats:\n  %+v\n  %+v", s1, s2)
 	}
 	if !bytes.Equal(b1, b2) {

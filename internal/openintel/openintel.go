@@ -56,49 +56,44 @@ type Pipeline struct {
 	// Routes, when set, is the AS-level routing oracle of a scenario run:
 	// each measured domain's simulated path latency (summed over its
 	// routed server addresses) is folded into the per-domain latency
-	// histogram. The histogram is runtime-only — journal and store bytes
-	// never see it — so Routes changes reported latency quantiles without
-	// touching the determinism contract. The resolver's transport is
+	// histogram. The histogram feeds SweepRuntime only — journal and store
+	// bytes never see it — so Routes changes reported latency quantiles
+	// without touching the determinism contract. The resolver's transport is
 	// expected to consult the same oracle for reachability.
 	Routes dns.RoutePolicy
 }
 
-// SweepStats summarizes one sweep. Beyond the domain-outcome counts it
-// quantifies degradation: on a lossy wire a sweep can succeed for nearly
-// every domain yet only via retries, and folding that silently into
-// Failed (or into nothing) hides exactly the transient-vs-genuine
-// distinction the measurement conclusions hinge on.
+// SweepStats summarizes one sweep: the record of what it measured, which
+// the journal keeps and /api/v1/sweeps serves, and what this run observed
+// while measuring it. A sweep loaded from a journal has a zero runtime.
 type SweepStats struct {
-	Day      simtime.Day
-	Domains  int
-	Failed   int
-	NXDomain int
-	// Retries is the number of re-sent DNS queries during the sweep.
-	Retries int
-	// Recovered is the number of queries that succeeded only after at
-	// least one failed, flapped, or truncated attempt.
-	Recovered int
-	// Unreachable counts domains whose delegation was measured but none
-	// of whose name-server hosts resolved to an address — degraded, not
-	// Failed.
-	Unreachable int
-	// Duration is the sweep's wall-clock time. It is runtime-only: the
-	// journal never records it (journal bytes must be identical run to
-	// run), so replayed sweeps report zero.
+	Day simtime.Day
+	store.JournalStats
+	SweepRuntime
+}
+
+// SweepRuntime is what a run observes while it collects a sweep and a
+// second run of the same sweep need not observe again. Whether a lookup
+// hits, misses or coalesces, and how many queries a lossy sweep re-sends,
+// depend on which worker reaches a shared cache entry first; none of it
+// can change a measured answer, so none of it is journaled.
+type SweepRuntime struct {
+	// Duration is the sweep's wall-clock time.
 	Duration time.Duration
 	// LatencyP50/P90/P99 are per-domain measurement latency quantiles,
-	// extracted from a power-of-two-bucket histogram so distributed
-	// sweeps can merge worker-side observations exactly. Runtime-only,
-	// like Duration.
+	// read off a LatencyHistogram.
 	LatencyP50, LatencyP90, LatencyP99 time.Duration
 	// CacheHits/CacheMisses/CacheCoalesced are the resolver
 	// infrastructure-cache counter deltas across the sweep (zone and host
 	// caches combined; coalesced counts lookups that waited on another
-	// worker's in-flight miss). Runtime-only like Duration: whether a
-	// given lookup hits, misses, or coalesces depends on worker
-	// scheduling, so these never reach the journal — only the measured
-	// answers, which caching cannot change, are journaled.
+	// worker's in-flight miss).
 	CacheHits, CacheMisses, CacheCoalesced int64
+	// Retries is the number of re-sent DNS queries; Recovered the number
+	// of queries that succeeded only after at least one failed, flapped or
+	// truncated attempt. On a lossy wire a sweep can succeed for nearly
+	// every domain yet only via retries: these tell that apart from a
+	// healthy sweep.
+	Retries, Recovered int
 }
 
 // latBuckets is the number of latency histogram buckets: power-of-two
@@ -285,7 +280,7 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 	clientBefore := p.Resolver.Client.Stats()
 	cacheBefore := p.Resolver.CacheStats()
 
-	stats := SweepStats{Day: day, Domains: len(seeds)}
+	stats := SweepStats{Day: day, JournalStats: store.JournalStats{Domains: len(seeds)}}
 	var hist LatencyHistogram
 	var collected []store.Measurement
 	if p.Checkpoint != nil {
@@ -416,18 +411,7 @@ func (p *Pipeline) CommitSweep(stats SweepStats, ms []store.Measurement) error {
 }
 
 func journalRecord(st SweepStats, ms []store.Measurement) store.JournalSweep {
-	return store.JournalSweep{
-		Day: st.Day,
-		Stats: store.JournalStats{
-			Domains:     st.Domains,
-			Failed:      st.Failed,
-			NXDomain:    st.NXDomain,
-			Retries:     st.Retries,
-			Recovered:   st.Recovered,
-			Unreachable: st.Unreachable,
-		},
-		Measurements: ms,
-	}
+	return store.JournalSweep{Day: st.Day, Stats: st.JournalStats, Measurements: ms}
 }
 
 // SkipSweep records a scheduled day on which collection deliberately did
@@ -475,15 +459,7 @@ func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, 
 }
 
 func journaledStats(rec store.JournalSweep) SweepStats {
-	return SweepStats{
-		Day:         rec.Day,
-		Domains:     rec.Stats.Domains,
-		Failed:      rec.Stats.Failed,
-		NXDomain:    rec.Stats.NXDomain,
-		Retries:     rec.Stats.Retries,
-		Recovered:   rec.Stats.Recovered,
-		Unreachable: rec.Stats.Unreachable,
-	}
+	return SweepStats{Day: rec.Day, JournalStats: rec.Stats}
 }
 
 // JournaledStats returns the per-sweep stats of a replay the store

@@ -158,7 +158,7 @@ func TestSchedule(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := SweepStats{Day: simtime.MustParse("2022-02-24"), Domains: 10, Failed: 1, NXDomain: 2}
+	s := SweepStats{Day: simtime.MustParse("2022-02-24"), JournalStats: store.JournalStats{Domains: 10, Failed: 1, NXDomain: 2}}
 	want := "2022-02-24: 10 domains, 1 failed, 2 nxdomain"
 	if s.String() != want {
 		t.Errorf("String = %q, want %q", s.String(), want)

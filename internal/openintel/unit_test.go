@@ -13,16 +13,10 @@ import (
 	"whereru/internal/store"
 )
 
-// deterministic clears the runtime-only SweepStats fields (wall-clock
-// duration, latency quantiles) so stats can be compared across runs and
-// against journal replays, which never record them.
+// deterministic drops a sweep's runtime, keeping its record, so stats
+// can be compared across runs and against journal replays.
 func deterministic(s SweepStats) SweepStats {
-	s.Duration = 0
-	s.LatencyP50, s.LatencyP90, s.LatencyP99 = 0, 0, 0
-	// Cache counters are runtime-only: whether a lookup hits, misses, or
-	// coalesces depends on worker scheduling.
-	s.CacheHits, s.CacheMisses, s.CacheCoalesced = 0, 0, 0
-	return s
+	return SweepStats{Day: s.Day, JournalStats: s.JournalStats}
 }
 
 func TestLatencyHistogramBuckets(t *testing.T) {
@@ -126,7 +120,7 @@ func TestMeasureUnitMatchesSweep(t *testing.T) {
 	seeds := unitized.Seeds.ZoneSnapshot(day)
 
 	const shard = 64
-	sum := SweepStats{Day: day, Domains: len(seeds)}
+	sum := SweepStats{Day: day, JournalStats: store.JournalStats{Domains: len(seeds)}}
 	var ms []store.Measurement
 	for start := 0; start < len(seeds); start += shard {
 		end := min(start+shard, len(seeds))
@@ -205,7 +199,7 @@ func TestCommitSweepJournalMatchesSweep(t *testing.T) {
 		}
 		p.Resolver.FlushCache()
 		seeds := p.Seeds.ZoneSnapshot(day)
-		stats := SweepStats{Day: day, Domains: len(seeds)}
+		stats := SweepStats{Day: day, JournalStats: store.JournalStats{Domains: len(seeds)}}
 		var ms []store.Measurement
 		// Deliberately commit units in reverse order of measurement: the
 		// journal sorts by domain, so order must not matter... but the

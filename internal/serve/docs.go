@@ -5,7 +5,6 @@ import (
 
 	"whereru/internal/analysis"
 	"whereru/internal/core"
-	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/stream"
 )
@@ -111,14 +110,9 @@ func docHosting(gen uint64, missing []simtime.Day, src seriesSource) any {
 
 // docSweepsFromCounts builds the /api/v1/sweeps document: one row per
 // sweep day from the source's per-sweep counts, the missing days
-// interleaved as bare markers, and the runtime-only fields filled in for
-// sweeps this process collected.
-func docSweepsFromCounts(src seriesSource, missing []simtime.Day, live []openintel.SweepStats, gen uint64) sweepsDoc {
+// interleaved as bare markers.
+func docSweepsFromCounts(src seriesSource, missing []simtime.Day, gen uint64) sweepsDoc {
 	counts := src.SweepCounts()
-	liveByDay := make(map[simtime.Day]openintel.SweepStats, len(live))
-	for _, st := range live {
-		liveByDay[st.Day] = st
-	}
 	doc := sweepsDoc{Endpoint: "sweeps", Generation: gen, Sweeps: len(counts), MissingDays: len(missing)}
 	doc.Days = make([]sweepRow, 0, len(counts)+len(missing))
 	mi := 0
@@ -127,19 +121,10 @@ func docSweepsFromCounts(src seriesSource, missing []simtime.Day, live []openint
 			doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})
 			mi++
 		}
-		row := sweepRow{
+		doc.Days = append(doc.Days, sweepRow{
 			Day: c.Day, Domains: c.Measured, Failed: c.Failed,
 			NXDomain: c.NXDomain, Unreachable: c.Unreachable,
-		}
-		if st, ok := liveByDay[c.Day]; ok {
-			row.Retries = st.Retries
-			row.Recovered = st.Recovered
-			row.DurationMS = st.Duration.Milliseconds()
-			row.LatencyP50US = st.LatencyP50.Microseconds()
-			row.LatencyP90US = st.LatencyP90.Microseconds()
-			row.LatencyP99US = st.LatencyP99.Microseconds()
-		}
-		doc.Days = append(doc.Days, row)
+		})
 	}
 	for mi < len(missing) {
 		doc.Days = append(doc.Days, sweepRow{Day: missing[mi], Missing: true})

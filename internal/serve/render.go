@@ -477,23 +477,14 @@ func renderStudy(st *core.Study, gen uint64) studyDoc {
 // sweepRow is one day on the collection axis. Measured days carry counts
 // derived from the store's epochs — failed, NXDOMAIN and unreachable
 // re-derive from each day's configs exactly as the sweep classified them
-// — so the endpoint works for loaded stores and replayed journals too.
-// The runtime-only fields (retries, recovered, duration, latency
-// quantiles) come from the live SweepStats when the study collected in
-// this process, and are omitted otherwise.
+// — so a collected, a loaded and a followed server serve the same row.
 type sweepRow struct {
-	Day          simtime.Day `json:"day"`
-	Missing      bool        `json:"missing,omitempty"`
-	Domains      int         `json:"domains"`
-	Failed       int         `json:"failed"`
-	NXDomain     int         `json:"nxdomain"`
-	Unreachable  int         `json:"unreachable"`
-	Retries      int         `json:"retries,omitempty"`
-	Recovered    int         `json:"recovered,omitempty"`
-	DurationMS   int64       `json:"duration_ms,omitempty"`
-	LatencyP50US int64       `json:"latency_p50_us,omitempty"`
-	LatencyP90US int64       `json:"latency_p90_us,omitempty"`
-	LatencyP99US int64       `json:"latency_p99_us,omitempty"`
+	Day         simtime.Day `json:"day"`
+	Missing     bool        `json:"missing,omitempty"`
+	Domains     int         `json:"domains"`
+	Failed      int         `json:"failed"`
+	NXDomain    int         `json:"nxdomain"`
+	Unreachable int         `json:"unreachable"`
 }
 
 // sweepsDoc is the /api/v1/sweeps response: every scheduled day, swept

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -198,7 +199,7 @@ func TestEndpointsGolden(t *testing.T) {
 		{"/api/v1/movement?asn=197695&from=2022-02-24", renderMovement(
 			st.Movement(197695, simtime.ConflictStart), gen)},
 		{"/api/v1/study", renderStudy(st, gen)},
-		{"/api/v1/sweeps", docSweepsFromCounts(st, st.Store.MissingSweeps(), st.Stats, gen)},
+		{"/api/v1/sweeps", docSweepsFromCounts(st, st.Store.MissingSweeps(), gen)},
 	}
 	for _, c := range cases {
 		t.Run(c.path, func(t *testing.T) {
@@ -646,9 +647,10 @@ func TestCacheEviction(t *testing.T) {
 
 // TestSweepsEndpointContent exercises /api/v1/sweeps on a study with a
 // dropped collection day: swept days carry per-day config tallies and
-// the live runtime stats, the dropped day appears interleaved in day
-// order as missing, and replayed-style rows (no runtime stats) omit the
-// duration fields entirely.
+// nothing a run observed while collecting them, the dropped day appears
+// interleaved in day order as missing, and the body and ETag are the same
+// whether the server collected the study, loaded its store file or loaded
+// its journal.
 func TestSweepsEndpointContent(t *testing.T) {
 	dropped := simtime.Date(2022, 3, 3)
 	opts := core.Options{
@@ -659,30 +661,47 @@ func TestSweepsEndpointContent(t *testing.T) {
 		StudyEnd:   simtime.Date(2022, 3, 17),
 		DropSweeps: []simtime.Day{dropped},
 	}
-	st, err := core.New(opts)
+	journal := filepath.Join(t.TempDir(), "sweeps.wrjl")
+	collecting := opts
+	collecting.CheckpointPath = journal
+	st, err := core.New(collecting)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Collect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	var saved bytes.Buffer
+	if err := st.SaveStore(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fromStore, err := core.LoadStore(opts, &saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJournal, err := core.LoadCheckpoint(opts, journal)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	_, ts := newStudyServer(t, st, Options{})
 	resp, body := get(t, ts.URL+"/api/v1/sweeps")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
 	}
+	for name, loaded := range map[string]*core.Study{"LoadStore": fromStore, "LoadCheckpoint": fromJournal} {
+		_, lts := newStudyServer(t, loaded, Options{})
+		lresp, lbody := get(t, lts.URL+"/api/v1/sweeps")
+		if !bytes.Equal(lbody, body) || lresp.Header.Get("ETag") != resp.Header.Get("ETag") {
+			t.Errorf("%s server: /api/v1/sweeps %s %.200s, collected server %s %.200s",
+				name, lresp.Header.Get("ETag"), lbody, resp.Header.Get("ETag"), body)
+		}
+	}
+
 	var doc struct {
-		Sweeps      int `json:"sweeps"`
-		MissingDays int `json:"missing_days"`
-		Days        []struct {
-			Day        string `json:"day"`
-			Missing    bool   `json:"missing"`
-			Domains    int    `json:"domains"`
-			DurationMS int64  `json:"duration_ms"`
-		} `json:"days"`
+		Sweeps      int              `json:"sweeps"`
+		MissingDays int              `json:"missing_days"`
+		Days        []map[string]any `json:"days"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("unmarshal: %v\nbody: %s", err, body)
@@ -696,28 +715,33 @@ func TestSweepsEndpointContent(t *testing.T) {
 	if len(doc.Days) != doc.Sweeps+doc.MissingDays {
 		t.Fatalf("%d day rows, want %d", len(doc.Days), doc.Sweeps+doc.MissingDays)
 	}
+	record := map[string]bool{"day": true, "missing": true, "domains": true, "failed": true, "nxdomain": true, "unreachable": true}
 	prev := ""
 	sawMissing := false
 	for _, row := range doc.Days {
-		if row.Day <= prev {
-			t.Errorf("day rows out of order: %s after %s", row.Day, prev)
-		}
-		prev = row.Day
-		if row.Missing {
-			sawMissing = true
-			if row.Day != dropped.String() {
-				t.Errorf("unexpected missing day %s", row.Day)
+		for k := range row {
+			if !record[k] {
+				t.Errorf("day %v carries %q, which is not part of the sweep record", row["day"], k)
 			}
-			if row.Domains != 0 || row.DurationMS != 0 {
-				t.Errorf("missing day carries measurements: %+v", row)
+		}
+		day, _ := row["day"].(string)
+		if day <= prev {
+			t.Errorf("day rows out of order: %s after %s", day, prev)
+		}
+		prev = day
+		domains, _ := row["domains"].(float64)
+		if row["missing"] == true {
+			sawMissing = true
+			if day != dropped.String() {
+				t.Errorf("unexpected missing day %s", day)
+			}
+			if domains != 0 {
+				t.Errorf("missing day carries measurements: %v", row)
 			}
 			continue
 		}
-		if row.Domains == 0 {
-			t.Errorf("swept day %s reports zero domains", row.Day)
-		}
-		if row.DurationMS < 0 {
-			t.Errorf("swept day %s has negative duration", row.Day)
+		if domains == 0 {
+			t.Errorf("swept day %s reports zero domains", day)
 		}
 	}
 	if !sawMissing {

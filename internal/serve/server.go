@@ -477,7 +477,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, "sweeps", "", func(gen uint64) (any, error) {
-		return docSweepsFromCounts(s.study, s.study.Store.MissingSweeps(), s.liveStats(), gen), nil
+		return docSweepsFromCounts(s.study, s.study.Store.MissingSweeps(), gen), nil
 	})
 }
 

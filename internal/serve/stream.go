@@ -274,7 +274,7 @@ func (s *Server) patchCache(gen uint64) map[string]string {
 		ins("figures", "n="+id, "figures/"+id, doc)
 	}
 	ins("hosting", "", "hosting", docHosting(gen, missing, eng))
-	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng, missing, s.liveStats(), gen))
+	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng, missing, gen))
 	return etags
 }
 

@@ -568,7 +568,7 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 		rec.Damaged = true
 		rec.Reason = err.Error()
 		rec.GoodBytes = off
-		s.rebuildNaive()
+		s.rebuildCounts()
 		return s, rec, nil
 	}
 
@@ -643,7 +643,7 @@ func decodeV3(src io.Reader, tolerant bool) (*Store, *Recovery, error) {
 		rec.Domains++
 	}
 	rec.GoodBytes = off
-	s.rebuildNaive()
+	s.rebuildCounts()
 	return s, rec, nil
 }
 
@@ -676,9 +676,14 @@ func (s *Store) decodeDomainRecord(payload []byte, r *byteReader, sc *scratchCon
 	return name, len(s.epochFrom) - mark, nil
 }
 
-// rebuildNaive reconstructs the naive (one-record-per-sweep) count from
-// the sweep schedule: each epoch spans the sweeps in [from, lastSeen].
-func (s *Store) rebuildNaive() {
+// rebuildCounts reconstructs the counters a store file does not carry.
+// The naive (one-record-per-sweep) count comes from the sweep schedule:
+// each epoch spans the sweeps in [from, lastSeen]. The generation follows
+// from it — one mutation per sweep day, missing day and measurement, as
+// building the store sweep by sweep counts them — so a loaded store's
+// documents carry a collected one's generation whenever a domain was
+// measured on every sweep its epochs span, as a zone's domains are.
+func (s *Store) rebuildCounts() {
 	s.naive = 0
 	for d := range s.names {
 		o, n := s.off[d], s.cnt[d]
@@ -686,6 +691,7 @@ func (s *Store) rebuildNaive() {
 			s.naive += int64(countSweepsIn(s.sweeps, s.epochFrom[o+j], s.epochLast[o+j]))
 		}
 	}
+	s.gen = uint64(len(s.sweeps)+len(s.missing)) + uint64(s.naive)
 }
 
 // countSweepsIn counts schedule entries in [from, to].

@@ -303,8 +303,8 @@ func legacyEncode(v int, s *Store) []byte {
 // TestOldFormatVersionsRefused pins the one rule for old on-disk versions:
 // a reader reads the current version and refuses older ones by name,
 // saying what to do with them, and touches nothing. Store files v1 and v2
-// go back to an earlier build to be saved as v3; a v1 journal is finished
-// or resumed by the build that wrote it.
+// go back to an earlier build to be saved as v3; a v1 or v2 journal is
+// finished or resumed by the build that wrote it.
 func TestOldFormatVersionsRefused(t *testing.T) {
 	refused := func(t *testing.T, err error, what string, v int, remedy string) {
 		t.Helper()
@@ -347,26 +347,28 @@ func TestOldFormatVersionsRefused(t *testing.T) {
 		}
 	}
 
-	old := goldenFile(t, "journal-v1.bin")
 	const remedy = "finish or resume it with the build that wrote it"
-	_, err = DecodeJournal(bytes.NewReader(old))
-	refused(t, err, "journal", 1, remedy)
-	path := filepath.Join(t.TempDir(), "old.wrjl")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReplayJournalFile(path, New())
-	refused(t, err, "journal", 1, remedy)
-	_, _, err = OpenJournal(path) // would truncate a torn tail, and must not touch this
-	refused(t, err, "journal", 1, remedy)
-	tl, err := OpenTail(path, 0)
-	if err == nil {
-		_, err = tl.Next(context.Background())
-		tl.Close()
-	}
-	refused(t, err, "journal", 1, remedy)
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
-		t.Fatal("refusing a v1 journal changed the file")
+	for v, name := range map[int]string{1: "journal-v1.bin", 2: "journal-v2.bin"} {
+		old := goldenFile(t, name)
+		_, err = DecodeJournal(bytes.NewReader(old))
+		refused(t, err, "journal", v, remedy)
+		path := filepath.Join(t.TempDir(), "old.wrjl")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReplayJournalFile(path, New())
+		refused(t, err, "journal", v, remedy)
+		_, _, err = OpenJournal(path) // would truncate a torn tail, and must not touch this
+		refused(t, err, "journal", v, remedy)
+		tl, err := OpenTail(path, 0)
+		if err == nil {
+			_, err = tl.Next(context.Background())
+			tl.Close()
+		}
+		refused(t, err, "journal", v, remedy)
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+			t.Fatalf("refusing a v%d journal changed the file", v)
+		}
 	}
 
 	// A version from the future is unsupported, not refused.

@@ -120,8 +120,8 @@ func FuzzJournalReplay(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x04
 	f.Add(flipped)
-	f.Add([]byte("WRJL\x00\x02"))
-	f.Add([]byte("WRJL\x00\x02\xff\xff\xff\xff"))
+	f.Add([]byte("WRJL\x00\x03"))
+	f.Add([]byte("WRJL\x00\x03\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		assertStreamingMatchesDecoded(t, data)

@@ -17,12 +17,15 @@ import (
 // the code that wrote. store-v3.bin and journal-v1.bin were written by
 // the commit before internal/frame existed (0e856d7), from the inputs
 // goldenSweeps builds, through that commit's own section and segment
-// writers; journal-v1.bin is now only ever refused. journal.bin and
-// batch.bin were written once, by the commit after 4a0c376 that
+// writers; journal-v1.bin is now only ever refused. batch.bin and
+// journal-v2.bin were written once, by the commit after 4a0c376 that
 // introduced journal version 2 (the set-table measurement list), from
-// goldenJournalSweeps, because that layout change is what they pin.
-// Never regenerate them from the current code — a diff here is an
-// on-disk format change.
+// goldenJournalSweeps, because that layout change is what they pin;
+// journal-v2.bin is now only ever refused too. journal.bin was written
+// once, from goldenJournalSweeps, by the commit that introduced journal
+// version 3 (four sweep counters, the retry counters no longer
+// journaled). Never regenerate them from the current code — a diff here
+// is an on-disk format change.
 
 // goldenSweeps is a sweep, a missing day and a second sweep in which one
 // domain moves hosting, one starts failing and one is new. Measurements
@@ -42,14 +45,14 @@ func goldenSweeps() []JournalSweep {
 	}
 	idn := Config{NSHosts: []string{"ns1.xn--80aswg.xn--p1ai."}, NSAddrs: addrList("193.232.146.1")}
 	return []JournalSweep{
-		{Day: d1, Stats: JournalStats{Domains: 3, Failed: 0, NXDomain: 1, Retries: 4, Recovered: 3, Unreachable: 0},
+		{Day: d1, Stats: JournalStats{Domains: 3, Failed: 0, NXDomain: 1, Unreachable: 0},
 			Measurements: []Measurement{
 				{Domain: "sberbank.ru.", Day: d1, Config: regru},
 				{Domain: "xn--80aswg.xn--p1ai.", Day: d1, Config: idn},
 				{Domain: "gazeta.ru.", Day: d1, Config: abroad},
 			}},
 		{Day: d2, Missing: true},
-		{Day: d3, Stats: JournalStats{Domains: 4, Failed: 1, NXDomain: 0, Retries: 70000, Recovered: 2, Unreachable: 1},
+		{Day: d3, Stats: JournalStats{Domains: 4, Failed: 1, NXDomain: 0, Unreachable: 1},
 			Measurements: []Measurement{
 				{Domain: "xn--80aswg.xn--p1ai.", Day: d3, Config: Config{Failed: true}},
 				{Domain: "sberbank.ru.", Day: d3, Config: regru},

@@ -29,27 +29,30 @@ import (
 //	  kind u8 (0 = sweep, 1 = missing day)
 //	  day i32
 //	  kind 0 only:
-//	    stats 6×u32 (domains, failed, nxdomain, retries, recovered,
-//	    unreachable)
+//	    stats 4×u32 (domains, failed, nxdomain, unreachable)
 //	    the measurement list, sorted by domain (codec.go: a host-set
 //	    table, then front-coded names with set numbers and apex addresses)
 //
-// Version 1 journals (each config spelled out) are refused by name: a
-// journal is crash-recovery scratch, finished by the build that wrote it.
+// Older journals are refused by name — version 1 spelled each config
+// out, version 2 also journaled the retry counters — because a journal is
+// crash-recovery scratch, finished by the build that wrote it.
 
 const (
 	journalMagic   = "WRJL"
-	journalVersion = 2
+	journalVersion = 3
 	journalHdrLen  = 6
 
 	segSweep   = 0
 	segMissing = 1
 )
 
-// JournalStats carries one sweep's summary counters through the journal
-// (mirroring openintel.SweepStats, which the store cannot import).
+// JournalStats is the record of what one sweep measured: how many domains
+// it swept, how many failed, answered NXDOMAIN, or had a delegation none
+// of whose name-server hosts resolved (unreachable, not failed). It is a
+// function of the measured answers, so it is the same however the sweep
+// was scheduled.
 type JournalStats struct {
-	Domains, Failed, NXDomain, Retries, Recovered, Unreachable int
+	Domains, Failed, NXDomain, Unreachable int
 }
 
 // JournalSweep is one journaled schedule day: either a completed sweep
@@ -270,8 +273,7 @@ func encodeJournalPayload(e *encoder, rec JournalSweep) {
 	} else {
 		e.U8(segSweep)
 		e.I32(int32(rec.Day))
-		for _, v := range []int{rec.Stats.Domains, rec.Stats.Failed, rec.Stats.NXDomain,
-			rec.Stats.Retries, rec.Stats.Recovered, rec.Stats.Unreachable} {
+		for _, v := range []int{rec.Stats.Domains, rec.Stats.Failed, rec.Stats.NXDomain, rec.Stats.Unreachable} {
 			e.Uint32(v, "", "sweep stat")
 		}
 		ms := append([]Measurement(nil), rec.Measurements...)
@@ -369,9 +371,7 @@ func (sc *journalScanner) begin() {
 	case segMissing:
 		rec.Missing = true
 	case segSweep:
-		stats := []*int{&rec.Stats.Domains, &rec.Stats.Failed, &rec.Stats.NXDomain,
-			&rec.Stats.Retries, &rec.Stats.Recovered, &rec.Stats.Unreachable}
-		for _, p := range stats {
+		for _, p := range []*int{&rec.Stats.Domains, &rec.Stats.Failed, &rec.Stats.NXDomain, &rec.Stats.Unreachable} {
 			v := sc.r.U32("", "sweep stat")
 			if v > math.MaxInt32 {
 				sc.r.Failf("sweep stat %d implausibly large", v)

@@ -13,7 +13,7 @@ import (
 func sweepRec(day simtime.Day, domains ...string) JournalSweep {
 	rec := JournalSweep{
 		Day:   day,
-		Stats: JournalStats{Domains: len(domains), Retries: 1},
+		Stats: JournalStats{Domains: len(domains), Unreachable: 1},
 	}
 	for _, d := range domains {
 		rec.Measurements = append(rec.Measurements, Measurement{

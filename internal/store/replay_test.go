@@ -120,7 +120,7 @@ func rawSweep(day simtime.Day, ms ...Measurement) []byte {
 	var e encoder
 	e.U8(segSweep)
 	e.I32(int32(day))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ {
 		e.Uint32(len(ms)+i, "", "sweep stat")
 	}
 	rawList(&e, ms)
@@ -177,7 +177,7 @@ func randomJournal(t testing.TB, seed int64, nSweeps, nDomains int) []byte {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < nSweeps; i++ {
-		rec := JournalSweep{Day: simtime.Day(300 + 3*i), Stats: JournalStats{Domains: nDomains, Failed: i, Retries: 2 * i}}
+		rec := JournalSweep{Day: simtime.Day(300 + 3*i), Stats: JournalStats{Domains: nDomains, Failed: i, NXDomain: 2 * i}}
 		if i == nSweeps/2 {
 			rec = JournalSweep{Day: rec.Day, Missing: true}
 		}
