@@ -34,8 +34,9 @@
 //	                 new sweeps appended by a concurrent `whereru
 //	                 -checkpoint FILE [-resume]` run are folded into the
 //	                 live figures incrementally, the response cache is
-//	                 patched in place, and /api/v1/stream/* endpoints
-//	                 push one event per folded sweep (SSE or long-poll)
+//	                 patched in place, and a long-poll on
+//	                 /api/v1/stream/sweeps?since=GEN answers with the
+//	                 newest folded sweep
 //	-follow-poll D   journal polling interval in follow mode (default 200ms)
 //	-quiet           suppress progress logging
 //
@@ -78,7 +79,7 @@ func run() error {
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent analysis computations (0 = GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
 	cacheEntries := flag.Int("cache-entries", 0, "result-cache capacity (0 = default)")
-	follow := flag.Bool("follow", false, "keep tailing the -checkpoint journal and fold new sweeps live")
+	follow := flag.Bool("follow", false, "keep tailing the -checkpoint journal, fold new sweeps live and answer long-polls on /api/v1/stream/sweeps")
 	followPoll := flag.Duration("follow-poll", 0, "journal polling interval in follow mode (0 = default)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	flag.Parse()

@@ -13,7 +13,9 @@ import (
 // must stay byte-identical across any worker count — each worker builds
 // a private topology and must reach the same verdicts. The test window
 // (2022-02-18 .. 2022-03-08) covers every scenario's trigger day:
-// conflict start, the Netnod cutoff, and the partition onset.
+// conflict start, the Netnod cutoff, and the partition onset. Its
+// negative control, that a scenario reshapes the measured bytes at all, is
+// core's TestScenarioChangesMeasurements.
 func TestScenarioGridDeterminism(t *testing.T) {
 	for _, scenario := range world.Scenarios() {
 		scenario := scenario
@@ -39,18 +41,5 @@ func TestScenarioGridDeterminism(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestScenarioChangesMeasurements is the negative control for the matrix
-// above: a scenario must actually reshape the measured bytes, or the
-// determinism comparisons prove nothing.
-func TestScenarioChangesMeasurements(t *testing.T) {
-	plainStore, _ := runStudy(t, testOpts())
-	opts := testOpts()
-	opts.Scenario = world.ScenarioNetnodDepeering
-	scenarioStore, _ := runStudy(t, opts)
-	if bytes.Equal(plainStore, scenarioStore) {
-		t.Fatal("netnod-depeering produced a byte-identical store; the route layer is not reaching measurement")
 	}
 }

@@ -138,7 +138,6 @@ func endpointList() []string {
 		"/api/v1/domains/{name}/timeline",
 		"/api/v1/sweeps",
 		"/api/v1/stream/sweeps",
-		"/api/v1/stream/figures/{1,2,3,4,5,reachability,latency}",
 		"/api/v1/study",
 		"/healthz",
 		"/metrics",
@@ -156,8 +155,7 @@ func (s *Server) routes() {
 	s.handle("GET /api/v1/movement", "movement", s.handleMovement)
 	s.handle("GET /api/v1/domains/{name}/timeline", "timeline", s.handleTimeline)
 	s.handle("GET /api/v1/sweeps", "sweeps", s.handleSweeps)
-	s.handleStream("GET /api/v1/stream/sweeps", "stream_sweeps", s.handleStreamSweeps)
-	s.handleStream("GET /api/v1/stream/figures/{n}", "stream_figures", s.handleStreamFigure)
+	s.handle("GET /api/v1/stream/sweeps", "stream_sweeps", s.handleStreamSweeps)
 	s.handle("GET /api/v1/study", "study", s.handleStudy)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
@@ -172,14 +170,6 @@ type statusRecorder struct {
 func (sr *statusRecorder) WriteHeader(code int) {
 	sr.code = code
 	sr.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so SSE handlers can stream
-// through the recorder.
-func (sr *statusRecorder) Flush() {
-	if fl, ok := sr.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
 }
 
 // handle registers pattern with per-request instrumentation: the

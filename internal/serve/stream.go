@@ -7,7 +7,7 @@
 // *patches* the response cache at the new generation, inserting
 // fully-rendered bodies built from the engine's accumulators instead of
 // letting the next request recompute the whole study, and (4) publishes
-// an event to SSE and long-poll subscribers.
+// it as the newest event for /api/v1/stream/sweeps long-polls.
 //
 // Patching is sound because of two invariants enforced elsewhere: the
 // engine's series are DeepEqual to the cold recompute (the
@@ -27,7 +27,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,10 +57,8 @@ type FollowOptions struct {
 // Server; it exists even when not following (all zeros) so /metrics is
 // shape-stable.
 type followState struct {
-	active     atomic.Bool
-	engine     *stream.Engine
-	hub        *streamHub
-	sseClients atomic.Int64
+	active atomic.Bool
+	engine *stream.Engine
 
 	mu          sync.Mutex
 	folds       uint64
@@ -71,16 +68,20 @@ type followState struct {
 	patched     uint64
 	skipped     uint64
 	events      uint64
+	// last is the newest published event (nil until Follow primes);
+	// changed is closed at the next publish, waking every long-poll.
+	last    *streamEvent
+	changed chan struct{}
 }
 
 func newFollowState() *followState {
-	return &followState{hub: newStreamHub()}
+	return &followState{changed: make(chan struct{})}
 }
 
-// streamEvent is the JSON document published per folded segment, both as
-// an SSE "sweep" event and as the long-poll response body. ETags lets a
-// dashboard re-GET exactly the endpoints that were patched, keyed by
-// figure id plus "hosting" and "sweeps".
+// streamEvent is the long-poll response body: the newest folded segment,
+// or before the first the primed state (no ETags: nothing was patched).
+// ETags lets a dashboard re-GET exactly the endpoints that were patched,
+// keyed by "figures/{id}", "hosting" and "sweeps".
 type streamEvent struct {
 	Day          simtime.Day       `json:"day"`
 	Missing      bool              `json:"missing,omitempty"`
@@ -91,76 +92,20 @@ type streamEvent struct {
 	ETags        map[string]string `json:"etags,omitempty"`
 }
 
-// figureEvent is the per-figure projection of a streamEvent served on
-// /api/v1/stream/figures/{id}.
-type figureEvent struct {
-	Figure     string      `json:"figure"`
-	Day        simtime.Day `json:"day"`
-	Missing    bool        `json:"missing,omitempty"`
-	Generation uint64      `json:"generation"`
-	ETag       string      `json:"etag,omitempty"`
+// publish makes ev the newest event and wakes the waiting long-polls.
+// The caller holds f.mu.
+func (f *followState) publish(ev streamEvent) {
+	f.last = &ev
+	close(f.changed)
+	f.changed = make(chan struct{})
 }
 
-func eventFor(ev streamEvent, figure string) any {
-	if figure == "" {
-		return ev
-	}
-	return figureEvent{
-		Figure: figure, Day: ev.Day, Missing: ev.Missing,
-		Generation: ev.Generation, ETag: ev.ETags["figures/"+figure],
-	}
-}
-
-// streamHub fans folded-segment events out to subscribers. SSE readers
-// hold a buffered channel each; long-pollers wait on the notify channel,
-// which is closed and replaced at every publish.
-type streamHub struct {
-	mu      sync.Mutex
-	subs    map[chan streamEvent]struct{}
-	last    *streamEvent
-	lastGen uint64
-	notify  chan struct{}
-}
-
-func newStreamHub() *streamHub {
-	return &streamHub{subs: make(map[chan streamEvent]struct{}), notify: make(chan struct{})}
-}
-
-func (h *streamHub) publish(ev streamEvent) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.last = &ev
-	h.lastGen = ev.Generation
-	close(h.notify)
-	h.notify = make(chan struct{})
-	for ch := range h.subs {
-		select {
-		case ch <- ev:
-		default: // a stalled reader drops events rather than blocking folds
-		}
-	}
-}
-
-// latest returns the most recent event (nil before the first fold), its
-// generation, and the channel closed at the next publish.
-func (h *streamHub) latest() (*streamEvent, uint64, <-chan struct{}) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.last, h.lastGen, h.notify
-}
-
-func (h *streamHub) subscribe() chan streamEvent {
-	ch := make(chan streamEvent, 256)
-	h.mu.Lock()
-	h.subs[ch] = struct{}{}
-	h.mu.Unlock()
-	return ch
-}
-
-func (h *streamHub) unsubscribe(ch chan streamEvent) {
-	h.mu.Lock()
-	delete(h.subs, ch)
-	h.mu.Unlock()
+// latest returns the newest event (nil until Follow primes) and the
+// channel closed at the next publish.
+func (f *followState) latest() (*streamEvent, <-chan struct{}) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.last, f.changed
 }
 
 // Follow tails the journal and folds each new segment into the study,
@@ -179,9 +124,12 @@ func (s *Server) Follow(ctx context.Context, fo FollowOptions) error {
 	tl.SetPoll(fo.Poll)
 	f := s.follow
 	f.engine = fo.Engine
+	primed := streamEvent{Generation: s.study.Store.Generation(), Sweeps: len(s.study.Store.Sweeps())}
+	primed.Day, _ = fo.Engine.LastDay()
 	f.mu.Lock() // primed and idle is not day 0: the prefix is folded
-	f.lastDay, _ = fo.Engine.LastDay()
+	f.lastDay = primed.Day
 	f.lagBytes = tl.Lag()
+	f.publish(primed) // answers ?since= below the primed generation now
 	f.mu.Unlock()
 	f.active.Store(true)
 	for {
@@ -205,7 +153,7 @@ func (s *Server) Follow(ctx context.Context, fo FollowOptions) error {
 
 // applySegment is one follow-mode step: store mutation, engine fold,
 // cache patch, metrics, event publish — in that order, so every artifact
-// a subscriber can observe after the event exists already.
+// a long-poll client can observe after the event exists already.
 func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldStats, uint64, error) {
 	start := time.Now()
 	s.liveMu.Lock()
@@ -218,6 +166,13 @@ func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldSta
 	gen := s.study.Store.Generation()
 	etags := s.patchCache(gen)
 	elapsed := time.Since(start)
+	ev := streamEvent{
+		Day: rec.Day, Missing: rec.Missing, Generation: gen,
+		Sweeps:       len(s.study.Store.Sweeps()),
+		Measurements: st.Measurements,
+		FoldMS:       float64(elapsed.Microseconds()) / 1e3,
+		ETags:        etags,
+	}
 
 	f := s.follow
 	f.mu.Lock()
@@ -226,15 +181,8 @@ func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldSta
 	f.lastDay = rec.Day
 	f.lagBytes = lag
 	f.events++
+	f.publish(ev)
 	f.mu.Unlock()
-
-	f.hub.publish(streamEvent{
-		Day: rec.Day, Missing: rec.Missing, Generation: gen,
-		Sweeps:       len(s.study.Store.Sweeps()),
-		Measurements: st.Measurements,
-		FoldMS:       float64(elapsed.Microseconds()) / 1e3,
-		ETags:        etags,
-	})
 	return st, gen, nil
 }
 
@@ -286,95 +234,18 @@ func (s *Server) liveStats() []openintel.SweepStats {
 	return append([]openintel.SweepStats(nil), s.study.Stats...)
 }
 
-// --- stream endpoints ---
+// --- stream endpoint ---
 
-// handleStream registers a streaming pattern: instrumented like handle
-// but without the per-request deadline, which would sever long-lived SSE
-// connections (long-poll bounds its own wait).
-func (s *Server) handleStream(pattern, endpoint string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		s.met.observe(endpoint, rec.code, time.Since(start))
-	})
-}
-
+// handleStreamSweeps is the long-poll: it answers with the newest event
+// once its generation exceeds ?since= (immediately if it already does),
+// or 204 No Content when the request deadline passes first. A client
+// that slept through several folds gets only the newest event; its
+// generation shows the gap and its ETags cover every patched endpoint.
 func (s *Server) handleStreamSweeps(w http.ResponseWriter, r *http.Request) {
-	s.serveStream(w, r, "")
-}
-
-func (s *Server) handleStreamFigure(w http.ResponseWriter, r *http.Request) {
-	n := r.PathValue("n")
-	ok := false
-	for _, id := range seriesFigureIDs {
-		if id == n {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		http.Error(w, "unknown streaming figure (have: 1, 2, 3, 4, 5, reachability, latency)", http.StatusNotFound)
-		return
-	}
-	s.serveStream(w, r, n)
-}
-
-// serveStream dispatches a stream request: SSE when the client accepts
-// text/event-stream, one-shot long-poll otherwise.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, figure string) {
 	if !s.follow.active.Load() {
 		http.Error(w, "server is not following a journal (start with -follow)", http.StatusNotFound)
 		return
 	}
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.serveSSE(w, r, figure)
-		return
-	}
-	s.serveLongPoll(w, r, figure)
-}
-
-// serveSSE streams one "sweep" event per folded segment until the client
-// disconnects.
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, figure string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported by connection", http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": connected generation=%d\n\n", s.study.Store.Generation())
-	fl.Flush()
-
-	ch := s.follow.hub.subscribe()
-	defer s.follow.hub.unsubscribe(ch)
-	s.follow.sseClients.Add(1)
-	defer s.follow.sseClients.Add(-1)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			data, err := json.Marshal(eventFor(ev, figure))
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: sweep\nid: %d\ndata: %s\n\n", ev.Generation, data)
-			fl.Flush()
-		}
-	}
-}
-
-// serveLongPoll answers with the latest event once its generation
-// exceeds ?since= (immediately if it already does), or 204 No Content
-// when the request deadline passes first.
-func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, figure string) {
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -384,12 +255,10 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, figure st
 		}
 		since = n
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
 	for {
-		ev, gen, changed := s.follow.hub.latest()
-		if ev != nil && gen > since {
-			body, err := json.Marshal(eventFor(*ev, figure))
+		ev, changed := s.follow.latest()
+		if ev != nil && ev.Generation > since {
+			body, err := json.Marshal(ev)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -402,7 +271,7 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, figure st
 		}
 		select {
 		case <-changed:
-		case <-ctx.Done():
+		case <-r.Context().Done():
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -445,10 +314,7 @@ func (s *Server) writeStreamMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP whereru_stream_cache_patch_skipped_total Patches skipped because the key was already cached or computing.\n")
 	fmt.Fprintf(w, "# TYPE whereru_stream_cache_patch_skipped_total counter\n")
 	fmt.Fprintf(w, "whereru_stream_cache_patch_skipped_total %d\n", skipped)
-	fmt.Fprintf(w, "# HELP whereru_stream_events_total Events published to stream subscribers.\n")
+	fmt.Fprintf(w, "# HELP whereru_stream_events_total Events published to the long-poll stream (the primed state is not one).\n")
 	fmt.Fprintf(w, "# TYPE whereru_stream_events_total counter\n")
 	fmt.Fprintf(w, "whereru_stream_events_total %d\n", events)
-	fmt.Fprintf(w, "# HELP whereru_stream_sse_clients Currently connected SSE subscribers.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_sse_clients gauge\n")
-	fmt.Fprintf(w, "whereru_stream_sse_clients %d\n", s.follow.sseClients.Load())
 }

@@ -1,13 +1,14 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -124,58 +125,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// sseReader connects to an SSE endpoint and delivers decoded "data:"
-// payloads over a channel.
-func sseReader(t *testing.T, url string) (<-chan streamEvent, func()) {
+// longPoll asks the stream for the newest event past generation since
+// and decodes it; anything but 200 fails the test.
+func longPoll(t *testing.T, base string, since uint64) streamEvent {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, body := get(t, fmt.Sprintf("%s/api/v1/stream/sweeps?since=%d", base, since))
 	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("SSE connect: status %d", resp.StatusCode)
+		t.Fatalf("long-poll since=%d: status %d", since, resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		resp.Body.Close()
-		t.Fatalf("SSE Content-Type = %q", ct)
+	var ev streamEvent
+	if err := json.Unmarshal(body, &ev); err != nil {
+		t.Fatalf("long-poll body %q: %v", body, err)
 	}
-	events := make(chan streamEvent, 64)
-	go func() {
-		defer close(events)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var ev streamEvent
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				return
-			}
-			events <- ev
-		}
-	}()
-	return events, func() { resp.Body.Close() }
-}
-
-func nextEvent(t *testing.T, events <-chan streamEvent) streamEvent {
-	t.Helper()
-	select {
-	case ev, ok := <-events:
-		if !ok {
-			t.Fatal("SSE stream closed early")
-		}
-		return ev
-	case <-time.After(10 * time.Second):
-		t.Fatal("timed out waiting for SSE event")
-	}
-	panic("unreachable")
+	return ev
 }
 
 // patchedEndpoints are the paths follow mode patches into the cache —
@@ -222,20 +184,15 @@ func assertMatchesColdRestart(t *testing.T, srv *Server, base, journal string) {
 }
 
 // TestFollowLiveUpdates is the end-to-end follow-mode test: segments
-// appended to the journal must each produce one SSE event, patch the
-// response cache at the new generation, and leave every patched endpoint
-// byte-identical (body and ETag) to a cold server restarted over the
-// same journal.
+// appended to the journal must each produce one event on the long-poll,
+// patch the response cache at the new generation under the ETags the
+// event carries, and leave every patched endpoint byte-identical (body
+// and ETag) to a cold server restarted over the same journal.
 func TestFollowLiveUpdates(t *testing.T) {
 	replay, fullPath := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	k := n / 2
 	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, nil)
-
-	events, closeSSE := sseReader(t, base+"/api/v1/stream/sweeps")
-	defer closeSSE()
-	figEvents, closeFig := sseReader(t, base+"/api/v1/stream/figures/3")
-	defer closeFig()
 
 	// Concurrent readers keep hammering the API during folds; under
 	// -race this doubles as an interleaving test.
@@ -262,12 +219,12 @@ func TestFollowLiveUpdates(t *testing.T) {
 		}()
 	}
 
-	var lastGen uint64
+	lastGen := srv.study.Store.Generation()
 	for _, rec := range replay.Sweeps[k:] {
 		if err := j.AppendSweep(rec); err != nil {
 			t.Fatal(err)
 		}
-		ev := nextEvent(t, events)
+		ev := longPoll(t, base, lastGen)
 		if ev.Day != rec.Day {
 			t.Fatalf("event day = %s, appended %s", ev.Day, rec.Day)
 		}
@@ -279,9 +236,9 @@ func TestFollowLiveUpdates(t *testing.T) {
 		}
 		lastGen = ev.Generation
 
-		fev := nextEvent(t, figEvents)
-		if fev.Day != rec.Day || fev.Generation != ev.Generation {
-			t.Fatalf("figure event %+v does not match sweep event %+v", fev, ev)
+		resp, _ := get(t, base+"/api/v1/figures/3")
+		if want, got := ev.ETags["figures/3"], resp.Header.Get("ETag"); want == "" || got != want {
+			t.Fatalf("figure 3 after %s: ETag %s, event carries %q", rec.Day, got, want)
 		}
 	}
 	close(stop)
@@ -377,10 +334,12 @@ func TestPrimeWhileJournalGrows(t *testing.T) {
 // live segment a followed server has folded the whole prefix and says so —
 // the last primed day, and as lag whatever sits past its offset (here the
 // first ten bytes of a 264-byte append still under way) — not day 0 and no lag.
+// A long-poll from generation 0 gets the primed state at once, not a 204
+// after the deadline; it is not counted as a fold or an event.
 func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	k := len(replay.Sweeps) / 2
-	_, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
 		f, err := os.OpenFile(j.Path(), os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -391,6 +350,10 @@ func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 		}
 	})
 	primed := replay.Sweeps[k-1].Day
+	ev := longPoll(t, base, 0)
+	if gen := srv.study.Store.Generation(); ev.Day != primed || ev.Generation != gen || len(ev.ETags) != 0 {
+		t.Errorf("?since=0 on a primed, idle server = %+v, want day %s, generation %d and no etags", ev, primed, gen)
+	}
 	_, health := get(t, base+"/healthz")
 	if want := fmt.Sprintf(" follow=1 folds=0 last_folded=%s lag_bytes=10\n", primed); !strings.HasSuffix(string(health), want) {
 		t.Errorf("healthz of a primed, idle server = %q, want it to end %q", health, want)
@@ -399,6 +362,7 @@ func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("\nwhereru_stream_last_folded_day %d\n", int64(primed)),
 		"\nwhereru_stream_watcher_lag_bytes 10\n",
+		"\nwhereru_stream_events_total 0\n",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics of a primed, idle server lack %q", want)
@@ -479,7 +443,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "fold of "+rec.Day.String(), func() bool {
-			ev, _, _ := srv.follow.hub.latest()
+			ev, _ := srv.follow.latest()
 			return ev != nil && ev.Day == rec.Day
 		})
 		coldStudy, err := core.LoadCheckpoint(opts, coldPath)
@@ -510,48 +474,47 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 	}
 }
 
-// TestLongPollStream covers the non-SSE side: ?since= returns the latest
-// event immediately once the generation has advanced past it, and 204
-// when nothing arrives before the deadline.
+// TestLongPollStream: ?since= returns the latest event immediately once
+// the generation has advanced past it — whatever the client Accepts — and
+// 204 when nothing arrives before the deadline. The per-figure stream is
+// gone: the event carries every figure's ETag.
 func TestLongPollStream(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, nil)
 
+	primed := srv.study.Store.Generation()
 	if err := j.AppendSweep(replay.Sweeps[n-1]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "final fold", func() bool { return srv.follow.engine.Folds() == uint64(n) })
-
-	resp, body := get(t, base+"/api/v1/stream/sweeps?since=0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("long-poll since=0: status %d", resp.StatusCode)
-	}
-	var ev streamEvent
-	if err := json.Unmarshal(body, &ev); err != nil {
-		t.Fatalf("long-poll body %q: %v", body, err)
-	}
+	ev := longPoll(t, base, primed)
 	if ev.Day != replay.Sweeps[n-1].Day {
 		t.Fatalf("long-poll day = %s, want %s", ev.Day, replay.Sweeps[n-1].Day)
 	}
 
-	// Figure-scoped long-poll carries the figure's patched ETag.
-	fresp, fbody := get(t, base+"/api/v1/stream/figures/1?since=0")
-	if fresp.StatusCode != http.StatusOK {
-		t.Fatalf("figure long-poll: status %d", fresp.StatusCode)
-	}
-	var fev figureEvent
-	if err := json.Unmarshal(fbody, &fev); err != nil {
+	// A client asking for an event stream gets the same JSON answer, and
+	// the connection ends with it.
+	req, _ := http.NewRequest(http.MethodGet, base+"/api/v1/stream/sweeps?since=0", nil)
+	req.Header.Set("Accept", "text/event-stream")
+	sresp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fev.Figure != "1" || fev.Generation != ev.Generation {
-		t.Fatalf("figure long-poll event = %+v", fev)
+	sbody, err := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fev.ETag != "" {
-		gresp, _ := get(t, base+"/api/v1/figures/1")
-		if got := gresp.Header.Get("ETag"); got != fev.ETag {
-			t.Fatalf("figure etag %s != event etag %s", got, fev.ETag)
-		}
+	if ct := sresp.Header.Get("Content-Type"); sresp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("Accept: text/event-stream: status %d, Content-Type %q; want 200 application/json", sresp.StatusCode, ct)
+	}
+	var sev streamEvent
+	if err := json.Unmarshal(sbody, &sev); err != nil || !reflect.DeepEqual(sev, ev) {
+		t.Fatalf("Accept: text/event-stream answered %q (%v), want the event %+v", sbody, err, ev)
+	}
+
+	if fresp, _ := get(t, base+"/api/v1/stream/figures/3"); fresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("figure stream on a followed server: status %d, want 404", fresp.StatusCode)
 	}
 
 	// Caught up: nothing new before the deadline → 204.
@@ -567,8 +530,8 @@ func TestLongPollStream(t *testing.T) {
 	}
 }
 
-// TestStreamRequiresFollow pins the non-following behavior: stream
-// endpoints 404 and unknown stream figures 404 regardless.
+// TestStreamRequiresFollow pins the non-following behavior: the stream
+// endpoint 404s, and so does the retired per-figure stream.
 func TestStreamRequiresFollow(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, _ := get(t, ts.URL+"/api/v1/stream/sweeps")
