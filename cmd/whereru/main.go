@@ -12,7 +12,6 @@
 //	-seed N         world seed (default 20220224)
 //	-step N         dense sweep interval in days for 2022 (default 3)
 //	-workers N      sweep concurrency (default 8)
-//	-analysis-workers N  analysis shard count (default 0 = one per CPU)
 //	-scenario NAME  activate a built-in routing scenario (netnod-depeering,
 //	                ru-ixp-isolation, runet-partition): sweeps run through
 //	                the AS-level route tables and the report gains the
@@ -21,6 +20,7 @@
 //	                  whereru -scale 2000 -scenario runet-partition -step 7
 //	-markdown FILE  also write the EXPERIMENTS.md content to FILE
 //	-store FILE     also write the binary measurement store to FILE
+//	-csvdir DIR     also write each figure's series as CSV into DIR
 //	-checkpoint F   journal each completed sweep to F (crash-safe collection)
 //	-resume         replay the checkpoint journal and continue from the
 //	                first unswept day (requires -checkpoint)
@@ -54,7 +54,6 @@ import (
 	"whereru/internal/iofault"
 	"whereru/internal/openintel"
 	"whereru/internal/simtime"
-	"whereru/internal/store"
 	"whereru/internal/world"
 )
 
@@ -75,19 +74,16 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 20220224, "world seed")
 	step := fs.Int("step", 3, "dense sweep interval in days for 2022")
 	workers := fs.Int("workers", 8, "sweep concurrency")
-	analysisWorkers := fs.Int("analysis-workers", 0, "analysis shard count for figure regeneration (0 = one per CPU)")
 	scenario := fs.String("scenario", "", "routing scenario ("+strings.Join(world.Scenarios(), ", ")+"); empty disables the route layer")
 	markdown := fs.String("markdown", "", "write EXPERIMENTS.md content to this file")
 	storePath := fs.String("store", "", "write the binary measurement store to this file")
 	csvDir := fs.String("csvdir", "", "write per-figure CSV series into this directory")
-	mx := fs.Bool("mx", true, "collect MX records (mail-measurement extension)")
 	checkpoint := fs.String("checkpoint", "", "journal each completed sweep to this file (crash-safe collection)")
 	resume := fs.Bool("resume", false, "replay the -checkpoint journal, then continue from the first unswept day")
 	drop := fs.String("drop", "", "comma-separated YYYY-MM-DD sweep days to skip (simulated collection outages)")
 	crashAfter := fs.Int("crash-after", 0, "test hook: exit code 3 after N checkpointed sweeps")
 	ioFault := fs.String("io-fault", "", "disk fault profile for checkpoint/store writes (e.g. crash@4096,enospc@1024); injected crashes exit 4")
 	ioFaultSeed := fs.Int64("io-fault-seed", 1, "seed for probabilistic -io-fault classes")
-	memStats := fs.String("memstats", "", "write store memory accounting to this file after collection")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")
 	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse would
 
@@ -106,16 +102,15 @@ func run(args []string) error {
 	}
 
 	opts := core.Options{
-		World:           world.Config{Seed: *seed, Scale: *scale, RFShare: 0.10},
-		DenseStep:       *step,
-		Workers:         *workers,
-		AnalysisWorkers: *analysisWorkers,
-		Scenario:        *scenario,
-		CollectMX:       *mx,
-		CheckpointPath:  *checkpoint,
-		Resume:          *resume,
-		DropSweeps:      dropDays,
-		CrashAfter:      *crashAfter,
+		World:          world.Config{Seed: *seed, Scale: *scale, RFShare: 0.10},
+		DenseStep:      *step,
+		Workers:        *workers,
+		Scenario:       *scenario,
+		CollectMX:      true,
+		CheckpointPath: *checkpoint,
+		Resume:         *resume,
+		DropSweeps:     dropDays,
+		CrashAfter:     *crashAfter,
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
@@ -145,12 +140,6 @@ func run(args []string) error {
 	}
 	if !*quiet {
 		printRunSummary(os.Stderr, study.Stats)
-	}
-	if *memStats != "" {
-		if err := writeMemStats(*memStats, study.Store.MemStats()); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *memStats)
 	}
 	if err := study.RenderAll(os.Stdout); err != nil {
 		return err
@@ -212,32 +201,4 @@ func printRunSummary(w io.Writer, stats []openintel.SweepStats) {
 		fmt.Fprintf(w, "collection: %d sweeps in %s (avg %s/sweep)\n",
 			timed, total.Round(time.Millisecond), (total / time.Duration(timed)).Round(time.Millisecond))
 	}
-}
-
-// writeMemStats writes the store's memory accounting in a flat
-// name-value format. The figures are deterministic for a given run
-// configuration: accounted from the representation, not sampled from the
-// allocator.
-func writeMemStats(path string, ms store.MemStats) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(f, "store_domains %d\n"+
-		"store_epochs %d\n"+
-		"store_dead_rows %d\n"+
-		"store_naive_records %d\n"+
-		"store_distinct_configs %d\n"+
-		"store_interned_hosts %d\n"+
-		"store_column_bytes %d\n"+
-		"store_intern_bytes %d\n"+
-		"store_index_bytes %d\n"+
-		"store_resident_bytes %d\n"+
-		"store_bytes_per_epoch %d\n",
-		ms.Domains, ms.Epochs, ms.DeadRows, ms.NaiveRecords, ms.DistinctConfigs, ms.InternedHosts,
-		ms.ColumnBytes, ms.InternBytes, ms.IndexBytes, ms.ResidentBytes(), int64(ms.BytesPerEpoch()+0.5))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

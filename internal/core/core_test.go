@@ -129,9 +129,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if s.Opts.DenseStep != 3 || s.Opts.Workers != 8 {
 		t.Errorf("defaults not applied: %+v", s.Opts)
 	}
-	if s.Opts.DenseFrom.String() != "2022-02-01" {
-		t.Errorf("DenseFrom default = %v", s.Opts.DenseFrom)
-	}
 	if _, err := New(Options{World: world.Config{Scale: 0}}); err == nil {
 		t.Error("invalid config accepted")
 	}

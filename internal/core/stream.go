@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"whereru/internal/openintel"
-	"whereru/internal/simtime"
 	"whereru/internal/store"
 	"whereru/internal/stream"
 )
@@ -21,9 +20,8 @@ import (
 // fully-folded engine reproduces those methods byte for byte.
 func (s *Study) NewStreamEngine() *stream.Engine {
 	return stream.New(stream.Config{
-		Analyzer:    s.Analyzer,
-		Sanctioned:  s.sanctionedFilter(),
-		DenseCutoff: simtime.DenseWindowStart,
+		Analyzer:   s.Analyzer,
+		Sanctioned: s.sanctionedFilter(),
 	})
 }
 

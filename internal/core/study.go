@@ -25,17 +25,11 @@ import (
 type Options struct {
 	// World configures the synthetic ecosystem (seed, scale).
 	World world.Config
-	// DenseFrom is when sweeps switch from monthly to dense (default
-	// 2022-02-01, matching the paper's analysis granularity).
-	DenseFrom simtime.Day
-	// DenseStep is the dense sweep interval in days (default 3).
+	// DenseStep is the dense sweep interval in days (default 3) from
+	// simtime.DenseWindowStart, when sweeps switch from monthly to dense.
 	DenseStep int
 	// Workers is the sweep concurrency (default 8).
 	Workers int
-	// AnalysisWorkers is the analysis shard count for figure regeneration
-	// (0 = one shard per CPU the scheduler may use). Results are
-	// independent of the setting: shard counters merge by addition.
-	AnalysisWorkers int
 	// CollectMX enables the mail-measurement extension (MX records are
 	// collected alongside NS/A, enabling the mail-concentration analyses).
 	CollectMX bool
@@ -128,9 +122,6 @@ type Study struct {
 
 // New builds the world for a study.
 func New(opts Options) (*Study, error) {
-	if opts.DenseFrom == 0 {
-		opts.DenseFrom = simtime.DenseWindowStart
-	}
 	if opts.DenseStep <= 0 {
 		opts.DenseStep = 3
 	}
@@ -150,7 +141,7 @@ func New(opts Options) (*Study, error) {
 	}
 	st := store.New()
 	outages := netsim.NewOutageSchedule()
-	an := &analysis.Analyzer{Store: st, Geo: w.Geo, Internet: w.Internet, Workers: opts.AnalysisWorkers}
+	an := &analysis.Analyzer{Store: st, Geo: w.Geo, Internet: w.Internet}
 	if opts.Scenario != "" {
 		if err := w.ApplyScenario(opts.Scenario, outages); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -258,7 +249,7 @@ func (s *Study) Collect(ctx context.Context) error {
 	if end == 0 {
 		end = simtime.StudyEnd
 	}
-	schedule := openintel.Schedule(start, end, s.Opts.DenseFrom, s.Opts.DenseStep)
+	schedule := openintel.Schedule(start, end, simtime.DenseWindowStart, s.Opts.DenseStep)
 	pipe := measurementPipeline(s.Opts, s.World, s.Outages, s.Store)
 
 	done := map[simtime.Day]bool{}

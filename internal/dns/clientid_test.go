@@ -16,7 +16,7 @@ func TestSeededIDsPinned(t *testing.T) {
 	if got := c.idFor("xn--e1afmkfd.xn--p1ai.", TypeMX, 2); got != 41795 {
 		t.Errorf("idFor(xn--e1afmkfd.xn--p1ai., MX, 2) = %d, want 41795", got)
 	}
-	// The backoff jitter's draw: 0.5 + 9559/2^17 = 0.5729293823242188.
+	// A type no query carries hashes like any other.
 	if got := c.idFor("a.ru.", Type(0xFFFF), 1); got != 9559 {
 		t.Errorf("idFor(a.ru., 0xFFFF, 1) = %d, want 9559", got)
 	}

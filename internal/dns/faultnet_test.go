@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"testing"
-	"time"
 
 	"whereru/internal/netsim"
 	"whereru/internal/simtime"
@@ -275,23 +274,5 @@ func TestClientRetriesServFailFlaps(t *testing.T) {
 	// A persistent flap needs 6 consecutive bad draws (p ≈ 0.6^6 ≈ 5%).
 	if bad > 45 {
 		t.Errorf("%d/300 queries still flapped through %d attempts", bad, c.Retries+1)
-	}
-}
-
-func TestClientBackoffHonorsContext(t *testing.T) {
-	server := mustAddr("11.0.0.1")
-	ft := NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), 3, nil)
-	ft.SetDefault(FaultProfile{Loss: 1})
-	c := NewSeededClient(ft, 3)
-	c.Retries = 8
-	c.Backoff = 10 * time.Second // would sleep ~minutes without ctx
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := c.Query(ctx, server, "x.ru.", TypeA); err == nil {
-		t.Fatal("query over a fully lossy path succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("backoff ignored context cancellation (%v elapsed)", elapsed)
 	}
 }

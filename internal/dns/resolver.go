@@ -22,10 +22,6 @@ type Resolver struct {
 	Client *Client
 	// Roots are the root name-server addresses (hints).
 	Roots []netip.Addr
-	// MaxSteps bounds referral-following per query (default 30).
-	MaxSteps int
-	// MaxCNAME bounds alias chains (default 8).
-	MaxCNAME int
 	// Trace, when set, observes every resolution step (zone cut queried,
 	// server used, question, and outcome) — cmd/dnsdig's -trace output.
 	Trace func(step TraceStep)
@@ -33,15 +29,20 @@ type Resolver struct {
 	cache *InfraCache
 }
 
+// maxSteps bounds referral-following per query; maxCNAME bounds alias
+// chains.
+const (
+	maxSteps = 30
+	maxCNAME = 8
+)
+
 // NewResolver builds a resolver over the transport with the given root
 // hints and a private infrastructure cache.
 func NewResolver(t Transport, roots []netip.Addr) *Resolver {
 	return &Resolver{
-		Client:   NewClient(t),
-		Roots:    roots,
-		MaxSteps: 30,
-		MaxCNAME: 8,
-		cache:    NewInfraCache(),
+		Client: NewClient(t),
+		Roots:  roots,
+		cache:  NewInfraCache(),
 	}
 }
 
@@ -119,7 +120,7 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 	res := Result{Zone: ".", Answers: scratch[:0]}
 	qname := name
 	for cnames := 0; ; cnames++ {
-		if cnames > r.maxCNAME() {
+		if cnames > maxCNAME {
 			return Result{}, fmt.Errorf("%w resolving %s", ErrCNAMELoop, name)
 		}
 		resp, rcode, zone, err := r.resolveNoCNAME(ctx, qname, qtype, depth)
@@ -147,20 +148,6 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 	}
 }
 
-func (r *Resolver) maxCNAME() int {
-	if r.MaxCNAME <= 0 {
-		return 8
-	}
-	return r.MaxCNAME
-}
-
-func (r *Resolver) maxSteps() int {
-	if r.MaxSteps <= 0 {
-		return 30
-	}
-	return r.MaxSteps
-}
-
 // resolveNoCNAME walks referrals for one owner name without following
 // aliases (the caller does that) and returns the response code and the
 // zone that answered. The message is the answering response when it
@@ -170,7 +157,7 @@ func (r *Resolver) maxSteps() int {
 func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, depth int) (*Message, RCode, string, error) {
 	servers, zone := r.cache.deepestCut(name, r.Roots)
 	var lastErr error
-	for step := 0; step < r.maxSteps(); step++ {
+	for step := 0; step < maxSteps; step++ {
 		if len(servers) == 0 {
 			return nil, 0, "", fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
 		}

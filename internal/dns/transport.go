@@ -236,8 +236,9 @@ func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query *M
 	}
 }
 
-// Client issues queries over a Transport with ID generation, bounded
-// retransmission, and jittered exponential backoff. SERVFAIL and
+// Client issues queries over a Transport with ID generation and bounded
+// retransmission. It re-sends at once: the in-memory wire has no
+// congestion to wait out, and sweeps over it must not sleep. SERVFAIL and
 // truncated responses are treated as retryable — on a flapping path both
 // are transient, and a single-attempt sweep that takes them at face
 // value systematically overcounts failures.
@@ -245,16 +246,9 @@ type Client struct {
 	Transport Transport
 	// Retries is the number of re-sends after the first attempt.
 	Retries int
-	// Backoff is the base delay before the first retry; each further
-	// retry doubles it, scaled by jitter in [0.5, 1). Zero (the default)
-	// retries immediately — the in-memory wire has no congestion to wait
-	// out, and sweeps over it must not sleep.
-	Backoff time.Duration
-	// MaxBackoff caps the per-retry delay (0 means 16×Backoff).
-	MaxBackoff time.Duration
 
-	// seeded clients derive query IDs and jitter deterministically from
-	// seed so lossy runs are reproducible; unseeded clients mix a counter
+	// seeded clients derive query IDs deterministically from seed so
+	// lossy runs are reproducible; unseeded clients mix a counter
 	// the process started at a clock-derived value, which every worker of
 	// a sweep draws from without waiting for another.
 	seeded bool
@@ -285,12 +279,12 @@ func NewClient(t Transport) *Client {
 	return &Client{Transport: t, Retries: 2}
 }
 
-// NewSeededClient returns a client whose query IDs and backoff jitter are
-// pure functions of (seed, name, type, attempt). Deterministic IDs make
-// fault-injected runs reproducible end to end: FaultTransport hashes the
-// query ID into its fault decisions, so with a seeded client the same
-// (seed, query, attempt) always meets the same fate, no matter how sweep
-// workers are scheduled.
+// NewSeededClient returns a client whose query IDs are pure functions of
+// (seed, name, type, attempt). Deterministic IDs make fault-injected runs
+// reproducible end to end: FaultTransport hashes the query ID into its
+// fault decisions, so with a seeded client the same (seed, query,
+// attempt) always meets the same fate, no matter how sweep workers are
+// scheduled.
 func NewSeededClient(t Transport, seed int64) *Client {
 	return &Client{Transport: t, Retries: 2, seeded: true, seed: seed}
 }
@@ -344,31 +338,6 @@ func (c *Client) idFor(name string, qtype Type, attempt int) uint16 {
 	return uint16(fnvMixString(h, name))
 }
 
-// backoff sleeps before retry number attempt (1-based), honoring ctx.
-func (c *Client) backoff(ctx context.Context, name string, attempt int) error {
-	if c.Backoff <= 0 {
-		return nil
-	}
-	d := c.Backoff << (attempt - 1)
-	max := c.MaxBackoff
-	if max <= 0 {
-		max = 16 * c.Backoff
-	}
-	if d > max || d <= 0 { // d <= 0 guards shift overflow
-		d = max
-	}
-	// Jitter in [0.5, 1): the ID hash again, under a type no query carries.
-	d = time.Duration(float64(d) * (0.5 + float64(c.idFor(name, Type(0xFFFF), attempt))/float64(1<<17)))
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
-}
-
 // queryPool recycles query messages across Query calls. Safe because
 // transports must not retain the query past Exchange (responses are
 // decoded or copied, never aliased to it).
@@ -396,9 +365,6 @@ func (c *Client) Query(ctx context.Context, server netip.Addr, name string, qtyp
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
-			if err := c.backoff(ctx, name, attempt); err != nil {
-				return nil, err
-			}
 		}
 		c.attempts.Add(1)
 		q.ID = c.idFor(name, qtype, attempt)

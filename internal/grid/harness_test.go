@@ -133,7 +133,7 @@ func collectGrid(t *testing.T, opts core.Options, run gridRun) (*core.Study, *gr
 	if end == 0 {
 		end = simtime.StudyEnd
 	}
-	for _, day := range openintel.Schedule(start, end, s.Opts.DenseFrom, s.Opts.DenseStep) {
+	for _, day := range openintel.Schedule(start, end, simtime.DenseWindowStart, s.Opts.DenseStep) {
 		stats, err := coord.SweepDay(ctx, day)
 		if err != nil {
 			t.Fatalf("SweepDay(%s): %v", day, err)

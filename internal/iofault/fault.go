@@ -113,8 +113,11 @@ func (p *Profile) active() bool {
 //	shortwrite:P  each write is torn short with probability P
 //	shortread:P   each read returns a prefix with probability P
 //	readflip:P    each read has one bit flipped with probability P
+//
+// Each class may appear once, and P must lie in [0, 1].
 func ParseProfile(spec string) (Profile, error) {
 	var p Profile
+	seen := map[string]bool{}
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -124,6 +127,10 @@ func ParseProfile(spec string) (Profile, error) {
 		if i := strings.IndexAny(tok, "@:"); i >= 0 {
 			name, arg, at = tok[:i], tok[i+1:], tok[i] == '@'
 		}
+		if seen[name] {
+			return p, fmt.Errorf("iofault: fault %q given twice", name)
+		}
+		seen[name] = true
 		switch {
 		case name == "crash" && at:
 			n, err := strconv.ParseInt(arg, 10, 64)
@@ -151,7 +158,7 @@ func ParseProfile(spec string) (Profile, error) {
 			p.FailRenameOp = n
 		case !at && (name == "writeerr" || name == "shortwrite" || name == "shortread" || name == "readflip"):
 			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil || v < 0 || v > 1 {
+			if err != nil || !(v >= 0 && v <= 1) { // NaN fails both
 				return p, fmt.Errorf("iofault: bad probability %q for %s", arg, name)
 			}
 			switch name {

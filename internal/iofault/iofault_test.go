@@ -300,7 +300,8 @@ func TestParseProfile(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("ParseProfile = %+v, want %+v", p, want)
 	}
-	for _, bad := range []string{"crash@x", "crash:5", "enospc@-1", "shortwrite:2", "bogus@1", "shortwrite@0.5"} {
+	for _, bad := range []string{"crash@x", "crash:5", "enospc@-1", "shortwrite:2", "bogus@1", "shortwrite@0.5",
+		"writeerr:NaN", "syncfail@1,syncfail@2"} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", bad)
 		}

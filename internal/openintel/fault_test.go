@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -206,39 +205,5 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	}
 	if stats.Failed != 0 {
 		t.Errorf("sweep after cancellation: %d failures", stats.Failed)
-	}
-}
-
-func TestOnProgressFromManyWorkers(t *testing.T) {
-	// Scale 2000 yields well over 2048 domains, so the progress callback
-	// fires from several of the 16 workers; the race detector checks the
-	// callback path, the assertions check the reported counts.
-	p, _ := buildPipeline(t, 2000)
-	p.Workers = 16
-	var (
-		mu    sync.Mutex
-		calls []int
-	)
-	p.OnProgress = func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if done < 1 || done > total {
-			t.Errorf("OnProgress(%d, %d) out of range", done, total)
-		}
-		calls = append(calls, done)
-	}
-	stats, err := p.Sweep(context.Background(), simtime.ConflictStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) == 0 {
-		t.Fatalf("OnProgress never fired over %d domains", stats.Domains)
-	}
-	for _, done := range calls {
-		if done%2048 != 0 {
-			t.Errorf("OnProgress fired at done=%d, want multiples of 2048", done)
-		}
 	}
 }

@@ -45,8 +45,6 @@ type Pipeline struct {
 	// records are collected alongside NS and A (OpenINTEL collects MX on
 	// the real platform too).
 	CollectMX bool
-	// OnProgress, if set, is called periodically with (done, total).
-	OnProgress func(done, total int)
 	// Checkpoint, when set, makes collection crash-safe: after every
 	// completed sweep (and every skipped day) the pipeline appends a
 	// checksummed segment to the journal and fsyncs it before moving on,
@@ -208,7 +206,7 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 	results := make(chan []measured, workers)
 	free := make(chan []measured, 2*workers)
 	var wg sync.WaitGroup
-	var cursor, done atomic.Int64
+	var cursor atomic.Int64
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -236,11 +234,6 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 					start := time.Now()
 					m, nx, unreachable := p.measure(ctx, day, domain, &scratch)
 					out = append(out, measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)})
-					if p.OnProgress != nil {
-						if d := done.Add(1); d%2048 == 0 {
-							p.OnProgress(int(d), len(domains))
-						}
-					}
 				}
 				// A cancelled worker still hands over what it measured;
 				// the caller drains until close, so this cannot block it.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/netip"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,27 +30,13 @@ func poolWorld(t *testing.T, day simtime.Day) (*world.World, []string) {
 // TestMeasurePoolDeliversEachDomainOnce walks the pool's edges: nothing
 // to do, fewer domains than workers, and one short of, exactly, and one
 // past a whole number of chunks (2048 = 64 chunks of 32). Every domain
-// must reach the sink exactly once, on the calling goroutine, and
-// OnProgress must fire once per 2048 completions with the unit's total.
+// must reach the sink exactly once, on the calling goroutine.
 func TestMeasurePoolDeliversEachDomainOnce(t *testing.T) {
 	day := simtime.ConflictStart
 	w, seeds := poolWorld(t, day)
 	for _, workers := range []int{1, 3, 8} {
 		for _, n := range []int{0, 1, workers - 1, 2047, 2048, 2049} {
-			var mu sync.Mutex
-			var progress []int
-			p := &Pipeline{
-				Resolver: w.NewResolver(),
-				Workers:  workers,
-				OnProgress: func(done, total int) {
-					mu.Lock()
-					defer mu.Unlock()
-					if total != n {
-						t.Errorf("workers=%d n=%d: OnProgress total %d", workers, n, total)
-					}
-					progress = append(progress, done)
-				},
-			}
+			p := &Pipeline{Resolver: w.NewResolver(), Workers: workers}
 			delivered := make(map[string]int, n) // unlocked: the sink runs on this goroutine
 			p.measurePool(context.Background(), day, seeds[:n], func(r measured) {
 				if r.m.Day != day || r.m.Config.Failed {
@@ -67,10 +51,6 @@ func TestMeasurePoolDeliversEachDomainOnce(t *testing.T) {
 				if delivered[d] != 1 {
 					t.Errorf("workers=%d n=%d: %s delivered %d times", workers, n, d, delivered[d])
 				}
-			}
-			sort.Ints(progress)
-			if len(progress) != n/2048 || (len(progress) == 1 && progress[0] != 2048) {
-				t.Errorf("workers=%d n=%d: OnProgress done values %v", workers, n, progress)
 			}
 		}
 	}

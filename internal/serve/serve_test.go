@@ -548,8 +548,8 @@ func TestSaturation(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated request: status %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("503 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("503 Retry-After = %q, want \"1\"", ra)
 	}
 	srv.met.mu.Lock()
 	saturations := srv.met.saturations

@@ -53,8 +53,6 @@ type Options struct {
 	MaxConcurrent int
 	// RequestTimeout bounds one request end to end. Default: 30s.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint sent with 503 responses. Default: 1s.
-	RetryAfter time.Duration
 	// CacheEntries caps the result cache. Default: 512.
 	CacheEntries int
 }
@@ -66,14 +64,14 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
 	}
 	return o
 }
+
+// retryAfter is the Retry-After hint, in seconds, sent with every 503.
+const retryAfter = "1"
 
 // errSaturated marks a request rejected because every computation slot
 // was busy; it maps to 503 + Retry-After and is never cached.
@@ -208,14 +206,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 	select {
 	case <-e.ready:
 	case <-r.Context().Done():
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, "request timed out waiting for computation", http.StatusServiceUnavailable)
 		return
 	}
 
 	switch {
 	case errors.Is(e.err, errSaturated):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, e.err.Error(), http.StatusServiceUnavailable)
 		return
 	case errors.Is(e.err, errNotFound):
@@ -278,16 +276,6 @@ func (s *Server) compute(key cacheKey, e *entry, compute func(gen uint64) (any, 
 	e.body = body
 	e.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
 	close(e.ready)
-}
-
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // etagMatches implements the If-None-Match comparison for strong ETags

@@ -91,10 +91,6 @@ type Journal struct {
 	// off is the end of the last durable segment — the rollback point
 	// when an append fails partway.
 	off int64
-	// Sync flushes an appended segment to stable storage; it defaults to
-	// the file's fsync and exists as a hook for tests that count or fail
-	// durability points.
-	Sync func() error
 }
 
 // Path returns the journal's file path.
@@ -126,12 +122,12 @@ func CreateJournalFS(fsys iofault.FS, path string) (*Journal, error) {
 // startJournal writes the header to the empty file f and makes it
 // durable: the one way a journal begins, whether created or found empty.
 func startJournal(f iofault.File, path string) (*Journal, error) {
-	j := &Journal{f: f, path: path, Sync: f.Sync}
+	j := &Journal{f: f, path: path}
 	hdr := binary.BigEndian.AppendUint16([]byte(journalMagic), journalVersion)
 	if _, err := f.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: journal: writing header: %w", err)
 	}
-	if err := j.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return nil, fmt.Errorf("store: journal: syncing header: %w", err)
 	}
 	j.off = journalHdrLen
@@ -218,7 +214,7 @@ func ResumeJournalFS(fsys iofault.FS, path string, into *Store) (_ *Journal, _ *
 	if _, err := f.Seek(replay.GoodBytes, io.SeekStart); err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	return &Journal{f: f, path: path, Sync: f.Sync, off: replay.GoodBytes}, replay, nil
+	return &Journal{f: f, path: path, off: replay.GoodBytes}, replay, nil
 }
 
 // AppendSweep encodes rec as one checksummed segment, appends it and
@@ -246,7 +242,7 @@ func (j *Journal) AppendSweep(rec JournalSweep) error {
 		j.rollback()
 		return fmt.Errorf("store: journal: appending %s: %w", rec.Day, err)
 	}
-	if err := j.Sync(); err != nil {
+	if err := j.f.Sync(); err != nil {
 		j.rollback()
 		return fmt.Errorf("store: journal: syncing %s: %w", rec.Day, err)
 	}

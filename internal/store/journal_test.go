@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"whereru/internal/iofault"
 	"whereru/internal/simtime"
 )
 
@@ -206,19 +208,22 @@ func TestJournalHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestJournalSyncHook counts durability points through the fault
+// filesystem: the header is fsync 1, so with the third fsync failing the
+// first append must land and the second must fail — an append that
+// synced twice would fail the first.
 func TestJournalSyncHook(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.wrjl")
-	j, err := CreateJournal(path)
+	j, err := CreateJournalFS(iofault.NewFaultFS(iofault.OS, 1, iofault.Profile{FailSyncOp: 3}), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	syncs := 0
-	j.Sync = func() error { syncs++; return nil }
-	j.AppendSweep(sweepRec(10, "a.ru."))
-	j.AppendSweep(sweepRec(17, "a.ru."))
-	if syncs != 2 {
-		t.Fatalf("syncs = %d, want one per append", syncs)
+	if err := j.AppendSweep(sweepRec(10, "a.ru.")); err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	if err := j.AppendSweep(sweepRec(17, "a.ru.")); !errors.Is(err, iofault.ErrSyncFault) {
+		t.Fatalf("second append = %v, want ErrSyncFault", err)
 	}
 }
 

@@ -50,10 +50,6 @@ type Config struct {
 	// Sanctioned is the Figure 5 domain filter (nil folds Figure 5 over
 	// all domains, like a study without sanction data).
 	Sanctioned analysis.Filter
-	// DenseCutoff is the first axis day of the dense-window figures
-	// (4 and 5); days before it are excluded from those two series.
-	// Zero includes every day.
-	DenseCutoff simtime.Day
 }
 
 // FoldStats counts the work one fold performed. The counters are the
@@ -160,7 +156,7 @@ func New(cfg Config) *Engine {
 	e.slots = []*slot{
 		{acc: e.fig1}, {acc: e.fig2}, {acc: e.fig3}, {acc: e.hosting},
 		{acc: e.mail}, {acc: e.reach}, {acc: e.lat},
-		{acc: e.fig4, cutoff: cfg.DenseCutoff}, {acc: e.fig5, cutoff: cfg.DenseCutoff},
+		{acc: e.fig4, cutoff: simtime.DenseWindowStart}, {acc: e.fig5, cutoff: simtime.DenseWindowStart},
 		{acc: e.counts, sweptOnly: true},
 	}
 	for _, s := range e.slots {
