@@ -84,8 +84,8 @@ type Analyzer struct {
 	// a deterministic merge, so the result is independent of the setting.
 	Workers int
 
-	// asns is the per-config origin-AS memo (configasns.go); asnMu
-	// serialises its extension. An Analyzer must not be copied.
+	// asns is the origin-AS memo and posting index (configasns.go); asnMu
+	// serialises their extension. An Analyzer must not be copied.
 	asnMu sync.Mutex
 	asns  atomic.Pointer[asnMemo]
 }

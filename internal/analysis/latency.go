@@ -53,51 +53,43 @@ func (r LatencyReport) Median() (int, bool) { return r.Percentile(50) }
 // day, the first post-event sweep on which it resolved outside the ASN.
 // Granularity is bounded by the sweep cadence (the paper's daily data has
 // day granularity; a 3-day schedule quantizes to 3 days). It runs on one
-// store snapshot sharded across workers — one Lookup per domain, then a
-// walk of an original domain's epochs over the later sweeps; per-shard
-// counters and delay lists merge deterministically (the delays are sorted
-// at the end).
+// store snapshot in the calling goroutine, over only the domains the
+// snapshot's posting index lists for asn (asnMemo.hosts: every domain
+// hosted there on the event day is one): one Lookup per domain, then a
+// walk of an original domain's epochs over the later sweeps. The delays
+// are sorted at the end.
 func (a *Analyzer) RelocationLatency(asn netsim.ASN, event simtime.Day, until simtime.Day) LatencyReport {
 	rep := LatencyReport{ASN: asn, Event: event}
-	snap := a.Store.Snapshot()
-	asns := a.configASNs(snap)
+	memo := a.hosting()
+	snap, asns := memo.snap, memo.byID
 	// The sweeps in (event, until]: the axis the epoch walk reports on.
 	sweeps := snap.Sweeps()
 	sweeps = sweeps[sort.Search(len(sweeps), func(k int) bool { return sweeps[k] > event }):]
 	sweeps = sweeps[:sort.Search(len(sweeps), func(k int) bool { return sweeps[k] > until })]
-	shards := make([]LatencyReport, a.workers())
-	used := a.shard(snap.NumDomains(), func(shard, lo, hi int) {
-		sr := &shards[shard]
-		for i := lo; i < hi; i++ {
-			id, measured, ok := snap.Lookup(i, event)
-			if !ok || !measured || !slices.Contains(asns[id], asn) || snap.Config(id).Failed {
-				continue
-			}
-			// An epoch reaches the walk only if a later sweep measured the
-			// domain in it; the first such epoch resolving outside the ASN
-			// is the relocation, dated by its first sweep.
-			measuredLate, first := false, -1
-			snap.EpochsIn(i, sweeps, func(id uint32, lo, _ int) bool {
-				measuredLate = true
-				if !snap.Config(id).Failed && !slices.Contains(asns[id], asn) {
-					first = lo
-				}
-				return first < 0
-			})
-			switch {
-			case first >= 0:
-				sr.Delays = append(sr.Delays, sweeps[first].Sub(event))
-			case measuredLate:
-				sr.StillThere++
-			default:
-				sr.Gone++
-			}
+	for _, i := range memo.hosts[asn] {
+		id, measured, ok := snap.Lookup(int(i), event)
+		if !ok || !measured || !slices.Contains(asns[id], asn) || snap.Config(id).Failed {
+			continue
 		}
-	})
-	for s := 0; s < used; s++ {
-		rep.StillThere += shards[s].StillThere
-		rep.Gone += shards[s].Gone
-		rep.Delays = append(rep.Delays, shards[s].Delays...)
+		// An epoch reaches the walk only if a later sweep measured the
+		// domain in it; the first such epoch resolving outside the ASN is
+		// the relocation, dated by its first sweep.
+		measuredLate, first := false, -1
+		snap.EpochsIn(int(i), sweeps, func(id uint32, lo, _ int) bool {
+			measuredLate = true
+			if !snap.Config(id).Failed && !slices.Contains(asns[id], asn) {
+				first = lo
+			}
+			return first < 0
+		})
+		switch {
+		case first >= 0:
+			rep.Delays = append(rep.Delays, sweeps[first].Sub(event))
+		case measuredLate:
+			rep.StillThere++
+		default:
+			rep.Gone++
+		}
 	}
 	sort.Ints(rep.Delays)
 	rep.Relocated = len(rep.Delays)

@@ -67,84 +67,64 @@ func topASNs(counts map[netsim.ASN]int, k int) []netsim.ASN {
 
 // Whois resolves a name's registration day — all MovementAnalysis reads
 // of a whois record; registry.Group satisfies it. Implementations must be
-// safe for concurrent use: MovementAnalysis calls it from its shard
-// workers.
+// safe for concurrent use: concurrent movement requests share one.
 type Whois interface {
 	Created(name string) (simtime.Day, bool)
 }
 
-// MovementAnalysis compares hosting between two sweep days for one ASN:
-// one pass over a store snapshot's domains, sharded across workers, each
-// domain costing two Snapshot.Lookups and membership scans of its
-// configs' origin-AS lists (configASNs). Per-shard partial Movements
-// merge by addition, so the result is deterministic.
+// MovementAnalysis compares hosting between two sweep days for one ASN on
+// one store snapshot, in the calling goroutine. It walks only the domains
+// the snapshot's posting index lists for asn (asnMemo.hosts), each costing
+// two Snapshot.Lookups and membership scans of its configs' origin-AS
+// lists. That is exact: a domain counts only if asn hosts the config it
+// carried into From or the one it carried into To, and both are epochs of
+// the domain, so every domain that can count is on the list.
 func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois Whois) Movement {
 	m := Movement{
 		ASN: asn, From: from, To: to,
 		OutDestinations: make(map[netsim.ASN]int),
 		InSources:       make(map[netsim.ASN]int),
 	}
-	snap := a.Store.Snapshot()
-	asns := a.configASNs(snap)
+	memo := a.hosting()
+	snap, asns := memo.snap, memo.byID
 	// hosted reports whether a lookup found the domain measured, resolving,
 	// and with an apex address in asn.
 	hosted := func(id uint32, measured, ok bool) bool {
 		return ok && measured && slices.Contains(asns[id], asn) && !snap.Config(id).Failed
 	}
-	shards := make([]Movement, a.workers())
-	used := a.shard(snap.NumDomains(), func(shard, lo, hi int) {
-		sm := &shards[shard]
-		sm.OutDestinations = make(map[netsim.ASN]int)
-		sm.InSources = make(map[netsim.ASN]int)
-		for i := lo; i < hi; i++ {
-			idFrom, measuredFrom, okFrom := snap.Lookup(i, from)
-			idTo, measuredTo, okTo := snap.Lookup(i, to)
-			original := hosted(idFrom, measuredFrom, okFrom)
-			inASN := hosted(idTo, measuredTo, okTo)
-			switch {
-			case original && inASN:
-				sm.Original++
-				sm.Remained++
-			case original:
-				sm.Original++
-				if !okTo || !measuredTo || snap.Config(idTo).Failed {
-					sm.Gone++
-					continue
-				}
-				sm.RelocatedOut++
-				for _, dest := range asns[idTo] {
-					sm.OutDestinations[dest]++
-				}
-			case inASN:
-				// Incomer: newly registered or relocated in.
-				if created, ok := whois.Created(snap.Domains()[i]); ok && created > from {
-					sm.NewlyRegistered++
-					continue
-				}
-				sm.RelocatedIn++
-				// Where it came from: the configuration it carried into From,
-				// whether or not it was still measured (or resolving) then.
-				if okFrom {
-					for _, src := range asns[idFrom] {
-						sm.InSources[src]++
-					}
+	for _, i := range memo.hosts[asn] {
+		idFrom, measuredFrom, okFrom := snap.Lookup(int(i), from)
+		idTo, measuredTo, okTo := snap.Lookup(int(i), to)
+		original := hosted(idFrom, measuredFrom, okFrom)
+		inASN := hosted(idTo, measuredTo, okTo)
+		switch {
+		case original && inASN:
+			m.Original++
+			m.Remained++
+		case original:
+			m.Original++
+			if !okTo || !measuredTo || snap.Config(idTo).Failed {
+				m.Gone++
+				continue
+			}
+			m.RelocatedOut++
+			for _, dest := range asns[idTo] {
+				m.OutDestinations[dest]++
+			}
+		case inASN:
+			// Incomer: newly registered or relocated in.
+			if created, ok := whois.Created(snap.Domains()[i]); ok && created > from {
+				m.NewlyRegistered++
+				continue
+			}
+			m.RelocatedIn++
+			// Where it came from: the configuration it carried into From,
+			// whether or not it was still measured (or resolving) then.
+			if okFrom {
+				for _, src := range asns[idFrom] {
+					m.InSources[src]++
 				}
 			}
-		}
-	})
-	for s := 0; s < used; s++ {
-		sm := &shards[s]
-		m.Original += sm.Original
-		m.Remained += sm.Remained
-		m.RelocatedOut += sm.RelocatedOut
-		m.Gone += sm.Gone
-		m.RelocatedIn += sm.RelocatedIn
-		m.NewlyRegistered += sm.NewlyRegistered
-		for k, v := range sm.OutDestinations {
-			m.OutDestinations[k] += v
-		}
-		for k, v := range sm.InSources {
-			m.InSources[k] += v
 		}
 	}
 	return m

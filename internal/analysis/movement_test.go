@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -127,8 +128,8 @@ func oracleRelocationLatency(a *Analyzer, asn netsim.ASN, event, until simtime.D
 
 // assertMovementMatchesOracles holds both analyses to their oracles over
 // asns × froms × tos (a movement's From/To, a relocation's event/until)
-// at every shard width, each width on an analyzer — and so a memo — of
-// its own.
+// at every Workers setting (the walks run in one goroutine whatever it
+// is), each on an analyzer — and so a memo — of its own.
 func assertMovementMatchesOracles(t *testing.T, label string, base *Analyzer, whois Whois, asns []netsim.ASN, froms, tos []simtime.Day) {
 	t.Helper()
 	var ans []*Analyzer
@@ -305,6 +306,29 @@ func TestConfigASNMemoFollowsStoreAndInternet(t *testing.T) {
 	if got := an.MovementAnalysis(2, 20, 70, whois); !reflect.DeepEqual(got, empty) {
 		t.Errorf("after Internet swap\n got %+v\nwant %+v", got, empty)
 	}
+	// Another Internet originates the same addresses in other ASNs: AS1's,
+	// AS2's and AS3's prefixes are AS11's, AS12's and AS13's. The index must
+	// follow the Internet too, not only the snapshot.
+	relabelled := netsim.NewInternet(0)
+	for _, asn := range []netsim.ASN{11, 12, 13} {
+		relabelled.MustRegisterAS(netsim.AS{Number: asn})
+		if _, err := relabelled.AllocatePrefix(asn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	an.Internet = relabelled
+	want := Movement{ASN: 12, From: 20, To: 70, OutDestinations: map[netsim.ASN]int{}, InSources: map[netsim.ASN]int{}}
+	want.Original, want.Remained, want.RelocatedOut, want.Gone = before.Original, before.Remained, before.RelocatedOut, before.Gone
+	want.RelocatedIn, want.NewlyRegistered = before.RelocatedIn, before.NewlyRegistered
+	for asn, n := range before.OutDestinations {
+		want.OutDestinations[asn+10] = n
+	}
+	for asn, n := range before.InSources {
+		want.InSources[asn+10] = n
+	}
+	if got := an.MovementAnalysis(12, 20, 70, whois); !reflect.DeepEqual(got, want) {
+		t.Errorf("after relabelling Internet swap\n got %+v\nwant %+v", got, want)
+	}
 	an.Store, an.Internet = mine, other.Internet
 	if got := an.MovementAnalysis(2, 20, 70, whois); !reflect.DeepEqual(got, before) {
 		t.Errorf("after swapping back\n got %+v\nwant %+v", got, before)
@@ -321,6 +345,129 @@ func TestConfigASNMemoFollowsStoreAndInternet(t *testing.T) {
 	}
 	if grown := an.asns.Load().byID; len(grown) != len(held)+1 || !reflect.DeepEqual(grown[:len(held)], held) {
 		t.Errorf("memo went from %v to %v, want extended by one entry", held, grown)
+	}
+}
+
+// hostsOracle is the posting index derived from scratch for one snapshot:
+// every epoch's config through ForEachEpochIn, its ASNs through hostASNs.
+func hostsOracle(a *Analyzer, snap *store.Snapshot) map[netsim.ASN][]uint32 {
+	pos := make(map[string]uint32)
+	for i, d := range snap.Domains() {
+		pos[d] = uint32(i)
+	}
+	ever := make(map[netsim.ASN]map[uint32]bool)
+	snap.ForEachEpochIn(snap.Sweeps(), func(domain string, cfg store.Config, _, _ int) {
+		for asn := range hostASNs(a, cfg) {
+			if ever[asn] == nil {
+				ever[asn] = make(map[uint32]bool)
+			}
+			ever[asn][pos[domain]] = true
+		}
+	})
+	out := make(map[netsim.ASN][]uint32)
+	for asn, set := range ever {
+		for i := range set {
+			out[asn] = append(out[asn], i)
+		}
+		sort.Slice(out[asn], func(x, y int) bool { return out[asn][x] < out[asn][y] })
+	}
+	return out
+}
+
+// TestHostingIndexListsEveryDomainEverHosted pins the posting index the
+// movement and relocation walks read: each ASN lists exactly the domains
+// that carried an apex address there in any epoch (failed ones and ones
+// hosted there only before or after the days asked about included), and
+// an ASN hosting nothing lists none. Then readers check every index they
+// are handed against its snapshot while a writer keeps adding sweeps, and
+// the published snapshot never goes back a generation.
+func TestHostingIndexListsEveryDomainEverHosted(t *testing.T) {
+	all := []string{"stays.ru.", "leaves.ru.", "leftzone.ru.", "gap.ru.", "failfrom.ru.", "failto.ru.",
+		"failaddr.ru.", "noapex.ru.", "dualout.ru.", "dualin.ru.", "straddle.ru.", "incomer.ru.",
+		"newreg.ru.", "nowhois.ru.", "fromfailed.ru.", "comeback.ru."}
+	want := map[netsim.ASN][]string{
+		1: {"leaves.ru.", "failaddr.ru.", "dualout.ru.", "dualin.ru.", "straddle.ru.", "incomer.ru.", "comeback.ru."},
+		2: all,
+		3: {"failfrom.ru.", "dualout.ru.", "dualin.ru.", "straddle.ru."},
+	}
+	for _, reversed := range []bool{false, true} {
+		an, _ := movementWorld(t, reversed)
+		memo := an.hosting()
+		for _, asn := range []netsim.ASN{1, 2, 3} {
+			var got []string
+			for _, i := range memo.hosts[asn] {
+				got = append(got, memo.snap.Domains()[i])
+			}
+			w := slices.Clone(want[asn])
+			sort.Strings(w)
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("reversed=%v: AS%d lists %v, want %v", reversed, asn, got, w)
+			}
+		}
+		if got := memo.hosts[99]; len(got) != 0 {
+			t.Errorf("reversed=%v: AS99 hosts nothing but lists %v", reversed, got)
+		}
+		if oracle := hostsOracle(an, memo.snap); !reflect.DeepEqual(memo.hosts, oracle) {
+			t.Errorf("reversed=%v: index %v, oracle %v", reversed, memo.hosts, oracle)
+		}
+	}
+
+	an, _ := movementWorld(t, false)
+	st := an.Store
+	var addrs []netip.Addr
+	for _, asn := range []netsim.ASN{1, 2, 3} {
+		addr, err := an.Internet.NextAddr(asn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, addr)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for day := simtime.Day(80); day < 200; day += 10 {
+			st.BeginSweep(day)
+			for k, d := range all {
+				addr := addrs[(k+int(day)/10)%len(addrs)]
+				st.Add(store.Measurement{Domain: d, Day: day, Config: store.Config{ApexAddrs: []netip.Addr{addr}}})
+			}
+			st.Add(store.Measurement{Domain: fmt.Sprintf("new%d.ru.", day), Day: day,
+				Config: store.Config{ApexAddrs: []netip.Addr{addrs[0]}}})
+		}
+	}()
+	errs := make(chan string, 3)
+	for r := 0; r < cap(errs); r++ {
+		go func() {
+			var last uint64
+			for {
+				memo := an.hosting()
+				if oracle := hostsOracle(an, memo.snap); !reflect.DeepEqual(memo.hosts, oracle) {
+					errs <- fmt.Sprintf("generation %d: index %v, oracle %v", memo.snap.Generation(), memo.hosts, oracle)
+					return
+				}
+				gen := an.asns.Load().snap.Generation()
+				if gen < last {
+					errs <- fmt.Sprintf("published generation went from %d to %d", last, gen)
+					return
+				}
+				last = gen
+				select {
+				case <-done:
+					errs <- ""
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for r := 0; r < cap(errs); r++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
+		}
+	}
+	if memo := an.hosting(); memo.snap != st.Snapshot() || len(memo.hosts[1]) != len(all)+12 {
+		t.Errorf("after the writer: index of generation %d lists %d domains in AS1, want %d",
+			memo.snap.Generation(), len(memo.hosts[1]), len(all)+12)
 	}
 }
 

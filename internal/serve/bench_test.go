@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"whereru/internal/simtime"
 )
 
 // The cold/warm pair quantifies what the result cache buys: cold runs
@@ -49,5 +52,24 @@ func BenchmarkServeTimelineWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchRequest(b, srv, path)
+	}
+}
+
+// BenchmarkServeMovementCold times a movement request that computes: the
+// (asn, from) keys rotate the way the bench's cold class does — eight
+// provider ASNs over the 145 days from 2022-01-01 — so no key repeats
+// before the rotation wraps, and the cache is emptied when it does.
+func BenchmarkServeMovementCold(b *testing.B) {
+	srv := New(testStudy(b), Options{})
+	asns := []int{197695, 13335, 24940, 16509, 20764, 8075, 15169, 12389}
+	const days = 145
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(len(asns)*days) == 0 {
+			srv.cache.purge()
+		}
+		from := simtime.Date(2022, 1, 1).Add(i / len(asns) % days)
+		benchRequest(b, srv, fmt.Sprintf("/api/v1/movement?asn=%d&from=%s", asns[i%len(asns)], from))
 	}
 }

@@ -8,8 +8,7 @@ package simtime
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"time"
 )
 
 // Day is a civil date, counted in days since 1970-01-01 (which is Day 0).
@@ -78,22 +77,15 @@ func (d Day) String() string {
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
 }
 
-// Parse parses an ISO-8601 date ("2006-01-02") into a Day.
+// Parse parses an ISO-8601 date: exactly "YYYY-MM-DD", naming a real
+// calendar day ("2022-02-31" and "2022-2-24" are refused, not normalised).
 func Parse(s string) (Day, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
+	t, err := time.Parse(time.DateOnly, s)
+	if err != nil {
 		return 0, fmt.Errorf("simtime: malformed date %q", s)
 	}
-	y, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	d, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return 0, fmt.Errorf("simtime: malformed date %q", s)
-	}
-	if m < 1 || m > 12 || d < 1 || d > 31 {
-		return 0, fmt.Errorf("simtime: date out of range %q", s)
-	}
-	return Date(y, m, d), nil
+	y, m, d := t.Date()
+	return Date(y, int(m), d), nil
 }
 
 // MarshalText renders d in ISO-8601 form. Implementing

@@ -96,7 +96,8 @@ func TestPeriodString(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "2022", "2022-13-01", "2022-00-10", "2022-01-32", "a-b-c", "2022/01/02"} {
+	for _, s := range []string{"", "2022", "2022-13-01", "2022-00-10", "2022-01-32", "a-b-c", "2022/01/02",
+		"2022-02-31", "2022-04-31", "2021-02-29", "2022-2-24", "+2022-02-24"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		}
@@ -112,6 +113,36 @@ func TestParseRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParse holds Parse to its contract: it never panics, what it accepts
+// renders back to the same string, and for 4-digit years it accepts
+// exactly what time.Parse accepts as a "2006-01-02" date.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"2022-02-24", "0000-01-01", "9999-12-31", "2024-02-29",
+		"2022-02-31", "2022-04-31", "2021-02-29", "2022-2-24", "+2022-02-24", "-001-01-01", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := Parse(s)
+		if err == nil && d.String() != s {
+			t.Errorf("Parse(%q) = %s: accepted a string it does not render", s, d)
+		}
+		if len(s) >= 4 && isDigits(s[:4]) {
+			if _, terr := time.Parse("2006-01-02", s); (err == nil) != (terr == nil) {
+				t.Errorf("Parse(%q) error %v, time.Parse error %v", s, err, terr)
+			}
+		}
+	})
+}
+
+func isDigits(s string) bool {
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func TestMonthHelpers(t *testing.T) {

@@ -498,6 +498,13 @@ func (sn *Snapshot) Lookup(i int, day simtime.Day) (id uint32, measured, ok bool
 	return sn.cfg[row], measured, true
 }
 
+// ConfigIDs returns the config IDs of the domain at position i, one per
+// epoch, oldest first. The slice is shared and must not be mutated.
+func (sn *Snapshot) ConfigIDs(i int) []uint32 {
+	o, n := sn.off[i], sn.cnt[i]
+	return sn.cfg[o : o+n : o+n]
+}
+
 // ForEachEpochIn yields every domain's epochs intersected with the sorted
 // sweep days: fn is called once per (domain, epoch) whose effective
 // interval covers at least one of days, with [lo, hi) the covered index
