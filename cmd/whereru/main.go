@@ -132,6 +132,9 @@ func run(args []string) error {
 		opts.FS = iofault.NewFaultFS(iofault.OS, *ioFaultSeed, profile)
 	}
 	study, err := core.New(opts)
+	if errors.Is(err, core.ErrUnscheduledDrop) {
+		return fmt.Errorf("-drop: %w", err)
+	}
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,7 @@ func TestGridMetricsWithoutGrid(t *testing.T) {
 		want string
 	}{
 		{[]string{"-drop", "2022-02-24,yesterday"}, "-drop:"},
+		{[]string{"-drop", "2022-03-07,2022-03-10"}, "-drop: core: drop day 2022-03-07 is not a scheduled sweep day (scheduled neighbours: [2022-03-06 2022-03-09])"},
 		{[]string{"-io-fault", "crash@"}, "-io-fault:"},
 	} {
 		journal := filepath.Join(t.TempDir(), "j")

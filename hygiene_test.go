@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -41,88 +42,120 @@ var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\
 //     are unique in the module), a retired lookup, or a top-level
 //     declaration named reference*/Reference* — the oracles are test code.
 func TestSourceHygiene(t *testing.T) {
-	fset := token.NewFileSet()
-	files := 0
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return err
+	fset, files := sourceTree(t)
+	products := 0
+	for _, f := range files {
+		for _, imp := range f.ast.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p == "hash/crc32" && !strings.HasPrefix(f.path, "internal/frame/") {
+				t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
 			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
+			if p == "whereru/internal/grid" && !f.test && !strings.HasPrefix(f.path, "internal/grid/") {
+				t.Errorf("%s: imports internal/grid; collect with openintel.Pipeline.Sweep", fset.Position(imp.Pos()))
 			}
-			slash, test := filepath.ToSlash(path), strings.HasSuffix(path, "_test.go")
-			product := root != "bench" && !test
-			mode := parser.ImportsOnly
-			if product {
-				mode = parser.SkipObjectResolution
-			}
-			f, err := parser.ParseFile(fset, path, src, mode)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				if p == "hash/crc32" && !strings.HasPrefix(slash, "internal/frame/") {
-					t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
-				}
-				if p == "whereru/internal/grid" && !test && !strings.HasPrefix(slash, "internal/grid/") {
-					t.Errorf("%s: imports internal/grid; collect with openintel.Pipeline.Sweep", fset.Position(imp.Pos()))
-				}
-			}
-			if !product {
-				return nil
-			}
-			files++
-			file := fset.File(f.Pos())
-			for _, loc := range retiredLookups.FindAllIndex(src, -1) {
-				t.Errorf("%s: %s, a retired lookup; use Snapshot.Lookup and the analyzer's per-config ASN memo", fset.Position(file.Pos(loc[0])), src[loc[0]:loc[1]])
-			}
-			for _, decl := range f.Decls {
-				var names []*ast.Ident
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					names = append(names, d.Name)
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							names = append(names, ts.Name)
-						} else if vs, ok := spec.(*ast.ValueSpec); ok {
-							names = append(names, vs.Names...)
-						}
-					}
-				}
-				for _, name := range names {
-					if strings.HasPrefix(strings.ToLower(name.Name), "reference") {
-						t.Errorf("%s: %s is an oracle; it belongs in a _test.go file", fset.Position(name.Pos()), name.Name)
-					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name := ""
-				switch fn := call.Fun.(type) {
-				case *ast.Ident:
-					name = fn.Name
-				case *ast.SelectorExpr:
-					name = fn.Sel.Name
-				}
-				if materialisingReaders[name] {
-					t.Errorf("%s: call of %s, which holds the whole journal in memory; stream it (store.ReplayJournalFile, store.Tailer)", fset.Position(call.Pos()), name)
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		if f.test || strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		products++
+		file := fset.File(f.ast.Pos())
+		for _, loc := range retiredLookups.FindAllIndex(f.src, -1) {
+			t.Errorf("%s: %s, a retired lookup; use Snapshot.Lookup and the analyzer's per-config ASN memo", fset.Position(file.Pos(loc[0])), f.src[loc[0]:loc[1]])
+		}
+		for _, decl := range f.ast.Decls {
+			var names []*ast.Ident
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				names = append(names, d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						names = append(names, ts.Name)
+					} else if vs, ok := spec.(*ast.ValueSpec); ok {
+						names = append(names, vs.Names...)
+					}
+				}
+			}
+			for _, name := range names {
+				if strings.HasPrefix(strings.ToLower(name.Name), "reference") {
+					t.Errorf("%s: %s is an oracle; it belongs in a _test.go file", fset.Position(name.Pos()), name.Name)
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			if materialisingReaders[name] {
+				t.Errorf("%s: call of %s, which holds the whole journal in memory; stream it (store.ReplayJournalFile, store.Tailer)", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
 	}
-	if files < 50 {
-		t.Fatalf("parsed %d files: the walk no longer sees the tree", files)
+	if products < 50 {
+		t.Fatalf("parsed %d product files: the walk no longer sees the tree", products)
 	}
+}
+
+// goFile is one parsed Go file of the tree. Non-test files are parsed
+// whole, for the hygiene rules and the reachability pass; test files only
+// to their imports.
+type goFile struct {
+	path string // slash-separated, relative to the repository root
+	src  []byte
+	test bool
+	ast  *ast.File
+}
+
+var parsedTree struct {
+	once  sync.Once
+	fset  *token.FileSet
+	files []goFile
+	err   error
+}
+
+// sourceTree parses every Go file under internal/, cmd/, examples/ and
+// bench/ once per test binary, for every source rule that reads the tree.
+func sourceTree(t *testing.T) (*token.FileSet, []goFile) {
+	tr := &parsedTree
+	tr.once.Do(func() {
+		tr.fset = token.NewFileSet()
+		for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+			tr.err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+					return err
+				}
+				src, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				test := strings.HasSuffix(path, "_test.go")
+				mode := parser.SkipObjectResolution
+				if test {
+					mode = parser.ImportsOnly
+				}
+				f, err := parser.ParseFile(tr.fset, path, src, mode)
+				if err != nil {
+					return err
+				}
+				tr.files = append(tr.files, goFile{filepath.ToSlash(path), src, test, f})
+				return nil
+			})
+			if tr.err != nil {
+				return
+			}
+		}
+	})
+	if tr.err != nil {
+		t.Fatal(tr.err)
+	}
+	return tr.fset, tr.files
 }

@@ -121,6 +121,25 @@ func TestResumeWithoutCrashIsNoop(t *testing.T) {
 	}
 }
 
+// TestDropSweepsRefusesUnscheduledDay: a drop day off the schedule would
+// skip nothing, so New refuses it, naming the day and the scheduled days
+// around it (shortOpts sweeps 02-01, 02-08, 02-15, 02-22 and 03-01).
+func TestDropSweepsRefusesUnscheduledDay(t *testing.T) {
+	for _, tc := range []struct{ drop, near string }{
+		{"2022-02-10", "[2022-02-08 2022-02-15]"},
+		{"2022-01-31", "[2022-02-01]"},
+		{"2022-03-02", "[2022-03-01]"},
+	} {
+		opts := shortOpts()
+		opts.DropSweeps = []simtime.Day{simtime.MustParse("2022-02-15"), simtime.MustParse(tc.drop)}
+		_, err := New(opts)
+		if !errors.Is(err, ErrUnscheduledDrop) || !strings.Contains(err.Error(), "drop day "+tc.drop+" ") ||
+			!strings.HasSuffix(err.Error(), "(scheduled neighbours: "+tc.near+")") {
+			t.Errorf("drop %s: New = %v, want ErrUnscheduledDrop naming it and %s", tc.drop, err, tc.near)
+		}
+	}
+}
+
 // TestDropSweepsGapAnalysis drops a scheduled sweep and checks the outage
 // is recorded, flagged Interpolated in the series (with non-gap points
 // unchanged), and marked in the rendered charts.

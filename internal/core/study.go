@@ -7,8 +7,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"whereru/internal/analysis"
 	"whereru/internal/dns"
@@ -69,6 +71,7 @@ type Options struct {
 	// DropSweeps lists scheduled days to deliberately skip, simulating
 	// collection outages: the store records them as missing, the analyses
 	// flag their series points Interpolated, and the charts mark them.
+	// New refuses a day the schedule does not hold (ErrUnscheduledDrop).
 	DropSweeps []simtime.Day
 	// StudyStart/StudyEnd override the collection window (zero = the
 	// paper's 2017-06-18 .. 2022-05-25). Tests use short windows to
@@ -91,6 +94,10 @@ type Options struct {
 // ErrCrashInjected is returned by Collect when Options.CrashAfter fires:
 // the simulated hard kill of the collection process.
 var ErrCrashInjected = fmt.Errorf("core: crash injected after checkpoint")
+
+// ErrUnscheduledDrop is New's refusal of a DropSweeps day that is not on
+// the sweep schedule: skipping it would silently skip nothing.
+var ErrUnscheduledDrop = errors.New("not a scheduled sweep day")
 
 // DefaultOptions returns the full-fidelity configuration.
 func DefaultOptions() Options {
@@ -134,6 +141,9 @@ func New(opts Options) (*Study, error) {
 	if err := opts.World.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkDrops(opts.schedule(), opts.DropSweeps); err != nil {
+		return nil, err
+	}
 	opts.Progress("building world (scale 1:%d, %d domains)...", opts.World.Scale, opts.World.NumDomains())
 	w, err := world.Build(opts.World)
 	if err != nil {
@@ -156,6 +166,39 @@ func New(opts Options) (*Study, error) {
 		Archive:  scan.NewArchive(),
 		Outages:  outages,
 	}, nil
+}
+
+// window is the collection's first and last day.
+func (o *Options) window() (start, end simtime.Day) {
+	start, end = o.StudyStart, o.StudyEnd
+	if start == 0 {
+		start = simtime.StudyStart
+	}
+	if end == 0 {
+		end = simtime.StudyEnd
+	}
+	return start, end
+}
+
+// schedule is the collection's sweep days: monthly from the window's
+// start, every DenseStep days from simtime.DenseWindowStart, and its end.
+func (o *Options) schedule() []simtime.Day {
+	start, end := o.window()
+	return openintel.Schedule(start, end, simtime.DenseWindowStart, o.DenseStep)
+}
+
+// checkDrops refuses a drop day the schedule does not hold, naming the
+// scheduled days around it.
+func checkDrops(schedule, drops []simtime.Day) error {
+	for _, d := range drops {
+		i := sort.Search(len(schedule), func(i int) bool { return schedule[i] >= d })
+		if i < len(schedule) && schedule[i] == d {
+			continue
+		}
+		near := schedule[max(i-1, 0):min(i+1, len(schedule))]
+		return fmt.Errorf("core: drop day %s is %w (scheduled neighbours: %v)", d, ErrUnscheduledDrop, near)
+	}
+	return nil
 }
 
 // LoadStore builds the world for opts and adopts a previously saved
@@ -242,14 +285,8 @@ func measurementPipeline(opts Options, w *world.World, outages *netsim.OutageSch
 // journaled durably; with Resume the journal's sweeps replay from disk
 // and collection continues from the first unswept scheduled day.
 func (s *Study) Collect(ctx context.Context) error {
-	start, end := s.Opts.StudyStart, s.Opts.StudyEnd
-	if start == 0 {
-		start = simtime.StudyStart
-	}
-	if end == 0 {
-		end = simtime.StudyEnd
-	}
-	schedule := openintel.Schedule(start, end, simtime.DenseWindowStart, s.Opts.DenseStep)
+	start, end := s.Opts.window()
+	schedule := s.Opts.schedule()
 	pipe := measurementPipeline(s.Opts, s.World, s.Outages, s.Store)
 
 	done := map[simtime.Day]bool{}

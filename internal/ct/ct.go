@@ -71,8 +71,6 @@ type Log struct {
 	// memo caches roots of complete, aligned subtrees, which are
 	// immutable once formed. Key packs (start, size): start*2^34 | size.
 	memo map[int64]Hash
-	// key signs tree heads (see sth.go); empty = unsigned log.
-	key []byte
 }
 
 // logged is an Entry as the log keeps it: the index is the position.

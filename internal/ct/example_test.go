@@ -7,11 +7,10 @@ import (
 	"whereru/internal/pki"
 )
 
-// ExampleLog shows the auditor flow: append certificates, fetch a signed
-// tree head, and verify an inclusion proof against it.
+// ExampleLog shows the auditor flow: append certificates, fetch the tree
+// head, and verify an inclusion proof against it.
 func ExampleLog() {
 	log := ct.NewLog("example-log")
-	log.SetKey([]byte("auditor-key"))
 	ca := pki.NewCA(1, pki.LetsEncrypt, []string{"R3"}, 90)
 
 	var leaf []byte
@@ -22,13 +21,10 @@ func ExampleLog() {
 			leaf = cert.Marshal()
 		}
 	}
-	sth, _ := log.SignedHead()
-	fmt.Println("head verified:", ct.VerifySignedHead(sth, []byte("auditor-key")))
-
-	proof, _ := log.InclusionProof(2, sth.Size)
-	fmt.Println("inclusion verified:", ct.VerifyInclusion(leaf, 2, sth.Size, proof, sth.Root))
+	head := log.Head()
+	proof, _ := log.InclusionProof(2, head.Size)
+	fmt.Println("inclusion verified:", ct.VerifyInclusion(leaf, 2, head.Size, proof, head.Root))
 	// Output:
-	// head verified: true
 	// inclusion verified: true
 }
 

@@ -99,11 +99,6 @@ func (m *MemNet) Bind(addr netip.Addr, h Handler) {
 	m.updateRoute(addr, func(r *memRoute) { r.h = h })
 }
 
-// Unbind removes the handler at addr.
-func (m *MemNet) Unbind(addr netip.Addr) {
-	m.updateRoute(addr, func(r *memRoute) { r.h = nil })
-}
-
 // SetUnreachable marks or clears an address as dropping all queries.
 func (m *MemNet) SetUnreachable(addr netip.Addr, down bool) {
 	m.updateRoute(addr, func(r *memRoute) { r.down = down })

@@ -103,8 +103,5 @@ func (rc RCode) String() string {
 	return fmt.Sprintf("RCODE%d", uint8(rc))
 }
 
-// Opcode is a DNS operation code. Only QUERY is implemented.
+// Opcode is a DNS operation code. Only QUERY (0) is implemented.
 type Opcode uint8
-
-// OpcodeQuery is a standard query.
-const OpcodeQuery Opcode = 0

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 
 	"whereru/internal/dns"
 )
@@ -13,30 +12,20 @@ import (
 // to the zone with the longest matching origin (most-specific wins, so a
 // server can host both "ru." and "example.ru.").
 type Authority struct {
-	mu    sync.RWMutex
-	zones map[string]*Zone
+	zones map[string]*Zone // fixed at construction: readers take no lock
 }
 
 // NewAuthority returns an Authority serving the given zones.
 func NewAuthority(zones ...*Zone) *Authority {
 	a := &Authority{zones: make(map[string]*Zone)}
 	for _, z := range zones {
-		a.AddZone(z)
+		a.zones[z.Origin] = z
 	}
 	return a
 }
 
-// AddZone registers (or replaces) a zone.
-func (a *Authority) AddZone(z *Zone) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.zones[z.Origin] = z
-}
-
 // Zones lists the served origins, sorted.
 func (a *Authority) Zones() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	out := make([]string, 0, len(a.zones))
 	for o := range a.zones {
 		out = append(out, o)
@@ -47,8 +36,6 @@ func (a *Authority) Zones() []string {
 
 // match returns the most-specific zone containing name, or nil.
 func (a *Authority) match(name string) *Zone {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	var best *Zone
 	bestLabels := -1
 	for origin, z := range a.zones {
@@ -64,7 +51,7 @@ func (a *Authority) match(name string) *Zone {
 // ServeDNS implements dns.Handler.
 func (a *Authority) ServeDNS(q *dns.Message, _ netip.Addr) *dns.Message {
 	resp := q.Reply()
-	if q.Opcode != dns.OpcodeQuery || len(q.Questions) != 1 {
+	if q.Opcode != 0 /* QUERY */ || len(q.Questions) != 1 {
 		resp.RCode = dns.RCodeNotImp
 		return resp
 	}

@@ -23,11 +23,6 @@ const (
 	DE = "DE"
 	NL = "NL"
 	SE = "SE"
-	CZ = "CZ"
-	EE = "EE"
-	PL = "PL"
-	GB = "GB"
-	JP = "JP"
 )
 
 type rangeEntry struct {
@@ -181,27 +176,4 @@ func (db *DB) Snapshots() []simtime.Day {
 		out[i] = s.from
 	}
 	return out
-}
-
-// LookupLinear is the no-index baseline used by the ablation benchmark:
-// it scans the effective snapshot sequentially.
-func (db *DB) LookupLinear(day simtime.Day, addr netip.Addr) (string, bool) {
-	if !addr.Is4() {
-		return "", false
-	}
-	v := addrToU32(addr)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var entries []rangeEntry
-	for _, s := range db.snapshots {
-		if s.from <= day {
-			entries = s.entries
-		}
-	}
-	for _, e := range entries {
-		if e.lo <= v && v <= e.hi {
-			return e.country, true
-		}
-	}
-	return "", false
 }

@@ -231,3 +231,26 @@ func benchDB(b *testing.B) *DB {
 	}
 	return db
 }
+
+// LookupLinear is the no-index baseline used by the ablation benchmark:
+// it scans the effective snapshot sequentially.
+func (db *DB) LookupLinear(day simtime.Day, addr netip.Addr) (string, bool) {
+	if !addr.Is4() {
+		return "", false
+	}
+	v := addrToU32(addr)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var entries []rangeEntry
+	for _, s := range db.snapshots {
+		if s.from <= day {
+			entries = s.entries
+		}
+	}
+	for _, e := range entries {
+		if e.lo <= v && v <= e.hi {
+			return e.country, true
+		}
+	}
+	return "", false
+}

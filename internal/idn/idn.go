@@ -264,9 +264,6 @@ func ToUnicode(name string) string {
 	return out
 }
 
-// RFTLDUnicode and RFTLDASCII are the two spellings of the Cyrillic
-// Russian Federation ccTLD used throughout the paper.
-const (
-	RFTLDUnicode = "рф"
-	RFTLDASCII   = "xn--p1ai"
-)
+// RFTLDASCII is the ACE spelling of the Cyrillic Russian Federation
+// ccTLD (.рф) used throughout the paper.
+const RFTLDASCII = "xn--p1ai"

@@ -97,11 +97,6 @@ type Profile struct {
 	Crash func(c *Crash)
 }
 
-func (p *Profile) active() bool {
-	return p.CrashAtByte > 0 || p.DiskFullAtByte > 0 || p.FailSyncOp > 0 || p.FailRenameOp > 0 ||
-		p.WriteErrProb > 0 || p.ShortWriteProb > 0 || p.ShortReadProb > 0 || p.ReadBitFlipProb > 0
-}
-
 // ParseProfile parses the comma-separated fault spec the CLI exposes
 // (`whereru -io-fault`):
 //
@@ -220,13 +215,6 @@ func NewFaultFS(inner FS, seed int64, p Profile) *FaultFS {
 		inner = OS
 	}
 	return &FaultFS{inner: inner, seed: uint64(seed), profile: p}
-}
-
-// SetProfile replaces the fault profile (counters keep running).
-func (f *FaultFS) SetProfile(p Profile) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.profile = p
 }
 
 // Stats snapshots the counters.

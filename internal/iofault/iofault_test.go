@@ -420,3 +420,9 @@ func TestConnPartitionSwallowsBothDirections(t *testing.T) {
 		t.Fatal("partitioned read delivered data")
 	}
 }
+
+// active reports whether p injects any fault.
+func (p *Profile) active() bool {
+	return p.CrashAtByte > 0 || p.DiskFullAtByte > 0 || p.FailSyncOp > 0 || p.FailRenameOp > 0 ||
+		p.WriteErrProb > 0 || p.ShortWriteProb > 0 || p.ShortReadProb > 0 || p.ReadBitFlipProb > 0
+}

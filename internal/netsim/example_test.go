@@ -19,10 +19,10 @@ func ExampleInternet() {
 	ru, _ := in.NextAddr(197695)
 
 	asn, _ := in.OriginAS(cf)
-	fmt.Printf("%v originates from AS%d (%s)\n", cf, asn, in.OriginCountry(cf))
+	fmt.Printf("%v originates from AS%d\n", cf, asn)
 	asn, _ = in.OriginAS(ru)
-	fmt.Printf("%v originates from AS%d (%s)\n", ru, asn, in.OriginCountry(ru))
+	fmt.Printf("%v originates from AS%d\n", ru, asn)
 	// Output:
-	// 11.0.0.1 originates from AS13335 (US)
-	// 11.1.0.1 originates from AS197695 (RU)
+	// 11.0.0.1 originates from AS13335
+	// 11.1.0.1 originates from AS197695
 }

@@ -206,22 +206,6 @@ func (in *Internet) OriginAS(addr netip.Addr) (ASN, bool) {
 	return 0, false
 }
 
-// OriginCountry returns the registration country of the AS originating
-// addr ("" if unallocated). Geolocation proper lives in internal/geo; this
-// is the coarse AS-registry view.
-func (in *Internet) OriginCountry(addr netip.Addr) string {
-	asn, ok := in.OriginAS(addr)
-	if !ok {
-		return ""
-	}
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if as, ok := in.ases[asn]; ok {
-		return as.Country
-	}
-	return ""
-}
-
 // Allocations returns every (prefix, ASN) pair, for building geolocation
 // snapshots. Ranges are reported as /16 prefixes in allocation order.
 func (in *Internet) Allocations() []PrefixASN {

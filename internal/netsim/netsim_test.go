@@ -57,14 +57,8 @@ func TestAllocateAndOrigin(t *testing.T) {
 	if !ok || asn != 13335 {
 		t.Fatalf("OriginAS(%v) = %d, %v", a1, asn, ok)
 	}
-	if got := in.OriginCountry(a1); got != "US" {
-		t.Fatalf("OriginCountry = %q", got)
-	}
 	if _, ok := in.OriginAS(netip.MustParseAddr("8.8.8.8")); ok {
 		t.Fatal("unallocated space has an origin")
-	}
-	if got := in.OriginCountry(netip.MustParseAddr("8.8.8.8")); got != "" {
-		t.Fatalf("unallocated OriginCountry = %q", got)
 	}
 }
 

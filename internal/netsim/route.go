@@ -148,18 +148,6 @@ func (t *Topology) AddIXPMember(name string, asn ASN) error {
 	return nil
 }
 
-// IXPs returns the fabric names, sorted.
-func (t *Topology) IXPs() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.ixps))
-	for name := range t.ixps {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Depeer schedules the withdrawal of every adjacency between two ASes
 // during the window: the direct link(s) and any shared fabric path
 // between exactly this pair.
@@ -437,9 +425,6 @@ func (t *Topology) Router(vantage ASN) *Router {
 	t.routers[vantage] = r
 	return r
 }
-
-// Vantage returns the router's origin AS.
-func (r *Router) Vantage() ASN { return r.vantage }
 
 // table returns the route table for day, computed once per route-state
 // version — or a few times, when workers race for the first query of a

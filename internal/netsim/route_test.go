@@ -95,9 +95,6 @@ func TestIXPFabric(t *testing.T) {
 	if !pathEq(pi, 1, 3) || pi.Latency != 2*ms(3) {
 		t.Fatalf("fabric path = %+v, want direct [1 3] at 2×port = 6ms", pi)
 	}
-	if ixps := topo.IXPs(); len(ixps) != 1 || ixps[0] != "X" {
-		t.Fatalf("IXPs = %v", ixps)
-	}
 }
 
 // TestDepeerWindow drives a depeering event across its window: the

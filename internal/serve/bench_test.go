@@ -73,3 +73,11 @@ func BenchmarkServeMovementCold(b *testing.B) {
 		benchRequest(b, srv, fmt.Sprintf("/api/v1/movement?asn=%d&from=%s", asns[i%len(asns)], from))
 	}
 }
+
+// purge empties the cache (benchmarks use it to re-run cold paths).
+func (c *resultCache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = make(map[cacheKey]*entry)
+	c.order = nil
+}

@@ -134,18 +134,3 @@ func (c *resultCache) remove(key cacheKey, e *entry) {
 		delete(c.entries, key)
 	}
 }
-
-// purge empties the cache (benchmarks use it to re-run cold paths).
-func (c *resultCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]*entry)
-	c.order = nil
-}
-
-// len returns the number of live entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

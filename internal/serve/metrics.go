@@ -74,14 +74,6 @@ func (m *metrics) coalesce()  { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
 func (m *metrics) computed()  { m.mu.Lock(); m.computations++; m.mu.Unlock() }
 func (m *metrics) saturated() { m.mu.Lock(); m.saturations++; m.mu.Unlock() }
 
-// computationCount returns the number of engine computations run so far
-// (the coalescing tests' ground truth).
-func (m *metrics) computationCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.computations
-}
-
 // WriteTo renders the text exposition. Lines are emitted in a fixed,
 // sorted order so scrapes are deterministic.
 func (m *metrics) WriteTo(w io.Writer) (int64, error) {

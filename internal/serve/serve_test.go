@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"whereru/internal/analysis"
 	"whereru/internal/core"
+	"whereru/internal/idn"
 	"whereru/internal/simtime"
 	"whereru/internal/world"
 )
@@ -276,6 +278,35 @@ func TestTimelineEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("known domain after 404: status = %d", resp.StatusCode)
 	}
+	resp, _ = get(t, ts.URL+"/api/v1/domains/"+strings.Repeat("a", 64)+".ru/timeline")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("64-octet label: status = %d, want 400", resp.StatusCode)
+	}
+
+	// A .рф name answers under either spelling, with one body and ETag.
+	var ace string
+	for _, d := range doms {
+		if strings.HasPrefix(d, "xn--") && strings.HasSuffix(d, ".xn--p1ai.") {
+			ace = d
+			break
+		}
+	}
+	if ace == "" {
+		t.Fatal("study has no punycoded .рф domain")
+	}
+	unicode := idn.ToUnicode(ace)
+	if unicode == ace {
+		t.Fatalf("ToUnicode(%q) did not decode", ace)
+	}
+	aceResp, aceBody := get(t, ts.URL+"/api/v1/domains/"+ace+"/timeline")
+	uniResp, uniBody := get(t, ts.URL+"/api/v1/domains/"+url.PathEscape(unicode)+"/timeline")
+	if aceResp.StatusCode != http.StatusOK || uniResp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d, %s: status %d", ace, aceResp.StatusCode, unicode, uniResp.StatusCode)
+	}
+	if !bytes.Equal(uniBody, aceBody) || uniResp.Header.Get("ETag") != aceResp.Header.Get("ETag") {
+		t.Errorf("%s and %s answer differently:\n%s %s\n%s %s", unicode, ace,
+			uniResp.Header.Get("ETag"), uniBody, aceResp.Header.Get("ETag"), aceBody)
+	}
 }
 
 // TestScenarioContent pins the routing-scenario semantics end to end
@@ -483,6 +514,27 @@ func TestETagRoundTrip(t *testing.T) {
 	}
 	if resp2.Header.Get("ETag") != etag {
 		t.Errorf("304 ETag = %q, want %q", resp2.Header.Get("ETag"), etag)
+	}
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{`*`, http.StatusNotModified},
+		{"\t\"other\" ,  " + etag + "\t", http.StatusNotModified},
+		{`"other", W/` + etag, http.StatusNotModified},
+		{`"other", , "another"`, http.StatusOK},
+		{`,` + etag + `,`, http.StatusNotModified},
+	} {
+		r, _ := http.NewRequest(http.MethodGet, url, nil)
+		r.Header.Set("If-None-Match", tc.header)
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("If-None-Match %q: status %d, want %d", tc.header, resp.StatusCode, tc.want)
+		}
 	}
 
 	// Mutate the store: the generation bumps, the cache key moves on, and
@@ -747,4 +799,19 @@ func TestSweepsEndpointContent(t *testing.T) {
 	if !sawMissing {
 		t.Error("dropped day never surfaced as missing")
 	}
+}
+
+// len returns the number of live entries.
+func (c *resultCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// computationCount returns the number of engine computations run so far
+// (the coalescing tests' ground truth).
+func (m *metrics) computationCount() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.computations
 }

@@ -33,11 +33,13 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"whereru/internal/core"
 	"whereru/internal/dns"
+	"whereru/internal/idn"
 	"whereru/internal/netsim"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
@@ -121,9 +123,6 @@ func New(study *core.Study, opts Options) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Metrics exposes the server's counters (tests assert on them).
-func (s *Server) Metrics() *metrics { return s.met }
 
 // endpointList enumerates the API surface (reported by /api/v1/study).
 func endpointList() []string {
@@ -281,47 +280,17 @@ func (s *Server) compute(key cacheKey, e *entry, compute func(gen uint64) (any, 
 // etagMatches implements the If-None-Match comparison for strong ETags
 // ("*" or any listed tag).
 func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
 	if header == "*" {
 		return true
 	}
-	for _, part := range splitComma(header) {
-		if part == etag || part == "W/"+etag {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		if part = strings.TrimSpace(part); part == etag || part == "W/"+etag {
 			return true
 		}
 	}
 	return false
-}
-
-func splitComma(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ',' {
-			i++
-		}
-		part := trimSpace(s[:i])
-		if part != "" {
-			out = append(out, part)
-		}
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
-	}
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // --- endpoint handlers ---
@@ -431,7 +400,13 @@ func (s *Server) handleMovement(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	name := dns.Canonical(r.PathValue("name"))
+	// The store holds ACE spellings: a Unicode .рф name is its xn-- form,
+	// and both spellings share one cache entry.
+	name, err := idn.ToASCII(dns.Canonical(r.PathValue("name")))
+	if err != nil {
+		http.Error(w, "malformed domain name: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	s.serveCached(w, r, "timeline", "name="+name, func(gen uint64) (any, error) {
 		snap := s.study.Store.Snapshot()
 		doms := snap.Domains()

@@ -65,15 +65,9 @@ func (t *internTable) view() []Config {
 	return t.configs[:len(t.configs):len(t.configs)]
 }
 
-// intern returns the ID for c, registering it on first sight. c is
-// stored as given (no normalization); its slices are copied into the
-// pools, so the caller's backing arrays are not retained.
-func (t *internTable) intern(c Config) uint32 {
-	return internSections(t, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
-}
-
-// internScratch is intern for a scratchConfig, with the ID intern gives
-// the equivalent Config (TestInternScratchAgreesWithIntern pins this).
+// internScratch interns a scratchConfig under the ID intern
+// (intern_test.go) gives the equivalent Config
+// (TestInternScratchAgreesWithIntern pins this).
 func (t *internTable) internScratch(sc *scratchConfig) uint32 {
 	return internSections(t, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
 }

@@ -278,3 +278,10 @@ func TestInternArenasNeverMove(t *testing.T) {
 		t.Errorf("MemStats counts %d host and %d address slots, want %d and %d", ms.HostSlots, ms.AddrSlots, 3*n, 3*n+arenaMaxChunk+1)
 	}
 }
+
+// intern returns the ID for c, registering it on first sight. c is
+// stored as given (no normalization); its slices are copied into the
+// pools, so the caller's backing arrays are not retained.
+func (t *internTable) intern(c Config) uint32 {
+	return internSections(t, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
+}
