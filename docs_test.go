@@ -6,6 +6,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ var (
 // TestDocReferences holds the docs to the tree: every test, benchmark,
 // fuzz target or example they name is defined — a -run pattern may name a
 // prefix, so a cited name must begin some defined one — every Go file they
-// cite exists (internal/ may be left off, as the docs write dns/tcp.go; a
+// cite exists (internal/ may be left off, as the docs write dns/edns.go; a
 // bare file name must exist somewhere in the tree), and every file.go:N or
 // file.go:N-M is inside its file.
 func TestDocReferences(t *testing.T) {
@@ -110,4 +111,59 @@ func anyLongEnough(lines map[string]int, paths []string, line int) bool {
 		}
 	}
 	return false
+}
+
+var (
+	// fuzzTarget is a top-level fuzz target.
+	fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
+	// fuzzSmokeLine is one fuzz-smoke command in the CI workflow.
+	fuzzSmokeLine = regexp.MustCompile(`(?m)^\s*go test \./(\S+) -run=\^\$ -fuzz=(\w+)\b`)
+)
+
+// TestFuzzSmokeListsEveryTarget holds CI's fuzz-smoke job to the tree:
+// every fuzz target under internal/ has exactly one `go test ./<pkg>
+// -run=^$ -fuzz=<Name>` line in .github/workflows/ci.yml, and every such
+// line names a target of that package that its -fuzz pattern alone
+// selects (go test refuses a pattern matching two).
+func TestFuzzSmokeListsEveryTarget(t *testing.T) {
+	_, files := sourceTree(t)
+	targets := map[string][]string{} // package dir → fuzz targets
+	for _, f := range files {
+		if f.test && strings.HasPrefix(f.path, "internal/") {
+			for _, m := range fuzzTarget.FindAllSubmatch(f.src, -1) {
+				targets[path.Dir(f.path)] = append(targets[path.Dir(f.path)], string(m[1]))
+			}
+		}
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{} // "pkg.Name" → CI lines
+	for _, m := range fuzzSmokeLine.FindAllStringSubmatch(string(ci), -1) {
+		pkg, name := m[1], m[2]
+		listed[pkg+"."+name]++
+		pattern := regexp.MustCompile(name)
+		matched := 0
+		for _, target := range targets[pkg] {
+			if pattern.MatchString(target) {
+				matched++
+			}
+		}
+		if !slices.Contains(targets[pkg], name) || matched != 1 {
+			t.Errorf("ci.yml: fuzz smoke runs -fuzz=%s in ./%s, which matches %d of its fuzz targets %v; want exactly that one", name, pkg, matched, targets[pkg])
+		}
+	}
+	n := 0
+	for pkg, names := range targets {
+		for _, name := range names {
+			n++
+			if c := listed[pkg+"."+name]; c != 1 {
+				t.Errorf("%s.%s: %d fuzz-smoke lines in ci.yml, want 1", pkg, name, c)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("found no fuzz targets under internal/")
+	}
 }

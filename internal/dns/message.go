@@ -136,8 +136,8 @@ var (
 const (
 	headerLen = 12
 	// MaxUDPPayload is the classic 512-octet UDP limit; the server sets TC
-	// when a response would exceed it (our client then retries over the
-	// in-memory or TCP-sized path).
+	// when a response would exceed it and the query advertised no larger
+	// EDNS0 size.
 	MaxUDPPayload = 512
 	// maxMsgSize is the hard cap accepted by Encode.
 	maxMsgSize = 65535

@@ -16,13 +16,13 @@ type Server struct {
 
 	mu     sync.Mutex
 	conn   *net.UDPConn
-	tcpLn  net.Listener
 	closed bool
 	wg     sync.WaitGroup
 }
 
 // Listen binds a UDP socket on the given address ("127.0.0.1:0" for an
-// ephemeral port) and starts serving until Close.
+// ephemeral port) and starts serving until Close. A server listens once:
+// Listen on a listening or closed server is refused.
 func (s *Server) Listen(addr string) error {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -33,10 +33,10 @@ func (s *Server) Listen(addr string) error {
 		return err
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || s.conn != nil {
 		s.mu.Unlock()
 		conn.Close()
-		return errors.New("dns: server already closed")
+		return errors.New("dns: server already listening or closed")
 	}
 	s.conn = conn
 	s.mu.Unlock()
@@ -95,22 +95,15 @@ func (s *Server) serveLoop(conn *net.UDPConn) {
 	}
 }
 
-// Close stops the server (UDP and TCP) and waits for the serve loops to
-// exit.
+// Close stops the UDP server and waits for its serve loop to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	conn := s.conn
-	ln := s.tcpLn
 	s.mu.Unlock()
 	var err error
 	if conn != nil {
 		err = conn.Close()
-	}
-	if ln != nil {
-		if cerr := ln.Close(); err == nil {
-			err = cerr
-		}
 	}
 	s.wg.Wait()
 	return err

@@ -74,15 +74,13 @@ func (m *metrics) coalesce()  { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
 func (m *metrics) computed()  { m.mu.Lock(); m.computations++; m.mu.Unlock() }
 func (m *metrics) saturated() { m.mu.Lock(); m.saturations++; m.mu.Unlock() }
 
-// WriteTo renders the text exposition. Lines are emitted in a fixed,
+// write renders the text exposition. Lines are emitted in a fixed,
 // sorted order so scrapes are deterministic.
-func (m *metrics) WriteTo(w io.Writer) (int64, error) {
+func (m *metrics) write(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cw := &countWriter{w: w}
 
-	fmt.Fprintln(cw, "# HELP whereru_requests_total Finished HTTP requests by endpoint and status code.")
-	fmt.Fprintln(cw, "# TYPE whereru_requests_total counter")
+	writeFamily(w, "whereru_requests_total", "counter", "Finished HTTP requests by endpoint and status code.")
 	keys := make([]reqKey, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
@@ -94,38 +92,28 @@ func (m *metrics) WriteTo(w io.Writer) (int64, error) {
 		return keys[i].code < keys[j].code
 	})
 	for _, k := range keys {
-		fmt.Fprintf(cw, "whereru_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
+		fmt.Fprintf(w, "whereru_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
 	}
 
-	fmt.Fprintln(cw, "# HELP whereru_request_duration_seconds Request latency histogram (all endpoints).")
-	fmt.Fprintln(cw, "# TYPE whereru_request_duration_seconds histogram")
+	writeFamily(w, "whereru_request_duration_seconds", "histogram", "Request latency histogram (all endpoints).")
 	var cum uint64
 	for i, le := range latencyBuckets {
 		cum += m.bucketCounts[i]
-		fmt.Fprintf(cw, "whereru_request_duration_seconds_bucket{le=\"%g\"} %d\n", le, cum)
+		fmt.Fprintf(w, "whereru_request_duration_seconds_bucket{le=\"%g\"} %d\n", le, cum)
 	}
 	cum += m.bucketCounts[len(latencyBuckets)]
-	fmt.Fprintf(cw, "whereru_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(cw, "whereru_request_duration_seconds_sum %g\n", m.durSum)
-	fmt.Fprintf(cw, "whereru_request_duration_seconds_count %d\n", m.durCount)
+	fmt.Fprintf(w, "whereru_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
+	fmt.Fprintf(w, "whereru_request_duration_seconds_sum %g\n", m.durSum)
+	fmt.Fprintf(w, "whereru_request_duration_seconds_count %d\n", m.durCount)
 
-	for _, c := range []struct {
-		name, help string
-		val        uint64
-	}{
-		{"whereru_cache_hits_total", "Requests answered from the versioned result cache.", m.cacheHits},
-		{"whereru_cache_misses_total", "Requests that found no cached result and led a computation.", m.cacheMisses},
-		{"whereru_cache_coalesced_total", "Requests that piggybacked on an in-flight identical computation.", m.coalesced},
-		{"whereru_computations_total", "Analysis engine computations actually run.", m.computations},
-		{"whereru_saturation_rejections_total", "Requests rejected with 503 because the computation semaphore was full.", m.saturations},
-	} {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.val)
-	}
-
-	fmt.Fprintln(cw, "# HELP whereru_inflight_requests Requests currently being served.")
-	fmt.Fprintln(cw, "# TYPE whereru_inflight_requests gauge")
-	fmt.Fprintf(cw, "whereru_inflight_requests %d\n", m.inflight.Load())
-	return cw.n, cw.err
+	writeScalars(w,
+		scalar{"whereru_cache_hits_total", "counter", "Requests answered from the versioned result cache.", int64(m.cacheHits)},
+		scalar{"whereru_cache_misses_total", "counter", "Requests that found no cached result and led a computation.", int64(m.cacheMisses)},
+		scalar{"whereru_cache_coalesced_total", "counter", "Requests that piggybacked on an in-flight identical computation.", int64(m.coalesced)},
+		scalar{"whereru_computations_total", "counter", "Analysis engine computations actually run.", int64(m.computations)},
+		scalar{"whereru_saturation_rejections_total", "counter", "Requests rejected with 503 because the computation semaphore was full.", int64(m.saturations)},
+		scalar{"whereru_inflight_requests", "gauge", "Requests currently being served.", m.inflight.Load()},
+	)
 }
 
 // writeSweepCacheMetrics renders the resolver infrastructure-cache
@@ -138,50 +126,44 @@ func writeSweepCacheMetrics(w io.Writer, stats []openintel.SweepStats) {
 		misses += st.CacheMisses
 		coalesced += st.CacheCoalesced
 	}
-	for _, c := range []struct {
-		name, help string
-		val        int64
-	}{
-		{"whereru_sweep_cache_hits_total", "Resolver infrastructure-cache hits across all collected sweeps.", hits},
-		{"whereru_sweep_cache_misses_total", "Resolver infrastructure-cache misses across all collected sweeps.", misses},
-		{"whereru_sweep_cache_coalesced_total", "Resolver lookups that coalesced onto an in-flight identical miss.", coalesced},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.val)
-	}
+	writeScalars(w,
+		scalar{"whereru_sweep_cache_hits_total", "counter", "Resolver infrastructure-cache hits across all collected sweeps.", hits},
+		scalar{"whereru_sweep_cache_misses_total", "counter", "Resolver infrastructure-cache misses across all collected sweeps.", misses},
+		scalar{"whereru_sweep_cache_coalesced_total", "counter", "Resolver lookups that coalesced onto an in-flight identical miss.", coalesced},
+	)
 }
 
 // writeStoreMemMetrics renders the measurement store's interning and
 // memory accounting as gauges: values move with store contents (they can
 // shrink on compaction), not monotonically.
 func writeStoreMemMetrics(w io.Writer, ms store.MemStats) {
-	for _, g := range []struct {
-		name, help string
-		val        int64
-	}{
-		{"whereru_store_domains", "Domains held by the measurement store.", int64(ms.Domains)},
-		{"whereru_store_epochs", "Live (domain, epoch) rows in the columnar store.", ms.Epochs},
-		{"whereru_store_distinct_configs", "Distinct interned DNS configurations.", int64(ms.DistinctConfigs)},
-		{"whereru_store_interned_hosts", "Distinct pooled hostname strings.", int64(ms.InternedHosts)},
-		{"whereru_store_resident_bytes", "Accounted resident bytes of the store representation.", ms.ResidentBytes()},
-		{"whereru_store_column_bytes", "Accounted bytes held by the epoch columns and row index.", ms.ColumnBytes},
-		{"whereru_store_intern_bytes", "Accounted bytes held by the config intern table and pools.", ms.InternBytes},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.val)
-	}
+	writeScalars(w,
+		scalar{"whereru_store_domains", "gauge", "Domains held by the measurement store.", int64(ms.Domains)},
+		scalar{"whereru_store_epochs", "gauge", "Live (domain, epoch) rows in the columnar store.", ms.Epochs},
+		scalar{"whereru_store_distinct_configs", "gauge", "Distinct interned DNS configurations.", int64(ms.DistinctConfigs)},
+		scalar{"whereru_store_interned_hosts", "gauge", "Distinct pooled hostname strings.", int64(ms.InternedHosts)},
+		scalar{"whereru_store_resident_bytes", "gauge", "Accounted resident bytes of the store representation.", ms.ResidentBytes()},
+		scalar{"whereru_store_column_bytes", "gauge", "Accounted bytes held by the epoch columns and row index.", ms.ColumnBytes},
+		scalar{"whereru_store_intern_bytes", "gauge", "Accounted bytes held by the config intern table and pools.", ms.InternBytes},
+	)
 }
 
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	err error
+// writeFamily writes a metric family's # HELP and # TYPE lines; its
+// samples follow. Every family on /metrics starts here.
+func writeFamily(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
+// scalar is a counter or gauge with one unlabelled sample.
+type scalar struct {
+	name, typ, help string
+	val             int64
+}
+
+// writeScalars writes each scalar as its family and its one sample.
+func writeScalars(w io.Writer, fams ...scalar) {
+	for _, f := range fams {
+		writeFamily(w, f.name, f.typ, f.help)
+		fmt.Fprintf(w, "%s %d\n", f.name, f.val)
 	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
 }

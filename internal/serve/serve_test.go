@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -655,6 +656,64 @@ func TestHealthzAndMetrics(t *testing.T) {
 	// Two identical requests: the second must have been a cache hit.
 	if !strings.Contains(text, "whereru_cache_hits_total 1") {
 		t.Errorf("expected exactly one cache hit, metrics:\n%s", text)
+	}
+	assertMetricsShape(t, body)
+}
+
+// assertMetricsShape holds a /metrics body to the families in
+// testdata/metrics_families.txt: the same # HELP and # TYPE lines in the
+// same order, each TYPE right after its family's HELP, and every family's
+// samples after its TYPE line and before the next family (a histogram's
+// _bucket, _sum and _count, a summary's _sum and _count).
+func assertMetricsShape(t *testing.T, body []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics_families.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers []string
+	var help, family, typ string
+	samples := -1 // no family open yet
+	closeFamily := func() {
+		if samples == 0 {
+			t.Errorf("metrics family %s has no samples", family)
+		}
+	}
+	for i, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+		if kind, rest, ok := strings.Cut(line, " "); ok && kind == "#" {
+			headers = append(headers, line)
+			f := strings.Fields(rest)
+			switch {
+			case len(f) >= 2 && f[0] == "HELP":
+				closeFamily()
+				help, family, samples = f[1], "", -1
+			case len(f) == 3 && f[0] == "TYPE" && f[1] == help && family == "":
+				family, typ, samples = f[1], f[2], 0
+			default:
+				t.Errorf("metrics line %d: %q is not a HELP or the TYPE after it", i+1, line)
+			}
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		suffix, inFamily := strings.CutPrefix(name, family)
+		switch typ {
+		case "histogram":
+			inFamily = inFamily && (suffix == "_bucket" || suffix == "_sum" || suffix == "_count")
+		case "summary":
+			inFamily = inFamily && (suffix == "_sum" || suffix == "_count")
+		default:
+			inFamily = inFamily && suffix == ""
+		}
+		if family == "" || !inFamily {
+			t.Errorf("metrics line %d: sample %q is outside its family (open: %q %s)", i+1, line, family, typ)
+			continue
+		}
+		samples++
+	}
+	closeFamily()
+	if got := strings.Join(headers, "\n") + "\n"; got != string(want) {
+		t.Errorf("metrics HELP/TYPE lines differ from testdata/metrics_families.txt; got:\n%s", got)
 	}
 }
 

@@ -456,7 +456,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.WriteTo(w)
+	s.met.write(w)
 	writeSweepCacheMetrics(w, s.liveStats())
 	writeStoreMemMetrics(w, s.study.Store.MemStats())
 	s.writeStreamMetrics(w)

@@ -288,33 +288,22 @@ func (s *Server) writeStreamMetrics(w io.Writer) {
 	lastDay, lag := f.lastDay, f.lagBytes
 	patched, skipped, events := f.patched, f.skipped, f.events
 	f.mu.Unlock()
-	following := 0
+	var following int64
 	if f.active.Load() {
 		following = 1
 	}
-	fmt.Fprintf(w, "# HELP whereru_stream_following Whether the server is tailing a journal (follow mode).\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_following gauge\n")
-	fmt.Fprintf(w, "whereru_stream_following %d\n", following)
-	fmt.Fprintf(w, "# HELP whereru_stream_folds_total Journal segments folded into the live engine.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_folds_total counter\n")
-	fmt.Fprintf(w, "whereru_stream_folds_total %d\n", folds)
-	fmt.Fprintf(w, "# HELP whereru_stream_fold_seconds Time spent applying, folding and patching per segment.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_fold_seconds summary\n")
+	writeScalars(w,
+		scalar{"whereru_stream_following", "gauge", "Whether the server is tailing a journal (follow mode).", following},
+		scalar{"whereru_stream_folds_total", "counter", "Journal segments folded into the live engine.", int64(folds)},
+	)
+	writeFamily(w, "whereru_stream_fold_seconds", "summary", "Time spent applying, folding and patching per segment.")
 	fmt.Fprintf(w, "whereru_stream_fold_seconds_sum %g\n", secs)
 	fmt.Fprintf(w, "whereru_stream_fold_seconds_count %d\n", folds)
-	fmt.Fprintf(w, "# HELP whereru_stream_last_folded_day Day number of the last folded segment.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_last_folded_day gauge\n")
-	fmt.Fprintf(w, "whereru_stream_last_folded_day %d\n", int64(lastDay))
-	fmt.Fprintf(w, "# HELP whereru_stream_watcher_lag_bytes Journal bytes beyond the watcher's offset at the last fold.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_watcher_lag_bytes gauge\n")
-	fmt.Fprintf(w, "whereru_stream_watcher_lag_bytes %d\n", lag)
-	fmt.Fprintf(w, "# HELP whereru_stream_cache_patched_total Cache entries installed by follow-mode patching.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_cache_patched_total counter\n")
-	fmt.Fprintf(w, "whereru_stream_cache_patched_total %d\n", patched)
-	fmt.Fprintf(w, "# HELP whereru_stream_cache_patch_skipped_total Patches skipped because the key was already cached or computing.\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_cache_patch_skipped_total counter\n")
-	fmt.Fprintf(w, "whereru_stream_cache_patch_skipped_total %d\n", skipped)
-	fmt.Fprintf(w, "# HELP whereru_stream_events_total Events published to the long-poll stream (the primed state is not one).\n")
-	fmt.Fprintf(w, "# TYPE whereru_stream_events_total counter\n")
-	fmt.Fprintf(w, "whereru_stream_events_total %d\n", events)
+	writeScalars(w,
+		scalar{"whereru_stream_last_folded_day", "gauge", "Day number of the last folded segment.", int64(lastDay)},
+		scalar{"whereru_stream_watcher_lag_bytes", "gauge", "Journal bytes beyond the watcher's offset at the last fold.", lag},
+		scalar{"whereru_stream_cache_patched_total", "counter", "Cache entries installed by follow-mode patching.", int64(patched)},
+		scalar{"whereru_stream_cache_patch_skipped_total", "counter", "Patches skipped because the key was already cached or computing.", int64(skipped)},
+		scalar{"whereru_stream_events_total", "counter", "Events published to the long-poll stream (the primed state is not one).", int64(events)},
+	)
 }

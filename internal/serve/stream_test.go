@@ -368,6 +368,7 @@ func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 			t.Errorf("metrics of a primed, idle server lack %q", want)
 		}
 	}
+	assertMetricsShape(t, metrics)
 }
 
 // TestFollowMovementMatchesColdRestart covers the one request class that
