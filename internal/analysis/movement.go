@@ -27,8 +27,8 @@ type Movement struct {
 	// on From.
 	RelocatedIn int
 	// NewlyRegistered resolve into the ASN on To and were registered
-	// after From (confirmed via whois, as the paper does with Cisco's
-	// Whois API).
+	// after From (the registry's creation day, which the paper reads from
+	// Cisco's Whois API).
 	NewlyRegistered int
 
 	// OutDestinations counts where relocated-out domains went.
@@ -65,9 +65,9 @@ func topASNs(counts map[netsim.ASN]int, k int) []netsim.ASN {
 	return asns[:k]
 }
 
-// Whois resolves a name's registration day — all MovementAnalysis reads
-// of a whois record; registry.Group satisfies it. Implementations must be
-// safe for concurrent use: concurrent movement requests share one.
+// Whois resolves a name's registration day, the one field of a whois
+// record the paper reads; registry.Group satisfies it. Implementations
+// must be safe for concurrent use: concurrent movement requests share one.
 type Whois interface {
 	Created(name string) (simtime.Day, bool)
 }

@@ -96,10 +96,6 @@ type Timeline struct {
 	LastActive simtime.Day
 }
 
-// StoppedBy reports whether the CA shows no issuance on or after day
-// (used to count "six of the ten top CAs stopped issuing altogether").
-func (t Timeline) StoppedBy(day simtime.Day) bool { return t.LastActive < day }
-
 // IssuanceTimelines computes Figure 8 for the top-k CAs by volume.
 func IssuanceTimelines(log *ct.Log, k int) []Timeline {
 	byOrg := map[string]*Timeline{}

@@ -81,11 +81,12 @@ func TestIssuanceTimelinesStoppedBy(t *testing.T) {
 			dcTL = tl
 		}
 	}
-	if !dcTL.StoppedBy(simtime.ConflictStart) {
-		t.Error("DigiCert should have stopped by the conflict start")
+	// A CA has stopped by a day when its last issuance falls before it.
+	if dcTL.LastActive >= simtime.ConflictStart {
+		t.Errorf("DigiCert last issued on %s, want before the conflict start", dcTL.LastActive)
 	}
-	if tls[0].StoppedBy(simtime.Date(2022, 5, 1)) {
-		t.Error("Let's Encrypt should still be active in May")
+	if tls[0].LastActive < simtime.Date(2022, 5, 1) {
+		t.Errorf("Let's Encrypt last issued on %s, want still active in May", tls[0].LastActive)
 	}
 	// k bounds the result.
 	if got := IssuanceTimelines(log, 1); len(got) != 1 {

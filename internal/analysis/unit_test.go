@@ -145,7 +145,7 @@ func TestMovementAccounting(t *testing.T) {
 		st.Add(store.Measurement{Domain: name, Day: day2, Config: store.Config{ApexAddrs: []netip.Addr{addr}}})
 	}
 
-	m := an.MovementAnalysis(2, day1, day2, b.Build(nil))
+	m := an.MovementAnalysis(2, day1, day2, b.Build())
 	if m.Original != 3 {
 		t.Fatalf("Original = %d", m.Original)
 	}

@@ -269,6 +269,7 @@ func TestBorrowedRecordsDieWithTheRequest(t *testing.T) {
 // past the request's own records (an EDNS query carries one), two calls
 // never overlap, and a call larger than the slab gets a new one.
 func TestRecordsRoomIsDisjoint(t *testing.T) {
+	const ednsSize = 1232
 	net, addr := NewMemNet(), mustAddr("192.0.2.8")
 	glue := NewA("ns1.reg.ru.", 3600, mustAddr("194.58.116.30"))
 	net.Bind(addr, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
@@ -282,14 +283,15 @@ func TestRecordsRoomIsDisjoint(t *testing.T) {
 			resp.Answers = append(resp.Answers, NewNS(q.Questions[0].Name, 3600, "ns1.reg.ru."))
 		}
 		resp.Additional = append(resp.Records(1), glue)
-		if q.EDNSSize() != DefaultEDNSSize || len(q.Additional) != 1 {
+		if q.EDNSSize() != ednsSize || len(q.Additional) != 1 {
 			t.Errorf("the reply's records overwrote the request's: %v", q.Additional)
 		}
 		return resp
 	}))
-	edns := &EDNSTransport{Transport: net}
 	for _, n := range []int{2, maxArenaRRs + 5, 1} {
-		resp, err := edns.Exchange(context.Background(), addr, NewQuery(uint16(n), "example.ru.", TypeNS))
+		q := NewQuery(uint16(n), "example.ru.", TypeNS)
+		q.SetEDNS(ednsSize)
+		resp, err := net.Exchange(context.Background(), addr, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,26 +1,17 @@
 package dns
 
-import (
-	"context"
-	"net/netip"
-)
-
-// EDNS(0) support (RFC 6891): an OPT pseudo-record in the additional
-// section advertises the requester's UDP payload capacity, letting
-// servers send responses beyond the classic 512-octet limit without TCP.
-// Only the payload-size negotiation is implemented — no options, no
-// extended RCODEs — which is all the measurement pipeline needs.
+// EDNS(0) (RFC 6891): an OPT pseudo-record in a query's additional
+// section advertises the requester's UDP payload capacity, letting the
+// server send a response beyond the classic 512-octet limit. The server
+// honours the size of an OPT that arrives — no options, no extended
+// RCODEs; nothing here sends one.
 
 // TypeOPT is the OPT pseudo-RR type code.
 const TypeOPT Type = 41
 
-// Default and maximum advertised payload sizes.
-const (
-	// DefaultEDNSSize is the commonly-deployed 1232-octet advertisement
-	// (DNS flag day 2020 recommendation).
-	DefaultEDNSSize = 1232
-	minEDNSSize     = 512
-)
+// minEDNSSize is the smallest payload size an OPT record can advertise:
+// a smaller one counts as 512 (RFC 6891 §6.2.5).
+const minEDNSSize = 512
 
 // OPTData is the OPT pseudo-record payload. The UDP size rides in the
 // record's Class field on the wire; Data is empty (no options).
@@ -30,26 +21,6 @@ type OPTData struct{}
 func (OPTData) String() string { return "" }
 
 func (OPTData) appendWire(b []byte) ([]byte, error) { return b, nil }
-
-// SetEDNS attaches (or replaces) an OPT record advertising the given UDP
-// payload size.
-func (m *Message) SetEDNS(udpSize uint16) {
-	if udpSize < minEDNSSize {
-		udpSize = minEDNSSize
-	}
-	for i := range m.Additional {
-		if m.Additional[i].Type == TypeOPT {
-			m.Additional[i].Class = Class(udpSize)
-			return
-		}
-	}
-	m.Additional = append(m.Additional, RR{
-		Name:  ".",
-		Type:  TypeOPT,
-		Class: Class(udpSize), // RFC 6891 §6.1.2: class carries the size
-		Data:  OPTData{},
-	})
-}
 
 // EDNSSize returns the advertised UDP payload size, or 0 when the message
 // carries no OPT record.
@@ -66,30 +37,15 @@ func (m *Message) EDNSSize() uint16 {
 	return 0
 }
 
-// maxUDPResponse returns the size budget for a UDP response to the query.
+// maxUDPDatagram is the largest UDP payload one IPv4 datagram carries
+// (65,535 − 20 − 8 octets); a socket refuses to send more.
+const maxUDPDatagram = 65507
+
+// maxUDPResponse returns the size budget for a UDP response to the query:
+// the size its OPT advertises, up to one datagram.
 func maxUDPResponse(query *Message) int {
 	if size := query.EDNSSize(); size > 0 {
-		return int(size)
+		return min(int(size), maxUDPDatagram)
 	}
 	return MaxUDPPayload
-}
-
-// EDNSTransport wraps a transport, attaching an OPT record to every
-// outgoing query (stub-resolver behavior since the 2020 DNS flag day).
-type EDNSTransport struct {
-	Transport Transport
-	// UDPSize is the advertised payload size (DefaultEDNSSize if 0).
-	UDPSize uint16
-}
-
-// Exchange implements Transport.
-func (t *EDNSTransport) Exchange(ctx context.Context, server netip.Addr, query *Message) (*Message, error) {
-	size := t.UDPSize
-	if size == 0 {
-		size = DefaultEDNSSize
-	}
-	q := *query
-	q.Additional = append([]RR(nil), query.Additional...)
-	(&q).SetEDNS(size)
-	return t.Transport.Exchange(ctx, server, &q)
 }

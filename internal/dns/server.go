@@ -89,7 +89,9 @@ func (s *Server) serveLoop(conn *net.UDPConn) {
 			}
 			out = wire
 		}
-		if _, err := conn.WriteToUDPAddrPort(wire, raddr); err != nil {
+		// A failed send loses that reply only; the loop ends when Close
+		// closes the socket.
+		if _, err := conn.WriteToUDPAddrPort(wire, raddr); errors.Is(err, net.ErrClosed) {
 			return
 		}
 	}

@@ -86,3 +86,33 @@ func TestServerListenLifecycle(t *testing.T) {
 		t.Fatal("Listen after Close succeeded")
 	}
 }
+
+// TestServerSurvivesOversizedEDNSReply asks with an OPT advertising 65,535
+// octets for a reply of 65,512, more than one UDP datagram carries: the
+// server caps the budget at the datagram and answers TC, and a later query
+// is still answered (a failed send loses one reply; it must not end the
+// serve loop).
+func TestServerSurvivesOversizedEDNSReply(t *testing.T) {
+	srv := &Server{Handler: bigAnswerHandler(4093)}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := srv.Addr()
+	udp := &UDPTransport{Port: int(addr.Port()), Timeout: time.Second}
+	ctx := context.Background()
+	q := NewQuery(9, "big.ru.", TypeA)
+	q.SetEDNS(65535)
+	if resp, err := udp.Exchange(ctx, addr.Addr(), q); err != nil {
+		t.Errorf("EDNS query for a reply above one datagram: %v", err)
+	} else if !resp.Truncated || len(resp.Answers) != 0 {
+		t.Errorf("reply above one datagram: TC %v with %d answers, want TC and none", resp.Truncated, len(resp.Answers))
+	}
+	resp, err := udp.Exchange(ctx, addr.Addr(), NewQuery(10, "big.ru.", TypeA))
+	if err != nil {
+		t.Fatalf("query after the oversized reply: %v", err)
+	}
+	if resp.ID != 10 || !resp.Truncated {
+		t.Fatalf("query after the oversized reply: ID %d, TC %v", resp.ID, resp.Truncated)
+	}
+}

@@ -1,9 +1,9 @@
 // Package registry models TLD registries: the registration lifecycle of
 // domain names and the daily zone snapshots that seed the measurement
 // pipeline (the paper uses daily .ru/.рф zone files as the inventory of
-// names to measure), plus a whois view exposing creation dates (the
-// paper's Cisco Whois Domain API analog, used to separate newly registered
-// domains from relocated ones in the §3.4 provider case studies).
+// names to measure). A registration's creation day is what the paper
+// reads from Cisco's Whois Domain API, to separate newly registered
+// domains from relocated ones in the §3.4 provider case studies.
 package registry
 
 import (
@@ -16,7 +16,7 @@ import (
 	"whereru/internal/simtime"
 )
 
-// Domain is one registration record, as whois reports it.
+// Domain is one registration record.
 type Domain struct {
 	// Name is canonical ("example.ru.").
 	Name string
@@ -25,10 +25,6 @@ type Domain struct {
 	// Removed is the deletion date, or 0 while the registration is live.
 	// (Day 0 is 1970-01-01, decades before any simulated registration.)
 	Removed simtime.Day
-	// Registrant identifies the holder (synthetic org handle).
-	Registrant string
-	// Registrar is the sponsoring registrar.
-	Registrar string
 }
 
 // Group is the table of every registration its registries hold (the
@@ -36,13 +32,10 @@ type Domain struct {
 // immutable once built and so read without locks; each Registry is one
 // zone's view of it. A name is a substring of one string that holds every
 // name, and an open-addressed index maps a name back to its number.
-// Registrant and registrar are not stored: the holder function the group
-// was built with derives them from the number when whois asks.
 type Group struct {
 	names      string
 	rows       []row    // one per domain number, plus a sentinel ending the last name
 	slots      []uint32 // the name index: domain number + 1, 0 = empty
-	holder     func(d int) (registrant, registrar string)
 	registries []*Registry
 }
 
@@ -89,25 +82,13 @@ func (g *Group) ActiveOn(d int, day simtime.Day) bool {
 	return r.created <= day && (r.removed == 0 || day < r.removed)
 }
 
-// Record returns domain d's whois record.
+// Record returns domain d's registration record.
 func (g *Group) Record(d int) Domain {
-	rec := Domain{Name: g.Name(d), Created: g.rows[d].created, Removed: g.rows[d].removed}
-	if g.holder != nil {
-		rec.Registrant, rec.Registrar = g.holder(d)
-	}
-	return rec
+	return Domain{Name: g.Name(d), Created: g.rows[d].created, Removed: g.rows[d].removed}
 }
 
-// Whois returns the registration record for name.
-func (g *Group) Whois(name string) (Domain, bool) {
-	d, ok := g.Lookup(dns.Canonical(name))
-	if !ok {
-		return Domain{}, false
-	}
-	return g.Record(d), true
-}
-
-// Created returns the registration day of name, formatting nothing.
+// Created returns the registration day of name, in any case, with or
+// without the trailing dot.
 func (g *Group) Created(name string) (simtime.Day, bool) {
 	d, ok := g.Lookup(dns.Canonical(name))
 	if !ok {
@@ -202,12 +183,11 @@ func (b *Builder) Add(name string, created, removed simtime.Day) error {
 	return nil
 }
 
-// Build freezes the group. holder derives a registration's registrant and
-// registrar from its domain number when whois asks (nil: none).
-func (b *Builder) Build(holder func(d int) (registrant, registrar string)) *Group {
+// Build freezes the group.
+func (b *Builder) Build() *Group {
 	g := new(Group) // a copy: &b.g would keep the builder's name buffer alive
 	*g = b.g
-	g.names, g.holder = strings.Clone(b.names.String()), holder
+	g.names = strings.Clone(b.names.String())
 	// One order column, zone after zone (Add put every name in one).
 	order := make([]uint32, 0, g.Len())
 	for _, zone := range b.zones {

@@ -7,9 +7,6 @@ import (
 	"whereru/internal/simtime"
 )
 
-// holders names domain d's registrant ORG-<d+1> at registrar REG.RU.
-func holders(d int) (string, string) { return fmt.Sprintf("ORG-%d", d+1), "REG.RU" }
-
 func TestLifecycle(t *testing.T) {
 	b := NewBuilder(2, "ru.")
 	day := simtime.MustParse("2020-01-15")
@@ -23,7 +20,7 @@ func TestLifecycle(t *testing.T) {
 	if err := b.Add("other.ru.", day.Add(5), 0); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Build(holders)
+	g := b.Build()
 	d, ok := g.Lookup("example.ru.")
 	if !ok || d != 0 || g.Name(d) != "example.ru." || g.Len() != 2 {
 		t.Fatalf("registered record wrong: %d %v %q of %d", d, ok, g.Name(d), g.Len())
@@ -40,12 +37,11 @@ func TestLifecycle(t *testing.T) {
 	if !g.ActiveOn(d, del-1) {
 		t.Fatal("not active the day before removal")
 	}
-	w, ok := g.Whois("example.ru.")
-	if want := (Domain{Name: "example.ru.", Created: day, Removed: del, Registrant: "ORG-1", Registrar: "REG.RU"}); !ok || w != want {
-		t.Fatalf("whois: %+v, want %+v", w, want)
+	if rec, want := g.Record(d), (Domain{Name: "example.ru.", Created: day, Removed: del}); rec != want {
+		t.Fatalf("Record: %+v, want %+v", rec, want)
 	}
-	if w, ok := g.Whois("other.ru."); !ok || w.Registrant != "ORG-2" || w.Removed != 0 {
-		t.Fatalf("whois of the second registration: %+v", w)
+	if rec, want := g.Record(1), (Domain{Name: "other.ru.", Created: day.Add(5)}); rec != want {
+		t.Fatalf("Record of the second registration: %+v, want %+v", rec, want)
 	}
 	if created, ok := g.Created("other.ru."); !ok || created != day.Add(5) {
 		t.Fatalf("Created = %s, %v", created, ok)
@@ -59,7 +55,7 @@ func TestRegisterValidation(t *testing.T) {
 			t.Errorf("registration of %q accepted", name)
 		}
 	}
-	if n := b.Build(nil).Len(); n != 0 {
+	if n := b.Build().Len(); n != 0 {
 		t.Errorf("refused registrations left %d rows", n)
 	}
 }
@@ -79,7 +75,7 @@ func TestZoneSnapshotAndCount(t *testing.T) {
 	if err := b.Add("d010.ru.", base, 0); err == nil {
 		t.Fatal("an eleventh registration fit in room for ten")
 	}
-	g := b.Build(nil)
+	g := b.Build()
 	r := g.Registries()[0]
 	// On base+5: d0..d5 registered (6), none removed.
 	if got := g.Count(base.Add(5)); got != 6 {
@@ -119,7 +115,7 @@ func TestGroup(t *testing.T) {
 	if err := b.Add("a.ru.", base, 0); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Build(nil)
+	g := b.Build()
 	if got := g.Count(base); got != 2 {
 		t.Fatalf("group Count = %d", got)
 	}
@@ -127,14 +123,17 @@ func TestGroup(t *testing.T) {
 	if snap := g.ZoneSnapshot(base); len(snap) != 2 || snap[0] != "a.ru." || snap[1] != "xn--80a.xn--p1ai." {
 		t.Fatalf("group snapshot = %v", snap)
 	}
-	if _, ok := g.Whois("a.ru."); !ok {
-		t.Error("group whois .ru failed")
+	// Created answers a name in any case, with or without the trailing
+	// dot, in either zone, and misses a name outside the group.
+	for _, name := range []string{"a.ru.", "A.RU", "a.ru", "xn--80a.xn--p1ai.", "XN--80A.XN--P1AI"} {
+		if created, ok := g.Created(name); !ok || created != base {
+			t.Errorf("Created(%q) = %s, %v", name, created, ok)
+		}
 	}
-	if _, ok := g.Whois("xn--80a.xn--p1ai."); !ok {
-		t.Error("group whois .рф failed")
-	}
-	if _, ok := g.Whois("a.com."); ok {
-		t.Error("group whois out-of-group name succeeded")
+	for _, name := range []string{"a.com.", "b.ru.", "ru.", ""} {
+		if created, ok := g.Created(name); ok {
+			t.Errorf("Created(%q) = %s for a name outside the group", name, created)
+		}
 	}
 	regs := g.Registries()
 	if len(regs) != 2 || regs[0].TLD != "ru." || regs[1].TLD != "xn--p1ai." {
@@ -152,7 +151,7 @@ func BenchmarkZoneSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	r := tb.Build(nil).Registries()[0]
+	r := tb.Build().Registries()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -114,26 +114,11 @@ func MustParse(s string) Day {
 	return d
 }
 
-// Year returns the civil year of d.
-func (d Day) Year() int { y, _, _ := d.YMD(); return y }
-
-// Month returns the civil month (1-12) of d.
-func (d Day) Month() int { _, m, _ := d.YMD(); return m }
-
-// DayOfMonth returns the day-of-month (1-31) of d.
-func (d Day) DayOfMonth() int { _, _, dd := d.YMD(); return dd }
-
 // Add returns the date n days after d (n may be negative).
 func (d Day) Add(n int) Day { return d + Day(n) }
 
 // Sub returns the number of days from e to d (d - e).
 func (d Day) Sub(e Day) int { return int(d - e) }
-
-// FirstOfMonth returns the first day of d's month.
-func (d Day) FirstOfMonth() Day {
-	y, m, _ := d.YMD()
-	return Date(y, m, 1)
-}
 
 // NextMonth returns the first day of the month after d's month.
 func (d Day) NextMonth() Day {

@@ -278,7 +278,7 @@ func (w *World) buildDomains() error {
 		t.epochOff = append(t.epochOff, uint32(len(t.epochs)))
 	}
 	t.epochs = slices.Clone(t.epochs) // without append's slack
-	t.Group = reg.Build(t.holder)
+	t.Group = reg.Build()
 	w.Registries = t.Group
 	return nil
 }

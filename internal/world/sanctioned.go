@@ -75,10 +75,6 @@ func sanctionedDraft(i int, d *draft) {
 	}
 }
 
-// sanctionedEntity is the i-th sanctioned domain's listed entity, and its
-// registrant.
-func sanctionedEntity(i int) string { return fmt.Sprintf("Sanctioned Entity %03d", i) }
-
 // buildSanctioned lists the sanctioned domains on the OFAC/UK list.
 func (w *World) buildSanctioned() {
 	for i := 0; i < numSanctioned; i++ {
@@ -94,7 +90,7 @@ func (w *World) buildSanctioned() {
 		}
 		w.Sanctions.Add(sanctions.Entry{
 			Domain:      w.domains.Name(w.domains.sanctioned + i),
-			Entity:      sanctionedEntity(i),
+			Entity:      fmt.Sprintf("Sanctioned Entity %03d", i),
 			Listed:      listed,
 			Authorities: authority,
 		})

@@ -1,7 +1,6 @@
 package world
 
 import (
-	"fmt"
 	"sort"
 
 	"whereru/internal/registry"
@@ -88,13 +87,3 @@ func (t *domainTable) configOf(name string, day simtime.Day) (int, epoch, bool) 
 
 // isSanctioned reports whether domain d is one of the 107 sanctioned.
 func (t *domainTable) isSanctioned(d int) bool { return d >= t.sanctioned }
-
-var registrars = []string{"REG.RU", "RU-CENTER", "Beget", "Timeweb", "Webnames"}
-
-// holder derives a domain's registrant and registrar from its number.
-func (t *domainTable) holder(d int) (registrant, registrar string) {
-	if t.isSanctioned(d) {
-		return sanctionedEntity(d - t.sanctioned), "RU-CENTER"
-	}
-	return fmt.Sprintf("ORG-%06d", d), registrars[d%len(registrars)]
-}

@@ -89,7 +89,7 @@ func newOracleRegistry(tld string) *oracleRegistry {
 // Register creates a registration. Re-registering a deleted name is
 // allowed (it resets the lifecycle, as redemption does in practice);
 // registering a live name is an error.
-func (r *oracleRegistry) Register(name string, day simtime.Day, registrant, registrar string) (*oracleDomain, error) {
+func (r *oracleRegistry) Register(name string, day simtime.Day) (*oracleDomain, error) {
 	name = dns.Canonical(name)
 	if !dns.IsSubdomain(name, r.TLD) || name == r.TLD {
 		return nil, fmt.Errorf("registry %s: %s out of zone", r.TLD, name)
@@ -102,7 +102,7 @@ func (r *oracleRegistry) Register(name string, day simtime.Day, registrant, regi
 	if d, ok := r.domains[name]; ok && (d.Removed == 0 || d.Removed > day) {
 		return nil, fmt.Errorf("registry %s: %s already registered", r.TLD, name)
 	}
-	d := &oracleDomain{Name: name, Created: day, Registrant: registrant, Registrar: registrar}
+	d := &oracleDomain{Name: name, Created: day}
 	r.domains[name] = d
 	return d, nil
 }
@@ -120,8 +120,8 @@ func (r *oracleRegistry) Remove(name string, day simtime.Day) error {
 	return nil
 }
 
-// Whois returns the registration record for name (a copy).
-func (r *oracleRegistry) Whois(name string) (registry.Domain, bool) {
+// Record returns the registration record for name (a copy).
+func (r *oracleRegistry) Record(name string) (registry.Domain, bool) {
 	name = dns.Canonical(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -160,8 +160,7 @@ func (r *oracleRegistry) ZoneSnapshot(day simtime.Day) []string {
 	return out
 }
 
-// oracleGroup bundles several registries behind one inventory and whois
-// interface.
+// oracleGroup bundles several registries behind one inventory.
 type oracleGroup struct {
 	registries []*oracleRegistry
 }
@@ -177,13 +176,13 @@ func (g *oracleGroup) ForName(name string) (*oracleRegistry, bool) {
 	return nil, false
 }
 
-// Whois looks the name up in the owning registry.
-func (g *oracleGroup) Whois(name string) (registry.Domain, bool) {
+// Record looks the name up in the owning registry.
+func (g *oracleGroup) Record(name string) (registry.Domain, bool) {
 	r, ok := g.ForName(name)
 	if !ok {
 		return registry.Domain{}, false
 	}
-	return r.Whois(name)
+	return r.Record(name)
 }
 
 // ZoneSnapshot concatenates the members' snapshots (sorted within each
@@ -221,14 +220,14 @@ func buildOracle(t testing.TB, w *World) *oracleWorld {
 		domains:    make(map[string]*DomainRec),
 		registries: &oracleGroup{[]*oracleRegistry{newOracleRegistry("ru."), newOracleRegistry(idn.RFTLDASCII + ".")}},
 	}
-	add := func(d *DomainRec, registrant, registrar string) {
+	add := func(d *DomainRec) {
 		o.domains[d.Name] = d
 		o.names = append(o.names, d.Name)
 		reg, ok := o.registries.ForName(d.Name)
 		if !ok {
 			t.Fatalf("no registry for %s", d.Name)
 		}
-		if _, err := reg.Register(d.Name, d.Created, registrant, registrar); err != nil {
+		if _, err := reg.Register(d.Name, d.Created); err != nil {
 			t.Fatal(err)
 		}
 		if d.Removed != 0 {
@@ -237,7 +236,6 @@ func buildOracle(t testing.TB, w *World) *oracleWorld {
 			}
 		}
 	}
-	registrars := []string{"REG.RU", "RU-CENTER", "Beget", "Timeweb", "Webnames"}
 	var src lazySource
 	rng := rand.New(&src)
 	for i := 0; i < w.cfg.NumDomains(); i++ {
@@ -247,14 +245,12 @@ func buildOracle(t testing.TB, w *World) *oracleWorld {
 		if _, dup := o.domains[d.Name]; dup {
 			continue // RFShare sampling can collide on names; skip
 		}
-		add(&DomainRec{Name: d.Name, Created: d.Created, Removed: d.Removed, epochs: byKey(d.epochs)},
-			fmt.Sprintf("ORG-%06d", i), registrars[i%len(registrars)])
+		add(&DomainRec{Name: d.Name, Created: d.Created, Removed: d.Removed, epochs: byKey(d.epochs)})
 	}
 	for i := 0; i < 107; i++ {
 		var d draft
 		sanctionedDraft(i, &d)
-		add(&DomainRec{Name: d.Name, Created: d.Created, Sanctioned: true, epochs: byKey(d.epochs)},
-			fmt.Sprintf("Sanctioned Entity %03d", i), "RU-CENTER")
+		add(&DomainRec{Name: d.Name, Created: d.Created, Sanctioned: true, epochs: byKey(d.epochs)})
 	}
 	return o
 }
@@ -278,9 +274,10 @@ func draftOf(w *World, d int) draft {
 // TestDomainTableMatchesOracle holds the table to the records and
 // registries it replaced: every domain under its generation number, on
 // every day its configuration changes plus the days around its
-// registration — configuration, activity and whois record (registrant and
-// registrar derived from the number) — and every scheduled day's zone
-// snapshot and count, per registry and for the group.
+// registration — configuration, activity and registration record (name,
+// created and removed days, and Created by any spelling of the name) — and
+// every scheduled day's zone snapshot and count, per registry and for the
+// group.
 func TestDomainTableMatchesOracle(t *testing.T) {
 	w := getWorld(t)
 	o := buildOracle(t, w)
@@ -310,22 +307,22 @@ func TestDomainTableMatchesOracle(t *testing.T) {
 			}
 			checked++
 		}
-		want, _ := o.registries.Whois(name)
-		for _, q := range []string{name, strings.ToUpper(strings.TrimSuffix(name, "."))} {
-			if got, ok := w.Registries.Whois(q); !ok || got != want {
-				t.Fatalf("Whois(%q) = %+v (%v), oracle %+v", q, got, ok, want)
-			}
+		want, _ := o.registries.Record(name)
+		if got := w.domains.Record(d); got != want {
+			t.Fatalf("Record(%d) = %+v, oracle %+v", d, got, want)
 		}
-		if created, ok := w.Registries.Created(name); !ok || created != rec.Created {
-			t.Fatalf("Created(%s) = %s (%v), oracle %s", name, created, ok, rec.Created)
+		for _, q := range []string{name, strings.ToUpper(strings.TrimSuffix(name, "."))} {
+			if created, ok := w.Registries.Created(q); !ok || created != want.Created {
+				t.Fatalf("Created(%q) = %s (%v), oracle %s", q, created, ok, want.Created)
+			}
 		}
 	}
 	for _, name := range []string{"nosuch.ru.", "x-" + o.names[0], "www." + o.names[0], "ru.", "sanctioned107.ru.", ""} {
 		if d, ok := w.domains.Lookup(name); ok {
 			t.Errorf("Lookup(%q) found domain %d", name, d)
 		}
-		if _, ok := w.Registries.Whois(name); ok {
-			t.Errorf("Whois(%q) found a record", name)
+		if _, ok := w.Registries.Created(name); ok {
+			t.Errorf("Created(%q) found a record", name)
 		}
 	}
 
