@@ -18,8 +18,8 @@ import (
 // O(1) per column however long the range or the axis is.
 //
 // Two feeders drive it. The cold feeder (cold, in engine.go) lays out a
-// fixed axis and covers it from a store snapshot's epochs, sharded over
-// Analyzer.Workers and merged by addition. The live feeder
+// fixed axis and covers it from a store snapshot's epochs, one
+// accumulator per call in the calling goroutine. The live feeder
 // (internal/stream) extends the axis one journal segment at a time and
 // covers only the ranges that segment changed. Both produce the same
 // columns, so they cannot disagree about a series' definition; the
@@ -56,7 +56,7 @@ const (
 type emitFunc func(day simtime.Day, cfg store.Config, keys []colKey) []colKey
 
 // Accumulator is one series over a growable day axis. It is not safe for
-// concurrent use; the cold feeder owns one per shard and the stream
+// concurrent use; the cold feeder owns one per call and the stream
 // engine guards its set with a lock. Points only reads.
 type Accumulator[P any] struct {
 	filter  Filter
@@ -126,20 +126,6 @@ func (a *Accumulator[P]) Cover(domain string, cfg store.Config, lo, hi int) (win
 		updates += len(a.keys)
 	}
 	return windows, updates
-}
-
-// merge adds o's columns into a; both must share one axis.
-func (a *Accumulator[P]) merge(o *Accumulator[P]) {
-	for k, src := range o.cols {
-		dst := a.cols[k]
-		if len(dst) < len(src) {
-			dst = append(dst, make([]int, len(src)-len(dst))...)
-			a.cols[k] = dst
-		}
-		for i, v := range src {
-			dst[i] += v
-		}
-	}
 }
 
 // Points sums the difference columns along the axis and renders the

@@ -79,10 +79,6 @@ type Analyzer struct {
 	// version, address), mirroring how the composition series consult
 	// Geo.
 	Routes RouteOracle
-	// Workers is the analysis shard count (0 = GOMAXPROCS). Series are
-	// computed by sharding the domain space over this many goroutines with
-	// a deterministic merge, so the result is independent of the setting.
-	Workers int
 
 	// asns is the origin-AS memo and posting index (configasns.go); asnMu
 	// serialises their extension. An Analyzer must not be copied.
@@ -127,8 +123,8 @@ func pct(n, total int) float64 {
 }
 
 // Filter selects the domains an analysis runs over; nil selects all.
-// Filters must be safe for concurrent use: the cold feeder calls them
-// from its shard workers.
+// Filters must be safe for concurrent use: concurrent callers of one
+// series (the server's requests) may share a filter.
 type Filter func(domain string) bool
 
 // nsCompositionClassifier classifies a config by where its name-server

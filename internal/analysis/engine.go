@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
 
 	"whereru/internal/simtime"
 	"whereru/internal/store"
@@ -15,50 +13,16 @@ import (
 // list, re-locking and re-classifying every domain each time — even
 // though domain configurations are piecewise-constant epochs, the very
 // insight the store's compression encodes. The cold feeder instead
-// captures one read-only store snapshot, shards the sorted domain list
-// over a worker pool, and covers one Accumulator per shard with each
-// domain's epochs intersected with the requested days. Shard columns
-// merge by addition, so the output is deterministic and
-// element-for-element identical to the reference per-day path (the
-// equivalence tests assert exactly that).
-
-// workers returns the shard count: Analyzer.Workers, defaulting to the
-// number of CPUs the scheduler may use (GOMAXPROCS, which a CPU-limited
-// container can set below the host's count).
-func (a *Analyzer) workers() int {
-	if a.Workers > 0 {
-		return a.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// shard partitions [0, n) into contiguous ranges and runs fn(shard, lo,
-// hi) on each concurrently, returning when all complete.
-func (a *Analyzer) shard(n int, fn func(shard, lo, hi int)) int {
-	w := a.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, 0, n)
-		return 1
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo, hi := s*n/w, (s+1)*n/w
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	return w
-}
+// captures one read-only store snapshot and covers one Accumulator, in
+// the calling goroutine, with each domain's epochs intersected with the
+// requested days. The output is element-for-element identical to the
+// per-day oracles (the equivalence tests assert exactly that).
+// Parallelism lives across callers: concurrent requests share the
+// snapshot, the geo DB and the analyzer's memo, never an accumulator.
 
 // geoLookup is the geolocation dependency of the classifiers. geo.DB
-// satisfies it directly (the reference path); shard workers wrap it in a
-// memoizing geoCache (the fast path).
+// satisfies it directly (the reference path); each accumulator wraps it
+// in a memoizing geoCache (the fast path).
 type geoLookup interface {
 	Lookup(day simtime.Day, addr netip.Addr) (string, bool)
 }
@@ -71,7 +35,7 @@ type versionedGeo interface {
 
 // geoCache memoizes country lookups keyed by (geo DB version, addr): the
 // database is versioned in dated snapshots, so within one version window
-// a lookup is a pure function of the address. Each shard worker owns one
+// a lookup is a pure function of the address. Each accumulator owns one
 // cache, so no locking is needed.
 type geoCache struct {
 	db      versionedGeo
@@ -137,28 +101,20 @@ func sortDays(days []simtime.Day) ([]simtime.Day, []int) {
 }
 
 // cold computes a series for days (any order) by feeding one accumulator
-// per shard from a store snapshot's epochs and merging the shards. Cost
-// is O(epochs × version windows), independent of len(days) beyond laying
-// out the axis.
+// from a store snapshot's epochs. Cost is O(epochs × version windows),
+// independent of len(days) beyond laying out the axis.
 func cold[P any](a *Analyzer, days []simtime.Day, filter Filter, mk func(*Analyzer, Filter) *Accumulator[P]) []P {
 	days, perm := sortDays(days)
 	snap := a.Store.Snapshot()
 	sweeps := snap.Sweeps()
-	shards := make([]*Accumulator[P], a.workers())
-	used := a.shard(snap.NumDomains(), func(shard, lo, hi int) {
-		acc := mk(a, filter)
-		for _, day := range days {
-			acc.Extend(day, sweptDay(sweeps, day))
-		}
-		snap.VisitEpochs(days, lo, hi, func(domain string, cfg store.Config, elo, ehi int) {
-			acc.Cover(domain, cfg, elo, ehi-1)
-		})
-		shards[shard] = acc
-	})
-	for _, s := range shards[1:used] {
-		shards[0].merge(s)
+	acc := mk(a, filter)
+	for _, day := range days {
+		acc.Extend(day, sweptDay(sweeps, day))
 	}
-	out := shards[0].Points()
+	snap.ForEachEpochIn(days, func(domain string, cfg store.Config, elo, ehi int) {
+		acc.Cover(domain, cfg, elo, ehi-1)
+	})
+	out := acc.Points()
 	if perm == nil {
 		return out
 	}

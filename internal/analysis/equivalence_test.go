@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"whereru/internal/dns"
@@ -16,25 +17,22 @@ import (
 )
 
 // The cold feeder's contract is exact equivalence: every series its
-// accumulators produce (one snapshot, epochs sharded over workers, shards
-// merged) must be element-for-element identical to the per-day reference
-// path, for any worker count. These tests hold it to that on
-// three worlds — the full integration fixture, a lossy fault-injected
-// collection, and a handcrafted dropout world with epoch gaps — at
-// several shard widths, including widths that do not divide the domain
-// count evenly.
+// accumulator produces (one snapshot, every domain's epochs covered in
+// the calling goroutine) must be element-for-element identical to the
+// per-day reference path. These tests hold it to that on three worlds —
+// the full integration fixture, a lossy fault-injected collection, and a
+// handcrafted dropout world with epoch gaps.
 
-var equivWorkerCounts = []int{1, 3, 8}
+// seriesCheck is one cold series beside its per-day reference.
+type seriesCheck struct {
+	name      string
+	fast, ref func() interface{}
+}
 
-// assertSeriesEqual runs every analysis in both engines and requires
-// exact equality.
-func assertSeriesEqual(t *testing.T, an *Analyzer, days []simtime.Day, filter Filter) {
-	t.Helper()
-	type check struct {
-		name      string
-		fast, ref func() interface{}
-	}
-	checks := []check{
+// coldSeriesChecks lists every composition, share and mail series of an
+// over days and filter, each with its reference.
+func coldSeriesChecks(an *Analyzer, days []simtime.Day, filter Filter) []seriesCheck {
+	return []seriesCheck{
 		{"NSComposition",
 			func() interface{} { return an.NSCompositionSeries(days, filter) },
 			func() interface{} { return an.referenceSeries(days, filter, nsCompositionClassifier(an.Geo)) }},
@@ -57,13 +55,55 @@ func assertSeriesEqual(t *testing.T, an *Analyzer, days []simtime.Day, filter Fi
 			func() interface{} { return an.MailProviderSeries(days, filter) },
 			func() interface{} { return an.referenceMailProviderSeries(days, filter) }},
 	}
-	for _, c := range checks {
-		got, want := c.fast(), c.ref()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (workers=%d): accumulator under the cold feeder diverges from reference\n got %+v\nwant %+v",
-				c.name, an.Workers, got, want)
+}
+
+// assertSeriesEqual runs every analysis in both engines and requires
+// exact equality.
+func assertSeriesEqual(t *testing.T, an *Analyzer, days []simtime.Day, filter Filter) {
+	t.Helper()
+	for _, c := range coldSeriesChecks(an, days, filter) {
+		if got, want := c.fast(), c.ref(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: accumulator under the cold feeder diverges from reference\n got %+v\nwant %+v",
+				c.name, got, want)
 		}
 	}
+}
+
+// TestColdSeriesConcurrentCallers is the cold feeder's concurrency
+// contract: parallelism lives across callers, so goroutines asking one
+// fresh Analyzer for the same series at once share its snapshot, geo DB
+// and (through the movement analysis beside them) its memo, and each
+// must get exactly what a lone caller gets.
+func TestColdSeriesConcurrentCallers(t *testing.T) {
+	f := getFixture(t)
+	sanc := f.w.Sanctions
+	filter := func(d string) bool { return sanc.ContainsEver(d) }
+	withMovement := func(an *Analyzer) []seriesCheck {
+		return append(coldSeriesChecks(an, f.days, filter), seriesCheck{name: "Movement",
+			fast: func() interface{} {
+				return an.MovementAnalysis(16509, world.AmazonStmtDay, simtime.StudyEnd, f.w.Registries)
+			}})
+	}
+	var want []interface{}
+	for _, c := range withMovement(f.an) {
+		want = append(want, c.fast())
+	}
+	checks := withMovement(&Analyzer{Store: f.store, Geo: f.w.Geo, Internet: f.w.Internet})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range checks {
+				j := (i + g) % len(checks) // callers start on different series
+				if got := checks[j].fast(); !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("caller %d: %s differs from its sequential result\n got %+v\nwant %+v",
+						g, checks[j].name, got, want[j])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestEquivalenceOnFixture(t *testing.T) {
@@ -76,17 +116,15 @@ func TestEquivalenceOnFixture(t *testing.T) {
 		{"all", nil},
 		{"sanctioned", func(d string) bool { return sanc.ContainsEver(d) }},
 	}
-	for _, w := range equivWorkerCounts {
-		an := &Analyzer{Store: f.store, Geo: f.w.Geo, Internet: f.w.Internet, Workers: w}
-		for _, flt := range filters {
-			assertSeriesEqual(t, an, f.days, flt.f)
-		}
-		for _, asn := range []netsim.ASN{16509, 47846, 13335, 15169} {
-			got := an.MovementAnalysis(asn, world.AmazonStmtDay, simtime.StudyEnd, f.w.Registries)
-			want := referenceMovementAnalysis(an, asn, world.AmazonStmtDay, simtime.StudyEnd, f.w.Registries)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("MovementAnalysis(AS%d, workers=%d) diverges\n got %+v\nwant %+v", asn, w, got, want)
-			}
+	an := &Analyzer{Store: f.store, Geo: f.w.Geo, Internet: f.w.Internet}
+	for _, flt := range filters {
+		assertSeriesEqual(t, an, f.days, flt.f)
+	}
+	for _, asn := range []netsim.ASN{16509, 47846, 13335, 15169} {
+		got := an.MovementAnalysis(asn, world.AmazonStmtDay, simtime.StudyEnd, f.w.Registries)
+		want := referenceMovementAnalysis(an, asn, world.AmazonStmtDay, simtime.StudyEnd, f.w.Registries)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("MovementAnalysis(AS%d) diverges\n got %+v\nwant %+v", asn, got, want)
 		}
 	}
 }
@@ -124,13 +162,11 @@ func TestEquivalenceOnLossyWorld(t *testing.T) {
 	// before-first-measurement behavior must match too.
 	probe := append(append([]simtime.Day{simtime.StudyStart - 10}, days...),
 		simtime.Date(2022, 3, 5), simtime.StudyEnd+10)
-	for _, workers := range equivWorkerCounts {
-		an := &Analyzer{Store: st, Geo: w.Geo, Internet: w.Internet, Workers: workers}
-		assertSeriesEqual(t, an, probe, nil)
-	}
+	an := &Analyzer{Store: st, Geo: w.Geo, Internet: w.Internet}
+	assertSeriesEqual(t, an, probe, nil)
 	// Loss-induced Failed configs on From, To and the sweeps between are
 	// what the movement and relocation definitions must not count.
-	assertMovementMatchesOracles(t, "lossy", &Analyzer{Store: st, Geo: w.Geo, Internet: w.Internet}, w.Registries,
+	assertMovementMatchesOracles(t, "lossy", an, w.Registries,
 		[]netsim.ASN{47846, 16509, 197695, 12389}, probe, []simtime.Day{simtime.Date(2022, 3, 12), simtime.StudyEnd})
 }
 
@@ -190,20 +226,16 @@ func TestEquivalenceOnDropoutWorld(t *testing.T) {
 	// sweeps (carry-forward), inside the gap, across the geo flip at 50,
 	// and past the last sweep.
 	probe := []simtime.Day{5, 10, 15, 20, 25, 30, 40, 45, 50, 55, 60, 65, 70, 75}
-	for _, workers := range equivWorkerCounts {
-		an.Workers = workers
-		assertSeriesEqual(t, an, probe, nil)
-		only := func(d string) bool { return d == "gap.ru." || d == "flaky.ru." }
-		assertSeriesEqual(t, an, probe, only)
-	}
+	assertSeriesEqual(t, an, probe, nil)
+	only := func(d string) bool { return d == "gap.ru." || d == "flaky.ru." }
+	assertSeriesEqual(t, an, probe, only)
 }
 
 // BenchmarkAblationSeriesEpoch and BenchmarkAblationSeriesNaive contrast
-// the epoch-sharded analysis engine against the per-day reference path on
-// the same Figure 1 computation over every collected sweep: the naive
-// path re-walks and re-classifies the whole store once per day, while the
-// epoch engine classifies once per (domain, epoch, geo-version window)
-// and spreads domains over the worker pool.
+// the epoch analysis engine against the per-day reference path on the
+// same Figure 1 computation over every collected sweep: the naive path
+// re-walks and re-classifies the whole store once per day, while the
+// epoch engine classifies once per (domain, epoch, geo-version window).
 func BenchmarkAblationSeriesEpoch(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()

@@ -127,29 +127,23 @@ func oracleRelocationLatency(a *Analyzer, asn netsim.ASN, event, until simtime.D
 }
 
 // assertMovementMatchesOracles holds both analyses to their oracles over
-// asns × froms × tos (a movement's From/To, a relocation's event/until)
-// at every Workers setting (the walks run in one goroutine whatever it
-// is), each on an analyzer — and so a memo — of its own.
+// asns × froms × tos (a movement's From/To, a relocation's event/until),
+// on an analyzer — and so a memo — of its own.
 func assertMovementMatchesOracles(t *testing.T, label string, base *Analyzer, whois Whois, asns []netsim.ASN, froms, tos []simtime.Day) {
 	t.Helper()
-	var ans []*Analyzer
-	for _, w := range equivWorkerCounts {
-		ans = append(ans, &Analyzer{Store: base.Store, Geo: base.Geo, Internet: base.Internet, Routes: base.Routes, Workers: w})
-	}
+	an := &Analyzer{Store: base.Store, Geo: base.Geo, Internet: base.Internet, Routes: base.Routes}
 	for _, asn := range asns {
 		for _, from := range froms {
 			for _, to := range tos {
 				wantM := referenceMovementAnalysis(base, asn, from, to, whois)
+				if got := an.MovementAnalysis(asn, from, to, whois); !reflect.DeepEqual(got, wantM) {
+					t.Errorf("%s: MovementAnalysis(AS%d, %d→%d) diverges from the oracle\n got %+v\nwant %+v",
+						label, asn, from, to, got, wantM)
+				}
 				wantL := oracleRelocationLatency(base, asn, from, to)
-				for _, an := range ans {
-					if got := an.MovementAnalysis(asn, from, to, whois); !reflect.DeepEqual(got, wantM) {
-						t.Errorf("%s: MovementAnalysis(AS%d, %d→%d, workers=%d) diverges from the oracle\n got %+v\nwant %+v",
-							label, asn, from, to, an.Workers, got, wantM)
-					}
-					if got := an.RelocationLatency(asn, from, to); !reflect.DeepEqual(got, wantL) {
-						t.Errorf("%s: RelocationLatency(AS%d, %d..%d, workers=%d) diverges from the oracle\n got %+v\nwant %+v",
-							label, asn, from, to, an.Workers, got, wantL)
-					}
+				if got := an.RelocationLatency(asn, from, to); !reflect.DeepEqual(got, wantL) {
+					t.Errorf("%s: RelocationLatency(AS%d, %d..%d) diverges from the oracle\n got %+v\nwant %+v",
+						label, asn, from, to, got, wantL)
 				}
 			}
 		}
@@ -472,13 +466,12 @@ func TestHostingIndexListsEveryDomainEverHosted(t *testing.T) {
 }
 
 // TestMovementAllocsIndependentOfDomains pins what the config-ID path is
-// for: on a warm memo a movement analysis allocates its result and shard
-// bookkeeping, nothing per domain (the map-per-lookup path allocated up
-// to three maps per domain).
+// for: on a warm memo a movement analysis allocates its result, nothing
+// per domain (the map-per-lookup path allocated up to three maps per
+// domain).
 func TestMovementAllocsIndependentOfDomains(t *testing.T) {
 	allocs := func(domains int) float64 {
 		an, st, as1, as2 := unitAnalyzer(t)
-		an.Workers = 1
 		for _, day := range []simtime.Day{10, 20} {
 			st.BeginSweep(day)
 			for d := 0; d < domains; d++ {

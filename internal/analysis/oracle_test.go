@@ -225,23 +225,20 @@ func oracleSweepCounts(a *Analyzer, days []simtime.Day, filter Filter) []SweepCo
 }
 
 // assertOraclesEqual holds the three accumulator definitions to their
-// oracles for every shard width.
+// oracles.
 func assertOraclesEqual(t *testing.T, label string, an *Analyzer, days []simtime.Day, filter Filter) {
 	t.Helper()
-	for _, workers := range equivWorkerCounts {
-		an.Workers = workers
-		for _, c := range []struct {
-			name      string
-			got, want interface{}
-		}{
-			{"Reachability", an.ReachabilitySeries(days, filter), oracleReachability(an, days, filter)},
-			{"RouteLatency", an.RouteLatencySeries(days, filter), oracleRouteLatency(an, days, filter)},
-			{"SweepCount", an.SweepCountSeries(days, filter), oracleSweepCounts(an, days, filter)},
-		} {
-			if !reflect.DeepEqual(c.got, c.want) {
-				t.Errorf("%s: %s (workers=%d) diverges from the per-day oracle\n got %+v\nwant %+v",
-					label, c.name, workers, c.got, c.want)
-			}
+	for _, c := range []struct {
+		name      string
+		got, want interface{}
+	}{
+		{"Reachability", an.ReachabilitySeries(days, filter), oracleReachability(an, days, filter)},
+		{"RouteLatency", an.RouteLatencySeries(days, filter), oracleRouteLatency(an, days, filter)},
+		{"SweepCount", an.SweepCountSeries(days, filter), oracleSweepCounts(an, days, filter)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: %s diverges from the per-day oracle\n got %+v\nwant %+v",
+				label, c.name, c.got, c.want)
 		}
 	}
 }

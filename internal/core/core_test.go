@@ -134,6 +134,25 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeOptions: a negative sweep step, worker count or
+// crash point used to run silently as its default.
+func TestNewRefusesNegativeOptions(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"DenseStep", func(o *Options) { o.DenseStep = -5 }},
+		{"Workers", func(o *Options) { o.Workers = -4 }},
+		{"CrashAfter", func(o *Options) { o.CrashAfter = -2 }},
+	} {
+		opts := Options{World: world.Config{Seed: 1, Scale: 50000, RFShare: 0.1}}
+		c.set(&opts)
+		if _, err := New(opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New with a negative %s: err = %v, want one naming the field", c.field, err)
+		}
+	}
+}
+
 func TestEmptyStudyReturnsErrNoSweeps(t *testing.T) {
 	s, err := New(Options{World: world.Config{Seed: 5, Scale: 20000, RFShare: 0.1}})
 	if err != nil {

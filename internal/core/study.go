@@ -127,12 +127,21 @@ type Study struct {
 	Stats []openintel.SweepStats
 }
 
-// New builds the world for a study.
+// New builds the world for a study. A zero DenseStep, Workers or
+// CrashAfter selects its default; a negative one is refused.
 func New(opts Options) (*Study, error) {
-	if opts.DenseStep <= 0 {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"DenseStep", opts.DenseStep}, {"Workers", opts.Workers}, {"CrashAfter", opts.CrashAfter}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("core: %s must be ≥ 0 (0 selects the default), got %d", f.name, f.v)
+		}
+	}
+	if opts.DenseStep == 0 {
 		opts.DenseStep = 3
 	}
-	if opts.Workers <= 0 {
+	if opts.Workers == 0 {
 		opts.Workers = 8
 	}
 	if opts.Progress == nil {

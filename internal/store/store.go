@@ -522,7 +522,7 @@ func (sn *Snapshot) ForEachEpochIn(days []simtime.Day, fn func(domain string, cf
 }
 
 // VisitEpochs is ForEachEpochIn restricted to the domains with index in
-// [first, last), enabling callers to shard a snapshot across workers.
+// [first, last).
 func (sn *Snapshot) VisitEpochs(days []simtime.Day, first, last int, fn func(domain string, cfg Config, lo, hi int)) {
 	for i, end := max(first, 0), min(last, len(sn.domains)); i < end; i++ {
 		domain := sn.domains[i]
