@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"whereru/internal/ct"
 	"whereru/internal/simtime"
 )
@@ -17,21 +15,18 @@ import (
 // antitrust convention (shares in percent, 0–10,000) calls >2,500 highly
 // concentrated, which corresponds to 0.25 here.
 
-// HHI computes the index from a map of counts.
+// HHI computes the index from a map of counts. It sums in integers, so
+// the result does not depend on the map's iteration order.
 func HHI[K comparable](counts map[K]int) float64 {
-	total := 0
+	var total, squares int64
 	for _, n := range counts {
-		total += n
+		total += int64(n)
+		squares += int64(n) * int64(n)
 	}
 	if total == 0 {
 		return 0
 	}
-	var h float64
-	for _, n := range counts {
-		share := float64(n) / float64(total)
-		h += share * share
-	}
-	return h
+	return float64(squares) / (float64(total) * float64(total))
 }
 
 // ConcentrationPoint is one day's market concentration.
@@ -100,31 +95,5 @@ func (a *Analyzer) MailConcentration(days []simtime.Day, filter Filter) []Concen
 	for i, p := range series {
 		out[i] = concentrationOf(p.Day, p.Counts)
 	}
-	return out
-}
-
-// RankedShares flattens a count map into (key, percent) pairs sorted by
-// share, for reports.
-type RankedShare struct {
-	Key   string
-	Share float64
-}
-
-// Ranked returns the sorted shares of a string-keyed count map.
-func Ranked(counts map[string]int) []RankedShare {
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	out := make([]RankedShare, 0, len(counts))
-	for k, n := range counts {
-		out = append(out, RankedShare{Key: k, Share: pct(n, total)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].Key < out[j].Key
-	})
 	return out
 }

@@ -42,9 +42,6 @@ func coldSeriesChecks(an *Analyzer, days []simtime.Day, filter Filter) []seriesC
 		{"TLDDependency",
 			func() interface{} { return an.TLDDependencySeries(days, filter) },
 			func() interface{} { return an.referenceSeries(days, filter, tldDependencyClassifier(an.Geo)) }},
-		{"MailComposition",
-			func() interface{} { return an.MailCompositionSeries(days, filter) },
-			func() interface{} { return an.referenceSeries(days, filter, mailCompositionClassifier(an.Geo)) }},
 		{"TLDShare",
 			func() interface{} { return an.TLDShareSeries(days, filter) },
 			func() interface{} { return an.referenceTLDShareSeries(days, filter) }},

@@ -90,31 +90,3 @@ func TopMailZones(series []MailSharePoint, k int) []string {
 	}
 	return zones[:k]
 }
-
-// MailCompositionSeries classifies domains-with-mail by whether their MX
-// targets geolocate to Russia (via the NS-address trick does not apply;
-// MX targets are classified by operator-zone TLD as a proxy — the
-// Liu-et-al methodology groups by operator, and operator country is the
-// analyst's judgment; here Russian-TLD operator zones count as Russian).
-func (a *Analyzer) MailCompositionSeries(days []simtime.Day, filter Filter) []Point {
-	return cold(a, days, filter, func(a *Analyzer, filter Filter) *Accumulator[Point] {
-		return a.composition(mailCompositionClassifier, filter)
-	})
-}
-
-func mailCompositionClassifier(geoLookup) func(simtime.Day, store.Config) Composition {
-	return func(_ simtime.Day, cfg store.Config) Composition {
-		if cfg.Failed || len(cfg.MXHosts) == 0 {
-			return CompUnknown
-		}
-		sawRU, sawOther := false, false
-		for _, h := range cfg.MXHosts {
-			if isRussianTLD(dns.TLD(h)) {
-				sawRU = true
-			} else {
-				sawOther = true
-			}
-		}
-		return classifyFlags(sawRU, sawOther)
-	}
-}

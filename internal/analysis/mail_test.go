@@ -59,26 +59,6 @@ func TestMailProviderSeries(t *testing.T) {
 	}
 }
 
-func TestMailCompositionSeries(t *testing.T) {
-	an, days := mailFixture(t)
-	series := an.MailCompositionSeries(days, nil)
-	pre := series[0]
-	classified := pre.Full + pre.Part + pre.Non
-	if classified == 0 {
-		t.Fatal("nothing classified")
-	}
-	// MX-target TLD composition: mail.ru/hostingN.ru/nic.ru etc. are
-	// Russian-TLD; yandex.net, googledomains.com, beget.com are not —
-	// expect a substantial non-Russian-TLD share but a Russian plurality
-	// via the hosting-provider mail hosts.
-	if pre.FullPct() < 20 {
-		t.Errorf("full RU-TLD mail = %.1f%%, implausibly low", pre.FullPct())
-	}
-	if pre.NonPct() < 20 {
-		t.Errorf("non RU-TLD mail = %.1f%%, implausibly low (yandex.net alone is ≈34%%)", pre.NonPct())
-	}
-}
-
 func TestMXZone(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"mx.yandex.net.", "yandex.net."},
@@ -156,15 +136,5 @@ func TestHostingConcentrationStable(t *testing.T) {
 	// §6: hosting concentration changes are modest across the window.
 	if d := points[1].HHI - points[0].HHI; d > 0.05 || d < -0.05 {
 		t.Errorf("hosting HHI moved %.3f over the window, want ≈ stable", d)
-	}
-}
-
-func TestRanked(t *testing.T) {
-	r := Ranked(map[string]int{"a": 3, "b": 6, "c": 1})
-	if len(r) != 3 || r[0].Key != "b" || r[2].Key != "c" {
-		t.Fatalf("Ranked = %+v", r)
-	}
-	if r[0].Share != 60 {
-		t.Errorf("top share = %v", r[0].Share)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"whereru/internal/analysis"
 	"whereru/internal/netsim"
@@ -59,19 +60,19 @@ func mergeDays(a, b []simtime.Day) []simtime.Day {
 	return out
 }
 
-// Fig1 computes the Figure 1 series (NS-infrastructure composition).
+// Fig1 computes the Figure 1 series (NS-infrastructure composition). Read-only.
 func (s *Study) Fig1() []analysis.Point {
-	return s.Analyzer.NSCompositionSeries(s.keyDays(), nil)
+	return memoized(s, "fig1", func() []analysis.Point { return s.Analyzer.NSCompositionSeries(s.keyDays(), nil) })
 }
 
-// Fig2 computes the Figure 2 series (TLD-dependency composition).
+// Fig2 computes the Figure 2 series (TLD-dependency composition). Read-only.
 func (s *Study) Fig2() []analysis.Point {
-	return s.Analyzer.TLDDependencySeries(s.keyDays(), nil)
+	return memoized(s, "fig2", func() []analysis.Point { return s.Analyzer.TLDDependencySeries(s.keyDays(), nil) })
 }
 
-// Fig3 computes the Figure 3 series (per-TLD shares).
+// Fig3 computes the Figure 3 series (per-TLD shares). Read-only.
 func (s *Study) Fig3() []analysis.TLDSharePoint {
-	return s.Analyzer.TLDShareSeries(s.keyDays(), nil)
+	return memoized(s, "fig3", func() []analysis.TLDSharePoint { return s.Analyzer.TLDShareSeries(s.keyDays(), nil) })
 }
 
 // ProviderSpec names one of the hosting networks Figure 4 plots.
@@ -110,83 +111,112 @@ func (s *Study) denseDays() []simtime.Day {
 }
 
 // Fig4 computes the Figure 4 series (hosting ASN shares) over the 2022
-// dense window.
+// dense window. Read-only.
 func (s *Study) Fig4() []analysis.ASNSharePoint {
-	return s.Analyzer.ASNShareSeries(s.denseDays(), nil)
+	return memoized(s, "fig4", func() []analysis.ASNSharePoint { return s.Analyzer.ASNShareSeries(s.denseDays(), nil) })
 }
 
 // Fig5 computes the Figure 5 series (sanctioned-domain NS composition)
-// over the 2022 dense window.
+// over the 2022 dense window. Read-only.
 func (s *Study) Fig5() []analysis.Point {
-	return s.Analyzer.NSCompositionSeries(s.denseDays(), s.sanctionedFilter())
+	return memoized(s, "fig5", func() []analysis.Point {
+		return s.Analyzer.NSCompositionSeries(s.denseDays(), s.sanctionedFilter())
+	})
 }
 
 // SweepCounts computes the per-sweep measurement counts behind
-// /api/v1/sweeps, over the store's sweep days.
+// /api/v1/sweeps, over the store's sweep days. Read-only.
 func (s *Study) SweepCounts() []analysis.SweepCount {
-	return s.Analyzer.SweepCountSeries(s.Store.Sweeps(), nil)
+	return memoized(s, "sweeps", func() []analysis.SweepCount { return s.Analyzer.SweepCountSeries(s.Store.Sweeps(), nil) })
 }
 
 // Reachability computes the scenario reachability series (per-day
 // name-server reachability under the AS-level route tables) over the
 // standard day axis. Without an active scenario every measured domain is
-// reachable.
+// reachable. Read-only.
 func (s *Study) Reachability() []analysis.ReachPoint {
-	return s.Analyzer.ReachabilitySeries(s.keyDays(), nil)
+	return memoized(s, "reachability", func() []analysis.ReachPoint { return s.Analyzer.ReachabilitySeries(s.keyDays(), nil) })
 }
 
 // RouteLatency computes the simulated resolution-latency series under
-// the AS-level route tables over the standard day axis.
+// the AS-level route tables over the standard day axis. Read-only.
 func (s *Study) RouteLatency() []analysis.RouteLatencyPoint {
-	return s.Analyzer.RouteLatencySeries(s.keyDays(), nil)
+	return memoized(s, "latency", func() []analysis.RouteLatencyPoint { return s.Analyzer.RouteLatencySeries(s.keyDays(), nil) })
 }
 
-// Movement runs the §3.4 movement analysis for one provider ASN.
+// Movement runs the §3.4 movement analysis for one provider ASN. It is
+// not memoized: its keys are unbounded (whereru-serve's response cache
+// holds the bodies); the paper's four go through paperMovement.
 func (s *Study) Movement(asn netsim.ASN, from simtime.Day) analysis.Movement {
 	return s.Analyzer.MovementAnalysis(asn, from, simtime.StudyEnd, s.World.Registries)
 }
 
-// Table1 computes the per-period issuance breakdown.
+// paperMovements are the four §3.4 provider exits the paper follows, in
+// the order of the report's movement table; flow titles the two that
+// Figures 6 and 7 draw.
+var paperMovements = []struct {
+	name, flow string
+	asn        netsim.ASN
+	from       simtime.Day
+}{
+	{"Amazon AS16509", "Figure 6: movement of Russian domains in Amazon's AS16509", 16509, world.AmazonStmtDay},
+	{"Sedo AS47846", "Figure 7: movement of Russian domains in Sedo's AS47846", 47846, world.SedoStmtDay.Add(-1)},
+	{"Cloudflare AS13335", "", 13335, world.CloudflareStmtDay},
+	{"Google AS15169", "", 15169, world.GoogleStmtDay},
+}
+
+// paperMovement returns the movement of paperMovements[i]. Read-only.
+func (s *Study) paperMovement(i int) analysis.Movement {
+	p := paperMovements[i]
+	return memoized(s, p, func() analysis.Movement { return s.Movement(p.asn, p.from) })
+}
+
+// Table1 computes the per-period issuance breakdown. Read-only.
 func (s *Study) Table1() []analysis.PeriodIssuance {
-	return analysis.IssuanceByPeriod(s.World.CTLog)
+	return memoized(s, "table1", func() []analysis.PeriodIssuance { return analysis.IssuanceByPeriod(s.World.CTLog) })
 }
 
-// Fig8 computes the top-10 CA issuance timelines.
+// Fig8 computes the top-10 CA issuance timelines. Read-only.
 func (s *Study) Fig8() []analysis.Timeline {
-	return analysis.IssuanceTimelines(s.World.CTLog, 10)
+	return memoized(s, "fig8", func() []analysis.Timeline { return analysis.IssuanceTimelines(s.World.CTLog, 10) })
 }
 
-// Table2 computes the revocation statistics (top-5 revokers).
+// Table2 computes the revocation statistics (top-5 revokers). Read-only.
 func (s *Study) Table2() []analysis.RevocationRow {
-	return analysis.RevocationStats(s.World.CTLog, s.World.Certs, s.World.Sanctions, 5)
+	return memoized(s, "table2", func() []analysis.RevocationRow {
+		return analysis.RevocationStats(s.World.CTLog, s.World.Certs, s.World.Sanctions, 5)
+	})
 }
 
-// RussianCA computes the §4.3 report.
+// RussianCA computes the §4.3 report. Read-only.
 func (s *Study) RussianCA() analysis.RussianCAReport {
-	return analysis.RussianCAImpact(s.Archive, s.World.Sanctions)
+	return memoized(s, "russianCA", func() analysis.RussianCAReport { return analysis.RussianCAImpact(s.Archive, s.World.Sanctions) })
 }
 
-// Hosting computes the §3.1 hosting-composition series.
+// Hosting computes the §3.1 hosting-composition series. Read-only.
 func (s *Study) Hosting() []analysis.Point {
-	return s.Analyzer.HostingCompositionSeries(s.keyDays(), nil)
+	return memoized(s, "hosting", func() []analysis.Point { return s.Analyzer.HostingCompositionSeries(s.keyDays(), nil) })
 }
 
 // Mail computes the mail-operator share series (extension; requires
-// CollectMX).
+// CollectMX). Read-only.
 func (s *Study) Mail() []analysis.MailSharePoint {
-	return s.Analyzer.MailProviderSeries(s.keyDays(), nil)
+	return memoized(s, "mail", func() []analysis.MailSharePoint { return s.Analyzer.MailProviderSeries(s.keyDays(), nil) })
 }
 
 // Concentration computes HHI series for the hosting and CA markets, plus
-// mail when collected (extension).
+// mail when collected (extension). Read-only.
 func (s *Study) Concentration() (hosting, ca, mail []analysis.ConcentrationPoint) {
-	ends := []simtime.Day{simtime.StudyStart, simtime.ConflictStart.Add(-1), simtime.StudyEnd}
-	hosting = s.Analyzer.HostingConcentration(ends, nil)
-	ca = analysis.CAConcentration(s.World.CTLog)
-	if s.Opts.CollectMX {
-		mail = s.Analyzer.MailConcentration(ends, nil)
-	}
-	return hosting, ca, mail
+	c := memoized(s, "concentration", func() (c [3][]analysis.ConcentrationPoint) {
+		ends := []simtime.Day{simtime.StudyStart, simtime.ConflictStart.Add(-1), simtime.StudyEnd}
+		c[0] = s.Analyzer.HostingConcentration(ends, nil)
+		c[1] = analysis.CAConcentration(s.World.CTLog)
+		if s.Opts.CollectMX {
+			c[2] = s.Analyzer.MailConcentration(ends, nil)
+		}
+		return c
+	})
+	return c[0], c[1], c[2]
 }
 
 func compositionChart(title string, series []analysis.Point) *report.Chart {
@@ -244,11 +274,16 @@ func atASN(series []analysis.ASNSharePoint, day simtime.Day) analysis.ASNSharePo
 }
 
 // Comparisons computes the paper-vs-measured experiment index across all
-// figures and tables. It fails with ErrNoSweeps when the store is empty.
+// figures and tables (read-only). It fails with ErrNoSweeps when the
+// store is empty.
 func (s *Study) Comparisons() ([]Comparison, error) {
 	if len(s.keyDays()) == 0 {
 		return nil, ErrNoSweeps
 	}
+	return memoized(s, "comparisons", s.comparisons), nil
+}
+
+func (s *Study) comparisons() []Comparison {
 	var out []Comparison
 	add := func(exp, metric, paper string, measured string) {
 		out = append(out, Comparison{Experiment: exp, Metric: metric, Paper: paper, Measured: measured})
@@ -324,11 +359,11 @@ func (s *Study) Comparisons() ([]Comparison, error) {
 
 	// Figures 6-7 and §3.4.
 	scale := s.Scale()
-	am := s.Movement(16509, world.AmazonStmtDay)
+	am := s.paperMovement(0)
 	add("Fig 6", "Amazon set on 2022-03-08", "≈58k", report.Count(am.Original, scale))
 	add("Fig 6", "remained in AS16509 by May 25", "43%", pctf(am.RemainedPct()))
 	add("Fig 6", "incoming (new-reg + relocated-in)", "574 + 988", fmt.Sprintf("%d + %d (scaled)", am.NewlyRegistered, am.RelocatedIn))
-	sd := s.Movement(47846, world.SedoStmtDay.Add(-1))
+	sd := s.paperMovement(1)
 	add("Fig 7", "Sedo set on 2022-03-08", "164k", report.Count(sd.Original, scale))
 	add("Fig 7", "relocated out of AS47846", "98%", pctf(sd.RelocatedPct()))
 	add("Fig 7", "remained", "1.6%", pctf(sd.RemainedPct()))
@@ -339,10 +374,10 @@ func (s *Study) Comparisons() ([]Comparison, error) {
 		}
 		add("Fig 7", "top destination", "Serverel (NL)", name)
 	}
-	cf := s.Movement(13335, world.CloudflareStmtDay)
+	cf := s.paperMovement(2)
 	add("§3.4 Cloudflare", "remained in AS13335", "94%", pctf(cf.RemainedPct()))
 	add("§3.4 Cloudflare", "newly appeared", "34k", report.Count(cf.NewlyRegistered+cf.RelocatedIn, scale))
-	gg := s.Movement(15169, world.GoogleStmtDay)
+	gg := s.paperMovement(3)
 	add("§3.4 Google", "relocated out of AS15169", "57.1%", pctf(gg.RelocatedPct()))
 	if gg.RelocatedOut > 0 {
 		intra := 100 * float64(gg.OutDestinations[396982]) / float64(gg.RelocatedOut)
@@ -399,7 +434,16 @@ func (s *Study) Comparisons() ([]Comparison, error) {
 	add("§4.3", "Russian CA certs in CT logs", "0 (does not log)", fmt.Sprintf("%d", len(s.World.CTLog.Scan(0, s.World.CTLog.Size(), func(c *pki.Certificate) bool {
 		return c.RootOrg == pki.RussianTrustedRootCA
 	}))))
-	return out, nil
+	return out
+}
+
+// asnLabel names a network "Org ASn" when the world knows its provider,
+// "ASn" otherwise.
+func (s *Study) asnLabel(asn netsim.ASN) string {
+	if p, ok := s.World.ProviderByASN(asn); ok {
+		return fmt.Sprintf("%s AS%d", p.Org, asn)
+	}
+	return fmt.Sprintf("AS%d", asn)
 }
 
 func topOrgs(p analysis.PeriodIssuance, k int) string {
@@ -416,18 +460,13 @@ func (s *Study) RenderAll(w io.Writer) error {
 	if len(s.keyDays()) == 0 {
 		return ErrNoSweeps
 	}
+	ew := &errWriter{w: w}
 	scale := s.Scale()
-	fmt.Fprintf(w, "Where .ru? — reproduction report (scale 1:%d, %d domains, %d sweeps)\n\n",
+	fmt.Fprintf(ew, "Where .ru? — reproduction report (scale 1:%d, %d domains, %d sweeps)\n\n",
 		scale, s.World.NumDomains(), len(s.Sweeps))
 
-	if _, err := compositionChart("Figure 1: NS-infrastructure country composition (.ru/.рф)", s.Fig1()).WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if _, err := compositionChart("Figure 2: TLD-dependency composition of delegations", s.Fig2()).WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(compositionChart("Figure 1: NS-infrastructure country composition (.ru/.рф)", s.Fig1()))
+	ew.block(compositionChart("Figure 2: TLD-dependency composition of delegations", s.Fig2()))
 
 	// Figure 3 chart: top-5 TLD shares.
 	fig3 := s.Fig3()
@@ -440,11 +479,7 @@ func (s *Study) RenderAll(w io.Writer) error {
 		}
 		f3Series = append(f3Series, ser)
 	}
-	f3Chart := &report.Chart{Title: "Figure 3: top-5 TLDs of authoritative name servers", YLabel: "% of domains", YMax: 100, Days: s.keyDays(), Series: f3Series, Gaps: s.Store.MissingSweeps()}
-	if _, err := f3Chart.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(&report.Chart{Title: "Figure 3: top-5 TLDs of authoritative name servers", YLabel: "% of domains", YMax: 100, Days: s.keyDays(), Series: f3Series, Gaps: s.Store.MissingSweeps()})
 
 	// Figure 4 chart.
 	fig4 := s.Fig4()
@@ -461,25 +496,16 @@ func (s *Study) RenderAll(w io.Writer) error {
 		}
 		f4Series = append(f4Series, ser)
 	}
-	f4Chart := &report.Chart{Title: "Figure 4: hosting networks of .ru/.рф domains (top ASNs, 2022)", YLabel: "% of domains", YMax: 20, Days: f4Days, Series: f4Series, Gaps: s.Store.MissingSweeps()}
-	if _, err := f4Chart.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(&report.Chart{Title: "Figure 4: hosting networks of .ru/.рф domains (top ASNs, 2022)", YLabel: "% of domains", YMax: 20, Days: f4Days, Series: f4Series, Gaps: s.Store.MissingSweeps()})
 
-	if _, err := compositionChart("Figure 5: sanctioned-domain NS composition (2022)", s.Fig5()).WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(compositionChart("Figure 5: sanctioned-domain NS composition (2022)", s.Fig5()))
 
 	// Scenario figures: reachability and simulated resolution latency
 	// under the AS-level route tables. Rendered only when a routing
 	// scenario is active, so scenario-less reports keep their exact
 	// historical bytes.
 	if s.Analyzer.Routes != nil {
-		if err := s.renderScenario(w); err != nil {
-			return err
-		}
+		s.renderScenario(ew)
 	}
 
 	// Figures 6-7 + §3.4 movement tables.
@@ -487,64 +513,38 @@ func (s *Study) RenderAll(w io.Writer) error {
 		Title:   "Figures 6-7 / §3.4: domain movement by provider (baseline day → 2022-05-25)",
 		Headers: []string{"provider", "baseline", "original", "remained", "relocated", "gone", "new-reg in", "moved in", "top dest"},
 	}
-	for _, spec := range []struct {
-		name string
-		asn  netsim.ASN
-		from simtime.Day
-	}{
-		{"Amazon AS16509", 16509, world.AmazonStmtDay},
-		{"Sedo AS47846", 47846, world.SedoStmtDay.Add(-1)},
-		{"Cloudflare AS13335", 13335, world.CloudflareStmtDay},
-		{"Google AS15169", 15169, world.GoogleStmtDay},
-	} {
-		m := s.Movement(spec.asn, spec.from)
+	for i, spec := range paperMovements {
+		m := s.paperMovement(i)
 		dest := "-"
 		if d := m.TopDestinations(1); len(d) > 0 {
-			dest = fmt.Sprintf("AS%d", d[0])
-			if p, ok := s.World.ProviderByASN(d[0]); ok {
-				dest = fmt.Sprintf("%s AS%d", p.Org, d[0])
-			}
+			dest = s.asnLabel(d[0])
 		}
 		moveTable.AddRow(spec.name, spec.from.String(), fmt.Sprint(m.Original),
 			fmt.Sprintf("%d (%.1f%%)", m.Remained, m.RemainedPct()),
 			fmt.Sprintf("%d (%.1f%%)", m.RelocatedOut, m.RelocatedPct()),
 			fmt.Sprint(m.Gone), fmt.Sprint(m.NewlyRegistered), fmt.Sprint(m.RelocatedIn), dest)
 	}
-	if _, err := moveTable.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(moveTable)
 
 	// Figures 6 and 7 as flow diagrams.
-	for _, spec := range []struct {
-		title string
-		asn   netsim.ASN
-		from  simtime.Day
-	}{
-		{"Figure 6: movement of Russian domains in Amazon's AS16509", 16509, world.AmazonStmtDay},
-		{"Figure 7: movement of Russian domains in Sedo's AS47846", 47846, world.SedoStmtDay.Add(-1)},
-	} {
-		m := s.Movement(spec.asn, spec.from)
+	for i, spec := range paperMovements {
+		if spec.flow == "" {
+			continue
+		}
+		m := s.paperMovement(i)
 		flow := &report.Flows{
-			Title:  spec.title,
+			Title:  spec.flow,
 			Source: fmt.Sprintf("AS%d on %s", spec.asn, spec.from),
 			Total:  m.Original,
 		}
 		flow.Add("remained", m.Remained)
 		for _, dest := range m.TopDestinations(4) {
-			name := fmt.Sprintf("AS%d", dest)
-			if p, ok := s.World.ProviderByASN(dest); ok {
-				name = fmt.Sprintf("%s AS%d", p.Org, dest)
-			}
-			flow.Add(name, m.OutDestinations[dest])
+			flow.Add(s.asnLabel(dest), m.OutDestinations[dest])
 		}
 		if m.Gone > 0 {
 			flow.Add("left the zone", m.Gone)
 		}
-		if _, err := flow.WriteTo(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
+		ew.block(flow)
 	}
 
 	// Table 1.
@@ -553,23 +553,14 @@ func (s *Study) RenderAll(w io.Writer) error {
 		Headers: []string{"period", "days", "total", "certs/day (paper scale)", "top issuers"},
 	}
 	for _, p := range s.Table1() {
-		top := ""
-		for i, ic := range p.Issuers {
-			if i >= 3 {
-				break
-			}
-			if i > 0 {
-				top += ", "
-			}
-			top += fmt.Sprintf("%s %.2f%%", ic.Org, p.Share(ic.Org))
+		var top []string
+		for _, ic := range p.Issuers[:min(3, len(p.Issuers))] {
+			top = append(top, fmt.Sprintf("%s %.2f%%", ic.Org, p.Share(ic.Org)))
 		}
 		t1.AddRow(p.Period.String(), fmt.Sprint(p.Days), fmt.Sprint(p.Total),
-			fmt.Sprintf("%.0f", p.PerDay()*float64(scale)), top)
+			fmt.Sprintf("%.0f", p.PerDay()*float64(scale)), strings.Join(top, ", "))
 	}
-	if _, err := t1.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(t1)
 
 	// Figure 8 dot timeline.
 	timelines := s.Fig8()
@@ -581,10 +572,7 @@ func (s *Study) RenderAll(w io.Writer) error {
 	for _, tl := range timelines {
 		dot.Rows = append(dot.Rows, report.DotRow{Name: tl.Org, Active: tl.ActiveDays})
 	}
-	if _, err := dot.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(dot)
 
 	// Table 2.
 	t2 := &report.Table{
@@ -595,19 +583,16 @@ func (s *Study) RenderAll(w io.Writer) error {
 		t2.AddRow(r.Org, fmt.Sprint(r.Issued), fmt.Sprint(r.Revoked), report.Pct(r.RevokedPct()),
 			fmt.Sprint(r.SancIssued), fmt.Sprint(r.SancRevoked), report.Pct(r.SancRevokedPct()))
 	}
-	if _, err := t2.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(t2)
 
 	// §4.3.
 	rca := s.RussianCA()
-	fmt.Fprintf(w, "§4.3 Russian Trusted Root CA (from %d scan days):\n", len(s.Archive.Days()))
-	fmt.Fprintf(w, "  unique certificates observed: %d (paper: 170)\n", rca.UniqueCerts)
-	fmt.Fprintf(w, "  .ru domains secured: %d (paper: 130); .рф: %d (paper: 2); other TLDs: %d\n", rca.RuDomains, rca.RFDomains, rca.OtherTLDNames)
-	fmt.Fprintf(w, "  sanctioned-domain certs: %d covering %d domains (%.0f%% of the list)\n",
+	fmt.Fprintf(ew, "§4.3 Russian Trusted Root CA (from %d scan days):\n", len(s.Archive.Days()))
+	fmt.Fprintf(ew, "  unique certificates observed: %d (paper: 170)\n", rca.UniqueCerts)
+	fmt.Fprintf(ew, "  .ru domains secured: %d (paper: 130); .рф: %d (paper: 2); other TLDs: %d\n", rca.RuDomains, rca.RFDomains, rca.OtherTLDNames)
+	fmt.Fprintf(ew, "  sanctioned-domain certs: %d covering %d domains (%.0f%% of the list)\n",
 		rca.SanctionedCerts, rca.SanctionedDomains, 100*float64(rca.SanctionedDomains)/107)
-	fmt.Fprintf(w, "  backdrop certificates from other CAs in the same scans: %d\n\n", rca.BackdropCerts)
+	fmt.Fprintf(ew, "  backdrop certificates from other CAs in the same scans: %d\n\n", rca.BackdropCerts)
 
 	// Extension: relocation latency after provider exits (§6: "virtually
 	// all of the impacted sites quickly found new providers").
@@ -631,10 +616,7 @@ func (s *Study) RenderAll(w io.Writer) error {
 			fmt.Sprintf("%d d", med), fmt.Sprintf("%d d", p90),
 			fmt.Sprint(rep.StillThere), fmt.Sprint(rep.Gone))
 	}
-	if _, err := lt.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(lt)
 
 	// Extension: mail-operator shares + market concentration.
 	if s.Opts.CollectMX {
@@ -648,10 +630,7 @@ func (s *Study) RenderAll(w io.Writer) error {
 			for _, z := range analysis.TopMailZones(mail, 6) {
 				mt.AddRow(z, report.Pct(last.Share(z)))
 			}
-			if _, err := mt.WriteTo(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
+			ew.block(mt)
 		}
 	}
 	hostHHI, caHHI, mailHHI := s.Concentration()
@@ -669,31 +648,25 @@ func (s *Study) RenderAll(w io.Writer) error {
 	for _, p := range mailHHI {
 		ct.AddRow("mail (operators)", p.Day.String(), fmt.Sprintf("%.3f", p.HHI), report.Pct(p.Top1Share), fmt.Sprint(p.Participants))
 	}
-	if _, err := ct.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(ct)
 
 	// Paper-vs-measured index.
 	idx := &report.Table{
 		Title:   "Paper vs measured (experiment index)",
 		Headers: []string{"experiment", "metric", "paper", "measured"},
 	}
-	comps, err := s.Comparisons()
-	if err != nil {
-		return err
-	}
+	comps, _ := s.Comparisons() // not ErrNoSweeps: the store had sweeps above
 	for _, c := range comps {
 		idx.AddRow(c.Experiment, c.Metric, c.Paper, c.Measured)
 	}
-	_, err = idx.WriteTo(w)
-	return err
+	idx.WriteTo(ew)
+	return ew.err
 }
 
 // renderScenario writes the routing-scenario figures: the reachability
 // chart, the per-country reachability table at the final day, and the
 // simulated resolution-latency chart.
-func (s *Study) renderScenario(w io.Writer) error {
+func (s *Study) renderScenario(ew *errWriter) {
 	reach := s.Reachability()
 	reachSer := report.Series{Name: "reachable", Mark: 'R', Points: map[simtime.Day]float64{}}
 	days := make([]simtime.Day, 0, len(reach))
@@ -714,10 +687,7 @@ func (s *Study) renderScenario(w io.Writer) error {
 		YLabel: "% of domains", YMax: 100,
 		Days: days, Series: []report.Series{reachSer}, Gaps: gaps,
 	}
-	if _, err := chart.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	ew.block(chart)
 
 	if len(reach) > 0 {
 		last := reach[len(reach)-1]
@@ -732,10 +702,7 @@ func (s *Study) renderScenario(w io.Writer) error {
 			}
 			rt.AddRow(c.Country, fmt.Sprint(c.Total), fmt.Sprint(c.Reachable), report.Pct(rate))
 		}
-		if _, err := rt.WriteTo(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
+		ew.block(rt)
 	}
 
 	lat := s.RouteLatency()
@@ -759,11 +726,29 @@ func (s *Study) renderScenario(w io.Writer) error {
 		YLabel: "ms", YMax: ymax,
 		Days: days, Series: []report.Series{p50, p99}, Gaps: gaps,
 	}
-	if _, err := latChart.WriteTo(w); err != nil {
-		return err
+	ew.block(latChart)
+}
+
+// errWriter keeps the first error a write returns and refuses every write
+// after it, so a render writes its blocks unchecked and reports once.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
 	}
-	fmt.Fprintln(w)
-	return nil
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
+}
+
+// block writes one report block and the blank line after it.
+func (e *errWriter) block(b io.WriterTo) {
+	b.WriteTo(e)
+	fmt.Fprintln(e)
 }
 
 // ExperimentsMarkdown writes the EXPERIMENTS.md content: the per-

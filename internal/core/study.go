@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"whereru/internal/analysis"
 	"whereru/internal/dns"
@@ -110,7 +111,9 @@ func QuickOptions() Options {
 	return Options{World: world.TestConfig(), DenseStep: 3, Workers: 8, CollectMX: true}
 }
 
-// Study is one full reproduction run.
+// Study is one full reproduction run. Its experiment methods compute each
+// result once per store generation (memoized) and share it between
+// callers, so a result is read-only.
 type Study struct {
 	Opts     Options
 	World    *world.World
@@ -125,6 +128,8 @@ type Study struct {
 	// Stats summarizes each sweep; a sweep loaded from a journal has only
 	// its record, with a zero SweepRuntime.
 	Stats []openintel.SweepStats
+
+	memo memo
 }
 
 // New builds the world for a study. A zero DenseStep, Workers or
@@ -242,11 +247,13 @@ func LoadCheckpoint(opts Options, path string) (*Study, error) {
 }
 
 // adoptStore swaps in st as the study's measurement database, pointing
-// the analysis engine at it and deriving the sweep list from it.
+// the analysis engine at it, deriving the sweep list from it and starting
+// an empty memo.
 func (s *Study) adoptStore(st *store.Store) {
 	s.Store = st
 	s.Analyzer.Store = st
 	s.Sweeps = st.Sweeps()
+	s.memo = memo{}
 }
 
 // measurementPipeline builds the sweep pipeline for opts against w, into
@@ -391,3 +398,57 @@ func (s *Study) SaveStoreFile(path string) error {
 
 // Scale returns the study's population scale divisor.
 func (s *Study) Scale() int { return s.Opts.World.Scale }
+
+// memo holds the experiments computed at one memoKey: one render reads
+// most of them several times (report, CSVs, markdown, comparison index),
+// and every read after the first is a lookup. Values are shared and
+// read-only.
+type memo struct {
+	mu   sync.Mutex
+	key  memoKey
+	vals map[any]any
+}
+
+// memoKey is what an experiment depends on that can change after New:
+// the store, its generation and the number of TLS scan days.
+type memoKey struct {
+	st    *store.Store
+	gen   uint64
+	scans int
+}
+
+func (s *Study) memoKey() memoKey {
+	return memoKey{s.Store, s.Store.Generation(), len(s.Archive.Days())}
+}
+
+// memoized returns the value kept under name at the study's current
+// memoKey, computing it on a miss. A value counts only if the key did not
+// move while it was computed: a followed server applies sweeps beside its
+// readers, and a value read across two generations belongs to neither,
+// so it is computed again.
+func memoized[T any](s *Study, name any, compute func() T) T {
+	m := &s.memo
+	for {
+		key := s.memoKey()
+		m.mu.Lock()
+		v, ok := m.vals[name]
+		ok = ok && m.key == key
+		m.mu.Unlock()
+		if ok {
+			return v.(T)
+		}
+		v = compute()
+		m.mu.Lock()
+		ok = s.memoKey() == key
+		if ok {
+			if m.key != key {
+				m.key, m.vals = key, map[any]any{}
+			}
+			m.vals[name] = v
+		}
+		m.mu.Unlock()
+		if ok {
+			return v.(T)
+		}
+	}
+}

@@ -444,10 +444,7 @@ func ApplyJournaled(st *store.Store, rec store.JournalSweep) (stats SweepStats, 
 		st.MarkMissingSweep(rec.Day)
 		return SweepStats{}, false
 	}
-	st.BeginSweep(rec.Day)
-	for _, m := range rec.Measurements {
-		st.Add(m)
-	}
+	st.AddSweep(rec.Day, rec.Measurements)
 	return journaledStats(rec), true
 }
 

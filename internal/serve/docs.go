@@ -10,8 +10,8 @@ import (
 )
 
 // seriesSource is where a series comes from: the cold feeder (core.Study
-// recomputes over the whole store) or the live one (stream.Engine reads
-// its folded accumulators). Both run the same accumulator definitions and
+// computes over the whole store, once per generation) or the live one
+// (stream.Engine reads its folded accumulators). Both run the same accumulator definitions and
 // must yield identical series — the fold-equivalence tests pin that — so
 // one doc builder renders for both, and a cache entry patched from the
 // stream engine is byte-identical to one computed cold.

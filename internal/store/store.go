@@ -160,12 +160,22 @@ func New() *Store {
 
 // BeginSweep registers a sweep day. Sweeps must be recorded in
 // chronological order.
-func (s *Store) BeginSweep(day simtime.Day) {
+func (s *Store) BeginSweep(day simtime.Day) { s.AddSweep(day, nil) }
+
+// AddSweep records one whole sweep — BeginSweep(day), then Add for each
+// of ms in order — under one write lock, so a reader sees the store
+// before the sweep or after it, never part of it. The generation moves
+// as far as those calls would move it.
+func (s *Store) AddSweep(day simtime.Day, ms []Measurement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(s.sweeps); n == 0 || s.sweeps[n-1] < day {
 		s.sweeps = append(s.sweeps, day)
 		s.gen++
+	}
+	for _, m := range ms {
+		c := m.Config.Normalize()
+		addSections(s, m.Domain, m.Day, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
 	}
 }
 
@@ -215,6 +225,8 @@ func (s *Store) MissingSweeps() []simtime.Day {
 // chronological order (the pipeline guarantees this).
 func (s *Store) Add(m Measurement) {
 	c := m.Config.Normalize()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	addSections(s, m.Domain, m.Day, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
 }
 
@@ -225,12 +237,13 @@ func (s *Store) Add(m Measurement) {
 // place.
 func (s *Store) addScratch(domain []byte, day simtime.Day, sc *scratchConfig) {
 	sc.normalize()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	addSections(s, domain, day, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
 }
 
+// addSections adds one measurement; the caller holds the write lock.
 func addSections[S string | []byte](s *Store, domain S, day simtime.Day, failed bool, ns []S, nsAddrs, apex []netip.Addr, mx []S) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	d, ok := s.byName[string(domain)] // a lookup by converted key does not allocate
 	if !ok {
 		d = s.newDomain(string(domain))
