@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,8 +67,22 @@ func TestRenderAllProducesEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestComparisonsCoverAllExperiments holds the comparison index to the
+// paper and to the experiment list: every figure and table the paper
+// compares has a label, each experiment has rows unless it is ShapeOnly
+// (then none), and a label's rows are contiguous, so the markdown has one
+// section per label.
 func TestComparisonsCoverAllExperiments(t *testing.T) {
 	s := tinyStudy(t)
+	for _, e := range experiments {
+		x := index{label: e.Section}
+		if e.compare != nil {
+			e.compare(s, &x)
+		}
+		if (len(x.rows) == 0) != e.ShapeOnly {
+			t.Errorf("%s: %d comparison rows, ShapeOnly %v", e.ID, len(x.rows), e.ShapeOnly)
+		}
+	}
 	comps, err := s.Comparisons()
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +90,17 @@ func TestComparisonsCoverAllExperiments(t *testing.T) {
 	if len(comps) < 30 {
 		t.Fatalf("only %d comparison rows", len(comps))
 	}
-	groups := map[string]bool{}
-	for _, c := range comps {
+	done, groups := map[string]bool{}, map[string]bool{}
+	for i, c := range comps {
 		groups[c.Experiment] = true
 		if c.Metric == "" || c.Paper == "" || c.Measured == "" {
 			t.Errorf("incomplete comparison: %+v", c)
+		}
+		if i > 0 && comps[i-1].Experiment != c.Experiment {
+			done[comps[i-1].Experiment] = true
+		}
+		if done[c.Experiment] {
+			t.Errorf("row %d (%s: %s) is apart from the label's earlier rows", i, c.Experiment, c.Metric)
 		}
 	}
 	for _, g := range []string{"Fig 1", "Fig 2", "Fig 3", "Fig 4", "Fig 5 / §3.3", "Fig 6", "Fig 7", "Tab 1", "Fig 8", "Tab 2", "§4.3", "§3.1 hosting"} {
@@ -105,6 +126,26 @@ func TestExperimentsMarkdown(t *testing.T) {
 	if !strings.Contains(md, "73.9%") {
 		t.Error("missing paper target values")
 	}
+	for _, n := range []int{0, 100, buf.Len() - 1} {
+		if err := s.ExperimentsMarkdown(&failingWriter{n: n}); !errors.Is(err, errWriteFailed) {
+			t.Errorf("a write failing after %d bytes: err = %v, want %v", n, err, errWriteFailed)
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errWriteFailed
+	}
+	f.n -= len(p)
+	return len(p), nil
 }
 
 func TestSaveStore(t *testing.T) {
@@ -299,6 +340,56 @@ func TestExportCSV(t *testing.T) {
 		}
 		if !strings.Contains(lines[0], "day") {
 			t.Errorf("%s header = %q", name, lines[0])
+		}
+	}
+}
+
+// TestMovementAsOfLastSweep cuts a journal at three generations, one of
+// them right after a missing-day marker: a study holding only that
+// prefix answers a movement query as of its last sweep, exactly as the
+// complete study answers it as of that day — not with every domain gone
+// on a day it has not swept, or swept nothing on.
+func TestMovementAsOfLastSweep(t *testing.T) {
+	opts := shortOpts()
+	opts.StudyEnd = 0 // the paper's end day: the schedule runs past the statements
+	sched := opts.schedule()
+	opts.DropSweeps = []simtime.Day{sched[3*len(sched)/4]}
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "j.wrjl")
+	_, full := runStudy(t, opts)
+	replay, err := store.VerifyJournal(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asn, from := netsim.ASN(13335), simtime.ConflictStart
+	if m := full.Movement(asn, from); m.To != simtime.StudyEnd || m.Original == 0 {
+		t.Fatalf("complete study: movement to %s of %d domains, want to %s of some", m.To, m.Original, simtime.StudyEnd)
+	}
+	recs := replay.Sweeps
+	cuts := map[int]bool{len(recs) / 2: true, len(recs) - 2: true}
+	for i, rec := range recs {
+		if rec.Missing {
+			cuts[i] = true
+		}
+	}
+	if len(cuts) != 3 {
+		t.Fatalf("cuts %v of %d records: want a missing-day marker apart from the other two", cuts, len(recs))
+	}
+	partial := freshOver(full, store.New())
+	for i, rec := range recs {
+		partial.ApplySweep(rec)
+		if !cuts[i] {
+			continue
+		}
+		swept := partial.Store.Sweeps()
+		asOf := swept[len(swept)-1]
+		if asOf <= from {
+			t.Fatalf("cut %d: last sweep %s is not after %s", i, asOf, from)
+		}
+		got := partial.Movement(asn, from)
+		want := full.Analyzer.MovementAnalysis(asn, from, asOf, full.World.Registries)
+		if !reflect.DeepEqual(got, want) || got.Gone >= got.Original {
+			t.Errorf("cut after %s (missing %v, generation %d): movement to %s, %d of %d gone; the complete study as of %s: %d of %d",
+				rec.Day, rec.Missing, partial.Store.Generation(), got.To, got.Gone, got.Original, asOf, want.Gone, want.Original)
 		}
 	}
 }

@@ -62,8 +62,8 @@ func freshOver(s *Study, st *store.Store) *Study {
 	return &Study{Opts: s.Opts, World: s.World, Store: st, Analyzer: an, Archive: s.Archive, Outages: s.Outages, Sweeps: st.Sweeps()}
 }
 
-// experiments returns every memoized experiment of s by name.
-func experiments(s *Study) map[string]any {
+// results returns every memoized experiment of s by name.
+func results(s *Study) map[string]any {
 	hosting, ca, mail := s.Concentration()
 	comps, err := s.Comparisons()
 	out := map[string]any{
@@ -101,16 +101,16 @@ func TestMemoFollowsEveryStoreChange(t *testing.T) {
 	}
 	for k, rec := range recs {
 		s.ApplySweep(rec)
-		want := experiments(freshOver(s, prefixStore(recs[:k+1])))
+		want := results(freshOver(s, prefixStore(recs[:k+1])))
 		when := fmt.Sprintf("after %s (missing %v)", rec.Day, rec.Missing)
-		assertExperimentsEqual(t, when, experiments(s), want)
-		assertExperimentsEqual(t, when+", read again", experiments(s), want)
+		assertExperimentsEqual(t, when, results(s), want)
+		assertExperimentsEqual(t, when+", read again", results(s), want)
 	}
 
 	// A loaded store at the generation of the one the memo was filled
 	// from, holding other measurements: its third sweep failed throughout.
 	s.adoptStore(prefixStore(recs[:3]))
-	experiments(s)
+	results(s)
 	alt := append([]store.JournalSweep(nil), recs[:3]...)
 	alt[2].Measurements = append([]store.Measurement(nil), alt[2].Measurements...)
 	for i := range alt[2].Measurements {
@@ -128,9 +128,9 @@ func TestMemoFollowsEveryStoreChange(t *testing.T) {
 		t.Fatalf("loaded store at generation %d, memo filled at %d: the swap would not test the reset", loaded.Generation(), s.Store.Generation())
 	}
 	s.adoptStore(loaded)
-	want := experiments(freshOver(s, loaded))
-	assertExperimentsEqual(t, "after adoptStore", experiments(s), want)
-	assertExperimentsEqual(t, "after adoptStore, read again", experiments(s), want)
+	want := results(freshOver(s, loaded))
+	assertExperimentsEqual(t, "after adoptStore", results(s), want)
+	assertExperimentsEqual(t, "after adoptStore, read again", results(s), want)
 }
 
 // TestMemoConcurrentWithApplySweep: two callers read every memoized
@@ -146,7 +146,7 @@ func TestMemoConcurrentWithApplySweep(t *testing.T) {
 	}
 	want := make([]map[string]any, len(recs)) // want[k]: after recs[:k+1]
 	for k := range recs {
-		want[k] = experiments(freshOver(s, prefixStore(recs[:k+1])))
+		want[k] = results(freshOver(s, prefixStore(recs[:k+1])))
 	}
 	for round := 0; round < 4; round++ {
 		s.adoptStore(store.New())
@@ -166,7 +166,7 @@ func TestMemoConcurrentWithApplySweep(t *testing.T) {
 						return
 					default:
 					}
-					for name, v := range experiments(s) {
+					for name, v := range results(s) {
 						ok := false
 						for k := range want {
 							ok = ok || reflect.DeepEqual(v, want[k][name])
@@ -189,7 +189,7 @@ func TestMemoConcurrentWithApplySweep(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
-		assertExperimentsEqual(t, fmt.Sprintf("round %d, after the last record", round), experiments(s), want[len(recs)-1])
+		assertExperimentsEqual(t, fmt.Sprintf("round %d, after the last record", round), results(s), want[len(recs)-1])
 	}
 }
 

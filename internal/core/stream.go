@@ -90,3 +90,5 @@ func (s *Study) ApplySweep(rec store.JournalSweep) {
 		s.Stats = append(s.Stats, st)
 	}
 }
+
+var _ Series = (*stream.Engine)(nil)

@@ -22,6 +22,29 @@ import (
 	"whereru/internal/store"
 )
 
+// experimentDoc is the document of every experiment the API serves, its
+// fields in wire order. The path names the experiment (figure, table or
+// endpoint), and each shape fills its own fields: a series figure its
+// series, with the top TLDs or the plotted networks where it has them;
+// Figure 8 its window and timelines; a table its rows.
+type experimentDoc struct {
+	Figure      int           `json:"figure,omitempty"`
+	Table       int           `json:"table,omitempty"`
+	Endpoint    string        `json:"endpoint,omitempty"`
+	Title       string        `json:"title"`
+	Scenario    string        `json:"scenario,omitempty"`
+	Generation  uint64        `json:"generation"`
+	TopTLDs     any           `json:"top_tlds,omitempty"`
+	Plotted     []asnLabel    `json:"plotted,omitempty"`
+	WindowFrom  simtime.Day   `json:"window_from,omitempty"`
+	WindowTo    simtime.Day   `json:"window_to,omitempty"`
+	Scale       int           `json:"scale,omitempty"`
+	MissingDays []simtime.Day `json:"missing_days,omitempty"`
+	Series      any           `json:"series,omitempty"`
+	Timelines   any           `json:"timelines,omitempty"`
+	Rows        any           `json:"rows,omitempty"`
+}
+
 // compositionPoint is one day of a composition series (Figures 1/2/5,
 // hosting): the classified counts plus the percentages the figures plot.
 type compositionPoint struct {
@@ -35,16 +58,6 @@ type compositionPoint struct {
 	PartPct      float64     `json:"part_pct"`
 	NonPct       float64     `json:"non_pct"`
 	Interpolated bool        `json:"interpolated,omitempty"`
-}
-
-// compositionDoc is a composition-series response.
-type compositionDoc struct {
-	Figure      int                `json:"figure,omitempty"`
-	Endpoint    string             `json:"endpoint,omitempty"`
-	Title       string             `json:"title"`
-	Generation  uint64             `json:"generation"`
-	MissingDays []simtime.Day      `json:"missing_days,omitempty"`
-	Series      []compositionPoint `json:"series"`
 }
 
 func renderComposition(series []analysis.Point) []compositionPoint {
@@ -68,15 +81,6 @@ type tldSharePoint struct {
 	Total  int                `json:"total"`
 	Counts map[string]int     `json:"counts"`
 	Shares map[string]float64 `json:"shares"`
-}
-
-type tldShareDoc struct {
-	Figure      int             `json:"figure"`
-	Title       string          `json:"title"`
-	Generation  uint64          `json:"generation"`
-	TopTLDs     []string        `json:"top_tlds"`
-	MissingDays []simtime.Day   `json:"missing_days,omitempty"`
-	Series      []tldSharePoint `json:"series"`
 }
 
 func renderTLDShares(series []analysis.TLDSharePoint, top []string) []tldSharePoint {
@@ -103,15 +107,6 @@ type asnLabel struct {
 	Name string     `json:"name"`
 }
 
-type asnShareDoc struct {
-	Figure      int             `json:"figure"`
-	Title       string          `json:"title"`
-	Generation  uint64          `json:"generation"`
-	Plotted     []asnLabel      `json:"plotted"`
-	MissingDays []simtime.Day   `json:"missing_days,omitempty"`
-	Series      []asnSharePoint `json:"series"`
-}
-
 func renderASNShares(series []analysis.ASNSharePoint) []asnSharePoint {
 	out := make([]asnSharePoint, 0, len(series))
 	for _, p := range series {
@@ -126,15 +121,6 @@ type caTimeline struct {
 	Total      int           `json:"total"`
 	LastActive simtime.Day   `json:"last_active"`
 	ActiveDays []simtime.Day `json:"active_days"`
-}
-
-type caTimelineDoc struct {
-	Figure     int          `json:"figure"`
-	Title      string       `json:"title"`
-	Generation uint64       `json:"generation"`
-	WindowFrom simtime.Day  `json:"window_from"`
-	WindowTo   simtime.Day  `json:"window_to"`
-	Timelines  []caTimeline `json:"timelines"`
 }
 
 func renderTimelines(timelines []analysis.Timeline) []caTimeline {
@@ -168,14 +154,6 @@ type issuanceRow struct {
 	Issuers     []issuerShare `json:"issuers"`
 }
 
-type table1Doc struct {
-	Table      int           `json:"table"`
-	Title      string        `json:"title"`
-	Generation uint64        `json:"generation"`
-	Scale      int           `json:"scale"`
-	Rows       []issuanceRow `json:"rows"`
-}
-
 func renderTable1(periods []analysis.PeriodIssuance, scale int) []issuanceRow {
 	out := make([]issuanceRow, 0, len(periods))
 	for _, p := range periods {
@@ -201,13 +179,6 @@ type revocationRow struct {
 	SancIssued     int     `json:"sanc_issued"`
 	SancRevoked    int     `json:"sanc_revoked"`
 	SancRevokedPct float64 `json:"sanc_revoked_pct"`
-}
-
-type table2Doc struct {
-	Table      int             `json:"table"`
-	Title      string          `json:"title"`
-	Generation uint64          `json:"generation"`
-	Rows       []revocationRow `json:"rows"`
 }
 
 func renderTable2(rows []analysis.RevocationRow) []revocationRow {
@@ -316,15 +287,6 @@ type reachPoint struct {
 	Interpolated bool           `json:"interpolated,omitempty"`
 }
 
-type reachabilityDoc struct {
-	Endpoint    string        `json:"endpoint"`
-	Title       string        `json:"title"`
-	Scenario    string        `json:"scenario,omitempty"`
-	Generation  uint64        `json:"generation"`
-	MissingDays []simtime.Day `json:"missing_days,omitempty"`
-	Series      []reachPoint  `json:"series"`
-}
-
 func reachPct(reachable, total int) float64 {
 	if total == 0 {
 		return 100
@@ -375,15 +337,6 @@ type routeLatencyPoint struct {
 	P99US        int64            `json:"p99_us"`
 	Countries    []countryLatency `json:"countries,omitempty"`
 	Interpolated bool             `json:"interpolated,omitempty"`
-}
-
-type routeLatencyDoc struct {
-	Endpoint    string              `json:"endpoint"`
-	Title       string              `json:"title"`
-	Scenario    string              `json:"scenario,omitempty"`
-	Generation  uint64              `json:"generation"`
-	MissingDays []simtime.Day       `json:"missing_days,omitempty"`
-	Series      []routeLatencyPoint `json:"series"`
 }
 
 func renderRouteLatency(series []analysis.RouteLatencyPoint) []routeLatencyPoint {
@@ -453,6 +406,8 @@ type studyDoc struct {
 	MissingSweeps []simtime.Day `json:"missing_sweeps,omitempty"`
 	CollectedMX   bool          `json:"collected_mx"`
 	Endpoints     []string      `json:"endpoints"`
+	// Sources names what each served experiment reads (core.Source).
+	Sources map[string]core.Source `json:"sources"`
 }
 
 func renderStudy(st *core.Study, gen uint64) studyDoc {
@@ -464,6 +419,11 @@ func renderStudy(st *core.Study, gen uint64) studyDoc {
 		CollectedMX:   st.Opts.CollectMX,
 		MissingSweeps: st.Store.MissingSweeps(),
 		Endpoints:     endpointList(),
+		Sources:       map[string]core.Source{},
+	}
+	for _, e := range served {
+		path, _, _ := apiAddr(e)
+		doc.Sources["/api/v1/"+path] = e.Source
 	}
 	sweeps := st.Store.Sweeps()
 	doc.Sweeps = len(sweeps)

@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,12 +124,11 @@ func TestEndpointsGolden(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	gen := st.Store.Generation()
 
-	fig4Labels := func() []asnLabel {
-		var out []asnLabel
-		for _, p := range core.Fig4Providers() {
-			out = append(out, asnLabel{ASN: p.ASN, Name: p.Name})
+	var fig4Labels []asnLabel
+	for _, e := range core.Experiments() {
+		for _, n := range e.Plotted {
+			fig4Labels = append(fig4Labels, asnLabel{ASN: n.ASN, Name: n.Name})
 		}
-		return out
 	}
 	fig3 := st.Fig3()
 	fig3Top := analysis.TopTLDs(fig3, 5)
@@ -137,64 +138,64 @@ func TestEndpointsGolden(t *testing.T) {
 		path string
 		doc  any
 	}{
-		{"/api/v1/figures/1", compositionDoc{
+		{"/api/v1/figures/1", experimentDoc{
 			Figure: 1, Title: "NS-infrastructure composition of .ru/.рф",
 			Generation: gen, MissingDays: st.Store.MissingSweeps(),
 			Series: renderComposition(st.Fig1()),
 		}},
-		{"/api/v1/figures/2", compositionDoc{
+		{"/api/v1/figures/2", experimentDoc{
 			Figure: 2, Title: "TLD dependency of .ru/.рф name servers",
 			Generation: gen, MissingDays: st.Store.MissingSweeps(),
 			Series: renderComposition(st.Fig2()),
 		}},
-		{"/api/v1/figures/3", tldShareDoc{
+		{"/api/v1/figures/3", experimentDoc{
 			Figure: 3, Title: "Name-server TLD shares",
 			Generation: gen, TopTLDs: fig3Top,
 			MissingDays: st.Store.MissingSweeps(),
 			Series:      renderTLDShares(fig3, fig3Top),
 		}},
-		{"/api/v1/figures/4", asnShareDoc{
+		{"/api/v1/figures/4", experimentDoc{
 			Figure: 4, Title: "Hosting ASN shares (2022 dense window)",
-			Generation: gen, Plotted: fig4Labels(),
+			Generation: gen, Plotted: fig4Labels,
 			MissingDays: missingIn(st.Store.MissingSweeps(), dense),
 			Series:      renderASNShares(st.Fig4()),
 		}},
-		{"/api/v1/figures/5", compositionDoc{
+		{"/api/v1/figures/5", experimentDoc{
 			Figure: 5, Title: "Sanctioned-domain NS composition (2022 dense window)",
 			Generation:  gen,
 			MissingDays: missingIn(st.Store.MissingSweeps(), dense),
 			Series:      renderComposition(st.Fig5()),
 		}},
-		{"/api/v1/figures/8", caTimelineDoc{
+		{"/api/v1/figures/8", experimentDoc{
 			Figure: 8, Title: "Top-10 CA issuance timelines",
 			Generation: gen,
 			WindowFrom: world.RussianCAStartDay, WindowTo: simtime.CTWindowEnd,
 			Timelines: renderTimelines(st.Fig8()),
 		}},
-		{"/api/v1/figures/reachability", reachabilityDoc{
+		{"/api/v1/figures/reachability", experimentDoc{
 			Endpoint: "reachability", Title: "Name-server reachability under routing scenario",
 			Scenario: st.Opts.Scenario, Generation: gen,
 			MissingDays: st.Store.MissingSweeps(),
 			Series:      renderReachability(st.Reachability()),
 		}},
-		{"/api/v1/figures/latency", routeLatencyDoc{
+		{"/api/v1/figures/latency", experimentDoc{
 			Endpoint: "latency", Title: "Simulated resolution latency (best NS path)",
 			Scenario: st.Opts.Scenario, Generation: gen,
 			MissingDays: st.Store.MissingSweeps(),
 			Series:      renderRouteLatency(st.RouteLatency()),
 		}},
 		{"/api/v1/outages", renderOutages(st.Outages.Events(), st.Opts.Scenario, gen)},
-		{"/api/v1/tables/1", table1Doc{
+		{"/api/v1/tables/1", experimentDoc{
 			Table: 1, Title: "Certificate issuance by period",
 			Generation: gen, Scale: st.Scale(),
 			Rows: renderTable1(st.Table1(), st.Scale()),
 		}},
-		{"/api/v1/tables/2", table2Doc{
+		{"/api/v1/tables/2", experimentDoc{
 			Table: 2, Title: "Revocations by top-5 revoking CAs",
 			Generation: gen,
 			Rows:       renderTable2(st.Table2()),
 		}},
-		{"/api/v1/hosting", compositionDoc{
+		{"/api/v1/hosting", experimentDoc{
 			Endpoint: "hosting", Title: "Hosting composition (§3.1)",
 			Generation: gen, MissingDays: st.Store.MissingSweeps(),
 			Series: renderComposition(st.Hosting()),
@@ -448,6 +449,65 @@ func TestRequestValidation(t *testing.T) {
 		resp, body := get(t, ts.URL+c.path)
 		if resp.StatusCode != c.want {
 			t.Errorf("GET %s = %d, want %d (body: %.100s)", c.path, resp.StatusCode, c.want, body)
+		}
+	}
+}
+
+// TestAPIServesTheExperimentList holds the API surface to core's
+// experiment list: every experiment with an API title answers 200 at its
+// path, the study document lists exactly those paths with their sources,
+// an unknown id is a 404 that names the collection's ids, and no
+// scan-sourced experiment is served (the scan archive is not in the
+// store, so a loaded server could not compute it).
+func TestAPIServesTheExperimentList(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	want := map[string]core.Source{}
+	ids := map[string][]string{}
+	for _, e := range core.Experiments() {
+		if e.APITitle == "" {
+			continue
+		}
+		path := e.ID
+		if e.Collection != "" {
+			id := e.ID
+			if e.Number != 0 {
+				id = strconv.Itoa(e.Number)
+			}
+			path = e.Collection + "/" + id
+			ids[e.Collection] = append(ids[e.Collection], id)
+		}
+		if e.Source == core.FromScan {
+			t.Errorf("%s reads the scan archive but is served at %s", e.ID, path)
+		}
+		want["/api/v1/"+path] = e.Source
+		if resp, body := get(t, ts.URL+"/api/v1/"+path); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d (body: %.100s)", path, resp.StatusCode, body)
+		}
+	}
+	if len(want) < 11 {
+		t.Fatalf("only %d served experiments: %v", len(want), want)
+	}
+
+	_, body := get(t, ts.URL+"/api/v1/study")
+	var doc struct {
+		Sources map[string]core.Source `json:"sources"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(doc.Sources, want) {
+		t.Errorf("/api/v1/study sources = %v, want %v", doc.Sources, want)
+	}
+
+	for kind, have := range ids {
+		resp, body := get(t, ts.URL+"/api/v1/"+kind+"/nope")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s/nope = %d, want 404", kind, resp.StatusCode)
+		}
+		for _, id := range have {
+			if !strings.Contains(string(body), id) {
+				t.Errorf("%s 404 %q does not name %q", kind, body, id)
+			}
 		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"whereru/internal/netsim"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
-	"whereru/internal/world"
 )
 
 // Options tunes the serving machinery. The zero value is usable: every
@@ -124,12 +123,64 @@ func New(study *core.Study, opts Options) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// endpointList enumerates the API surface (reported by /api/v1/study).
+// served are the experiments the API serves, in list order.
+var served = func() (out []*core.Experiment) {
+	list := core.Experiments()
+	for i := range list {
+		if list[i].APITitle != "" {
+			out = append(out, &list[i])
+		}
+	}
+	return out
+}()
+
+// collections serve experiments at /api/v1/{collection}/{id}, in the
+// order /api/v1/study lists them; the other served experiments are an
+// endpoint each, /api/v1/{ID}, listed after them.
+var collections = []string{"figures", "tables"}
+
+// apiID is e's id in its collection: its number, or its ID without one.
+func apiID(e *core.Experiment) string {
+	if e.Number == 0 {
+		return e.ID
+	}
+	return strconv.Itoa(e.Number)
+}
+
+// apiIDs lists the ids a collection serves, numbered ones first.
+func apiIDs(collection string) (ids []string) {
+	for _, numbered := range []bool{true, false} {
+		for _, e := range served {
+			if e.Collection == collection && (e.Number != 0) == numbered {
+				ids = append(ids, apiID(e))
+			}
+		}
+	}
+	return ids
+}
+
+// apiAddr is where the API serves e: its path under /api/v1/, and the
+// endpoint (its metrics label) and params of its cache entries.
+func apiAddr(e *core.Experiment) (path, endpoint, params string) {
+	if e.Collection == "" {
+		return e.ID, e.ID, ""
+	}
+	return e.Collection + "/" + apiID(e), e.Collection, "n=" + apiID(e)
+}
+
+// endpointList enumerates the API surface (reported by /api/v1/study):
+// the experiments' endpoints first.
 func endpointList() []string {
-	return []string{
-		"/api/v1/figures/{1,2,3,4,5,8,reachability,latency}",
-		"/api/v1/tables/{1,2}",
-		"/api/v1/hosting",
+	var out []string
+	for _, c := range collections {
+		out = append(out, "/api/v1/"+c+"/{"+strings.Join(apiIDs(c), ",")+"}")
+	}
+	for _, e := range served {
+		if e.Collection == "" {
+			out = append(out, "/api/v1/"+e.ID)
+		}
+	}
+	return append(out,
 		"/api/v1/outages",
 		"/api/v1/movement?asn=&from=",
 		"/api/v1/domains/{name}/timeline",
@@ -138,16 +189,27 @@ func endpointList() []string {
 		"/api/v1/study",
 		"/healthz",
 		"/metrics",
-	}
+	)
 }
 
 // routes registers every endpoint. The endpoint string passed to handle
 // is the metrics label: Go 1.22's ServeMux has no way to read back the
 // matched pattern, so the label travels alongside the pattern.
 func (s *Server) routes() {
-	s.handle("GET /api/v1/figures/{n}", "figures", s.handleFigure)
-	s.handle("GET /api/v1/tables/{n}", "tables", s.handleTable)
-	s.handle("GET /api/v1/hosting", "hosting", s.handleHosting)
+	for _, e := range served {
+		path, endpoint, params := apiAddr(e)
+		s.handle("GET /api/v1/"+path, endpoint, func(w http.ResponseWriter, r *http.Request) {
+			s.serveCached(w, r, endpoint, params, func(gen uint64) (any, error) {
+				return s.renderExperiment(e, s.study, gen, s.study.Store.MissingSweeps())
+			})
+		})
+	}
+	for _, c := range collections {
+		unknown := fmt.Sprintf("unknown %s (have: %s)", strings.TrimSuffix(c, "s"), strings.Join(apiIDs(c), ", "))
+		s.handle("GET /api/v1/"+c+"/{n}", c, func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, unknown, http.StatusNotFound)
+		})
+	}
 	s.handle("GET /api/v1/outages", "outages", s.handleOutages)
 	s.handle("GET /api/v1/movement", "movement", s.handleMovement)
 	s.handle("GET /api/v1/domains/{name}/timeline", "timeline", s.handleTimeline)
@@ -294,78 +356,6 @@ func etagMatches(header, etag string) bool {
 }
 
 // --- endpoint handlers ---
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	n := r.PathValue("n")
-	var compute func(gen uint64) (any, error)
-	switch n {
-	case "1", "2", "3", "4", "5", "reachability", "latency":
-		// Series figures render through the shared doc builders, the same
-		// code path follow-mode patching feeds from the stream engine — so
-		// a cold compute and a patched entry can only differ if the series
-		// themselves diverge (which the fold-equivalence tests forbid).
-		compute = func(gen uint64) (any, error) {
-			return docFigure(n, gen, s.study.Store.MissingSweeps(), s.study.Opts.Scenario, s.study)
-		}
-	case "8":
-		compute = func(gen uint64) (any, error) {
-			return caTimelineDoc{
-				Figure: 8, Title: "Top-10 CA issuance timelines",
-				Generation: gen,
-				WindowFrom: world.RussianCAStartDay, WindowTo: simtime.CTWindowEnd,
-				Timelines: renderTimelines(s.study.Fig8()),
-			}, nil
-		}
-	default:
-		http.Error(w, "unknown figure (have: 1, 2, 3, 4, 5, 8, reachability, latency)", http.StatusNotFound)
-		return
-	}
-	s.serveCached(w, r, "figures", "n="+n, compute)
-}
-
-// missingIn filters missing sweep days to those on or after from.
-func missingIn(days []simtime.Day, from simtime.Day) []simtime.Day {
-	var out []simtime.Day
-	for _, d := range days {
-		if d >= from {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	n := r.PathValue("n")
-	var compute func(gen uint64) (any, error)
-	switch n {
-	case "1":
-		compute = func(gen uint64) (any, error) {
-			return table1Doc{
-				Table: 1, Title: "Certificate issuance by period",
-				Generation: gen, Scale: s.study.Scale(),
-				Rows: renderTable1(s.study.Table1(), s.study.Scale()),
-			}, nil
-		}
-	case "2":
-		compute = func(gen uint64) (any, error) {
-			return table2Doc{
-				Table: 2, Title: "Revocations by top-5 revoking CAs",
-				Generation: gen,
-				Rows:       renderTable2(s.study.Table2()),
-			}, nil
-		}
-	default:
-		http.Error(w, "unknown table (have: 1, 2)", http.StatusNotFound)
-		return
-	}
-	s.serveCached(w, r, "tables", "n="+n, compute)
-}
-
-func (s *Server) handleHosting(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "hosting", "", func(gen uint64) (any, error) {
-		return docHosting(gen, s.study.Store.MissingSweeps(), s.study), nil
-	})
-}
 
 func (s *Server) handleOutages(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, "outages", "", func(gen uint64) (any, error) {

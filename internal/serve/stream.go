@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"whereru/internal/core"
 	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
@@ -194,8 +195,7 @@ func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldSta
 func (s *Server) patchCache(gen uint64) map[string]string {
 	eng := s.follow.engine
 	missing := s.study.Store.MissingSweeps()
-	scenario := s.study.Opts.Scenario
-	etags := make(map[string]string, len(seriesFigureIDs)+2)
+	etags := make(map[string]string, len(served)+1)
 	ins := func(endpoint, params, id string, doc any) {
 		body, err := json.Marshal(doc)
 		if err != nil {
@@ -214,14 +214,17 @@ func (s *Server) patchCache(gen uint64) map[string]string {
 		f.mu.Unlock()
 		etags[id] = etag
 	}
-	for _, id := range seriesFigureIDs {
-		doc, err := docFigure(id, gen, missing, scenario, eng)
+	for _, e := range served {
+		if e.Source != core.FromStore {
+			continue
+		}
+		doc, err := s.renderExperiment(e, eng, gen, missing)
 		if err != nil {
 			continue
 		}
-		ins("figures", "n="+id, "figures/"+id, doc)
+		path, endpoint, params := apiAddr(e)
+		ins(endpoint, params, path, doc)
 	}
-	ins("hosting", "", "hosting", docHosting(gen, missing, eng))
 	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng, missing, gen))
 	return etags
 }
