@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"whereru/internal/netsim"
+	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 )
@@ -218,45 +219,6 @@ func (a *Analyzer) ReachabilitySeries(days []simtime.Day, filter Filter) []Reach
 	return cold(a, days, filter, (*Analyzer).Reachability)
 }
 
-// latencyBuckets is the histogram resolution of the route-latency
-// series: power-of-two microsecond buckets, matching the pipeline's
-// runtime latency histogram so the two views of latency are comparable.
-const latencyBuckets = 24
-
-// latencyBucket returns the bucket index for a duration.
-func latencyBucket(d time.Duration) int {
-	us := d.Microseconds()
-	i := 0
-	for i < latencyBuckets-1 && us > int64(1)<<i {
-		i++
-	}
-	return i
-}
-
-// bucketQuantile returns the upper bound of the bucket holding the
-// q-quantile observation of a merged histogram (0 when empty).
-func bucketQuantile(counts *[latencyBuckets]int, q float64) time.Duration {
-	var total uint64
-	for _, c := range counts {
-		total += uint64(c)
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += uint64(c)
-		if cum >= target {
-			return time.Duration(int64(1)<<i) * time.Microsecond
-		}
-	}
-	return time.Duration(int64(1)<<(latencyBuckets-1)) * time.Microsecond
-}
-
 // CountryLatency is one country's slice of a latency point: quantiles of
 // the best-path latency of domains whose name-server set touches it.
 type CountryLatency struct {
@@ -305,31 +267,33 @@ func (a *Analyzer) RouteLatency(filter Filter) *Accumulator[RouteLatencyPoint] {
 			}
 			// The bucket is known only after the last address: the country
 			// keys collected so far (keys arrives empty) are stamped with it.
-			b := uint32(latencyBucket(best))
+			b := uint32(openintel.LatencyBucket(best))
 			for i := range keys {
 				keys[i].num = b
 			}
 			return append(keys, colKey{num: b})
 		},
 		func(days []simtime.Day, swept []bool, c columns) []RouteLatencyPoint {
-			hist := func(kind uint8, name string) (h [latencyBuckets][]int) {
+			// buckets holds one column per bucket of openintel's latency
+			// histogram.
+			type buckets [len(openintel.LatencyHistogram{}.Counts)][]int
+			hist := func(kind uint8, name string) (h buckets) {
 				for b := range h {
 					h[b] = c.col(colKey{kind: kind, name: name, num: uint32(b)})
 				}
 				return h
 			}
-			// at returns day i's histogram, its size and its quantiles.
-			at := func(h *[latencyBuckets][]int, i int) (n int, p50, p90, p99 time.Duration) {
-				var run [latencyBuckets]int
-				for b := range run {
-					run[b] = h[b][i]
-					n += run[b]
+			// at returns the size and quantiles of day i's histogram.
+			at := func(h *buckets, i int) (n int, p50, p90, p99 time.Duration) {
+				var day openintel.LatencyHistogram
+				for b, col := range h {
+					day.Counts[b] = uint32(col[i])
 				}
-				return n, bucketQuantile(&run, 0.50), bucketQuantile(&run, 0.90), bucketQuantile(&run, 0.99)
+				return int(day.Total()), day.Quantile(0.50), day.Quantile(0.90), day.Quantile(0.99)
 			}
 			all := hist(colKeyed, "")
 			var countries []string
-			var byCountry [][latencyBuckets][]int
+			var byCountry []buckets
 			for _, k := range c.keys(colCountryBucket) {
 				if len(countries) == 0 || countries[len(countries)-1] != k.name {
 					countries = append(countries, k.name)

@@ -12,9 +12,6 @@ type Diff struct {
 	Removed []dns.RR
 }
 
-// Empty reports whether the zones are identical.
-func (d Diff) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
-
 // Compare computes new − old and old − new. Records are matched by
 // (name, type, rendered RDATA); TTL changes alone do not count as
 // differences, mirroring how zone-diff tooling treats refresh noise.

@@ -10,7 +10,7 @@ func TestCompareEmptyOnIdentical(t *testing.T) {
 	a := buildRuZone(t)
 	b := buildRuZone(t)
 	d := Compare(a, b)
-	if !d.Empty() {
+	if len(d.Added) != 0 || len(d.Removed) != 0 {
 		t.Fatalf("identical zones differ: %+v", d)
 	}
 }
@@ -31,7 +31,7 @@ func TestCompareDetectsChanges(t *testing.T) {
 	}
 
 	d := Compare(old, new)
-	if d.Empty() {
+	if len(d.Added) == 0 && len(d.Removed) == 0 {
 		t.Fatal("changes not detected")
 	}
 	hasAdded := func(name string, typ dns.Type) bool {
@@ -81,7 +81,7 @@ func TestCompareIgnoresTTL(t *testing.T) {
 	if err := new.Add(dns.NewA("x.ru.", 9999, addr("10.0.0.1"))); err != nil {
 		t.Fatal(err)
 	}
-	if d := Compare(old, new); !d.Empty() {
+	if d := Compare(old, new); len(d.Added) != 0 || len(d.Removed) != 0 {
 		t.Fatalf("TTL-only change reported: %+v", d)
 	}
 }

@@ -2,8 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,8 +9,7 @@ import (
 	"whereru/internal/store"
 )
 
-// Metrics counts what the coordinator did, in the same hand-rolled
-// Prometheus text style internal/serve exposes: enough to watch a run
+// Metrics counts what the coordinator did: enough to watch a run
 // converge and — critically for the robustness story — to observe that a
 // killed worker's units really were reassigned.
 type Metrics struct {
@@ -145,24 +142,4 @@ func (m *Metrics) Snapshot() map[string]uint64 {
 		out["grid_store_resident_bytes"] = uint64(ms.ResidentBytes())
 	}
 	return out
-}
-
-// WriteTo renders the metrics in Prometheus text exposition format,
-// names sorted for deterministic output.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	snap := m.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var total int64
-	for _, k := range names {
-		n, err := fmt.Fprintf(w, "%s %d\n", k, snap[k])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

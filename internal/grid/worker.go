@@ -38,9 +38,6 @@ type Worker struct {
 	// before giving up (default 10s), so workers may start before the
 	// coordinator listens.
 	DialRetryFor time.Duration
-	// Dial overrides the transport (tests inject lossy connections); the
-	// default is a plain TCP dial.
-	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// Logf, if set, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -220,20 +217,14 @@ func (w *Worker) heartbeatLoop(conn *framedConn, hung *atomic.Bool, stop <-chan 
 // startup ordering explains; any other dial error (bad address, DNS
 // failure, unreachable network) is misconfiguration and fails fast.
 func (w *Worker) dialRetry(ctx context.Context, addr string) (net.Conn, error) {
-	dial := w.Dial
-	if dial == nil {
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
+	var d net.Dialer
 	window := w.DialRetryFor
 	if window <= 0 {
 		window = 10 * time.Second
 	}
 	deadline := time.Now().Add(window)
 	for {
-		nc, err := dial(ctx, addr)
+		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			return nc, nil
 		}

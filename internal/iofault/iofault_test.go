@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func writeAll(t *testing.T, fsys FS, path string, chunks ...[]byte) error {
@@ -308,116 +306,6 @@ func TestParseProfile(t *testing.T) {
 	}
 	if p, err := ParseProfile(""); err != nil || p.active() {
 		t.Errorf("empty spec: %+v, %v", p, err)
-	}
-}
-
-// pipePair returns a connected pair with the client side fault-wrapped.
-func pipePair(seed int64, p ConnProfile) (client *Conn, server net.Conn) {
-	a, b := net.Pipe()
-	return NewConn(a, seed, p), b
-}
-
-func TestConnCorruptFlipsOneByte(t *testing.T) {
-	client, server := pipePair(1, ConnProfile{Corrupt: 1, MinWriteLen: 16, Once: true})
-	defer client.Close()
-	defer server.Close()
-	frame := bytes.Repeat([]byte{0x11}, 64)
-	go client.Write(frame)
-	got := make([]byte, 64)
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for i := range got {
-		if got[i] != frame[i] {
-			diff++
-			if i < 4 || i >= len(frame)-4 {
-				t.Errorf("corruption at %d escaped the payload region", i)
-			}
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bytes differ, want exactly 1", diff)
-	}
-	// Short writes (a heartbeat) pass clean even with Corrupt=1.
-	client2, server2 := pipePair(1, ConnProfile{Corrupt: 1, MinWriteLen: 16})
-	defer client2.Close()
-	defer server2.Close()
-	go client2.Write([]byte("beat"))
-	hb := make([]byte, 4)
-	io.ReadFull(server2, hb)
-	if string(hb) != "beat" {
-		t.Fatalf("short write corrupted: %q", hb)
-	}
-}
-
-func TestConnCutTearsAndCloses(t *testing.T) {
-	client, server := pipePair(2, ConnProfile{Cut: 1, MinWriteLen: 8})
-	defer server.Close()
-	frame := bytes.Repeat([]byte{0x22}, 32)
-	var n int
-	var werr error
-	done := make(chan struct{})
-	go func() { n, werr = client.Write(frame); close(done) }()
-	got := make([]byte, 32)
-	rn, _ := io.ReadFull(server, got)
-	<-done
-	if !errors.Is(werr, net.ErrClosed) {
-		t.Fatalf("cut write err = %v", werr)
-	}
-	if rn != 16 || n != 16 {
-		t.Fatalf("cut delivered %d/%d bytes, want 16", rn, n)
-	}
-}
-
-func TestConnDuplicateAndDrip(t *testing.T) {
-	client, server := pipePair(3, ConnProfile{Duplicate: 1, MinWriteLen: 8, Once: true})
-	defer client.Close()
-	defer server.Close()
-	frame := []byte("0123456789abcdef")
-	go client.Write(frame)
-	got := make([]byte, 2*len(frame))
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:len(frame)], frame) || !bytes.Equal(got[len(frame):], frame) {
-		t.Fatalf("duplicate not byte-identical: %q", got)
-	}
-
-	dc, ds := pipePair(4, ConnProfile{Drip: 1, DripChunk: 3})
-	defer dc.Close()
-	defer ds.Close()
-	go dc.Write(frame)
-	got2 := make([]byte, len(frame))
-	if _, err := io.ReadFull(ds, got2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, frame) {
-		t.Fatalf("drip reassembly: %q", got2)
-	}
-}
-
-func TestConnPartitionSwallowsBothDirections(t *testing.T) {
-	client, server := pipePair(5, ConnProfile{PartitionAfterWrites: 1})
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		io.Copy(io.Discard, server) // drain the pre-partition write
-	}()
-	if _, err := client.Write([]byte("pre")); err != nil {
-		t.Fatal(err)
-	}
-	// Post-partition: the write "succeeds" but nothing crosses.
-	if n, err := client.Write([]byte("lost")); n != 4 || err != nil {
-		t.Fatalf("partitioned write: %d, %v", n, err)
-	}
-	// Reads block through the partition; a deadline must still fire so
-	// the reader can give up.
-	client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	buf := make([]byte, 8)
-	go server.Write([]byte("from-srv"))
-	if _, err := client.Read(buf); err == nil {
-		t.Fatal("partitioned read delivered data")
 	}
 }
 

@@ -100,20 +100,27 @@ const latBuckets = 24
 
 // LatencyHistogram counts per-domain measurement durations in
 // power-of-two microsecond buckets. Sweep reads a sweep's quantiles off
-// one; histograms merge by addition, which MeasureUnit's callers (the
-// internal/grid coordinator, no program) rely on to aggregate units.
+// one, and the analysis route-latency series each day's, so the two
+// views of latency are comparable; histograms merge by addition, which
+// MeasureUnit's callers (the internal/grid coordinator, no program) rely
+// on to aggregate units.
 type LatencyHistogram struct {
 	Counts [latBuckets]uint32
 }
 
-// Observe records one duration.
-func (h *LatencyHistogram) Observe(d time.Duration) {
+// LatencyBucket returns the index of the bucket d falls in.
+func LatencyBucket(d time.Duration) int {
 	us := d.Microseconds()
 	i := 0
 	for i < latBuckets-1 && us > int64(1)<<i {
 		i++
 	}
-	h.Counts[i]++
+	return i
+}
+
+// Observe records one duration.
+func (h *LatencyHistogram) Observe(d time.Duration) {
+	h.Counts[LatencyBucket(d)]++
 }
 
 // Merge adds another histogram's counts into h.
