@@ -1,18 +1,12 @@
-// Package grid distributes sweep execution across worker processes: a
-// coordinator shards each day's domain inventory into contiguous work
-// units, leases them to workers over a length-framed checksummed TCP
-// protocol, and merges the returned measurement batches deterministically
-// — by unit index, never arrival order — so the resulting store, report,
-// and journal are byte-identical to a single-process Pipeline.Run
-// regardless of worker count, scheduling, or mid-sweep worker death.
-//
-// No program links this package (DESIGN § Grid): its tests are its only
-// callers, and it goes once they are retired.
+// Package grid is the retired grid's wire codec, kept for its golden
+// tests: the seven messages a coordinator and its workers once exchanged
+// to spread a sweep's work units over processes, and the framed
+// connection that carried them. The coordinator and worker runtime is
+// gone (DESIGN § Grid); no program links this package, and it goes with
+// wire_test.go and testdata/golden, the next rung of ROADMAP item 7.
 package grid
 
 import (
-	"fmt"
-
 	"whereru/internal/frame"
 	"whereru/internal/openintel"
 	"whereru/internal/simtime"
@@ -28,8 +22,7 @@ import (
 //	u8 msgType | type-specific fields
 //
 // The checksum is over the payload only; a torn or bit-flipped frame is
-// detected at the receiver and the connection dropped — the lease
-// machinery then reassigns whatever that worker held. There is no
+// detected at the receiver and the connection dropped. There is no
 // resynchronization: a framing error is a connection error. This file
 // holds the messages and their payload layouts; conn.go sends and
 // receives them.
@@ -50,15 +43,10 @@ const (
 type message interface{ encode(w *frame.Writer) }
 
 // wireError marks protocol-level corruption (bad checksum, oversize
-// frame, malformed payload). The coordinator and worker treat it as
-// fatal for the connection, never for the run.
+// frame, malformed payload): fatal for the connection, never for the run.
 type wireError struct{ msg string }
 
 func (e *wireError) Error() string { return "grid: wire: " + e.msg }
-
-func wireErrorf(format string, args ...any) error {
-	return &wireError{msg: fmt.Sprintf(format, args...)}
-}
 
 // wire reports a frame or payload failure from internal/frame as the
 // grid's protocol error.

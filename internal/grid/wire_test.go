@@ -102,10 +102,9 @@ func TestGoldenFrames(t *testing.T) {
 // The four tests below keep the names they had when grid owned its
 // framing. The frame itself is tested (and fuzzed) in internal/frame;
 // these pin what a grid connection makes of each verdict: a frame that
-// arrived whole and is bad is a *wireError (the coordinator counts it in
-// grid_frames_rejected_total and drops the connection), a frame the
-// transport cut short is the transport's error, and a peer that closed
-// between frames is io.EOF.
+// arrived whole and is bad is a *wireError, a frame the transport cut
+// short is the transport's error, and a peer that closed between frames
+// is io.EOF.
 
 func recvFrom(in []byte) (uint8, *frame.Reader, error) {
 	return (&framedConn{nc: &pipeConn{r: bytes.NewReader(in)}}).recv()
@@ -136,8 +135,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameDetectsEveryBitFlip: any single-bit corruption of a frame on
 // the wire must surface as an error from recv, never as a silently
-// different message. This is the property the lease machinery leans on:
-// a lossy transport can only kill a connection, not corrupt a merge.
+// different message: a lossy transport can only kill a connection, not
+// corrupt what it carries.
 func TestFrameDetectsEveryBitFlip(t *testing.T) {
 	good, err := frame.Append(nil, payloadOf(welcomeMsg{Fingerprint: 0xfeedface}), frame.MaxPayload)
 	if err != nil {

@@ -101,9 +101,8 @@ const latBuckets = 24
 // LatencyHistogram counts per-domain measurement durations in
 // power-of-two microsecond buckets. Sweep reads a sweep's quantiles off
 // one, and the analysis route-latency series each day's, so the two
-// views of latency are comparable; histograms merge by addition, which
-// MeasureUnit's callers (the internal/grid coordinator, no program) rely
-// on to aggregate units.
+// views of latency are comparable; histograms merge by addition (Merge,
+// which only the unit API's tests call).
 type LatencyHistogram struct {
 	Counts [latBuckets]uint32
 }
@@ -188,9 +187,9 @@ type measured struct {
 // worker count and delivers each result to sink from the calling
 // goroutine (so sink needs no locking). It is the engine under Sweep
 // (whole-zone, streaming into the store), the one collection path, and
-// under MeasureUnit (a slice, no store side effects), which only the
-// internal/grid package and tests call. On cancellation it returns
-// promptly with whatever results already arrived delivered.
+// under MeasureUnit (a slice, no store side effects), which only tests
+// call. On cancellation it returns promptly with whatever results
+// already arrived delivered.
 //
 // Work is dispatched by the chunk, not the domain — a measurement is
 // ~10µs, less than two channel rendezvous cost the pool: workers claim
@@ -329,9 +328,9 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 // UnitResult is what measuring one contiguous slice of the day's
 // inventory produces: the measurements sorted by domain, the outcome
 // tallies Sweep would have accumulated for them, and the per-domain
-// latency histogram. It carries no store or journal side effects — the
-// grid coordinator merges unit results deterministically and commits the
-// sweep in one place.
+// latency histogram. It carries no store or journal side effects: a
+// caller merges unit results in unit order and commits the sweep in one
+// place (CommitSweep).
 type UnitResult struct {
 	// Measurements holds one measurement per requested domain, sorted by
 	// domain name.
@@ -352,11 +351,12 @@ type UnitResult struct {
 }
 
 // MeasureUnit resolves a contiguous slice of the day's inventory without
-// touching the store or the journal: the worker half of a distributed
-// sweep (internal/grid). The caller is responsible for day context — the
-// world clock must be at day and the resolver cache flushed at day
-// boundaries, exactly as Sweep does for a whole zone. A cancelled unit
-// returns the context error; partial results are discarded by callers.
+// touching the store or the journal: the measuring half of the unit API,
+// which only unit_test.go calls (ROADMAP item 7). The caller is
+// responsible for day context — the world clock must be at day and the
+// resolver cache flushed at day boundaries, exactly as Sweep does for a
+// whole zone. A cancelled unit returns the context error; partial
+// results are discarded by callers.
 func (p *Pipeline) MeasureUnit(ctx context.Context, day simtime.Day, domains []string) (UnitResult, error) {
 	clientBefore := p.Resolver.Client.Stats()
 	cacheBefore := p.Resolver.CacheStats()
@@ -392,8 +392,8 @@ func (p *Pipeline) MeasureUnit(ctx context.Context, day simtime.Day, domains []s
 
 // CommitSweep records an externally-measured sweep: it registers the day,
 // adds every measurement to the store, and journals the sweep when
-// checkpointing — the commit half of Sweep, used by the grid coordinator
-// after merging worker results. Measurements must all carry stats.Day;
+// checkpointing — the commit half of Sweep, which a caller runs after
+// merging MeasureUnit's results. Measurements must all carry stats.Day;
 // their order does not affect the store or journal bytes (the store is
 // per-domain and the journal sorts), but callers pass shard order so the
 // commit is reproducible end to end.

@@ -717,6 +717,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if !strings.Contains(text, "whereru_cache_hits_total 1") {
 		t.Errorf("expected exactly one cache hit, metrics:\n%s", text)
 	}
+	// The store gauges read the collected store's MemStats: none is 0.
+	for _, gauge := range []string{"whereru_store_epochs", "whereru_store_distinct_configs", "whereru_store_resident_bytes"} {
+		_, rest, _ := strings.Cut(text, "\n"+gauge+" ")
+		value, _, _ := strings.Cut(rest, "\n")
+		if v, err := strconv.ParseInt(value, 10, 64); err != nil || v <= 0 {
+			t.Errorf("%s = %q, want a count above 0", gauge, value)
+		}
+	}
 	assertMetricsShape(t, body)
 }
 

@@ -10,8 +10,10 @@ import (
 // Measurement batches are one sweep day's observations for a contiguous
 // slice of the zone inventory, serialized in the measurement list layout
 // the journal uses. No program writes them: the bench harness digests
-// journals through EncodeMeasurementBatch, and the internal/grid package,
-// which no program links, carries them in its result frames.
+// journals through EncodeMeasurementBatch, DecodeMeasurementBatch judges
+// that encoder in the golden and fuzz round trips, and the retired grid's
+// wire codec (internal/grid, which no program links) embeds one in its
+// result frame.
 //
 // Layout:
 //
@@ -22,9 +24,9 @@ import (
 // segment framing is for journal payloads.
 
 // MaxBatchBytes bounds one encoded batch. It leaves a kilobyte of the
-// frame limit for an envelope around the batch (internal/grid's result
-// frame adds ~160 bytes of tallies and a latency histogram), so any batch
-// this codec accepts fits a frame.
+// frame limit for an envelope around the batch (the grid codec's result
+// message adds ~160 bytes of tallies and a latency histogram), so any
+// batch this codec accepts fits a frame.
 const MaxBatchBytes = frame.MaxPayload - 1<<10
 
 // EncodeMeasurementBatch serializes one day's measurements in the order
