@@ -96,8 +96,8 @@ func run() error {
 	if faults != nil {
 		fs := faults.Stats()
 		cs := resolver.Client.Stats()
-		fmt.Printf(";; faults: %d exchanges, %d dropped, %d servfail, %d truncated; client: %d retries, %d recovered\n",
-			fs.Exchanges, fs.Dropped, fs.ServFails, fs.Truncated, cs.Retries, cs.Recovered)
+		fmt.Printf(";; faults: %d exchanges, %d dropped; client: %d retries, %d recovered\n",
+			fs.Exchanges, fs.Dropped, cs.Retries, cs.Recovered)
 	}
 
 	if *serve {

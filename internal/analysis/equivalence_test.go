@@ -134,7 +134,7 @@ func TestEquivalenceOnLossyWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolver, _ := w.NewFaultyResolver(7, dns.FaultProfile{Loss: 0.15, ServFail: 0.05})
+	resolver, _ := w.NewFaultyResolver(7, dns.FaultProfile{Loss: 0.15})
 	st := store.New()
 	pipe := &openintel.Pipeline{
 		Resolver:  resolver,

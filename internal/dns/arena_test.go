@@ -86,6 +86,51 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestExchangeAllocsPastInternCap is TestExchangeSteadyStateAllocs with
+// the intern table's name cap reached, as a world from about 1:180 on
+// runs: a name the table does not hold costs a string only where a
+// decode must spell it out. The question, and every owner name that
+// points at it, decode to the query's own name, so an A answer or a
+// NODATA for an unheld name allocates nothing. A referral allocates for
+// each NS host the table does not hold, twice: in its NS record and as
+// its glue's owner.
+func TestExchangeAllocsPastInternCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	net, _ := staticInternet()
+	for i := uint64(0); net.intern.names.n < maxInternNames; i++ {
+		net.intern.names.put(i, "filler.")
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		server string
+		qtype  Type
+		allocs float64
+	}{
+		{"query-nodata", "194.58.116.30", TypeMX, 0},
+		{"a-answer", "194.58.116.30", TypeA, 0},
+		{"ns-referral", "193.232.128.6", TypeNS, 4}, // ns1.reg.ru. and ns2.reg.ru., twice each
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewQuery(7, "example.ru.", tc.qtype)
+			server := mustAddr(tc.server)
+			exchange := func() {
+				resp, err := net.Exchange(ctx, server, q)
+				if err != nil || resp.Questions[0].Name != "example.ru." {
+					t.Fatalf("exchange: %v %v", resp, err)
+				}
+				resp.Release()
+			}
+			exchange() // box the payloads, fill the pools
+			if got := testing.AllocsPerRun(200, exchange); got != tc.allocs {
+				t.Errorf("Exchange past the name cap allocates %.1f times per call, want %.0f", got, tc.allocs)
+			}
+		})
+	}
+}
+
 // TestWarmLookupAllocs pins the resolver above it: with the delegation
 // cached, a lookup allocates the slice it returns and nothing else.
 func TestWarmLookupAllocs(t *testing.T) {

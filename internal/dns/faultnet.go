@@ -5,23 +5,21 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"whereru/internal/simtime"
 )
 
 // This file is the deterministic fault-injection layer: a Transport
-// wrapper that subjects exchanges to packet loss, SERVFAIL flaps,
-// truncation, added latency, and scheduled outage windows keyed to the
-// simulation day. Measurement platforms treat loss as normal — ZDNS-style
-// sweeps retry per-nameserver precisely because single-attempt sweeps
-// systematically overcount failures — so experiments that previously
-// toggled MemNet.SetUnreachable by hand become declarative FaultProfiles
-// here, and the paper's wartime instabilities (Netnod withdrawing
-// service, flapping delegations, lossy paths) become reproducible inputs.
+// wrapper that subjects exchanges to packet loss and to scheduled outage
+// windows keyed to the simulation day. Measurement platforms treat loss
+// as normal — ZDNS-style sweeps retry per-nameserver precisely because
+// single-attempt sweeps systematically overcount failures — so
+// experiments that previously toggled MemNet.SetUnreachable by hand
+// become declarative FaultProfiles here, and the paper's wartime
+// instabilities (Netnod withdrawing service, flapping delegations, lossy
+// paths) become reproducible inputs.
 
 // DayClock reports the current simulation day. netsim.Clock satisfies it;
 // a nil clock pins the fault layer to day 0 (outage windows never fire
@@ -30,30 +28,12 @@ type DayClock interface {
 	Now() simtime.Day
 }
 
-// FaultProfile describes how a server (or prefix of servers) misbehaves.
-// The zero value injects nothing.
+// FaultProfile describes how a server misbehaves. The zero value
+// injects nothing.
 type FaultProfile struct {
 	// Loss is the probability in [0,1] that an exchange is silently
 	// dropped (surfaced as ErrNoRoute, the in-memory analog of a timeout).
 	Loss float64
-	// ServFail is the probability that an otherwise-successful response
-	// is replaced by a SERVFAIL — a flapping resolver or overloaded
-	// authoritative.
-	ServFail float64
-	// Truncate is the probability that the response arrives with the TC
-	// bit set and its record sections clipped, as an overfull UDP
-	// datagram would.
-	Truncate float64
-	// Latency is added to every exchange before it is attempted.
-	Latency time.Duration
-	// LatencyJitter spreads Latency per exchange: the effective delay is
-	// Latency × (1 − J/2 + J·u), where u ∈ [0,1) is a pure hash of
-	// (seed, day, server, query) — the same scheme as the fault rolls, so
-	// the spread is replayable and mean-preserving. A fixed Latency alone
-	// produces a one-spike distribution; jitter makes latency series
-	// non-degenerate without sacrificing determinism. Values in [0,1] are
-	// sensible (0.3 → ±15%); 0 disables jitter.
-	LatencyJitter float64
 	// Outages are scheduled windows during which the target drops every
 	// query — e.g. Netnod's service withdrawal expressed as data rather
 	// than an ad-hoc SetUnreachable call.
@@ -72,7 +52,7 @@ func (p *FaultProfile) outageOn(day simtime.Day) bool {
 
 // active reports whether the profile can inject anything at all.
 func (p *FaultProfile) active() bool {
-	return p.Loss > 0 || p.ServFail > 0 || p.Truncate > 0 || p.Latency > 0 || len(p.Outages) > 0
+	return p.Loss > 0 || len(p.Outages) > 0
 }
 
 // FaultStats counts what the fault layer did, for quantifying degraded
@@ -84,10 +64,6 @@ type FaultStats struct {
 	Dropped int64
 	// Outaged counts queries dropped by a scheduled outage window.
 	Outaged int64
-	// ServFails counts responses replaced by SERVFAIL.
-	ServFails int64
-	// Truncated counts responses clipped with the TC bit.
-	Truncated int64
 }
 
 // ErrInjected marks errors produced by the fault layer. It wraps
@@ -95,8 +71,7 @@ type FaultStats struct {
 // need no changes.
 var ErrInjected = fmt.Errorf("%w (injected fault)", ErrNoRoute)
 
-// FaultTransport wraps a Transport with per-server and per-prefix fault
-// profiles.
+// FaultTransport wraps a Transport with per-server fault profiles.
 //
 // Fault decisions are pure hash functions of (seed, day, server, query),
 // not draws from a sequential RNG: concurrent sweep workers interleave
@@ -119,20 +94,14 @@ type FaultTransport struct {
 	mu       sync.Mutex
 	profiles atomic.Pointer[faultProfiles]
 
-	exchanges, dropped, outaged, servfails, truncated atomic.Int64
+	exchanges, dropped, outaged atomic.Int64
 }
 
 // faultProfiles is one fault configuration, immutable once published.
 type faultProfiles struct {
-	def      FaultProfile
-	hasDef   bool
-	servers  map[netip.Addr]FaultProfile
-	prefixes []prefixProfile
-}
-
-type prefixProfile struct {
-	prefix  netip.Prefix
-	profile FaultProfile
+	def     FaultProfile
+	hasDef  bool
+	servers map[netip.Addr]FaultProfile
 }
 
 // NewFaultTransport wraps inner with an empty fault configuration. clock
@@ -149,7 +118,7 @@ func (t *FaultTransport) update(change func(*faultProfiles)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	next := *t.profiles.Load()
-	next.servers, next.prefixes = maps.Clone(next.servers), slices.Clone(next.prefixes)
+	next.servers = maps.Clone(next.servers)
 	change(&next)
 	t.profiles.Store(&next)
 }
@@ -160,24 +129,10 @@ func (t *FaultTransport) SetDefault(p FaultProfile) {
 	t.update(func(f *faultProfiles) { f.def, f.hasDef = p, true })
 }
 
-// SetServer installs a profile for one server address, overriding prefix
-// and default profiles.
+// SetServer installs a profile for one server address, overriding the
+// default profile.
 func (t *FaultTransport) SetServer(addr netip.Addr, p FaultProfile) {
 	t.update(func(f *faultProfiles) { f.servers[addr] = p })
-}
-
-// SetPrefix installs a profile for every server inside prefix. The most
-// specific (longest) matching prefix wins.
-func (t *FaultTransport) SetPrefix(prefix netip.Prefix, p FaultProfile) {
-	t.update(func(f *faultProfiles) {
-		for i := range f.prefixes {
-			if f.prefixes[i].prefix == prefix {
-				f.prefixes[i].profile = p
-				return
-			}
-		}
-		f.prefixes = append(f.prefixes, prefixProfile{prefix: prefix, profile: p})
-	})
 }
 
 // Stats returns the running fault counters.
@@ -186,43 +141,28 @@ func (t *FaultTransport) Stats() FaultStats {
 		Exchanges: t.exchanges.Load(),
 		Dropped:   t.dropped.Load(),
 		Outaged:   t.outaged.Load(),
-		ServFails: t.servfails.Load(),
-		Truncated: t.truncated.Load(),
 	}
 }
 
 // profileFor resolves the effective profile for a server: exact address,
-// then longest matching prefix, then the default.
+// then the default.
 func (t *FaultTransport) profileFor(server netip.Addr) (FaultProfile, bool) {
 	f := t.profiles.Load()
 	if p, ok := f.servers[server]; ok {
 		return p, true
 	}
-	best, bestBits := FaultProfile{}, -1
-	for _, pp := range f.prefixes {
-		if pp.prefix.Contains(server) && pp.prefix.Bits() > bestBits {
-			best, bestBits = pp.profile, pp.prefix.Bits()
-		}
-	}
-	if bestBits >= 0 {
-		return best, true
-	}
 	return f.def, f.hasDef
 }
 
-// Hash salts separating the independent fault decisions of one exchange.
-const (
-	saltLoss     = 0x9E3779B97F4A7C15
-	saltServFail = 0xC2B2AE3D27D4EB4F
-	saltTrunc    = 0x165667B19E3779F9
-	saltLatency  = 0x27D4EB2F165667C5
-)
+// saltLoss separates the loss decision's hash from every other hash of
+// the same exchange identity.
+const saltLoss = 0x9E3779B97F4A7C15
 
-// roll derives a uniform float64 in [0,1) from the exchange identity and
-// a per-decision salt (FNV-1a over seed, day, server, query ID and
-// question).
-func (t *FaultTransport) roll(salt uint64, day simtime.Day, server netip.Addr, q *Message) float64 {
-	h := fnvMix(fnvMix(fnvMix(fnvOffset64, salt), uint64(t.seed)), uint64(uint32(day)))
+// roll derives the loss decision's uniform float64 in [0,1) from the
+// exchange identity (FNV-1a over saltLoss, seed, day, server, query ID
+// and question).
+func (t *FaultTransport) roll(day simtime.Day, server netip.Addr, q *Message) float64 {
+	h := fnvMix(fnvMix(fnvMix(fnvOffset64, saltLoss), uint64(t.seed)), uint64(uint32(day)))
 	b := server.As4()
 	h = fnvMix(h, uint64(b[0])<<24|uint64(b[1])<<16|uint64(b[2])<<8|uint64(b[3]))
 	h = fnvMix(h, uint64(q.ID))
@@ -244,55 +184,13 @@ func (t *FaultTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	if t.clock != nil {
 		day = t.clock.Now()
 	}
-	if p.Latency > 0 {
-		delay := p.Latency
-		if p.LatencyJitter > 0 {
-			// Mean-preserving spread around Latency, hashed from the
-			// exchange identity so retransmissions (fresh query IDs)
-			// re-roll their delay but replays reproduce it exactly.
-			factor := 1 - p.LatencyJitter/2 + p.LatencyJitter*t.roll(saltLatency, day, server, query)
-			delay = time.Duration(float64(delay) * factor)
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-	}
 	if p.outageOn(day) {
 		t.outaged.Add(1)
 		return nil, fmt.Errorf("%w: %v in scheduled outage on %s", ErrInjected, server, day)
 	}
-	if p.Loss > 0 && t.roll(saltLoss, day, server, query) < p.Loss {
+	if p.Loss > 0 && t.roll(day, server, query) < p.Loss {
 		t.dropped.Add(1)
 		return nil, fmt.Errorf("%w: loss to %v", ErrInjected, server)
 	}
-	resp, err := t.inner.Exchange(ctx, server, query)
-	if err != nil {
-		return nil, err
-	}
-	if p.ServFail > 0 && t.roll(saltServFail, day, server, query) < p.ServFail {
-		t.servfails.Add(1)
-		out := query.Reply()
-		out.RCode = RCodeServFail
-		return out, nil
-	}
-	if p.Truncate > 0 && t.roll(saltTrunc, day, server, query) < p.Truncate {
-		t.truncated.Add(1)
-		return Truncate(resp), nil
-	}
-	return resp, nil
-}
-
-// Truncate returns a copy of resp clipped the way an overfull UDP
-// datagram is: TC set, record sections dropped, header and question
-// preserved. Exported so tests and fuzz corpora can produce exactly the
-// shapes the fault layer emits.
-func Truncate(resp *Message) *Message {
-	out := &Message{Header: resp.Header}
-	out.Truncated = true
-	out.Questions = append(out.Questions, resp.Questions...)
-	return out
+	return t.inner.Exchange(ctx, server, query)
 }

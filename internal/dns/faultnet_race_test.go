@@ -9,8 +9,8 @@ import (
 )
 
 // TestFaultProfilesReadersDuringUpdate exchanges through a FaultTransport
-// from several goroutines while SetServer, SetPrefix and SetDefault keep
-// replacing its configuration. Every profile ever installed for the
+// from several goroutines while SetServer and SetDefault keep replacing
+// its configuration. Every profile ever installed for the
 // probed server drops everything, so whichever configuration a reader
 // loads, the exchange must be an injected loss — a reader that saw a
 // half-built table (no match, or the zero profile) would get an answer.
@@ -40,27 +40,24 @@ func TestFaultProfilesReadersDuringUpdate(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		other := netip.AddrFrom4([4]byte{11, 1, byte(i >> 8), byte(i)})
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
-			ft.SetServer(other, FaultProfile{ServFail: 1})
+			ft.SetServer(other, FaultProfile{Loss: 0.5})
 		case 1:
-			ft.SetPrefix(netip.PrefixFrom(other, 24), FaultProfile{Truncate: 1})
-		case 2:
-			ft.SetPrefix(netip.MustParsePrefix("11.0.0.0/16"), drop)
-		case 3:
 			ft.SetServer(server, drop)
+		case 2:
 			ft.SetDefault(drop)
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	// The writers' work is all there: most specific match first.
-	if p, ok := ft.profileFor(mustAddr("11.1.0.0")); !ok || p.ServFail != 1 {
+	// The writers' work is all there: the server's own profile first.
+	if p, ok := ft.profileFor(mustAddr("11.1.0.0")); !ok || p.Loss != 0.5 {
 		t.Errorf("server profile lost: %+v, %v", p, ok)
 	}
-	if p, ok := ft.profileFor(mustAddr("11.1.0.77")); !ok || p.Truncate != 1 {
-		t.Errorf("prefix profile lost: %+v, %v", p, ok)
+	if p, ok := ft.profileFor(mustAddr("11.1.0.1")); !ok || p.Loss != 1 {
+		t.Errorf("default profile lost for an unset server: %+v, %v", p, ok)
 	}
 	if p, ok := ft.profileFor(mustAddr("12.0.0.1")); !ok || p.Loss != 1 {
 		t.Errorf("default profile lost: %+v, %v", p, ok)

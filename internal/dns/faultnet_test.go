@@ -102,32 +102,6 @@ func TestFaultTransportLossErrorIsNoRoute(t *testing.T) {
 	}
 }
 
-func TestFaultTransportServFailAndTruncate(t *testing.T) {
-	server := mustAddr("11.0.0.1")
-	ft := NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), 1, nil)
-	ft.SetServer(server, FaultProfile{ServFail: 1})
-	resp, err := ft.Exchange(context.Background(), server, NewQuery(7, "x.ru.", TypeA))
-	if err != nil || resp.RCode != RCodeServFail || len(resp.Answers) != 0 {
-		t.Fatalf("servfail flap: resp=%v err=%v", resp, err)
-	}
-	if resp.ID != 7 {
-		t.Errorf("flapped response ID = %d, want 7", resp.ID)
-	}
-
-	ft.SetServer(server, FaultProfile{Truncate: 1})
-	resp, err = ft.Exchange(context.Background(), server, NewQuery(8, "x.ru.", TypeA))
-	if err != nil || !resp.Truncated || len(resp.Answers) != 0 {
-		t.Fatalf("truncation: resp=%v err=%v", resp, err)
-	}
-	if len(resp.Questions) != 1 || resp.Questions[0].Name != "x.ru." {
-		t.Errorf("truncated response lost its question: %v", resp.Questions)
-	}
-	st := ft.Stats()
-	if st.ServFails != 1 || st.Truncated != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestFaultTransportOutageWindow(t *testing.T) {
 	server := mustAddr("11.0.0.1")
 	clock := netsim.NewClock(simtime.Date(2022, 3, 2))
@@ -155,42 +129,6 @@ func TestFaultTransportOutageWindow(t *testing.T) {
 	}
 	if st := ft.Stats(); st.Outaged != 3 {
 		t.Errorf("outaged = %d, want 3", st.Outaged)
-	}
-}
-
-func TestFaultTransportProfilePrecedence(t *testing.T) {
-	inside := mustAddr("11.0.0.1")
-	alsoInside := mustAddr("11.0.200.1")
-	outside := mustAddr("12.0.0.1")
-	net := NewMemNet()
-	for _, a := range []netip.Addr{inside, alsoInside, outside} {
-		addr := a
-		net.Bind(addr, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
-			resp := q.Reply()
-			resp.Answers = []RR{NewA(q.Questions[0].Name, 300, addr)}
-			return resp
-		}))
-	}
-	ft := NewFaultTransport(net, 1, nil)
-	ft.SetDefault(FaultProfile{Loss: 1})
-	ft.SetPrefix(netip.MustParsePrefix("11.0.0.0/8"), FaultProfile{ServFail: 1})
-	ft.SetPrefix(netip.MustParsePrefix("11.0.0.0/16"), FaultProfile{Truncate: 1})
-	ft.SetServer(inside, FaultProfile{}) // exact match exempts entirely
-	ctx := context.Background()
-
-	// Exact server profile beats prefixes and default.
-	resp, err := ft.Exchange(ctx, inside, NewQuery(1, "a.ru.", TypeA))
-	if err != nil || resp.Truncated || resp.RCode != RCodeNoError {
-		t.Fatalf("server-exempt exchange: resp=%v err=%v", resp, err)
-	}
-	// Longest prefix wins: /16 truncates, not /8 servfail.
-	resp, err = ft.Exchange(ctx, alsoInside, NewQuery(2, "b.ru.", TypeA))
-	if err != nil || !resp.Truncated {
-		t.Fatalf("/16 profile not applied: resp=%v err=%v", resp, err)
-	}
-	// No prefix match: the default drops.
-	if _, err := ft.Exchange(ctx, outside, NewQuery(3, "c.ru.", TypeA)); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("default profile not applied: %v", err)
 	}
 }
 
@@ -255,24 +193,39 @@ func TestClientRetriesRecoverInjectedLoss(t *testing.T) {
 	}
 }
 
-func TestClientRetriesServFailFlaps(t *testing.T) {
+// TestClientRetriesFlappingReplies pins the client's handling of a
+// SERVFAIL or TC reply, which is the server's to send: each is retried
+// with a fresh ID, a query that gets an answer on a later attempt counts
+// as recovered, and a reply that flaps through every attempt is returned
+// as it is, not as an error.
+func TestClientRetriesFlappingReplies(t *testing.T) {
 	server := mustAddr("11.0.0.1")
-	ft := NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), 9, nil)
-	ft.SetDefault(FaultProfile{ServFail: 0.5, Truncate: 0.2})
-	c := NewSeededClient(ft, 9)
-	c.Retries = 5
-	bad := 0
-	for i := 0; i < 300; i++ {
-		resp, err := c.Query(context.Background(), server, fmt.Sprintf("f%03d.ru.", i), TypeA)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
+	net := NewMemNet()
+	attempts := map[string]int{}
+	net.Bind(server, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
+		name := q.Questions[0].Name
+		attempts[name]++
+		resp := q.Reply()
+		switch {
+		case name == "down.ru." || attempts[name] == 1:
+			resp.RCode = RCodeServFail
+		case attempts[name] == 2:
+			resp.Truncated = true
+		default:
+			resp.Answers = []RR{NewA(name, 300, mustAddr("11.0.1.1"))}
 		}
-		if resp.RCode == RCodeServFail || resp.Truncated {
-			bad++
-		}
+		return resp
+	}))
+	c := NewSeededClient(net, 3)
+	resp, err := c.Query(context.Background(), server, "flap.ru.", TypeA)
+	if err != nil || len(resp.Answers) != 1 || attempts["flap.ru."] != 3 {
+		t.Fatalf("flapping server: %v, %v after %d attempts", resp, err, attempts["flap.ru."])
 	}
-	// A persistent flap needs 6 consecutive bad draws (p ≈ 0.6^6 ≈ 5%).
-	if bad > 45 {
-		t.Errorf("%d/300 queries still flapped through %d attempts", bad, c.Retries+1)
+	resp, err = c.Query(context.Background(), server, "down.ru.", TypeA)
+	if err != nil || resp.RCode != RCodeServFail || attempts["down.ru."] != c.Retries+1 {
+		t.Fatalf("SERVFAIL through every attempt: %v, %v after %d attempts", resp, err, attempts["down.ru."])
+	}
+	if st := c.Stats(); st.Retries != 4 || st.Recovered != 1 || st.Failed != 0 {
+		t.Errorf("stats = %+v, want 4 retries, 1 recovered, 0 failed", st)
 	}
 }

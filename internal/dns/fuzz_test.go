@@ -18,15 +18,17 @@ func FuzzDecode(f *testing.F) {
 	if w, err := q.Encode(); err == nil {
 		f.Add(w)
 	}
-	// Shapes the fault layer emits on a degraded wire: SERVFAIL flaps,
-	// TC-stripped responses, and datagrams cut mid-record.
+	// Shapes a degraded wire carries: SERVFAIL flaps, TC-stripped
+	// responses, and datagrams cut mid-record.
 	flap := NewQuery(10, "flap.ru.", TypeA).Reply()
 	flap.RCode = RCodeServFail
 	if w, err := flap.Encode(); err == nil {
 		f.Add(w)
 	}
 	full := sampleMessage()
-	if w, err := Truncate(full).Encode(); err == nil {
+	clipped := &Message{Header: full.Header, Questions: full.Questions}
+	clipped.Truncated = true
+	if w, err := clipped.Encode(); err == nil {
 		f.Add(w)
 	}
 	if w, err := full.Encode(); err == nil && len(w) > 12 {
@@ -69,12 +71,12 @@ func FuzzName(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		name := Canonical(s)
-		if !ValidName(name) {
-			return
-		}
 		b, err := appendName(nil, name)
+		if (err == nil) != ValidName(name) {
+			t.Fatalf("ValidName(%q) = %v but appendName returned %v", name, ValidName(name), err)
+		}
 		if err != nil {
-			t.Fatalf("ValidName(%q) but appendName failed: %v", name, err)
+			return
 		}
 		if len(b) > 256 {
 			t.Fatalf("wire form of %q is %d octets", name, len(b))

@@ -18,10 +18,11 @@ import (
 // misses simply allocate like an intern-free decode. A MemNet carries
 // one intern for its lifetime. The simulated world's infrastructure names
 // and payloads stay far below the bounds; its domain names pass the name
-// cap from about 1:180 on (117k at 1:100), and a decode of a domain name
-// the table does not hold then allocates its string. That is the cheaper
-// side: at 1:100, collect_clean peaks 6–9 MB lower with the cap than
-// without it, at the same CPU per measurement.
+// cap from about 1:180 on (117k at 1:100). The question and the owner
+// names that point at it still cost nothing past the cap — they decode
+// to the query's own name (parser.hint) — but any other spelling of a
+// name the table does not hold allocates its string. That is the cheaper side: at 1:100, collect_clean peaks 6–9 MB
+// lower with the cap than without it, at the same CPU per measurement.
 
 const (
 	maxInternNames = 1 << 16
@@ -54,23 +55,24 @@ func newWireIntern() *wireIntern {
 	}
 }
 
-// name returns a string equal to b, reusing a previously interned copy
-// when possible. Hash collisions fall back to a fresh allocation (the
-// first-comer keeps the slot), preserving correctness.
-func (w *wireIntern) name(b []byte) string {
+// lookup returns the interned string equal to b, if there is one, and
+// b's hash for add.
+func (w *wireIntern) lookup(b []byte) (string, uint64, bool) {
 	h := maphash.Bytes(lfSeed, b)
 	s, ok := w.names.get(h)
-	if ok && s == string(b) { // comparison does not allocate
-		return s
-	}
+	return s, h, ok && s == string(b) // comparison does not allocate
+}
+
+// add returns a new string equal to b, whose hash is h, and interns it
+// unless the slot is taken (a hash collision: the first-comer keeps it)
+// or the table is full. The decoder adds only validated names.
+func (w *wireIntern) add(b []byte, h uint64) string {
 	out := string(b)
-	if !ok {
-		w.mu.Lock()
-		if _, dup := w.names.get(h); !dup && w.names.n < maxInternNames {
-			w.names.put(h, out)
-		}
-		w.mu.Unlock()
+	w.mu.Lock()
+	if _, dup := w.names.get(h); !dup && w.names.n < maxInternNames {
+		w.names.put(h, out)
 	}
+	w.mu.Unlock()
 	return out
 }
 

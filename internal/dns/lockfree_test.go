@@ -203,6 +203,16 @@ func TestInfraCacheLockFreeReadSide(t *testing.T) {
 	}
 }
 
+// internName is what the decoder does with a name's bytes once they are
+// validated: the interned copy, or a new string added to the table.
+func internName(w *wireIntern, b []byte) string {
+	s, h, ok := w.lookup(b)
+	if !ok {
+		s = w.add(b, h)
+	}
+	return s
+}
+
 // TestWireInternConcurrent interns an overlapping population from many
 // goroutines: every returned value equals its input, and once the dust
 // settles each name and payload has exactly one interned copy.
@@ -219,7 +229,7 @@ func TestWireInternConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for n := 0; n < 20000; n++ {
 				i := rng.Intn(population)
-				if got := w.name([]byte(name(i))); got != name(i) {
+				if got := internName(w, []byte(name(i))); got != name(i) {
 					t.Errorf("name(%q) = %q", name(i), got)
 					return
 				}
@@ -240,7 +250,7 @@ func TestWireInternConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < population; i++ {
-		a, b := w.name([]byte(name(i))), w.name([]byte(name(i)))
+		a, b := internName(w, []byte(name(i))), internName(w, []byte(name(i)))
 		if unsafe.StringData(a) != unsafe.StringData(b) {
 			t.Fatalf("name %q has more than one interned copy", name(i))
 		}

@@ -201,13 +201,15 @@ var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 // written (scanning the table in insertion order, so first-write-wins
 // exactly like the reference map) is referenced with a 2-octet pointer,
 // and only the new leading labels are written literally. base is the
-// message's start offset within b.
+// message's start offset within b. The name is validated as it is
+// written: a suffix found in the table was checked when it was written,
+// and each new label is checked as it is copied.
 func (e *encoder) appendCompressedName(b []byte, base int, name string) ([]byte, error) {
-	if !ValidName(name) {
-		return nil, fmt.Errorf("dns: invalid name %q", name)
-	}
 	if name == "." {
 		return append(b, 0), nil
+	}
+	if !fqdnShape(name) {
+		return nil, fmt.Errorf("dns: invalid name %q", name)
 	}
 	for pos := 0; pos < len(name); {
 		suffix := name[pos:]
@@ -221,13 +223,16 @@ func (e *encoder) appendCompressedName(b []byte, base int, name string) ([]byte,
 		if off >= 0 { // recorded offsets are always < 0x3FFF
 			return append(b, 0xC0|byte(off>>8), byte(off)), nil
 		}
+		dot := labelEnd(name, pos)
+		if dot < 0 {
+			return nil, fmt.Errorf("dns: invalid name %q", name)
+		}
 		if len(b)-base < 0x3FFF {
 			e.names = append(e.names, nameOffset{suffix, len(b) - base})
 		}
-		dot := strings.IndexByte(suffix, '.') // ValidName guarantees 1..63
-		b = append(b, byte(dot))
-		b = append(b, suffix[:dot]...)
-		pos += dot + 1
+		b = append(b, byte(dot-pos))
+		b = append(b, name[pos:dot]...)
+		pos = dot + 1
 	}
 	return append(b, 0), nil
 }
@@ -307,15 +312,20 @@ func (m *Message) Encode() ([]byte, error) {
 }
 
 // parser decodes one message. Names are parsed by offset directly into
-// the packet: labels are copied into the fixed scratch buffer (no
-// intermediate label slices or builders) and materialized as a string
-// once — or not at all when the intern table already holds the name.
-// A parser lives on its decode's stack; nothing may let p or p.scratch
-// escape.
+// the packet: labels are copied into the scratch buffer (no intermediate
+// label slices or builders) and materialized as a string once — or not at
+// all when the name is the hint or one the intern table holds. A pooled
+// decode's parser, with its name scratch, lives in the msgArena, so the
+// decode neither zeroes it on its stack nor allocates it; Decode's lives
+// on its stack, and nothing may let p escape.
 type parser struct {
-	buf     []byte
-	pos     int
-	intern  *wireIntern
+	buf    []byte
+	pos    int
+	intern *wireIntern
+	// hint is "" or a name the encoder accepted that the message is
+	// expected to repeat (MemNet passes the query's question): a decoded
+	// name equal to it is returned as hint.
+	hint    string
 	scratch [256]byte
 }
 
@@ -335,15 +345,6 @@ func (p *parser) uint32() (uint32, error) {
 	v := uint32(p.buf[p.pos])<<24 | uint32(p.buf[p.pos+1])<<16 | uint32(p.buf[p.pos+2])<<8 | uint32(p.buf[p.pos+3])
 	p.pos += 4
 	return v, nil
-}
-
-// str materializes decoded name bytes as a string, through the intern
-// table when one is attached.
-func (p *parser) str(b []byte) string {
-	if p.intern != nil {
-		return p.intern.name(b)
-	}
-	return string(b)
 }
 
 // name decodes a possibly-compressed name starting at p.pos, leaving p.pos
@@ -368,13 +369,33 @@ func (p *parser) name() (string, error) {
 			if n == 0 {
 				return ".", nil
 			}
+			// The materialized string is the hint itself when the bytes
+			// spell it, else the intern table's copy, else a new string,
+			// added to the table when one is attached. Only that last case
+			// validates: the hint was accepted by the encoder and every
+			// interned name was validated before it was added, so a name
+			// equal to one is valid.
 			name := p.scratch[:n]
+			if string(name) == p.hint { // comparison does not allocate
+				return p.hint, nil
+			}
+			var h uint64
+			if p.intern != nil {
+				s, hash, ok := p.intern.lookup(name)
+				if ok {
+					return s, nil
+				}
+				h = hash
+			}
 			if !validName(name) {
 				// string(name): formatting the scratch slice itself would
 				// move the whole parser to the heap.
 				return "", fmt.Errorf("dns: decoded invalid name %q", string(name))
 			}
-			return p.str(name), nil
+			if p.intern != nil {
+				return p.intern.add(name, h), nil
+			}
+			return string(name), nil
 		case b&0xC0 == 0xC0:
 			if pos+2 > len(p.buf) {
 				return "", ErrTruncatedMessage
@@ -554,7 +575,8 @@ type ownedMessage struct {
 func Decode(buf []byte) (*Message, error) {
 	d := new(ownedMessage)
 	var rrs []RR
-	if err := decodeInto(buf, nil, &d.m, &d.q, &rrs); err != nil {
+	p := parser{buf: buf}
+	if err := decodeInto(&p, &d.m, &d.q, &rrs); err != nil {
 		return nil, err
 	}
 	return &d.m, nil
@@ -586,6 +608,8 @@ type msgArena struct {
 	// reply and replyQ hold the Reply to a request being served.
 	reply  Message
 	replyQ [1]Question
+	// p is the decode's parser, with its name scratch.
+	p parser
 	// serving marks a request arena on loan to a handler: Reply builds in
 	// place (once: replied) and Release is not the handler's to call.
 	serving, replied bool
@@ -603,10 +627,11 @@ var arenaPool = sync.Pool{New: func() any { return new(msgArena) }}
 // tests (before any exchange runs); never by shipped code.
 var poisonReleased bool
 
-// decodeArena parses buf into a pooled arena.
-func decodeArena(buf []byte, intern *wireIntern) (*msgArena, error) {
+// decodeArena parses buf into a pooled arena; hint is "" or a name the
+// encoder accepted that the message is expected to repeat.
+func decodeArena(buf []byte, intern *wireIntern, hint string) (*msgArena, error) {
 	a := arenaPool.Get().(*msgArena)
-	if err := a.decode(buf, intern); err != nil {
+	if err := a.decode(buf, intern, hint); err != nil {
 		a.recycle()
 		return nil, err
 	}
@@ -614,8 +639,9 @@ func decodeArena(buf []byte, intern *wireIntern) (*msgArena, error) {
 }
 
 // decode parses buf into the arena, overwriting whatever it held.
-func (a *msgArena) decode(buf []byte, intern *wireIntern) error {
-	if err := decodeInto(buf, intern, &a.m, &a.q, &a.rrs); err != nil {
+func (a *msgArena) decode(buf []byte, intern *wireIntern, hint string) error {
+	a.p.buf, a.p.intern, a.p.hint = buf, intern, hint
+	if err := decodeInto(&a.p, &a.m, &a.q, &a.rrs); err != nil {
 		return err
 	}
 	a.m.arena = a
@@ -671,18 +697,19 @@ func (m *Message) Release() {
 	}
 }
 
-// decodeInto parses a message into m, sharing strings and RData values
-// through the intern table when one is given. The question goes to q and
-// the records to *rrs (grown when too small, left holding exactly them)
-// in the common one-question shape; more questions get a slice of their
-// own. Every field of m is overwritten, so reused storage carries nothing
+// decodeInto parses the message p reads into m, sharing strings and
+// RData values through p's hint and intern table. The question goes to q
+// and the records to *rrs (grown when too small, left holding exactly
+// them) in the common one-question shape; more questions get a slice of
+// their own. Every field of m is overwritten, so reused storage carries nothing
 // over. Decoded messages never alias buf — every name and payload is
 // copied out — so callers may recycle the wire buffer immediately.
-func decodeInto(buf []byte, intern *wireIntern, m *Message, q *[1]Question, rrs *[]RR) error {
+func decodeInto(p *parser, m *Message, q *[1]Question, rrs *[]RR) error {
+	buf := p.buf
 	if len(buf) < headerLen {
 		return ErrTruncatedMessage
 	}
-	p := parser{buf: buf, pos: headerLen, intern: intern}
+	p.pos = headerLen
 	qd := int(buf[4])<<8 | int(buf[5])
 	an := int(buf[6])<<8 | int(buf[7])
 	ns := int(buf[8])<<8 | int(buf[9])

@@ -2,8 +2,10 @@ package dns
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +215,26 @@ func TestValidName(t *testing.T) {
 	for _, n := range invalid {
 		if ValidName(n) {
 			t.Errorf("ValidName(%q) = true, want false", n)
+		}
+	}
+	// The encoders check names label by label as they write them; their
+	// verdict and error must be ValidName's, at every boundary.
+	label63 := long[:63]
+	wire255 := strings.Repeat(label63+".", 3) + strings.Repeat("a", 61) + "." // 254 octets: wire 255
+	wire256 := strings.Repeat(label63+".", 3) + strings.Repeat("a", 62) + "."
+	for _, n := range append(append(valid, invalid...),
+		wire255, wire256, "b"+wire255, label63+".ru.", "ru.\x7f.", "a.\x00.", ".ru.", "ru..", "ru.x") {
+		want := ValidName(n)
+		_, plainErr := appendName(nil, n)
+		m := &Message{Questions: []Question{{Name: n, Type: TypeA, Class: ClassIN}}}
+		m.Answers = []RR{NewA(n, 60, mustAddr("192.0.2.1"))} // a second copy: the compression table's suffixes
+		_, compErr := m.Encode()
+		for _, err := range []error{plainErr, compErr} {
+			if (err == nil) != want {
+				t.Errorf("%q: ValidName %v, encoder error %v", n, want, err)
+			} else if err != nil && err.Error() != fmt.Sprintf("dns: invalid name %q", n) {
+				t.Errorf("%q: encoder error %q", n, err)
+			}
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // names directly comparable with ==, usable as map keys, and sortable.
 
 // Canonical normalizes a presentation-form name: lowercases it and appends
-// the root dot if missing. It does not validate label lengths; use
-// ValidName for that.
+// the root dot if missing. It does not validate label lengths: the
+// encoder refuses a name whose labels are malformed.
 func Canonical(name string) string {
 	if name == "" || name == "." {
 		return "."
@@ -24,14 +24,11 @@ func Canonical(name string) string {
 	return name
 }
 
-// ValidName reports whether name is a well-formed canonical domain name:
+// validName reports whether name is a well-formed canonical domain name:
 // fully qualified, total length ≤ 255 octets in wire form, each label
-// 1–63 octets of printable ASCII.
-func ValidName(name string) bool { return validName(name) }
-
-// validName is ValidName over string or []byte, so the wire decoder can
-// validate scratch bytes without materializing a string. It walks the
-// name once instead of splitting into a label slice.
+// 1–63 octets of printable ASCII. It takes string or []byte, so the wire
+// decoder can validate scratch bytes without materializing a string, and
+// walks the name once instead of splitting it into a label slice.
 func validName[T string | []byte](name T) bool {
 	if len(name) == 1 && name[0] == '.' {
 		return true
@@ -55,6 +52,31 @@ func validName[T string | []byte](name T) bool {
 		}
 	}
 	return wire <= 255
+}
+
+// fqdnShape holds the checks of validName that need no label walk, for
+// a name other than the root: it ends in the root dot, and its wire form
+// (one octet more than the presentation form) fits in 255 octets.
+func fqdnShape(name string) bool {
+	return len(name) > 0 && len(name) <= 254 && name[len(name)-1] == '.'
+}
+
+// labelEnd returns the index of the dot that ends the label of name
+// starting at pos, or -1 when that label is empty, longer than 63
+// octets or holds a byte outside printable ASCII. name passed fqdnShape,
+// so a dot ends every label. fqdnShape and labelEnd over every label are
+// validName, split so the encoders check each label as they copy it.
+func labelEnd(name string, pos int) int {
+	i := pos
+	for ; name[i] != '.'; i++ {
+		if c := name[i]; c < '!' || c > '~' {
+			return -1
+		}
+	}
+	if l := i - pos; l == 0 || l > 63 {
+		return -1
+	}
+	return i
 }
 
 // CountLabels returns the number of labels in a canonical name, not
@@ -110,19 +132,23 @@ func Join(label, suffix string) string {
 }
 
 // appendName encodes a canonical name in uncompressed wire form without
-// allocating intermediate label slices.
+// allocating intermediate label slices, validating each label as it
+// copies it.
 func appendName(b []byte, name string) ([]byte, error) {
-	if !ValidName(name) {
-		return nil, fmt.Errorf("dns: invalid name %q", name)
-	}
 	if name == "." {
 		return append(b, 0), nil
 	}
+	if !fqdnShape(name) {
+		return nil, fmt.Errorf("dns: invalid name %q", name)
+	}
 	for pos := 0; pos < len(name); {
-		dot := strings.IndexByte(name[pos:], '.') // ValidName guarantees 1..63
-		b = append(b, byte(dot))
-		b = append(b, name[pos:pos+dot]...)
-		pos += dot + 1
+		dot := labelEnd(name, pos)
+		if dot < 0 {
+			return nil, fmt.Errorf("dns: invalid name %q", name)
+		}
+		b = append(b, byte(dot-pos))
+		b = append(b, name[pos:dot]...)
+		pos = dot + 1
 	}
 	return append(b, 0), nil
 }

@@ -26,6 +26,12 @@ func Labels(name string) []string {
 	return strings.Split(strings.TrimSuffix(name, "."), ".")
 }
 
+// ValidName reports whether name is a well-formed canonical domain name:
+// fully qualified, total length ≤ 255 octets in wire form, each label
+// 1–63 octets of printable ASCII. The reference codec's whole-name check;
+// the fast encoders make it label by label as they write.
+func ValidName(name string) bool { return validName(name) }
+
 type refBuilder struct {
 	buf      []byte
 	nameOffs map[string]int // canonical name -> offset of its first encoding

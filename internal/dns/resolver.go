@@ -144,7 +144,7 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 			return res, nil
 		}
 		res.Chain = append(res.Chain, target)
-		qname = target
+		qname = Canonical(target)
 	}
 }
 

@@ -3,7 +3,6 @@ package dns
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -76,100 +75,5 @@ func TestRouteTransportNilClockPinsDayZero(t *testing.T) {
 		windowPolicy{cut: server, window: win})
 	if _, err := rt.Exchange(context.Background(), server, NewQuery(1, "x.ru.", TypeA)); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("nil clock should pin routing to day 0: %v", err)
-	}
-}
-
-// TestLatencyJitterRoll pins the jitter hash: uniform in [0,1), spread
-// across query identities, reproducible under a seed, and changed by it.
-func TestLatencyJitterRoll(t *testing.T) {
-	server := mustAddr("11.0.0.1")
-	mk := func(seed int64) *FaultTransport {
-		return NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), seed, nil)
-	}
-	ft := mk(42)
-	const n = 2000
-	sum := 0.0
-	distinct := make(map[float64]bool, n)
-	rolls := make([]float64, n)
-	for i := 0; i < n; i++ {
-		q := NewQuery(uint16(i), fmt.Sprintf("d%04d.ru.", i), TypeA)
-		u := ft.roll(saltLatency, simtime.ConflictStart, server, q)
-		if u < 0 || u >= 1 {
-			t.Fatalf("roll %d = %v outside [0,1)", i, u)
-		}
-		rolls[i] = u
-		sum += u
-		distinct[u] = true
-	}
-	if mean := sum / n; mean < 0.45 || mean > 0.55 {
-		t.Errorf("mean roll = %.3f, want ≈ 0.5 (mean-preserving jitter)", mean)
-	}
-	if len(distinct) < n*9/10 {
-		t.Errorf("only %d/%d distinct rolls — jitter would be degenerate", len(distinct), n)
-	}
-	ft2 := mk(42)
-	for i := 0; i < n; i++ {
-		q := NewQuery(uint16(i), fmt.Sprintf("d%04d.ru.", i), TypeA)
-		if u := ft2.roll(saltLatency, simtime.ConflictStart, server, q); u != rolls[i] {
-			t.Fatalf("roll %d differs under the same seed", i)
-		}
-	}
-	ft3 := mk(43)
-	same := 0
-	for i := 0; i < n; i++ {
-		q := NewQuery(uint16(i), fmt.Sprintf("d%04d.ru.", i), TypeA)
-		if ft3.roll(saltLatency, simtime.ConflictStart, server, q) == rolls[i] {
-			same++
-		}
-	}
-	if same > n/10 {
-		t.Errorf("seed 43 reproduced %d/%d of seed 42's rolls", same, n)
-	}
-	// The latency salt is independent of the loss salt: the same exchange
-	// identity must not roll the same value for both decisions.
-	q := NewQuery(1, "x.ru.", TypeA)
-	if ft.roll(saltLatency, 0, server, q) == ft.roll(saltLoss, 0, server, q) {
-		t.Error("latency and loss rolls collide for the same exchange")
-	}
-}
-
-// TestLatencyJitterDelay verifies the effective delay formula end to end:
-// the exchange sleeps at least Latency × (1 − J/2 + J·u) for the
-// exchange's own hashed u, and a zero jitter keeps the fixed delay.
-func TestLatencyJitterDelay(t *testing.T) {
-	server := mustAddr("11.0.0.1")
-	const base = 20 * time.Millisecond
-	ft := NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), 7, nil)
-	ft.SetDefault(FaultProfile{Latency: base, LatencyJitter: 1.0})
-
-	q := NewQuery(9, "jit.ru.", TypeA)
-	u := ft.roll(saltLatency, 0, server, q)
-	expected := time.Duration(float64(base) * (1 - 0.5 + u))
-	if expected < base/2 || expected >= base*3/2 {
-		t.Fatalf("expected delay %v outside [%v, %v)", expected, base/2, base*3/2)
-	}
-	start := time.Now()
-	if _, err := ft.Exchange(context.Background(), server, q); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < expected {
-		t.Errorf("exchange slept %v, want at least the jittered delay %v", elapsed, expected)
-	}
-
-	// Two different query identities draw different delays.
-	q2 := NewQuery(10, "jit2.ru.", TypeA)
-	if u2 := ft.roll(saltLatency, 0, server, q2); u2 == u {
-		t.Error("distinct exchanges drew identical jitter")
-	}
-
-	// Jitter without Latency is inert: active() stays false, exchanges
-	// pass through untouched and uncounted.
-	ft2 := NewFaultTransport(echoNet(server, mustAddr("11.0.1.1")), 7, nil)
-	ft2.SetDefault(FaultProfile{LatencyJitter: 0.5})
-	if _, err := ft2.Exchange(context.Background(), server, NewQuery(1, "a.ru.", TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	if st := ft2.Stats(); st.Exchanges != 0 {
-		t.Errorf("jitter-only profile counted as active: %+v", st)
 	}
 }

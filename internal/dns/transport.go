@@ -138,7 +138,13 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 		return nil, err
 	}
 	*wb = wire
-	req, err := decodeArena(wire, m.intern)
+	// The question comes back in the request and again in the response:
+	// both decodes return the query's own name, just encoded, for it.
+	var hint string
+	if len(query.Questions) > 0 {
+		hint = query.Questions[0].Name
+	}
+	req, err := decodeArena(wire, m.intern, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +160,7 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 		return nil, err
 	}
 	*wb = wire
-	out, err := decodeArena(wire, m.intern)
+	out, err := decodeArena(wire, m.intern, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +351,8 @@ var queryPool = sync.Pool{
 // errors, SERVFAIL flaps, and truncated responses. A SERVFAIL or
 // truncated response that persists through every attempt is returned to
 // the caller as-is — it is a response, and the caller decides whether to
-// fail over to another server.
+// fail over to another server. name must be canonical (see Canonical):
+// it is sent as given.
 func (c *Client) Query(ctx context.Context, server netip.Addr, name string, qtype Type) (*Message, error) {
 	c.queries.Add(1)
 	var lastErr error
@@ -355,7 +362,7 @@ func (c *Client) Query(ctx context.Context, server netip.Addr, name string, qtyp
 	q := queryPool.Get().(*Message)
 	defer queryPool.Put(q)
 	q.Header = Header{}
-	q.Questions = append(q.Questions[:0], Question{Name: Canonical(name), Type: qtype, Class: ClassIN})
+	q.Questions = append(q.Questions[:0], Question{Name: name, Type: qtype, Class: ClassIN})
 	q.Answers, q.Authority, q.Additional = nil, nil, nil
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {

@@ -93,7 +93,7 @@ func TestScheduleEdgeCases(t *testing.T) {
 // the serialized store.
 func sweepOnce(t *testing.T, faultSeed int64) (SweepStats, []byte) {
 	t.Helper()
-	p, _, _ := buildLossyPipeline(t, 20000, faultSeed, dns.FaultProfile{Loss: 0.25, ServFail: 0.05}, 1)
+	p, _, _ := buildLossyPipeline(t, 20000, faultSeed, dns.FaultProfile{Loss: 0.25}, 1)
 	stats, err := p.Sweep(context.Background(), simtime.ConflictStart)
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,19 @@ func TestCatalogASNsUnique(t *testing.T) {
 	}
 }
 
+// encodable reports whether the DNS encoder writes n as a question: a
+// fully qualified name whose labels are 1–63 printable octets and whose
+// wire form fits in 255.
+func encodable(n string) bool {
+	m := &dns.Message{Questions: []dns.Question{{Name: n, Type: dns.TypeA, Class: dns.ClassIN}}}
+	_, err := m.Encode()
+	return err == nil
+}
+
 func TestCatalogNSNamesValid(t *testing.T) {
 	for _, p := range Catalog() {
 		for _, n := range p.NSNames {
-			if !dns.ValidName(n) {
+			if !encodable(n) {
 				t.Errorf("%s: invalid NS name %q", p.Key, n)
 			}
 			if dns.CountLabels(n) < 3 {
@@ -33,7 +42,7 @@ func TestCatalogNSNamesValid(t *testing.T) {
 			}
 		}
 		if p.MailHost != "" {
-			if !dns.ValidName(p.MailHost) {
+			if !encodable(p.MailHost) {
 				t.Errorf("%s: invalid mail host %q", p.Key, p.MailHost)
 			}
 		}
