@@ -34,9 +34,6 @@ var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\
 // and bench/ and fails on what the tree has ruled out:
 //   - a hash/crc32 import outside internal/frame, test files included:
 //     length+CRC32C framing lives in one place;
-//   - an internal/grid import in a non-test file outside internal/grid:
-//     collection is Pipeline.Sweep in one process, and the grid's own
-//     tests are its only callers;
 //   - in non-test files under internal/, cmd/ and examples/: a call of a
 //     materialising journal reader (by name, qualified or not: the names
 //     are unique in the module), a retired lookup, or a top-level
@@ -49,9 +46,6 @@ func TestSourceHygiene(t *testing.T) {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p == "hash/crc32" && !strings.HasPrefix(f.path, "internal/frame/") {
 				t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
-			}
-			if p == "whereru/internal/grid" && !f.test && !strings.HasPrefix(f.path, "internal/grid/") {
-				t.Errorf("%s: imports internal/grid; collect with openintel.Pipeline.Sweep", fset.Position(imp.Pos()))
 			}
 		}
 		if f.test || strings.HasPrefix(f.path, "bench/") {

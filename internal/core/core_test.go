@@ -40,8 +40,8 @@ func TestStudyLifecycle(t *testing.T) {
 	if s.Store.NumDomains() == 0 {
 		t.Fatal("empty store after Collect")
 	}
-	if len(s.Archive.Days()) == 0 {
-		t.Fatal("no scan days recorded")
+	if s.RussianCA().UniqueCerts == 0 {
+		t.Fatal("no Russian Trusted Root CA certificate in the scans")
 	}
 	if s.Scale() != 20000 {
 		t.Fatalf("Scale = %d", s.Scale())
@@ -228,15 +228,53 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	if got, want := len(loaded.Sweeps), len(s.Sweeps); got != want {
 		t.Fatalf("loaded sweeps = %d, want %d", got, want)
 	}
-	// The DNS-derived series must be identical to the originating study's.
-	want, got := s.Fig1(), loaded.Fig1()
-	if len(want) != len(got) {
-		t.Fatalf("Fig1 lengths differ: %d vs %d", len(want), len(got))
+	sameOutputs(t, "LoadStore", outputs(t, loaded), outputs(t, s))
+}
+
+// outputs is everything a study renders, by name: the report, the
+// markdown and each CSV.
+func outputs(t *testing.T, s *Study) map[string]string {
+	t.Helper()
+	var report, md bytes.Buffer
+	if err := s.RenderAll(&report); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Fig1[%d] = %+v, want %+v", i, got[i], want[i])
+	if err := s.ExperimentsMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{"report": report.String(), "markdown": md.String()}
+	files := map[string]*memFile{}
+	if err := s.ExportCSV(func(name string) (io.WriteCloser, error) {
+		files[name] = &memFile{}
+		return files[name], nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range files {
+		out[name] = f.String()
+	}
+	return out
+}
+
+// sameOutputs fails t for every output of a loaded study that differs
+// from the collected study's, quoting the first line that differs.
+func sameOutputs(t *testing.T, load string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d outputs, the collected study rendered %d", load, len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == w {
+			continue
 		}
+		gl, wl := strings.SplitAfter(g, "\n"), strings.SplitAfter(w, "\n")
+		i := 0
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+			i++
+		}
+		gl, wl = append(gl, ""), append(wl, "")
+		t.Errorf("%s: %s differs from the collected study's at line %d\n got %q\nwant %q", load, name, i+1, gl[i], wl[i])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"whereru/internal/netsim"
 	"whereru/internal/pki"
 	"whereru/internal/report"
+	"whereru/internal/scan"
 	"whereru/internal/simtime"
 	"whereru/internal/world"
 )
@@ -29,11 +30,8 @@ const (
 	// loaded and a followed study all have them.
 	FromStore Source = "store"
 	// FromWorld experiments read the generated world (certificates, the
-	// CT log), which every study rebuilds from its seed.
+	// CT log, the TLS endpoints), which every study rebuilds from its seed.
 	FromWorld Source = "world"
-	// FromScan experiments read the TLS scan archive, which only a
-	// collecting study has: the store format does not hold it.
-	FromScan Source = "scan"
 )
 
 // Series is what a store-sourced experiment reads. A Study computes it
@@ -399,11 +397,11 @@ var experiments = []Experiment{{
 		}
 	},
 }, {
-	ID: "russianCA", Section: "§4.3", Source: FromScan,
+	ID: "russianCA", Section: "§4.3", Source: FromWorld,
 	Title: "§4.3 Russian Trusted Root CA",
 	text: func(s *Study, e *Experiment, w *errWriter) {
-		rca := s.RussianCA()
-		fmt.Fprintf(w, "%s (from %d scan days):\n", e.Title, len(s.Archive.Days()))
+		rca := s.russianCA()
+		fmt.Fprintf(w, "%s (from %d scan days):\n", e.Title, rca.days)
 		fmt.Fprintf(w, "  unique certificates observed: %d (paper: 170)\n", rca.UniqueCerts)
 		fmt.Fprintf(w, "  .ru domains secured: %d (paper: 130); .рф: %d (paper: 2); other TLDs: %d\n", rca.RuDomains, rca.RFDomains, rca.OtherTLDNames)
 		fmt.Fprintf(w, "  sanctioned-domain certs: %d covering %d domains (%.0f%% of the list)\n",
@@ -979,9 +977,25 @@ func (s *Study) Table2() []analysis.RevocationRow {
 	})
 }
 
-// RussianCA computes the §4.3 report. Read-only.
-func (s *Study) RussianCA() analysis.RussianCAReport {
-	return memoized(s, "russianCA", func() analysis.RussianCAReport { return analysis.RussianCAImpact(s.Archive, s.World.Sanctions) })
+// RussianCA computes the §4.3 report over the world's TLS endpoints,
+// scanned weekly from world.RussianCAStartDay to simtime.CTWindowEnd, as
+// Table1 reads the world's CT log. Read-only.
+func (s *Study) RussianCA() analysis.RussianCAReport { return s.russianCA().RussianCAReport }
+
+// scannedCA is the §4.3 report with the number of scan days behind it.
+type scannedCA struct {
+	analysis.RussianCAReport
+	days int
+}
+
+func (s *Study) russianCA() scannedCA {
+	return memoized(s, "russianCA", func() scannedCA {
+		a := scan.NewArchive()
+		for d := world.RussianCAStartDay; d <= simtime.CTWindowEnd; d = d.Add(7) {
+			a.Record(d, s.World.Scanner.Sweep(d))
+		}
+		return scannedCA{analysis.RussianCAImpact(a, s.World.Sanctions), len(a.Days())}
+	})
 }
 
 // Hosting computes the §3.1 hosting-composition series. Read-only.

@@ -55,11 +55,11 @@ func prefixStore(recs []store.JournalSweep) *store.Store {
 	return st
 }
 
-// freshOver is a study that has computed nothing: s's world and scan
-// archive over st, with its own analyzer and an empty memo.
+// freshOver is a study that has computed nothing: s's world over st, with
+// its own analyzer and an empty memo.
 func freshOver(s *Study, st *store.Store) *Study {
 	an := &analysis.Analyzer{Store: st, Geo: s.Analyzer.Geo, Internet: s.Analyzer.Internet, Routes: s.Analyzer.Routes}
-	return &Study{Opts: s.Opts, World: s.World, Store: st, Analyzer: an, Archive: s.Archive, Outages: s.Outages, Sweeps: st.Sweeps()}
+	return &Study{Opts: s.Opts, World: s.World, Store: st, Analyzer: an, Outages: s.Outages, Sweeps: st.Sweeps()}
 }
 
 // results returns every memoized experiment of s by name.

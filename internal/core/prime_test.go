@@ -50,8 +50,9 @@ func oracleEngine(t *testing.T, s *Study, path string) (*stream.Engine, *store.J
 // TestLoadCheckpointStreamsLikeReplay pins the one load path and the
 // prime that follows it. LoadCheckpoint and LoadCheckpointReplay stream
 // the journal into the store and leave the study the collection left —
-// same store bytes and generation (served ETags hang on it), same sweeps
-// and journaled stats; the replay returned holds no measurement; and an
+// same store bytes and generation (served ETags hang on it), same sweeps,
+// journaled stats and rendered outputs; the replay returned holds no
+// measurement; and an
 // engine primed by FoldReplay, which re-reads the file a segment at a
 // time, equals on every getter one fed the records the materialising
 // reader keeps. On a plain journal, one with a dropped day, and one with
@@ -123,6 +124,7 @@ func TestLoadCheckpointStreamsLikeReplay(t *testing.T) {
 					t.Errorf("%s: stats %+v, collected %+v", name, s.Stats, journaled)
 				}
 			}
+			sameOutputs(t, "LoadCheckpoint", outputs(t, streamed), outputs(t, collected))
 
 			eng := primed.NewStreamEngine()
 			if err := FoldReplay(eng, replay); err != nil {

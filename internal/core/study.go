@@ -18,7 +18,6 @@ import (
 	"whereru/internal/iofault"
 	"whereru/internal/netsim"
 	"whereru/internal/openintel"
-	"whereru/internal/scan"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 	"whereru/internal/world"
@@ -80,8 +79,7 @@ type Options struct {
 	StudyStart, StudyEnd simtime.Day
 	// CrashAfter, when > 0, aborts Collect with ErrCrashInjected after
 	// that many live (non-replayed) sweeps have been journaled — the test
-	// hook behind the crash-resume smoke test. The TLS scans are skipped;
-	// a resumed run redoes them.
+	// hook behind the crash-resume smoke test.
 	CrashAfter int
 	// FS routes the study's durability-critical file I/O — the
 	// checkpoint journal and SaveStoreFile — through a filesystem
@@ -119,7 +117,6 @@ type Study struct {
 	World    *world.World
 	Store    *store.Store
 	Analyzer *analysis.Analyzer
-	Archive  *scan.Archive
 	// Outages records the scheduled outage windows in effect during
 	// collection (day-indexed, keyed by "tld:<label>").
 	Outages *netsim.OutageSchedule
@@ -177,7 +174,6 @@ func New(opts Options) (*Study, error) {
 		World:    w,
 		Store:    st,
 		Analyzer: an,
-		Archive:  scan.NewArchive(),
 		Outages:  outages,
 	}, nil
 }
@@ -220,9 +216,8 @@ func checkDrops(schedule, drops []simtime.Day) error {
 // of running Collect. The world must be built with the same seed and
 // scale that produced the store: the geolocation, routing and registry
 // context the analyses consult is regenerated from opts, while the DNS
-// measurements come from the file. The TLS scan archive is not part of
-// the store format, so the §4.3 scan report stays empty on a loaded
-// study; every DNS-derived figure and table is available.
+// measurements come from the file. Every figure and table renders as
+// the collected study's did: §4.3 scans the rebuilt world.
 func LoadStore(opts Options, src io.Reader) (*Study, error) {
 	s, err := New(opts)
 	if err != nil {
@@ -295,11 +290,11 @@ func measurementPipeline(opts Options, w *world.World, outages *netsim.OutageSch
 	return pipe
 }
 
-// Collect runs the full measurement campaign: DNS sweeps over the study
-// window (monthly, then dense for 2022) and weekly TLS scans over the
-// Russian-CA window. With CheckpointPath set each completed sweep is
-// journaled durably; with Resume the journal's sweeps replay from disk
-// and collection continues from the first unswept scheduled day.
+// Collect runs the DNS measurement campaign: sweeps over the study window
+// (monthly, then dense for 2022). With CheckpointPath set each completed
+// sweep is journaled durably; with Resume the journal's sweeps replay
+// from disk and collection continues from the first unswept scheduled
+// day.
 func (s *Study) Collect(ctx context.Context) error {
 	start, end := s.Opts.window()
 	schedule := s.Opts.schedule()
@@ -363,10 +358,6 @@ func (s *Study) Collect(ctx context.Context) error {
 			s.Opts.Progress("  sweep %d/%d done (%s: %d domains)", i+1, len(schedule), day, stats.Domains)
 		}
 	}
-	s.Opts.Progress("running TLS scans (%s .. %s, weekly)...", world.RussianCAStartDay, simtime.CTWindowEnd)
-	for d := world.RussianCAStartDay; d <= simtime.CTWindowEnd; d = d.Add(7) {
-		s.Archive.Record(d, s.World.Scanner.Sweep(d))
-	}
 	return nil
 }
 
@@ -410,16 +401,13 @@ type memo struct {
 }
 
 // memoKey is what an experiment depends on that can change after New:
-// the store, its generation and the number of TLS scan days.
+// the store and its generation.
 type memoKey struct {
-	st    *store.Store
-	gen   uint64
-	scans int
+	st  *store.Store
+	gen uint64
 }
 
-func (s *Study) memoKey() memoKey {
-	return memoKey{s.Store, s.Store.Generation(), len(s.Archive.Days())}
-}
+func (s *Study) memoKey() memoKey { return memoKey{s.Store, s.Store.Generation()} }
 
 // memoized returns the value kept under name at the study's current
 // memoKey, computing it on a miss. A value counts only if the key did not

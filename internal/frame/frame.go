@@ -1,7 +1,6 @@
 // Package frame is the one binary format layer under the store file, the
-// sweep journal, the journal tailer and the retired grid's wire codec
-// (internal/grid, kept for its golden tests). It holds the two things
-// every binary surface in this repository is made of:
+// sweep journal and the journal tailer. It holds the two things every
+// binary surface in this repository is made of:
 //
 //   - the frame: `u32 payloadLen | payload | u32 crc32c(payload)`,
 //     written by Append or in place by Writer.Begin/Finish, read by Read
@@ -13,7 +12,7 @@
 // What a caller does with a bad frame is the caller's policy and stays
 // with it: the strict store decoder reports "store: corrupt:", the
 // tolerant store decoder and the journal scanner end the valid prefix,
-// the tailer waits, the grid codec's connection reports a wire error.
+// the tailer waits.
 // Errors from this package carry no package prefix; each caller wraps
 // them once at its own boundary.
 package frame
@@ -26,9 +25,8 @@ import (
 )
 
 // MaxPayload is the payload limit of every surface that has no reason for
-// a tighter one: a journal segment, a measurement batch, the grid codec's
-// frame. A sweep of every domain the full-scale world holds fits
-// comfortably.
+// a tighter one: a journal segment, a measurement batch. A sweep of every
+// domain the full-scale world holds fits comfortably.
 const MaxPayload = 1 << 26
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -51,7 +49,7 @@ const (
 type Error struct {
 	Verdict Verdict
 	// Err says what was wrong; for a torn frame it wraps the read error,
-	// so transports can tell a closed connection from a reset one.
+	// so a caller can tell a short file from a failed read.
 	Err error
 }
 

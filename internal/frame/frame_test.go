@@ -80,8 +80,8 @@ func TestCleanEOF(t *testing.T) {
 
 // TestDetectsEveryBitFlip: any single-bit corruption of a frame — length,
 // payload, or checksum — must surface as an error, never as a silently
-// different payload. This is the property the grid's lease machinery and
-// the journal's torn-tail rule both lean on.
+// different payload. This is the property the journal's torn-tail rule
+// and the strict store decoder both lean on.
 func TestDetectsEveryBitFlip(t *testing.T) {
 	payload := []byte("unit 7 measurements go here")
 	f := mustAppend(t, payload)
@@ -246,7 +246,7 @@ func TestBufferGrowsWithArrivingBytes(t *testing.T) {
 // claims more input than there was, and anything it accepts re-Appends to
 // exactly the bytes it consumed.
 func FuzzFrameRead(f *testing.F) {
-	valid := mustAppend(f, []byte("a sweep segment, a store section or a grid message"))
+	valid := mustAppend(f, []byte("a sweep segment or a store section"))
 	f.Add(valid, uint32(MaxPayload))
 	f.Add(valid, uint32(10)) // over the caller's limit
 	f.Add(append(append([]byte{}, valid...), valid...), uint32(MaxPayload))

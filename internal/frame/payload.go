@@ -70,7 +70,6 @@ func (w *Writer) Finish(max int) ([]byte, error) {
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *Writer) U16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
 func (w *Writer) U32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *Writer) I32(v int32)  { w.U32(uint32(v)) }
 
 // Raw appends fixed-size field bytes as they are.
@@ -97,23 +96,10 @@ func (w *Writer) Uint32(v int, ctx, what string)  { w.uint(v, 4, ctx, what, "") 
 func (w *Writer) Count16(n int, ctx, what string) { w.uint(n, 2, ctx, what, " count") }
 func (w *Writer) Count32(n int, ctx, what string) { w.uint(n, 4, ctx, what, " count") }
 
-// Str16 writes a u16-length-prefixed string; Str32 and Bytes32 are the
-// u32-length forms.
+// Str16 writes a u16-length-prefixed string.
 func (w *Writer) Str16(s, ctx, what string) {
 	if w.uint(len(s), 2, ctx, what, " length") {
 		w.buf = append(w.buf, s...)
-	}
-}
-
-func (w *Writer) Str32(s, ctx, what string) {
-	if w.uint(len(s), 4, ctx, what, " length") {
-		w.buf = append(w.buf, s...)
-	}
-}
-
-func (w *Writer) Bytes32(b []byte, ctx, what string) {
-	if w.uint(len(b), 4, ctx, what, " length") {
-		w.buf = append(w.buf, b...)
 	}
 }
 
@@ -217,13 +203,6 @@ func (r *Reader) Uvarint(ctx, what string) uint64 {
 	return v
 }
 
-func (r *Reader) U64(ctx, what string) uint64 {
-	if b := r.next(8, ctx, what, ""); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
-}
-
 // Count16 reads a u16 element count and rejects it when even elements of
 // the minimum encoded size elemMin (at least 1) could not fit in the
 // remaining payload. Count32 and CountVar are the same for u32 and varint
@@ -252,24 +231,17 @@ func (r *Reader) count(n uint64, elemMin int, ctx, what string) int {
 	return int(n)
 }
 
-// Bytes16 reads a u16-length-prefixed byte string, Bytes32 a u32-length
-// one and BytesVar a varint-length one; Str16 and Str32 copy the same into
-// a string.
+// Bytes16 reads a u16-length-prefixed byte string and BytesVar a
+// varint-length one; Str16 copies the first into a string.
 func (r *Reader) Bytes16(ctx, what string) []byte {
 	return r.next(int(r.u16(ctx, what, " length")), ctx, what, "")
 }
 
-func (r *Reader) Bytes32(ctx, what string) []byte {
+func (r *Reader) BytesVar(ctx, what string) []byte {
 	// Capped so the length stays a valid int everywhere; no payload is
 	// that long, so next refuses it all the same.
-	n := min(r.u32(ctx, what, " length"), math.MaxInt32)
-	return r.next(int(n), ctx, what, "")
-}
-
-func (r *Reader) BytesVar(ctx, what string) []byte {
 	n := min(r.Uvarint(ctx, what), math.MaxInt32)
 	return r.next(int(n), ctx, what, "")
 }
 
 func (r *Reader) Str16(ctx, what string) string { return string(r.Bytes16(ctx, what)) }
-func (r *Reader) Str32(ctx, what string) string { return string(r.Bytes32(ctx, what)) }

@@ -37,13 +37,6 @@ func (s *Scanner) Register(addr netip.Addr, p ChainProvider) {
 	s.endpoints[addr] = p
 }
 
-// Unregister removes an endpoint.
-func (s *Scanner) Unregister(addr netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.endpoints, addr)
-}
-
 // NumEndpoints returns the number of registered endpoints.
 func (s *Scanner) NumEndpoints() int {
 	s.mu.RLock()

@@ -52,11 +52,6 @@ func TestSweepCollectsServingHosts(t *testing.T) {
 	if !obs[0].Addr.Less(obs[1].Addr) {
 		t.Fatal("observations not sorted")
 	}
-
-	s.Unregister(ip("11.0.0.1"))
-	if got := s.Sweep(day); len(got) != 1 {
-		t.Fatalf("after Unregister sweep = %d", len(got))
-	}
 }
 
 func TestArchive(t *testing.T) {

@@ -456,9 +456,7 @@ func TestRequestValidation(t *testing.T) {
 // TestAPIServesTheExperimentList holds the API surface to core's
 // experiment list: every experiment with an API title answers 200 at its
 // path, the study document lists exactly those paths with their sources,
-// an unknown id is a 404 that names the collection's ids, and no
-// scan-sourced experiment is served (the scan archive is not in the
-// store, so a loaded server could not compute it).
+// and an unknown id is a 404 that names the collection's ids.
 func TestAPIServesTheExperimentList(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	want := map[string]core.Source{}
@@ -475,9 +473,6 @@ func TestAPIServesTheExperimentList(t *testing.T) {
 			}
 			path = e.Collection + "/" + id
 			ids[e.Collection] = append(ids[e.Collection], id)
-		}
-		if e.Source == core.FromScan {
-			t.Errorf("%s reads the scan archive but is served at %s", e.ID, path)
 		}
 		want["/api/v1/"+path] = e.Source
 		if resp, body := get(t, ts.URL+"/api/v1/"+path); resp.StatusCode != http.StatusOK {

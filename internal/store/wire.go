@@ -7,27 +7,18 @@ import (
 	"whereru/internal/simtime"
 )
 
-// Measurement batches are one sweep day's observations for a contiguous
-// slice of the zone inventory, serialized in the measurement list layout
-// the journal uses. No program writes them: the bench harness digests
-// journals through EncodeMeasurementBatch, DecodeMeasurementBatch judges
-// that encoder in the golden and fuzz round trips, and the retired grid's
-// wire codec (internal/grid, which no program links) embeds one in its
-// result frame.
+// Measurement batches are one sweep day's observations, serialized in the
+// measurement list layout the journal uses. No program writes them: the
+// bench harness digests journals through EncodeMeasurementBatch, and
+// DecodeMeasurementBatch judges that encoder in the golden and fuzz round
+// trips.
 //
 // Layout:
 //
 //	day i32 | measurement list (codec.go: the one layout and encoder)
 //
-// The batch carries no framing or checksum of its own — the transport
-// that embeds it is responsible for integrity, exactly as the journal's
-// segment framing is for journal payloads.
-
-// MaxBatchBytes bounds one encoded batch. It leaves a kilobyte of the
-// frame limit for an envelope around the batch (the grid codec's result
-// message adds ~160 bytes of tallies and a latency histogram), so any
-// batch this codec accepts fits a frame.
-const MaxBatchBytes = frame.MaxPayload - 1<<10
+// The batch carries no framing or checksum of its own, and is bounded by
+// frame.MaxPayload like a journal segment.
 
 // EncodeMeasurementBatch serializes one day's measurements in the order
 // given (callers that need a canonical order sort by domain first). Every
@@ -44,8 +35,8 @@ func EncodeMeasurementBatch(day simtime.Day, ms []Measurement) ([]byte, error) {
 	if err := e.Err(); err != nil {
 		return nil, fmt.Errorf("store: encode: %w", err)
 	}
-	if n := len(e.Bytes()); n > MaxBatchBytes {
-		return nil, fmt.Errorf("store: batch for %s is %d bytes (limit %d)", day, n, MaxBatchBytes)
+	if n := len(e.Bytes()); n > frame.MaxPayload {
+		return nil, fmt.Errorf("store: batch for %s is %d bytes (limit %d)", day, n, frame.MaxPayload)
 	}
 	return e.Bytes(), nil
 }
@@ -55,8 +46,8 @@ func EncodeMeasurementBatch(day simtime.Day, ms []Measurement) ([]byte, error) {
 // anything is allocated, and trailing garbage is rejected — the same
 // strictness the journal decoder applies to its payloads.
 func DecodeMeasurementBatch(b []byte) (simtime.Day, []Measurement, error) {
-	if len(b) > MaxBatchBytes {
-		return 0, nil, corrupt("batch: %d bytes exceeds limit %d", len(b), MaxBatchBytes)
+	if len(b) > frame.MaxPayload {
+		return 0, nil, corrupt("batch: %d bytes exceeds limit %d", len(b), frame.MaxPayload)
 	}
 	r := byteReader{frame.NewReader(b)}
 	day := simtime.Day(r.I32("batch", "day"))

@@ -19,7 +19,7 @@ import (
 // stay in product code; testdata/unreached.txt's header says what each
 // means. "queued" alone takes an argument: the test file whose retirement
 // deletes the declaration.
-var unreachedClasses = map[string]bool{"oracle": true, "helper": true, "hook": true, "grid": true, "queued": true}
+var unreachedClasses = map[string]bool{"oracle": true, "helper": true, "hook": true, "queued": true}
 
 // TestProductReachability holds product code to what a binary reaches.
 // The roots are the main packages under cmd/ and examples/ and the bench
@@ -69,7 +69,7 @@ func TestProductReachability(t *testing.T) {
 		class, file, _ := strings.Cut(l.class, " ")
 		switch {
 		case !unreachedClasses[class] || (class == "queued") != (file != ""):
-			t.Errorf("%s:%d: %s has class %q, not one of oracle, helper, hook, grid, queued <file>_test.go", allow, l.line, l.key, l.class)
+			t.Errorf("%s:%d: %s has class %q, not one of oracle, helper, hook, queued <file>_test.go", allow, l.line, l.key, l.class)
 		case class == "queued" && !isPackageTestFile(l.key, file):
 			t.Errorf("%s:%d: %s is queued on %q, which is not a test file of its package", allow, l.line, l.key, file)
 		}
