@@ -250,7 +250,12 @@ func BenchmarkSweep(b *testing.B) {
 // fault injection plus recovery costs relative to the clean sweep.
 func BenchmarkSweepLossy(b *testing.B) {
 	s := study(b)
-	resolver, _ := s.World.NewFaultyResolver(s.Opts.World.Seed, dns.FaultProfile{Loss: 0.10})
+	// Built as core builds a lossy study's resolver (Options.Loss).
+	seed := s.Opts.World.Seed
+	ft := dns.NewFaultTransport(s.World.Mem, seed, s.World.Clock())
+	ft.SetDefault(dns.FaultProfile{Loss: 0.10})
+	resolver := dns.NewResolver(ft, s.World.Roots())
+	resolver.Client = dns.NewSeededClient(ft, seed)
 	pipe := &openintel.Pipeline{
 		Resolver: resolver,
 		Seeds:    s.World.Registries,
@@ -285,9 +290,8 @@ func BenchmarkWorldBuild(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// BenchmarkAblationResolveInMemory and BenchmarkAblationResolveUDP compare
-// the two transports on the same resolution (the in-memory wire is what
-// makes full-zone daily sweeps affordable).
+// BenchmarkAblationResolveInMemory times one cold resolution over the
+// in-memory wire, the cost full-zone daily sweeps pay per name.
 func BenchmarkAblationResolveInMemory(b *testing.B) {
 	s := study(b)
 	s.World.Clock().Set(simtime.ConflictStart)
@@ -297,36 +301,6 @@ func BenchmarkAblationResolveInMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.FlushCache()
 		if _, err := r.LookupA(ctx, "sanctioned001.ru."); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationResolveUDP(b *testing.B) {
-	s := study(b)
-	s.World.Clock().Set(simtime.ConflictStart)
-	inner := s.World.NewResolver()
-	srv := &dns.Server{Handler: dns.HandlerFunc(func(q *dns.Message, _ netip.Addr) *dns.Message {
-		out := q.Reply()
-		res, err := inner.Resolve(context.Background(), q.Questions[0].Name, q.Questions[0].Type)
-		if err != nil {
-			out.RCode = dns.RCodeServFail
-			return out
-		}
-		out.RCode = res.RCode
-		out.Answers = res.Answers
-		return out
-	})}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := dns.NewClient(&dns.UDPTransport{Port: int(srv.Addr().Port())})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inner.FlushCache()
-		if _, err := client.Query(ctx, srv.Addr().Addr(), "sanctioned001.ru.", dns.TypeA); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,6 +34,9 @@ var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\
 // and bench/ and fails on what the tree has ruled out:
 //   - a hash/crc32 import outside internal/frame, test files included:
 //     length+CRC32C framing lives in one place;
+//   - a "net" import under internal/ or cmd/, test files included: every
+//     DNS exchange crosses the codec over dns.MemNet, the one wire (bench/
+//     dials the HTTP clients of its served workload);
 //   - in non-test files under internal/, cmd/ and examples/: a call of a
 //     materialising journal reader (by name, qualified or not: the names
 //     are unique in the module), a retired lookup, or a top-level
@@ -46,6 +49,9 @@ func TestSourceHygiene(t *testing.T) {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p == "hash/crc32" && !strings.HasPrefix(f.path, "internal/frame/") {
 				t.Errorf("%s: imports hash/crc32; frame with internal/frame", fset.Position(imp.Pos()))
+			}
+			if p == "net" && (strings.HasPrefix(f.path, "internal/") || strings.HasPrefix(f.path, "cmd/")) {
+				t.Errorf("%s: imports net; DNS exchanges cross the codec over dns.MemNet, the one wire", fset.Position(imp.Pos()))
 			}
 		}
 		if f.test || strings.HasPrefix(f.path, "bench/") {

@@ -134,7 +134,10 @@ func TestEquivalenceOnLossyWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolver, _ := w.NewFaultyResolver(7, dns.FaultProfile{Loss: 0.15})
+	ft := dns.NewFaultTransport(w.Mem, 7, w.Clock())
+	ft.SetDefault(dns.FaultProfile{Loss: 0.15})
+	resolver := dns.NewResolver(ft, w.Roots())
+	resolver.Client = dns.NewSeededClient(ft, 7)
 	st := store.New()
 	pipe := &openintel.Pipeline{
 		Resolver:  resolver,

@@ -962,17 +962,17 @@ func (s *Study) paperMovement(i int) analysis.Movement {
 
 // Table1 computes the per-period issuance breakdown. Read-only.
 func (s *Study) Table1() []analysis.PeriodIssuance {
-	return memoized(s, "table1", func() []analysis.PeriodIssuance { return analysis.IssuanceByPeriod(s.World.CTLog) })
+	return worldMemoized(s, "table1", func() []analysis.PeriodIssuance { return analysis.IssuanceByPeriod(s.World.CTLog) })
 }
 
 // Fig8 computes the top-10 CA issuance timelines. Read-only.
 func (s *Study) Fig8() []analysis.Timeline {
-	return memoized(s, "fig8", func() []analysis.Timeline { return analysis.IssuanceTimelines(s.World.CTLog, 10) })
+	return worldMemoized(s, "fig8", func() []analysis.Timeline { return analysis.IssuanceTimelines(s.World.CTLog, 10) })
 }
 
 // Table2 computes the revocation statistics (top-5 revokers). Read-only.
 func (s *Study) Table2() []analysis.RevocationRow {
-	return memoized(s, "table2", func() []analysis.RevocationRow {
+	return worldMemoized(s, "table2", func() []analysis.RevocationRow {
 		return analysis.RevocationStats(s.World.CTLog, s.World.Certs, s.World.Sanctions, 5)
 	})
 }
@@ -989,7 +989,7 @@ type scannedCA struct {
 }
 
 func (s *Study) russianCA() scannedCA {
-	return memoized(s, "russianCA", func() scannedCA {
+	return worldMemoized(s, "russianCA", func() scannedCA {
 		a := scan.NewArchive()
 		for d := world.RussianCAStartDay; d <= simtime.CTWindowEnd; d = d.Add(7) {
 			a.Record(d, s.World.Scanner.Sweep(d))

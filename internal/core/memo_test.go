@@ -92,7 +92,8 @@ func assertExperimentsEqual(t *testing.T, when string, got, want map[string]any)
 // TestMemoFollowsEveryStoreChange: after each applied sweep, after the
 // missing-day marker and after adoptStore swaps in a loaded store, every
 // memoized experiment — read once to fill the memo, then again from it —
-// equals a fresh study's over the same store.
+// equals a fresh study's over the same store. A missing-day marker
+// recomputes what reads the store and keeps what reads only the world.
 func TestMemoFollowsEveryStoreChange(t *testing.T) {
 	opts, recs := memoJournal(t)
 	s, err := New(opts)
@@ -105,6 +106,15 @@ func TestMemoFollowsEveryStoreChange(t *testing.T) {
 		when := fmt.Sprintf("after %s (missing %v)", rec.Day, rec.Missing)
 		assertExperimentsEqual(t, when, results(s), want)
 		assertExperimentsEqual(t, when+", read again", results(s), want)
+	}
+
+	t1, fig8, t2, fig1 := s.Table1(), s.Fig8(), s.Table2(), s.Fig1()
+	s.Store.MarkMissingSweep(simtime.StudyEnd.Add(7))
+	if &s.Table1()[0] != &t1[0] || &s.Fig8()[0] != &fig8[0] || &s.Table2()[0] != &t2[0] {
+		t.Error("a world-sourced experiment was computed again after MarkMissingSweep")
+	}
+	if &s.Fig1()[0] == &fig1[0] {
+		t.Error("Fig1 was not computed again after MarkMissingSweep")
 	}
 
 	// A loaded store at the generation of the one the memo was filled

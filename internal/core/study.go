@@ -110,8 +110,9 @@ func QuickOptions() Options {
 }
 
 // Study is one full reproduction run. Its experiment methods compute each
-// result once per store generation (memoized) and share it between
-// callers, so a result is read-only.
+// result once per store generation (memoized), or once per study for one
+// that reads only the world, and share it between callers, so a result
+// is read-only.
 type Study struct {
 	Opts     Options
 	World    *world.World
@@ -127,6 +128,10 @@ type Study struct {
 	Stats []openintel.SweepStats
 
 	memo memo
+	// worldMemo keeps the experiments that read only World: its CT log,
+	// certificates, sanctions list and scan endpoints are all built by
+	// world.Build, and nothing changes them after.
+	worldMemo memo
 }
 
 // New builds the world for a study. A zero DenseStep, Workers or
@@ -415,9 +420,18 @@ func (s *Study) memoKey() memoKey { return memoKey{s.Store, s.Store.Generation()
 // readers, and a value read across two generations belongs to neither,
 // so it is computed again.
 func memoized[T any](s *Study, name any, compute func() T) T {
-	m := &s.memo
+	return memoizedAt(&s.memo, s.memoKey, name, compute)
+}
+
+// worldMemoized is memoized for an experiment that reads only the world:
+// its key never moves, so the value is computed once per study.
+func worldMemoized[T any](s *Study, name any, compute func() T) T {
+	return memoizedAt(&s.worldMemo, func() memoKey { return memoKey{} }, name, compute)
+}
+
+func memoizedAt[T any](m *memo, keyOf func() memoKey, name any, compute func() T) T {
 	for {
-		key := s.memoKey()
+		key := keyOf()
 		m.mu.Lock()
 		v, ok := m.vals[name]
 		ok = ok && m.key == key
@@ -427,9 +441,9 @@ func memoized[T any](s *Study, name any, compute func() T) T {
 		}
 		v = compute()
 		m.mu.Lock()
-		ok = s.memoKey() == key
+		ok = keyOf() == key
 		if ok {
-			if m.key != key {
+			if m.vals == nil || m.key != key {
 				m.key, m.vals = key, map[any]any{}
 			}
 			m.vals[name] = v

@@ -268,9 +268,9 @@ func assembled(stash *[]RR) Handler {
 // TestBorrowedRecordsDieWithTheRequest pins where a reply's records
 // live. Served by MemNet they are the request arena's: the exchange
 // allocates nothing for them, and once the arena has been handed back
-// and released a slice the handler kept reads the poison. Behind a
-// server that decodes queries into storage of their own (dns.Server,
-// Decode) the same handler gets a slice of its own, which stays good.
+// and released a slice the handler kept reads the poison. Given a query
+// decoded into storage of its own (Decode) the same handler gets a slice
+// of its own, which stays good.
 func TestBorrowedRecordsDieWithTheRequest(t *testing.T) {
 	want := []RR{NewA("example.ru.", 300, mustAddr("194.58.117.5")), NewA("example.ru.", 300, mustAddr("194.58.117.6"))}
 	var stash []RR
@@ -311,10 +311,12 @@ func TestBorrowedRecordsDieWithTheRequest(t *testing.T) {
 }
 
 // TestRecordsRoomIsDisjoint pins Records' bookkeeping: the room starts
-// past the request's own records (an EDNS query carries one), two calls
-// never overlap, and a call larger than the slab gets a new one.
+// past the request's own records (an EDNS query carries one, its OPT),
+// two calls never overlap, and a call larger than the slab gets a new one.
 func TestRecordsRoomIsDisjoint(t *testing.T) {
-	const ednsSize = 1232
+	// An OPT pseudo-record (type 41, RFC 6891) advertising 1232 octets in
+	// its class, decoded opaquely as RawData.
+	opt := RR{Name: ".", Type: Type(41), Class: Class(1232), Data: RawData{}}
 	net, addr := NewMemNet(), mustAddr("192.0.2.8")
 	glue := NewA("ns1.reg.ru.", 3600, mustAddr("194.58.116.30"))
 	net.Bind(addr, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
@@ -328,14 +330,14 @@ func TestRecordsRoomIsDisjoint(t *testing.T) {
 			resp.Answers = append(resp.Answers, NewNS(q.Questions[0].Name, 3600, "ns1.reg.ru."))
 		}
 		resp.Additional = append(resp.Records(1), glue)
-		if q.EDNSSize() != ednsSize || len(q.Additional) != 1 {
+		if len(q.Additional) != 1 || q.Additional[0] != opt {
 			t.Errorf("the reply's records overwrote the request's: %v", q.Additional)
 		}
 		return resp
 	}))
 	for _, n := range []int{2, maxArenaRRs + 5, 1} {
 		q := NewQuery(uint16(n), "example.ru.", TypeNS)
-		q.SetEDNS(ednsSize)
+		q.Additional = []RR{opt}
 		resp, err := net.Exchange(context.Background(), addr, q)
 		if err != nil {
 			t.Fatal(err)

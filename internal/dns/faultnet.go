@@ -55,17 +55,6 @@ func (p *FaultProfile) active() bool {
 	return p.Loss > 0 || len(p.Outages) > 0
 }
 
-// FaultStats counts what the fault layer did, for quantifying degraded
-// sweeps.
-type FaultStats struct {
-	// Exchanges is the number of exchanges that passed through a profile.
-	Exchanges int64
-	// Dropped counts injected packet losses.
-	Dropped int64
-	// Outaged counts queries dropped by a scheduled outage window.
-	Outaged int64
-}
-
 // ErrInjected marks errors produced by the fault layer. It wraps
 // ErrNoRoute so callers that already treat unreachability as a timeout
 // need no changes.
@@ -93,8 +82,6 @@ type FaultTransport struct {
 	// table; a writer, under mu, publishes a modified copy.
 	mu       sync.Mutex
 	profiles atomic.Pointer[faultProfiles]
-
-	exchanges, dropped, outaged atomic.Int64
 }
 
 // faultProfiles is one fault configuration, immutable once published.
@@ -135,15 +122,6 @@ func (t *FaultTransport) SetServer(addr netip.Addr, p FaultProfile) {
 	t.update(func(f *faultProfiles) { f.servers[addr] = p })
 }
 
-// Stats returns the running fault counters.
-func (t *FaultTransport) Stats() FaultStats {
-	return FaultStats{
-		Exchanges: t.exchanges.Load(),
-		Dropped:   t.dropped.Load(),
-		Outaged:   t.outaged.Load(),
-	}
-}
-
 // profileFor resolves the effective profile for a server: exact address,
 // then the default.
 func (t *FaultTransport) profileFor(server netip.Addr) (FaultProfile, bool) {
@@ -179,17 +157,14 @@ func (t *FaultTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	if !ok || !p.active() {
 		return t.inner.Exchange(ctx, server, query)
 	}
-	t.exchanges.Add(1)
 	var day simtime.Day
 	if t.clock != nil {
 		day = t.clock.Now()
 	}
 	if p.outageOn(day) {
-		t.outaged.Add(1)
 		return nil, fmt.Errorf("%w: %v in scheduled outage on %s", ErrInjected, server, day)
 	}
 	if p.Loss > 0 && t.roll(day, server, query) < p.Loss {
-		t.dropped.Add(1)
 		return nil, fmt.Errorf("%w: loss to %v", ErrInjected, server)
 	}
 	return t.inner.Exchange(ctx, server, query)

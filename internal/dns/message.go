@@ -135,10 +135,6 @@ var (
 
 const (
 	headerLen = 12
-	// MaxUDPPayload is the classic 512-octet UDP limit; the server sets TC
-	// when a response would exceed it and the query advertised no larger
-	// EDNS0 size.
-	MaxUDPPayload = 512
 	// maxMsgSize is the hard cap accepted by Encode.
 	maxMsgSize = 65535
 	// maxCount is the sanity bound on total record counts in a decoded
@@ -535,10 +531,6 @@ func (p *parser) rr() (RR, error) {
 		} else {
 			rr.Data = MXData{pref, host}
 		}
-	case TypeOPT:
-		// OPT (EDNS0): the payload size is in Class; options are ignored.
-		p.pos = rdEnd
-		rr.Data = OPTData{}
 	case TypeTXT:
 		var txt TXTData
 		for p.pos < rdEnd {

@@ -82,6 +82,11 @@ func TestAllRDataTypesRoundTrip(t *testing.T) {
 		NewMX("zone.ru.", 60, 10, "mail.zone.ru."),
 		NewTXT("zone.ru.", 60, "v=spf1 -all", "second string"),
 	}
+	// A type the codec does not know, here an EDNS OPT (type 41, RFC 6891)
+	// with a 4096-octet size in its class and one cookie option, decodes
+	// as RawData (RFC 3597) and re-encodes to the same octets.
+	m.Additional = []RR{{Name: ".", Type: Type(41), Class: Class(4096), TTL: 0x8000,
+		Data: RawData{Octets: "\x00\x0a\x00\x08\x01\x02\x03\x04\x05\x06\x07\x08"}}}
 	wire, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +97,9 @@ func TestAllRDataTypesRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", m, got)
+	}
+	if again, err := got.Encode(); err != nil || !bytes.Equal(again, wire) {
+		t.Fatalf("re-encoding the decoded message: %v\n got %x\nwant %x", err, again, wire)
 	}
 }
 

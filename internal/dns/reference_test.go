@@ -278,10 +278,6 @@ func (p *refParser) rr() (RR, error) {
 			return rr, err
 		}
 		rr.Data = MXData{pref, host}
-	case TypeOPT:
-		// OPT (EDNS0): the payload size is in Class; options are ignored.
-		p.pos = rdEnd
-		rr.Data = OPTData{}
 	case TypeTXT:
 		var txt TXTData
 		for p.pos < rdEnd {

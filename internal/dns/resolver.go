@@ -22,9 +22,6 @@ type Resolver struct {
 	Client *Client
 	// Roots are the root name-server addresses (hints).
 	Roots []netip.Addr
-	// Trace, when set, observes every resolution step (zone cut queried,
-	// server used, question, and outcome) — cmd/dnsdig's -trace output.
-	Trace func(step TraceStep)
 
 	cache *InfraCache
 }
@@ -60,19 +57,6 @@ func (r *Resolver) FlushCache() { r.cache.Flush() }
 // CacheStats reports cache sizes and cumulative hit/miss/coalesced
 // counters (for the ablation benchmarks, sweep stats, and /metrics).
 func (r *Resolver) CacheStats() CacheStats { return r.cache.Stats() }
-
-// TraceStep is one hop of an iterative resolution.
-type TraceStep struct {
-	Zone     string
-	Server   netip.Addr
-	Question Question
-	// Referral is the child zone when the answer was a delegation, "".
-	Referral string
-	// RCode is the response code received.
-	RCode RCode
-	// Answers is the number of answer records returned.
-	Answers int
-}
 
 // Result is the outcome of an iterative resolution.
 type Result struct {
@@ -161,7 +145,7 @@ func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, 
 		if len(servers) == 0 {
 			return nil, 0, "", fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
 		}
-		resp, usedServer, srvErr := r.queryAny(ctx, servers, name, qtype)
+		resp, srvErr := r.queryAny(ctx, servers, name, qtype)
 		if srvErr != nil {
 			lastErr = srvErr
 			// All servers for this cut failed; if we started from cache,
@@ -173,20 +157,17 @@ func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, 
 			}
 			return nil, 0, "", fmt.Errorf("%w: querying %s: %v", ErrResolutionFailed, name, lastErr)
 		}
-		ts := TraceStep{Zone: zone, Server: usedServer, Question: Question{Name: name, Type: qtype, Class: ClassIN}, RCode: resp.RCode, Answers: len(resp.Answers)}
-		switch {
-		case resp.RCode == RCodeNXDomain:
+		switch rcode := resp.RCode; {
+		case rcode == RCodeNXDomain:
 			resp.Release()
-			r.trace(ts)
 			return nil, RCodeNXDomain, zone, nil
-		case resp.RCode != RCodeNoError:
+		case rcode != RCodeNoError:
 			resp.Release()
-			return nil, 0, "", fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, ts.RCode, zone, name)
+			return nil, 0, "", fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, rcode, zone, name)
 		case len(resp.Answers) > 0:
-			r.trace(ts)
 			return resp, RCodeNoError, zone, nil
 		}
-		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth, &ts)
+		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth)
 		if err != nil {
 			return nil, 0, "", err
 		}
@@ -203,7 +184,7 @@ func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, 
 // host, then the cut). It returns nil servers and no error for an
 // authoritative NODATA. It consumes resp: the message is released as soon
 // as the glue is copied out, before any glueless host is chased.
-func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name string, depth int, ts *TraceStep) ([]netip.Addr, string, error) {
+func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name string, depth int) ([]netip.Addr, string, error) {
 	childZone := ""
 	for _, rr := range resp.Authority {
 		if rr.Type == TypeNS {
@@ -215,13 +196,10 @@ func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name
 		authoritative := resp.Authoritative
 		resp.Release()
 		if authoritative {
-			r.trace(*ts)
 			return nil, "", nil
 		}
 		return nil, "", fmt.Errorf("%w: dead end at zone %s for %s", ErrLameDelegation, zone, name)
 	}
-	ts.Referral = childZone
-	r.trace(*ts)
 	if childZone == zone || !IsSubdomain(childZone, zone) {
 		resp.Release()
 		return nil, "", fmt.Errorf("%w: referral from %s to %s", ErrLameDelegation, zone, childZone)
@@ -271,47 +249,39 @@ func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name
 	return r.cache.storeZone(childZone, glued), childZone, nil
 }
 
-// queryAny tries servers until one answers usefully, reporting which
-// did. The starting server is rotated by a name-derived offset instead
-// of always hammering the first of the set — under injected loss, a
-// fixed order concentrates retries (and failures) on one server while
-// its siblings sit idle. SERVFAIL responses fail over to the next server
-// the way real resolvers do; only if every server flaps is the SERVFAIL
-// handed to the caller.
-func (r *Resolver) queryAny(ctx context.Context, servers []netip.Addr, name string, qtype Type) (*Message, netip.Addr, error) {
+// queryAny tries servers until one answers usefully. The starting
+// server is rotated by a name-derived offset instead of always hammering
+// the first of the set — under injected loss, a fixed order concentrates
+// retries (and failures) on one server while its siblings sit idle.
+// SERVFAIL responses fail over to the next server the way real resolvers
+// do; only if every server flaps is the SERVFAIL handed to the caller.
+func (r *Resolver) queryAny(ctx context.Context, servers []netip.Addr, name string, qtype Type) (*Message, error) {
 	start := 0
 	if n := len(servers); n > 1 {
 		start = int((fnvMixString(fnvOffset64, name) ^ uint64(qtype)) % uint64(n))
 	}
 	var lastErr error
 	var flapped *Message
-	var flappedSrv netip.Addr
 	for i := 0; i < len(servers); i++ {
 		s := servers[(start+i)%len(servers)]
 		resp, err := r.Client.Query(ctx, s, name, qtype)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
-				return nil, netip.Addr{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 			continue
 		}
 		if resp.RCode == RCodeServFail {
-			flapped, flappedSrv = resp, s
+			flapped = resp
 			continue
 		}
-		return resp, s, nil
+		return resp, nil
 	}
 	if flapped != nil {
-		return flapped, flappedSrv, nil
+		return flapped, nil
 	}
-	return nil, netip.Addr{}, lastErr
-}
-
-func (r *Resolver) trace(step TraceStep) {
-	if r.Trace != nil {
-		r.Trace(step)
-	}
+	return nil, lastErr
 }
 
 // LookupHost resolves the A records for a host (used for name-server

@@ -375,40 +375,6 @@ func TestQueryAnyFailsOverServFail(t *testing.T) {
 	}
 }
 
-func TestResolveOverUDP(t *testing.T) {
-	// The same hierarchy, but the root is reached over a real UDP socket:
-	// MemNet handlers behind a UDP front door via Server.
-	memnet, roots := buildTestInternet(t)
-	srv := &Server{Handler: HandlerFunc(func(q *Message, from netip.Addr) *Message {
-		// A miniature recursive proxy: resolve via the in-memory Internet.
-		r := NewResolver(memnet, roots)
-		resp, err := r.Resolve(context.Background(), q.Questions[0].Name, q.Questions[0].Type)
-		out := q.Reply()
-		if err != nil {
-			out.RCode = RCodeServFail
-			return out
-		}
-		out.RCode = resp.RCode
-		out.Answers = resp.Answers
-		out.RecursionAvailable = true
-		return out
-	})}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer srv.Close()
-
-	addrPort := srv.Addr()
-	client := NewClient(&UDPTransport{Port: int(addrPort.Port())})
-	resp, err := client.Query(context.Background(), addrPort.Addr(), "example.ru.", TypeA)
-	if err != nil {
-		t.Fatalf("UDP query: %v", err)
-	}
-	if len(resp.Answers) != 1 || resp.Answers[0].Data.(AData).Addr != mustAddr("194.58.117.5") {
-		t.Fatalf("UDP answers = %v", resp.Answers)
-	}
-}
-
 func TestMemNetNoRoute(t *testing.T) {
 	net := NewMemNet()
 	c := NewClient(net)
@@ -456,33 +422,5 @@ func BenchmarkResolveNoCache(b *testing.B) {
 		if _, err := r.LookupA(ctx, "example.ru."); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestResolverTrace(t *testing.T) {
-	net, roots := buildTestInternet(t)
-	r := NewResolver(net, roots)
-	var steps []TraceStep
-	r.Trace = func(s TraceStep) { steps = append(steps, s) }
-	if _, err := r.LookupA(context.Background(), "example.ru."); err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) < 3 {
-		t.Fatalf("trace too short: %+v", steps)
-	}
-	// First hop: the root refers to ru.
-	if steps[0].Zone != "." || steps[0].Referral != "ru." {
-		t.Errorf("first step = %+v, want root → ru.", steps[0])
-	}
-	// Final hop: an authoritative answer.
-	last := steps[len(steps)-1]
-	if last.Answers == 0 || last.Referral != "" {
-		t.Errorf("final step = %+v, want an answer", last)
-	}
-	// Tracing is optional: nil Trace must not break resolution.
-	r.Trace = nil
-	r.FlushCache()
-	if _, err := r.LookupA(context.Background(), "example.ru."); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -12,9 +11,10 @@ import (
 )
 
 // Transport exchanges one DNS query with the server at addr and returns
-// its response. Implementations: UDPTransport speaks real RFC 1035 UDP on
-// the host network; MemNet short-circuits to in-process handlers, which is
-// what makes multi-million-query measurement sweeps affordable.
+// its response. MemNet delivers it to in-process handlers through the
+// RFC 1035 codec, which is what makes multi-million-query measurement
+// sweeps affordable; FaultTransport and RouteTransport wrap another
+// Transport.
 type Transport interface {
 	Exchange(ctx context.Context, server netip.Addr, query *Message) (*Message, error)
 }
@@ -50,8 +50,8 @@ var (
 
 // MemNet is an in-memory "Internet": a routing table from server address
 // to handler. Exchange serializes the query and deserializes the response
-// through the real codec, so everything above the socket layer behaves
-// identically to UDP. MemNet is safe for concurrent use; binds are
+// through the real codec, so everything above it reads the octets a UDP
+// exchange would carry. MemNet is safe for concurrent use; binds are
 // expected to be rare relative to exchanges, so the routing table is read
 // without a lock and mu only serializes its writers.
 type MemNet struct {
@@ -114,7 +114,7 @@ func (m *MemNet) SetTap(tap func(server netip.Addr, q *Message)) {
 }
 
 // Exchange implements Transport. The query is round-tripped through the
-// wire codec to keep the in-memory path faithful to the UDP path. Both
+// wire codec to keep the in-memory path faithful to the wire. Both
 // decoded messages live in pooled arenas: the request's (with the
 // handler's Reply) is taken back here once the response is encoded; the
 // response's passes to the caller, who may Release it.
@@ -169,72 +169,6 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 		return nil, ErrIDMismatch
 	}
 	return &out.m, nil
-}
-
-// UDPTransport exchanges queries over real UDP sockets. Port is the
-// destination port (53 by default; the simulated servers listen on an
-// ephemeral port, so tests inject it).
-type UDPTransport struct {
-	Port    int
-	Timeout time.Duration
-}
-
-// Exchange implements Transport over UDP with a single datagram
-// round-trip; retries are the Client's job.
-func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query *Message) (*Message, error) {
-	port := t.Port
-	if port == 0 {
-		port = 53
-	}
-	timeout := t.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	wb := getWireBuf()
-	defer putWireBuf(wb)
-	wire, err := query.AppendEncode((*wb)[:0])
-	if err != nil {
-		return nil, err
-	}
-	*wb = wire
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "udp", netip.AddrPortFrom(server, uint16(port)).String())
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	deadline := time.Now().Add(timeout)
-	if ctxDeadline, ok := ctx.Deadline(); ok && ctxDeadline.Before(deadline) {
-		deadline = ctxDeadline
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(wire); err != nil {
-		return nil, err
-	}
-	rb := getWireBuf()
-	defer putWireBuf(rb)
-	buf := (*rb)[:cap(*rb)]
-	if len(buf) < maxMsgSize {
-		buf = make([]byte, maxMsgSize)
-		*rb = buf
-	}
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := Decode(buf[:n])
-		if err != nil {
-			// Garbled datagram: keep listening until the deadline.
-			continue
-		}
-		if resp.ID != query.ID {
-			continue // stray or spoofed response
-		}
-		return resp, nil
-	}
 }
 
 // Client issues queries over a Transport with ID generation and bounded

@@ -2,10 +2,10 @@
 // needs to behave like a real active-measurement platform: the RFC 1035
 // wire format (with name compression), resource records for A, AAAA, NS,
 // CNAME, SOA, MX and TXT, a query client with retransmission, an
-// authoritative server framework with pluggable transports (real UDP and an
-// in-memory loopback for large sweeps), and an iterative resolver that
-// walks delegations from the root exactly the way OpenINTEL's measurement
-// pipeline does.
+// authoritative handler framework over an in-memory network whose every
+// exchange crosses the codec (MemNet, for large sweeps), and an iterative
+// resolver that walks delegations from the root exactly the way
+// OpenINTEL's measurement pipeline does.
 package dns
 
 import "fmt"
@@ -26,8 +26,6 @@ const (
 	TypeANY Type = 255
 )
 
-// Note: TypeOPT (41, EDNS0) is defined in edns.go.
-
 var typeNames = map[Type]string{
 	TypeA:     "A",
 	TypeNS:    "NS",
@@ -36,7 +34,6 @@ var typeNames = map[Type]string{
 	TypeMX:    "MX",
 	TypeTXT:   "TXT",
 	TypeAAAA:  "AAAA",
-	TypeOPT:   "OPT",
 	TypeANY:   "ANY",
 }
 

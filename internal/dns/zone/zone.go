@@ -2,8 +2,8 @@
 // RFC 1034 lookup semantics (answers, referrals with glue, NODATA and
 // NXDOMAIN), a zone-file parser/serializer, and a dns.Handler that serves
 // one or more zones. The simulated TLD registries use dynamic handlers for
-// scale, but zones are the interchange format for seed lists, fixtures and
-// the dnsdig example server.
+// scale, but zones are the interchange format for seed lists and
+// fixtures.
 package zone
 
 import (

@@ -114,20 +114,6 @@ func (w *World) NewResolver() *dns.Resolver {
 	return dns.NewResolver(w.Mem, w.roots)
 }
 
-// NewFaultyResolver returns a resolver whose exchanges pass through a
-// deterministic fault-injection layer configured with profile as the
-// default for every server, plus the fault transport for installing
-// per-server or per-prefix overrides (e.g. outage windows on registry
-// infrastructure). The resolver's client is seeded with the same seed,
-// so two runs over identical worlds observe identical faults.
-func (w *World) NewFaultyResolver(seed int64, profile dns.FaultProfile) (*dns.Resolver, *dns.FaultTransport) {
-	ft := dns.NewFaultTransport(w.Mem, seed, w.Clock())
-	ft.SetDefault(profile)
-	r := dns.NewResolver(ft, w.roots)
-	r.Client = dns.NewSeededClient(ft, seed)
-	return r, ft
-}
-
 // TLDServerAddrs returns the server addresses for a served TLD label
 // ("ru", the .рф punycode), for targeting registry infrastructure with
 // fault profiles.

@@ -349,35 +349,3 @@ func TestServingExchangeAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestWorldHandlerOverUDP runs a provider's handler behind dns.Server on
-// a loopback socket, where queries are decoded into storage of their own
-// and the reply's records come from make: the answers are MemNet's.
-func TestWorldHandlerOverUDP(t *testing.T) {
-	w := getWorld(t)
-	w.Clock().Set(NetnodCutoffDay.Add(-1))
-	name := "sanctioned070.ru."
-	p := w.providers["rucenter"]
-	srv := &dns.Server{Handler: w.providerHandler(p)}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	udp := &dns.UDPTransport{Port: int(srv.Addr().Port())}
-	ctx := context.Background()
-	for _, qtype := range []dns.Type{dns.TypeNS, dns.TypeA, dns.TypeMX} {
-		q := dns.NewQuery(uint16(qtype), name, qtype)
-		want, err := w.Mem.Exchange(ctx, p.NSAddrs[0], q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := udp.Exchange(ctx, srv.Addr().Addr(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Answers) == 0 || got.Header != want.Header || !reflect.DeepEqual(got.Answers, want.Answers) {
-			t.Errorf("%s %s over UDP:\n%v\nover MemNet:\n%v", name, qtype, got, want)
-		}
-		want.Release()
-	}
-}
