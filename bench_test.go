@@ -369,22 +369,6 @@ func BenchmarkAblationStoreNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCTProofs compares memoized vs recomputed Merkle roots
-// on the study's real CT log.
-func BenchmarkAblationCTRootMemoized(b *testing.B) {
-	s := study(b)
-	n := s.World.CTLog.Size()
-	if _, err := s.World.CTLog.RootAt(n); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.World.CTLog.RootAt(n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestBenchFixture keeps `go test ./` meaningful: the shared fixture
 // builds and the headline numbers are sane.
 func TestBenchFixture(t *testing.T) {

@@ -37,6 +37,9 @@ var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\
 //   - a "net" import under internal/ or cmd/, test files included: every
 //     DNS exchange crosses the codec over dns.MemNet, the one wire (bench/
 //     dials the HTTP clients of its served workload);
+//   - a crypto/sha256 import in a non-test file outside internal/serve and
+//     bench/: the served ETag is the product's one hash (the CT log is a
+//     list, not a Merkle tree);
 //   - in non-test files under internal/, cmd/ and examples/: a call of a
 //     materialising journal reader (by name, qualified or not: the names
 //     are unique in the module), a retired lookup, or a top-level
@@ -52,6 +55,9 @@ func TestSourceHygiene(t *testing.T) {
 			}
 			if p == "net" && (strings.HasPrefix(f.path, "internal/") || strings.HasPrefix(f.path, "cmd/")) {
 				t.Errorf("%s: imports net; DNS exchanges cross the codec over dns.MemNet, the one wire", fset.Position(imp.Pos()))
+			}
+			if p == "crypto/sha256" && !f.test && !strings.HasPrefix(f.path, "internal/serve/") && !strings.HasPrefix(f.path, "bench/") {
+				t.Errorf("%s: imports crypto/sha256; the served ETag (internal/serve) is the product's one hash", fset.Position(imp.Pos()))
 			}
 		}
 		if f.test || strings.HasPrefix(f.path, "bench/") {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"whereru/internal/ct"
 	"whereru/internal/openintel"
 	"whereru/internal/pki"
 	"whereru/internal/scan"
@@ -508,30 +507,23 @@ func TestStoreCompression(t *testing.T) {
 	t.Logf("store: %d domains, %d epochs, %d naive records (%.1fx)", st.Domains, st.Epochs, st.NaiveRecords, ratio)
 }
 
-// TestCTConsistencyAcrossCollection verifies the CT log's append-only
-// integrity over the generated corpus with real consistency proofs.
+// TestCTConsistencyAcrossCollection verifies the CT log is append-only
+// across collection: after the fixture's sweeps its entries are exactly
+// the world's logged certificates, in issuance order, each at its index.
 func TestCTConsistencyAcrossCollection(t *testing.T) {
 	f := getFixture(t)
 	log := f.w.CTLog
-	n := log.Size()
-	if n < 100 {
+	entries := log.Scan(0, log.Size(), nil)
+	if len(entries) < 100 {
 		t.Skip("log too small")
 	}
-	for _, m := range []int64{1, n / 3, n / 2, n - 1} {
-		rootM, err := log.RootAt(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rootN, err := log.RootAt(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proof, err := log.ConsistencyProof(m, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ct.VerifyConsistency(m, n, rootM, rootN, proof) {
-			t.Fatalf("consistency proof %d → %d failed", m, n)
+	logged := f.w.Certs.Select(func(c *pki.Certificate) bool { return c.Logged })
+	if len(entries) != len(logged) {
+		t.Fatalf("CT log holds %d entries for %d logged certificates", len(entries), len(logged))
+	}
+	for i, e := range entries {
+		if e.Index != int64(i) || e.Cert != logged[i] {
+			t.Fatalf("entry %d (index %d) is certificate %d, want %d", i, e.Index, e.Cert.Serial, logged[i].Serial)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package ct
 
 import (
-	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 
 	"whereru/internal/pki"
@@ -32,33 +32,14 @@ func buildLog(t testing.TB, n int) *Log {
 	return l
 }
 
-func TestEmptyRootKnownValue(t *testing.T) {
-	// RFC 6962: the empty tree hash is SHA-256 of the empty string.
-	want := "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-	if got := hex.EncodeToString(func() []byte { h := EmptyRoot(); return h[:] }()); got != want {
-		t.Fatalf("empty root = %s", got)
-	}
-	l := NewLog("empty")
-	head := l.Head()
-	if head.Size != 0 || hex.EncodeToString(head.Root[:]) != want {
-		t.Fatalf("empty log head = %+v", head)
-	}
-}
-
 func TestAppendAndEntry(t *testing.T) {
 	l := buildLog(t, 10)
 	if l.Size() != 10 {
 		t.Fatalf("Size = %d", l.Size())
 	}
-	e, err := l.Entry(7)
-	if err != nil || e.Cert.SubjectCN != "cert0007.ru." || e.Index != 7 {
-		t.Fatalf("Entry(7) = %+v, %v", e, err)
-	}
-	if _, err := l.Entry(10); err == nil {
-		t.Fatal("out-of-range Entry succeeded")
-	}
-	if _, err := l.Entry(-1); err == nil {
-		t.Fatal("negative Entry succeeded")
+	got := l.Scan(7, 8, nil)
+	if len(got) != 1 || got[0].Index != 7 || got[0].Cert.SubjectCN != "cert0007.ru." || got[0].Timestamp != 19007 {
+		t.Fatalf("Scan(7, 8) = %+v", got)
 	}
 	// Not-logged certificates are rejected.
 	c := testCert(99)
@@ -66,127 +47,8 @@ func TestAppendAndEntry(t *testing.T) {
 	if _, err := l.Append(c, 0); err == nil {
 		t.Fatal("unlogged certificate appended")
 	}
-}
-
-func TestRootChangesOnAppend(t *testing.T) {
-	l := NewLog("t")
-	prev := l.Head().Root
-	for i := 0; i < 20; i++ {
-		if _, err := l.Append(testCert(i), 0); err != nil {
-			t.Fatal(err)
-		}
-		cur := l.Head().Root
-		if cur == prev {
-			t.Fatalf("root unchanged after append %d", i)
-		}
-		prev = cur
-	}
-}
-
-func TestInclusionProofsAllLeavesAllSizes(t *testing.T) {
-	const maxN = 65 // crosses several power-of-two boundaries
-	l := buildLog(t, maxN)
-	for n := int64(1); n <= maxN; n++ {
-		root, err := l.RootAt(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < n; i++ {
-			proof, err := l.InclusionProof(i, n)
-			if err != nil {
-				t.Fatalf("InclusionProof(%d,%d): %v", i, n, err)
-			}
-			leaf := testCert(int(i)).Marshal()
-			if !VerifyInclusion(leaf, i, n, proof, root) {
-				t.Fatalf("inclusion proof failed for leaf %d in tree %d", i, n)
-			}
-			// Tampered leaf must fail.
-			bad := append([]byte(nil), leaf...)
-			bad[0] ^= 0xFF
-			if VerifyInclusion(bad, i, n, proof, root) {
-				t.Fatalf("tampered leaf verified for %d/%d", i, n)
-			}
-			// Wrong index must fail.
-			if n > 1 && VerifyInclusion(leaf, (i+1)%n, n, proof, root) {
-				t.Fatalf("wrong-index proof verified for %d/%d", i, n)
-			}
-		}
-	}
-}
-
-func TestInclusionProofRangeErrors(t *testing.T) {
-	l := buildLog(t, 5)
-	for _, c := range []struct{ idx, size int64 }{{-1, 5}, {5, 5}, {0, 6}, {3, 2}} {
-		if _, err := l.InclusionProof(c.idx, c.size); err == nil {
-			t.Errorf("InclusionProof(%d,%d) succeeded", c.idx, c.size)
-		}
-	}
-	if VerifyInclusion(nil, 0, 0, nil, EmptyRoot()) {
-		t.Error("inclusion in empty tree verified")
-	}
-}
-
-func TestConsistencyProofsAllPairs(t *testing.T) {
-	const maxN = 40
-	l := buildLog(t, maxN)
-	roots := make([]Hash, maxN+1)
-	for n := int64(0); n <= maxN; n++ {
-		r, err := l.RootAt(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots[n] = r
-	}
-	for m := int64(0); m <= maxN; m++ {
-		for n := m; n <= maxN; n++ {
-			proof, err := l.ConsistencyProof(m, n)
-			if err != nil {
-				t.Fatalf("ConsistencyProof(%d,%d): %v", m, n, err)
-			}
-			if !VerifyConsistency(m, n, roots[m], roots[n], proof) {
-				t.Fatalf("consistency proof failed for %d → %d", m, n)
-			}
-			// A wrong old root must fail (except the vacuous m==0 case,
-			// where RFC 9162 does not bind the old root).
-			if m > 0 {
-				bad := roots[m]
-				bad[3] ^= 0x40
-				if VerifyConsistency(m, n, bad, roots[n], proof) {
-					t.Fatalf("bad old root verified for %d → %d", m, n)
-				}
-			}
-			if m > 0 && m < n {
-				bad := roots[n]
-				bad[7] ^= 0x01
-				if VerifyConsistency(m, n, roots[m], bad, proof) {
-					t.Fatalf("bad new root verified for %d → %d", m, n)
-				}
-			}
-		}
-	}
-}
-
-func TestConsistencyProofRangeErrors(t *testing.T) {
-	l := buildLog(t, 5)
-	if _, err := l.ConsistencyProof(4, 3); err == nil {
-		t.Error("m>n accepted")
-	}
-	if _, err := l.ConsistencyProof(0, 9); err == nil {
-		t.Error("n>size accepted")
-	}
-	if VerifyConsistency(3, 2, Hash{}, Hash{}, nil) {
-		t.Error("m>n verified")
-	}
-}
-
-func TestMemoMatchesNoMemo(t *testing.T) {
-	a := buildLog(t, 131)
-	leaves := eagerLeaves(a)
-	for n := int64(0); n <= 131; n += 13 {
-		ra, _ := a.RootAt(n)
-		if ra != eagerRoot(leaves[:n]) {
-			t.Fatalf("memoized root differs at size %d", n)
-		}
+	if l.Size() != 10 {
+		t.Fatalf("Size after a refused Append = %d", l.Size())
 	}
 }
 
@@ -222,19 +84,59 @@ func TestScanAndMonitor(t *testing.T) {
 	if m.Position() != 32 {
 		t.Fatalf("Position = %d", m.Position())
 	}
-}
 
-func TestHeadTimestamp(t *testing.T) {
-	l := NewLog("t")
-	if _, err := l.Append(testCert(0), simtime.MustParse("2022-01-05")); err != nil {
-		t.Fatal(err)
+	// One appender against every kind of reader at once (run under
+	// -race): Size and Scan see a whole prefix of the log, and a
+	// monitor's Polls deliver each matching entry once, in log order.
+	const rounds, maxSize = 300, 1 << 16
+	racing := buildLog(t, 64)
+	rm := NewMonitor(racing, even)
+	done := make(chan struct{})
+	appended := make(chan struct{})
+	go func() {
+		defer close(appended)
+		for i := 64; i < maxSize; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := racing.Append(testCert(i), simtime.Day(19000+i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	var polled []Entry
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			polled = append(polled, rm.Poll()...)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			n := racing.Size()
+			if got := racing.Scan(0, n, nil); int64(len(got)) != n || got[n-1].Index != n-1 {
+				t.Errorf("Scan(0, %d) returned %d entries", n, len(got))
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-appended
+	polled = append(polled, rm.Poll()...)
+	if n := racing.Size(); int64(len(polled)) != n/2 {
+		t.Fatalf("Polls delivered %d entries of a %d-entry log, want %d", len(polled), n, n/2)
 	}
-	if _, err := l.Append(testCert(1), simtime.MustParse("2022-02-06")); err != nil {
-		t.Fatal(err)
-	}
-	head := l.Head()
-	if head.Size != 2 || head.Timestamp != simtime.MustParse("2022-02-06") {
-		t.Fatalf("Head = %+v", head)
+	for j, e := range polled {
+		if e.Index != int64(2*j+1) || e.Cert.Serial != uint64(2*j+2) || e.Timestamp != simtime.Day(19000+2*j+1) {
+			t.Fatalf("Poll delivery %d = index %d serial %d day %d", j, e.Index, e.Cert.Serial, e.Timestamp)
+		}
 	}
 }
 
@@ -248,31 +150,6 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Append(certs[i%1024], 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRootMemoized(b *testing.B) {
-	l := buildLog(b, 4096)
-	if _, err := l.RootAt(4096); err != nil { // warm the memo
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.RootAt(4096); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInclusionProof(b *testing.B) {
-	l := buildLog(b, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.InclusionProof(int64(i)%4096, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,27 +5,25 @@ import (
 
 	"whereru/internal/ct"
 	"whereru/internal/pki"
+	"whereru/internal/simtime"
 )
 
-// ExampleLog shows the auditor flow: append certificates, fetch the tree
-// head, and verify an inclusion proof against it.
+// ExampleLog appends certificates to a log and scans them back in log
+// order, each with its index and log timestamp.
 func ExampleLog() {
 	log := ct.NewLog("example-log")
 	ca := pki.NewCA(1, pki.LetsEncrypt, []string{"R3"}, 90)
-
-	var leaf []byte
-	for i := 0; i < 5; i++ {
-		cert, _ := ca.Issue(19000, fmt.Sprintf("site%d.ru", i))
-		idx, _ := log.Append(cert, 19000)
-		if idx == 2 {
-			leaf = cert.Marshal()
-		}
+	for i := 0; i < 3; i++ {
+		cert, _ := ca.Issue(19000+simtime.Day(i), fmt.Sprintf("site%d.ru", i))
+		log.Append(cert, 19000+simtime.Day(i))
 	}
-	head := log.Head()
-	proof, _ := log.InclusionProof(2, head.Size)
-	fmt.Println("inclusion verified:", ct.VerifyInclusion(leaf, 2, head.Size, proof, head.Root))
+	for _, e := range log.Scan(0, log.Size(), nil) {
+		fmt.Println(e.Index, e.Timestamp, e.Cert.SubjectCN)
+	}
 	// Output:
-	// inclusion verified: true
+	// 0 2022-01-08 site0.ru.
+	// 1 2022-01-09 site1.ru.
+	// 2 2022-01-10 site2.ru.
 }
 
 // ExampleMonitor tails a log for Russian-domain certificates, as the

@@ -3,13 +3,10 @@
 // per-period issuance behavior, and revocation state (CRL + OCSP). It is a
 // behavioral model, not a cryptographic one: certificates carry the fields
 // the paper's analysis reads (issuer organization, names, validity,
-// chain root, CT-logging behavior), and integrity in the CT log is
-// provided by real SHA-256 Merkle hashing over a deterministic
-// serialization of these fields (internal/ct).
+// chain root, CT-logging behavior).
 package pki
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,89 +99,6 @@ func (c *Certificate) ValidOn(day simtime.Day) bool {
 func (c *Certificate) String() string {
 	return fmt.Sprintf("serial=%d cn=%s issuer=%q (%s) validity=%s..%s",
 		c.Serial, c.SubjectCN, c.IssuerOrg, c.IssuerCN, c.NotBefore, c.NotAfter)
-}
-
-// Marshal serializes the certificate deterministically; this is the byte
-// string hashed into CT log leaves. The format is length-prefixed fields,
-// not ASN.1 — stable, compact and sufficient for Merkle integrity.
-func (c *Certificate) Marshal() []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint64(b, c.Serial)
-	appendStr := func(s string) {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	appendStr(c.IssuerOrg)
-	appendStr(c.IssuerCN)
-	appendStr(c.RootOrg)
-	appendStr(c.SubjectCN)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(c.SANs)))
-	for _, s := range c.SANs {
-		appendStr(s)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(c.NotBefore)))
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(c.NotAfter)))
-	if c.Logged {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-// Unmarshal parses the Marshal format.
-func Unmarshal(b []byte) (*Certificate, error) {
-	c := &Certificate{Issuer: &Issuer{}}
-	if len(b) < 8 {
-		return nil, fmt.Errorf("pki: short certificate blob")
-	}
-	c.Serial = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	readStr := func() (string, error) {
-		if len(b) < 2 {
-			return "", fmt.Errorf("pki: truncated string")
-		}
-		n := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < n {
-			return "", fmt.Errorf("pki: truncated string body")
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, nil
-	}
-	var err error
-	if c.IssuerOrg, err = readStr(); err != nil {
-		return nil, err
-	}
-	if c.IssuerCN, err = readStr(); err != nil {
-		return nil, err
-	}
-	if c.RootOrg, err = readStr(); err != nil {
-		return nil, err
-	}
-	if c.SubjectCN, err = readStr(); err != nil {
-		return nil, err
-	}
-	if len(b) < 2 {
-		return nil, fmt.Errorf("pki: truncated SAN count")
-	}
-	nSAN := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	for i := 0; i < nSAN; i++ {
-		s, err := readStr()
-		if err != nil {
-			return nil, err
-		}
-		c.SANs = append(c.SANs, s)
-	}
-	if len(b) < 9 {
-		return nil, fmt.Errorf("pki: truncated validity")
-	}
-	c.NotBefore = simtime.Day(int32(binary.BigEndian.Uint32(b)))
-	c.NotAfter = simtime.Day(int32(binary.BigEndian.Uint32(b[4:])))
-	c.Logged = b[8] == 1
-	return c, nil
 }
 
 // NormalizeName canonicalizes a certificate subject name (trailing dot,

@@ -133,15 +133,6 @@ func TestIssuerRecordsShared(t *testing.T) {
 	if !first.Logged || first.RootOrg != DigiCert || first.IssuerCN == "CN-C" {
 		t.Errorf("the edit reached a certificate issued before it: %+v", *first.Issuer)
 	}
-	before := ca.Issued()
-	blob := first.Marshal()
-	back, err := Unmarshal(blob)
-	if err != nil || *back.Issuer != *first.Issuer || back.Issuer == first.Issuer {
-		t.Errorf("Unmarshal must build an issuer record of its own: %+v, %v", back, err)
-	}
-	if ca.Issued() != before {
-		t.Error("Marshal/Unmarshal touched the CA")
-	}
 }
 
 // TestStoreWithoutSerialMaps drives the store's serial index — one run per

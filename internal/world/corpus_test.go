@@ -20,8 +20,8 @@ func heapNow() uint64 {
 // scan endpoints, the store — and reading the heap after each. A
 // certificate is its struct, its SAN list, the one name made for it and
 // three pointers (issuance order, serial index, log entry): ≈170 bytes.
-// A second copy of its issuer strings, a serial-keyed map or a leaf hash
-// computed at build time each show here (all three together were 345).
+// A second copy of its issuer strings, a serial-keyed map or a per-entry
+// hash computed at build time each show here (all three together were 345).
 func TestCorpusHoldsNothingNobodyReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement")

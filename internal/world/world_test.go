@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"whereru/internal/ct"
 	"whereru/internal/dns"
 	"whereru/internal/pki"
 	"whereru/internal/simtime"
@@ -266,20 +265,23 @@ func TestCertCorpus(t *testing.T) {
 	if w.Scanner.NumEndpoints() < PaperNumbers.RussianCACerts {
 		t.Fatalf("scanner endpoints = %d", w.Scanner.NumEndpoints())
 	}
-	// CT log integrity: verify a couple of inclusion proofs.
-	head := w.CTLog.Head()
-	for _, idx := range []int64{0, head.Size / 2, head.Size - 1} {
-		e, err := w.CTLog.Entry(idx)
-		if err != nil {
-			t.Fatal(err)
+	// The log holds exactly the logged certificates, each once.
+	inLog := map[*pki.Certificate]int{}
+	for _, e := range w.CTLog.Scan(0, w.CTLog.Size(), nil) {
+		inLog[e.Cert]++
+	}
+	logged := 0
+	for _, c := range w.Certs.All() {
+		if !c.Logged {
+			continue
 		}
-		proof, err := w.CTLog.InclusionProof(idx, head.Size)
-		if err != nil {
-			t.Fatal(err)
+		logged++
+		if n := inLog[c]; n != 1 {
+			t.Fatalf("logged certificate %d appears %d times in the CT log", c.Serial, n)
 		}
-		if !ct.VerifyInclusion(e.Cert.Marshal(), idx, head.Size, proof, head.Root) {
-			t.Fatalf("inclusion proof failed for entry %d", idx)
-		}
+	}
+	if int64(logged) != w.CTLog.Size() {
+		t.Fatalf("CT log holds %d entries for %d logged certificates", w.CTLog.Size(), logged)
 	}
 }
 
