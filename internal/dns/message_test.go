@@ -157,9 +157,6 @@ func TestNameHelpers(t *testing.T) {
 	if !IsSubdomain("a.ru.", "ru.") || IsSubdomain("aru.", "ru.") || !IsSubdomain("x.y.", ".") {
 		t.Error("IsSubdomain failed")
 	}
-	if Join("ns1", "reg.ru.") != "ns1.reg.ru." || Join("x", ".") != "x." {
-		t.Error("Join failed")
-	}
 	if CountLabels("a.b.ru.") != 3 || CountLabels(".") != 0 {
 		t.Error("CountLabels failed")
 	}
@@ -295,33 +292,6 @@ func TestTypeAndRCodeStrings(t *testing.T) {
 	}
 	if ClassIN.String() != "IN" || Class(4).String() != "CLASS4" {
 		t.Error("Class.String failed")
-	}
-	if typ, ok := ParseType("CNAME"); !ok || typ != TypeCNAME {
-		t.Error("ParseType failed")
-	}
-	if _, ok := ParseType("NOPE"); ok {
-		t.Error("ParseType accepted junk")
-	}
-}
-
-func TestSortRRs(t *testing.T) {
-	rrs := []RR{
-		NewA("b.ru.", 1, mustAddr("10.0.0.2")),
-		NewNS("a.ru.", 1, "ns2.x.ru."),
-		NewA("a.ru.", 1, mustAddr("10.0.0.1")),
-		NewNS("a.ru.", 1, "ns1.x.ru."),
-	}
-	SortRRs(rrs)
-	want := []string{"a.ru. A", "a.ru. NS ns1", "a.ru. NS ns2", "b.ru. A"}
-	_ = want
-	if rrs[0].Name != "a.ru." || rrs[0].Type != TypeA {
-		t.Errorf("sort order wrong: %v", rrs)
-	}
-	if rrs[1].Data.String() != "ns1.x.ru." {
-		t.Errorf("NS order wrong: %v", rrs)
-	}
-	if rrs[3].Name != "b.ru." {
-		t.Errorf("name order wrong: %v", rrs)
 	}
 }
 

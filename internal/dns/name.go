@@ -122,15 +122,6 @@ func IsSubdomain(child, parent string) bool {
 	return strings.HasSuffix(child, "."+parent)
 }
 
-// Join prepends a label to a canonical suffix: Join("ns1", "example.ru.")
-// is "ns1.example.ru.".
-func Join(label, suffix string) string {
-	if suffix == "." {
-		return label + "."
-	}
-	return label + "." + suffix
-}
-
 // appendName encodes a canonical name in uncompressed wire form without
 // allocating intermediate label slices, validating each label as it
 // copies it.

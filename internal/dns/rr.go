@@ -3,7 +3,6 @@ package dns
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -200,18 +199,4 @@ func NewMX(name string, ttl uint32, pref uint16, host string) RR {
 // NewTXT builds a TXT record.
 func NewTXT(name string, ttl uint32, strings ...string) RR {
 	return RR{Name: Canonical(name), Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: TXTData{strings}}
-}
-
-// SortRRs orders records deterministically (by name, type, then rendered
-// RDATA); useful for comparing answer sets in tests and storage.
-func SortRRs(rrs []RR) {
-	sort.Slice(rrs, func(i, j int) bool {
-		if rrs[i].Name != rrs[j].Name {
-			return rrs[i].Name < rrs[j].Name
-		}
-		if rrs[i].Type != rrs[j].Type {
-			return rrs[i].Type < rrs[j].Type
-		}
-		return rrs[i].Data.String() < rrs[j].Data.String()
-	})
 }

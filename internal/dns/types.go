@@ -46,16 +46,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// ParseType maps a mnemonic back to its code.
-func ParseType(s string) (Type, bool) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
 // Class is a DNS class code. Only IN is used in practice.
 type Class uint16
 

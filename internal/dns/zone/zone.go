@@ -1,9 +1,9 @@
 // Package zone provides an authoritative DNS zone: an RRset store with
 // RFC 1034 lookup semantics (answers, referrals with glue, NODATA and
 // NXDOMAIN), a zone-file parser/serializer, and a dns.Handler that serves
-// one or more zones. The simulated TLD registries use dynamic handlers for
-// scale, but zones are the interchange format for seed lists and
-// fixtures.
+// one or more zones. No binary imports it: the simulated TLDs serve from
+// dynamic handlers and the registries' zone snapshots are the seed lists.
+// It stays only with its own tests, queued for deletion with them.
 package zone
 
 import (
@@ -40,7 +40,8 @@ func New(origin string) *Zone {
 		rrsets: make(map[rrKey][]dns.RR),
 		names:  make(map[string]int),
 	}
-	z.Add(dns.NewSOA(z.Origin, dns.Join("ns1", z.Origin), dns.Join("hostmaster", z.Origin), 1))
+	suffix := strings.TrimPrefix(z.Origin, ".") // "" for the root: its SOA names "ns1."
+	z.Add(dns.NewSOA(z.Origin, "ns1."+suffix, "hostmaster."+suffix, 1))
 	return z
 }
 
@@ -212,7 +213,7 @@ func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 		records = append(records, z.rrsets[k]...)
 	}
 	z.mu.RUnlock()
-	dns.SortRRs(records)
+	sortRRs(records)
 	// SOA first, by convention.
 	sort.SliceStable(records, func(i, j int) bool {
 		return records[i].Type == dns.TypeSOA && records[j].Type != dns.TypeSOA
@@ -232,6 +233,20 @@ func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, bw.Flush()
+}
+
+// sortRRs orders records deterministically: by name, type, then rendered
+// RDATA.
+func sortRRs(rrs []dns.RR) {
+	sort.Slice(rrs, func(i, j int) bool {
+		if rrs[i].Name != rrs[j].Name {
+			return rrs[i].Name < rrs[j].Name
+		}
+		if rrs[i].Type != rrs[j].Type {
+			return rrs[i].Type < rrs[j].Type
+		}
+		return rrs[i].Data.String() < rrs[j].Data.String()
+	})
 }
 
 // Parse reads a zone in the presentation format emitted by WriteTo.
@@ -302,37 +317,33 @@ func parseRR(fields []string) (dns.RR, error) {
 	if fields[2] != "IN" {
 		return dns.RR{}, fmt.Errorf("unsupported class %q", fields[2])
 	}
-	typ, ok := dns.ParseType(fields[3])
-	if !ok {
-		return dns.RR{}, fmt.Errorf("unsupported type %q", fields[3])
-	}
 	name := dns.Canonical(fields[0])
 	ttl := uint32(ttl64)
 	rdata := fields[4:]
-	switch typ {
-	case dns.TypeA:
+	switch fields[3] {
+	case "A":
 		addr, err := netip.ParseAddr(rdata[0])
 		if err != nil || !addr.Is4() {
 			return dns.RR{}, fmt.Errorf("bad A address %q", rdata[0])
 		}
 		return dns.NewA(name, ttl, addr), nil
-	case dns.TypeAAAA:
+	case "AAAA":
 		addr, err := netip.ParseAddr(rdata[0])
 		if err != nil || !addr.Is6() {
 			return dns.RR{}, fmt.Errorf("bad AAAA address %q", rdata[0])
 		}
 		return dns.NewAAAA(name, ttl, addr), nil
-	case dns.TypeNS:
+	case "NS":
 		return dns.NewNS(name, ttl, rdata[0]), nil
-	case dns.TypeCNAME:
+	case "CNAME":
 		return dns.NewCNAME(name, ttl, rdata[0]), nil
-	case dns.TypeMX:
+	case "MX":
 		pref, err := strconv.ParseUint(rdata[0], 10, 16)
 		if err != nil || len(rdata) < 2 {
 			return dns.RR{}, fmt.Errorf("bad MX rdata %v", rdata)
 		}
 		return dns.NewMX(name, ttl, uint16(pref), rdata[1]), nil
-	case dns.TypeTXT:
+	case "TXT":
 		joined := strings.Join(rdata, " ")
 		var strs []string
 		for len(joined) > 0 {
@@ -349,7 +360,7 @@ func parseRR(fields []string) (dns.RR, error) {
 			joined = rest
 		}
 		return dns.NewTXT(name, ttl, strs...), nil
-	case dns.TypeSOA:
+	case "SOA":
 		if len(rdata) != 7 {
 			return dns.RR{}, fmt.Errorf("bad SOA rdata %v", rdata)
 		}
@@ -366,6 +377,6 @@ func parseRR(fields []string) (dns.RR, error) {
 			Serial: nums[0], Refresh: nums[1], Retry: nums[2], Expire: nums[3], Minimum: nums[4],
 		}}, nil
 	default:
-		return dns.RR{}, fmt.Errorf("unparsable type %v", typ)
+		return dns.RR{}, fmt.Errorf("unsupported type %q", fields[3])
 	}
 }

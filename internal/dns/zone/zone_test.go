@@ -138,6 +138,10 @@ func TestZoneSerializeParseRoundTrip(t *testing.T) {
 	if z.Size() != z2.Size() {
 		t.Fatalf("size mismatch: %d vs %d", z.Size(), z2.Size())
 	}
+	// The CNAME mnemonic parses back to a CNAME record.
+	if got := z2.Lookup("www.direct.ru.", dns.TypeCNAME); len(got) != 1 {
+		t.Fatalf("parsed CNAME = %v", got)
+	}
 	// Semantics preserved: same referral behavior.
 	ans := z2.Query("example.ru.", dns.TypeA)
 	if len(ans.Authority) != 2 || len(ans.Additional) != 1 {
@@ -154,6 +158,7 @@ func TestParseErrors(t *testing.T) {
 		"$ORIGIN ru.\nx.ru. 60 IN A 999.2.3.4",
 		"$ORIGIN ru.\nx.ru. 60 IN AAAA 1.2.3.4",
 		"$ORIGIN ru.\nx.com. 60 IN A 1.2.3.4", // out of zone
+		"$ORIGIN ru.\nx.ru. 60 IN NOPE x",     // unknown type mnemonic
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {
@@ -219,6 +224,32 @@ func TestZoneNamesAndSize(t *testing.T) {
 	}
 	if z.SOA().Type != dns.TypeSOA {
 		t.Fatal("SOA missing")
+	}
+	// The synthesized SOA names its servers below the origin, the root's too.
+	if soa := New("reg.ru.").SOA().Data.(dns.SOAData); soa.MName != "ns1.reg.ru." || soa.RName != "hostmaster.reg.ru." {
+		t.Errorf("reg.ru. SOA names %s, %s", soa.MName, soa.RName)
+	}
+	if soa := New(".").SOA().Data.(dns.SOAData); soa.MName != "ns1." || soa.RName != "hostmaster." {
+		t.Errorf("root SOA names %s, %s", soa.MName, soa.RName)
+	}
+}
+
+func TestSortRRs(t *testing.T) {
+	rrs := []dns.RR{
+		dns.NewA("b.ru.", 1, addr("10.0.0.2")),
+		dns.NewNS("a.ru.", 1, "ns2.x.ru."),
+		dns.NewA("a.ru.", 1, addr("10.0.0.1")),
+		dns.NewNS("a.ru.", 1, "ns1.x.ru."),
+	}
+	sortRRs(rrs)
+	if rrs[0].Name != "a.ru." || rrs[0].Type != dns.TypeA {
+		t.Errorf("sort order wrong: %v", rrs)
+	}
+	if rrs[1].Data.String() != "ns1.x.ru." {
+		t.Errorf("NS order wrong: %v", rrs)
+	}
+	if rrs[3].Name != "b.ru." {
+		t.Errorf("name order wrong: %v", rrs)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package netsim models the simulated Internet the measurement pipeline
 // runs against: autonomous systems, IPv4 prefix allocations, sequential
 // address assignment, origin-AS lookup (the BGP analog), and a shared
-// simulation clock. The DNS "wire" itself is dns.MemNet (or real UDP); this
+// simulation clock. The DNS "wire" itself is dns.MemNet; this
 // package owns the address plan that makes geolocation and per-ASN
 // analyses meaningful.
 package netsim

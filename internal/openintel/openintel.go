@@ -3,8 +3,9 @@
 // JSAC 2016): daily zone-file seeds drive an iterative-resolution sweep
 // that records, for every registered domain, its delegated NS set, the A
 // records of those name servers, and the A records of the domain apex.
-// Sweeps run on a worker pool over any dns.Transport (in-memory for scale,
-// UDP for realism) and feed the epoch-compressed measurement store.
+// Sweeps run on a worker pool over a dns.Transport (the in-memory wire,
+// optionally under fault and route layers) and feed the epoch-compressed
+// measurement store.
 package openintel
 
 import (

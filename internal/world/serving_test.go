@@ -115,10 +115,12 @@ func configDays(w *World) []configDay {
 }
 
 // TestServingMatchesOracle is the differential for per-query assembly:
-// for every domain on every day its configuration changes, each answer
-// shape — through MemNet (reply and records in the request's arena) and
-// from the handler called with a query that owns itself (records from
-// make) — is what the oracle builds.
+// for every domain on every day its configuration changes, and for every
+// name in the registries' zone snapshot on the conflict's first day (the
+// seed list: its TLD must delegate each one), each answer shape — through
+// MemNet (reply and records in the request's arena) and from the handler
+// called with a query that owns itself (records from make) — is what the
+// oracle builds.
 func TestServingMatchesOracle(t *testing.T) {
 	w := getWorld(t)
 	ctx := context.Background()
@@ -130,8 +132,17 @@ func TestServingMatchesOracle(t *testing.T) {
 	for key, p := range w.providers {
 		provH[key] = w.providerHandler(p)
 	}
+	days := configDays(w)
+	for _, name := range w.Registries.ZoneSnapshot(simtime.ConflictStart) {
+		d, cfg, ok := w.domains.configOf(name, simtime.ConflictStart)
+		if !ok {
+			t.Fatalf("%s is in the %s zone snapshot but has no configuration", name, simtime.ConflictStart)
+		}
+		days = append(days, configDay{d, name, simtime.ConflictStart, cfg})
+	}
+	slices.SortStableFunc(days, func(a, b configDay) int { return cmp.Compare(a.day, b.day) })
 	shapes, exchanges := map[string]int{}, 0
-	for _, cd := range configDays(w) {
+	for _, cd := range days {
 		w.Clock().Set(cd.day)
 		name, now := cd.name, cd.day
 		dnsKey, hostKey := cd.cfg.dnsKey(), cd.cfg.hostKey()

@@ -33,7 +33,9 @@ var unreachedClasses = map[string]bool{"oracle": true, "helper": true, "hook": t
 //
 // Every top-level func, method, type, var and const under internal/ that
 // stays unreached must be listed in testdata/unreached.txt with a class
-// (unreachedClasses), and every line there must still list one.
+// (unreachedClasses), and every line there must still list one. A line
+// for a whole package (dir.*) fails as soon as a binary reaches any of
+// the package, so a queued package cannot come back piece by piece.
 func TestProductReachability(t *testing.T) {
 	fset, files := sourceTree(t)
 	r := newReach(fset)
@@ -64,7 +66,10 @@ func TestProductReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := map[string]bool{}
+	listed, isUnreached := map[string]bool{}, map[*decl]bool{}
+	for _, d := range unreached {
+		isUnreached[d] = true
+	}
 	for _, l := range lines {
 		class, file, _ := strings.Cut(l.class, " ")
 		switch {
@@ -77,6 +82,13 @@ func TestProductReachability(t *testing.T) {
 		for _, d := range unreached {
 			if l.covers(d.key) {
 				matched, listed[d.key] = true, true
+			}
+		}
+		if strings.HasSuffix(l.key, ".*") {
+			for _, d := range r.decls {
+				if l.covers(d.key) && !isUnreached[d] {
+					t.Errorf("%s:%d: %s is listed but %s is reached by a binary (%s)", allow, l.line, l.key, d.key, fset.Position(d.pos))
+				}
 			}
 		}
 		if !matched {
