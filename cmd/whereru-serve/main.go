@@ -28,7 +28,8 @@
 //	                 same scenario, and the reachability/latency figures
 //	                 and /api/v1/outages light up
 //	-max-concurrent N  concurrent analysis computations (default GOMAXPROCS)
-//	-request-timeout D per-request deadline (default 30s)
+//	-request-timeout D longest wait on another request's computation or a
+//	                   long-poll's next sweep (default 30s)
 //	-cache-entries N   result-cache capacity (default 512)
 //	-follow          keep tailing the -checkpoint journal while serving:
 //	                 new sweeps appended by a concurrent `whereru
@@ -77,7 +78,7 @@ func run() error {
 	step := flag.Int("step", 3, "dense sweep interval in days when collecting")
 	scenario := flag.String("scenario", "", "routing scenario (must match the run that produced -store/-checkpoint)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent analysis computations (0 = GOMAXPROCS)")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
+	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "longest wait on another request's computation (then 503) or for a long-poll's next sweep (then 204)")
 	cacheEntries := flag.Int("cache-entries", 0, "result-cache capacity (0 = default)")
 	follow := flag.Bool("follow", false, "keep tailing the -checkpoint journal, fold new sweeps live and answer long-polls on /api/v1/stream/sweeps")
 	followPoll := flag.Duration("follow-poll", 0, "journal polling interval in follow mode (0 = default)")

@@ -122,18 +122,6 @@ func (in *Internet) Lookup(asn ASN) (*AS, bool) {
 	return as, ok
 }
 
-// ASes returns all registered ASes sorted by number.
-func (in *Internet) ASes() []*AS {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]*AS, 0, len(in.ases))
-	for _, as := range in.ases {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
 func addrToU32(a netip.Addr) uint32 {
 	b := a.As4()
 	return binary.BigEndian.Uint32(b[:])

@@ -121,17 +121,6 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestASesSorted(t *testing.T) {
-	in := NewInternet(simtime.StudyStart)
-	for _, n := range []ASN{300, 100, 200} {
-		in.MustRegisterAS(AS{Number: n})
-	}
-	ases := in.ASes()
-	if len(ases) != 3 || ases[0].Number != 100 || ases[2].Number != 300 {
-		t.Fatalf("ASes not sorted: %v", ases)
-	}
-}
-
 func TestAddrConversionProperty(t *testing.T) {
 	f := func(v uint32) bool {
 		return addrToU32(u32ToAddr(v)) == v

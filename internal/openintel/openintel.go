@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,8 +101,7 @@ const latBuckets = 24
 // LatencyHistogram counts per-domain measurement durations in
 // power-of-two microsecond buckets. Sweep reads a sweep's quantiles off
 // one, and the analysis route-latency series each day's, so the two
-// views of latency are comparable; histograms merge by addition (Merge,
-// which only the unit API's tests call).
+// views of latency are comparable.
 type LatencyHistogram struct {
 	Counts [latBuckets]uint32
 }
@@ -121,13 +119,6 @@ func LatencyBucket(d time.Duration) int {
 // Observe records one duration.
 func (h *LatencyHistogram) Observe(d time.Duration) {
 	h.Counts[LatencyBucket(d)]++
-}
-
-// Merge adds another histogram's counts into h.
-func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
 }
 
 // Total returns the number of observations.
@@ -187,10 +178,9 @@ type measured struct {
 // measurePool resolves every domain concurrently with the pipeline's
 // worker count and delivers each result to sink from the calling
 // goroutine (so sink needs no locking). It is the engine under Sweep
-// (whole-zone, streaming into the store), the one collection path, and
-// under MeasureUnit (a slice, no store side effects), which only tests
-// call. On cancellation it returns promptly with whatever results
-// already arrived delivered.
+// (whole-zone, streaming into the store), the one collection path. On
+// cancellation it returns promptly with whatever results already
+// arrived delivered.
 //
 // Work is dispatched by the chunk, not the domain — a measurement is
 // ~10µs, less than two channel rendezvous cost the pool: workers claim
@@ -324,91 +314,6 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 		}
 	}
 	return stats, nil
-}
-
-// UnitResult is what measuring one contiguous slice of the day's
-// inventory produces: the measurements sorted by domain, the outcome
-// tallies Sweep would have accumulated for them, and the per-domain
-// latency histogram. It carries no store or journal side effects: a
-// caller merges unit results in unit order and commits the sweep in one
-// place (CommitSweep).
-type UnitResult struct {
-	// Measurements holds one measurement per requested domain, sorted by
-	// domain name.
-	Measurements []store.Measurement
-	Failed       int
-	NXDomain     int
-	Unreachable  int
-	// Retries/Recovered are the resolver client's counter deltas across
-	// the unit.
-	Retries   int
-	Recovered int
-	// CacheHits/CacheMisses/CacheCoalesced are the resolver
-	// infrastructure-cache counter deltas across the unit (workers
-	// process units serially, so per-unit deltas are exact).
-	CacheHits, CacheMisses, CacheCoalesced int64
-	// Latency is the per-domain measurement latency histogram.
-	Latency LatencyHistogram
-}
-
-// MeasureUnit resolves a contiguous slice of the day's inventory without
-// touching the store or the journal: the measuring half of the unit API,
-// which only unit_test.go calls (ROADMAP item 7). The caller is
-// responsible for day context — the world clock must be at day and the
-// resolver cache flushed at day boundaries, exactly as Sweep does for a
-// whole zone. A cancelled unit returns the context error; partial
-// results are discarded by callers.
-func (p *Pipeline) MeasureUnit(ctx context.Context, day simtime.Day, domains []string) (UnitResult, error) {
-	clientBefore := p.Resolver.Client.Stats()
-	cacheBefore := p.Resolver.CacheStats()
-	res := UnitResult{Measurements: make([]store.Measurement, 0, len(domains))}
-	p.measurePool(ctx, day, domains, func(r measured) {
-		if r.m.Config.Failed {
-			res.Failed++
-		}
-		if r.nx {
-			res.NXDomain++
-		}
-		if r.unreachable {
-			res.Unreachable++
-		}
-		res.Latency.Observe(r.took + r.simLat)
-		res.Measurements = append(res.Measurements, r.m)
-	})
-	clientAfter := p.Resolver.Client.Stats()
-	cacheAfter := p.Resolver.CacheStats()
-	res.Retries = int(clientAfter.Retries - clientBefore.Retries)
-	res.Recovered = int(clientAfter.Recovered - clientBefore.Recovered)
-	res.CacheHits = cacheAfter.Hits() - cacheBefore.Hits()
-	res.CacheMisses = cacheAfter.Misses() - cacheBefore.Misses()
-	res.CacheCoalesced = cacheAfter.Coalesced - cacheBefore.Coalesced
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	sort.Slice(res.Measurements, func(i, j int) bool {
-		return res.Measurements[i].Domain < res.Measurements[j].Domain
-	})
-	return res, nil
-}
-
-// CommitSweep records an externally-measured sweep: it registers the day,
-// adds every measurement to the store, and journals the sweep when
-// checkpointing — the commit half of Sweep, which a caller runs after
-// merging MeasureUnit's results. Measurements must all carry stats.Day;
-// their order does not affect the store or journal bytes (the store is
-// per-domain and the journal sorts), but callers pass shard order so the
-// commit is reproducible end to end.
-func (p *Pipeline) CommitSweep(stats SweepStats, ms []store.Measurement) error {
-	p.Store.BeginSweep(stats.Day)
-	for _, m := range ms {
-		p.Store.Add(m)
-	}
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.AppendSweep(journalRecord(stats, ms)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func journalRecord(st SweepStats, ms []store.Measurement) store.JournalSweep {

@@ -3,6 +3,7 @@ package openintel
 import (
 	"context"
 	"testing"
+	"time"
 
 	"whereru/internal/idn"
 	"whereru/internal/simtime"
@@ -204,5 +205,61 @@ func TestSweepAllocs(t *testing.T) {
 	}
 	if got := res.AllocedBytesPerOp(); got > 1100000 {
 		t.Errorf("a sweep allocates %d bytes, want at most 1,100,000", got)
+	}
+}
+
+// deterministic drops a sweep's runtime, keeping its record, so stats
+// can be compared across runs and against journal replays.
+func deterministic(s SweepStats) SweepStats {
+	return SweepStats{Day: s.Day, JournalStats: s.JournalStats}
+}
+
+func TestLatencyHistogramBuckets(t *testing.T) {
+	var h LatencyHistogram
+	cases := []struct {
+		d      time.Duration
+		bucket int
+	}{
+		{0, 0},
+		{time.Microsecond, 0},             // 1µs fits the first bound
+		{2 * time.Microsecond, 1},         // 2µs fits the second
+		{3 * time.Microsecond, 2},         // 3µs overflows it
+		{time.Millisecond, 10},            // 1000µs ≤ 1024
+		{time.Hour, latBuckets - 1},       // overflow bucket catches everything
+		{100 * time.Nanosecond, 0},        // sub-µs truncates to 0µs
+		{8 * time.Second, latBuckets - 1}, // 8e6µs ≤ 2^23
+	}
+	for _, tc := range cases {
+		before := h.Counts[tc.bucket]
+		h.Observe(tc.d)
+		if h.Counts[tc.bucket] != before+1 {
+			t.Errorf("Observe(%v): bucket %d not incremented (counts %v)", tc.d, tc.bucket, h.Counts)
+		}
+	}
+	if h.Total() != uint64(len(cases)) {
+		t.Errorf("Total() = %d, want %d", h.Total(), len(cases))
+	}
+}
+
+func TestLatencyHistogramQuantile(t *testing.T) {
+	var h LatencyHistogram
+	if h.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram quantile = %v, want 0", h.Quantile(0.5))
+	}
+	// 90 observations in the 64µs bucket, 10 in the 1024µs bucket.
+	for i := 0; i < 90; i++ {
+		h.Observe(50 * time.Microsecond)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(513 * time.Microsecond)
+	}
+	if got := h.Quantile(0.50); got != 64*time.Microsecond {
+		t.Errorf("p50 = %v, want 64µs", got)
+	}
+	if got := h.Quantile(0.90); got != 64*time.Microsecond {
+		t.Errorf("p90 = %v, want 64µs", got)
+	}
+	if got := h.Quantile(0.99); got != 1024*time.Microsecond {
+		t.Errorf("p99 = %v, want 1024µs", got)
 	}
 }

@@ -79,5 +79,5 @@ func (c *resultCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*entry)
-	c.order = nil
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 }

@@ -677,6 +677,66 @@ func TestSaturation(t *testing.T) {
 	}
 }
 
+// TestCoalescedWaitTimesOut pins the deadline of a coalesced wait: with
+// a figures leader stalled at the compute gate, an identical request waits
+// RequestTimeout and gets 503 + Retry-After. The timeout is not cached:
+// the stalled leader still answers 200, and the next request is a hit on
+// its entry.
+func TestCoalescedWaitTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	srv := New(testStudy(t), Options{RequestTimeout: timeout})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv.computeGate = func(endpoint string) {
+		if endpoint == "figures" {
+			close(entered)
+			<-release
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	releaseGate := sync.OnceFunc(func() { close(release) })
+	defer releaseGate() // before ts.Close, which waits for the leader
+	url := ts.URL + "/api/v1/figures/1"
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := get(t, url)
+		leader <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("leader never reached the compute gate")
+	}
+
+	start := time.Now()
+	resp, _ := get(t, url)
+	if waited := time.Since(start); resp.StatusCode != http.StatusServiceUnavailable || waited < timeout {
+		t.Fatalf("coalesced request: status %d after %v, want 503 after at least %v", resp.StatusCode, waited, timeout)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("timed-out wait: Retry-After = %q, want \"1\"", ra)
+	}
+
+	releaseGate()
+	if code := <-leader; code != http.StatusOK {
+		t.Fatalf("stalled leader answered %d, want 200", code)
+	}
+	hits := func() uint64 {
+		srv.met.mu.Lock()
+		defer srv.met.mu.Unlock()
+		return srv.met.cacheHits
+	}
+	before := hits()
+	if resp, _ := get(t, url); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the leader finished: status %d, want 200", resp.StatusCode)
+	}
+	if hits() != before+1 || srv.met.computationCount() != 1 {
+		t.Errorf("after the leader finished: %d hits (want 1) and %d computations (want 1)", hits()-before, srv.met.computationCount())
+	}
+}
+
 // TestHealthzAndMetrics smoke-tests the operational endpoints.
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -780,8 +840,9 @@ func assertMetricsShape(t *testing.T, body []byte) {
 	}
 }
 
-// TestCacheEviction verifies the cache honors its capacity and drops
-// old-generation entries.
+// TestCacheEviction verifies the cache honors its capacity, evicts the
+// least recently used finished entry, never a pending one, and drops
+// old-generation entries once, at the first lookup of a newer one.
 func TestCacheEviction(t *testing.T) {
 	c := newResultCache(2)
 	finish := func(e *entry, body string) {
@@ -811,11 +872,53 @@ func TestCacheEviction(t *testing.T) {
 	// Errors are removed, so the next lookup leads again.
 	k3 := cacheKey{"b", "", 2}
 	e3, _ := c.lookup(k3)
-	e3.err = fmt.Errorf("boom")
-	c.remove(k3, e3)
-	close(e3.ready)
+	c.fail(e3, fmt.Errorf("boom"))
 	if _, lead := c.lookup(k3); !lead {
 		t.Error("failed entry stayed cached")
+	}
+
+	// A key hit between inserts survives max one-off inserts at
+	// capacity: recency, not insertion order, picks the victim.
+	c = newResultCache(4)
+	warm := cacheKey{"warm", "", 1}
+	e, _ := c.lookup(warm)
+	finish(e, "warm")
+	for i := 0; i < 4; i++ {
+		if _, lead := c.lookup(warm); lead {
+			t.Fatalf("warm key evicted after %d one-off inserts", i)
+		}
+		e, _ := c.lookup(cacheKey{"movement", strconv.Itoa(i), 1})
+		finish(e, "once")
+	}
+	if _, lead := c.lookup(warm); lead {
+		t.Error("warm key evicted by one-off inserts")
+	}
+	if c.len() > 4 {
+		t.Errorf("cache over capacity: %d", c.len())
+	}
+
+	// A pending entry is never evicted, however old: its leader and
+	// waiters still hold it.
+	c = newResultCache(2)
+	pending, _ := c.lookup(cacheKey{"pending", "", 1})
+	for i := 0; i < 4; i++ {
+		e, _ := c.lookup(cacheKey{"movement", strconv.Itoa(i), 1})
+		finish(e, "once")
+	}
+	if e, lead := c.lookup(cacheKey{"pending", "", 1}); lead || e != pending {
+		t.Error("pending entry evicted")
+	}
+
+	// Older generations go at the first lookup of a newer one, all at
+	// once, before capacity asks for room.
+	c = newResultCache(8)
+	for i := 0; i < 3; i++ {
+		e, _ := c.lookup(cacheKey{"a", strconv.Itoa(i), 1})
+		finish(e, "old")
+	}
+	c.lookup(cacheKey{"a", "0", 2})
+	if n := c.len(); n != 1 {
+		t.Errorf("after the first generation-2 lookup %d entries remain, want 1", n)
 	}
 }
 

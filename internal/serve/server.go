@@ -16,17 +16,15 @@
 //     onto the CPUs.
 //   - Every cached body carries a strong content-hash ETag; conditional
 //     requests short-circuit to 304 Not Modified.
-//   - Each request runs under a deadline (Options.RequestTimeout).
+//   - A request that waits — on another request's computation, or on a
+//     long-poll's next event — waits at most Options.RequestTimeout. A
+//     hit waits for nothing and arms no deadline.
 //
 // All of it is stdlib-only: net/http for transport, encoding/json for
 // rendering, and a hand-rolled Prometheus text exposition at /metrics.
 package serve
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -52,7 +50,9 @@ type Options struct {
 	// misses). Default: GOMAXPROCS. Cache hits and coalesced waits are
 	// not counted — only real analysis work holds a slot.
 	MaxConcurrent int
-	// RequestTimeout bounds one request end to end. Default: 30s.
+	// RequestTimeout bounds how long a request waits: on an identical
+	// request's computation (then 503 + Retry-After) or, as a long-poll,
+	// for the next folded sweep (then 204). Default: 30s.
 	RequestTimeout time.Duration
 	// CacheEntries caps the result cache. Default: 512.
 	CacheEntries int
@@ -232,17 +232,14 @@ func (sr *statusRecorder) WriteHeader(code int) {
 }
 
 // handle registers pattern with per-request instrumentation: the
-// in-flight gauge, the request deadline, and the latency/status metrics
-// labeled with endpoint.
+// in-flight gauge and the latency/status metrics labeled with endpoint.
 func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r.WithContext(ctx))
+		h(rec, r)
 		s.met.observe(endpoint, rec.code, time.Since(start))
 	})
 }
@@ -251,25 +248,30 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 // response document against the given store generation; serveCached
 // handles coalescing, caching, ETags, saturation and timeouts around it.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, compute func(gen uint64) (any, error)) {
-	gen := s.study.Store.Generation()
-	key := cacheKey{endpoint: endpoint, params: params, gen: gen}
+	// The generation is read and looked up under the live lock, which a
+	// fold holds from its store update until its patches are reserved:
+	// a request that sees a new generation joins the fold's entry.
+	s.liveMu.RLock()
+	key := cacheKey{endpoint: endpoint, params: params, gen: s.study.Store.Generation()}
 	e, leader := s.cache.lookup(key)
+	s.liveMu.RUnlock()
 	switch {
 	case leader:
 		s.met.miss()
-		s.compute(key, e, compute)
+		s.compute(e, compute)
 	case e.done():
 		s.met.hit()
 	default:
 		s.met.coalesce()
-	}
-
-	select {
-	case <-e.ready:
-	case <-r.Context().Done():
-		w.Header().Set("Retry-After", retryAfter)
-		http.Error(w, "request timed out waiting for computation", http.StatusServiceUnavailable)
-		return
+		deadline := time.NewTimer(s.opts.RequestTimeout)
+		defer deadline.Stop()
+		select {
+		case <-e.ready:
+		case <-deadline.C:
+			w.Header().Set("Retry-After", retryAfter)
+			http.Error(w, "request timed out waiting for computation", http.StatusServiceUnavailable)
+			return
+		}
 	}
 
 	switch {
@@ -301,42 +303,28 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 }
 
 // compute runs the leader's side of a cache miss: acquire a semaphore
-// slot (or fail fast as saturated), run the analysis, render the body,
-// stamp the ETag, and publish by closing ready. Errors are published the
-// same way but removed from the cache so the next request retries.
-func (s *Server) compute(key cacheKey, e *entry, compute func(gen uint64) (any, error)) {
-	fail := func(err error) {
-		e.err = err
-		s.cache.remove(key, e)
-		close(e.ready)
-	}
+// slot (or fail fast as saturated), run the analysis and publish the
+// result. Errors are published too, but leave the cache so the next
+// request retries.
+func (s *Server) compute(e *entry, compute func(gen uint64) (any, error)) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
 		s.met.saturated()
-		fail(errSaturated)
+		s.cache.fail(e, errSaturated)
 		return
 	}
 	defer func() { <-s.sem }()
 	s.met.computed()
 	if s.computeGate != nil {
-		s.computeGate(key.endpoint)
+		s.computeGate(e.key.endpoint)
 	}
-	doc, err := compute(key.gen)
+	doc, err := compute(e.key.gen)
 	if err != nil {
-		fail(err)
+		s.cache.fail(e, err)
 		return
 	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		fail(fmt.Errorf("serve: rendering %s: %w", key.endpoint, err))
-		return
-	}
-	body = append(body, '\n')
-	sum := sha256.Sum256(body)
-	e.body = body
-	e.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
-	close(e.ready)
+	s.cache.publish(e, doc)
 }
 
 // etagMatches implements the If-None-Match comparison for strong ETags

@@ -3,11 +3,15 @@
 // lands it (1) applies the sweep to the study's store — the same
 // mutation sequence a cold replay performs, so the store generation of a
 // followed server always equals that of a cold restart over the same
-// journal — (2) folds the segment into the incremental engine, (3)
-// *patches* the response cache at the new generation, inserting
-// fully-rendered bodies built from the engine's accumulators instead of
-// letting the next request recompute the whole study, and (4) publishes
-// it as the newest event for /api/v1/stream/sweeps long-polls.
+// journal — and, before any request can read the new generation,
+// reserves a pending cache entry for every document the engine renders;
+// (2) folds the segment into the incremental engine; (3) *patches* the
+// reservations, publishing fully-rendered bodies built from the engine's
+// accumulators, so each of those documents is computed once per
+// generation, by the follower, and a request that arrives mid-fold
+// waits for the patch instead of recomputing the whole study; and (4)
+// publishes the sweep as the newest event for /api/v1/stream/sweeps
+// long-polls.
 //
 // Patching is sound because of two invariants enforced elsewhere: the
 // engine's series are DeepEqual to the cold recompute (the
@@ -19,8 +23,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +62,8 @@ type FollowOptions struct {
 type followState struct {
 	active atomic.Bool
 	engine *stream.Engine
+	// docs are what each fold patches.
+	docs []storeDoc
 
 	mu          sync.Mutex
 	folds       uint64
@@ -125,6 +129,7 @@ func (s *Server) Follow(ctx context.Context, fo FollowOptions) error {
 	tl.SetPoll(fo.Poll)
 	f := s.follow
 	f.engine = fo.Engine
+	f.docs = s.storeDocs()
 	primed := streamEvent{Generation: s.study.Store.Generation(), Sweeps: len(s.study.Store.Sweeps())}
 	primed.Day, _ = fo.Engine.LastDay()
 	f.mu.Lock() // primed and idle is not day 0: the prefix is folded
@@ -152,20 +157,32 @@ func (s *Server) Follow(ctx context.Context, fo FollowOptions) error {
 	}
 }
 
-// applySegment is one follow-mode step: store mutation, engine fold,
-// cache patch, metrics, event publish — in that order, so every artifact
-// a long-poll client can observe after the event exists already.
+// applySegment is one follow-mode step: store mutation and patch
+// reservation under the live lock, engine fold, patch, metrics, event
+// publish — in that order, so every artifact a long-poll client can
+// observe after the event exists already.
 func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldStats, uint64, error) {
 	start := time.Now()
+	f := s.follow
 	s.liveMu.Lock()
 	s.study.ApplySweep(rec)
+	gen := s.study.Store.Generation()
+	res := make([]reservation, len(f.docs))
+	for i, d := range f.docs {
+		e, own := s.cache.lookup(cacheKey{endpoint: d.endpoint, params: d.params, gen: gen})
+		res[i] = reservation{d, e, own}
+	}
 	s.liveMu.Unlock()
-	st, err := s.follow.engine.Fold(rec)
+	st, err := f.engine.Fold(rec)
 	if err != nil {
+		for _, r := range res {
+			if r.own {
+				s.compute(r.e, r.cold(s))
+			}
+		}
 		return st, 0, fmt.Errorf("serve: folding %s: %w", rec.Day, err)
 	}
-	gen := s.study.Store.Generation()
-	etags := s.patchCache(gen)
+	etags := s.patchCache(gen, res)
 	elapsed := time.Since(start)
 	ev := streamEvent{
 		Day: rec.Day, Missing: rec.Missing, Generation: gen,
@@ -175,7 +192,6 @@ func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldSta
 		ETags:        etags,
 	}
 
-	f := s.follow
 	f.mu.Lock()
 	f.folds++
 	f.foldSeconds += elapsed.Seconds()
@@ -187,45 +203,75 @@ func (s *Server) applySegment(rec store.JournalSweep, lag int64) (stream.FoldSta
 	return st, gen, nil
 }
 
-// patchCache renders every series endpoint from the engine and installs
-// the bodies at the new generation, so the first request after a fold is
-// a warm hit instead of a full recompute. Returns the ETags by event
-// key. Insert-only: a concurrent request that beat us to a key keeps its
-// entry (counted as skipped).
-func (s *Server) patchCache(gen uint64) map[string]string {
-	eng := s.follow.engine
-	missing := s.study.Store.MissingSweeps()
-	etags := make(map[string]string, len(served)+1)
-	ins := func(endpoint, params, id string, doc any) {
-		body, err := json.Marshal(doc)
-		if err != nil {
-			return
-		}
-		body = append(body, '\n')
-		sum := sha256.Sum256(body)
-		etag := `"` + hex.EncodeToString(sum[:16]) + `"`
-		f := s.follow
-		f.mu.Lock()
-		if s.cache.insert(cacheKey{endpoint: endpoint, params: params, gen: gen}, body, etag) {
-			f.patched++
-		} else {
-			f.skipped++
-		}
-		f.mu.Unlock()
-		etags[id] = etag
-	}
+// storeDoc is a document built from the store's series: by a request
+// from the study's, or by a fold from the follow engine's.
+type storeDoc struct {
+	// id is the document's path under /api/v1/, its key in a stream
+	// event's ETags.
+	id, endpoint, params string
+	render               func(src core.Series, gen uint64) (any, error)
+}
+
+// cold computes d the way a request leader does: from the study.
+func (d storeDoc) cold(s *Server) func(gen uint64) (any, error) {
+	return func(gen uint64) (any, error) { return d.render(s.study, gen) }
+}
+
+// storeDocs lists the store-sourced experiments and /api/v1/sweeps: the
+// documents follow mode patches.
+func (s *Server) storeDocs() (out []storeDoc) {
 	for _, e := range served {
 		if e.Source != core.FromStore {
 			continue
 		}
-		doc, err := s.renderExperiment(e, eng, gen, missing)
-		if err != nil {
+		path, endpoint, params := apiAddr(e)
+		out = append(out, storeDoc{path, endpoint, params, func(src core.Series, gen uint64) (any, error) {
+			return s.renderExperiment(e, src, gen, s.study.Store.MissingSweeps())
+		}})
+	}
+	return append(out, storeDoc{"sweeps", "sweeps", "", func(src core.Series, gen uint64) (any, error) {
+		return docSweepsFromCounts(src, s.study.Store.MissingSweeps(), gen), nil
+	}})
+}
+
+// reservation is a fold's cache entry for one storeDoc at the new
+// generation. own is false when the key was already cached or computing
+// — never in follow mode, where only the follower moves the generation.
+type reservation struct {
+	storeDoc
+	e   *entry
+	own bool
+}
+
+// patchCache publishes each owned reservation from the engine, through
+// the same step a request's computation publishes through, so a patched
+// body is byte-identical to a cold one. A document the engine cannot
+// render is computed the way a request leader computes it — so is every
+// reservation when the fold fails — and its waiters see only what a cold
+// request would. Returns the published ETags by event key.
+func (s *Server) patchCache(gen uint64, res []reservation) map[string]string {
+	etags := make(map[string]string, len(res))
+	var patched, skipped uint64
+	for _, r := range res {
+		if !r.own {
+			skipped++
 			continue
 		}
-		path, endpoint, params := apiAddr(e)
-		ins(endpoint, params, path, doc)
+		if doc, err := r.render(s.follow.engine, gen); err != nil {
+			s.compute(r.e, r.cold(s))
+		} else {
+			s.cache.publish(r.e, doc)
+			patched++
+		}
+		if r.e.err == nil {
+			etags[r.id] = r.e.etag
+		}
 	}
-	ins("sweeps", "", "sweeps", docSweepsFromCounts(eng, missing, gen))
+	f := s.follow
+	f.mu.Lock()
+	f.patched += patched
+	f.skipped += skipped
+	f.mu.Unlock()
 	return etags
 }
 
@@ -241,7 +287,7 @@ func (s *Server) liveStats() []openintel.SweepStats {
 
 // handleStreamSweeps is the long-poll: it answers with the newest event
 // once its generation exceeds ?since= (immediately if it already does),
-// or 204 No Content when the request deadline passes first. A client
+// or 204 No Content when Options.RequestTimeout passes first. A client
 // that slept through several folds gets only the newest event; its
 // generation shows the gap and its ETags cover every patched endpoint.
 func (s *Server) handleStreamSweeps(w http.ResponseWriter, r *http.Request) {
@@ -258,6 +304,7 @@ func (s *Server) handleStreamSweeps(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
+	var deadline *time.Timer
 	for {
 		ev, changed := s.follow.latest()
 		if ev != nil && ev.Generation > since {
@@ -272,8 +319,15 @@ func (s *Server) handleStreamSweeps(w http.ResponseWriter, r *http.Request) {
 			w.Write(body)
 			return
 		}
+		if deadline == nil {
+			deadline = time.NewTimer(s.opts.RequestTimeout)
+			defer deadline.Stop()
+		}
 		select {
 		case <-changed:
+		case <-deadline.C:
+			w.WriteHeader(http.StatusNoContent)
+			return
 		case <-r.Context().Done():
 			w.WriteHeader(http.StatusNoContent)
 			return

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,9 +62,10 @@ func collectJournal(t *testing.T, opts core.Options) (*store.JournalReplay, stri
 // journal, loads a study+engine for opts from it, and starts a followed server
 // tailing that journal. It returns the server, its base URL, and the
 // still-open journal for the test to append the remaining segments to.
-// grow, when set, gets the journal between the load and the prime: the
-// collector does not stop appending while a server starts.
-func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options, grow func(*store.Journal)) (*Server, string, *store.Journal) {
+// gate, when set, is the server's compute gate, installed before its
+// listener starts. grow, when set, gets the journal between the load and
+// the prime: the collector does not stop appending while a server starts.
+func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options, gate func(endpoint string), grow func(*store.Journal)) (*Server, string, *store.Journal) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "follow.wrjl")
 	j, err := store.CreateJournal(path)
@@ -91,6 +93,7 @@ func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalRe
 		t.Fatalf("primed %d segments up to %s, want the %d loaded up to %s", eng.Folds(), last, k, replay.Sweeps[k-1].Day)
 	}
 	srv := New(study, opts)
+	srv.computeGate = gate
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -192,7 +195,7 @@ func TestFollowLiveUpdates(t *testing.T) {
 	replay, fullPath := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	k := n / 2
-	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, nil)
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, nil, nil)
 
 	// Concurrent readers keep hammering the API during folds; under
 	// -race this doubles as an interleaving test.
@@ -301,7 +304,7 @@ func TestPrimeWhileJournalGrows(t *testing.T) {
 	n := len(replay.Sweeps)
 	k := n / 2
 	appended := make(chan error, 1)
-	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, nil, func(j *store.Journal) {
 		if err := j.AppendSweep(replay.Sweeps[k]); err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +342,7 @@ func TestPrimeWhileJournalGrows(t *testing.T) {
 func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	k := len(replay.Sweeps) / 2
-	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, func(j *store.Journal) {
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, nil, func(j *store.Journal) {
 		f, err := os.OpenFile(j.Path(), os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -386,7 +389,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 	const k = 3
 	// Room for the readers below and the checks beside them: a 503 would
 	// only say the test saturated the server.
-	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8}, nil)
+	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8}, nil, nil)
 
 	coldPath := filepath.Join(t.TempDir(), "prefix.wrjl")
 	coldJ, err := store.CreateJournal(coldPath)
@@ -475,6 +478,101 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 	}
 }
 
+// TestFollowPatchedSeriesNeverRecompute: every warm series is computed
+// once per generation, by the follower. Around each fold, two readers
+// interleave one-off movement keys with the nine patched endpoints on a
+// 16-entry cache, before, during and after the fold. A request that reads
+// the new generation mid-fold waits for the follower's reserved entry,
+// and the one-off keys age out behind the warm ones, which keep being
+// hit: after the first fold no warm endpoint computes, and no patch is
+// skipped.
+func TestFollowPatchedSeriesNeverRecompute(t *testing.T) {
+	replay, _ := collectJournal(t, followOpts())
+	n := len(replay.Sweeps)
+	k := n / 2
+	var mu sync.Mutex
+	computes := map[string]int{}
+	gate := func(endpoint string) {
+		mu.Lock()
+		computes[endpoint]++
+		mu.Unlock()
+	}
+	warmComputes := func() (sum int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for endpoint, c := range computes {
+			if endpoint != "movement" {
+				sum += c
+			}
+		}
+		return sum
+	}
+	// Room for both readers' cold movement computes: a 503 would only
+	// say the test saturated the server.
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{CacheEntries: 16, MaxConcurrent: 8}, gate, nil)
+
+	asns := []int{197695, 13335, 16509, 47846}
+	var keys atomic.Int64
+	lastGen, warmedUp := srv.study.Store.Generation(), 0
+	for i, rec := range replay.Sweeps[k:] {
+		stop := make(chan struct{})
+		var folded atomic.Bool
+		var after atomic.Int64 // one-off keys issued after the fold was seen
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					seen := folded.Load()
+					key := int(keys.Add(1))
+					from := simtime.Date(2022, 1, 1).Add(key / len(asns) % 145)
+					p := fmt.Sprintf("/api/v1/movement?asn=%d&from=%s", asns[key%len(asns)], from)
+					for _, p := range append([]string{p}, patchedEndpoints...) {
+						if resp, _ := get(t, base+p); resp.StatusCode != http.StatusOK {
+							t.Errorf("GET %s around fold %d: status %d", p, i, resp.StatusCode)
+							return
+						}
+					}
+					if seen {
+						after.Add(1)
+					}
+				}
+			}()
+		}
+		if err := j.AppendSweep(rec); err != nil {
+			t.Fatal(err)
+		}
+		lastGen = longPoll(t, base, lastGen).Generation
+		folded.Store(true)
+		waitFor(t, "32 one-off keys after the fold", func() bool { return after.Load() >= 32 || t.Failed() })
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if i == 0 {
+			warmedUp = warmComputes()
+		} else if got := warmComputes(); got != warmedUp {
+			mu.Lock()
+			t.Fatalf("after fold %d the warm endpoints computed %d times since the first fold (computes by endpoint: %v)", i, got-warmedUp, computes)
+			mu.Unlock()
+		}
+	}
+	if n-k < 2 {
+		t.Fatalf("only %d live folds: nothing after the warm-up fold was checked", n-k)
+	}
+	_, metrics := get(t, base+"/metrics")
+	if !strings.Contains(string(metrics), "\nwhereru_stream_cache_patch_skipped_total 0\n") {
+		t.Error("follow-mode patches were skipped")
+	}
+}
+
 // TestLongPollStream: ?since= returns the latest event immediately once
 // the generation has advanced past it — whatever the client Accepts — and
 // 204 when nothing arrives before the deadline. The per-figure stream is
@@ -482,7 +580,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 func TestLongPollStream(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
-	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, nil)
+	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, nil, nil)
 
 	primed := srv.study.Store.Generation()
 	if err := j.AppendSweep(replay.Sweeps[n-1]); err != nil {

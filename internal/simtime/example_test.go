@@ -17,18 +17,6 @@ func ExampleDate() {
 	// pre-sanctions
 }
 
-func ExampleRange() {
-	from := simtime.MustParse("2022-03-01")
-	simtime.Range(from, from.Add(6), 3, func(d simtime.Day) bool {
-		fmt.Println(d)
-		return true
-	})
-	// Output:
-	// 2022-03-01
-	// 2022-03-04
-	// 2022-03-07
-}
-
 func ExamplePeriodOf() {
 	for _, s := range []string{"2022-01-15", "2022-03-01", "2022-04-15"} {
 		d := simtime.MustParse(s)

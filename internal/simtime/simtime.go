@@ -216,16 +216,3 @@ func (w Window) String() string { return w.From.String() + ".." + w.To.String() 
 
 // OneDay returns the window covering exactly d.
 func OneDay(d Day) Window { return Window{From: d, To: d} }
-
-// Range iterates days [from, to] inclusive with the given step in days,
-// calling fn for each; it stops early if fn returns false.
-func Range(from, to Day, step int, fn func(Day) bool) {
-	if step <= 0 {
-		step = 1
-	}
-	for d := from; d <= to; d += Day(step) {
-		if !fn(d) {
-			return
-		}
-	}
-}

@@ -169,35 +169,6 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	var got []string
-	Range(MustParse("2022-01-01"), MustParse("2022-01-07"), 3, func(d Day) bool {
-		got = append(got, d.String())
-		return true
-	})
-	want := []string{"2022-01-01", "2022-01-04", "2022-01-07"}
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range visited %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	count := 0
-	Range(0, 100, 1, func(Day) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Errorf("early stop visited %d days, want 5", count)
-	}
-	// Non-positive step defaults to 1.
-	count = 0
-	Range(0, 3, 0, func(Day) bool { count++; return true })
-	if count != 4 {
-		t.Errorf("zero step visited %d days, want 4", count)
-	}
-}
-
 func TestWindow(t *testing.T) {
 	w := Window{From: Date(2022, 3, 3), To: Date(2022, 3, 5)}
 	if w.Len() != 3 {
