@@ -192,40 +192,3 @@ func TestClientRetriesRecoverInjectedLoss(t *testing.T) {
 		t.Errorf("queries = %d, want 500", st.Queries)
 	}
 }
-
-// TestClientRetriesFlappingReplies pins the client's handling of a
-// SERVFAIL or TC reply, which is the server's to send: each is retried
-// with a fresh ID, a query that gets an answer on a later attempt counts
-// as recovered, and a reply that flaps through every attempt is returned
-// as it is, not as an error.
-func TestClientRetriesFlappingReplies(t *testing.T) {
-	server := mustAddr("11.0.0.1")
-	net := NewMemNet()
-	attempts := map[string]int{}
-	net.Bind(server, HandlerFunc(func(q *Message, _ netip.Addr) *Message {
-		name := q.Questions[0].Name
-		attempts[name]++
-		resp := q.Reply()
-		switch {
-		case name == "down.ru." || attempts[name] == 1:
-			resp.RCode = RCodeServFail
-		case attempts[name] == 2:
-			resp.Truncated = true
-		default:
-			resp.Answers = []RR{NewA(name, 300, mustAddr("11.0.1.1"))}
-		}
-		return resp
-	}))
-	c := NewSeededClient(net, 3)
-	resp, err := c.Query(context.Background(), server, "flap.ru.", TypeA)
-	if err != nil || len(resp.Answers) != 1 || attempts["flap.ru."] != 3 {
-		t.Fatalf("flapping server: %v, %v after %d attempts", resp, err, attempts["flap.ru."])
-	}
-	resp, err = c.Query(context.Background(), server, "down.ru.", TypeA)
-	if err != nil || resp.RCode != RCodeServFail || attempts["down.ru."] != c.Retries+1 {
-		t.Fatalf("SERVFAIL through every attempt: %v, %v after %d attempts", resp, err, attempts["down.ru."])
-	}
-	if st := c.Stats(); st.Retries != 4 || st.Recovered != 1 || st.Failed != 0 {
-		t.Errorf("stats = %+v, want 4 retries, 1 recovered, 0 failed", st)
-	}
-}

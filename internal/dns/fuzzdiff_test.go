@@ -26,7 +26,7 @@ func fuzzDiffSeeds() [][]byte {
 	resp.Authoritative = true
 	resp.Answers = []RR{
 		NewA("example.ru.", 300, mustAddr("194.58.117.5")),
-		NewCNAME("www.example.ru.", 300, "example.ru."),
+		rawRR("www.example.ru.", typeCNAME, 300, wireName("example.ru.")),
 	}
 	resp.Authority = []RR{NewNS("example.ru.", 3600, "ns1.reg.ru.")}
 	resp.Additional = []RR{NewA("ns1.reg.ru.", 3600, mustAddr("194.58.116.30"))}

@@ -36,10 +36,7 @@ type wireIntern struct {
 	mu    sync.Mutex
 	names *lfMap[uint64, string] // hash of the name bytes -> name
 	a     *lfMap[netip.Addr, RData]
-	aaaa  *lfMap[netip.Addr, RData]
 	ns    *lfMap[string, RData]
-	cname *lfMap[string, RData]
-	soa   *lfMap[SOAData, RData]
 	mx    *lfMap[MXData, RData]
 }
 
@@ -47,10 +44,7 @@ func newWireIntern() *wireIntern {
 	return &wireIntern{
 		names: newLFMap[uint64, string](func(h uint64) uint64 { return h }),
 		a:     newLFMap[netip.Addr, RData](hashAddr),
-		aaaa:  newLFMap[netip.Addr, RData](hashAddr),
 		ns:    newLFMap[string, RData](hashString),
-		cname: newLFMap[string, RData](hashString),
-		soa:   newLFMap[SOAData, RData](func(d SOAData) uint64 { return hashString(d.MName) ^ uint64(d.Serial) }),
 		mx:    newLFMap[MXData, RData](func(d MXData) uint64 { return hashString(d.Host) ^ uint64(d.Preference) }),
 	}
 }
@@ -97,20 +91,8 @@ func (w *wireIntern) aData(addr netip.Addr) RData {
 	return internData(w, w.a, addr, func(a netip.Addr) RData { return AData{a} })
 }
 
-func (w *wireIntern) aaaaData(addr netip.Addr) RData {
-	return internData(w, w.aaaa, addr, func(a netip.Addr) RData { return AAAAData{a} })
-}
-
 func (w *wireIntern) nsData(host string) RData {
 	return internData(w, w.ns, host, func(h string) RData { return NSData{h} })
-}
-
-func (w *wireIntern) cnameData(target string) RData {
-	return internData(w, w.cname, target, func(t string) RData { return CNAMEData{t} })
-}
-
-func (w *wireIntern) soaData(soa SOAData) RData {
-	return internData(w, w.soa, soa, func(d SOAData) RData { return d })
 }
 
 func (w *wireIntern) mxData(mx MXData) RData {

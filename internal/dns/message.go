@@ -468,17 +468,6 @@ func (p *parser) rr() (RR, error) {
 			rr.Data = AData{addr}
 		}
 		p.pos = rdEnd
-	case TypeAAAA:
-		if rdlen != 16 {
-			return rr, fmt.Errorf("dns: AAAA RDATA length %d", rdlen)
-		}
-		addr := netip.AddrFrom16([16]byte(p.buf[p.pos:rdEnd]))
-		if p.intern != nil {
-			rr.Data = p.intern.aaaaData(addr)
-		} else {
-			rr.Data = AAAAData{addr}
-		}
-		p.pos = rdEnd
 	case TypeNS:
 		host, err := p.name()
 		if err != nil {
@@ -488,16 +477,6 @@ func (p *parser) rr() (RR, error) {
 			rr.Data = p.intern.nsData(host)
 		} else {
 			rr.Data = NSData{host}
-		}
-	case TypeCNAME:
-		target, err := p.name()
-		if err != nil {
-			return rr, err
-		}
-		if p.intern != nil {
-			rr.Data = p.intern.cnameData(target)
-		} else {
-			rr.Data = CNAMEData{target}
 		}
 	case TypeSOA:
 		var soa SOAData
@@ -512,11 +491,7 @@ func (p *parser) rr() (RR, error) {
 				return rr, err
 			}
 		}
-		if p.intern != nil {
-			rr.Data = p.intern.soaData(soa)
-		} else {
-			rr.Data = soa
-		}
+		rr.Data = soa
 	case TypeMX:
 		pref, err := p.uint16()
 		if err != nil {
@@ -531,17 +506,6 @@ func (p *parser) rr() (RR, error) {
 		} else {
 			rr.Data = MXData{pref, host}
 		}
-	case TypeTXT:
-		var txt TXTData
-		for p.pos < rdEnd {
-			l := int(p.buf[p.pos])
-			if p.pos+1+l > rdEnd {
-				return rr, ErrTruncatedMessage
-			}
-			txt.Strings = append(txt.Strings, string(p.buf[p.pos+1:p.pos+1+l]))
-			p.pos += 1 + l
-		}
-		rr.Data = txt
 	default:
 		// Unknown types are carried opaquely so decoding is lossless and
 		// re-encoding reproduces the original octets (RFC 3597).

@@ -236,24 +236,12 @@ func (p *refParser) rr() (RR, error) {
 		}
 		rr.Data = AData{netip.AddrFrom4([4]byte(p.buf[p.pos:rdEnd]))}
 		p.pos = rdEnd
-	case TypeAAAA:
-		if rdlen != 16 {
-			return rr, fmt.Errorf("dns: AAAA RDATA length %d", rdlen)
-		}
-		rr.Data = AAAAData{netip.AddrFrom16([16]byte(p.buf[p.pos:rdEnd]))}
-		p.pos = rdEnd
 	case TypeNS:
 		host, err := p.name()
 		if err != nil {
 			return rr, err
 		}
 		rr.Data = NSData{host}
-	case TypeCNAME:
-		target, err := p.name()
-		if err != nil {
-			return rr, err
-		}
-		rr.Data = CNAMEData{target}
 	case TypeSOA:
 		var soa SOAData
 		if soa.MName, err = p.name(); err != nil {
@@ -278,17 +266,6 @@ func (p *refParser) rr() (RR, error) {
 			return rr, err
 		}
 		rr.Data = MXData{pref, host}
-	case TypeTXT:
-		var txt TXTData
-		for p.pos < rdEnd {
-			l := int(p.buf[p.pos])
-			if p.pos+1+l > rdEnd {
-				return rr, ErrTruncatedMessage
-			}
-			txt.Strings = append(txt.Strings, string(p.buf[p.pos+1:p.pos+1+l]))
-			p.pos += 1 + l
-		}
-		rr.Data = txt
 	default:
 		// Unknown types are carried opaquely so decoding is lossless and
 		// re-encoding reproduces the original octets (RFC 3597).

@@ -26,12 +26,8 @@ type Resolver struct {
 	cache *InfraCache
 }
 
-// maxSteps bounds referral-following per query; maxCNAME bounds alias
-// chains.
-const (
-	maxSteps = 30
-	maxCNAME = 8
-)
+// maxSteps bounds referral-following per query.
+const maxSteps = 30
 
 // NewResolver builds a resolver over the transport with the given root
 // hints and a private infrastructure cache.
@@ -60,10 +56,10 @@ func (r *Resolver) CacheStats() CacheStats { return r.cache.Stats() }
 
 // Result is the outcome of an iterative resolution.
 type Result struct {
-	RCode   RCode
+	RCode RCode
+	// Answers are the answer records of the query's type; an answer of
+	// any other type (a CNAME, say) is not followed and leaves it empty.
 	Answers []RR
-	// Chain records any CNAMEs followed, in order.
-	Chain []string
 	// Zone is the deepest zone cut that answered.
 	Zone string
 }
@@ -72,7 +68,6 @@ type Result struct {
 var (
 	ErrResolutionFailed = errors.New("dns: resolution failed")
 	ErrLameDelegation   = errors.New("dns: lame delegation")
-	ErrCNAMELoop        = errors.New("dns: CNAME chain too long")
 )
 
 // Resolve iteratively resolves (name, qtype) and returns the final answer.
@@ -92,58 +87,21 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype Type) (*Resul
 // the answer records they extract from and then drop.
 type answerScratch [8]RR
 
-// resolve is Resolve returning by value: the answers are appended to
+// resolve is Resolve returning by value: it walks referrals from the
+// deepest cached cut for one owner name, and the answers are appended to
 // scratch[:0] (and spill to the heap only past its capacity), so a caller
 // that extracts what it needs from a stack scratch allocates nothing here.
-// The final response of each alias-free walk is released as soon as its
-// matching records are copied out.
+// Every response on the way is released as soon as what outlives it (the
+// matching records, the child zone, glue addresses) is copied out.
 func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth int, scratch []RR) (Result, error) {
 	if depth > 6 {
 		return Result{}, fmt.Errorf("%w: glue-chase depth exceeded for %s", ErrResolutionFailed, name)
 	}
-	res := Result{Zone: ".", Answers: scratch[:0]}
-	qname := name
-	for cnames := 0; ; cnames++ {
-		if cnames > maxCNAME {
-			return Result{}, fmt.Errorf("%w resolving %s", ErrCNAMELoop, name)
-		}
-		resp, rcode, zone, err := r.resolveNoCNAME(ctx, qname, qtype, depth)
-		if err != nil {
-			return Result{}, err
-		}
-		res.RCode, res.Zone = rcode, zone
-		// Split CNAMEs from final answers.
-		var target string
-		if resp != nil {
-			for _, rr := range resp.Answers {
-				if rr.Type == TypeCNAME && qtype != TypeCNAME {
-					target = rr.Data.(CNAMEData).Target
-				} else if rr.Type == qtype {
-					res.Answers = append(res.Answers, rr)
-				}
-			}
-			resp.Release()
-		}
-		if len(res.Answers) > 0 || target == "" {
-			return res, nil
-		}
-		res.Chain = append(res.Chain, target)
-		qname = Canonical(target)
-	}
-}
-
-// resolveNoCNAME walks referrals for one owner name without following
-// aliases (the caller does that) and returns the response code and the
-// zone that answered. The message is the answering response when it
-// carries answer records — the caller's to read and Release — and nil for
-// NXDOMAIN and NODATA. Every other response on the way is released here,
-// once what outlives it (the child zone, glue addresses) is copied out.
-func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, depth int) (*Message, RCode, string, error) {
 	servers, zone := r.cache.deepestCut(name, r.Roots)
 	var lastErr error
 	for step := 0; step < maxSteps; step++ {
 		if len(servers) == 0 {
-			return nil, 0, "", fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
+			return Result{}, fmt.Errorf("%w: no servers for %s at zone %s", ErrResolutionFailed, name, zone)
 		}
 		resp, srvErr := r.queryAny(ctx, servers, name, qtype)
 		if srvErr != nil {
@@ -155,28 +113,35 @@ func (r *Resolver) resolveNoCNAME(ctx context.Context, name string, qtype Type, 
 				servers, zone = r.Roots, "."
 				continue
 			}
-			return nil, 0, "", fmt.Errorf("%w: querying %s: %v", ErrResolutionFailed, name, lastErr)
+			return Result{}, fmt.Errorf("%w: querying %s: %v", ErrResolutionFailed, name, lastErr)
 		}
-		switch rcode := resp.RCode; {
-		case rcode == RCodeNXDomain:
+		res := Result{RCode: resp.RCode, Answers: scratch[:0], Zone: zone}
+		switch {
+		case resp.RCode == RCodeNXDomain:
 			resp.Release()
-			return nil, RCodeNXDomain, zone, nil
-		case rcode != RCodeNoError:
+			return res, nil
+		case resp.RCode != RCodeNoError:
 			resp.Release()
-			return nil, 0, "", fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, rcode, zone, name)
+			return Result{}, fmt.Errorf("%w: %s from zone %s for %s", ErrResolutionFailed, res.RCode, zone, name)
 		case len(resp.Answers) > 0:
-			return resp, RCodeNoError, zone, nil
+			for _, rr := range resp.Answers {
+				if rr.Type == qtype {
+					res.Answers = append(res.Answers, rr)
+				}
+			}
+			resp.Release()
+			return res, nil
 		}
 		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth)
 		if err != nil {
-			return nil, 0, "", err
+			return Result{}, err
 		}
 		if next == nil { // authoritative NODATA
-			return nil, RCodeNoError, zone, nil
+			return res, nil
 		}
 		servers, zone = next, childZone
 	}
-	return nil, 0, "", fmt.Errorf("%w: referral limit exceeded for %s", ErrResolutionFailed, name)
+	return Result{}, fmt.Errorf("%w: referral limit exceeded for %s", ErrResolutionFailed, name)
 }
 
 // followReferral turns a response with no answers into the next zone cut:
@@ -249,37 +214,28 @@ func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name
 	return r.cache.storeZone(childZone, glued), childZone, nil
 }
 
-// queryAny tries servers until one answers usefully. The starting
-// server is rotated by a name-derived offset instead of always hammering
-// the first of the set — under injected loss, a fixed order concentrates
-// retries (and failures) on one server while its siblings sit idle.
-// SERVFAIL responses fail over to the next server the way real resolvers
-// do; only if every server flaps is the SERVFAIL handed to the caller.
+// queryAny tries servers until one answers. The starting server is
+// rotated by a name-derived offset instead of always hammering the first
+// of the set — under injected loss, a fixed order concentrates retries
+// (and failures) on one server while its siblings sit idle. A server that
+// answers at all, whatever its RCODE, ends the search; only transport
+// errors move on to the next server.
 func (r *Resolver) queryAny(ctx context.Context, servers []netip.Addr, name string, qtype Type) (*Message, error) {
 	start := 0
 	if n := len(servers); n > 1 {
 		start = int((fnvMixString(fnvOffset64, name) ^ uint64(qtype)) % uint64(n))
 	}
 	var lastErr error
-	var flapped *Message
 	for i := 0; i < len(servers); i++ {
 		s := servers[(start+i)%len(servers)]
 		resp, err := r.Client.Query(ctx, s, name, qtype)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			continue
+		if err == nil {
+			return resp, nil
 		}
-		if resp.RCode == RCodeServFail {
-			flapped = resp
-			continue
+		lastErr = err
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return resp, nil
-	}
-	if flapped != nil {
-		return flapped, nil
 	}
 	return nil, lastErr
 }
@@ -359,7 +315,8 @@ func answerAddrs(answers []RR) []netip.Addr {
 	return addrs
 }
 
-// LookupA resolves A records for name, following CNAMEs.
+// LookupA resolves A records for name. An alias is not followed: a name
+// answered only by a CNAME has no addresses.
 func (r *Resolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
 	var scratch answerScratch
 	res, err := r.resolve(ctx, Canonical(name), TypeA, 0, scratch[:0])

@@ -3,7 +3,6 @@ package dns
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 )
 
 // RR is a DNS resource record. Name is canonical; Data holds the typed
@@ -28,7 +27,7 @@ type RData interface {
 	String() string
 	// appendWire appends the RDATA in wire format. Name compression is
 	// deliberately not applied inside RDATA (RFC 3597 forbids it for new
-	// types and it buys little for NS/CNAME in small messages).
+	// types and it buys little for NS, SOA and MX in small messages).
 	appendWire(b []byte) ([]byte, error)
 }
 
@@ -46,20 +45,6 @@ func (d AData) appendWire(b []byte) ([]byte, error) {
 	return append(b, a4[:]...), nil
 }
 
-// AAAAData is an IPv6 address record payload.
-type AAAAData struct{ Addr netip.Addr }
-
-// String implements RData.
-func (d AAAAData) String() string { return d.Addr.String() }
-
-func (d AAAAData) appendWire(b []byte) ([]byte, error) {
-	if !d.Addr.Is6() || d.Addr.Is4In6() {
-		return nil, fmt.Errorf("dns: AAAA record with non-IPv6 address %v", d.Addr)
-	}
-	a16 := d.Addr.As16()
-	return append(b, a16[:]...), nil
-}
-
 // NSData names an authoritative server for the owner name.
 type NSData struct{ Host string }
 
@@ -67,14 +52,6 @@ type NSData struct{ Host string }
 func (d NSData) String() string { return d.Host }
 
 func (d NSData) appendWire(b []byte) ([]byte, error) { return appendName(b, d.Host) }
-
-// CNAMEData is an alias record payload.
-type CNAMEData struct{ Target string }
-
-// String implements RData.
-func (d CNAMEData) String() string { return d.Target }
-
-func (d CNAMEData) appendWire(b []byte) ([]byte, error) { return appendName(b, d.Target) }
 
 // SOAData is a start-of-authority payload.
 type SOAData struct {
@@ -121,32 +98,6 @@ func (d MXData) appendWire(b []byte) ([]byte, error) {
 	return appendName(b, d.Host)
 }
 
-// TXTData is a text payload of one or more character-strings.
-type TXTData struct{ Strings []string }
-
-// String implements RData.
-func (d TXTData) String() string {
-	quoted := make([]string, len(d.Strings))
-	for i, s := range d.Strings {
-		quoted[i] = fmt.Sprintf("%q", s)
-	}
-	return strings.Join(quoted, " ")
-}
-
-func (d TXTData) appendWire(b []byte) ([]byte, error) {
-	if len(d.Strings) == 0 {
-		return nil, fmt.Errorf("dns: TXT record with no strings")
-	}
-	for _, s := range d.Strings {
-		if len(s) > 255 {
-			return nil, fmt.Errorf("dns: TXT character-string exceeds 255 octets")
-		}
-		b = append(b, byte(len(s)))
-		b = append(b, s...)
-	}
-	return b, nil
-}
-
 // RawData carries the RDATA of a record type the codec has no
 // structured representation for, verbatim (RFC 3597 opaque handling).
 // Encoding reproduces the exact original octets, so decoding unknown
@@ -168,19 +119,9 @@ func NewA(name string, ttl uint32, addr netip.Addr) RR {
 	return RR{Name: Canonical(name), Type: TypeA, Class: ClassIN, TTL: ttl, Data: AData{addr}}
 }
 
-// NewAAAA builds an AAAA record.
-func NewAAAA(name string, ttl uint32, addr netip.Addr) RR {
-	return RR{Name: Canonical(name), Type: TypeAAAA, Class: ClassIN, TTL: ttl, Data: AAAAData{addr}}
-}
-
 // NewNS builds an NS record.
 func NewNS(name string, ttl uint32, host string) RR {
 	return RR{Name: Canonical(name), Type: TypeNS, Class: ClassIN, TTL: ttl, Data: NSData{Canonical(host)}}
-}
-
-// NewCNAME builds a CNAME record.
-func NewCNAME(name string, ttl uint32, target string) RR {
-	return RR{Name: Canonical(name), Type: TypeCNAME, Class: ClassIN, TTL: ttl, Data: CNAMEData{Canonical(target)}}
 }
 
 // NewSOA builds an SOA record with conventional timer values.
@@ -194,9 +135,4 @@ func NewSOA(name, mname, rname string, serial uint32) RR {
 // NewMX builds an MX record.
 func NewMX(name string, ttl uint32, pref uint16, host string) RR {
 	return RR{Name: Canonical(name), Type: TypeMX, Class: ClassIN, TTL: ttl, Data: MXData{pref, Canonical(host)}}
-}
-
-// NewTXT builds a TXT record.
-func NewTXT(name string, ttl uint32, strings ...string) RR {
-	return RR{Name: Canonical(name), Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: TXTData{strings}}
 }

@@ -173,10 +173,11 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 
 // Client issues queries over a Transport with ID generation and bounded
 // retransmission. It re-sends at once: the in-memory wire has no
-// congestion to wait out, and sweeps over it must not sleep. SERVFAIL and
-// truncated responses are treated as retryable — on a flapping path both
-// are transient, and a single-attempt sweep that takes them at face
-// value systematically overcounts failures.
+// congestion to wait out, and sweeps over it must not sleep. Only a
+// transport error is retried — on a lossy path it is transient, and a
+// single-attempt sweep that takes it at face value systematically
+// overcounts failures; any response, whatever its RCODE or TC bit, is
+// the server's answer and is returned as it is.
 type Client struct {
 	Transport Transport
 	// Retries is the number of re-sends after the first attempt.
@@ -203,7 +204,7 @@ type ClientStats struct {
 	// queries that ran to completion).
 	Retries int64
 	// Recovered is the number of queries that succeeded only after at
-	// least one failed, flapped, or truncated attempt.
+	// least one failed attempt.
 	Recovered int64
 	// Failed is the number of queries that exhausted every attempt.
 	Failed int64
@@ -282,15 +283,11 @@ var queryPool = sync.Pool{
 
 // Query sends a single question to server and returns the response,
 // retransmitting (with a fresh ID per attempt, as real resolvers do) on
-// errors, SERVFAIL flaps, and truncated responses. A SERVFAIL or
-// truncated response that persists through every attempt is returned to
-// the caller as-is — it is a response, and the caller decides whether to
-// fail over to another server. name must be canonical (see Canonical):
-// it is sent as given.
+// transport errors. name must be canonical (see Canonical): it is sent as
+// given.
 func (c *Client) Query(ctx context.Context, server netip.Addr, name string, qtype Type) (*Message, error) {
 	c.queries.Add(1)
 	var lastErr error
-	var lastResp *Message
 	// One pooled query message serves every attempt; only the ID changes
 	// per retransmission.
 	q := queryPool.Get().(*Message)
@@ -312,17 +309,10 @@ func (c *Client) Query(ctx context.Context, server netip.Addr, name string, qtyp
 			}
 			continue
 		}
-		if resp.RCode == RCodeServFail || resp.Truncated {
-			lastResp, lastErr = resp, nil
-			continue
-		}
 		if attempt > 0 {
 			c.recovered.Add(1)
 		}
 		return resp, nil
-	}
-	if lastResp != nil {
-		return lastResp, nil
 	}
 	c.failed.Add(1)
 	return nil, fmt.Errorf("dns: query %s %s @%v failed: %w", name, qtype, server, lastErr)

@@ -1,11 +1,12 @@
 // Package dns implements the subset of the DNS protocol the reproduction
 // needs to behave like a real active-measurement platform: the RFC 1035
-// wire format (with name compression), resource records for A, AAAA, NS,
-// CNAME, SOA, MX and TXT, a query client with retransmission, an
-// authoritative handler framework over an in-memory network whose every
-// exchange crosses the codec (MemNet, for large sweeps), and an iterative
-// resolver that walks delegations from the root exactly the way
-// OpenINTEL's measurement pipeline does.
+// wire format (with name compression), typed RDATA for the records the
+// study measures and the world serves (A, NS, SOA and MX; every other
+// type is carried as opaque RawData, RFC 3597), a query client with
+// retransmission, an authoritative handler framework over an in-memory
+// network whose every exchange crosses the codec (MemNet, for large
+// sweeps), and an iterative resolver that walks delegations from the root
+// exactly the way OpenINTEL's measurement pipeline does.
 package dns
 
 import "fmt"
@@ -15,26 +16,20 @@ type Type uint16
 
 // Record types used by the measurement pipeline.
 const (
-	TypeA     Type = 1
-	TypeNS    Type = 2
-	TypeCNAME Type = 5
-	TypeSOA   Type = 6
-	TypeMX    Type = 15
-	TypeTXT   Type = 16
-	TypeAAAA  Type = 28
+	TypeA   Type = 1
+	TypeNS  Type = 2
+	TypeSOA Type = 6
+	TypeMX  Type = 15
 	// TypeANY is the QTYPE "*" (RFC 1035 §3.2.3); query-only.
 	TypeANY Type = 255
 )
 
 var typeNames = map[Type]string{
-	TypeA:     "A",
-	TypeNS:    "NS",
-	TypeCNAME: "CNAME",
-	TypeSOA:   "SOA",
-	TypeMX:    "MX",
-	TypeTXT:   "TXT",
-	TypeAAAA:  "AAAA",
-	TypeANY:   "ANY",
+	TypeA:   "A",
+	TypeNS:  "NS",
+	TypeSOA: "SOA",
+	TypeMX:  "MX",
+	TypeANY: "ANY",
 }
 
 // String returns the mnemonic for t, or "TYPEn" for unknown codes

@@ -87,10 +87,9 @@ type SweepRuntime struct {
 	// worker's in-flight miss).
 	CacheHits, CacheMisses, CacheCoalesced int64
 	// Retries is the number of re-sent DNS queries; Recovered the number
-	// of queries that succeeded only after at least one failed, flapped or
-	// truncated attempt. On a lossy wire a sweep can succeed for nearly
-	// every domain yet only via retries: these tell that apart from a
-	// healthy sweep.
+	// of queries that succeeded only after at least one failed attempt.
+	// On a lossy wire a sweep can succeed for nearly every domain yet only
+	// via retries: these tell that apart from a healthy sweep.
 	Retries, Recovered int
 }
 

@@ -29,8 +29,7 @@ import (
 // where a section is one internal/frame frame:
 // `payloadLen u32 | payload | crc32c(payload) u32`.
 // Strings are u16-length-prefixed; addresses are IPv4 (the simulation's
-// measurement plane is v4-only; AAAA support in the DNS layer is for
-// protocol completeness).
+// measurement plane is v4-only, and the DNS layer has no typed AAAA).
 //
 // The framing makes the decoder truncation-tolerant: every complete,
 // checksum-valid domain record in a torn file is recoverable
