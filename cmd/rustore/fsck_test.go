@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"whereru/internal/iofault"
+	"whereru/internal/iofault/chaostest"
 	"whereru/internal/simtime"
 	"whereru/internal/store"
 )
@@ -198,8 +199,8 @@ func TestFsckRepairFaulted(t *testing.T) {
 
 	// Rename failure: the repair errors, the original survives.
 	writeVictim()
-	fsys = iofault.NewFaultFS(iofault.OS, 51, iofault.Profile{FailRenameOp: 1})
-	if err := run([]string{"fsck", path, "-repair"}); !errors.Is(err, iofault.ErrRenameFault) {
+	fsys = chaostest.NewFaultFS(iofault.OS, 51, chaostest.Profile{FailRenameOp: 1})
+	if err := run([]string{"fsck", path, "-repair"}); !errors.Is(err, chaostest.ErrRenameFault) {
 		t.Fatalf("repair with failing rename = %v", err)
 	}
 	got, _ := os.ReadFile(path)
@@ -209,10 +210,10 @@ func TestFsckRepairFaulted(t *testing.T) {
 
 	// Crash mid-rewrite: same guarantee.
 	writeVictim()
-	fsys = iofault.NewFaultFS(iofault.OS, 52, iofault.Profile{CrashAtByte: 40})
+	fsys = chaostest.NewFaultFS(iofault.OS, 52, chaostest.Profile{CrashAtByte: 40})
 	func() {
 		defer func() {
-			if _, ok := recover().(*iofault.Crash); !ok {
+			if _, ok := recover().(*chaostest.Crash); !ok {
 				t.Fatal("expected injected crash")
 			}
 		}()

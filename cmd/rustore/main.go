@@ -41,9 +41,8 @@ import (
 	"whereru/internal/store"
 )
 
-// fsys routes fsck's repair writes through the fault-injection FS
-// abstraction; tests and the chaos matrix swap in an iofault.FaultFS to
-// crash or starve the repair itself.
+// fsys routes fsck's repair writes through the iofault.FS seam; tests
+// swap in a chaostest.FaultFS to crash or starve the repair itself.
 var fsys iofault.FS = iofault.OS
 
 func main() {

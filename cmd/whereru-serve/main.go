@@ -1,12 +1,11 @@
 // Command whereru-serve serves a study's figures and tables over HTTP as
-// JSON (see internal/serve for the API). The study's measurements come
-// from one of three sources, in order of preference:
+// JSON (see internal/serve for the API). It serves a study `whereru`
+// collected, read from exactly one of two files:
 //
 //	-store FILE       load a binary measurement store written by
-//	                  `whereru -store FILE` (fastest: no collection)
+//	                  `whereru -store FILE` (fastest)
 //	-checkpoint FILE  replay a sweep journal written by
 //	                  `whereru -checkpoint FILE` (tolerates torn tails)
-//	(neither)         collect the study in-process before serving
 //
 // The world context the analyses consult (geolocation, routing,
 // registries, sanctions, certificate transparency) is rebuilt
@@ -18,15 +17,14 @@
 //	whereru-serve [flags]
 //
 //	-addr HOST:PORT  listen address (default 127.0.0.1:8334)
-//	-store FILE      load this measurement store instead of collecting
-//	-checkpoint F    replay this sweep journal instead of collecting
+//	-store FILE      load this measurement store
+//	-checkpoint F    replay this sweep journal
 //	-scale N         population scale divisor (default 200)
 //	-seed N          world seed (default 20220224)
-//	-step N          dense sweep interval when collecting (default 3)
 //	-scenario NAME   activate a built-in routing scenario; the study must
-//	                 have been collected (or is collected here) under the
-//	                 same scenario, and the reachability/latency figures
-//	                 and /api/v1/outages light up
+//	                 have been collected under the same scenario, and the
+//	                 reachability/latency figures and /api/v1/outages
+//	                 light up
 //	-max-concurrent N  concurrent analysis computations (default GOMAXPROCS)
 //	-request-timeout D longest wait on another request's computation or a
 //	                   long-poll's next sweep (default 30s)
@@ -71,11 +69,10 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8334", "listen address")
-	storePath := flag.String("store", "", "load this measurement store instead of collecting")
-	checkpoint := flag.String("checkpoint", "", "replay this sweep journal instead of collecting")
+	storePath := flag.String("store", "", "load this measurement store")
+	checkpoint := flag.String("checkpoint", "", "replay this sweep journal")
 	scale := flag.Int("scale", 200, "population scale divisor (must match the run that produced -store/-checkpoint)")
 	seed := flag.Int64("seed", 20220224, "world seed (must match the run that produced -store/-checkpoint)")
-	step := flag.Int("step", 3, "dense sweep interval in days when collecting")
 	scenario := flag.String("scenario", "", "routing scenario (must match the run that produced -store/-checkpoint)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent analysis computations (0 = GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "longest wait on another request's computation (then 503) or for a long-poll's next sweep (then 204)")
@@ -85,8 +82,8 @@ func run() error {
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	flag.Parse()
 
-	if *storePath != "" && *checkpoint != "" {
-		return fmt.Errorf("-store and -checkpoint are mutually exclusive")
+	if (*storePath == "") == (*checkpoint == "") {
+		return fmt.Errorf("give exactly one of -store or -checkpoint: the file a `whereru -store FILE` (or `-checkpoint FILE`) run wrote")
 	}
 	if *follow && *checkpoint == "" {
 		return fmt.Errorf("-follow requires -checkpoint (the journal to tail)")
@@ -94,7 +91,6 @@ func run() error {
 
 	opts := core.Options{
 		World:     world.Config{Seed: *seed, Scale: *scale, RFShare: 0.10},
-		DenseStep: *step,
 		Scenario:  *scenario,
 		CollectMX: true,
 	}
@@ -110,22 +106,20 @@ func run() error {
 	var study *core.Study
 	var eng *stream.Engine
 	var startOffset int64
-	var err error
-	switch {
-	case *storePath != "":
-		f, ferr := os.Open(*storePath)
-		if ferr != nil {
-			return ferr
+	if *storePath != "" {
+		f, err := os.Open(*storePath)
+		if err != nil {
+			return err
 		}
 		study, err = core.LoadStore(opts, f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-	case *checkpoint != "":
-		loaded, replay, lerr := core.LoadCheckpointReplay(opts, *checkpoint)
-		if lerr != nil {
-			return lerr
+	} else {
+		loaded, replay, err := core.LoadCheckpointReplay(opts, *checkpoint)
+		if err != nil {
+			return err
 		}
 		study = loaded
 		if *follow {
@@ -134,14 +128,6 @@ func run() error {
 				return err
 			}
 			startOffset = replay.GoodBytes
-		}
-	default:
-		study, err = core.New(opts)
-		if err != nil {
-			return err
-		}
-		if err := study.Collect(ctx); err != nil {
-			return err
 		}
 	}
 	// A followed journal may legitimately be empty: the collector writing

@@ -26,13 +26,6 @@
 //	                first unswept day (requires -checkpoint)
 //	-drop DATES     comma-separated YYYY-MM-DD days to skip, simulating
 //	                collection outages (flagged as gaps in the analyses)
-//	-crash-after N  test hook: exit with code 3 after N checkpointed sweeps
-//	-io-fault SPEC  inject disk faults into the checkpoint journal and
-//	                -store write (e.g. "crash@4096", "enospc@1024",
-//	                "syncfail@2"; see internal/iofault.ParseProfile). An
-//	                injected crash exits with code 4.
-//	-io-fault-seed N  seed for probabilistic -io-fault classes (default 1);
-//	                the same seed replays the same faults byte-for-byte
 //	-quiet          suppress progress logging
 //
 // After collection the run summary (suppressed by -quiet) reports each
@@ -51,7 +44,6 @@ import (
 	"time"
 
 	"whereru/internal/core"
-	"whereru/internal/iofault"
 	"whereru/internal/openintel"
 	"whereru/internal/simtime"
 	"whereru/internal/world"
@@ -59,10 +51,6 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, core.ErrCrashInjected) {
-			fmt.Fprintln(os.Stderr, "whereru:", err)
-			os.Exit(3)
-		}
 		fmt.Fprintln(os.Stderr, "whereru:", err)
 		os.Exit(1)
 	}
@@ -81,9 +69,6 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "journal each completed sweep to this file (crash-safe collection)")
 	resume := fs.Bool("resume", false, "replay the -checkpoint journal, then continue from the first unswept day")
 	drop := fs.String("drop", "", "comma-separated YYYY-MM-DD sweep days to skip (simulated collection outages)")
-	crashAfter := fs.Int("crash-after", 0, "test hook: exit code 3 after N checkpointed sweeps")
-	ioFault := fs.String("io-fault", "", "disk fault profile for checkpoint/store writes (e.g. crash@4096,enospc@1024); injected crashes exit 4")
-	ioFaultSeed := fs.Int64("io-fault-seed", 1, "seed for probabilistic -io-fault classes")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")
 	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse would
 
@@ -110,26 +95,11 @@ func run(args []string) error {
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		DropSweeps:     dropDays,
-		CrashAfter:     *crashAfter,
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-	}
-	if *ioFault != "" {
-		profile, err := iofault.ParseProfile(*ioFault)
-		if err != nil {
-			return fmt.Errorf("-io-fault: %w", err)
-		}
-		// A crash-at-offset behaves like a hard kill: the process dies at
-		// that exact byte, with a distinct exit code so harnesses can tell
-		// an injected disk crash (4) from -crash-after's sweep crash (3).
-		profile.Crash = func(c *iofault.Crash) {
-			fmt.Fprintln(os.Stderr, "whereru:", c.Error())
-			os.Exit(4)
-		}
-		opts.FS = iofault.NewFaultFS(iofault.OS, *ioFaultSeed, profile)
 	}
 	study, err := core.New(opts)
 	if errors.Is(err, core.ErrUnscheduledDrop) {

@@ -20,7 +20,6 @@ func TestGridMetricsWithoutGrid(t *testing.T) {
 	}{
 		{[]string{"-drop", "2022-02-24,yesterday"}, "-drop:"},
 		{[]string{"-drop", "2022-03-07,2022-03-10"}, "-drop: core: drop day 2022-03-07 is not a scheduled sweep day (scheduled neighbours: [2022-03-06 2022-03-09])"},
-		{[]string{"-io-fault", "crash@"}, "-io-fault:"},
 	} {
 		journal := filepath.Join(t.TempDir(), "j")
 		err := run(append([]string{"-scale", "20000", "-checkpoint", journal}, tc.args...))

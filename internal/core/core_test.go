@@ -175,8 +175,8 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestNewRefusesNegativeOptions: a negative sweep step, worker count or
-// crash point used to run silently as its default.
+// TestNewRefusesNegativeOptions: a negative sweep step or worker count
+// used to run silently as its default.
 func TestNewRefusesNegativeOptions(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -184,7 +184,6 @@ func TestNewRefusesNegativeOptions(t *testing.T) {
 	}{
 		{"DenseStep", func(o *Options) { o.DenseStep = -5 }},
 		{"Workers", func(o *Options) { o.Workers = -4 }},
-		{"CrashAfter", func(o *Options) { o.CrashAfter = -2 }},
 	} {
 		opts := Options{World: world.Config{Seed: 1, Scale: 50000, RFShare: 0.1}}
 		c.set(&opts)

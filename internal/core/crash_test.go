@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"whereru/internal/simtime"
+	"whereru/internal/store"
 	"whereru/internal/world"
 )
 
@@ -53,13 +55,43 @@ func storeBytes(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestCrashResumeEquivalence kills a checkpointed run after every possible
-// sweep boundary and proves a resumed run produces a byte-identical report
-// and store — the headline durability guarantee.
+// cutJournal truncates the complete journal at path at the end of its
+// k-th segment, leaving what a collector killed right after journaling
+// its k-th sweep leaves (a dropped day is a segment too), and returns
+// the cut's length.
+func cutJournal(t *testing.T, path string, k int) int64 {
+	t.Helper()
+	tl, err := store.OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	ended, cancel := context.WithCancel(context.Background())
+	cancel() // Next reads what is on disk and never waits
+	for i := 1; i <= k; i++ {
+		if _, err := tl.Next(ended); err != nil {
+			t.Fatalf("segment %d of %s: %v", i, path, err)
+		}
+	}
+	if err := os.Truncate(path, tl.Offset()); err != nil {
+		t.Fatal(err)
+	}
+	return tl.Offset()
+}
+
+// TestCrashResumeEquivalence cuts a complete journal after every
+// possible sweep boundary, and 1 byte into the next segment (a torn
+// tail), and proves a resumed run produces a byte-identical report,
+// store and journal — the headline durability guarantee.
 func TestCrashResumeEquivalence(t *testing.T) {
 	opts := shortOpts()
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "full.wrjl")
 	want, base := runStudy(t, opts)
 	wantStore := storeBytes(t, base)
+	wantJournal, err := os.ReadFile(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := len(base.Sweeps)
 	if n < 3 || n > 10 {
 		t.Fatalf("window produced %d sweeps, want a handful", n)
@@ -67,36 +99,36 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	for k := 1; k <= n; k++ {
 		t.Run(fmt.Sprintf("crash_after_%d_of_%d", k, n), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sweeps.wrjl")
-
-			copts := opts
-			copts.CheckpointPath = path
-			copts.CrashAfter = k
-			crashed, err := New(copts)
-			if err != nil {
+			if err := os.WriteFile(path, wantJournal, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := crashed.Collect(context.Background()); !errors.Is(err, ErrCrashInjected) {
-				t.Fatalf("crash run returned %v, want ErrCrashInjected", err)
+			sizes := []int64{cutJournal(t, path, k)}
+			if k < n {
+				sizes = append(sizes, sizes[0]+1)
 			}
-			if len(crashed.Sweeps) != k {
-				t.Fatalf("crashed after %d sweeps, want %d", len(crashed.Sweeps), k)
-			}
-
-			ropts := opts
-			ropts.CheckpointPath = path
-			ropts.Resume = true
-			got, resumed := runStudy(t, ropts)
-			if len(resumed.Sweeps) != n {
-				t.Errorf("resumed run has %d sweeps, want %d", len(resumed.Sweeps), n)
-			}
-			if len(resumed.Stats) != n {
-				t.Errorf("resumed run has %d sweep stats, want %d", len(resumed.Stats), n)
-			}
-			if !bytes.Equal(storeBytes(t, resumed), wantStore) {
-				t.Errorf("resumed store differs from uninterrupted run")
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("resumed report differs from uninterrupted run")
+			for _, size := range sizes {
+				if err := os.WriteFile(path, wantJournal[:size], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ropts := shortOpts()
+				ropts.CheckpointPath = path
+				ropts.Resume = true
+				got, resumed := runStudy(t, ropts)
+				if len(resumed.Sweeps) != n {
+					t.Errorf("cut at %d B: resumed run has %d sweeps, want %d", size, len(resumed.Sweeps), n)
+				}
+				if len(resumed.Stats) != n {
+					t.Errorf("cut at %d B: resumed run has %d sweep stats, want %d", size, len(resumed.Stats), n)
+				}
+				if !bytes.Equal(storeBytes(t, resumed), wantStore) {
+					t.Errorf("cut at %d B: resumed store differs from uninterrupted run", size)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("cut at %d B: resumed report differs from uninterrupted run", size)
+				}
+				if j, err := os.ReadFile(path); err != nil || !bytes.Equal(j, wantJournal) {
+					t.Errorf("cut at %d B: resumed journal differs from uninterrupted run (%v)", size, err)
+				}
 			}
 		})
 	}
@@ -192,38 +224,28 @@ func TestDropSweepsGapAnalysis(t *testing.T) {
 	}
 }
 
-// TestDropSweepsSurviveResume journals a run with an outage, crashes it
+// TestDropSweepsSurviveResume journals a run with an outage, cuts it
 // after the gap, and checks the resumed run still knows about the missing
 // sweep — the gap marker must be as durable as the measurements.
 func TestDropSweepsSurviveResume(t *testing.T) {
-	opts := shortOpts()
-	_, base := runStudy(t, opts)
-	if len(base.Sweeps) < 4 {
-		t.Fatalf("only %d sweeps", len(base.Sweeps))
-	}
-	dropDay := base.Sweeps[1]
-
+	dropDay := simtime.MustParse("2022-02-08") // shortOpts' second sweep
+	path := filepath.Join(t.TempDir(), "sweeps.wrjl")
 	dopts := shortOpts()
 	dopts.DropSweeps = []simtime.Day{dropDay}
+	dopts.CheckpointPath = path
 	want, full := runStudy(t, dopts)
 
-	path := filepath.Join(t.TempDir(), "sweeps.wrjl")
-	copts := dopts
-	copts.CheckpointPath = path
-	copts.CrashAfter = 2 // fires on the sweep after the dropped day
-	crashed, err := New(copts)
+	// Two live sweeps past the drop: sweep, drop marker, sweep.
+	cutJournal(t, path, 3)
+	replay, err := store.VerifyJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := crashed.Collect(context.Background()); !errors.Is(err, ErrCrashInjected) {
-		t.Fatalf("crash run returned %v, want ErrCrashInjected", err)
-	}
-	if got := crashed.Store.MissingSweeps(); len(got) != 1 || got[0] != dropDay {
-		t.Fatalf("crashed run MissingSweeps = %v, want [%s]", got, dropDay)
+	if len(replay.Sweeps) != 3 || !replay.Sweeps[1].Missing || replay.Sweeps[1].Day != dropDay {
+		t.Fatalf("cut journal holds %d segments, want 3 with the second a missing %s", len(replay.Sweeps), dropDay)
 	}
 
 	ropts := dopts
-	ropts.CheckpointPath = path
 	ropts.Resume = true
 	got, resumed := runStudy(t, ropts)
 	if ms := resumed.Store.MissingSweeps(); len(ms) != 1 || ms[0] != dropDay {

@@ -77,22 +77,14 @@ type Options struct {
 	// paper's 2017-06-18 .. 2022-05-25). Tests use short windows to
 	// exercise crash/resume cheaply.
 	StudyStart, StudyEnd simtime.Day
-	// CrashAfter, when > 0, aborts Collect with ErrCrashInjected after
-	// that many live (non-replayed) sweeps have been journaled — the test
-	// hook behind the crash-resume smoke test.
-	CrashAfter int
 	// FS routes the study's durability-critical file I/O — the
 	// checkpoint journal and SaveStoreFile — through a filesystem
-	// abstraction. nil means the real OS; the chaos matrix installs an
-	// iofault.FaultFS here to crash collection at exact byte offsets.
+	// abstraction. nil means the real OS; the chaos matrix installs a
+	// chaostest.FaultFS here to crash collection at exact byte offsets.
 	FS iofault.FS
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(format string, args ...any)
 }
-
-// ErrCrashInjected is returned by Collect when Options.CrashAfter fires:
-// the simulated hard kill of the collection process.
-var ErrCrashInjected = fmt.Errorf("core: crash injected after checkpoint")
 
 // ErrUnscheduledDrop is New's refusal of a DropSweeps day that is not on
 // the sweep schedule: skipping it would silently skip nothing.
@@ -134,13 +126,13 @@ type Study struct {
 	worldMemo memo
 }
 
-// New builds the world for a study. A zero DenseStep, Workers or
-// CrashAfter selects its default; a negative one is refused.
+// New builds the world for a study. A zero DenseStep or Workers selects
+// its default; a negative one is refused.
 func New(opts Options) (*Study, error) {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"DenseStep", opts.DenseStep}, {"Workers", opts.Workers}, {"CrashAfter", opts.CrashAfter}} {
+	}{{"DenseStep", opts.DenseStep}, {"Workers", opts.Workers}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("core: %s must be ≥ 0 (0 selects the default), got %d", f.name, f.v)
 		}
@@ -338,7 +330,6 @@ func (s *Study) Collect(ctx context.Context) error {
 
 	s.Sweeps = s.Store.Sweeps()
 	s.Opts.Progress("collecting %d DNS sweeps (%s .. %s)...", len(schedule), start, end)
-	live := 0
 	for i, day := range schedule {
 		if done[day] {
 			continue
@@ -355,10 +346,6 @@ func (s *Study) Collect(ctx context.Context) error {
 		}
 		s.Sweeps = append(s.Sweeps, day)
 		s.Stats = append(s.Stats, stats)
-		live++
-		if s.Opts.CrashAfter > 0 && live >= s.Opts.CrashAfter {
-			return ErrCrashInjected
-		}
 		if (i+1)%25 == 0 {
 			s.Opts.Progress("  sweep %d/%d done (%s: %d domains)", i+1, len(schedule), day, stats.Domains)
 		}

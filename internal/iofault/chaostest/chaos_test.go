@@ -1,16 +1,3 @@
-// Package chaostest is the chaos matrix: every durability-critical
-// component (store write, journal append, end-to-end checkpointed
-// collection, fsck repair) crossed with every disk-fault class
-// (crash-at-byte-offset sampled across the component's full write
-// volume, ENOSPC, fsync failure, torn rename). Each cell injects the
-// fault through an iofault.FaultFS, then proves the recovery story:
-// fsck and resume reproduce the uninterrupted run's store, report and
-// journal bytes exactly.
-//
-// Offsets and probabilistic faults are seeded, so a failing cell
-// reproduces from its logged (seed, offset) alone. The whole matrix is
-// one `go test ./internal/iofault/chaostest` away; CI runs it as the
-// chaos-smoke job.
 package chaostest
 
 import (
@@ -67,12 +54,12 @@ func sampleOffsets(total int64, n int, salt uint64) []int64 {
 	return out
 }
 
-// expectCrash runs fn and asserts it dies of an injected *iofault.Crash
+// expectCrash runs fn and asserts it dies of an injected *Crash
 // at exactly the wanted byte offset.
 func expectCrash(t *testing.T, wantAt int64, fn func()) {
 	t.Helper()
 	defer func() {
-		c, ok := recover().(*iofault.Crash)
+		c, ok := recover().(*Crash)
 		if !ok {
 			t.Fatalf("crash@%d: no injected crash fired", wantAt)
 		}
@@ -178,7 +165,7 @@ func TestChaosStoreWrite(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		for _, off := range sampleOffsets(total, crashSamples, 0x5701) {
 			reset()
-			ffs := iofault.NewFaultFS(iofault.OS, 100+off, iofault.Profile{CrashAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 100+off, Profile{CrashAtByte: off})
 			expectCrash(t, off, func() { writeStoreAtomic(ffs, path, newStore) })
 			checkRecovery(t, fmt.Sprintf("crash@%d", off), true)
 		}
@@ -188,7 +175,7 @@ func TestChaosStoreWrite(t *testing.T) {
 		// whole write and injects nothing.
 		for _, off := range sampleOffsets(total-1, 8, 0x5702) {
 			reset()
-			ffs := iofault.NewFaultFS(iofault.OS, 200+off, iofault.Profile{DiskFullAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 200+off, Profile{DiskFullAtByte: off})
 			err := writeStoreAtomic(ffs, path, newStore)
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("enospc@%d: err = %v", off, err)
@@ -199,11 +186,11 @@ func TestChaosStoreWrite(t *testing.T) {
 	t.Run("syncfail", func(t *testing.T) {
 		for _, op := range []int{1, 2} { // file fsync, then directory fsync
 			reset()
-			ffs := iofault.NewFaultFS(iofault.OS, 300+int64(op), iofault.Profile{FailSyncOp: op})
+			ffs := NewFaultFS(iofault.OS, 300+int64(op), Profile{FailSyncOp: op})
 			err := writeStoreAtomic(ffs, path, newStore)
 			if op == 1 {
 				// The file fsync fails before the rename: full rollback.
-				if !errors.Is(err, iofault.ErrSyncFault) {
+				if !errors.Is(err, ErrSyncFault) {
 					t.Fatalf("syncfail@%d: err = %v", op, err)
 				}
 				checkRecovery(t, fmt.Sprintf("syncfail@%d", op), false)
@@ -212,7 +199,7 @@ func TestChaosStoreWrite(t *testing.T) {
 			// The directory fsync fails after the rename: the new bytes are
 			// already visible (and complete); only their crash-durability is
 			// unproven. The caller sees the error and retries.
-			if !errors.Is(err, iofault.ErrSyncFault) {
+			if !errors.Is(err, ErrSyncFault) {
 				t.Fatalf("syncfail@%d: err = %v", op, err)
 			}
 			if got := mustRead(t, path); !bytes.Equal(got, ref) && !bytes.Equal(got, prev) {
@@ -228,8 +215,8 @@ func TestChaosStoreWrite(t *testing.T) {
 	})
 	t.Run("torn-rename", func(t *testing.T) {
 		reset()
-		ffs := iofault.NewFaultFS(iofault.OS, 400, iofault.Profile{FailRenameOp: 1})
-		if err := writeStoreAtomic(ffs, path, newStore); !errors.Is(err, iofault.ErrRenameFault) {
+		ffs := NewFaultFS(iofault.OS, 400, Profile{FailRenameOp: 1})
+		if err := writeStoreAtomic(ffs, path, newStore); !errors.Is(err, ErrRenameFault) {
 			t.Fatalf("renamefail: err = %v", err)
 		}
 		checkRecovery(t, "renamefail", false)
@@ -316,7 +303,7 @@ func TestChaosJournalAppend(t *testing.T) {
 	recs := chaosSweeps(6)
 
 	refPath := filepath.Join(dir, "ref.wrjl")
-	meter := iofault.NewFaultFS(iofault.OS, 1, iofault.Profile{})
+	meter := NewFaultFS(iofault.OS, 1, Profile{})
 	if err := buildJournal(meter, refPath, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +317,7 @@ func TestChaosJournalAppend(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		for _, off := range sampleOffsets(total, crashSamples, 0x1A01) {
 			os.Remove(path)
-			ffs := iofault.NewFaultFS(iofault.OS, 500+off, iofault.Profile{CrashAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 500+off, Profile{CrashAtByte: off})
 			expectCrash(t, off, func() { buildJournal(ffs, path, recs) })
 			resumeJournal(t, path, recs)
 			if got := mustRead(t, path); !bytes.Equal(got, ref) {
@@ -341,7 +328,7 @@ func TestChaosJournalAppend(t *testing.T) {
 	t.Run("enospc", func(t *testing.T) {
 		for _, off := range sampleOffsets(total-1, 8, 0x1A02) {
 			os.Remove(path)
-			ffs := iofault.NewFaultFS(iofault.OS, 600+off, iofault.Profile{DiskFullAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 600+off, Profile{DiskFullAtByte: off})
 			err := buildJournal(ffs, path, recs)
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("enospc@%d: err = %v", off, err)
@@ -361,9 +348,9 @@ func TestChaosJournalAppend(t *testing.T) {
 		// Op 1 is the header sync; op k>1 is the (k-1)th append's sync.
 		for op := 1; op <= len(recs)+1; op++ {
 			os.Remove(path)
-			ffs := iofault.NewFaultFS(iofault.OS, 700+int64(op), iofault.Profile{FailSyncOp: op})
+			ffs := NewFaultFS(iofault.OS, 700+int64(op), Profile{FailSyncOp: op})
 			err := buildJournal(ffs, path, recs)
-			if !errors.Is(err, iofault.ErrSyncFault) {
+			if !errors.Is(err, ErrSyncFault) {
 				t.Fatalf("syncfail@%d: err = %v", op, err)
 			}
 			resumeJournal(t, path, recs)
@@ -377,7 +364,7 @@ func TestChaosJournalAppend(t *testing.T) {
 		// rename-fault profile must therefore be a no-op against it: the
 		// build completes, bytes identical, nothing injected.
 		os.Remove(path)
-		ffs := iofault.NewFaultFS(iofault.OS, 800, iofault.Profile{FailRenameOp: 1})
+		ffs := NewFaultFS(iofault.OS, 800, Profile{FailRenameOp: 1})
 		if err := buildJournal(ffs, path, recs); err != nil {
 			t.Fatalf("renamefail: %v", err)
 		}
@@ -443,7 +430,7 @@ func TestChaosCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	refJournal, refStore := filepath.Join(dir, "ref.wrjl"), filepath.Join(dir, "ref.wrst")
 
-	meter := iofault.NewFaultFS(iofault.OS, 1, iofault.Profile{})
+	meter := NewFaultFS(iofault.OS, 1, Profile{})
 	wantReport, wantStore := runCheckpointed(t, opts, meter, refJournal, refStore)
 	total := meter.Stats().BytesWritten
 	wantJournal := mustRead(t, refJournal)
@@ -477,7 +464,7 @@ func TestChaosCheckpoint(t *testing.T) {
 	crashRun := func(opts core.Options, fsys iofault.FS, journalPath, storePath string) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				c, ok := r.(*iofault.Crash)
+				c, ok := r.(*Crash)
 				if !ok {
 					panic(r)
 				}
@@ -501,9 +488,9 @@ func TestChaosCheckpoint(t *testing.T) {
 		for i, off := range sampleOffsets(total, n, 0xE2E1) {
 			journalPath := filepath.Join(dir, fmt.Sprintf("c%02d.wrjl", i))
 			storePath := filepath.Join(dir, fmt.Sprintf("c%02d.wrst", i))
-			ffs := iofault.NewFaultFS(iofault.OS, 900+off, iofault.Profile{CrashAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 900+off, Profile{CrashAtByte: off})
 			err := crashRun(opts, ffs, journalPath, storePath)
-			var crash *iofault.Crash
+			var crash *Crash
 			if !errors.As(err, &crash) {
 				t.Fatalf("crash@%d: run ended with %v, want an injected crash", off, err)
 			}
@@ -514,7 +501,7 @@ func TestChaosCheckpoint(t *testing.T) {
 		for i, off := range sampleOffsets(total-1, 4, 0xE2E2) {
 			journalPath := filepath.Join(dir, fmt.Sprintf("e%02d.wrjl", i))
 			storePath := filepath.Join(dir, fmt.Sprintf("e%02d.wrst", i))
-			ffs := iofault.NewFaultFS(iofault.OS, 1000+off, iofault.Profile{DiskFullAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 1000+off, Profile{DiskFullAtByte: off})
 			err := crashRun(opts, ffs, journalPath, storePath)
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("enospc@%d: run ended with %v", off, err)
@@ -526,9 +513,9 @@ func TestChaosCheckpoint(t *testing.T) {
 		for _, op := range []int{1, 2, 4} {
 			journalPath := filepath.Join(dir, fmt.Sprintf("s%02d.wrjl", op))
 			storePath := filepath.Join(dir, fmt.Sprintf("s%02d.wrst", op))
-			ffs := iofault.NewFaultFS(iofault.OS, 1100+int64(op), iofault.Profile{FailSyncOp: op})
+			ffs := NewFaultFS(iofault.OS, 1100+int64(op), Profile{FailSyncOp: op})
 			err := crashRun(opts, ffs, journalPath, storePath)
-			if !errors.Is(err, iofault.ErrSyncFault) {
+			if !errors.Is(err, ErrSyncFault) {
 				t.Fatalf("syncfail@%d: run ended with %v", op, err)
 			}
 			resumeAndCompare(t, fmt.Sprintf("syncfail@%d", op), journalPath, storePath)
@@ -539,9 +526,9 @@ func TestChaosCheckpoint(t *testing.T) {
 		// replace at the very end.
 		journalPath := filepath.Join(dir, "r.wrjl")
 		storePath := filepath.Join(dir, "r.wrst")
-		ffs := iofault.NewFaultFS(iofault.OS, 1200, iofault.Profile{FailRenameOp: 1})
+		ffs := NewFaultFS(iofault.OS, 1200, Profile{FailRenameOp: 1})
 		err := crashRun(opts, ffs, journalPath, storePath)
-		if !errors.Is(err, iofault.ErrRenameFault) {
+		if !errors.Is(err, ErrRenameFault) {
 			t.Fatalf("renamefail: run ended with %v", err)
 		}
 		if _, err := os.Stat(storePath); !errors.Is(err, os.ErrNotExist) {
@@ -617,7 +604,7 @@ func TestChaosRepair(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		for _, off := range sampleOffsets(total, crashSamples, 0xF1C1) {
 			reset()
-			ffs := iofault.NewFaultFS(iofault.OS, 1300+off, iofault.Profile{CrashAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 1300+off, Profile{CrashAtByte: off})
 			expectCrash(t, off, func() { repairThrough(ffs) })
 			check(t, fmt.Sprintf("crash@%d", off))
 		}
@@ -625,7 +612,7 @@ func TestChaosRepair(t *testing.T) {
 	t.Run("enospc", func(t *testing.T) {
 		for _, off := range sampleOffsets(total-1, 8, 0xF1C2) {
 			reset()
-			ffs := iofault.NewFaultFS(iofault.OS, 1400+off, iofault.Profile{DiskFullAtByte: off})
+			ffs := NewFaultFS(iofault.OS, 1400+off, Profile{DiskFullAtByte: off})
 			if err := repairThrough(ffs); !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("enospc@%d: err = %v", off, err)
 			}
@@ -634,16 +621,16 @@ func TestChaosRepair(t *testing.T) {
 	})
 	t.Run("syncfail", func(t *testing.T) {
 		reset()
-		ffs := iofault.NewFaultFS(iofault.OS, 1500, iofault.Profile{FailSyncOp: 1})
-		if err := repairThrough(ffs); !errors.Is(err, iofault.ErrSyncFault) {
+		ffs := NewFaultFS(iofault.OS, 1500, Profile{FailSyncOp: 1})
+		if err := repairThrough(ffs); !errors.Is(err, ErrSyncFault) {
 			t.Fatalf("syncfail: err = %v", err)
 		}
 		check(t, "syncfail")
 	})
 	t.Run("torn-rename", func(t *testing.T) {
 		reset()
-		ffs := iofault.NewFaultFS(iofault.OS, 1600, iofault.Profile{FailRenameOp: 1})
-		if err := repairThrough(ffs); !errors.Is(err, iofault.ErrRenameFault) {
+		ffs := NewFaultFS(iofault.OS, 1600, Profile{FailRenameOp: 1})
+		if err := repairThrough(ffs); !errors.Is(err, ErrRenameFault) {
 			t.Fatalf("renamefail: err = %v", err)
 		}
 		check(t, "renamefail")

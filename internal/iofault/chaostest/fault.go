@@ -1,14 +1,32 @@
-package iofault
+// Package chaostest is the disk-fault layer and the chaos matrix. Its
+// FaultFS wraps an iofault.FS and subjects every write, fsync, rename
+// and read to deterministic, seed-driven failures; the tests then cross
+// every durability-critical component (store write, journal append,
+// end-to-end checkpointed collection, fsck repair) with every fault
+// class (crash at a byte offset sampled across the component's full
+// write volume, ENOSPC, fsync failure, torn rename) and prove the
+// recovery story: fsck and resume reproduce the uninterrupted run's
+// store, report and journal bytes exactly. store's and rustore's tests
+// use FaultFS too. The package imports only iofault, and no binary
+// imports it.
+//
+// Every injected failure is replayable, as dns.FaultTransport's are:
+// fault decisions are pure FNV-1a hashes of (seed, op-index), never
+// draws from a sequential RNG, so a failing cell reproduces from its
+// logged (seed, offset) alone. The whole matrix is one
+// `go test ./internal/iofault/chaostest` away; CI runs it as the
+// chaos-smoke job.
+package chaostest
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
+
+	"whereru/internal/iofault"
 )
 
 // Errors the fault layer injects. Each wraps ErrInjected so callers can
@@ -17,29 +35,28 @@ import (
 // working.
 var (
 	// ErrInjected marks every error produced by the fault layer.
-	ErrInjected = errors.New("iofault: injected fault")
+	ErrInjected = errors.New("chaostest: injected fault")
 	// ErrDiskFull is the injected ENOSPC: the write consumed whatever
 	// budget remained (a short write, exactly as a full disk delivers
 	// one) and then failed.
-	ErrDiskFull = fmt.Errorf("iofault: disk full: %w (%w)", syscall.ENOSPC, ErrInjected)
+	ErrDiskFull = fmt.Errorf("chaostest: disk full: %w (%w)", syscall.ENOSPC, ErrInjected)
 	// ErrWriteFault is an injected whole-write failure (EIO-shaped: no
 	// bytes reach the file).
-	ErrWriteFault = fmt.Errorf("iofault: write error (%w)", ErrInjected)
+	ErrWriteFault = fmt.Errorf("chaostest: write error (%w)", ErrInjected)
 	// ErrShortWrite is an injected short write: a seed-chosen prefix
 	// reached the file, the rest did not.
-	ErrShortWrite = fmt.Errorf("iofault: short write: %w (%w)", io.ErrShortWrite, ErrInjected)
+	ErrShortWrite = fmt.Errorf("chaostest: short write: %w (%w)", io.ErrShortWrite, ErrInjected)
 	// ErrSyncFault is an injected fsync failure — the lying-fsync case:
 	// the data may or may not be durable, and the caller must assume not.
-	ErrSyncFault = fmt.Errorf("iofault: fsync error (%w)", ErrInjected)
+	ErrSyncFault = fmt.Errorf("chaostest: fsync error (%w)", ErrInjected)
 	// ErrRenameFault is an injected rename failure: the target is
 	// untouched, the source still exists.
-	ErrRenameFault = fmt.Errorf("iofault: rename error (%w)", ErrInjected)
+	ErrRenameFault = fmt.Errorf("chaostest: rename error (%w)", ErrInjected)
 )
 
 // Crash is the panic value delivered when a crash trigger fires: the
 // simulated hard kill, thrown mid-write after exactly the configured
-// prefix reached the file. Harnesses recover it; cmd/whereru installs a
-// hook that exits the process instead.
+// prefix reached the file. Harnesses recover it.
 type Crash struct {
 	// Op names the operation that was executing ("write").
 	Op string
@@ -49,7 +66,7 @@ type Crash struct {
 }
 
 func (c *Crash) Error() string {
-	return fmt.Sprintf("iofault: crash injected during %s at byte %d", c.Op, c.TotalBytes)
+	return fmt.Sprintf("chaostest: crash injected during %s at byte %d", c.Op, c.TotalBytes)
 }
 
 // Profile configures a FaultFS. The zero value injects nothing.
@@ -64,7 +81,7 @@ type Profile struct {
 	// CrashAtByte > 0 simulates a hard kill mid-write: once the
 	// filesystem's cumulative written-byte count reaches it, the write
 	// in flight stores exactly the prefix that fits below the limit and
-	// the Crash hook fires (default: panic(*Crash)).
+	// the write panics with *Crash.
 	CrashAtByte int64
 	// DiskFullAtByte > 0 simulates ENOSPC: writes consume bytes up to
 	// the limit, then fail with ErrDiskFull (short write first, like a
@@ -91,86 +108,6 @@ type Profile struct {
 	// one seed-chosen bit flipped — bit rot on the read path; the file
 	// itself is unharmed.
 	ReadBitFlipProb float64
-	// Crash overrides what happens when CrashAtByte fires. nil panics
-	// with *Crash (recoverable by a harness); cmd/whereru exits the
-	// process for subprocess-level chaos tests.
-	Crash func(c *Crash)
-}
-
-// ParseProfile parses the comma-separated fault spec the CLI exposes
-// (`whereru -io-fault`):
-//
-//	crash@N       crash mid-write once N total bytes are written
-//	enospc@N      ENOSPC once N total bytes are written
-//	syncfail@K    the K-th fsync fails
-//	renamefail@K  the K-th rename fails
-//	writeerr:P    each write fails whole with probability P
-//	shortwrite:P  each write is torn short with probability P
-//	shortread:P   each read returns a prefix with probability P
-//	readflip:P    each read has one bit flipped with probability P
-//
-// Each class may appear once, and P must lie in [0, 1].
-func ParseProfile(spec string) (Profile, error) {
-	var p Profile
-	seen := map[string]bool{}
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		name, arg, at := tok, "", false
-		if i := strings.IndexAny(tok, "@:"); i >= 0 {
-			name, arg, at = tok[:i], tok[i+1:], tok[i] == '@'
-		}
-		if seen[name] {
-			return p, fmt.Errorf("iofault: fault %q given twice", name)
-		}
-		seen[name] = true
-		switch {
-		case name == "crash" && at:
-			n, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || n <= 0 {
-				return p, fmt.Errorf("iofault: bad crash offset %q", arg)
-			}
-			p.CrashAtByte = n
-		case name == "enospc" && at:
-			n, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || n <= 0 {
-				return p, fmt.Errorf("iofault: bad enospc offset %q", arg)
-			}
-			p.DiskFullAtByte = n
-		case name == "syncfail" && at:
-			n, err := strconv.Atoi(arg)
-			if err != nil || n <= 0 {
-				return p, fmt.Errorf("iofault: bad syncfail op %q", arg)
-			}
-			p.FailSyncOp = n
-		case name == "renamefail" && at:
-			n, err := strconv.Atoi(arg)
-			if err != nil || n <= 0 {
-				return p, fmt.Errorf("iofault: bad renamefail op %q", arg)
-			}
-			p.FailRenameOp = n
-		case !at && (name == "writeerr" || name == "shortwrite" || name == "shortread" || name == "readflip"):
-			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil || !(v >= 0 && v <= 1) { // NaN fails both
-				return p, fmt.Errorf("iofault: bad probability %q for %s", arg, name)
-			}
-			switch name {
-			case "writeerr":
-				p.WriteErrProb = v
-			case "shortwrite":
-				p.ShortWriteProb = v
-			case "shortread":
-				p.ShortReadProb = v
-			case "readflip":
-				p.ReadBitFlipProb = v
-			}
-		default:
-			return p, fmt.Errorf("iofault: unknown fault %q (want crash@N, enospc@N, syncfail@K, renamefail@K, writeerr:P, shortwrite:P, shortread:P, readflip:P)", tok)
-		}
-	}
-	return p, nil
 }
 
 // Stats counts what a FaultFS saw and did.
@@ -197,7 +134,7 @@ type Stats struct {
 // is safe but op-indices then depend on scheduling, like any shared
 // disk.
 type FaultFS struct {
-	inner FS
+	inner iofault.FS
 	seed  uint64
 
 	mu      sync.Mutex
@@ -210,9 +147,9 @@ type FaultFS struct {
 }
 
 // NewFaultFS wraps inner with a deterministic fault profile.
-func NewFaultFS(inner FS, seed int64, p Profile) *FaultFS {
+func NewFaultFS(inner iofault.FS, seed int64, p Profile) *FaultFS {
 	if inner == nil {
-		inner = OS
+		inner = iofault.OS
 	}
 	return &FaultFS{inner: inner, seed: uint64(seed), profile: p}
 }
@@ -260,7 +197,7 @@ func hash64(seed, op, salt uint64) uint64 {
 	return h
 }
 
-func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
 	inner, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -278,7 +215,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	}
 	f.mu.Unlock()
 	if fail {
-		return fmt.Errorf("iofault: rename %s -> %s: %w", oldpath, newpath, ErrRenameFault)
+		return fmt.Errorf("chaostest: rename %s -> %s: %w", oldpath, newpath, ErrRenameFault)
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
@@ -311,7 +248,7 @@ func (f *FaultFS) syncFault() error {
 // faultFile injects the filesystem's profile into one file's I/O.
 type faultFile struct {
 	fs    *FaultFS
-	inner File
+	inner iofault.File
 }
 
 func (ff *faultFile) Write(b []byte) (int, error) {
@@ -329,7 +266,7 @@ func (ff *faultFile) Write(b []byte) (int, error) {
 	}
 
 	// allowed is how much of b reaches the file; errAfter is what the
-	// caller is told afterwards; crash fires the hook after writing.
+	// caller is told afterwards; crash panics after writing.
 	allowed, errAfter, crash := len(b), error(nil), false
 	if p.ShortWriteProb > 0 && len(b) > 1 && roll(f.seed, op, saltShortW) < p.ShortWriteProb {
 		// A strict prefix: at least 0, at most len(b)-1 bytes.
@@ -356,7 +293,6 @@ func (ff *faultFile) Write(b []byte) (int, error) {
 	if errAfter != nil || crash {
 		f.stats.Injected++
 	}
-	hook := p.Crash
 	f.mu.Unlock()
 
 	n := 0
@@ -372,11 +308,7 @@ func (ff *faultFile) Write(b []byte) (int, error) {
 		// Make the torn prefix visible to the "rebooted" observer the
 		// way a kernel would have: whatever Write returned is in the
 		// page cache already; the harness reopens the file and sees it.
-		c := &Crash{Op: "write", TotalBytes: at}
-		if hook != nil {
-			hook(c)
-		}
-		panic(c)
+		panic(&Crash{Op: "write", TotalBytes: at})
 	}
 	if err != nil {
 		return n, err

@@ -1,19 +1,11 @@
-// Package iofault is the durability counterpart of the DNS layer's
-// fault-injection transport (dns.FaultTransport): a filesystem
-// abstraction whose fault wrapper subjects every syscall-shaped
-// operation — writes, fsyncs, renames, reads — to deterministic,
-// seed-driven failures. Collection survives the real world only if
-// crashes mid-write, full disks, lying fsyncs and bit rot are exercised
-// the way lossy links already are, so the store's WriteTo callers, the
-// sweep journal, checkpoint writes and `rustore fsck -repair` all route
-// their file I/O through an FS, and the chaos matrix
-// (internal/iofault/chaostest) swaps the OS passthrough for a FaultFS.
-//
-// Like the network layer, every injected failure is replayable: fault
-// decisions are pure FNV-1a hashes of (seed, op-index), never draws
-// from a sequential RNG, so a fixed seed reproduces the same short
-// write or flipped bit run after run, and a crash observed once can be
-// replayed at exactly the same byte offset forever.
+// Package iofault is the filesystem seam of the durability paths: the
+// store's WriteTo callers, the sweep journal, checkpoint writes and
+// `rustore fsck -repair` route their file I/O through an FS, and
+// WriteAtomic is the one atomic-replace sequence they share. OS is the
+// only FS a binary uses; no binary links fault injection. The chaos
+// matrix (internal/iofault/chaostest) swaps OS for its seeded FaultFS
+// to crash writes at exact byte offsets, fill the disk, fail fsyncs and
+// renames, and rot reads.
 package iofault
 
 import (
@@ -24,7 +16,7 @@ import (
 )
 
 // File is the slice of *os.File the durability paths need. *os.File
-// satisfies it directly; FaultFS wraps one with fault injection.
+// satisfies it directly; chaostest.FaultFS wraps one with fault injection.
 type File interface {
 	io.Reader
 	io.Writer
@@ -37,8 +29,8 @@ type File interface {
 }
 
 // FS abstracts the filesystem operations durability-critical code
-// performs. OS is the passthrough; NewFaultFS wraps any FS with a
-// deterministic fault profile.
+// performs. OS is the passthrough; chaostest.NewFaultFS wraps any FS
+// with a deterministic fault profile.
 type FS interface {
 	// OpenFile is os.OpenFile.
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)

@@ -1,4 +1,4 @@
-package iofault
+package iofault_test
 
 import (
 	"bytes"
@@ -6,31 +6,27 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
-	"syscall"
 	"testing"
-)
 
-func writeAll(t *testing.T, fsys FS, path string, chunks ...[]byte) error {
-	t.Helper()
-	f, err := Create(fsys, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for _, c := range chunks {
-		if _, err := f.Write(c); err != nil {
-			return err
-		}
-	}
-	return f.Sync()
-}
+	"whereru/internal/iofault"
+	"whereru/internal/iofault/chaostest"
+)
 
 func TestOSPassthroughRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	if err := writeAll(t, OS, path, []byte("hello "), []byte("world")); err != nil {
+	f, err := iofault.Create(iofault.OS, path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []string{"hello ", "world"} {
+		if _, err := f.Write([]byte(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -38,190 +34,8 @@ func TestOSPassthroughRoundTrip(t *testing.T) {
 	if string(got) != "hello world" {
 		t.Fatalf("got %q", got)
 	}
-	if err := OS.SyncDir(filepath.Dir(path)); err != nil {
+	if err := iofault.OS.SyncDir(filepath.Dir(path)); err != nil {
 		t.Fatalf("SyncDir: %v", err)
-	}
-}
-
-func TestCrashAtByteWritesExactPrefix(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f")
-	payload := bytes.Repeat([]byte("0123456789"), 10) // 100 bytes
-	for _, crashAt := range []int64{1, 7, 37, 99} {
-		ffs := NewFaultFS(OS, 42, Profile{CrashAtByte: crashAt})
-		func() {
-			defer func() {
-				c, ok := recover().(*Crash)
-				if !ok {
-					t.Fatalf("crashAt=%d: expected *Crash panic", crashAt)
-				}
-				if c.TotalBytes != crashAt {
-					t.Errorf("crashAt=%d: crashed at %d", crashAt, c.TotalBytes)
-				}
-			}()
-			f, err := Create(ffs, path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two writes so crashes can land mid-stream of either.
-			f.Write(payload[:50])
-			f.Write(payload[50:])
-			t.Fatalf("crashAt=%d: no crash fired", crashAt)
-		}()
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload[:crashAt]) {
-			t.Errorf("crashAt=%d: file holds %d bytes, want the exact %d-byte prefix", crashAt, len(got), crashAt)
-		}
-		if !ffs.Stats().Crashed {
-			t.Errorf("crashAt=%d: stats do not report the crash", crashAt)
-		}
-	}
-}
-
-func TestCrashHookOverride(t *testing.T) {
-	fired := false
-	ffs := NewFaultFS(OS, 1, Profile{
-		CrashAtByte: 3,
-		Crash:       func(c *Crash) { fired = true; panic(c) },
-	})
-	func() {
-		defer func() { recover() }()
-		writeAll(t, ffs, filepath.Join(t.TempDir(), "f"), []byte("abcdef"))
-	}()
-	if !fired {
-		t.Fatal("crash hook not invoked")
-	}
-}
-
-func TestDiskFullShortWriteThenError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f")
-	ffs := NewFaultFS(OS, 7, Profile{DiskFullAtByte: 5})
-	err := writeAll(t, ffs, path, []byte("abc"), []byte("defg"))
-	if !errors.Is(err, ErrDiskFull) || !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrDiskFull wrapping ENOSPC and ErrInjected", err)
-	}
-	got, _ := os.ReadFile(path)
-	if string(got) != "abcde" {
-		t.Fatalf("disk holds %q, want the 5 bytes that fit", got)
-	}
-	// The full disk stays full: later writes fail too.
-	if err := writeAll(t, ffs, path, []byte("x")); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("write on full disk: %v", err)
-	}
-}
-
-func TestFailSyncAndRenameOps(t *testing.T) {
-	dir := t.TempDir()
-	ffs := NewFaultFS(OS, 3, Profile{FailSyncOp: 2})
-	f, err := Create(ffs, filepath.Join(dir, "f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatalf("first sync: %v", err)
-	}
-	if err := f.Sync(); !errors.Is(err, ErrSyncFault) {
-		t.Fatalf("second sync = %v, want ErrSyncFault", err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatalf("third sync: %v", err)
-	}
-	f.Close()
-
-	rfs := NewFaultFS(OS, 3, Profile{FailRenameOp: 1})
-	src := filepath.Join(dir, "src")
-	os.WriteFile(src, []byte("x"), 0o644)
-	if err := rfs.Rename(src, filepath.Join(dir, "dst")); !errors.Is(err, ErrRenameFault) {
-		t.Fatalf("rename = %v, want ErrRenameFault", err)
-	}
-	if _, err := os.Stat(src); err != nil {
-		t.Fatalf("failed rename moved the source: %v", err)
-	}
-	if err := rfs.Rename(src, filepath.Join(dir, "dst")); err != nil {
-		t.Fatalf("second rename: %v", err)
-	}
-}
-
-// TestProbabilisticFaultsDeterministic: the same seed injects the same
-// faults at the same op-indices; a different seed diverges.
-func TestProbabilisticFaultsDeterministic(t *testing.T) {
-	run := func(seed int64) []bool {
-		dir := t.TempDir()
-		ffs := NewFaultFS(OS, seed, Profile{ShortWriteProb: 0.3, WriteErrProb: 0.2})
-		f, err := Create(ffs, filepath.Join(dir, "f"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		outcomes := make([]bool, 200)
-		for i := range outcomes {
-			_, err := f.Write([]byte("0123456789"))
-			outcomes[i] = err != nil
-		}
-		return outcomes
-	}
-	a, b, c := run(11), run(11), run(12)
-	same, diff := true, false
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-		if a[i] != c[i] {
-			diff = true
-		}
-	}
-	if !same {
-		t.Error("same seed produced different fault schedules")
-	}
-	if !diff {
-		t.Error("different seeds produced identical fault schedules")
-	}
-	n := 0
-	for _, hit := range a {
-		if hit {
-			n++
-		}
-	}
-	if n < 40 || n > 160 {
-		t.Errorf("injected %d/200 faults, implausible for combined p≈0.44", n)
-	}
-}
-
-func TestReadFaults(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f")
-	payload := bytes.Repeat([]byte{0xAA}, 4096)
-	os.WriteFile(path, payload, 0o644)
-
-	// Short reads never lose bytes, only defer them.
-	sfs := NewFaultFS(OS, 5, Profile{ShortReadProb: 0.8})
-	f, err := Open(sfs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(f)
-	f.Close()
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("short-read stream corrupted the data: err=%v len=%d", err, len(got))
-	}
-	if sfs.Stats().Injected == 0 {
-		t.Fatal("no short reads injected at p=0.8")
-	}
-
-	// Bit flips damage the returned bytes, not the file.
-	bfs := NewFaultFS(OS, 5, Profile{ReadBitFlipProb: 1})
-	f2, _ := Open(bfs, path)
-	flipped, _ := io.ReadAll(f2)
-	f2.Close()
-	if bytes.Equal(flipped, payload) {
-		t.Fatal("ReadBitFlipProb=1 returned pristine bytes")
-	}
-	onDisk, _ := os.ReadFile(path)
-	if !bytes.Equal(onDisk, payload) {
-		t.Fatal("read fault damaged the file itself")
 	}
 }
 
@@ -233,7 +47,7 @@ func TestWriteAtomicReplacesOrPreserves(t *testing.T) {
 	newContent := bytes.Repeat([]byte("new!"), 64)
 
 	// Clean replace.
-	if err := WriteAtomic(OS, path, func(w io.Writer) error { _, err := w.Write(newContent); return err }); err != nil {
+	if err := iofault.WriteAtomic(iofault.OS, path, func(w io.Writer) error { _, err := w.Write(newContent); return err }); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(path)
@@ -245,18 +59,18 @@ func TestWriteAtomicReplacesOrPreserves(t *testing.T) {
 	// no temp file behind.
 	cases := []struct {
 		name string
-		p    Profile
+		p    chaostest.Profile
 	}{
-		{"enospc", Profile{DiskFullAtByte: 10}},
-		{"writeerr", Profile{WriteErrProb: 1}},
-		{"syncfail", Profile{FailSyncOp: 1}},
-		{"renamefail", Profile{FailRenameOp: 1}},
+		{"enospc", chaostest.Profile{DiskFullAtByte: 10}},
+		{"writeerr", chaostest.Profile{WriteErrProb: 1}},
+		{"syncfail", chaostest.Profile{FailSyncOp: 1}},
+		{"renamefail", chaostest.Profile{FailRenameOp: 1}},
 	}
 	for _, tc := range cases {
 		os.WriteFile(path, old, 0o644)
-		ffs := NewFaultFS(OS, 9, tc.p)
-		err := WriteAtomic(ffs, path, func(w io.Writer) error { _, err := w.Write(newContent); return err })
-		if !errors.Is(err, ErrInjected) {
+		ffs := chaostest.NewFaultFS(iofault.OS, 9, tc.p)
+		err := iofault.WriteAtomic(ffs, path, func(w io.Writer) error { _, err := w.Write(newContent); return err })
+		if !errors.Is(err, chaostest.ErrInjected) {
 			t.Fatalf("%s: err = %v, want an injected fault", tc.name, err)
 		}
 		got, _ := os.ReadFile(path)
@@ -271,46 +85,17 @@ func TestWriteAtomicReplacesOrPreserves(t *testing.T) {
 	// A crash mid-write leaves the previous content visible at path
 	// (the torn bytes live only in the temp file).
 	os.WriteFile(path, old, 0o644)
-	ffs := NewFaultFS(OS, 9, Profile{CrashAtByte: 17})
+	ffs := chaostest.NewFaultFS(iofault.OS, 9, chaostest.Profile{CrashAtByte: 17})
 	func() {
 		defer func() {
-			if _, ok := recover().(*Crash); !ok {
+			if _, ok := recover().(*chaostest.Crash); !ok {
 				t.Fatal("expected crash")
 			}
 		}()
-		WriteAtomic(ffs, path, func(w io.Writer) error { _, err := w.Write(newContent); return err })
+		iofault.WriteAtomic(ffs, path, func(w io.Writer) error { _, err := w.Write(newContent); return err })
 	}()
 	got, _ = os.ReadFile(path)
 	if !bytes.Equal(got, old) {
 		t.Fatal("crash mid-atomic-write destroyed the previous content")
 	}
-}
-
-func TestParseProfile(t *testing.T) {
-	p, err := ParseProfile("crash@1234, enospc@99,syncfail@2,renamefail@1,shortwrite:0.25,readflip:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Profile{CrashAtByte: 1234, DiskFullAtByte: 99, FailSyncOp: 2, FailRenameOp: 1,
-		ShortWriteProb: 0.25, ReadBitFlipProb: 0.5}
-	// Compare without the func field.
-	p.Crash, want.Crash = nil, nil
-	if !reflect.DeepEqual(p, want) {
-		t.Fatalf("ParseProfile = %+v, want %+v", p, want)
-	}
-	for _, bad := range []string{"crash@x", "crash:5", "enospc@-1", "shortwrite:2", "bogus@1", "shortwrite@0.5",
-		"writeerr:NaN", "syncfail@1,syncfail@2"} {
-		if _, err := ParseProfile(bad); err == nil {
-			t.Errorf("ParseProfile(%q) accepted", bad)
-		}
-	}
-	if p, err := ParseProfile(""); err != nil || p.active() {
-		t.Errorf("empty spec: %+v, %v", p, err)
-	}
-}
-
-// active reports whether p injects any fault.
-func (p *Profile) active() bool {
-	return p.CrashAtByte > 0 || p.DiskFullAtByte > 0 || p.FailSyncOp > 0 || p.FailRenameOp > 0 ||
-		p.WriteErrProb > 0 || p.ShortWriteProb > 0 || p.ShortReadProb > 0 || p.ReadBitFlipProb > 0
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"whereru/internal/iofault"
+	"whereru/internal/iofault/chaostest"
 	"whereru/internal/simtime"
 )
 
@@ -45,7 +46,7 @@ func TestJournalAppendENOSPCResumable(t *testing.T) {
 
 	// The disk fills 10 bytes into the third append (DiskFullAtByte
 	// budgets bytes written through this FS, which has written none yet).
-	ffs := iofault.NewFaultFS(iofault.OS, 21, iofault.Profile{DiskFullAtByte: 10})
+	ffs := chaostest.NewFaultFS(iofault.OS, 21, chaostest.Profile{DiskFullAtByte: 10})
 	j, replay, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,13 +99,13 @@ func TestJournalAppendENOSPCResumable(t *testing.T) {
 func TestJournalAppendSyncFaultRollsBack(t *testing.T) {
 	path, goodSize := seedJournal(t, t.TempDir(), 1)
 
-	ffs := iofault.NewFaultFS(iofault.OS, 22, iofault.Profile{FailSyncOp: 1})
+	ffs := chaostest.NewFaultFS(iofault.OS, 22, chaostest.Profile{FailSyncOp: 1})
 	j, _, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = j.AppendSweep(sweepRec(simtime.Day(300), "d.ru."))
-	if !errors.Is(err, iofault.ErrSyncFault) {
+	if !errors.Is(err, chaostest.ErrSyncFault) {
 		t.Fatalf("append with failing fsync = %v", err)
 	}
 	j.Close()
@@ -124,13 +125,13 @@ func TestJournalAppendSyncFaultRollsBack(t *testing.T) {
 // an error) must not leave a partial frame behind.
 func TestJournalShortWriteRollsBack(t *testing.T) {
 	path, goodSize := seedJournal(t, t.TempDir(), 1)
-	ffs := iofault.NewFaultFS(iofault.OS, 23, iofault.Profile{ShortWriteProb: 1})
+	ffs := chaostest.NewFaultFS(iofault.OS, 23, chaostest.Profile{ShortWriteProb: 1})
 	j, _, err := ResumeJournalFS(ffs, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = j.AppendSweep(sweepRec(simtime.Day(300), "d.ru."))
-	if !errors.Is(err, iofault.ErrShortWrite) {
+	if !errors.Is(err, chaostest.ErrShortWrite) {
 		t.Fatalf("append = %v, want short-write error", err)
 	}
 	j.Close()
@@ -251,9 +252,9 @@ func TestJournalTornTailTruncateIsSynced(t *testing.T) {
 	f.Write([]byte{0xFF, 0xFF, 0xFF})
 	f.Close()
 
-	ffs := iofault.NewFaultFS(iofault.OS, 24, iofault.Profile{FailSyncOp: 1})
+	ffs := chaostest.NewFaultFS(iofault.OS, 24, chaostest.Profile{FailSyncOp: 1})
 	_, _, err = ResumeJournalFS(ffs, path, nil)
-	if !errors.Is(err, iofault.ErrSyncFault) {
+	if !errors.Is(err, chaostest.ErrSyncFault) {
 		t.Fatalf("open with failing truncate-fsync = %v, want refusal", err)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"whereru/internal/iofault"
+	"whereru/internal/iofault/chaostest"
 	"whereru/internal/simtime"
 )
 
@@ -214,7 +215,7 @@ func TestJournalHeaderValidation(t *testing.T) {
 // synced twice would fail the first.
 func TestJournalSyncHook(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.wrjl")
-	j, err := CreateJournalFS(iofault.NewFaultFS(iofault.OS, 1, iofault.Profile{FailSyncOp: 3}), path)
+	j, err := CreateJournalFS(chaostest.NewFaultFS(iofault.OS, 1, chaostest.Profile{FailSyncOp: 3}), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestJournalSyncHook(t *testing.T) {
 	if err := j.AppendSweep(sweepRec(10, "a.ru.")); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if err := j.AppendSweep(sweepRec(17, "a.ru.")); !errors.Is(err, iofault.ErrSyncFault) {
+	if err := j.AppendSweep(sweepRec(17, "a.ru.")); !errors.Is(err, chaostest.ErrSyncFault) {
 		t.Fatalf("second append = %v, want ErrSyncFault", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"whereru/internal/iofault"
+	"whereru/internal/iofault/chaostest"
 )
 
 // storeSection is one length-framed, checksummed region of a v3 store
@@ -172,7 +173,7 @@ func TestReadRecoverThroughFaultFS(t *testing.T) {
 	}
 
 	// Short reads: same store, byte for byte.
-	sfs := iofault.NewFaultFS(iofault.OS, 31, iofault.Profile{ShortReadProb: 0.9})
+	sfs := chaostest.NewFaultFS(iofault.OS, 31, chaostest.Profile{ShortReadProb: 0.9})
 	f, err := iofault.Open(sfs, path)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestReadRecoverThroughFaultFS(t *testing.T) {
 
 	// Bit rot on the read path: flagged, salvage is an intact prefix.
 	for _, seed := range []int64{41, 42, 43, 44} {
-		bfs := iofault.NewFaultFS(iofault.OS, seed, iofault.Profile{ReadBitFlipProb: 0.05})
+		bfs := chaostest.NewFaultFS(iofault.OS, seed, chaostest.Profile{ReadBitFlipProb: 0.05})
 		f, err := iofault.Open(bfs, path)
 		if err != nil {
 			t.Fatal(err)

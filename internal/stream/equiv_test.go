@@ -2,8 +2,8 @@ package stream_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -123,33 +123,52 @@ func TestFoldEquivalenceScenario(t *testing.T) {
 	assertPrefixEquivalence(t, opts, journalFor(t, opts))
 }
 
+// TestFoldEquivalenceCrashResumedJournal folds a journal that was cut
+// after its second segment, the state a collector killed there leaves,
+// and then resumed to the end.
 func TestFoldEquivalenceCrashResumedJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweeps.wrjl")
 	opts := streamOpts()
 	opts.CheckpointPath = path
-	opts.CrashAfter = 2
-	crashed, err := core.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := crashed.Collect(context.Background()); !errors.Is(err, core.ErrCrashInjected) {
-		t.Fatalf("crash run returned %v, want ErrCrashInjected", err)
-	}
-	ropts := streamOpts()
-	ropts.CheckpointPath = path
-	ropts.Resume = true
-	resumed, err := core.New(ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Collect(context.Background()); err != nil {
-		t.Fatal(err)
+	for _, resume := range []bool{false, true} {
+		if resume {
+			cutJournal(t, path, 2)
+		}
+		opts.Resume = resume
+		s, err := core.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Collect(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	replay, err := store.VerifyJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertPrefixEquivalence(t, streamOpts(), replay)
+}
+
+// cutJournal truncates the complete journal at path at the end of its
+// k-th segment, as core's crash tests do.
+func cutJournal(t *testing.T, path string, k int) {
+	t.Helper()
+	tl, err := store.OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	ended, cancel := context.WithCancel(context.Background())
+	cancel() // Next reads what is on disk and never waits
+	for i := 1; i <= k; i++ {
+		if _, err := tl.Next(ended); err != nil {
+			t.Fatalf("segment %d of %s: %v", i, path, err)
+		}
+	}
+	if err := os.Truncate(path, tl.Offset()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFoldRejectsOutOfOrderDays(t *testing.T) {
