@@ -300,7 +300,7 @@ func BenchmarkAblationResolveInMemory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.FlushCache()
-		if _, err := r.LookupA(ctx, "sanctioned001.ru."); err != nil {
+		if _, err := r.LookupA(ctx, "sanctioned001.ru.", nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,12 +313,12 @@ func BenchmarkAblationResolverCacheWarm(b *testing.B) {
 	s.World.Clock().Set(simtime.ConflictStart)
 	r := s.World.NewResolver()
 	ctx := context.Background()
-	if _, err := r.LookupA(ctx, "sanctioned001.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "sanctioned001.ru.", nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.LookupA(ctx, "sanctioned001.ru."); err != nil {
+		if _, err := r.LookupA(ctx, "sanctioned001.ru.", nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+
+	"whereru/internal/dns"
 )
 
 // TestFastPathEquivalence: clean and 15 % loss, the resolver fast path in
@@ -59,4 +64,47 @@ func TestFastPathEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCollectionExchangeCount pins the work a collection puts on the
+// wire: the exchanges MemNet serves one worker collecting the whole
+// schedule, clean and under 5 % loss. With one worker the count is a
+// function of the options alone. A cheaper way to do the same lookups
+// leaves it where it is; a referral saved or added by the resolver is a
+// change of method, and moves it.
+func TestCollectionExchangeCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		loss float64
+		want int64
+	}{
+		{"clean", 0, exchangesClean},
+		{"loss_5pct", 0.05, exchangesLossy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			if got := collectionExchanges(t, 20000, tc.loss); got != tc.want {
+				t.Errorf("a one-worker collection at 1:20000 made %d exchanges, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// The pinned counts, and collectionExchanges' options.
+const exchangesClean, exchangesLossy = 143909, 143966
+
+func collectionExchanges(t *testing.T, scale int, loss float64) int64 {
+	opts := QuickOptions()
+	opts.World.Seed, opts.World.Scale = 7, scale
+	opts.Workers, opts.Loss = 1, loss
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n atomic.Int64
+	s.World.Mem.SetTap(func(netip.Addr, *dns.Message) { n.Add(1) })
+	if err := s.Collect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return n.Load()
 }

@@ -105,10 +105,3 @@ func (m *Monitor) Poll() []Entry {
 	m.mu.Unlock()
 	return m.Log.Scan(from, size, m.Pred)
 }
-
-// Position returns the monitor's next index.
-func (m *Monitor) Position() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.next
-}

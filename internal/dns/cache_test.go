@@ -183,7 +183,7 @@ func TestFlushCacheMidSweepRace(t *testing.T) {
 				name, want = "foreign.ru.", mustAddr("172.64.33.1")
 			}
 			for i := 0; i < iters; i++ {
-				addrs, err := r.LookupA(ctx, name)
+				addrs, err := r.LookupA(ctx, name, nil, nil)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", name, err)
 					return
@@ -226,14 +226,14 @@ func TestCacheStatsPinnedOnFixture(t *testing.T) {
 
 	// Cold resolution walks from the roots (one zone miss) and learns
 	// ru. + example.ru. cuts plus both glue hosts along the way.
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("cold example.ru", CacheStats{Zones: 2, Hosts: 2, ZoneMisses: 1})
 
 	// Warm resolution starts at the example.ru. cut: one zone hit,
 	// nothing new learned.
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("warm example.ru", CacheStats{Zones: 2, Hosts: 2, ZoneHits: 1, ZoneMisses: 1})
@@ -249,7 +249,7 @@ func TestCacheStatsPinnedOnFixture(t *testing.T) {
 	// foreign.ru starts from the cached ru. cut (zone hit) but its NS is
 	// glueless under .com: one led host miss whose nested resolution
 	// walks from the roots again (zone miss) and learns the com. branch.
-	if _, err := r.LookupA(ctx, "foreign.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "foreign.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("glueless foreign.ru", CacheStats{Zones: 5, Hosts: 4, ZoneHits: 2, ZoneMisses: 2, HostHits: 2, HostMisses: 1})

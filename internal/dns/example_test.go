@@ -36,7 +36,7 @@ func ExampleResolver() {
 	}))
 
 	r := dns.NewResolver(net, []netip.Addr{root})
-	addrs, err := r.LookupA(context.Background(), "example.ru.")
+	addrs, err := r.LookupA(context.Background(), "example.ru.", nil, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -7,6 +7,13 @@ import (
 	"sync"
 )
 
+// Cache returns the resolver's infrastructure cache.
+func (r *Resolver) Cache() *InfraCache { return r.cache }
+
+// SetCache replaces the resolver's infrastructure cache with one another
+// resolver uses. Call before issuing queries.
+func (r *Resolver) SetCache(c *InfraCache) { r.cache = c }
+
 // SetReleasePoison turns the release poison (TestMain turns it on) on or
 // off. It is one package variable: flip it only where no other test body
 // runs — a top-level test's prologue, before anything calls t.Parallel.

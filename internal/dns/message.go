@@ -323,6 +323,12 @@ type parser struct {
 	// name equal to it is returned as hint.
 	hint    string
 	scratch [256]byte
+	// made holds the first names this message materialized as new
+	// strings (nmade of them), so a name it repeats — a referral's NS
+	// host as its glue's owner — allocates once, not twice, when the
+	// intern table does not hold it.
+	made  [8]string
+	nmade int
 }
 
 func (p *parser) uint16() (uint16, error) {
@@ -383,15 +389,27 @@ func (p *parser) name() (string, error) {
 				}
 				h = hash
 			}
+			for _, s := range p.made[:p.nmade] {
+				if s == string(name) {
+					return s, nil
+				}
+			}
 			if !validName(name) {
 				// string(name): formatting the scratch slice itself would
 				// move the whole parser to the heap.
 				return "", fmt.Errorf("dns: decoded invalid name %q", string(name))
 			}
+			var s string
 			if p.intern != nil {
-				return p.intern.add(name, h), nil
+				s = p.intern.add(name, h)
+			} else {
+				s = string(name)
 			}
-			return string(name), nil
+			if p.nmade < len(p.made) {
+				p.made[p.nmade] = s
+				p.nmade++
+			}
+			return s, nil
 		case b&0xC0 == 0xC0:
 			if pos+2 > len(p.buf) {
 				return "", ErrTruncatedMessage
@@ -665,7 +683,7 @@ func decodeInto(p *parser, m *Message, q *[1]Question, rrs *[]RR) error {
 	if len(buf) < headerLen {
 		return ErrTruncatedMessage
 	}
-	p.pos = headerLen
+	p.pos, p.nmade = headerLen, 0
 	qd := int(buf[4])<<8 | int(buf[5])
 	an := int(buf[6])<<8 | int(buf[7])
 	ns := int(buf[8])<<8 | int(buf[9])

@@ -14,8 +14,9 @@ import (
 //
 // The resolver's infrastructure state — delegation cache, host cache
 // (positive and negative), and the singleflight table coalescing
-// concurrent misses — lives in an InfraCache, private by default and
-// shareable across resolvers with SetCache. Caches must be flushed
+// concurrent misses — lives in an InfraCache that every goroutine using
+// the resolver shares. A measured name's own zone cut is not
+// infrastructure: the caller keeps it in a Cut. Caches must be flushed
 // between measurement days, since the simulated world changes under the
 // resolver (FlushCache).
 type Resolver struct {
@@ -39,13 +40,6 @@ func NewResolver(t Transport, roots []netip.Addr) *Resolver {
 	}
 }
 
-// Cache returns the resolver's infrastructure cache.
-func (r *Resolver) Cache() *InfraCache { return r.cache }
-
-// SetCache replaces the resolver's infrastructure cache, typically with
-// one shared by several resolvers. Call before issuing queries.
-func (r *Resolver) SetCache(c *InfraCache) { r.cache = c }
-
 // FlushCache clears all caches (including negative entries). Call when
 // the simulated date advances.
 func (r *Resolver) FlushCache() { r.cache.Flush() }
@@ -53,6 +47,23 @@ func (r *Resolver) FlushCache() { r.cache.Flush() }
 // CacheStats reports cache sizes and cumulative hit/miss/coalesced
 // counters (for the ablation benchmarks, sweep stats, and /metrics).
 func (r *Resolver) CacheStats() CacheStats { return r.cache.Stats() }
+
+// Cut is one name's own zone cut, held by the caller of its lookups
+// instead of the shared InfraCache: the cut is read only by the next
+// lookups of that same name (a measurement's NS, then A and MX), so
+// sharing it would cost a copy and a locked write per name and save
+// nobody a referral. A lookup given a Cut keeps a referral to the
+// looked-up name itself here, and a later lookup of that name starts
+// from it; every other cut still goes to the InfraCache. The zero value
+// is empty; Reset empties it for the next name.
+type Cut struct {
+	zone  string
+	n     int
+	addrs [8]netip.Addr
+}
+
+// Reset empties the cut.
+func (c *Cut) Reset() { c.zone, c.n = "", 0 }
 
 // Result is the outcome of an iterative resolution.
 type Result struct {
@@ -76,7 +87,7 @@ var (
 // lame delegations, loops). The Result is the caller's own: nothing in it
 // aliases pooled message storage.
 func (r *Resolver) Resolve(ctx context.Context, name string, qtype Type) (*Result, error) {
-	res, err := r.resolve(ctx, Canonical(name), qtype, 0, nil)
+	res, err := r.resolve(ctx, Canonical(name), qtype, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -87,17 +98,25 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype Type) (*Resul
 // the answer records they extract from and then drop.
 type answerScratch [8]RR
 
-// resolve is Resolve returning by value: it walks referrals from the
-// deepest cached cut for one owner name, and the answers are appended to
-// scratch[:0] (and spill to the heap only past its capacity), so a caller
-// that extracts what it needs from a stack scratch allocates nothing here.
-// Every response on the way is released as soon as what outlives it (the
-// matching records, the child zone, glue addresses) is copied out.
-func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth int, scratch []RR) (Result, error) {
+// resolve is Resolve returning by value: it walks referrals from name's
+// own cut when cut holds it, else from the deepest cached cut, and the
+// answers are appended to scratch[:0] (and spill to the heap only past
+// its capacity), so a caller that extracts what it needs from a stack
+// scratch allocates nothing here. Every response on the way is released
+// as soon as what outlives it (the matching records, the child zone,
+// glue addresses) is copied out.
+func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth int, cut *Cut, scratch []RR) (Result, error) {
 	if depth > 6 {
 		return Result{}, fmt.Errorf("%w: glue-chase depth exceeded for %s", ErrResolutionFailed, name)
 	}
-	servers, zone := r.cache.deepestCut(name, r.Roots)
+	var servers []netip.Addr
+	var zone string
+	if cut != nil && cut.zone == name {
+		r.cache.zoneHits.Add(1) // a walk that starts from a known cut, as deepestCut counts it
+		servers, zone = cut.addrs[:cut.n], cut.zone
+	} else {
+		servers, zone = r.cache.deepestCut(name, r.Roots)
+	}
 	var lastErr error
 	for step := 0; step < maxSteps; step++ {
 		if len(servers) == 0 {
@@ -109,7 +128,11 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 			// All servers for this cut failed; if we started from cache,
 			// drop the entry and restart from the root once.
 			if zone != "." {
-				r.cache.dropZone(zone)
+				if cut != nil && zone == cut.zone {
+					cut.Reset()
+				} else {
+					r.cache.dropZone(zone)
+				}
 				servers, zone = r.Roots, "."
 				continue
 			}
@@ -132,7 +155,7 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 			resp.Release()
 			return res, nil
 		}
-		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth)
+		next, childZone, err := r.followReferral(ctx, resp, zone, name, depth, cut)
 		if err != nil {
 			return Result{}, err
 		}
@@ -146,10 +169,11 @@ func (r *Resolver) resolve(ctx context.Context, name string, qtype Type, depth i
 
 // followReferral turns a response with no answers into the next zone cut:
 // the child zone and its server addresses, cached on the way (glue per
-// host, then the cut). It returns nil servers and no error for an
-// authoritative NODATA. It consumes resp: the message is released as soon
-// as the glue is copied out, before any glueless host is chased.
-func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name string, depth int) ([]netip.Addr, string, error) {
+// host, then the cut — in cut when the child is name itself and its
+// servers fit). It returns nil servers and no error for an authoritative
+// NODATA. It consumes resp: the message is released as soon as the glue
+// is copied out, before any glueless host is chased.
+func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name string, depth int, cut *Cut) ([]netip.Addr, string, error) {
 	childZone := ""
 	for _, rr := range resp.Authority {
 		if rr.Type == TypeNS {
@@ -210,6 +234,10 @@ func (r *Resolver) followReferral(ctx context.Context, resp *Message, zone, name
 	}
 	if len(glued) == 0 {
 		return nil, "", fmt.Errorf("%w: no reachable name servers for %s (last: %v)", ErrLameDelegation, childZone, lastErr)
+	}
+	if cut != nil && childZone == name && len(glued) <= len(cut.addrs) {
+		cut.zone, cut.n = childZone, copy(cut.addrs[:], glued)
+		return cut.addrs[:cut.n], childZone, nil
 	}
 	return r.cache.storeZone(childZone, glued), childZone, nil
 }
@@ -292,10 +320,10 @@ func (r *Resolver) LookupHost(ctx context.Context, host string, depth int) ([]ne
 func (r *Resolver) lookupHostUpstream(ctx context.Context, host string, depth int, fl *hostFlight, gen uint64) ([]netip.Addr, error) {
 	// No stack scratch here: this call sits inside the glue-chase
 	// recursion, where escape analysis would move it to the heap anyway.
-	res, err := r.resolve(ctx, host, TypeA, depth, nil)
+	res, err := r.resolve(ctx, host, TypeA, depth, nil, nil)
 	var addrs []netip.Addr
 	if err == nil {
-		addrs = answerAddrs(res.Answers)
+		addrs = appendAddrs(nil, res.Answers)
 	}
 	r.cache.completeHost(host, fl, gen, addrs, err, ctx.Err() != nil)
 	if err != nil {
@@ -304,53 +332,55 @@ func (r *Resolver) lookupHostUpstream(ctx context.Context, host string, depth in
 	return addrs, nil
 }
 
-// answerAddrs extracts the A records' addresses into a slice of its own.
-func answerAddrs(answers []RR) []netip.Addr {
-	addrs := make([]netip.Addr, 0, len(answers))
+// appendAddrs appends the A records' addresses to dst.
+func appendAddrs(dst []netip.Addr, answers []RR) []netip.Addr {
 	for _, rr := range answers {
 		if rr.Type == TypeA {
-			addrs = append(addrs, rr.Data.(AData).Addr)
+			dst = append(dst, rr.Data.(AData).Addr)
 		}
 	}
-	return addrs
+	return dst
 }
+
+// The measurement lookups resolve one name and append what they find to
+// dst, which they return (dst as given on an error): a caller whose dst
+// has room allocates nothing. cut is the name's own zone cut (nil: the
+// shared cache alone); pass the same Cut to every lookup of one name,
+// NS first, and Reset it before the next name.
 
 // LookupA resolves A records for name. An alias is not followed: a name
 // answered only by a CNAME has no addresses.
-func (r *Resolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
+func (r *Resolver) LookupA(ctx context.Context, name string, cut *Cut, dst []netip.Addr) ([]netip.Addr, error) {
 	var scratch answerScratch
-	res, err := r.resolve(ctx, Canonical(name), TypeA, 0, scratch[:0])
+	res, err := r.resolve(ctx, Canonical(name), TypeA, 0, cut, scratch[:0])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return answerAddrs(res.Answers), nil
+	return appendAddrs(dst, res.Answers), nil
 }
 
-// LookupNS resolves the NS set for name and returns the server names.
-func (r *Resolver) LookupNS(ctx context.Context, name string) ([]string, error) {
+// LookupNS resolves the NS set for name and appends the server names.
+func (r *Resolver) LookupNS(ctx context.Context, name string, cut *Cut, dst []string) ([]string, error) {
 	var scratch answerScratch
-	res, err := r.resolve(ctx, Canonical(name), TypeNS, 0, scratch[:0])
+	res, err := r.resolve(ctx, Canonical(name), TypeNS, 0, cut, scratch[:0])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	hosts := make([]string, 0, len(res.Answers))
 	for _, rr := range res.Answers {
-		hosts = append(hosts, rr.Data.(NSData).Host)
+		dst = append(dst, rr.Data.(NSData).Host)
 	}
-	return hosts, nil
+	return dst, nil
 }
 
-// LookupMX resolves the MX set for name and returns the exchange hosts
-// (nil when there are none).
-func (r *Resolver) LookupMX(ctx context.Context, name string) ([]string, error) {
+// LookupMX resolves the MX set for name and appends the exchange hosts.
+func (r *Resolver) LookupMX(ctx context.Context, name string, cut *Cut, dst []string) ([]string, error) {
 	var scratch answerScratch
-	res, err := r.resolve(ctx, Canonical(name), TypeMX, 0, scratch[:0])
-	if err != nil || len(res.Answers) == 0 {
-		return nil, err
+	res, err := r.resolve(ctx, Canonical(name), TypeMX, 0, cut, scratch[:0])
+	if err != nil {
+		return dst, err
 	}
-	hosts := make([]string, 0, len(res.Answers))
 	for _, rr := range res.Answers {
-		hosts = append(hosts, rr.Data.(MXData).Host)
+		dst = append(dst, rr.Data.(MXData).Host)
 	}
-	return hosts, nil
+	return dst, nil
 }

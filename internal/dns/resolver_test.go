@@ -3,6 +3,7 @@ package dns
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -117,7 +118,7 @@ func TestIterativeResolution(t *testing.T) {
 	r := NewResolver(net, roots)
 	ctx := context.Background()
 
-	addrs, err := r.LookupA(ctx, "example.ru.")
+	addrs, err := r.LookupA(ctx, "example.ru.", nil, nil)
 	if err != nil {
 		t.Fatalf("LookupA(example.ru.): %v", err)
 	}
@@ -125,7 +126,7 @@ func TestIterativeResolution(t *testing.T) {
 		t.Fatalf("LookupA(example.ru.) = %v", addrs)
 	}
 
-	hosts, err := r.LookupNS(ctx, "example.ru.")
+	hosts, err := r.LookupNS(ctx, "example.ru.", nil, nil)
 	if err != nil {
 		t.Fatalf("LookupNS: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestIterativeResolution(t *testing.T) {
 func TestGluelessOutOfBailiwickResolution(t *testing.T) {
 	net, roots := buildTestInternet(t)
 	r := NewResolver(net, roots)
-	addrs, err := r.LookupA(context.Background(), "foreign.ru.")
+	addrs, err := r.LookupA(context.Background(), "foreign.ru.", nil, nil)
 	if err != nil {
 		t.Fatalf("LookupA(foreign.ru.): %v", err)
 	}
@@ -188,11 +189,11 @@ func TestDelegationCacheSpeedsSecondQuery(t *testing.T) {
 	net.SetTap(func(netip.Addr, *Message) { queries++ })
 	r := NewResolver(net, roots)
 	ctx := context.Background()
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := queries
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	second := queries - first
@@ -220,16 +221,16 @@ func TestUnreachableServerFailsOver(t *testing.T) {
 	ctx := context.Background()
 	// Prime the cache, then take the authoritative down; resolution must
 	// fall back to the root and ultimately fail cleanly (not hang).
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	net.SetUnreachable(mustAddr("194.58.116.30"), true)
 	r.FlushCache()
-	if _, err := r.LookupA(ctx, "example.ru."); err == nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err == nil {
 		t.Fatal("resolution succeeded with authoritative down")
 	}
 	net.SetUnreachable(mustAddr("194.58.116.30"), false)
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 }
@@ -267,7 +268,7 @@ func TestLookupHostNegativeCache(t *testing.T) {
 	// A domain delegated to the dead host fails fast too: only the
 	// referral chase (root + ru TLD), no renewed expedition into .com.
 	before := queries
-	if _, err := r.LookupA(ctx, "foreign.ru."); err == nil {
+	if _, err := r.LookupA(ctx, "foreign.ru.", nil, nil); err == nil {
 		t.Fatal("foreign.ru resolved through a dead name server")
 	}
 	if delta := queries - before; delta > 2 {
@@ -334,7 +335,7 @@ func TestQueryAnyRotatesAcrossServers(t *testing.T) {
 	r := NewResolver(net, roots)
 	ctx := context.Background()
 	for i := 0; i < 16; i++ {
-		if _, err := r.LookupA(ctx, Canonical(string(rune('a'+i))+".ru.")); err != nil {
+		if _, err := r.LookupA(ctx, Canonical(string(rune('a'+i))+".ru."), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,13 +370,13 @@ func BenchmarkResolveWithCache(b *testing.B) {
 	net, roots := buildTestInternet(b)
 	r := NewResolver(net, roots)
 	ctx := context.Background()
-	if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+		if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,8 +390,86 @@ func BenchmarkResolveNoCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.FlushCache()
-		if _, err := r.LookupA(ctx, "example.ru."); err != nil {
+		if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCutSendsWhatTheSharedCacheSent measures names the way a sweep
+// worker does — each name once a day: NS, then A and MX, then the NS
+// hosts' addresses — once through the shared cache alone and once with a
+// Cut per name. The wire must carry the same (server, name, type)
+// sequence, down to the restarts from the roots when a name's servers
+// stop answering, and the shared cache must end without the measured
+// names' own cuts.
+func TestCutSendsWhatTheSharedCacheSent(t *testing.T) {
+	type exchange struct {
+		server netip.Addr
+		name   string
+		qtype  Type
+	}
+	names := []string{"example.ru.", "foreign.ru.", "reg.ru."}
+	// run returns what the wire carried and which measured names' cuts the
+	// shared cache held at the end of the first day.
+	run := func(withCut bool) ([]exchange, []string) {
+		net, roots := buildTestInternet(t)
+		var sent []exchange
+		net.SetTap(func(server netip.Addr, q *Message) {
+			sent = append(sent, exchange{server, q.Questions[0].Name, q.Questions[0].Type})
+		})
+		r := NewResolver(net, roots)
+		r.Client.Retries = 0
+		ctx := context.Background()
+		var cut *Cut
+		if withCut {
+			cut = new(Cut)
+		}
+		measure := func(name string) {
+			if cut != nil {
+				cut.Reset()
+			}
+			hosts, err := r.LookupNS(ctx, name, cut, nil)
+			if err != nil {
+				return
+			}
+			r.LookupA(ctx, name, cut, nil)
+			r.LookupMX(ctx, name, cut, nil)
+			for _, h := range hosts {
+				r.LookupHost(ctx, h, 0)
+			}
+		}
+		for _, name := range names {
+			measure(name)
+		}
+		var cached []string
+		for _, name := range names {
+			if _, ok := r.cache.zones.get(name); ok {
+				cached = append(cached, name)
+			}
+		}
+		// The next day, the cut's servers fall silent between the NS and
+		// the A lookup: the A lookup restarts from the roots, as it did
+		// when the cut was the shared cache's to drop.
+		r.FlushCache()
+		if cut != nil {
+			cut.Reset()
+		}
+		if _, err := r.LookupNS(ctx, "example.ru.", cut, nil); err != nil {
+			t.Fatal(err)
+		}
+		net.SetUnreachable(mustAddr("194.58.116.30"), true)
+		if _, err := r.LookupA(ctx, "example.ru.", cut, nil); err == nil {
+			t.Fatal("LookupA succeeded with the authoritative server down")
+		}
+		return sent, cached
+	}
+	shared, sharedCached := run(false)
+	withCut, cutCached := run(true)
+	if !slices.Equal(shared, withCut) {
+		t.Fatalf("with a Cut the wire carried %d exchanges, %v\nthe shared cache's %d: %v", len(withCut), withCut, len(shared), shared)
+	}
+	if !slices.Equal(sharedCached, names) || len(cutCached) != 0 {
+		t.Errorf("the shared cache held the cuts of %v through the shared-cache path and %v with a Cut, want %v and none", sharedCached, cutCached, names)
 	}
 }

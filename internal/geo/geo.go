@@ -166,14 +166,3 @@ func (db *DB) Version(day simtime.Day) int {
 	i := sort.Search(len(db.snapshots), func(i int) bool { return db.snapshots[i].from > day })
 	return i - 1
 }
-
-// Snapshots returns the effective-from days of all snapshots, sorted.
-func (db *DB) Snapshots() []simtime.Day {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]simtime.Day, len(db.snapshots))
-	for i, s := range db.snapshots {
-		out[i] = s.from
-	}
-	return out
-}

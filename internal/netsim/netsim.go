@@ -52,9 +52,6 @@ func (c *Clock) Now() simtime.Day { return simtime.Day(c.day.Load()) }
 // Set moves the clock to day.
 func (c *Clock) Set(day simtime.Day) { c.day.Store(int32(day)) }
 
-// Advance moves the clock forward n days and returns the new day.
-func (c *Clock) Advance(n int) simtime.Day { return simtime.Day(c.day.Add(int32(n))) }
-
 // allocation is one prefix. lo, hi and asn never change once the
 // allocation is published; next is guarded by Internet.mu.
 type allocation struct {

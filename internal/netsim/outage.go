@@ -92,27 +92,6 @@ func (s *OutageSchedule) normalized(key string) []simtime.Window {
 	return merged
 }
 
-// Windows returns the windows recorded for key, sorted by start day with
-// overlapping and adjacent windows merged — a normal form independent of
-// registration order.
-func (s *OutageSchedule) Windows(key string) []simtime.Window {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.normalized(key)
-}
-
-// Keys returns every registered key, sorted.
-func (s *OutageSchedule) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.windows))
-	for key := range s.windows {
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Events returns every scheduled event in normal form: keys in sorted
 // order, each key's windows normalized. The result is deterministic for
 // any registration order — it is what the serve API renders.

@@ -184,8 +184,11 @@ type measured struct {
 // Work is dispatched by the chunk, not the domain — a measurement is
 // ~10µs, less than two channel rendezvous cost the pool: workers claim
 // [lo,hi) ranges off one atomic cursor and hand each range's results over
-// as one slice.
-func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []string, sink func(measured)) {
+// as one chunk. A result's host and address lists are carved from its
+// chunk's arenas and valid until sink returns, unless keep is set: then
+// a delivered chunk's arenas are the sink's to keep, and the chunk
+// starts new ones.
+func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []string, keep bool, sink func(measured)) {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = 8
@@ -193,14 +196,14 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 	workers = min(workers, max(1, len(domains)))
 	// Several chunks per worker, so a 64-domain unit or a 1:20000 zone still
 	// balances; capped where a chunk's overhead is a percent of its work.
-	chunk := min(32, max(1, len(domains)/(4*workers)))
+	size := min(32, max(1, len(domains)/(4*workers)))
 
 	// results holds one chunk per worker, so a worker hands one over and
-	// starts the next without waiting for the sink; free holds every slice
+	// starts the next without waiting for the sink; free holds every chunk
 	// that can be in flight (per worker, one filling and one queued), so a
-	// sweep allocates about 2·workers of them however many chunks it has.
-	results := make(chan []measured, workers)
-	free := make(chan []measured, 2*workers)
+	// sweep allocates about 2·workers of them however many it sends.
+	results := make(chan *chunk, workers)
+	free := make(chan *chunk, 2*workers)
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 
@@ -208,32 +211,35 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Scratch buffers live for the worker's whole run; measure
-			// reuses them across domains instead of allocating per call.
-			var scratch measureScratch
+			// The measured domain's own zone cut lives for the worker's
+			// whole run; measure resets it per domain.
+			var cut dns.Cut
 			for ctx.Err() == nil {
-				hi := int(cursor.Add(int64(chunk)))
-				lo := hi - chunk
+				hi := int(cursor.Add(int64(size)))
+				lo := hi - size
 				if lo >= len(domains) {
 					return
 				}
-				var out []measured
+				var c *chunk
 				select {
-				case out = <-free:
+				case c = <-free:
 				default:
-					out = make([]measured, 0, chunk)
+					// Arenas with room for a typical domain's lists (a few NS
+					// hosts and an MX; their addresses and the apex's), so
+					// a chunk seldom grows.
+					c = &chunk{out: make([]measured, 0, size), hosts: make([]string, 0, 4*size), addrs: make([]netip.Addr, 0, 8*size)}
 				}
 				for _, domain := range domains[lo:min(hi, len(domains))] {
 					if ctx.Err() != nil {
 						break
 					}
 					start := time.Now()
-					m, nx, unreachable := p.measure(ctx, day, domain, &scratch)
-					out = append(out, measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)})
+					m, nx, unreachable := p.measure(ctx, day, domain, &cut, c)
+					c.out = append(c.out, measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)})
 				}
 				// A cancelled worker still hands over what it measured;
 				// the caller drains until close, so this cannot block it.
-				results <- out
+				results <- c
 			}
 		}()
 	}
@@ -242,15 +248,49 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 		close(results)
 	}()
 
-	for rs := range results {
-		for i := range rs {
-			sink(rs[i])
+	for c := range results {
+		for i := range c.out {
+			sink(c.out[i])
 		}
+		c.recycle(keep)
 		select {
-		case free <- rs[:0]:
+		case free <- c:
 		default:
 		}
 	}
+}
+
+// chunk is one claimed range of domains on its way to the sink: the
+// results, and the arenas their host and address lists are carved from.
+type chunk struct {
+	out   []measured
+	hosts []string
+	addrs []netip.Addr
+}
+
+// poisonArenas makes every recycled chunk scribble over its arenas
+// first, so a list anything still holds from a delivered chunk reads
+// garbage. Set only by this package's tests, before any sweep runs.
+var poisonArenas bool
+
+// recycle empties c for its next range. Arenas the sink keeps are left
+// to it, and c starts new ones of the same capacity.
+func (c *chunk) recycle(keep bool) {
+	c.out = c.out[:0]
+	if keep {
+		c.hosts, c.addrs = make([]string, 0, cap(c.hosts)), make([]netip.Addr, 0, cap(c.addrs))
+		return
+	}
+	if poisonArenas {
+		hosts, addrs := c.hosts[:cap(c.hosts)], c.addrs[:cap(c.addrs)]
+		for i := range hosts {
+			hosts[i] = "recycled.invalid."
+		}
+		for i := range addrs {
+			addrs[i] = netip.AddrFrom4([4]byte{255, 255, 255, 255})
+		}
+	}
+	c.hosts, c.addrs = c.hosts[:0], c.addrs[:0]
 }
 
 // Sweep measures every seeded domain for the given day. It advances the
@@ -275,7 +315,7 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 	if p.Checkpoint != nil {
 		collected = make([]store.Measurement, 0, len(seeds))
 	}
-	p.measurePool(ctx, day, seeds, func(r measured) {
+	p.measurePool(ctx, day, seeds, p.Checkpoint != nil, func(r measured) {
 		if r.m.Config.Failed {
 			stats.Failed++
 		}
@@ -387,28 +427,28 @@ func Covered(replay *store.JournalReplay) map[simtime.Day]bool {
 	return done
 }
 
-// measureScratch holds per-worker buffers measure reuses across domains.
-type measureScratch struct {
-	nsAddrs []netip.Addr
-}
-
 // measure performs the three OpenINTEL lookups for one domain. The
 // unreachable result marks a domain whose delegation answered but whose
-// name-server hosts all failed to resolve to an address.
-func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, scratch *measureScratch) (store.Measurement, bool, bool) {
+// name-server hosts all failed to resolve to an address. cut is the
+// worker's, reset here for the domain's own zone cut. The measurement's
+// lists are carved from c's arenas, with full-slice expressions so that
+// no append reaches a neighbour's.
+func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, cut *dns.Cut, c *chunk) (store.Measurement, bool, bool) {
 	m := store.Measurement{Domain: domain, Day: day}
-	nsHosts, err := p.Resolver.LookupNS(ctx, domain)
+	cut.Reset()
+	h0 := len(c.hosts)
+	var err error
+	c.hosts, err = p.Resolver.LookupNS(ctx, domain, cut, c.hosts)
 	if err != nil {
 		m.Config.Failed = true
 		return m, false, false
 	}
+	nsHosts := c.hosts[h0:len(c.hosts):len(c.hosts)]
 	nx := len(nsHosts) == 0
 	m.Config.NSHosts = nsHosts
 	// NS sets are ≤4 hosts in the common case, so a linear duplicate scan
-	// over the earlier hosts replaces the per-domain seen map, and the
-	// worker's scratch buffer absorbs the address appends; the config
-	// keeps one exact-size copy.
-	nsAddrs := scratch.nsAddrs[:0]
+	// over the earlier hosts replaces the per-domain seen map.
+	a0 := len(c.addrs)
 	for i, h := range nsHosts {
 		if hostSeenBefore(nsHosts[:i], h) {
 			continue
@@ -417,20 +457,18 @@ func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, 
 		if err != nil {
 			continue // unreachable NS host: record what we can
 		}
-		nsAddrs = append(nsAddrs, addrs...)
+		c.addrs = append(c.addrs, addrs...)
 	}
-	scratch.nsAddrs = nsAddrs[:0]
-	if len(nsAddrs) > 0 {
-		m.Config.NSAddrs = append(make([]netip.Addr, 0, len(nsAddrs)), nsAddrs...)
-	}
+	m.Config.NSAddrs = c.addrs[a0:len(c.addrs):len(c.addrs)]
 	unreachable := len(nsHosts) > 0 && len(m.Config.NSAddrs) == 0
-	apex, err := p.Resolver.LookupA(ctx, domain)
-	if err == nil {
-		m.Config.ApexAddrs = apex
+	a0 = len(c.addrs)
+	if c.addrs, err = p.Resolver.LookupA(ctx, domain, cut, c.addrs); err == nil {
+		m.Config.ApexAddrs = c.addrs[a0:len(c.addrs):len(c.addrs)]
 	}
 	if p.CollectMX {
-		if hosts, err := p.Resolver.LookupMX(ctx, domain); err == nil {
-			m.Config.MXHosts = hosts
+		h0 = len(c.hosts)
+		if c.hosts, err = p.Resolver.LookupMX(ctx, domain, cut, c.hosts); err == nil {
+			m.Config.MXHosts = c.hosts[h0:len(c.hosts):len(c.hosts)]
 		}
 	}
 	return m, nx, unreachable

@@ -1,8 +1,10 @@
 package openintel
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"whereru/internal/dns"
 	"whereru/internal/simtime"
+	"whereru/internal/store"
 	"whereru/internal/world"
 )
 
@@ -38,7 +41,7 @@ func TestMeasurePoolDeliversEachDomainOnce(t *testing.T) {
 		for _, n := range []int{0, 1, workers - 1, 2047, 2048, 2049} {
 			p := &Pipeline{Resolver: w.NewResolver(), Workers: workers}
 			delivered := make(map[string]int, n) // unlocked: the sink runs on this goroutine
-			p.measurePool(context.Background(), day, seeds[:n], func(r measured) {
+			p.measurePool(context.Background(), day, seeds[:n], false, func(r measured) {
 				if r.m.Day != day || r.m.Config.Failed {
 					t.Errorf("workers=%d n=%d: %s measured as %+v", workers, n, r.m.Domain, r.m)
 				}
@@ -77,7 +80,7 @@ func TestMeasurePoolCancelDeliversPartial(t *testing.T) {
 		})
 		p := &Pipeline{Resolver: w.NewResolver(), Workers: workers}
 		delivered := make(map[string]int)
-		p.measurePool(ctx, day, seeds, func(r measured) { delivered[r.m.Domain]++ })
+		p.measurePool(ctx, day, seeds, false, func(r measured) { delivered[r.m.Domain]++ })
 		cancel()
 
 		if len(delivered) == 0 || len(delivered) >= len(seeds) {
@@ -95,6 +98,66 @@ func TestMeasurePoolCancelDeliversPartial(t *testing.T) {
 				t.Fatalf("workers=%d: %d goroutines after cancel, %d before", workers, runtime.NumGoroutine(), baseline)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestRecycledArenasAliasNothing sweeps the 1:2000 world for a few days
+// with recycled, poisoned chunk arenas (no checkpoint, workers 3 and 8)
+// and with arenas handed to the sweep's record (a checkpoint, one
+// worker): every store must serialize to the same bytes, and so must the
+// journal replayed into a fresh store. A row that kept a list carved from
+// a reused chunk would read the poison. A list held past its sink does,
+// which is the poison's own check.
+func TestRecycledArenasAliasNothing(t *testing.T) {
+	days := []simtime.Day{simtime.ConflictStart, simtime.ConflictStart.Add(3), simtime.ConflictStart.Add(6)}
+	ctx := context.Background()
+	w, seeds := poolWorld(t, days[0])
+	pipeline := func(workers int) *Pipeline {
+		return &Pipeline{Resolver: w.NewResolver(), Seeds: w.Registries, Clock: w.Clock(), Store: store.New(), Workers: workers, CollectMX: true}
+	}
+
+	// The last list delivered lies in its chunk's current arena, which
+	// the chunk's last recycling poisoned.
+	var held []string
+	p := pipeline(3)
+	p.measurePool(ctx, days[0], seeds, false, func(r measured) {
+		if len(r.m.Config.NSHosts) > 0 {
+			held = r.m.Config.NSHosts
+		}
+	})
+	if len(held) == 0 || held[0] != "recycled.invalid." {
+		t.Fatalf("an NS list held past its sink reads %v, want the poison", held)
+	}
+
+	path := filepath.Join(t.TempDir(), "kept.wrjl")
+	judge := pipeline(1)
+	j, err := store.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	judge.Checkpoint = j
+	if _, err := judge.Run(ctx, days); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := storeBytes(t, judge)
+	replayed := pipeline(1)
+	if _, err := store.ReplayJournalFile(path, replayed.Store); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(storeBytes(t, replayed), want) {
+		t.Error("the journal of a sweep whose arenas were kept replays to a different store")
+	}
+	for _, workers := range []int{3, 8} {
+		p := pipeline(workers)
+		if _, err := p.Run(ctx, days); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(storeBytes(t, p), want) {
+			t.Errorf("workers=%d: the store of recycled arenas differs from the one whose arenas were kept", workers)
 		}
 	}
 }

@@ -112,13 +112,6 @@ func (ca *CA) issuer(i int) *Issuer {
 	return ca.issuers[i]
 }
 
-// Issued returns how many certificates the CA has issued.
-func (ca *CA) Issued() uint64 {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	return ca.counter
-}
-
 // StandardCatalog builds the paper's top-10 CA set plus the Russian
 // Trusted Root CA, with issuing CNs and lifetimes that mirror each CA's
 // real-world behavior.

@@ -113,20 +113,6 @@ func (l *List) Match(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Domains returns the sanctioned domains listed on or before day, sorted.
-func (l *List) Domains(day simtime.Day) []string {
-	l.mu.RLock()
-	out := make([]string, 0, len(l.entries))
-	for _, e := range l.entries {
-		if e.Listed <= day {
-			out = append(out, e.Domain)
-		}
-	}
-	l.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // AllDomains returns every sanctioned domain regardless of date, sorted.
 func (l *List) AllDomains() []string {
 	l.mu.RLock()

@@ -137,18 +137,3 @@ func (a *Archive) UniqueCerts(pred func(*pki.Certificate) bool) []*pki.Certifica
 	sort.Slice(out, func(i, j int) bool { return out[i].Serial < out[j].Serial })
 	return out
 }
-
-// FirstSeen returns the first scan day a serial was observed.
-func (a *Archive) FirstSeen(serial uint64) (simtime.Day, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	d, ok := a.firstSeen[serial]
-	return d, ok
-}
-
-// Observations returns the stored observations for one day.
-func (a *Archive) Observations(day simtime.Day) []Observation {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.days[day]
-}

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"whereru/internal/frame"
@@ -409,6 +411,11 @@ func (r *byteReader) beginMeasurements(it *measurementIter, payloadLen int) {
 			it.hosts = append(it.hosts, r.BytesVar("set", "host"))
 		}
 		it.addrs = r.appendAddrs(it.addrs, r.CountVar(4, "set", "addr"), "set", "addr")
+		// Sorted once here, not per measurement that names the set: a
+		// foreign journal's table need not be (byte order is string
+		// order, and neither sort allocates).
+		slices.SortFunc(it.hosts[h0:], bytes.Compare)
+		sortAddrs(it.addrs[a0:])
 		it.sets = append(it.sets, setSpan{h0, len(it.hosts), a0, len(it.addrs), weightOf(it.hosts[h0:], it.addrs[a0:])})
 	}
 	// Minimum measurement: shared, suffix length, NS set, MX set and apex

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"whereru/internal/simtime"
@@ -76,6 +77,25 @@ func scratchOf(c Config) *scratchConfig {
 		sc.mxHosts = append(sc.mxHosts, []byte(h))
 	}
 	return sc
+}
+
+// addScratch is Add for a measurement lying in a decoder's buffer, as
+// journal replay adds one: domain and sc's hostnames are views the store
+// does not keep. sc is normalized in place.
+func (s *Store) addScratch(domain []byte, day simtime.Day, sc *scratchConfig) {
+	sc.normalize()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	addSections(s, domain, day, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
+}
+
+// normalize sorts the sections in place, as Config.Normalize does: byte
+// order is string order.
+func (sc *scratchConfig) normalize() {
+	slices.SortFunc(sc.nsHosts, bytes.Compare)
+	sortAddrs(sc.nsAddrs)
+	sortAddrs(sc.apexAddrs)
+	slices.SortFunc(sc.mxHosts, bytes.Compare)
 }
 
 func TestConfigIdentityMatchesIndexOracle(t *testing.T) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/maphash"
 	"net/netip"
@@ -184,15 +183,6 @@ func hostStrings(hs [][]byte) []string {
 		out[i] = string(h)
 	}
 	return out
-}
-
-// normalize sorts the sections in place, as Config.Normalize does: byte
-// order is string order, and neither sort allocates.
-func (sc *scratchConfig) normalize() {
-	slices.SortFunc(sc.nsHosts, bytes.Compare)
-	sortAddrs(sc.nsAddrs)
-	sortAddrs(sc.apexAddrs)
-	slices.SortFunc(sc.mxHosts, bytes.Compare)
 }
 
 // arena hands out sections of one element type from chunks that are

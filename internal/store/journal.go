@@ -6,7 +6,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"whereru/internal/frame"
 	"whereru/internal/iofault"
@@ -273,7 +274,7 @@ func encodeJournalPayload(e *encoder, rec JournalSweep) {
 			e.Uint32(v, "", "sweep stat")
 		}
 		ms := append([]Measurement(nil), rec.Measurements...)
-		sort.Slice(ms, func(i, k int) bool { return ms[i].Domain < ms[k].Domain })
+		slices.SortFunc(ms, func(a, b Measurement) int { return strings.Compare(a.Domain, b.Domain) })
 		e.measurements(ms)
 	}
 }
@@ -382,16 +383,23 @@ func (sc *journalScanner) begin() {
 
 // apply walks the segment next verified a second time, into st, making
 // the mutations a live sweep makes in the order it makes them, so store
-// generations match a live run's.
+// generations match a live run's. The sweep applies under one write
+// lock, as AddSweep applies a live one: a reader sees the store before
+// the segment or after it. Its sets were sorted as the table was read;
+// only each measurement's apex addresses are sorted here.
 func (sc *journalScanner) apply(st *Store) {
 	sc.begin()
 	if sc.rec.Missing {
 		st.MarkMissingSweep(sc.rec.Day)
 		return
 	}
-	st.BeginSweep(sc.rec.Day)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.beginSweep(sc.rec.Day)
 	for sc.r.nextMeasurement(&sc.it) {
-		st.addScratch(sc.it.domain, sc.rec.Day, &sc.it.cfg)
+		c := &sc.it.cfg
+		sortAddrs(c.apexAddrs)
+		addSections(st, sc.it.domain, sc.rec.Day, c.failed, c.nsHosts, c.nsAddrs, c.apexAddrs, c.mxHosts)
 	}
 }
 

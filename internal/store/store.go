@@ -169,13 +169,19 @@ func (s *Store) BeginSweep(day simtime.Day) { s.AddSweep(day, nil) }
 func (s *Store) AddSweep(day simtime.Day, ms []Measurement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.sweeps); n == 0 || s.sweeps[n-1] < day {
-		s.sweeps = append(s.sweeps, day)
-		s.gen++
-	}
+	s.beginSweep(day)
 	for _, m := range ms {
 		c := m.Config.Normalize()
 		addSections(s, m.Domain, m.Day, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
+	}
+}
+
+// beginSweep registers day as swept, unless it is already the latest
+// sweep. The caller holds the write lock.
+func (s *Store) beginSweep(day simtime.Day) {
+	if n := len(s.sweeps); n == 0 || s.sweeps[n-1] < day {
+		s.sweeps = append(s.sweeps, day)
+		s.gen++
 	}
 }
 
@@ -230,18 +236,6 @@ func (s *Store) Add(m Measurement) {
 	addSections(s, m.Domain, m.Day, c.Failed, c.NSHosts, c.NSAddrs, c.ApexAddrs, c.MXHosts)
 }
 
-// addScratch is Add for a measurement still lying in a decoder's buffer
-// (journal replay). domain and sc's hostnames are views the store does
-// not keep: it makes strings only for a domain or a config it has never
-// seen, so a repeat of known ones allocates nothing. sc is normalized in
-// place.
-func (s *Store) addScratch(domain []byte, day simtime.Day, sc *scratchConfig) {
-	sc.normalize()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addSections(s, domain, day, sc.failed, sc.nsHosts, sc.nsAddrs, sc.apexAddrs, sc.mxHosts)
-}
-
 // addSections adds one measurement; the caller holds the write lock.
 func addSections[S string | []byte](s *Store, domain S, day simtime.Day, failed bool, ns []S, nsAddrs, apex []netip.Addr, mx []S) {
 	d, ok := s.byName[string(domain)] // a lookup by converted key does not allocate
@@ -272,7 +266,7 @@ func (s *Store) newDomain(name string) uint32 {
 }
 
 // addRow records that domain d showed config cid on day: the epoch rule
-// under Add and addScratch. The caller holds the write lock.
+// under Add, AddSweep and journal replay. The caller holds the write lock.
 func (s *Store) addRow(d uint32, day simtime.Day, cid uint32) {
 	s.naive++
 	s.gen++

@@ -2,7 +2,6 @@ package world
 
 import (
 	"context"
-	"net/netip"
 	"slices"
 	"testing"
 
@@ -105,7 +104,7 @@ func TestEndToEndResolution(t *testing.T) {
 		t.Fatal("no active domain found")
 	}
 	name := w.domains.Name(target)
-	hosts, err := r.LookupNS(ctx, name)
+	hosts, err := r.LookupNS(ctx, name, nil, nil)
 	if err != nil {
 		t.Fatalf("LookupNS(%s): %v", name, err)
 	}
@@ -117,7 +116,7 @@ func TestEndToEndResolution(t *testing.T) {
 	if len(hosts) != len(wantHosts) {
 		t.Fatalf("NS count = %d, want %d (%v vs %v)", len(hosts), len(wantHosts), hosts, wantHosts)
 	}
-	addrs, err := r.LookupA(ctx, name)
+	addrs, err := r.LookupA(ctx, name, nil, nil)
 	if err != nil {
 		t.Fatalf("LookupA(%s): %v", name, err)
 	}
@@ -154,13 +153,13 @@ func TestResolutionTracksClock(t *testing.T) {
 
 	w.Clock().Set(NetnodCutoffDay.Add(-1))
 	r := w.NewResolver()
-	before, err := r.LookupNS(ctx, name)
+	before, err := r.LookupNS(ctx, name, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Clock().Set(NetnodCutoffDay)
 	r.FlushCache()
-	after, err := r.LookupNS(ctx, name)
+	after, err := r.LookupNS(ctx, name, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,38 +284,43 @@ func TestCertCorpus(t *testing.T) {
 	}
 }
 
+// TestGeoNoiseShiftsClassification holds GeoNoise to what it promises:
+// out-of-range noise is refused, a clean world places all of REG.RU's
+// pool in RU, and 5 % noise mislocates some of it. Noise is drawn per
+// /24, and the pool is a few of them, so it escapes the noise at most
+// seeds; the test searches a bounded range of seeds for a world where it
+// does not, and fails if there is none.
 func TestGeoNoiseShiftsClassification(t *testing.T) {
-	clean, err := Build(Config{Seed: 11, Scale: 20000, RFShare: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := Build(Config{Seed: 11, Scale: 20000, RFShare: 0.1, GeoNoise: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	day := simtime.ConflictStart
-	// Count how many of REG.RU's pool addresses geolocate to RU in each.
-	p1 := clean.providers["regru"]
-	p2 := noisy.providers["regru"]
-	countRU := func(w *World, pool []netip.Addr) int {
-		n := 0
-		for _, a := range pool {
-			if c, ok := w.Geo.Lookup(day, a); ok && c == "RU" {
-				n++
-			}
-		}
-		return n
-	}
-	cleanRU := countRU(clean, p1.HostPool)
-	noisyRU := countRU(noisy, p2.HostPool)
-	if cleanRU != len(p1.HostPool) {
-		t.Fatalf("clean world mislocates %d addresses", len(p1.HostPool)-cleanRU)
-	}
-	if noisyRU >= len(p2.HostPool) {
-		t.Skip("noise did not hit this pool at this seed; acceptable (probabilistic)")
-	}
-	// Bad GeoNoise rejected.
 	if _, err := Build(Config{Seed: 1, Scale: 20000, RFShare: 0.1, GeoNoise: 0.9}); err == nil {
 		t.Error("GeoNoise 0.9 accepted")
 	}
+	day := simtime.ConflictStart
+	countRU := func(w *World) (ru, pool int) {
+		p := w.providers["regru"]
+		for _, a := range p.HostPool {
+			if c, ok := w.Geo.Lookup(day, a); ok && c == "RU" {
+				ru++
+			}
+		}
+		return ru, len(p.HostPool)
+	}
+	const seeds = 64
+	for seed := int64(1); seed <= seeds; seed++ {
+		clean, err := Build(Config{Seed: seed, Scale: 20000, RFShare: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ru, pool := countRU(clean); ru != pool {
+			t.Fatalf("seed %d: the clean world mislocates %d of %d addresses", seed, pool-ru, pool)
+		}
+		noisy, err := Build(Config{Seed: seed, Scale: 20000, RFShare: 0.1, GeoNoise: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ru, pool := countRU(noisy); ru < pool {
+			t.Logf("seed %d: 5%% noise mislocates %d of REG.RU's %d pool addresses", seed, pool-ru, pool)
+			return
+		}
+	}
+	t.Errorf("5%% GeoNoise mislocated none of REG.RU's pool at any seed in 1..%d", seeds)
 }
