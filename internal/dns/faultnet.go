@@ -60,6 +60,14 @@ func (p *FaultProfile) active() bool {
 // need no changes.
 var ErrInjected = fmt.Errorf("%w (injected fault)", ErrNoRoute)
 
+// The fault layer's two verdicts, shared by every exchange they end: a
+// lost exchange allocates nothing, and Client.Query's error names the
+// server.
+var (
+	errInjectedLoss   = fmt.Errorf("%w: loss", ErrInjected)
+	errInjectedOutage = fmt.Errorf("%w: scheduled outage", ErrInjected)
+)
+
 // FaultTransport wraps a Transport with per-server fault profiles.
 //
 // Fault decisions are pure hash functions of (seed, day, server, query),
@@ -162,10 +170,10 @@ func (t *FaultTransport) Exchange(ctx context.Context, server netip.Addr, query 
 		day = t.clock.Now()
 	}
 	if p.outageOn(day) {
-		return nil, fmt.Errorf("%w: %v in scheduled outage on %s", ErrInjected, server, day)
+		return nil, errInjectedOutage
 	}
 	if p.Loss > 0 && t.roll(day, server, query) < p.Loss {
-		return nil, fmt.Errorf("%w: loss to %v", ErrInjected, server)
+		return nil, errInjectedLoss
 	}
 	return t.inner.Exchange(ctx, server, query)
 }

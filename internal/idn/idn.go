@@ -2,8 +2,8 @@
 // needed to handle internationalized domain names in the reproduction —
 // most importantly the Cyrillic ccTLD .рф, whose ASCII-compatible encoding
 // is xn--p1ai. Zone files and the DNS wire format carry only ASCII labels,
-// so every piece of the pipeline that touches .рф names round-trips through
-// this package.
+// so every .рф name the pipeline generates or is asked about is encoded
+// through this package.
 package idn
 
 import (
@@ -26,12 +26,8 @@ const (
 	initialN    = 128
 )
 
-var (
-	// ErrInvalid is returned for malformed punycode input.
-	ErrInvalid = errors.New("idn: invalid punycode")
-	// ErrOverflow is returned when decoding would overflow the code-point space.
-	ErrOverflow = errors.New("idn: punycode overflow")
-)
+// ErrOverflow is returned when encoding would overflow the code-point space.
+var ErrOverflow = errors.New("idn: punycode overflow")
 
 func adapt(delta, numPoints int, firstTime bool) int {
 	if firstTime {
@@ -56,18 +52,6 @@ func encodeDigit(d int) byte {
 		return byte('0' + d - 26)
 	}
 	panic("idn: internal error: digit out of range")
-}
-
-func decodeDigit(c byte) (int, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return int(c-'0') + 26, true
-	case 'a' <= c && c <= 'z':
-		return int(c - 'a'), true
-	case 'A' <= c && c <= 'Z':
-		return int(c - 'A'), true
-	}
-	return 0, false
 }
 
 // EncodeLabel punycode-encodes a single label. ASCII-only labels are
@@ -147,71 +131,6 @@ func EncodeLabel(label string) (string, error) {
 	return out.String(), nil
 }
 
-// DecodeLabel decodes a single ACE label (with or without the "xn--"
-// prefix back into Unicode. Labels without the prefix are returned as-is.
-func DecodeLabel(label string) (string, error) {
-	if !strings.HasPrefix(strings.ToLower(label), ACEPrefix) {
-		return label, nil
-	}
-	encoded := label[len(ACEPrefix):]
-	var output []rune
-	pos := 0
-	if i := strings.LastIndexByte(encoded, '-'); i >= 0 {
-		for _, c := range []byte(encoded[:i]) {
-			if c >= 0x80 {
-				return "", ErrInvalid
-			}
-			output = append(output, rune(c))
-		}
-		pos = i + 1
-	}
-	n, i, bias := initialN, 0, initialBias
-	for pos < len(encoded) {
-		oldi, w := i, 1
-		for k := base; ; k += base {
-			if pos >= len(encoded) {
-				return "", ErrInvalid
-			}
-			digit, ok := decodeDigit(encoded[pos])
-			pos++
-			if !ok {
-				return "", ErrInvalid
-			}
-			if digit > (int(^uint32(0)>>1)-i)/w {
-				return "", ErrOverflow
-			}
-			i += digit * w
-			t := k - bias
-			if t < tmin {
-				t = tmin
-			} else if t > tmax {
-				t = tmax
-			}
-			if digit < t {
-				break
-			}
-			if w > int(^uint32(0)>>1)/(base-t) {
-				return "", ErrOverflow
-			}
-			w *= base - t
-		}
-		bias = adapt(i-oldi, len(output)+1, oldi == 0)
-		if i/(len(output)+1) > int(^uint32(0)>>1)-n {
-			return "", ErrOverflow
-		}
-		n += i / (len(output) + 1)
-		i %= len(output) + 1
-		if n > 0x10FFFF {
-			return "", ErrInvalid
-		}
-		output = append(output, 0)
-		copy(output[i+1:], output[i:])
-		output[i] = rune(n)
-		i++
-	}
-	return string(output), nil
-}
-
 // ToASCII converts a possibly-internationalized dotted domain name to its
 // ASCII-compatible form, lowercasing ASCII letters. A trailing root dot is
 // preserved.
@@ -240,28 +159,6 @@ func ToASCII(name string) (string, error) {
 		out += "."
 	}
 	return out, nil
-}
-
-// ToUnicode converts an ACE-encoded dotted domain name back to Unicode.
-// Labels that fail to decode are kept in their ASCII form, matching the
-// lenient behavior of browsers and measurement tooling.
-func ToUnicode(name string) string {
-	trailing := strings.HasSuffix(name, ".")
-	trimmed := strings.TrimSuffix(name, ".")
-	if trimmed == "" {
-		return name
-	}
-	labels := strings.Split(trimmed, ".")
-	for i, l := range labels {
-		if dec, err := DecodeLabel(l); err == nil {
-			labels[i] = dec
-		}
-	}
-	out := strings.Join(labels, ".")
-	if trailing {
-		out += "."
-	}
-	return out
 }
 
 // RFTLDASCII is the ACE spelling of the Cyrillic Russian Federation

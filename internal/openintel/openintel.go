@@ -22,7 +22,8 @@ import (
 )
 
 // Seeder supplies the domain inventory for a sweep day (the daily zone
-// snapshot). registry.Group satisfies this.
+// snapshot), sorted by name: a checkpointed sweep journals the day in
+// the order given. registry.Group satisfies this.
 type Seeder interface {
 	ZoneSnapshot(day simtime.Day) []string
 }
@@ -59,6 +60,8 @@ type Pipeline struct {
 	// without touching the determinism contract. The resolver's transport is
 	// expected to consult the same oracle for reachability.
 	Routes dns.RoutePolicy
+
+	segment store.ListBuilder // a checkpointed sweep's journal segment, reused by the next
 }
 
 // SweepStats summarizes one sweep: the record of what it measured, which
@@ -176,19 +179,19 @@ type measured struct {
 
 // measurePool resolves every domain concurrently with the pipeline's
 // worker count and delivers each result to sink from the calling
-// goroutine (so sink needs no locking). It is the engine under Sweep
-// (whole-zone, streaming into the store), the one collection path. On
-// cancellation it returns promptly with whatever results already
-// arrived delivered.
+// goroutine (so sink needs no locking): in the order of domains when
+// ordered is set, as results arrive otherwise. It is the engine under
+// Sweep (whole-zone, streaming into the store and, checkpointed, into the
+// journal segment), the one collection path. On cancellation it returns
+// promptly; what was measured is delivered, and an ordered pool delivers a
+// prefix of domains.
 //
 // Work is dispatched by the chunk, not the domain — a measurement is
 // ~10µs, less than two channel rendezvous cost the pool: workers claim
 // [lo,hi) ranges off one atomic cursor and hand each range's results over
 // as one chunk. A result's host and address lists are carved from its
-// chunk's arenas and valid until sink returns, unless keep is set: then
-// a delivered chunk's arenas are the sink's to keep, and the chunk
-// starts new ones.
-func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []string, keep bool, sink func(measured)) {
+// chunk's arenas and valid until sink returns.
+func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []string, ordered bool, sink func(measured)) {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = 8
@@ -198,12 +201,22 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 	// balances; capped where a chunk's overhead is a percent of its work.
 	size := min(32, max(1, len(domains)/(4*workers)))
 
-	// results holds one chunk per worker, so a worker hands one over and
-	// starts the next without waiting for the sink; free holds every chunk
-	// that can be in flight (per worker, one filling and one queued), so a
-	// sweep allocates about 2·workers of them however many it sends.
-	results := make(chan *chunk, workers)
-	free := make(chan *chunk, 2*workers)
+	// A sweep has 2·workers chunks: per worker, one filling and one
+	// queued. A worker takes a free chunk before it claims a range, so at
+	// most 2·workers claimed ranges are undelivered — the ring below holds
+	// every early arrival — and no range waits for a chunk a later one
+	// holds.
+	n := 2 * workers
+	free := make(chan *chunk, n)
+	results := make(chan *chunk, n)
+	for range n {
+		// Arenas with room for a typical domain's lists (a few NS hosts
+		// and an MX; their addresses and the apex's), so a chunk seldom
+		// grows.
+		c := &chunk{out: make([]measured, 0, size), hosts: make([]string, 0, 4*size), addrs: make([]netip.Addr, 0, 8*size)}
+		c.seenHosts, c.seenAddrs = c.hosts, c.addrs
+		free <- c
+	}
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 
@@ -215,21 +228,13 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 			// whole run; measure resets it per domain.
 			var cut dns.Cut
 			for ctx.Err() == nil {
-				hi := int(cursor.Add(int64(size)))
-				lo := hi - size
+				c := <-free
+				lo := int(cursor.Add(int64(size))) - size
 				if lo >= len(domains) {
 					return
 				}
-				var c *chunk
-				select {
-				case c = <-free:
-				default:
-					// Arenas with room for a typical domain's lists (a few NS
-					// hosts and an MX; their addresses and the apex's), so
-					// a chunk seldom grows.
-					c = &chunk{out: make([]measured, 0, size), hosts: make([]string, 0, 4*size), addrs: make([]netip.Addr, 0, 8*size)}
-				}
-				for _, domain := range domains[lo:min(hi, len(domains))] {
+				c.seq = lo / size
+				for _, domain := range domains[lo:min(lo+size, len(domains))] {
 					if ctx.Err() != nil {
 						break
 					}
@@ -238,7 +243,7 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 					c.out = append(c.out, measured{m: m, nx: nx, unreachable: unreachable, took: time.Since(start), simLat: p.simLatency(day, &m)})
 				}
 				// A cancelled worker still hands over what it measured;
-				// the caller drains until close, so this cannot block it.
+				// results has room for every chunk, so this never blocks.
 				results <- c
 			}
 		}()
@@ -248,14 +253,31 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 		close(results)
 	}()
 
-	for c := range results {
-		for i := range c.out {
-			sink(c.out[i])
+	// ring holds the chunks that arrived before their turn, by sequence
+	// number: those of ranges next … next+n-1, one slot each. A short
+	// chunk (its range cut by a cancel) ends what an ordered pool
+	// delivers, since a later range's results would leave a gap.
+	ring := make([]*chunk, n)
+	next, short := 0, false
+	deliver := func(c *chunk) {
+		if !short {
+			for i := range c.out {
+				sink(c.out[i])
+			}
+			short = ordered && len(c.out) < min(size, len(domains)-c.seq*size)
 		}
-		c.recycle(keep)
-		select {
-		case free <- c:
-		default:
+		c.recycle()
+		free <- c
+	}
+	for c := range results {
+		if !ordered {
+			deliver(c)
+			continue
+		}
+		ring[c.seq%n] = c
+		for ; ring[next%n] != nil; next++ {
+			c, ring[next%n] = ring[next%n], nil
+			deliver(c)
 		}
 	}
 }
@@ -263,40 +285,70 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 // chunk is one claimed range of domains on its way to the sink: the
 // results, and the arenas their host and address lists are carved from.
 type chunk struct {
+	seq   int // the range's number: its first domain's index / the chunk size
 	out   []measured
 	hosts []string
 	addrs []netip.Addr
+	// Under the poison only: the arenas' arrays as grew last saw them,
+	// and every array they outgrew since the last recycling — lists
+	// carved before a growth still lie there.
+	seenHosts     []string
+	seenAddrs     []netip.Addr
+	outgrownHosts [][]string
+	outgrownAddrs [][]netip.Addr
 }
 
 // poisonArenas makes every recycled chunk scribble over its arenas
-// first, so a list anything still holds from a delivered chunk reads
-// garbage. Set only by this package's tests, before any sweep runs.
+// first, and over every array they outgrew, so a list anything still
+// holds from a delivered chunk reads garbage. Set only by this package's
+// tests, before any sweep runs.
 var poisonArenas bool
 
-// recycle empties c for its next range. Arenas the sink keeps are left
-// to it, and c starts new ones of the same capacity.
-func (c *chunk) recycle(keep bool) {
-	c.out = c.out[:0]
-	if keep {
-		c.hosts, c.addrs = make([]string, 0, cap(c.hosts)), make([]netip.Addr, 0, cap(c.addrs))
+// grew notes, under the poison, an arena array an append has just moved
+// c off. measure calls it after each append that a list is carved from.
+func (c *chunk) grew() {
+	if !poisonArenas {
 		return
 	}
+	if cap(c.hosts) != cap(c.seenHosts) {
+		c.outgrownHosts, c.seenHosts = append(c.outgrownHosts, c.seenHosts), c.hosts
+	}
+	if cap(c.addrs) != cap(c.seenAddrs) {
+		c.outgrownAddrs, c.seenAddrs = append(c.outgrownAddrs, c.seenAddrs), c.addrs
+	}
+}
+
+// recycle empties c for its next range.
+func (c *chunk) recycle() {
+	c.out = c.out[:0]
 	if poisonArenas {
-		hosts, addrs := c.hosts[:cap(c.hosts)], c.addrs[:cap(c.addrs)]
-		for i := range hosts {
-			hosts[i] = "recycled.invalid."
+		poison(c.hosts, "recycled.invalid.")
+		poison(c.addrs, netip.AddrFrom4([4]byte{255, 255, 255, 255}))
+		for _, hosts := range c.outgrownHosts {
+			poison(hosts, "recycled.invalid.")
 		}
-		for i := range addrs {
-			addrs[i] = netip.AddrFrom4([4]byte{255, 255, 255, 255})
+		for _, addrs := range c.outgrownAddrs {
+			poison(addrs, netip.AddrFrom4([4]byte{255, 255, 255, 255}))
 		}
+		c.outgrownHosts, c.outgrownAddrs = c.outgrownHosts[:0], c.outgrownAddrs[:0]
 	}
 	c.hosts, c.addrs = c.hosts[:0], c.addrs[:0]
+}
+
+// poison overwrites all of arena's array with v.
+func poison[T any](arena []T, v T) {
+	arena = arena[:cap(arena)]
+	for i := range arena {
+		arena[i] = v
+	}
 }
 
 // Sweep measures every seeded domain for the given day. It advances the
 // world clock, flushes resolver caches (yesterday's delegations must not
 // leak into today's view), resolves each domain concurrently, and records
-// the results.
+// the results. A checkpointed sweep measures the zone in name order and
+// encodes each measurement into its journal segment as it arrives, so no
+// day is held in memory: the segment is appended once the pool is done.
 func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, error) {
 	begin := time.Now()
 	if p.Clock != nil {
@@ -304,6 +356,7 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 	}
 	p.Resolver.FlushCache()
 	seeds := p.Seeds.ZoneSnapshot(day)
+	ordered := p.Checkpoint != nil
 	p.Store.BeginSweep(day)
 
 	clientBefore := p.Resolver.Client.Stats()
@@ -311,11 +364,8 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 
 	stats := SweepStats{Day: day, JournalStats: store.JournalStats{Domains: len(seeds)}}
 	var hist LatencyHistogram
-	var collected []store.Measurement
-	if p.Checkpoint != nil {
-		collected = make([]store.Measurement, 0, len(seeds))
-	}
-	p.measurePool(ctx, day, seeds, p.Checkpoint != nil, func(r measured) {
+	p.segment.Reset()
+	p.measurePool(ctx, day, seeds, ordered, func(r measured) {
 		if r.m.Config.Failed {
 			stats.Failed++
 		}
@@ -327,8 +377,8 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 		}
 		hist.Observe(r.took + r.simLat)
 		p.Store.Add(r.m)
-		if p.Checkpoint != nil {
-			collected = append(collected, r.m)
+		if ordered {
+			p.segment.Add(r.m)
 		}
 	})
 	clientAfter := p.Resolver.Client.Stats()
@@ -348,15 +398,11 @@ func (p *Pipeline) Sweep(ctx context.Context, day simtime.Day) (SweepStats, erro
 		return stats, err
 	}
 	if p.Checkpoint != nil {
-		if err := p.Checkpoint.AppendSweep(journalRecord(stats, collected)); err != nil {
+		if err := p.Checkpoint.AppendSegment(day, stats.JournalStats, &p.segment); err != nil {
 			return stats, err
 		}
 	}
 	return stats, nil
-}
-
-func journalRecord(st SweepStats, ms []store.Measurement) store.JournalSweep {
-	return store.JournalSweep{Day: st.Day, Stats: st.JournalStats, Measurements: ms}
 }
 
 // SkipSweep records a scheduled day on which collection deliberately did
@@ -443,6 +489,7 @@ func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, 
 		m.Config.Failed = true
 		return m, false, false
 	}
+	c.grew()
 	nsHosts := c.hosts[h0:len(c.hosts):len(c.hosts)]
 	nx := len(nsHosts) == 0
 	m.Config.NSHosts = nsHosts
@@ -459,15 +506,18 @@ func (p *Pipeline) measure(ctx context.Context, day simtime.Day, domain string, 
 		}
 		c.addrs = append(c.addrs, addrs...)
 	}
+	c.grew()
 	m.Config.NSAddrs = c.addrs[a0:len(c.addrs):len(c.addrs)]
 	unreachable := len(nsHosts) > 0 && len(m.Config.NSAddrs) == 0
 	a0 = len(c.addrs)
 	if c.addrs, err = p.Resolver.LookupA(ctx, domain, cut, c.addrs); err == nil {
+		c.grew()
 		m.Config.ApexAddrs = c.addrs[a0:len(c.addrs):len(c.addrs)]
 	}
 	if p.CollectMX {
 		h0 = len(c.hosts)
 		if c.hosts, err = p.Resolver.LookupMX(ctx, domain, cut, c.hosts); err == nil {
+			c.grew()
 			m.Config.MXHosts = c.hosts[h0:len(c.hosts):len(c.hosts)]
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,13 +103,49 @@ func TestMeasurePoolCancelDeliversPartial(t *testing.T) {
 	}
 }
 
-// TestRecycledArenasAliasNothing sweeps the 1:2000 world for a few days
-// with recycled, poisoned chunk arenas (no checkpoint, workers 3 and 8)
-// and with arenas handed to the sweep's record (a checkpoint, one
-// worker): every store must serialize to the same bytes, and so must the
-// journal replayed into a fresh store. A row that kept a list carved from
-// a reused chunk would read the poison. A list held past its sink does,
-// which is the poison's own check.
+// TestMeasurePoolOrdered pins the checkpointed sweep's delivery order:
+// with ordered set the sink sees exactly the seeds in order, and a pool
+// cancelled mid-sweep (after 1,000 exchanges, some hundreds of domains)
+// delivers a non-empty, strict prefix of them — a journal segment built
+// from it lists the zone in name order, with no gap.
+func TestMeasurePoolOrdered(t *testing.T) {
+	day := simtime.ConflictStart
+	w, seeds := poolWorld(t, day)
+	defer w.Mem.SetTap(nil)
+	for _, workers := range []int{3, 8} {
+		var got []string
+		p := &Pipeline{Resolver: w.NewResolver(), Workers: workers}
+		p.measurePool(context.Background(), day, seeds, true, func(r measured) { got = append(got, r.m.Domain) })
+		if !slices.Equal(got, seeds) {
+			t.Errorf("workers=%d: %d domains delivered, not the %d seeds in order", workers, len(got), len(seeds))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var exchanges atomic.Int64
+		w.Mem.SetTap(func(netip.Addr, *dns.Message) {
+			if exchanges.Add(1) == 1000 {
+				cancel()
+			}
+		})
+		got = got[:0]
+		p = &Pipeline{Resolver: w.NewResolver(), Workers: workers}
+		p.measurePool(ctx, day, seeds, true, func(r measured) { got = append(got, r.m.Domain) })
+		cancel()
+		w.Mem.SetTap(nil)
+		if len(got) == 0 || len(got) >= len(seeds) || !slices.Equal(got, seeds[:len(got)]) {
+			t.Errorf("workers=%d: a cancelled ordered pool delivered %d of %d domains, want a strict non-empty prefix of the seeds", workers, len(got), len(seeds))
+		}
+	}
+}
+
+// TestRecycledArenasAliasNothing holds lists past their sink, where the
+// poison must reach them, and sweeps the 1:2000 world for a few days with
+// recycled, poisoned chunk arenas: a checkpointed sweep (one worker,
+// whose journal segment is built from the lists as they arrive) and
+// unjournaled ones (workers 3 and 8). Every store must serialize to the
+// same bytes, and so must the journal replayed into a fresh store. A row
+// or a segment that kept a list carved from a reused chunk would read the
+// poison.
 func TestRecycledArenasAliasNothing(t *testing.T) {
 	days := []simtime.Day{simtime.ConflictStart, simtime.ConflictStart.Add(3), simtime.ConflictStart.Add(6)}
 	ctx := context.Background()
@@ -130,6 +167,31 @@ func TestRecycledArenasAliasNothing(t *testing.T) {
 		t.Fatalf("an NS list held past its sink reads %v, want the poison", held)
 	}
 
+	// Fewer domains than 4·workers make 1-domain chunks, whose host arena
+	// has room for 4. A domain with at most 4 NS hosts and more than 4 NS
+	// and MX hosts together outgrows it at its MX lookup, so its NS list
+	// lies in an array the chunk has dropped, which the poison must
+	// reach too.
+	const workers = 3
+	var outgrowing []string
+	p.measurePool(ctx, days[0], seeds, true, func(r measured) {
+		if ns := len(r.m.Config.NSHosts); ns <= 4 && ns+len(r.m.Config.MXHosts) > 4 && len(outgrowing) < 4*workers-1 {
+			outgrowing = append(outgrowing, r.m.Domain)
+		}
+	})
+	if len(outgrowing) < 2*workers {
+		t.Fatalf("%d domains outgrow a 1-domain chunk's host arena, the check needs %d", len(outgrowing), 2*workers)
+	}
+	held = nil
+	pipeline(workers).measurePool(ctx, days[0], outgrowing, true, func(r measured) {
+		if held == nil {
+			held = r.m.Config.NSHosts
+		}
+	})
+	if len(held) == 0 || held[0] != "recycled.invalid." {
+		t.Fatalf("the first NS list delivered, carved before its arena grew, reads %v past its sink, want the poison", held)
+	}
+
 	path := filepath.Join(t.TempDir(), "kept.wrjl")
 	judge := pipeline(1)
 	j, err := store.CreateJournal(path)
@@ -149,7 +211,7 @@ func TestRecycledArenasAliasNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(storeBytes(t, replayed), want) {
-		t.Error("the journal of a sweep whose arenas were kept replays to a different store")
+		t.Error("the journal of a checkpointed sweep replays to a different store")
 	}
 	for _, workers := range []int{3, 8} {
 		p := pipeline(workers)
@@ -157,7 +219,7 @@ func TestRecycledArenasAliasNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(storeBytes(t, p), want) {
-			t.Errorf("workers=%d: the store of recycled arenas differs from the one whose arenas were kept", workers)
+			t.Errorf("workers=%d: the store of an unjournaled sweep differs from the checkpointed one's", workers)
 		}
 	}
 }

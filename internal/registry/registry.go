@@ -27,16 +27,15 @@ type Domain struct {
 	Removed simtime.Day
 }
 
-// Group is the table of every registration its registries hold (the
-// paper measures .ru and .рф together), one row per domain number,
-// immutable once built and so read without locks; each Registry is one
-// zone's view of it. A name is a substring of one string that holds every
+// Group is the table of every registration its zones hold (the paper
+// measures .ru and .рф together), one row per domain number, immutable
+// once built and so read without locks. A name is a substring of one string that holds every
 // name, and an open-addressed index maps a name back to its number.
 type Group struct {
-	names      string
-	rows       []row    // one per domain number, plus a sentinel ending the last name
-	slots      []uint32 // the name index: domain number + 1, 0 = empty
-	registries []*Registry
+	names string
+	rows  []row    // one per domain number, plus a sentinel ending the last name
+	slots []uint32 // the name index: domain number + 1, 0 = empty
+	order []uint32 // every domain number, sorted by name
 }
 
 type row struct {
@@ -97,15 +96,15 @@ func (g *Group) Created(name string) (simtime.Day, bool) {
 	return g.rows[d].created, true
 }
 
-// Registries returns the member registries, in zone order.
-func (g *Group) Registries() []*Registry { return g.registries }
-
-// ZoneSnapshot concatenates the members' snapshots (sorted within each
-// TLD, TLDs in group order — matching how zone files arrive per TLD).
+// ZoneSnapshot returns the names active on day, every zone's in one list
+// sorted by name (strings.Compare): the daily zone file that seeds a
+// measurement sweep, in the order a journal segment lists the sweep.
 func (g *Group) ZoneSnapshot(day simtime.Day) []string {
 	out := make([]string, 0, g.Count(day))
-	for _, r := range g.registries {
-		out = r.appendZone(out, day)
+	for _, d := range g.order {
+		if g.ActiveOn(int(d), day) {
+			out = append(out, g.Name(int(d)))
+		}
 	}
 	return out
 }
@@ -121,28 +120,6 @@ func (g *Group) Count(day simtime.Day) int {
 	return n
 }
 
-// Registry is one TLD's view of its group.
-type Registry struct {
-	// TLD is the canonical zone ("ru." or "xn--p1ai.").
-	TLD string
-
-	g     *Group
-	order []uint32 // the zone's domain numbers, sorted by name
-}
-
-// ZoneSnapshot returns the sorted names active on day — the daily zone
-// file used to seed a measurement sweep.
-func (r *Registry) ZoneSnapshot(day simtime.Day) []string { return r.appendZone(nil, day) }
-
-func (r *Registry) appendZone(out []string, day simtime.Day) []string {
-	for _, d := range r.order {
-		if r.g.ActiveOn(int(d), day) {
-			out = append(out, r.g.Name(int(d)))
-		}
-	}
-	return out
-}
-
 // Builder assembles a Group, one registration per domain number.
 type Builder struct {
 	g     Group
@@ -150,8 +127,7 @@ type Builder struct {
 	zones []string
 }
 
-// NewBuilder starts a group of registries for zones, with room for n
-// registrations.
+// NewBuilder starts a group for zones, with room for n registrations.
 func NewBuilder(n int, zones ...string) *Builder {
 	b := &Builder{g: Group{rows: make([]row, 1, n+1), slots: make([]uint32, n+n/2+1)}}
 	for _, z := range zones {
@@ -188,18 +164,10 @@ func (b *Builder) Build() *Group {
 	g := new(Group) // a copy: &b.g would keep the builder's name buffer alive
 	*g = b.g
 	g.names = strings.Clone(b.names.String())
-	// One order column, zone after zone (Add put every name in one).
-	order := make([]uint32, 0, g.Len())
-	for _, zone := range b.zones {
-		lo := len(order)
-		for d := range g.Len() {
-			if dns.Parent(g.Name(d)) == zone {
-				order = append(order, uint32(d))
-			}
-		}
-		r := &Registry{TLD: zone, g: g, order: order[lo:len(order):len(order)]}
-		slices.SortFunc(r.order, func(x, y uint32) int { return strings.Compare(g.Name(int(x)), g.Name(int(y))) })
-		g.registries = append(g.registries, r)
+	g.order = make([]uint32, g.Len())
+	for d := range g.order {
+		g.order[d] = uint32(d)
 	}
+	slices.SortFunc(g.order, func(x, y uint32) int { return strings.Compare(g.Name(int(x)), g.Name(int(y))) })
 	return g
 }

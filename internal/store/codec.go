@@ -138,41 +138,66 @@ func weightOf[S string | []byte](hosts []S, addrs []netip.Addr) int {
 	return w
 }
 
-// measurements writes the measurement list in the order given,
-// normalizing each config in place.
-func (e *encoder) measurements(ms []Measurement) {
-	sets := setTable{index: map[string]uint64{}}
-	var list encoder // behind the table, which it fills
-	list.Uvarint(uint64(len(ms)))
-	prev, weight := "", 0
-	for i := range ms {
-		m := &ms[i]
-		if len(m.Domain) > maxNameBytes {
-			e.Failf("measurement: name %q is %d bytes, over %d", m.Domain, len(m.Domain), maxNameBytes)
-		}
-		shared := 0
-		for shared < min(len(prev), len(m.Domain)) && prev[shared] == m.Domain[shared] {
-			shared++
-		}
-		list.Uvarint(uint64(shared))
-		list.StrVar(m.Domain[shared:])
-		ns, mx := sets.number(m.Config.NSHosts, m.Config.NSAddrs)<<1, sets.number(m.Config.MXHosts, nil)
-		if m.Config.Failed {
-			ns |= 1
-		}
-		list.Uvarint(ns)
-		list.Uvarint(mx)
-		sortAddrs(m.Config.ApexAddrs)
-		list.addrsVar(m.Config.ApexAddrs)
-		weight += len(m.Domain) + refWeight*len(m.Config.ApexAddrs) + sets.weights[ns>>1] + sets.weights[mx]
-		prev = m.Domain
+// ListBuilder builds a measurement list one measurement at a time, in the
+// order given: a journal segment while its sweep runs
+// (Journal.AppendSegment), and every list AppendSweep and
+// EncodeMeasurementBatch write. Add encodes a measurement as it arrives
+// and keeps no view into its lists, so they may be reused once it
+// returns. The zero value is empty; Reset empties a builder for the next
+// list, keeping its buffers.
+type ListBuilder struct {
+	sets   setTable
+	rows   encoder // every measurement as written, behind the table
+	n      int
+	prev   string
+	weight int
+}
+
+// Reset empties b.
+func (b *ListBuilder) Reset() {
+	clear(b.sets.index)
+	b.sets.weights = b.sets.weights[:0]
+	b.sets.table.Reset()
+	b.rows.Reset()
+	b.n, b.prev, b.weight = 0, "", 0
+}
+
+// Add appends m to the list, normalizing its config in place.
+func (b *ListBuilder) Add(m Measurement) {
+	if len(m.Domain) > maxNameBytes {
+		b.rows.Failf("measurement: name %q is %d bytes, over %d", m.Domain, len(m.Domain), maxNameBytes)
+	}
+	shared := 0
+	for shared < min(len(b.prev), len(m.Domain)) && b.prev[shared] == m.Domain[shared] {
+		shared++
+	}
+	b.rows.Uvarint(uint64(shared))
+	b.rows.StrVar(m.Domain[shared:])
+	ns, mx := b.sets.number(m.Config.NSHosts, m.Config.NSAddrs)<<1, b.sets.number(m.Config.MXHosts, nil)
+	if m.Config.Failed {
+		ns |= 1
+	}
+	b.rows.Uvarint(ns)
+	b.rows.Uvarint(mx)
+	sortAddrs(m.Config.ApexAddrs)
+	b.rows.addrsVar(m.Config.ApexAddrs)
+	b.weight += len(m.Domain) + refWeight*len(m.Config.ApexAddrs) + b.sets.weights[ns>>1] + b.sets.weights[mx]
+	b.prev = m.Domain
+	b.n++
+}
+
+// writeTo writes the list to e: the set table, the count, the rows.
+func (b *ListBuilder) writeTo(e *encoder) {
+	if err := b.rows.Err(); err != nil {
+		e.Failf("%w", err)
 	}
 	start := len(e.Bytes())
-	e.Uvarint(uint64(len(sets.weights)))
-	e.Raw(sets.table.Bytes())
-	e.Raw(list.Bytes())
-	if n := len(e.Bytes()) - start; weight > maxExpansion*n {
-		e.Failf("%w: %d bytes weigh %d, over %d× their size", errHeavyList, n, weight, maxExpansion)
+	e.Uvarint(uint64(len(b.sets.weights)))
+	e.Raw(b.sets.table.Bytes())
+	e.Uvarint(uint64(b.n))
+	e.Raw(b.rows.Bytes())
+	if n := len(e.Bytes()) - start; b.weight > maxExpansion*n {
+		e.Failf("%w: %d bytes weigh %d, over %d× their size", errHeavyList, n, b.weight, maxExpansion)
 	}
 }
 
@@ -199,6 +224,9 @@ type setTable struct {
 // looked up again. A list is thus normalized once per distinct spelling of
 // a set, not once per measurement.
 func (t *setTable) number(hosts []string, addrs []netip.Addr) uint64 {
+	if t.index == nil {
+		t.index = map[string]uint64{}
+	}
 	i, ok := t.find(hosts, addrs)
 	if !ok {
 		sort.Strings(hosts)

@@ -92,6 +92,7 @@ type Journal struct {
 	// off is the end of the last durable segment — the rollback point
 	// when an append fails partway.
 	off int64
+	e   encoder // the segment being appended
 }
 
 // Path returns the journal's file path.
@@ -219,9 +220,26 @@ func ResumeJournalFS(fsys iofault.FS, path string, into *Store) (_ *Journal, _ *
 }
 
 // AppendSweep encodes rec as one checksummed segment, appends it and
-// fsyncs, so the sweep is durable before the pipeline moves to the next
-// day. Measurements are normalized and sorted by domain first, making
-// the journal's bytes deterministic regardless of worker interleaving.
+// fsyncs, as AppendSegment does. Measurements are normalized and sorted by
+// domain first, making the journal's bytes deterministic regardless of
+// worker interleaving.
+func (j *Journal) AppendSweep(rec JournalSweep) error {
+	if rec.Missing {
+		j.begin(segMissing, rec.Day)
+		return j.commit(rec.Day)
+	}
+	ms := slices.Clone(rec.Measurements)
+	slices.SortFunc(ms, func(a, b Measurement) int { return strings.Compare(a.Domain, b.Domain) })
+	var list ListBuilder
+	for _, m := range ms {
+		list.Add(m)
+	}
+	return j.AppendSegment(rec.Day, rec.Stats, &list)
+}
+
+// AppendSegment appends one sweep's segment — its day, its stats and the
+// list built while it ran, which must be sorted by domain — and fsyncs,
+// so the sweep is durable before the pipeline moves to the next day.
 //
 // A failed append — a short write, a full disk, a failed fsync — rolls
 // the file back to the end of the last durable segment before
@@ -229,23 +247,39 @@ func ResumeJournalFS(fsys iofault.FS, path string, into *Store) (_ *Journal, _ *
 // reopened one) can retry or resume once the condition clears. The
 // returned error wraps the cause (e.g. syscall.ENOSPC), letting callers
 // distinguish a full disk from torn hardware.
-func (j *Journal) AppendSweep(rec JournalSweep) error {
-	// The segment is built in place: one buffer, the payload never
-	// copied into its frame.
-	var e encoder
-	e.Begin()
-	encodeJournalPayload(&e, rec)
-	seg, err := e.Finish(frame.MaxPayload)
+func (j *Journal) AppendSegment(day simtime.Day, stats JournalStats, list *ListBuilder) error {
+	e := j.begin(segSweep, day)
+	for _, v := range [...]int{stats.Domains, stats.Failed, stats.NXDomain, stats.Unreachable} {
+		e.Uint32(v, "", "sweep stat")
+	}
+	list.writeTo(e)
+	return j.commit(day)
+}
+
+// begin starts a segment of kind for day in the journal's frame buffer,
+// which every append reuses: the payload is built in place, never copied
+// into its frame.
+func (j *Journal) begin(kind uint8, day simtime.Day) *encoder {
+	j.e.Reset()
+	j.e.Begin()
+	j.e.U8(kind)
+	j.e.I32(int32(day))
+	return &j.e
+}
+
+// commit closes the segment begin started, appends it and fsyncs it.
+func (j *Journal) commit(day simtime.Day) error {
+	seg, err := j.e.Finish(frame.MaxPayload)
 	if err != nil {
-		return fmt.Errorf("store: journal: segment for %s: %w", rec.Day, err)
+		return fmt.Errorf("store: journal: segment for %s: %w", day, err)
 	}
 	if _, err := j.f.Write(seg); err != nil {
 		j.rollback()
-		return fmt.Errorf("store: journal: appending %s: %w", rec.Day, err)
+		return fmt.Errorf("store: journal: appending %s: %w", day, err)
 	}
 	if err := j.f.Sync(); err != nil {
 		j.rollback()
-		return fmt.Errorf("store: journal: syncing %s: %w", rec.Day, err)
+		return fmt.Errorf("store: journal: syncing %s: %w", day, err)
 	}
 	j.off += int64(len(seg))
 	return nil
@@ -261,22 +295,6 @@ func (j *Journal) rollback() {
 	}
 	j.f.Seek(j.off, io.SeekStart)
 	j.f.Sync()
-}
-
-func encodeJournalPayload(e *encoder, rec JournalSweep) {
-	if rec.Missing {
-		e.U8(segMissing)
-		e.I32(int32(rec.Day))
-	} else {
-		e.U8(segSweep)
-		e.I32(int32(rec.Day))
-		for _, v := range []int{rec.Stats.Domains, rec.Stats.Failed, rec.Stats.NXDomain, rec.Stats.Unreachable} {
-			e.Uint32(v, "", "sweep stat")
-		}
-		ms := append([]Measurement(nil), rec.Measurements...)
-		slices.SortFunc(ms, func(a, b Measurement) int { return strings.Compare(a.Domain, b.Domain) })
-		e.measurements(ms)
-	}
 }
 
 // DecodeJournal scans journal bytes from r: it validates the header,

@@ -29,9 +29,13 @@ func EncodeMeasurementBatch(day simtime.Day, ms []Measurement) ([]byte, error) {
 			return nil, fmt.Errorf("store: batch for %s holds a measurement for %s (%s)", day, m.Day, m.Domain)
 		}
 	}
+	var list ListBuilder
+	for _, m := range ms {
+		list.Add(m)
+	}
 	var e encoder
 	e.I32(int32(day))
-	e.measurements(ms)
+	list.writeTo(&e)
 	if err := e.Err(); err != nil {
 		return nil, fmt.Errorf("store: encode: %w", err)
 	}
