@@ -1,5 +1,5 @@
 // Command rustore inspects a saved measurement store (the binary file
-// written by `whereru -store FILE` or Study.SaveStore): summary
+// written by `whereru -store FILE` or Study.SaveStoreFile): summary
 // statistics, per-domain configuration history, and CSV export of any
 // domain's longitudinal record — the raw-data workbench next to
 // cmd/whereru's finished report.

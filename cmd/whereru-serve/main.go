@@ -25,10 +25,8 @@
 //	                 have been collected under the same scenario, and the
 //	                 reachability/latency figures and /api/v1/outages
 //	                 light up
-//	-max-concurrent N  concurrent analysis computations (default GOMAXPROCS)
 //	-request-timeout D longest wait on another request's computation or a
 //	                   long-poll's next sweep (default 30s)
-//	-cache-entries N   result-cache capacity (default 512)
 //	-follow          keep tailing the -checkpoint journal while serving:
 //	                 new sweeps appended by a concurrent `whereru
 //	                 -checkpoint FILE [-resume]` run are folded into the
@@ -74,9 +72,7 @@ func run() error {
 	scale := flag.Int("scale", 200, "population scale divisor (must match the run that produced -store/-checkpoint)")
 	seed := flag.Int64("seed", 20220224, "world seed (must match the run that produced -store/-checkpoint)")
 	scenario := flag.String("scenario", "", "routing scenario (must match the run that produced -store/-checkpoint)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent analysis computations (0 = GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "longest wait on another request's computation (then 503) or for a long-poll's next sweep (then 204)")
-	cacheEntries := flag.Int("cache-entries", 0, "result-cache capacity (0 = default)")
 	follow := flag.Bool("follow", false, "keep tailing the -checkpoint journal, fold new sweeps live and answer long-polls on /api/v1/stream/sweeps")
 	followPoll := flag.Duration("follow-poll", 0, "journal polling interval in follow mode (0 = default)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
@@ -136,11 +132,7 @@ func run() error {
 		return fmt.Errorf("the loaded study has no sweeps; nothing to serve")
 	}
 
-	srv := serve.New(study, serve.Options{
-		MaxConcurrent:  *maxConcurrent,
-		RequestTimeout: *requestTimeout,
-		CacheEntries:   *cacheEntries,
-	})
+	srv := serve.New(study, serve.Options{RequestTimeout: *requestTimeout})
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv,

@@ -1,6 +1,7 @@
 package whereru
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,8 +32,8 @@ var materialisingReaders = map[string]bool{
 // comments included, as the CI grep it replaces was.
 var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\(`)
 
-// TestSourceHygiene parses every Go file under internal/, cmd/, examples/
-// and bench/ and fails on what the tree has ruled out:
+// TestSourceHygiene parses every Go file under internal/, cmd/ and bench/
+// and fails on what the tree has ruled out:
 //   - a hash/crc32 import outside internal/frame, test files included:
 //     length+CRC32C framing lives in one place;
 //   - a "net" import under internal/ or cmd/, test files included: every
@@ -40,7 +42,7 @@ var retiredLookups = regexp.MustCompile(`Snapshot\)\.At\(|MeasuredAt\(|hostASNs\
 //   - a crypto/sha256 import in a non-test file outside internal/serve and
 //     bench/: the served ETag is the product's one hash (the CT log is a
 //     list, not a Merkle tree);
-//   - in non-test files under internal/, cmd/ and examples/: a call of a
+//   - in non-test files under internal/ and cmd/: a call of a
 //     materialising journal reader (by name, qualified or not: the names
 //     are unique in the module), a retired lookup, or a top-level
 //     declaration named reference*/Reference* — the oracles are test code.
@@ -111,6 +113,120 @@ func TestSourceHygiene(t *testing.T) {
 	}
 }
 
+// skipGuards are the classes a skip in testdata/skips.txt may have
+// (its header says what each means), each with what the condition of
+// the if around the call must mention; a platform skip tests whatever
+// the platform lacks.
+var skipGuards = map[string]string{
+	"-short":           "testing.Short()",
+	"heap measurement": "testing.Short()",
+	"race-only":        "race",
+	"platform":         "",
+}
+
+// TestSkipLedger holds every Skip, Skipf and SkipNow call outside bench/
+// to testdata/skips.txt: each is listed, under the test function that
+// makes it, with a class (skipGuards) its guard bears out, and each line
+// still lists a call. A test whose input might not show what it checks
+// picks an input that does, or fails: luck in the data is no reason to
+// skip.
+func TestSkipLedger(t *testing.T) {
+	fset, files := sourceTree(t)
+	files = files[:len(files):len(files)] // the tree's slice is shared: append to a copy
+	root, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range root {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{path: p, src: src, test: true})
+	}
+	type site struct {
+		pos  token.Position
+		fn   string
+		cond string // the innermost enclosing if's condition
+	}
+	sites := map[string][]site{} // path:Func → its skips, in source order
+	for _, f := range files {
+		if strings.HasPrefix(f.path, "bench/") || !bytes.Contains(f.src, []byte(".Skip")) {
+			continue
+		}
+		af, err := parser.ParseFile(fset, f.path, f.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := fset.File(af.Pos())
+		for _, d := range af.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			key := f.path + ":" + fn.Name.Name
+			var stack []ast.Node
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || (sel.Sel.Name != "Skip" && sel.Sel.Name != "Skipf" && sel.Sel.Name != "SkipNow") {
+					return true
+				}
+				s := site{pos: fset.Position(call.Pos()), fn: fn.Name.Name}
+				for i := len(stack) - 1; i >= 0; i-- {
+					if is, ok := stack[i].(*ast.IfStmt); ok {
+						s.cond = string(f.src[file.Offset(is.Cond.Pos()):file.Offset(is.Cond.End())])
+						break
+					}
+				}
+				sites[key] = append(sites[key], s)
+				return true
+			})
+		}
+	}
+	if len(sites) == 0 {
+		t.Fatal("found no skip: the walk no longer sees the tree")
+	}
+
+	const ledger = "testdata/skips.txt"
+	lines, err := readAllowlist(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{} // path:Func → lines read so far
+	for _, l := range lines {
+		guard, ok := skipGuards[l.class]
+		n := listed[l.key]
+		listed[l.key]++
+		switch {
+		case !ok:
+			t.Errorf("%s:%d: %s has class %q, not one of -short, race-only, platform, heap measurement", ledger, l.line, l.key, l.class)
+		case n >= len(sites[l.key]):
+			t.Errorf("%s:%d: %s makes %d skips, fewer than its lines here: drop the line", ledger, l.line, l.key, len(sites[l.key]))
+		case !strings.Contains(sites[l.key][n].cond, guard):
+			t.Errorf("%s: a %s skip under a condition that does not test %s: %q", sites[l.key][n].pos, l.class, guard, sites[l.key][n].cond)
+		}
+	}
+	keys := make([]string, 0, len(sites))
+	for key := range sites {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		ss := sites[key]
+		for _, s := range ss[min(listed[key], len(ss)):] {
+			t.Errorf("%s: %s skips, and %s does not list it: pick an input that shows what the test checks, or fail; skip only with a class", s.pos, s.fn, ledger)
+		}
+	}
+}
+
 // goFile is one parsed Go file of the tree. Non-test files are parsed
 // whole, for the hygiene rules and the reachability pass; test files only
 // to their imports.
@@ -128,13 +244,13 @@ var parsedTree struct {
 	err   error
 }
 
-// sourceTree parses every Go file under internal/, cmd/, examples/ and
-// bench/ once per test binary, for every source rule that reads the tree.
+// sourceTree parses every Go file under internal/, cmd/ and bench/ once
+// per test binary, for every source rule that reads the tree.
 func sourceTree(t *testing.T) (*token.FileSet, []goFile) {
 	tr := &parsedTree
 	tr.once.Do(func() {
 		tr.fset = token.NewFileSet()
-		for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		for _, root := range []string{"internal", "cmd", "bench"} {
 			tr.err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 				if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 					return err

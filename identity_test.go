@@ -73,7 +73,7 @@ func TestIdentityManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var storeFile bytes.Buffer
-	if err := collected.SaveStore(&storeFile); err != nil {
+	if _, err := collected.Store.WriteTo(&storeFile); err != nil {
 		t.Fatal(err)
 	}
 	fromStore, err := core.LoadStore(opts, bytes.NewReader(storeFile.Bytes()))

@@ -325,7 +325,7 @@ func TestCloudflareGoogleMovement(t *testing.T) {
 
 	g := f.an.MovementAnalysis(15169, world.GoogleStmtDay, simtime.StudyEnd, f.w.Registries)
 	if g.Original < 3 {
-		t.Skipf("google original set = %d, too small at this scale", g.Original)
+		t.Fatalf("google original set = %d, too small", g.Original)
 	}
 	if g.RelocatedPct() < 25 || g.RelocatedPct() > 85 {
 		t.Errorf("google relocated = %.1f%%, want ≈ 57.1%%", g.RelocatedPct())
@@ -515,7 +515,7 @@ func TestCTConsistencyAcrossCollection(t *testing.T) {
 	log := f.w.CTLog
 	entries := log.Scan(0, log.Size(), nil)
 	if len(entries) < 100 {
-		t.Skip("log too small")
+		t.Fatalf("CT log holds %d entries, too few to check", len(entries))
 	}
 	logged := f.w.Certs.Select(func(c *pki.Certificate) bool { return c.Logged })
 	if len(entries) != len(logged) {

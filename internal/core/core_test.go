@@ -151,7 +151,7 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 func TestSaveStore(t *testing.T) {
 	s := tinyStudy(t)
 	var buf bytes.Buffer
-	if err := s.SaveStore(&buf); err != nil {
+	if _, err := s.Store.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 1000 {
@@ -214,7 +214,7 @@ func TestEmptyStudyReturnsErrNoSweeps(t *testing.T) {
 func TestLoadStoreRoundTrip(t *testing.T) {
 	s := tinyStudy(t)
 	var blob bytes.Buffer
-	if err := s.SaveStore(&blob); err != nil {
+	if _, err := s.Store.WriteTo(&blob); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadStore(s.Opts, &blob)
@@ -286,7 +286,7 @@ func sameOutputs(t *testing.T, load string, got, want map[string]string) {
 func TestAdoptStoreDropsConfigMemo(t *testing.T) {
 	s := tinyStudy(t)
 	var blob bytes.Buffer
-	if err := s.SaveStore(&blob); err != nil {
+	if _, err := s.Store.WriteTo(&blob); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Read(&blob)

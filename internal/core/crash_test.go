@@ -49,7 +49,7 @@ func runStudy(t *testing.T, opts Options) ([]byte, *Study) {
 func storeBytes(t *testing.T, s *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.SaveStore(&buf); err != nil {
+	if _, err := s.Store.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -209,7 +209,7 @@ func checkDrops(schedule, drops []simtime.Day) error {
 }
 
 // LoadStore builds the world for opts and adopts a previously saved
-// measurement store (written by SaveStore / `whereru -store`) in place
+// measurement store (written by SaveStoreFile / `whereru -store`) in place
 // of running Collect. The world must be built with the same seed and
 // scale that produced the store: the geolocation, routing and registry
 // context the analyses consult is regenerated from opts, while the DNS
@@ -351,13 +351,6 @@ func (s *Study) Collect(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SaveStore writes the measurement store to w (the on-disk interchange
-// format; see internal/store).
-func (s *Study) SaveStore(w io.Writer) error {
-	_, err := s.Store.WriteTo(w)
-	return err
 }
 
 // fs resolves Options.FS, defaulting to the real filesystem.

@@ -1,9 +1,8 @@
 // Package ct implements a Certificate Transparency log as the study reads
 // one: an append-only list of logged certificates with their log
-// timestamps, read in bulk by Scan and tailed by a Monitor that delivers
-// certificates matching a predicate — the reproduction's analog of
-// Censys's CT index, which the paper uses to find every certificate
-// securing a .ru or .рф name (§4.1).
+// timestamps, read in bulk by Scan with a predicate — the reproduction's
+// analog of Censys's CT index, which the paper uses to find every
+// certificate securing a .ru or .рф name (§4.1).
 package ct
 
 import (
@@ -62,7 +61,7 @@ func (l *Log) Size() int64 {
 }
 
 // Scan visits entries [from, to) that satisfy pred (nil = all), returning
-// the matches. It is the bulk-read primitive monitors build on.
+// the matches.
 func (l *Log) Scan(from, to int64, pred func(*pki.Certificate) bool) []Entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -79,29 +78,4 @@ func (l *Log) Scan(from, to int64, pred func(*pki.Certificate) bool) []Entry {
 		}
 	}
 	return out
-}
-
-// Monitor tails a log, delivering new entries that match a predicate —
-// how Censys incrementally indexes CT shards.
-type Monitor struct {
-	Log  *Log
-	Pred func(*pki.Certificate) bool
-
-	mu   sync.Mutex
-	next int64
-}
-
-// NewMonitor creates a monitor from the beginning of the log.
-func NewMonitor(log *Log, pred func(*pki.Certificate) bool) *Monitor {
-	return &Monitor{Log: log, Pred: pred}
-}
-
-// Poll returns entries appended since the previous Poll that match.
-func (m *Monitor) Poll() []Entry {
-	m.mu.Lock()
-	from := m.next
-	size := m.Log.Size()
-	m.next = size
-	m.mu.Unlock()
-	return m.Log.Scan(from, size, m.Pred)
 }

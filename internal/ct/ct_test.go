@@ -52,7 +52,7 @@ func TestAppendAndEntry(t *testing.T) {
 	}
 }
 
-func TestScanAndMonitor(t *testing.T) {
+func TestScan(t *testing.T) {
 	l := buildLog(t, 30)
 	even := func(c *pki.Certificate) bool { return c.Serial%2 == 0 }
 	got := l.Scan(0, 30, even)
@@ -64,33 +64,12 @@ func TestScanAndMonitor(t *testing.T) {
 		t.Fatalf("clamped Scan = %d", len(got))
 	}
 
-	m := NewMonitor(l, even)
-	if first := m.Poll(); len(first) != 15 {
-		t.Fatalf("first Poll = %d", len(first))
-	}
-	if again := m.Poll(); len(again) != 0 {
-		t.Fatalf("second Poll = %d, want 0", len(again))
-	}
-	if _, err := l.Append(testCert(100), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(testCert(101), 0); err != nil {
-		t.Fatal(err)
-	}
-	inc := m.Poll()
-	if len(inc) != 1 || inc[0].Cert.Serial != 102 {
-		t.Fatalf("incremental Poll = %+v", inc)
-	}
-	if m.Position() != 32 {
-		t.Fatalf("Position = %d", m.Position())
-	}
-
 	// One appender against every kind of reader at once (run under
-	// -race): Size and Scan see a whole prefix of the log, and a
-	// monitor's Polls deliver each matching entry once, in log order.
+	// -race): Size and Scan see a whole prefix of the log, and scans of
+	// consecutive [from, Size()) ranges deliver each matching entry once,
+	// in log order.
 	const rounds, maxSize = 300, 1 << 16
 	racing := buildLog(t, 64)
-	rm := NewMonitor(racing, even)
 	done := make(chan struct{})
 	appended := make(chan struct{})
 	go func() {
@@ -108,12 +87,18 @@ func TestScanAndMonitor(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
-	var polled []Entry
+	var tailed []Entry
+	var from int64
+	tail := func() {
+		size := racing.Size()
+		tailed = append(tailed, racing.Scan(from, size, even)...)
+		from = size
+	}
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			polled = append(polled, rm.Poll()...)
+			tail()
 		}
 	}()
 	go func() {
@@ -129,13 +114,13 @@ func TestScanAndMonitor(t *testing.T) {
 	wg.Wait()
 	close(done)
 	<-appended
-	polled = append(polled, rm.Poll()...)
-	if n := racing.Size(); int64(len(polled)) != n/2 {
-		t.Fatalf("Polls delivered %d entries of a %d-entry log, want %d", len(polled), n, n/2)
+	tail()
+	if n := racing.Size(); int64(len(tailed)) != n/2 {
+		t.Fatalf("tailing scans delivered %d entries of a %d-entry log, want %d", len(tailed), n, n/2)
 	}
-	for j, e := range polled {
+	for j, e := range tailed {
 		if e.Index != int64(2*j+1) || e.Cert.Serial != uint64(2*j+2) || e.Timestamp != simtime.Day(19000+2*j+1) {
-			t.Fatalf("Poll delivery %d = index %d serial %d day %d", j, e.Index, e.Cert.Serial, e.Timestamp)
+			t.Fatalf("tailed entry %d = index %d serial %d day %d", j, e.Index, e.Cert.Serial, e.Timestamp)
 		}
 	}
 }

@@ -25,21 +25,3 @@ func ExampleLog() {
 	// 1 2022-01-09 site1.ru.
 	// 2 2022-01-10 site2.ru.
 }
-
-// ExampleMonitor tails a log for Russian-domain certificates, as the
-// paper's Censys-indexed pipeline does.
-func ExampleMonitor() {
-	log := ct.NewLog("example-log")
-	ca := pki.NewCA(1, pki.LetsEncrypt, []string{"R3"}, 90)
-	for _, name := range []string{"bank.ru", "shop.com", "пример.рф"} {
-		cert, _ := ca.Issue(19000, name)
-		log.Append(cert, 19000)
-	}
-	m := ct.NewMonitor(log, func(c *pki.Certificate) bool { return c.MatchesRussianTLD() })
-	for _, e := range m.Poll() {
-		fmt.Println(e.Cert.SubjectCN)
-	}
-	// Output:
-	// bank.ru.
-	// xn--e1afmkfd.xn--p1ai.
-}

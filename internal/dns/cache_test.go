@@ -112,7 +112,7 @@ func TestSharedCacheNegativeEntrySuppressesRetries(t *testing.T) {
 	r2.Client.Retries = 1
 	r2.SetCache(r1.Cache())
 
-	net.SetUnreachable(comTLD, true)
+	restore := takeDown(net, comTLD)
 	if _, err := r1.LookupHost(context.Background(), "ns1.hosting.com.", 0); err == nil {
 		t.Fatal("LookupHost succeeded with the .com branch down")
 	}
@@ -128,7 +128,7 @@ func TestSharedCacheNegativeEntrySuppressesRetries(t *testing.T) {
 	}
 
 	// Recovery is shared too: one flush, both resolvers see the live host.
-	net.SetUnreachable(comTLD, false)
+	restore()
 	r1.FlushCache()
 	for _, r := range []*Resolver{r1, r2} {
 		addrs, err := r.LookupHost(context.Background(), "ns1.hosting.com.", 0)

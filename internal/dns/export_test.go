@@ -38,26 +38,29 @@ func CheckCodecs(m *MemNet) func() (checked int, mismatch string) {
 			first = d
 		}
 	}
-	var bound []netip.Addr
+	type route struct {
+		addr netip.Addr
+		h    Handler
+	}
+	var bound []route
 	t := m.routes.table.Load()
 	for i := range t.buckets {
 		for e := t.buckets[i].Load(); e != nil; e = e.next {
-			bound = append(bound, e.key)
+			if e.val != nil {
+				bound = append(bound, route{e.key, e.val})
+			}
 		}
 	}
-	for _, addr := range bound {
-		m.updateRoute(addr, func(r *memRoute) {
-			if h := r.h; h != nil {
-				r.h = HandlerFunc(func(q *Message, from netip.Addr) *Message {
-					check(q)
-					resp := h.ServeDNS(q, from)
-					if resp != nil {
-						check(resp)
-					}
-					return resp
-				})
+	for _, r := range bound {
+		h := r.h
+		m.Bind(r.addr, HandlerFunc(func(q *Message, from netip.Addr) *Message {
+			check(q)
+			resp := h.ServeDNS(q, from)
+			if resp != nil {
+				check(resp)
 			}
-		})
+			return resp
+		}))
 	}
 	return func() (int, string) {
 		mu.Lock()

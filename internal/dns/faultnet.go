@@ -15,9 +15,8 @@ import (
 // wrapper that subjects exchanges to packet loss and to scheduled outage
 // windows keyed to the simulation day. Measurement platforms treat loss
 // as normal — ZDNS-style sweeps retry per-nameserver precisely because
-// single-attempt sweeps systematically overcount failures — so
-// experiments that previously toggled MemNet.SetUnreachable by hand
-// become declarative FaultProfiles here, and the paper's wartime
+// single-attempt sweeps systematically overcount failures — so outages
+// are declarative FaultProfiles here, and the paper's wartime
 // instabilities (Netnod withdrawing service, flapping delegations, lossy
 // paths) become reproducible inputs.
 
@@ -35,8 +34,7 @@ type FaultProfile struct {
 	// dropped (surfaced as ErrNoRoute, the in-memory analog of a timeout).
 	Loss float64
 	// Outages are scheduled windows during which the target drops every
-	// query — e.g. Netnod's service withdrawal expressed as data rather
-	// than an ad-hoc SetUnreachable call.
+	// query — e.g. Netnod's service withdrawal expressed as data.
 	Outages []simtime.Window
 }
 

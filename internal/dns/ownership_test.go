@@ -31,7 +31,7 @@ func studyArtifacts(t *testing.T, s *core.Study) (storeB, reportB, journalB []by
 		t.Fatal(err)
 	}
 	var st, rep bytes.Buffer
-	if err := s.SaveStore(&st); err != nil {
+	if _, err := s.Store.WriteTo(&st); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RenderAll(&rep); err != nil {

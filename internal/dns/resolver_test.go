@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// takeDown unbinds addr from net, so every exchange with it fails as an
+// unanswered one does, and returns the function that binds its handler
+// back.
+func takeDown(net *MemNet, addr netip.Addr) (restore func()) {
+	h, _ := net.routes.get(addr)
+	net.Bind(addr, nil)
+	return func() { net.Bind(addr, h) }
+}
+
 // buildTestInternet wires a tiny three-level hierarchy into a MemNet:
 // root → ru/com TLD servers → two authoritative providers, with a .ru
 // domain whose name server lives under .com (out-of-bailiwick, glueless).
@@ -224,12 +233,12 @@ func TestUnreachableServerFailsOver(t *testing.T) {
 	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.SetUnreachable(mustAddr("194.58.116.30"), true)
+	restore := takeDown(net, mustAddr("194.58.116.30"))
 	r.FlushCache()
 	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err == nil {
 		t.Fatal("resolution succeeded with authoritative down")
 	}
-	net.SetUnreachable(mustAddr("194.58.116.30"), false)
+	restore()
 	if _, err := r.LookupA(ctx, "example.ru.", nil, nil); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -247,7 +256,7 @@ func TestLookupHostNegativeCache(t *testing.T) {
 
 	// The whole .com branch is down, so ns1.hosting.com cannot be
 	// resolved and no glue for it is ever learned.
-	net.SetUnreachable(comTLD, true)
+	restore := takeDown(net, comTLD)
 	if _, err := r.LookupHost(ctx, "ns1.hosting.com.", 0); err == nil {
 		t.Fatal("LookupHost succeeded with authoritative down")
 	}
@@ -276,7 +285,7 @@ func TestLookupHostNegativeCache(t *testing.T) {
 	}
 
 	// FlushCache forgets the negative entry, so recovery is observable.
-	net.SetUnreachable(comTLD, false)
+	restore()
 	if _, err := r.LookupHost(ctx, "ns1.hosting.com.", 0); err == nil {
 		t.Fatal("stale negative entry should still answer until flushed")
 	}
@@ -458,7 +467,7 @@ func TestCutSendsWhatTheSharedCacheSent(t *testing.T) {
 		if _, err := r.LookupNS(ctx, "example.ru.", cut, nil); err != nil {
 			t.Fatal(err)
 		}
-		net.SetUnreachable(mustAddr("194.58.116.30"), true)
+		takeDown(net, mustAddr("194.58.116.30"))
 		if _, err := r.LookupA(ctx, "example.ru.", cut, nil); err == nil {
 			t.Fatal("LookupA succeeded with the authoritative server down")
 		}

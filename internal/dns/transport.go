@@ -56,7 +56,7 @@ var (
 // without a lock and mu only serializes its writers.
 type MemNet struct {
 	mu     sync.Mutex
-	routes *lfMap[netip.Addr, memRoute]
+	routes *lfMap[netip.Addr, Handler]
 	// tap observes every exchanged query (e.g. for counting).
 	tap atomic.Pointer[func(server netip.Addr, q *Message)]
 	// intern dedups decoded names and RData across this network's
@@ -65,43 +65,20 @@ type MemNet struct {
 	intern *wireIntern
 }
 
-// memRoute is what MemNet knows about one address: the bound handler
-// and whether the address drops queries (used to simulate outages such
-// as Netnod withdrawing service).
-type memRoute struct {
-	h    Handler
-	down bool
-}
-
 // NewMemNet returns an empty in-memory network.
 func NewMemNet() *MemNet {
 	return &MemNet{
-		routes: newLFMap[netip.Addr, memRoute](hashAddr),
+		routes: newLFMap[netip.Addr, Handler](hashAddr),
 		intern: newWireIntern(),
 	}
 }
 
-// updateRoute applies f to addr's route, dropping routes left empty.
-func (m *MemNet) updateRoute(addr netip.Addr, f func(*memRoute)) {
+// Bind attaches a handler to an address, replacing any previous binding;
+// a nil handler unbinds the address.
+func (m *MemNet) Bind(addr netip.Addr, h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, _ := m.routes.get(addr)
-	f(&r)
-	if r.h == nil && !r.down {
-		m.routes.del(addr)
-	} else {
-		m.routes.put(addr, r)
-	}
-}
-
-// Bind attaches a handler to an address, replacing any previous binding.
-func (m *MemNet) Bind(addr netip.Addr, h Handler) {
-	m.updateRoute(addr, func(r *memRoute) { r.h = h })
-}
-
-// SetUnreachable marks or clears an address as dropping all queries.
-func (m *MemNet) SetUnreachable(addr netip.Addr, down bool) {
-	m.updateRoute(addr, func(r *memRoute) { r.down = down })
+	m.routes.put(addr, h)
 }
 
 // SetTap installs a function observing every exchange (nil to remove).
@@ -122,11 +99,11 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	route, _ := m.routes.get(server)
+	h, _ := m.routes.get(server)
 	if tap := m.tap.Load(); tap != nil {
 		(*tap)(server, query)
 	}
-	if route.down || route.h == nil {
+	if h == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, server)
 	}
 	// One wire buffer serves both directions: nothing decoded aliases it,
@@ -149,7 +126,7 @@ func (m *MemNet) Exchange(ctx context.Context, server netip.Addr, query *Message
 		return nil, err
 	}
 	req.serving = true
-	resp := route.h.ServeDNS(&req.m, netip.AddrFrom4([4]byte{127, 0, 0, 1}))
+	resp := h.ServeDNS(&req.m, netip.AddrFrom4([4]byte{127, 0, 0, 1}))
 	if resp == nil {
 		req.recycle()
 		return nil, fmt.Errorf("%w: handler returned no response", ErrNoRoute)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,26 +156,22 @@ func TestOutageSchedule(t *testing.T) {
 	s.Add("tld:ru", simtime.Window{From: d.Add(10), To: d.Add(12)})
 	s.Add("provider:netnod", simtime.Window{From: d.Add(11), To: d.Add(20)})
 
-	if !s.ActiveOn("tld:ru", d) || s.ActiveOn("tld:ru", d.Add(1)) {
-		t.Error("single-day window misreported")
+	want := []ScheduledEvent{
+		{Key: "provider:netnod", Kind: "outage", Window: simtime.Window{From: d.Add(11), To: d.Add(20)}},
+		{Key: "tld:ru", Kind: "outage", Window: simtime.OneDay(d)},
+		{Key: "tld:ru", Kind: "outage", Window: simtime.Window{From: d.Add(10), To: d.Add(12)}},
 	}
-	if s.ActiveOn("tld:xn--p1ai", d) {
-		t.Error("unknown key reported active")
+	if got := s.Events(); !slices.Equal(got, want) {
+		t.Errorf("Events = %v, want %v", got, want)
 	}
 	if got := len(s.Windows("tld:ru")); got != 2 {
 		t.Errorf("Windows(tld:ru) = %d entries, want 2", got)
 	}
-	// Windows returns a copy: mutating it must not corrupt the schedule.
+	// Windows and Events return copies: mutating them must not corrupt
+	// the schedule.
 	s.Windows("tld:ru")[0] = simtime.Window{From: 0, To: 1 << 30}
-	if s.ActiveOn("tld:ru", d.Add(5)) {
-		t.Error("Windows leaked internal state")
-	}
-
-	keys := s.ActiveKeys(d.Add(11))
-	if len(keys) != 2 || keys[0] != "provider:netnod" || keys[1] != "tld:ru" {
-		t.Errorf("ActiveKeys = %v, want sorted [provider:netnod tld:ru]", keys)
-	}
-	if keys := s.ActiveKeys(d.Add(1)); len(keys) != 0 {
-		t.Errorf("ActiveKeys on a quiet day = %v", keys)
+	s.Events()[1].Window = simtime.Window{From: 0, To: 1 << 30}
+	if got := s.Events(); !slices.Equal(got, want) {
+		t.Errorf("Events after mutating returned copies = %v, want %v", got, want)
 	}
 }

@@ -115,32 +115,3 @@ func (s *OutageSchedule) Events() []ScheduledEvent {
 	}
 	return out
 }
-
-// ActiveOn reports whether key has a scheduled outage covering day.
-func (s *OutageSchedule) ActiveOn(key string, day simtime.Day) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, w := range s.windows[key] {
-		if w.Contains(day) {
-			return true
-		}
-	}
-	return false
-}
-
-// ActiveKeys returns the sorted keys with an outage covering day.
-func (s *OutageSchedule) ActiveKeys(day simtime.Day) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for key, ws := range s.windows {
-		for _, w := range ws {
-			if w.Contains(day) {
-				out = append(out, key)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}

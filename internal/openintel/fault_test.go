@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -167,9 +168,9 @@ func (c *injectedCounter) Exchange(ctx context.Context, server netip.Addr, q *dn
 }
 
 func TestScheduledOutageRecordsFailures(t *testing.T) {
-	// The declarative re-expression of TestOutageRecordsFailures: the
-	// outage is a day window on the fault layer, not mutable MemNet state,
-	// so it lifts by itself when the clock moves on.
+	// The registry outage is a day window on the fault layer, so it lifts
+	// by itself when the clock moves on; the schedule records what
+	// /api/v1/outages serves.
 	day := simtime.MeasurementOutage
 	p, w, ft := buildLossyPipeline(t, 20000, 11, dns.FaultProfile{}, 4)
 	sched := netsim.NewOutageSchedule()
@@ -182,11 +183,12 @@ func TestScheduledOutageRecordsFailures(t *testing.T) {
 	if stats.Failed != stats.Domains || stats.Domains == 0 {
 		t.Fatalf("outage sweep: %d/%d failed, want all", stats.Failed, stats.Domains)
 	}
-	if !sched.ActiveOn("tld:ru", day) {
-		t.Error("outage schedule does not report tld:ru down on the outage day")
+	want := []netsim.ScheduledEvent{
+		{Key: "tld:ru", Kind: "outage", Window: simtime.OneDay(day)},
+		{Key: "tld:xn--p1ai", Kind: "outage", Window: simtime.OneDay(day)},
 	}
-	if keys := sched.ActiveKeys(day); len(keys) != 2 {
-		t.Errorf("ActiveKeys(%s) = %v, want both registry TLDs", day, keys)
+	if got := sched.Events(); !slices.Equal(got, want) {
+		t.Errorf("outage schedule = %v, want both registry TLDs on %s", got, day)
 	}
 
 	// No cleanup call: the next day's sweep must succeed on its own.
@@ -196,9 +198,6 @@ func TestScheduledOutageRecordsFailures(t *testing.T) {
 	}
 	if stats.Failed != 0 {
 		t.Fatalf("post-outage sweep still failing: %d", stats.Failed)
-	}
-	if sched.ActiveOn("tld:ru", day.Add(1)) {
-		t.Error("outage schedule reports tld:ru down after the window")
 	}
 }
 

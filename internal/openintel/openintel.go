@@ -62,6 +62,7 @@ type Pipeline struct {
 	Routes dns.RoutePolicy
 
 	segment store.ListBuilder // a checkpointed sweep's journal segment, reused by the next
+	chunks  []*chunk          // measurePool's chunks, reused by the next sweep
 }
 
 // SweepStats summarizes one sweep: the record of what it measured, which
@@ -205,16 +206,23 @@ func (p *Pipeline) measurePool(ctx context.Context, day simtime.Day, domains []s
 	// queued. A worker takes a free chunk before it claims a range, so at
 	// most 2·workers claimed ranges are undelivered — the ring below holds
 	// every early arrival — and no range waits for a chunk a later one
-	// holds.
+	// holds. The chunks outlive the sweep: every one ends it recycled, and
+	// the next sweep with as many workers takes them again.
 	n := 2 * workers
+	if len(p.chunks) != n {
+		p.chunks = make([]*chunk, n)
+		for i := range p.chunks {
+			// Arenas with room for a typical domain's lists (a few NS
+			// hosts and an MX; their addresses and the apex's), so a chunk
+			// seldom grows.
+			c := &chunk{out: make([]measured, 0, size), hosts: make([]string, 0, 4*size), addrs: make([]netip.Addr, 0, 8*size)}
+			c.seenHosts, c.seenAddrs = c.hosts, c.addrs
+			p.chunks[i] = c
+		}
+	}
 	free := make(chan *chunk, n)
 	results := make(chan *chunk, n)
-	for range n {
-		// Arenas with room for a typical domain's lists (a few NS hosts
-		// and an MX; their addresses and the apex's), so a chunk seldom
-		// grows.
-		c := &chunk{out: make([]measured, 0, size), hosts: make([]string, 0, 4*size), addrs: make([]netip.Addr, 0, 8*size)}
-		c.seenHosts, c.seenAddrs = c.hosts, c.addrs
+	for _, c := range p.chunks {
 		free <- c
 	}
 	var wg sync.WaitGroup

@@ -167,7 +167,7 @@ func TestStoreWithoutSerialMaps(t *testing.T) {
 		if _, ok := s.Get(c.Serial); ok {
 			t.Fatalf("serial %d found before it was added", c.Serial)
 		}
-		if got := s.Status(c.Serial, day); got != OCSPUnknown {
+		if got := s.CRL(c.IssuerOrg).Status(c.Serial, day); got != OCSPUnknown {
 			t.Errorf("Status of a never-added serial = %v, want unknown", got)
 		}
 		if err := s.Revoke(c.Serial, day, ReasonCessation); err == nil {
@@ -184,7 +184,7 @@ func TestStoreWithoutSerialMaps(t *testing.T) {
 		if err := s.Add(c); err == nil {
 			t.Fatalf("duplicate serial %d accepted", c.Serial)
 		}
-		if got := s.Status(c.Serial, day); got != OCSPGood {
+		if got := s.CRL(c.IssuerOrg).Status(c.Serial, day); got != OCSPGood {
 			t.Fatalf("Status(%d) = %v, want good", c.Serial, got)
 		}
 	}
@@ -192,10 +192,10 @@ func TestStoreWithoutSerialMaps(t *testing.T) {
 		t.Fatalf("Len = %d after duplicates were refused, want %d", s.Len(), len(issued))
 	}
 	// Issuance order is the order of Add, not of serials.
-	all := s.All()
+	all := s.Select(func(*Certificate) bool { return true })
 	for k, i := range late {
 		if all[len(all)-len(late)+k] != issued[i] {
-			t.Errorf("All()[%d] is not the certificate added then", len(all)-len(late)+k)
+			t.Errorf("certificate %d in issuance order is not the one added then", len(all)-len(late)+k)
 		}
 	}
 	if got := s.ByIssuer(DigiCert); len(got) != 67 {
@@ -207,11 +207,10 @@ func TestStoreWithoutSerialMaps(t *testing.T) {
 		if _, ok := s.Get(serial); ok {
 			t.Errorf("Get(%d) found a certificate", serial)
 		}
-		if got := s.Status(serial, day); got != OCSPUnknown {
-			t.Errorf("Status(%d) = %v, want unknown", serial, got)
-		}
-		if got := s.CRL(LetsEncrypt).Status(serial, day); got != OCSPUnknown {
-			t.Errorf("CRL.Status(%d) = %v, want unknown", serial, got)
+		for _, org := range []string{LetsEncrypt, DigiCert} {
+			if got := s.CRL(org).Status(serial, day); got != OCSPUnknown {
+				t.Errorf("%s's CRL.Status(%d) = %v, want unknown", org, serial, got)
+			}
 		}
 	}
 	// Revoked from its day on; good before; a CA's list answers only for
@@ -220,13 +219,14 @@ func TestStoreWithoutSerialMaps(t *testing.T) {
 	if err := s.Revoke(c.Serial, day, ReasonCessation); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Status(c.Serial, day-1); got != OCSPGood {
+	crl := s.CRL(c.IssuerOrg)
+	if got := crl.Status(c.Serial, day-1); got != OCSPGood {
 		t.Errorf("Status the day before revocation = %v", got)
 	}
-	if got := s.Status(c.Serial, day); got != OCSPRevoked {
+	if got := crl.Status(c.Serial, day); got != OCSPRevoked {
 		t.Errorf("Status on the revocation day = %v", got)
 	}
-	if got := s.Status(c.Serial, day+30); got != OCSPRevoked {
+	if got := crl.Status(c.Serial, day+30); got != OCSPRevoked {
 		t.Errorf("Status after the revocation day = %v", got)
 	}
 	other := DigiCert

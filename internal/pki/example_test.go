@@ -19,12 +19,12 @@ func ExampleCA() {
 
 	fmt.Println("issuer:", cert.IssuerOrg)
 	fmt.Println("russian:", cert.MatchesRussianTLD())
-	fmt.Println("status:", store.Status(cert.Serial, day.Add(10)))
+	fmt.Println("status:", store.CRL(cert.IssuerOrg).Status(cert.Serial, day.Add(10)))
 
 	// DigiCert revokes the sanctioned bank's certificate (the event that
 	// triggered the Russian Trusted Root CA's creation).
 	store.Revoke(cert.Serial, simtime.Date(2022, 2, 25), pki.ReasonCessation)
-	fmt.Println("status after revocation:", store.Status(cert.Serial, simtime.Date(2022, 3, 1)))
+	fmt.Println("status after revocation:", store.CRL(cert.IssuerOrg).Status(cert.Serial, simtime.Date(2022, 3, 1)))
 	// Output:
 	// issuer: DigiCert
 	// russian: true

@@ -1,7 +1,6 @@
 package pki
 
 import (
-	"sort"
 	"sync"
 
 	"whereru/internal/simtime"
@@ -97,20 +96,6 @@ func (c *CRL) Status(serial uint64, day simtime.Day) OCSPStatus {
 		return OCSPGood
 	}
 	return OCSPUnknown
-}
-
-// Revocations returns all entries effective by day, sorted by serial.
-func (c *CRL) Revocations(day simtime.Day) []Revocation {
-	c.mu.RLock()
-	out := make([]Revocation, 0, len(c.revoked))
-	for _, rev := range c.revoked {
-		if rev.Day <= day {
-			out = append(out, rev)
-		}
-	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Serial < out[j].Serial })
-	return out
 }
 
 // Len returns the total number of revocations on the list.

@@ -101,13 +101,6 @@ func (s *Store) ByIssuer(org string) []*Certificate {
 	return s.Select(func(c *Certificate) bool { return c.IssuerOrg == org })
 }
 
-// All returns every certificate in issuance order.
-func (s *Store) All() []*Certificate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Certificate(nil), s.ordered...)
-}
-
 // Select returns certificates matching the predicate, in issuance order.
 func (s *Store) Select(pred func(*Certificate) bool) []*Certificate {
 	s.mu.RLock()
@@ -119,13 +112,4 @@ func (s *Store) Select(pred func(*Certificate) bool) []*Certificate {
 		}
 	}
 	return out
-}
-
-// Status answers an OCSP query against the issuing CA's state.
-func (s *Store) Status(serial uint64, day simtime.Day) OCSPStatus {
-	c, ok := s.Get(serial)
-	if !ok {
-		return OCSPUnknown
-	}
-	return s.CRL(c.IssuerOrg).Status(serial, day)
 }

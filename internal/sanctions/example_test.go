@@ -16,11 +16,9 @@ func ExampleList() {
 		Authorities: sanctions.USOFAC | sanctions.UKSanctions,
 	})
 	e, _ := l.Match("online.vtb.ru.")
-	fmt.Println(e.Entity, "—", e.Authorities)
-	fmt.Println("sanctioned on Feb 24:", l.Contains("vtb.ru.", simtime.Date(2022, 2, 24)))
-	fmt.Println("sanctioned on Feb 25:", l.Contains("vtb.ru.", simtime.Date(2022, 2, 25)))
+	fmt.Println(e.Entity, "—", e.Authorities, "— listed", e.Listed)
+	fmt.Println("sanctioned:", l.ContainsEver("www.vtb.ru."), l.ContainsEver("notvtb.ru."))
 	// Output:
-	// VTB Bank — US-OFAC-SDN+UK
-	// sanctioned on Feb 24: false
-	// sanctioned on Feb 25: true
+	// VTB Bank — US-OFAC-SDN+UK — listed 2022-02-25
+	// sanctioned: true false
 }

@@ -50,7 +50,7 @@ type Entry struct {
 	Authorities Authority
 }
 
-// List is a set of sanctioned domains with date-aware membership.
+// List is a set of sanctioned domains, each with its listing date.
 type List struct {
 	mu      sync.RWMutex
 	entries map[string]Entry
@@ -84,17 +84,11 @@ func (l *List) Len() int {
 	return len(l.entries)
 }
 
-// Contains reports whether name or a parent of name is sanctioned as of
-// day (subdomains of a sanctioned domain count as sanctioned, matching
-// how certificates for www.<sanctioned> are treated).
-func (l *List) Contains(name string, day simtime.Day) bool {
-	e, ok := l.Match(name)
-	return ok && e.Listed <= day
-}
-
-// ContainsEver is Contains without the date condition — the paper's §4
-// certificate analysis labels a domain sanctioned regardless of when the
-// certificate was issued relative to the listing.
+// ContainsEver reports whether name or a parent of name is sanctioned,
+// whatever the listing date (subdomains of a sanctioned domain count, as
+// certificates for www.<sanctioned> do): the paper's §4 certificate
+// analysis labels a domain sanctioned regardless of when the certificate
+// was issued relative to the listing.
 func (l *List) ContainsEver(name string) bool {
 	_, ok := l.Match(name)
 	return ok
@@ -122,17 +116,5 @@ func (l *List) AllDomains() []string {
 	}
 	l.mu.RUnlock()
 	sort.Strings(out)
-	return out
-}
-
-// Entries returns all entries sorted by domain.
-func (l *List) Entries() []Entry {
-	l.mu.RLock()
-	out := make([]Entry, 0, len(l.entries))
-	for _, e := range l.entries {
-		out = append(out, e)
-	}
-	l.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
 }

@@ -14,7 +14,7 @@ func TestAddAndMatch(t *testing.T) {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	e, ok := l.Match("vtb.ru.")
-	if !ok || e.Entity != "VTB Bank" {
+	if !ok || e.Entity != "VTB Bank" || e.Listed != listed {
 		t.Fatalf("Match = %+v, %v", e, ok)
 	}
 	// Subdomains match.
@@ -26,24 +26,6 @@ func TestAddAndMatch(t *testing.T) {
 	}
 	if !l.ContainsEver("www.vtb.ru.") {
 		t.Error("ContainsEver failed")
-	}
-}
-
-func TestDateAwareness(t *testing.T) {
-	l := NewList()
-	listed := simtime.MustParse("2022-02-25")
-	l.Add(Entry{Domain: "sber.ru", Listed: listed, Authorities: UKSanctions})
-	if l.Contains("sber.ru.", listed.Add(-1)) {
-		t.Error("sanctioned before listing date")
-	}
-	if !l.Contains("sber.ru.", listed) {
-		t.Error("not sanctioned on listing date")
-	}
-	if got := l.Domains(listed.Add(-1)); len(got) != 0 {
-		t.Errorf("Domains before listing = %v", got)
-	}
-	if got := l.Domains(listed); len(got) != 1 {
-		t.Errorf("Domains on listing day = %v", got)
 	}
 }
 
@@ -91,9 +73,5 @@ func TestSortedAccessors(t *testing.T) {
 	all := l.AllDomains()
 	if len(all) != 3 || all[0] != "aaa.ru." || all[2] != "zzz.ru." {
 		t.Errorf("AllDomains = %v", all)
-	}
-	entries := l.Entries()
-	if len(entries) != 3 || entries[0].Domain != "aaa.ru." {
-		t.Errorf("Entries = %v", entries)
 	}
 }

@@ -69,7 +69,7 @@ func testStudy(tb testing.TB) *core.Study {
 func privateStudy(tb testing.TB) *core.Study {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := testStudy(tb).SaveStore(&buf); err != nil {
+	if _, err := testStudy(tb).Store.WriteTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	s, err := core.LoadStore(testStudyOptions(), &buf)
@@ -624,7 +624,7 @@ func TestETagRoundTrip(t *testing.T) {
 func TestSaturation(t *testing.T) {
 	// The gate is installed before the listener starts and never changed
 	// after, so handler goroutines only ever read it.
-	srv := New(testStudy(t), Options{MaxConcurrent: 1})
+	srv := newLimited(testStudy(t), Options{}, limits{slots: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	srv.computeGate = func(endpoint string) {
@@ -949,7 +949,7 @@ func TestSweepsEndpointContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var saved bytes.Buffer
-	if err := st.SaveStore(&saved); err != nil {
+	if _, err := st.Store.WriteTo(&saved); err != nil {
 		t.Fatal(err)
 	}
 	fromStore, err := core.LoadStore(opts, &saved)

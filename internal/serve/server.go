@@ -43,33 +43,24 @@ import (
 	"whereru/internal/store"
 )
 
-// Options tunes the serving machinery. The zero value is usable: every
-// field has a sensible default applied by New.
+// Options tunes the serving machinery. The zero value is usable: New
+// applies the default.
 type Options struct {
-	// MaxConcurrent bounds simultaneous engine computations (cache
-	// misses). Default: GOMAXPROCS. Cache hits and coalesced waits are
-	// not counted — only real analysis work holds a slot.
-	MaxConcurrent int
 	// RequestTimeout bounds how long a request waits: on an identical
 	// request's computation (then 503 + Retry-After) or, as a long-poll,
 	// for the next folded sweep (then 204). Default: 30s.
 	RequestTimeout time.Duration
-	// CacheEntries caps the result cache. Default: 512.
-	CacheEntries int
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxConcurrent <= 0 {
-		o.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 512
-	}
 	return o
 }
+
+// cacheEntries caps the result cache.
+const cacheEntries = 512
 
 // retryAfter is the Retry-After hint, in seconds, sent with every 503.
 const retryAfter = "1"
@@ -87,9 +78,12 @@ type Server struct {
 	study *core.Study
 	opts  Options
 	cache *resultCache
-	sem   chan struct{}
-	met   *metrics
-	mux   *http.ServeMux
+	// sem bounds simultaneous engine computations (cache misses) to
+	// GOMAXPROCS. Cache hits and coalesced waits hold no slot — only
+	// real analysis work does.
+	sem chan struct{}
+	met *metrics
+	mux *http.ServeMux
 
 	// computeGate, when set, is called by computation leaders while they
 	// hold a semaphore slot — the test hook behind the saturation tests.
@@ -110,8 +104,8 @@ func New(study *core.Study, opts Options) *Server {
 	s := &Server{
 		study:  study,
 		opts:   opts,
-		cache:  newResultCache(opts.CacheEntries),
-		sem:    make(chan struct{}, opts.MaxConcurrent),
+		cache:  newResultCache(cacheEntries),
+		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		met:    newMetrics(),
 		mux:    http.NewServeMux(),
 		follow: newFollowState(),

@@ -65,7 +65,7 @@ func collectJournal(t *testing.T, opts core.Options) (*store.JournalReplay, stri
 // gate, when set, is the server's compute gate, installed before its
 // listener starts. grow, when set, gets the journal between the load and
 // the prime: the collector does not stop appending while a server starts.
-func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options, gate func(endpoint string), grow func(*store.Journal)) (*Server, string, *store.Journal) {
+func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalReplay, k int, opts Options, l limits, gate func(endpoint string), grow func(*store.Journal)) (*Server, string, *store.Journal) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "follow.wrjl")
 	j, err := store.CreateJournal(path)
@@ -92,7 +92,7 @@ func startFollowed(t *testing.T, studyOpts core.Options, replay *store.JournalRe
 	if last, _ := eng.LastDay(); eng.Folds() != uint64(k) || last != replay.Sweeps[k-1].Day {
 		t.Fatalf("primed %d segments up to %s, want the %d loaded up to %s", eng.Folds(), last, k, replay.Sweeps[k-1].Day)
 	}
-	srv := New(study, opts)
+	srv := newLimited(study, opts, l)
 	srv.computeGate = gate
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -195,7 +195,7 @@ func TestFollowLiveUpdates(t *testing.T) {
 	replay, fullPath := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
 	k := n / 2
-	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, nil, nil)
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, limits{}, nil, nil)
 
 	// Concurrent readers keep hammering the API during folds; under
 	// -race this doubles as an interleaving test.
@@ -304,7 +304,7 @@ func TestPrimeWhileJournalGrows(t *testing.T) {
 	n := len(replay.Sweeps)
 	k := n / 2
 	appended := make(chan error, 1)
-	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, nil, func(j *store.Journal) {
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, limits{}, nil, func(j *store.Journal) {
 		if err := j.AppendSweep(replay.Sweeps[k]); err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestPrimeWhileJournalGrows(t *testing.T) {
 func TestIdleFollowedServerReportsPrimedState(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	k := len(replay.Sweeps) / 2
-	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, nil, func(j *store.Journal) {
+	srv, base, _ := startFollowed(t, followOpts(), replay, k, Options{}, limits{}, nil, func(j *store.Journal) {
 		f, err := os.OpenFile(j.Path(), os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -389,7 +389,7 @@ func TestFollowMovementMatchesColdRestart(t *testing.T) {
 	const k = 3
 	// Room for the readers below and the checks beside them: a 503 would
 	// only say the test saturated the server.
-	srv, base, j := startFollowed(t, opts, replay, k, Options{MaxConcurrent: 8}, nil, nil)
+	srv, base, j := startFollowed(t, opts, replay, k, Options{}, limits{slots: 8}, nil, nil)
 
 	coldPath := filepath.Join(t.TempDir(), "prefix.wrjl")
 	coldJ, err := store.CreateJournal(coldPath)
@@ -509,7 +509,7 @@ func TestFollowPatchedSeriesNeverRecompute(t *testing.T) {
 	}
 	// Room for both readers' cold movement computes: a 503 would only
 	// say the test saturated the server.
-	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{CacheEntries: 16, MaxConcurrent: 8}, gate, nil)
+	srv, base, j := startFollowed(t, followOpts(), replay, k, Options{}, limits{slots: 8, entries: 16}, gate, nil)
 
 	asns := []int{197695, 13335, 16509, 47846}
 	var keys atomic.Int64
@@ -580,7 +580,7 @@ func TestFollowPatchedSeriesNeverRecompute(t *testing.T) {
 func TestLongPollStream(t *testing.T) {
 	replay, _ := collectJournal(t, followOpts())
 	n := len(replay.Sweeps)
-	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, nil, nil)
+	srv, base, j := startFollowed(t, followOpts(), replay, n-1, Options{RequestTimeout: 500 * time.Millisecond}, limits{}, nil, nil)
 
 	primed := srv.study.Store.Generation()
 	if err := j.AppendSweep(replay.Sweeps[n-1]); err != nil {

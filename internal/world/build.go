@@ -114,11 +114,6 @@ func (w *World) NewResolver() *dns.Resolver {
 	return dns.NewResolver(w.Mem, w.roots)
 }
 
-// TLDServerAddrs returns the server addresses for a served TLD label
-// ("ru", the .рф punycode), for targeting registry infrastructure with
-// fault profiles.
-func (w *World) TLDServerAddrs(tld string) []netip.Addr { return slices.Clone(w.tldAddrs[tld]) }
-
 // ProviderByASN returns the provider owning an ASN.
 func (w *World) ProviderByASN(asn netsim.ASN) (*Provider, bool) {
 	p, ok := w.byASN[asn]

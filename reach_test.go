@@ -22,9 +22,9 @@ import (
 var unreachedClasses = map[string]bool{"oracle": true, "helper": true, "hook": true, "queued": true}
 
 // TestProductReachability holds product code to what a binary reaches.
-// The roots are the main packages under cmd/ and examples/ and the bench
-// module: their main functions and package-level variables, and the init
-// functions of every package they link. From them it follows every
+// The roots are the main packages under cmd/ and the bench module: their
+// main functions and package-level variables, and the init functions of
+// every package they link. From them it follows every
 // identifier use go/types resolves (instantiations mapped to their generic
 // origin) to a fixed point. A method no use names still counts as
 // reached when its receiver type is reached and some interface in the
